@@ -2,8 +2,9 @@
 // model construction (fused compiled build and the explicit-form adapter),
 // MDP compilation, the two value-iteration queries on
 // both the compiled and the legacy path, outcome-distribution evaluation,
-// campaign-cell throughput, and health sensing. Complements Table V's
-// end-to-end timings with per-kernel numbers.
+// campaign-cell throughput, and health sensing (the truth scan and the
+// noisy scan-chain read). Complements Table V's end-to-end timings with
+// per-kernel numbers.
 //
 // Refresh the committed perf record with:
 //   ./build/bench/microbench --benchmark_out=BENCH_synthesis.json
@@ -22,6 +23,7 @@
 #include "model/outcomes.hpp"
 #include "obs/obs.hpp"
 #include "sim/campaign.hpp"
+#include "sim/simulated_chip.hpp"
 
 namespace {
 
@@ -364,6 +366,31 @@ void BM_HealthSensing(benchmark::State& state) {
   state.SetLabel("60x30 scan");
 }
 BENCHMARK(BM_HealthSensing);
+
+// One per-cycle read of a pre-worn 60×30 chip behind the hybrid_noisy
+// workload's scan chain (bit flips p = 1e-3, 2% dropped frames): the health
+// matrix plus the noisy readout, 3600 flip draws per fresh frame. A 3×3
+// block walks the chip and is actuated before each read, so a few cells
+// change per cycle as under a moving droplet.
+void BM_SenseHealthNoisy(benchmark::State& state) {
+  sim::SimulatedChipConfig config;
+  config.chip.width = 60;
+  config.chip.height = 30;
+  config.pre_wear_max = 150;
+  config.sensor.bit_flip_p = 0.001;
+  config.sensor.frame_drop_p = 0.02;
+  sim::SimulatedChip chip(config, Rng(1));
+  int step = 0;
+  for (auto _ : state) {
+    const int x = step % 58;
+    const int y = (step / 58) % 28;
+    chip.substrate().actuate(Rect{x, y, x + 2, y + 2});
+    benchmark::DoNotOptimize(chip.sense_health());
+    ++step;
+  }
+  state.SetLabel("60x30x2 bits, flip 1e-3, drop 0.02");
+}
+BENCHMARK(BM_SenseHealthNoisy);
 
 }  // namespace
 

@@ -72,9 +72,9 @@ DoubleMatrix Biochip::degradation_matrix() const {
 
 IntMatrix Biochip::health_matrix() const {
   IntMatrix h(config_.width, config_.height);
-  for (int y = 0; y < config_.height; ++y)
-    for (int x = 0; x < config_.width; ++x)
-      h(x, y) = cells_[index(x, y)].health(config_.health_bits);
+  std::vector<int>& codes = h.data();  // row-major, like cells_
+  for (std::size_t i = 0; i < cells_.size(); ++i)
+    codes[i] = cells_[i].health(config_.health_bits);
   return h;
 }
 

@@ -65,7 +65,22 @@ class Microelectrode {
   }
 
   /// b-bit sensed health code H(n) as produced by the dual-DFF sensor.
-  int health(int bits) const { return quantize_health(degradation(), bits); }
+  /// Cached like degradation(), keyed on the actuation count, the fault
+  /// state and @p bits: a health-matrix read re-quantizes only the MCs that
+  /// changed since the last one.
+  int health(int bits) const {
+    const bool dead = failed();
+    if (health_for_ != actuations_ + 1 || health_bits_ != bits ||
+        health_dead_ != dead) {
+      // quantize_health checks bits in [1, 16], so both casts are exact.
+      health_code_ =
+          static_cast<std::uint16_t>(quantize_health(degradation(), bits));
+      health_for_ = actuations_ + 1;
+      health_bits_ = static_cast<std::uint8_t>(bits);
+      health_dead_ = dead;
+    }
+    return health_code_;
+  }
 
  private:
   DegradationParams params_{};
@@ -73,6 +88,10 @@ class Microelectrode {
   std::uint64_t fail_at_ = std::numeric_limits<std::uint64_t>::max();
   mutable std::uint64_t cached_for_ = 0;
   mutable double cached_degradation_ = 1.0;
+  mutable std::uint64_t health_for_ = 0;  // same "+1, 0 = unset" key
+  mutable std::uint16_t health_code_ = 0;
+  mutable std::uint8_t health_bits_ = 0;
+  mutable bool health_dead_ = false;
 };
 
 }  // namespace meda

@@ -12,7 +12,9 @@
 ///
 /// Bit order: row-major from MC(0, 0), least-significant health bit first
 /// within each MC (the original DFF's bit is the MSB of each code — it
-/// samples first, see Section III-B).
+/// samples first, see Section III-B). This is the one definition of the
+/// layout: SensorChannel reads a frame in this order without materializing
+/// the stream.
 
 namespace meda {
 

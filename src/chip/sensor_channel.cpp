@@ -1,6 +1,5 @@
 #include "chip/sensor_channel.hpp"
 
-#include "chip/scan_chain.hpp"
 #include "obs/obs.hpp"
 #include "util/check.hpp"
 
@@ -14,19 +13,23 @@ SensorChannel::SensorChannel(const SensorNoiseConfig& config, int width,
   MEDA_REQUIRE(config.bit_flip_p >= 0.0 && config.bit_flip_p <= 1.0 &&
                    config.stuck_fraction >= 0.0 &&
                    config.stuck_fraction <= 1.0 &&
+                   config.stuck_at_one_share >= 0.0 &&
+                   config.stuck_at_one_share <= 1.0 &&
                    config.frame_drop_p >= 0.0 && config.frame_drop_p < 1.0,
                "sensor noise probabilities out of range");
-  const std::size_t positions = static_cast<std::size_t>(width) *
-                                static_cast<std::size_t>(height) *
-                                static_cast<std::size_t>(bits);
-  stuck_.assign(positions, 0);
+  flip_ = FixedBernoulli(config.bit_flip_p);
+  last_frame_ = IntMatrix(width, height);
+  stuck_.assign(last_frame_.size(), StuckCell{});
   if (config.stuck_fraction > 0.0) {
-    const int n = static_cast<int>(positions);
+    // Scan position `flat` is bit flat % bits of cell flat / bits.
+    const int n = static_cast<int>(last_frame_.size()) * bits;
     const int target =
         static_cast<int>(config.stuck_fraction * static_cast<double>(n) + 0.5);
     for (int flat : sample_without_replacement(rng, n, target)) {
-      stuck_[static_cast<std::size_t>(flat)] =
-          rng.bernoulli(config.stuck_at_one_share) ? 2 : 1;
+      StuckCell& cell = stuck_[static_cast<std::size_t>(flat / bits)];
+      const auto bit = static_cast<std::uint16_t>(1u << (flat % bits));
+      cell.mask |= bit;
+      if (rng.bernoulli(config.stuck_at_one_share)) cell.ones |= bit;
     }
     stuck_count_ = target;
   }
@@ -48,21 +51,34 @@ IntMatrix SensorChannel::read(const IntMatrix& truth, Rng& rng) {
     MEDA_OBS_COUNT("sensor.frames_dropped", 1);
     return last_frame_;
   }
-  std::vector<bool> stream = scan_out_health(truth, bits_);
+  // The whole frame must fit the scan width before the first bit draw, so a
+  // rejected frame consumes no draws and leaves last_frame_ as it was. A
+  // negative code sets the top bit of the OR.
+  const std::vector<int>& codes = truth.data();
+  unsigned used = 0;
+  for (const int code : codes) used |= static_cast<unsigned>(code);
+  MEDA_REQUIRE(used < (1u << bits_),
+               "health code does not fit the scan width");
+
+  std::vector<int>& out = last_frame_.data();
+  const bool flipping = config_.bit_flip_p > 0.0;
   std::uint64_t flips = 0;
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    if (stuck_[i] != 0) {
-      stream[i] = stuck_[i] == 2;
-      continue;
+  for (std::size_t c = 0; c < codes.size(); ++c) {
+    const StuckCell stuck = stuck_[c];
+    int code = (codes[c] & ~stuck.mask) | stuck.ones;
+    if (flipping) {
+      for (int b = 0; b < bits_; ++b) {
+        const int bit = 1 << b;
+        if ((stuck.mask & bit) == 0 && flip_(rng)) {
+          code ^= bit;
+          ++flips;
+        }
+      }
     }
-    if (config_.bit_flip_p > 0.0 && rng.bernoulli(config_.bit_flip_p)) {
-      stream[i] = !stream[i];
-      ++bits_flipped_;
-      ++flips;
-    }
+    out[c] = code;
   }
+  bits_flipped_ += flips;
   if (flips > 0) MEDA_OBS_COUNT("sensor.bits_flipped", flips);
-  last_frame_ = scan_in_health(stream, width_, height_, bits_);
   has_last_ = true;
   staleness_ = 0;
   return last_frame_;

@@ -18,9 +18,15 @@
 /// controller only has the previous (stale) frame to act on.
 ///
 /// SensorChannel models exactly these three error modes on top of the
-/// bitstream layout of scan_chain.hpp. With a default-constructed
-/// SensorNoiseConfig the channel is transparent (it still serializes and
-/// re-parses the frame, exercising the real readout path).
+/// bitstream layout of scan_chain.hpp. A read is one pass over the frame in
+/// scan order (row-major, least-significant health bit first): each read
+/// code is built in place, a stuck DFF forcing its bit and every other bit
+/// taking one flip draw. The stream contract: one frame-drop draw first
+/// (from the second read on, when frame_drop_p > 0), then one 64-bit draw
+/// per non-stuck bit in scan order (when bit_flip_p > 0). This is exactly
+/// what serializing with scan_out_health, corrupting bit by bit with
+/// Rng::bernoulli and parsing with scan_in_health would draw and return.
+/// With a default-constructed SensorNoiseConfig the channel is transparent.
 
 namespace meda {
 
@@ -55,8 +61,10 @@ class SensorChannel {
   SensorChannel(const SensorNoiseConfig& config, int width, int height,
                 int bits, Rng rng);
 
-  /// Reads @p truth through the channel: serialize, corrupt, parse.
-  /// Transient randomness (flips, frame drops) draws from @p rng.
+  /// Reads @p truth through the channel in one scan-order pass. Transient
+  /// randomness (flips, frame drops) draws from @p rng. Every code must fit
+  /// the scan width; a frame that does not is rejected before any bit draw
+  /// and leaves the last frame as it was.
   IntMatrix read(const IntMatrix& truth, Rng& rng);
 
   // Channel statistics ---------------------------------------------------
@@ -69,12 +77,20 @@ class SensorChannel {
   std::uint64_t staleness() const { return staleness_; }
 
  private:
+  /// Stuck DFFs of one cell, in read-code bit positions: a set bit of
+  /// `mask` is stuck at the value of the same bit of `ones`.
+  struct StuckCell {
+    std::uint16_t mask = 0;
+    std::uint16_t ones = 0;
+  };
+
   SensorNoiseConfig config_{};
+  FixedBernoulli flip_{};
   int width_ = 0;
   int height_ = 0;
   int bits_ = 0;
-  /// Per-DFF persistence: 0 = healthy, 1 = stuck-at-0, 2 = stuck-at-1.
-  std::vector<std::uint8_t> stuck_;
+  /// Per-cell persistence, row-major like the frame.
+  std::vector<StuckCell> stuck_;
   int stuck_count_ = 0;
   IntMatrix last_frame_;
   bool has_last_ = false;

@@ -37,8 +37,9 @@ struct SimulatedChipConfig {
   /// chip). 0 = factory-fresh.
   std::uint64_t pre_wear_max = 0;
   /// Imperfections of the sensing path (Section III-B scan chain): every
-  /// sense_health() is serialized through the scan chain and corrupted per
-  /// this model. Default: a perfect channel (sense_health returns H).
+  /// sense_health() is read through the scan chain in scan order and
+  /// corrupted per this model. Default: a perfect channel (sense_health
+  /// returns H).
   SensorNoiseConfig sensor{};
 };
 

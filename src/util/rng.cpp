@@ -17,6 +17,17 @@ std::uint64_t mix(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// A generator that yields one fixed value: handing it to a standard
+/// distribution gives that distribution's outcome for one draw of
+/// std::mt19937_64.
+struct FixedDraw {
+  using result_type = std::mt19937_64::result_type;
+  static constexpr result_type min() { return std::mt19937_64::min(); }
+  static constexpr result_type max() { return std::mt19937_64::max(); }
+  result_type operator()() const { return value; }
+  result_type value = 0;
+};
+
 }  // namespace
 
 Rng Rng::fork(std::uint64_t stream) {
@@ -38,6 +49,32 @@ int Rng::uniform_int(int lo, int hi) {
 bool Rng::bernoulli(double p) {
   p = std::clamp(p, 0.0, 1.0);
   return std::bernoulli_distribution(p)(engine_);
+}
+
+FixedBernoulli::FixedBernoulli(double p) {
+  MEDA_REQUIRE(p >= 0.0 && p <= 1.0, "bernoulli p out of range");
+  std::bernoulli_distribution trial(p);
+  const auto succeeds = [&trial](std::uint64_t x) {
+    FixedDraw draw{x};
+    return trial(draw);
+  };
+  if (succeeds(FixedDraw::max())) {
+    certain_ = true;
+    threshold_ = FixedDraw::max();
+    return;
+  }
+  // Smallest draw that fails; the draw max() fails, so it exists.
+  std::uint64_t lo = 0;
+  std::uint64_t hi = FixedDraw::max();
+  while (lo < hi) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (succeeds(mid)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  threshold_ = lo;
 }
 
 std::size_t Rng::categorical(std::span<const double> weights) {

@@ -54,6 +54,33 @@ class Rng {
   std::mt19937_64 engine_;
 };
 
+/// Bernoulli trial with a fixed p, exact to the stream: each trial takes one
+/// next_u64() and returns what Rng::bernoulli(p) returns from the same
+/// engine state, at the cost of one integer compare.
+///
+/// std::bernoulli_distribution(p) on std::mt19937_64 decides a trial from a
+/// single draw x through generate_canonical<double, 53>, i.e. on
+/// double(x) / 2^64 < p, and succeeds on every draw when p = 1. That decision
+/// is monotone in x, so it is x < K for a threshold K, found once by
+/// bisection over the standard distribution's own decision.
+class FixedBernoulli {
+ public:
+  /// Requires p in [0, 1].
+  explicit FixedBernoulli(double p = 0.0);
+
+  /// One trial; consumes exactly one draw, also when p is 0 or 1.
+  bool operator()(Rng& rng) const {
+    return (rng.next_u64() < threshold_) | certain_;
+  }
+
+  /// K: the draws below it succeed (every draw succeeds when p = 1).
+  std::uint64_t threshold() const { return threshold_; }
+
+ private:
+  std::uint64_t threshold_ = 0;
+  bool certain_ = false;
+};
+
 /// Returns @p n distinct integers drawn uniformly from [0, population).
 /// Requires n <= population. Result is in random order.
 std::vector<int> sample_without_replacement(Rng& rng, int population, int n);

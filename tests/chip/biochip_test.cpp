@@ -51,6 +51,42 @@ TEST(Microelectrode, InjectedFaultTripsAtThreshold) {
   EXPECT_EQ(mc.health(2), 0);
 }
 
+TEST(Microelectrode, CachedHealthFollowsEveryMutation) {
+  Microelectrode mc(DegradationParams{0.6, 40.0});
+  const auto fresh = [&mc](int bits) {
+    return quantize_health(mc.degradation(), bits);
+  };
+  EXPECT_EQ(mc.health(2), fresh(2));
+  for (int i = 0; i < 60; ++i) {
+    mc.actuate();
+    ASSERT_EQ(mc.health(2), fresh(2)) << "after actuation " << i + 1;
+  }
+  mc.actuate_n(25);
+  EXPECT_EQ(mc.health(2), fresh(2));
+  // One cell read at alternating resolutions.
+  for (int i = 0; i < 6; ++i) {
+    const int bits = i % 2 == 0 ? 4 : 1;
+    EXPECT_EQ(mc.health(bits), fresh(bits)) << "bits " << bits;
+  }
+  EXPECT_THROW(mc.health(0), PreconditionError);
+  EXPECT_THROW(mc.health(17), PreconditionError);
+  // An injected fault trips on actuation...
+  mc.inject_fault(mc.actuations() + 2);
+  mc.actuate();
+  EXPECT_EQ(mc.health(3), fresh(3));
+  EXPECT_GT(mc.health(3), 0);
+  mc.actuate();
+  EXPECT_TRUE(mc.failed());
+  EXPECT_EQ(mc.health(3), 0);
+  // ...and a fault injected below the count trips with no actuation at all.
+  Microelectrode worn(DegradationParams{0.9, 500.0});
+  worn.actuate_n(10);
+  EXPECT_EQ(worn.health(2), 3);
+  worn.inject_fault(5);
+  EXPECT_EQ(worn.health(2), 0);
+  EXPECT_EQ(worn.health(2), quantize_health(worn.degradation(), 2));
+}
+
 TEST(Microelectrode, HealthyMcNeverFails) {
   Microelectrode mc(DegradationParams{0.9, 500.0});
   EXPECT_FALSE(mc.fault_injected());

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <limits>
+
+#include "reference_readout.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -26,8 +30,8 @@ TEST(SensorChannel, DefaultConstructedIsTransparent) {
 }
 
 TEST(SensorChannel, NoiselessChannelIsLossless) {
-  // A constructed channel with zero noise still serializes through the scan
-  // chain and parses back — the frame must survive the round trip.
+  // A constructed channel with zero noise still builds every read code from
+  // the frame in scan order — the frame must come through unchanged.
   Rng rng(2);
   SensorChannel channel(SensorNoiseConfig{}, 8, 5, 3, rng.fork(1));
   for (int i = 0; i < 5; ++i) {
@@ -52,6 +56,14 @@ TEST(SensorChannel, RejectsBadProbabilities) {
   config = SensorNoiseConfig{};
   config.stuck_fraction = -0.1;
   EXPECT_THROW(SensorChannel(config, 4, 4, 2, rng.fork(3)),
+               PreconditionError);
+  // Rng::bernoulli would clamp a share above 1 silently.
+  config = SensorNoiseConfig{};
+  config.stuck_at_one_share = 1.5;
+  EXPECT_THROW(SensorChannel(config, 4, 4, 2, rng.fork(4)),
+               PreconditionError);
+  config.stuck_at_one_share = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(SensorChannel(config, 4, 4, 2, rng.fork(5)),
                PreconditionError);
 }
 
@@ -147,6 +159,93 @@ TEST(SensorChannel, DeterministicPerSeed) {
     return frames;
   };
   EXPECT_EQ(sequence(), sequence());
+}
+
+TEST(SensorChannel, MatchesTheThreeStepReadout) {
+  // Every channel shape and noise mode against the reference readout
+  // (scan_out_health, per-bit stuck or Rng::bernoulli, scan_in_health):
+  // equal frames, equal statistics, and an equal random stream after every
+  // read.
+  constexpr std::array<double, 4> kFlip = {0.0, 1e-3, 0.3, 1.0};
+  constexpr std::array<double, 2> kStuck = {0.0, 0.2};
+  constexpr std::array<double, 3> kShare = {0.0, 0.5, 1.0};
+  constexpr std::array<double, 2> kDrop = {0.0, 0.3};
+  Rng shapes(2024);
+  int reads = 0;
+  for (const double flip : kFlip) {
+    for (const double stuck : kStuck) {
+      for (const double share : kShare) {
+        for (const double drop : kDrop) {
+          for (int trial = 0; trial < 4; ++trial) {
+            const int w = shapes.uniform_int(1, 12);
+            const int h = shapes.uniform_int(1, 12);
+            const int bits = shapes.uniform_int(1, 4);
+            SensorNoiseConfig config;
+            config.bit_flip_p = flip;
+            config.stuck_fraction = stuck;
+            config.stuck_at_one_share = share;
+            config.frame_drop_p = drop;
+            const std::uint64_t seed = shapes.next_u64();
+            SensorChannel channel(config, w, h, bits, Rng(seed));
+            reference::ReadoutChannel oracle(config, w, h, bits, Rng(seed));
+            Rng rng(seed + 1);
+            Rng oracle_rng(seed + 1);
+            Rng truth_rng(seed + 2);
+            for (int i = 0; i < 6; ++i) {
+              SCOPED_TRACE(::testing::Message()
+                           << w << "x" << h << "x" << bits << " flip "
+                           << flip << " stuck " << stuck << " share "
+                           << share << " drop " << drop << " read " << i);
+              const IntMatrix truth = random_health(w, h, bits, truth_rng);
+              ASSERT_EQ(channel.read(truth, rng),
+                        oracle.read(truth, oracle_rng));
+              ASSERT_EQ(channel.bits_flipped(), oracle.bits_flipped());
+              ASSERT_EQ(channel.frames_dropped(), oracle.frames_dropped());
+              ASSERT_EQ(channel.staleness(), oracle.staleness());
+              ASSERT_TRUE(rng.engine() == oracle_rng.engine());
+              ++reads;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(reads, 4 * 2 * 3 * 2 * 4 * 6);
+}
+
+TEST(SensorChannel, RejectedFrameLeavesTheChannelUntouched) {
+  SensorNoiseConfig config;
+  config.bit_flip_p = 0.3;
+  config.stuck_fraction = 0.2;
+  config.frame_drop_p = 0.5;
+  Rng rng(12);
+  SensorChannel channel(config, 7, 5, 2, rng.fork(1));
+  const IntMatrix first = channel.read(random_health(7, 5, 2, rng), rng);
+  // Advances the stream to where the next drop draw decides `drop`.
+  const auto steer = [&rng, &config](bool drop) {
+    for (Rng probe = rng; probe.bernoulli(config.frame_drop_p) != drop;
+         probe = rng) {
+      rng.next_u64();
+    }
+  };
+  IntMatrix too_wide = random_health(7, 5, 2, rng);
+  too_wide(6, 4) = 4;  // the last cell in scan order
+  IntMatrix negative = random_health(7, 5, 2, rng);
+  negative(0, 0) = -1;
+  const std::uint64_t flipped = channel.bits_flipped();
+  for (const IntMatrix& bad : {too_wide, negative}) {
+    steer(false);
+    Rng expected = rng;
+    expected.next_u64();  // the drop draw, and no bit draw after it
+    EXPECT_THROW(channel.read(bad, rng), PreconditionError);
+    EXPECT_TRUE(rng.engine() == expected.engine());
+    EXPECT_EQ(channel.bits_flipped(), flipped);
+  }
+  // A dropped read re-serves the last frame: it is the first read's.
+  steer(true);
+  EXPECT_EQ(channel.read(IntMatrix(7, 5, 0), rng), first);
+  EXPECT_EQ(channel.frames_dropped(), 1u);
+  EXPECT_EQ(channel.staleness(), 1u);
 }
 
 }  // namespace

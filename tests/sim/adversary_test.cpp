@@ -37,6 +37,29 @@ TEST(RandomAdversaryTest, AddsExactlyTheBudgetedWear) {
   EXPECT_EQ(total_wear(chip.substrate()) - before, 2u * 3u * 40u);
 }
 
+TEST(RandomAdversaryTest, HealthMatrixTracksTheDamage) {
+  // The adversary wears cells through actuate_n between reads, so every
+  // read of the cached per-cell codes must equal a fresh quantization.
+  SimulatedChip chip(small_config(), Rng(4));
+  chip.set_adversary(
+      std::make_unique<RandomAdversary>(AdversaryBudget{6, 15}));
+  const Biochip& substrate = chip.substrate();
+  for (int cycle = 0; cycle < 40; ++cycle) {
+    const IntMatrix health = substrate.health_matrix();
+    for (int y = 0; y < substrate.height(); ++y) {
+      for (int x = 0; x < substrate.width(); ++x) {
+        ASSERT_EQ(health(x, y),
+                  quantize_health(substrate.mc(x, y).degradation(),
+                                  substrate.health_bits()))
+            << "cell (" << x << ", " << y << "), cycle " << cycle;
+      }
+    }
+    chip.step({});
+  }
+  EXPECT_NE(substrate.health_matrix(),
+            IntMatrix(substrate.width(), substrate.height(), 3));
+}
+
 TEST(FrontierAdversaryTest, IdleWithoutDroplets) {
   SimulatedChip chip(small_config(), Rng(2));
   chip.set_adversary(

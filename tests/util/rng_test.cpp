@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "util/check.hpp"
@@ -72,6 +74,54 @@ TEST(Rng, BernoulliFrequencyNearP) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) hits += rng.bernoulli(0.3);
   EXPECT_NEAR(hits / static_cast<double>(n), 0.3, 0.02);
+}
+
+const std::array<double, 9> kFixedPs = {
+    0.0,  std::numeric_limits<double>::denorm_min(),
+    1e-12, 1e-3,
+    0.02, 1.0 / 3.0,
+    0.5,  std::nextafter(1.0, 0.0),
+    1.0};
+
+TEST(Rng, FixedBernoulliMatchesBernoulliDrawForDraw) {
+  for (const double p : kFixedPs) {
+    const FixedBernoulli trial(p);
+    Rng fast(37), reference(37);
+    int hits = 0;
+    for (int i = 0; i < 20000; ++i) {
+      const bool expected = reference.bernoulli(p);
+      ASSERT_EQ(trial(fast), expected) << "p = " << p << ", draw " << i;
+      hits += expected;
+    }
+    EXPECT_TRUE(fast.engine() == reference.engine()) << "p = " << p;
+    if (p == 0.0) {
+      EXPECT_EQ(hits, 0);
+    }
+    if (p == 1.0) {
+      EXPECT_EQ(hits, 20000);
+    }
+  }
+}
+
+TEST(Rng, FixedBernoulliThresholdIsTheFirstFailingDraw) {
+  // A draw x succeeds iff double(x) / 2^64 < p, so K is the smallest x with
+  // double(x) >= p * 2^64 (exact: a power-of-two scaling).
+  for (const double p : kFixedPs) {
+    if (p == 1.0) continue;  // every draw succeeds: no failing draw
+    const std::uint64_t k = FixedBernoulli(p).threshold();
+    const double cut = std::ldexp(p, 64);
+    EXPECT_LE(cut, static_cast<double>(k)) << "p = " << p;
+    if (k > 0) {
+      EXPECT_LT(static_cast<double>(k - 1), cut) << "p = " << p;
+    }
+  }
+}
+
+TEST(Rng, FixedBernoulliRejectsOutOfRangeP) {
+  EXPECT_THROW(FixedBernoulli(-0.1), PreconditionError);
+  EXPECT_THROW(FixedBernoulli(1.5), PreconditionError);
+  EXPECT_THROW(FixedBernoulli(std::numeric_limits<double>::quiet_NaN()),
+               PreconditionError);
 }
 
 TEST(Rng, CategoricalRespectsWeights) {
