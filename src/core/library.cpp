@@ -1,5 +1,8 @@
 #include "core/library.hpp"
 
+#include <algorithm>
+#include <tuple>
+
 #include "obs/obs.hpp"
 
 namespace meda::core {
@@ -61,21 +64,19 @@ std::size_t StrategyLibrary::KeyHash::operator()(const Key& k) const noexcept {
   return h;
 }
 
-const SynthesisResult* StrategyLibrary::lookup_locked(
-    const assay::RoutingJob& rj, std::uint64_t digest, DigestClass cls,
-    int tenant) const {
+const SynthesisResult* StrategyLibrary::lookup(const assay::RoutingJob& rj,
+                                               std::uint64_t digest,
+                                               DigestClass cls) const {
   const std::uint64_t now = tick_++;
   LibraryClassStats& s = class_stats(stats_, cls);
   const Key key{rj.start, rj.goal, rj.hazard, digest};
   const auto it = entries_.find(key);
   if (it == entries_.end()) {
     ++s.misses;
-    if (tenant >= 0) ++class_stats(tenant_stats_[tenant], cls).misses;
     MEDA_OBS_COUNT(std::string("library.") + to_string(cls) + ".misses", 1);
     return nullptr;
   }
   ++s.hits;
-  if (tenant >= 0) ++class_stats(tenant_stats_[tenant], cls).hits;
   MEDA_OBS_COUNT(std::string("library.") + to_string(cls) + ".hits", 1);
   // Reuse distance on the operation clock: library ops between this entry's
   // insertion and this hit. Deterministic for a fixed workload.
@@ -84,27 +85,8 @@ const SynthesisResult* StrategyLibrary::lookup_locked(
   return &it->second.result;
 }
 
-const SynthesisResult* StrategyLibrary::lookup(const assay::RoutingJob& rj,
-                                               std::uint64_t digest,
-                                               DigestClass cls,
-                                               int tenant) const {
-  std::lock_guard<std::mutex> lock(*mutex_);
-  return lookup_locked(rj, digest, cls, tenant);
-}
-
-std::optional<SynthesisResult> StrategyLibrary::lookup_copy(
-    const assay::RoutingJob& rj, std::uint64_t digest, DigestClass cls,
-    int tenant) const {
-  std::lock_guard<std::mutex> lock(*mutex_);
-  const SynthesisResult* hit = lookup_locked(rj, digest, cls, tenant);
-  if (hit == nullptr) return std::nullopt;
-  return *hit;  // copied while the lock still pins the entry
-}
-
 void StrategyLibrary::store(const assay::RoutingJob& rj, std::uint64_t digest,
-                            SynthesisResult result, DigestClass cls,
-                            int tenant) {
-  std::lock_guard<std::mutex> lock(*mutex_);
+                            SynthesisResult result, DigestClass cls) {
   const std::uint64_t now = tick_++;
   LibraryClassStats& s = class_stats(stats_, cls);
   MEDA_OBS_OBSERVE_LOG2("library.strategy_cells",
@@ -116,7 +98,6 @@ void StrategyLibrary::store(const assay::RoutingJob& rj, std::uint64_t digest,
     // the entry's FIFO position — refreshing content does not renew age).
     it->second.result = std::move(result);
     ++s.overwrites;
-    if (tenant >= 0) ++class_stats(tenant_stats_[tenant], cls).overwrites;
     MEDA_OBS_COUNT(std::string("library.") + to_string(cls) + ".overwrites",
                    1);
     return;
@@ -125,12 +106,10 @@ void StrategyLibrary::store(const assay::RoutingJob& rj, std::uint64_t digest,
   entries_.emplace(key, Entry{std::move(result), now, cls});
   insertion_order_.emplace(now, key);
   ++s.inserts;
-  if (tenant >= 0) ++class_stats(tenant_stats_[tenant], cls).inserts;
   MEDA_OBS_COUNT(std::string("library.") + to_string(cls) + ".inserts", 1);
 }
 
 void StrategyLibrary::set_capacity(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(*mutex_);
   capacity_ = capacity;
   if (capacity_ > 0) evict_down_to(capacity_);
 }
@@ -152,16 +131,13 @@ void StrategyLibrary::evict_down_to(std::size_t limit) {
 }
 
 void StrategyLibrary::clear() {
-  std::lock_guard<std::mutex> lock(*mutex_);
   entries_.clear();
   insertion_order_.clear();
   tick_ = 0;
   stats_ = LibraryStats{};
-  tenant_stats_.clear();
 }
 
 std::vector<StrategyLibrary::EntryView> StrategyLibrary::entries() const {
-  std::lock_guard<std::mutex> lock(*mutex_);
   std::vector<EntryView> views;
   views.reserve(entries_.size());
   for (const auto& [key, entry] : entries_)

@@ -2,10 +2,8 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
-#include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "assay/helper.hpp"
 #include "core/synthesizer.hpp"
@@ -113,65 +111,35 @@ struct LibraryStats {
 
 /// Cache of synthesized strategies keyed by (δ_s, δ_g, δ_h, health digest).
 ///
-/// Concurrency: every public method takes an internal mutex, so a library
-/// shared by the synthesis service's tenants is safe to hit from multiple
-/// threads. `lookup()` returns a pointer into the cache and is therefore
-/// only safe for a single-owner scheduler (a concurrent `store` can evict
-/// or overwrite the entry under the caller); shared users must take
-/// `lookup_copy()` instead. The mutex lives behind a shared_ptr so the
-/// library type stays copyable (copies share the mutex, which is harmless —
-/// their data is independent).
-///
-/// Multi-tenant attribution: lookup/store accept an optional tenant id
-/// (>= 0); operations are then double-counted into that tenant's own
-/// LibraryStats, so the service can report per-chip hit rates from one
-/// shared cache. Tenant -1 (the default) is unattributed.
+/// Single owner, not thread-safe, like the scheduler that owns it: every
+/// scheduler, experiment run and campaign task builds its own library.
+/// Copies hold independent data (perfbench copies its offline libraries
+/// once per round).
 class StrategyLibrary {
  public:
-  StrategyLibrary() : mutex_(std::make_shared<std::mutex>()) {}
-
   /// Returns the cached result for the job under the digest, if present.
-  /// @p cls only attributes the hit/miss to a stats class. Single-owner
-  /// use only — see the class comment; concurrent readers must use
-  /// `lookup_copy()`.
+  /// @p cls only attributes the hit/miss to a stats class. The pointer is
+  /// valid until the next `store()`, `set_capacity()` or `clear()`.
   const SynthesisResult* lookup(const assay::RoutingJob& rj,
                                 std::uint64_t digest,
-                                DigestClass cls = DigestClass::kPlain,
-                                int tenant = -1) const;
-
-  /// Like `lookup()`, but returns a copy made under the lock — safe when
-  /// other threads may store/evict concurrently.
-  std::optional<SynthesisResult> lookup_copy(
-      const assay::RoutingJob& rj, std::uint64_t digest,
-      DigestClass cls = DigestClass::kPlain, int tenant = -1) const;
+                                DigestClass cls = DigestClass::kPlain) const;
 
   /// Stores @p result for the job/digest (overwrites an existing entry —
   /// health can only degrade, so newer entries supersede older ones). When
   /// a capacity is set and the library is full, the oldest entry by
   /// insertion order is evicted first.
   void store(const assay::RoutingJob& rj, std::uint64_t digest,
-             SynthesisResult result, DigestClass cls = DigestClass::kPlain,
-             int tenant = -1);
+             SynthesisResult result, DigestClass cls = DigestClass::kPlain);
 
   /// Caps the entry count; 0 (the default) means unlimited. Shrinking
   /// below the current size evicts oldest-first immediately.
   void set_capacity(std::size_t capacity);
   std::size_t capacity() const { return capacity_; }
 
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(*mutex_);
-    return entries_.size();
-  }
+  std::size_t size() const { return entries_.size(); }
   const LibraryStats& stats() const { return stats_; }
   std::uint64_t hits() const { return stats_.totals().hits; }
   std::uint64_t misses() const { return stats_.totals().misses; }
-
-  /// Per-tenant operation counts (key: tenant id passed to lookup/store),
-  /// copied under the lock. Deterministically ordered by tenant id.
-  std::map<int, LibraryStats> tenant_stats() const {
-    std::lock_guard<std::mutex> lock(*mutex_);
-    return tenant_stats_;
-  }
 
   void clear();
 
@@ -201,9 +169,6 @@ class StrategyLibrary {
   };
 
   void evict_down_to(std::size_t limit);
-  const SynthesisResult* lookup_locked(const assay::RoutingJob& rj,
-                                       std::uint64_t digest, DigestClass cls,
-                                       int tenant) const;
 
   std::unordered_map<Key, Entry, KeyHash> entries_;
   /// Insertion order for FIFO eviction: operation tick → key. Overwrites
@@ -212,9 +177,6 @@ class StrategyLibrary {
   std::size_t capacity_ = 0;  ///< 0 = unlimited
   mutable std::uint64_t tick_ = 0;
   mutable LibraryStats stats_;
-  mutable std::map<int, LibraryStats> tenant_stats_;
-  /// shared_ptr keeps StrategyLibrary copyable; see the class comment.
-  std::shared_ptr<std::mutex> mutex_;
 };
 
 }  // namespace meda::core

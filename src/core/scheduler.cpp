@@ -5,7 +5,6 @@
 
 #include "core/fallback_router.hpp"
 #include "core/routability.hpp"
-#include "core/synthesis_backend.hpp"
 #include "model/outcomes.hpp"
 #include "obs/obs.hpp"
 #include "util/check.hpp"
@@ -732,38 +731,6 @@ class Runner {
     install_fallback(run, task, rj, digest, masked);
   }
 
-  /// Ladder stage: the external synthesis backend refused the solve (shed
-  /// under admission control or a spent tenant budget). Same degradation as
-  /// a deadline-expired local synthesis — bounded fallback route now, full
-  /// synthesis retried after exponential backoff — but counted separately:
-  /// a shed says the *service* was saturated, not that this solve was
-  /// expensive.
-  void on_synthesis_shed(MoRun& run, RouteTask& task, const RoutingJob& rj,
-                         std::uint64_t digest, const IntMatrix* masked,
-                         const char* reason) {
-    ++stats_.service_sheds;
-    ++task.deadline_strikes;
-    MEDA_OBS_COUNT("sched.service_shed", 1);
-    obs_event("recovery", "service-shed", task.rj.mo,
-              std::string("synthesis service shed this solve (") + reason +
-                  "), degrading to fallback");
-    if (!config_.recovery.enabled) {
-      fail("synthesis service shed MO " + std::to_string(task.rj.mo) + " (" +
-           std::string(reason) + ") with recovery disabled");
-      return;
-    }
-    if (!config_.recovery.fallback_on_deadline) {
-      on_synthesis_failure(run, task);
-      return;
-    }
-    const int base = std::max(1, config_.recovery.fallback_backoff_base_cycles);
-    const int cap = std::max(base, config_.recovery.fallback_backoff_max_cycles);
-    const int shift = std::min(task.deadline_strikes - 1, 16);
-    const int wait = std::min(base << shift, cap);
-    task.fallback_retry_at = chip_.cycle() + static_cast<std::uint64_t>(wait);
-    install_fallback(run, task, rj, digest, masked);
-  }
-
   /// Computes and installs a bounded fallback route over the current health
   /// view (droplet-masked when a contention detour requested it). An
   /// infeasible fallback falls through to the retry/abort ladder.
@@ -1230,24 +1197,6 @@ class Runner {
       ++stats_.library_hits;
       if (avoid_droplets) MEDA_OBS_COUNT("sched.detour_library_hits", 1);
       result = *cached;
-    } else if (config_.backend != nullptr && config_.adaptive &&
-               task.replica < 0) {
-      // Submit-or-fallback: route the solve through the external provider.
-      // The service runs its own library probe, journaling, and tenant
-      // budget accounting, so the local store below is skipped for it.
-      ++stats_.synthesis_calls;
-      BackendOutcome outcome = config_.backend->synthesize(
-          rj, avoid_droplets ? masked_health : health_, chip_.health_bits(),
-          lookup_digest, digest_class);
-      if (outcome.shed) {
-        on_synthesis_shed(run, task, rj, digest,
-                          avoid_droplets ? &masked_health : nullptr,
-                          outcome.shed_reason);
-        return;
-      }
-      result = std::move(outcome.result);
-      stats_.synthesis_seconds += result.total_seconds;
-      if (avoid_droplets) MEDA_OBS_COUNT("sched.detour_library_misses", 1);
     } else {
       ++stats_.synthesis_calls;
       // All of one MO's replicas draw from a single per-cycle Deadline

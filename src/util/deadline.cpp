@@ -1,7 +1,5 @@
 #include "util/deadline.hpp"
 
-#include <algorithm>
-
 namespace meda::util {
 
 Deadline Deadline::after_seconds(double seconds) {
@@ -53,21 +51,6 @@ bool Deadline::expired() const {
     return true;
   }
   return false;
-}
-
-Deadline DeadlineLedger::acquire(std::uint64_t cap) const {
-  if (unlimited()) {
-    if (cap == 0) return Deadline{};  // inactive: callee's own config applies
-    return Deadline::after_checks(cap);
-  }
-  const std::uint64_t armed = cap == 0 ? remaining_
-                                       : std::min(cap, remaining_);
-  return Deadline::after_checks(armed);
-}
-
-void DeadlineLedger::settle(const Deadline& deadline) {
-  if (!deadline.has_check_limit()) return;
-  charge(std::min(deadline.checks_used(), deadline.check_limit()));
 }
 
 }  // namespace meda::util

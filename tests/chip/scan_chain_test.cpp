@@ -112,9 +112,10 @@ TEST(ScanChain, RejectsOffByOneStreamLengths) {
         static_cast<std::size_t>(w) * h * bits;
     EXPECT_THROW(scan_in_health(std::vector<bool>(exact + 1), w, h, bits),
                  PreconditionError);
-    if (exact > 0)
+    if (exact > 0) {
       EXPECT_THROW(scan_in_health(std::vector<bool>(exact - 1), w, h, bits),
                    PreconditionError);
+    }
     EXPECT_NO_THROW(scan_in_health(std::vector<bool>(exact), w, h, bits));
   }
 }

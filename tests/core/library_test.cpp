@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
-#include <vector>
-
 namespace meda::core {
 namespace {
 
@@ -234,6 +231,7 @@ TEST(StrategyLibrary, EvictionAttributesToTheEvictedEntrysClass) {
 TEST(DigestClass, StableLabels) {
   EXPECT_STREQ(to_string(DigestClass::kPlain), "plain");
   EXPECT_STREQ(to_string(DigestClass::kDetour), "detour");
+  EXPECT_STREQ(to_string(DigestClass::kReplica), "replica");
 }
 
 TEST(StrategyLibrary, ClearResetsEverything) {
@@ -244,69 +242,6 @@ TEST(StrategyLibrary, ClearResetsEverything) {
   EXPECT_EQ(lib.size(), 0u);
   EXPECT_EQ(lib.hits(), 0u);
   EXPECT_EQ(lib.misses(), 0u);
-  EXPECT_TRUE(lib.tenant_stats().empty());
-}
-
-TEST(StrategyLibrary, LookupCopyReturnsDetachedResult) {
-  StrategyLibrary lib;
-  const assay::RoutingJob rj = sample_job();
-  EXPECT_FALSE(lib.lookup_copy(rj, 7).has_value());
-  lib.store(rj, 7, sample_result(5.0));
-  std::optional<SynthesisResult> copy = lib.lookup_copy(rj, 7);
-  ASSERT_TRUE(copy.has_value());
-  EXPECT_DOUBLE_EQ(copy->expected_cycles, 5.0);
-  // The copy survives eviction of the underlying entry.
-  lib.clear();
-  EXPECT_DOUBLE_EQ(copy->expected_cycles, 5.0);
-  // lookup_copy participates in the same stats as lookup.
-  EXPECT_EQ(lib.hits(), 0u);  // clear reset them; the hit above was counted
-}
-
-TEST(StrategyLibrary, AttributesOperationsToTenants) {
-  StrategyLibrary lib;
-  const assay::RoutingJob rj = sample_job();
-  lib.store(rj, 1, sample_result(1.0), DigestClass::kPlain, /*tenant=*/0);
-  (void)lib.lookup(rj, 1, DigestClass::kPlain, /*tenant=*/0);   // hit
-  (void)lib.lookup_copy(rj, 1, DigestClass::kPlain, /*tenant=*/3);  // hit
-  (void)lib.lookup(rj, 2, DigestClass::kPlain, /*tenant=*/3);   // miss
-  (void)lib.lookup(rj, 2, DigestClass::kPlain);  // unattributed miss
-
-  const std::map<int, LibraryStats> per_tenant = lib.tenant_stats();
-  ASSERT_EQ(per_tenant.size(), 2u);
-  EXPECT_EQ(per_tenant.at(0).plain.inserts, 1u);
-  EXPECT_EQ(per_tenant.at(0).plain.hits, 1u);
-  EXPECT_EQ(per_tenant.at(3).plain.hits, 1u);
-  EXPECT_EQ(per_tenant.at(3).plain.misses, 1u);
-  // Global stats see every operation regardless of attribution.
-  EXPECT_EQ(lib.hits(), 2u);
-  EXPECT_EQ(lib.misses(), 2u);
-}
-
-TEST(StrategyLibrary, ConcurrentLookupCopyAndStoreAreSafe) {
-  StrategyLibrary lib;
-  const assay::RoutingJob rj = sample_job();
-  lib.store(rj, 0, sample_result(0.0));
-  std::vector<std::thread> threads;
-  threads.reserve(4);
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&lib, &rj, t] {
-      for (int i = 0; i < 200; ++i) {
-        if (t % 2 == 0) {
-          lib.store(rj, static_cast<std::uint64_t>(i % 8),
-                    sample_result(static_cast<double>(i)), DigestClass::kPlain,
-                    t);
-        } else {
-          std::optional<SynthesisResult> copy =
-              lib.lookup_copy(rj, static_cast<std::uint64_t>(i % 8),
-                              DigestClass::kPlain, t);
-          if (copy.has_value()) (void)copy->expected_cycles;
-        }
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(lib.tenant_stats().size(), 4u);
-  EXPECT_EQ(lib.hits() + lib.misses(), 400u);
 }
 
 }  // namespace

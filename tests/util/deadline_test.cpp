@@ -93,75 +93,5 @@ TEST(Deadline, CheckBudgetBoundaryIsDeterministic) {
   }
 }
 
-TEST(Deadline, ChecksUsedCountsEveryPollAcrossCopies) {
-  Deadline a = Deadline::after_checks(3);
-  Deadline b = a;
-  EXPECT_EQ(a.check_limit(), 3u);
-  EXPECT_TRUE(a.has_check_limit());
-  EXPECT_EQ(a.checks_used(), 0u);
-  (void)a.expired();
-  (void)b.expired();
-  EXPECT_EQ(a.checks_used(), 2u);
-  EXPECT_EQ(b.checks_used(), 2u);
-  // Polls past expiry keep counting (settle() clamps to the armed limit).
-  for (int i = 0; i < 5; ++i) (void)a.expired();
-  EXPECT_GE(a.checks_used(), 4u);
-}
-
-TEST(DeadlineLedger, AcquireArmsTheSmallerOfCapAndRemaining) {
-  DeadlineLedger ledger(10);
-  EXPECT_EQ(ledger.remaining(), 10u);
-  Deadline capped = ledger.acquire(4);
-  EXPECT_EQ(capped.check_limit(), 4u);
-  Deadline uncapped = ledger.acquire(0);
-  EXPECT_EQ(uncapped.check_limit(), 10u);
-  Deadline wide = ledger.acquire(100);
-  EXPECT_EQ(wide.check_limit(), 10u);
-}
-
-TEST(DeadlineLedger, SettleChargesConsumedPollsClampedToArmed) {
-  DeadlineLedger ledger(10);
-  Deadline d = ledger.acquire(4);
-  for (int i = 0; i < 3; ++i) EXPECT_FALSE(d.expired());
-  ledger.settle(d);
-  EXPECT_EQ(ledger.remaining(), 7u);
-  EXPECT_EQ(ledger.spent(), 3u);
-  // A solve that blows its budget keeps polling; the tenant owes at most
-  // the armed limit.
-  Deadline blown = ledger.acquire(4);
-  for (int i = 0; i < 20; ++i) (void)blown.expired();
-  ledger.settle(blown);
-  EXPECT_EQ(ledger.remaining(), 3u);
-  EXPECT_EQ(ledger.spent(), 7u);
-}
-
-TEST(DeadlineLedger, ExhaustedLedgerHandsOutExpiredTokensUntilRefill) {
-  DeadlineLedger ledger(2);
-  Deadline d = ledger.acquire(0);
-  (void)d.expired();
-  (void)d.expired();
-  ledger.settle(d);
-  EXPECT_TRUE(ledger.exhausted());
-  Deadline starved = ledger.acquire(100);
-  EXPECT_TRUE(starved.expired());  // after_checks(0): born exhausted
-  ledger.refill();
-  EXPECT_FALSE(ledger.exhausted());
-  EXPECT_EQ(ledger.remaining(), 2u);
-  EXPECT_EQ(ledger.spent(), 2u);  // spent survives refills (lifetime total)
-  EXPECT_FALSE(ledger.acquire(1).expired());
-}
-
-TEST(DeadlineLedger, UnlimitedLedgerArmsOnlyThePerSolveCap) {
-  DeadlineLedger ledger;  // budget 0 = unlimited
-  EXPECT_TRUE(ledger.unlimited());
-  EXPECT_FALSE(ledger.exhausted());
-  EXPECT_FALSE(ledger.acquire(0).active());  // inactive: callee's config
-  EXPECT_EQ(ledger.acquire(5).check_limit(), 5u);
-  Deadline d = ledger.acquire(5);
-  (void)d.expired();
-  ledger.settle(d);
-  EXPECT_FALSE(ledger.exhausted());
-}
-
 }  // namespace
 }  // namespace meda::util
