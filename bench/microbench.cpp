@@ -13,6 +13,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "assay/benchmarks.hpp"
 #include "assay/helper.hpp"
 #include "chip/biochip.hpp"
@@ -24,6 +26,7 @@
 #include "obs/obs.hpp"
 #include "sim/campaign.hpp"
 #include "sim/simulated_chip.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -72,6 +75,42 @@ void BM_BuildCompiledMdp(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildCompiledMdp)->Arg(10)->Arg(20)->Arg(30);
 
+// The production build on a worn reference chip under the default rules: a
+// seeded 2-bit health matrix with every code 0-3 present (dead cells drop
+// outcomes) and a non-square droplet, so the build meets both of its morph
+// shapes and the double steps of each. BM_BuildCompiledMdp above meets one
+// shape on a uniform field.
+void BM_BuildCompiledMdpWorn(benchmark::State& state) {
+  const int width = assay::kChipWidth, height = assay::kChipHeight;
+  IntMatrix health(width, height, 3);
+  Rng rng(0x3017u);
+  for (int& code : health.data()) {
+    const double u = rng.uniform(0.0, 1.0);
+    code = u < 0.03 ? 0 : u < 0.10 ? 1 : u < 0.30 ? 2 : 3;
+  }
+  for (int code = 0; code <= 3; ++code) {
+    if (std::count(health.data().begin(), health.data().end(), code) == 0) {
+      state.SkipWithError("health matrix misses a code");
+      return;
+    }
+  }
+  const DoubleMatrix force =
+      force_from_health(health, 2, HealthEstimator::kScaled);
+  assay::RoutingJob rj;
+  rj.start = Rect::from_size(1, 1, 4, 3);
+  rj.goal = Rect::from_size(width - 5, height - 5, 4, 4);
+  rj.hazard = Rect{0, 0, width - 1, height - 1};
+  std::size_t states = 0;
+  for (auto _ : state) {
+    const core::CompiledModel model =
+        core::build_compiled_mdp(rj, force, rj.hazard, ActionRules{});
+    states = model.mdp.num_droplet_states;
+    benchmark::DoNotOptimize(model.mdp.probability.data());
+  }
+  state.SetLabel(std::to_string(states) + " states, 60x30 worn");
+}
+BENCHMARK(BM_BuildCompiledMdpWorn);
+
 void BM_CompileMdp(benchmark::State& state) {
   const int area = static_cast<int>(state.range(0));
   const assay::RoutingJob rj = corner_job(area, 4);
@@ -101,7 +140,7 @@ void BM_SolveRmin(benchmark::State& state) {
 BENCHMARK(BM_SolveRmin)->Arg(10)->Arg(20)->Arg(30);
 
 // Legacy reference solvers at the same sizes: the compiled-vs-legacy ratio
-// (BM_SolveRmin/N vs BM_SolveRminLegacy/N) is the speedup this PR claims.
+// (BM_SolveRmin/N vs BM_SolveRminLegacy/N) is what the compiled path saves.
 void BM_SolveRminLegacy(benchmark::State& state) {
   const int area = static_cast<int>(state.range(0));
   const assay::RoutingJob rj = corner_job(area, 4);
@@ -198,7 +237,7 @@ void BM_SolveReachAvoidWarm(benchmark::State& state) {
   core::CompiledModel model =
       core::build_compiled_mdp(rj, force, chip, bench_rules());
   core::CompiledMdp& compiled = model.mdp;
-  const core::CompiledGeometry& geometry = model.geometry;
+  core::CompiledGeometry& geometry = model.geometry;
   core::ReachAvoidSolution prior = core::solve_reach_avoid(compiled);
   const std::vector<Vec2i> cells = wear_cluster(delta);
   bool flip = false;
@@ -206,7 +245,7 @@ void BM_SolveReachAvoidWarm(benchmark::State& state) {
     flip = !flip;
     for (const Vec2i& c : cells) force(c.x, c.y) = flip ? 0.5 : 0.6;
     const core::MdpPatch patch = core::patch_compiled_mdp(
-        compiled, geometry, force, rj.hazard, chip, cells);
+        compiled, geometry, force, rj.hazard, chip, bench_rules(), cells);
     core::ReachAvoidSolution sol =
         core::solve_reach_avoid_warm(compiled, prior, patch.dirty_states);
     benchmark::DoNotOptimize(sol.pmax.values.data());
@@ -226,14 +265,14 @@ void BM_SolveReachAvoidColdResolve(benchmark::State& state) {
   core::CompiledModel model =
       core::build_compiled_mdp(rj, force, chip, bench_rules());
   core::CompiledMdp& compiled = model.mdp;
-  const core::CompiledGeometry& geometry = model.geometry;
+  core::CompiledGeometry& geometry = model.geometry;
   const std::vector<Vec2i> cells = wear_cluster(delta);
   bool flip = false;
   for (auto _ : state) {
     flip = !flip;
     for (const Vec2i& c : cells) force(c.x, c.y) = flip ? 0.5 : 0.6;
     const core::MdpPatch patch = core::patch_compiled_mdp(
-        compiled, geometry, force, rj.hazard, chip, cells);
+        compiled, geometry, force, rj.hazard, chip, bench_rules(), cells);
     benchmark::DoNotOptimize(patch.choices_changed);
     benchmark::DoNotOptimize(core::solve_reach_avoid(compiled));
   }

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <limits>
 
+#include "model/action_table.hpp"
 #include "model/outcomes.hpp"
 #include "obs/obs.hpp"
 #include "util/check.hpp"
@@ -58,21 +59,21 @@ constexpr std::uint32_t kHazardSentinel =
     std::numeric_limits<std::uint32_t>::max();
 
 /// One choice as both the fused builder and the in-place patch derive it
-/// from the shared outcome kernel: its outcome set, the committed-value
-/// scale 1/(1−q) with the self-loop mass q summed in outcome order, and its
-/// cost. Deriving both through here is what makes a topology-preserving
-/// patch reproduce a fresh build bit for bit.
+/// from the shared outcome kernel and a resolved table entry: its outcome
+/// set, the committed-value scale 1/(1−q) with the self-loop mass q summed
+/// in outcome order, and its cost. Deriving both through here is what makes
+/// a topology-preserving patch reproduce a fresh build bit for bit.
 struct ChoiceParams {
   OutcomeSet outcomes;
   double inv_one_minus_q = 1.0;
   double cost = 1.0;
 };
 
-ChoiceParams choice_params(const Rect& droplet, Action a,
-                           const DoubleMatrix& force, const Rect& chip,
+ChoiceParams choice_params(const ActionEntry& entry, const Rect& droplet,
+                           const ClampedForce& force, const Rect& chip,
                            double wear_penalty_lambda) {
   ChoiceParams out;
-  out.outcomes = outcome_set(droplet, a, MatrixForce{force});
+  out.outcomes = outcome_set(entry, droplet, force);
   double q = 0.0;
   for (const Outcome& o : out.outcomes)
     if (o.droplet == droplet) q += o.probability;
@@ -80,9 +81,9 @@ ChoiceParams choice_params(const Rect& droplet, Action a,
   if (wear_penalty_lambda > 0.0) {
     // Wear-aware reward: penalize actuating already-degraded cells. The
     // actuated cells are the move's target pattern a(δ).
-    const Rect target = apply(a, droplet).intersection_with(chip);
-    out.cost = 1.0 + wear_penalty_lambda *
-                         (1.0 - mean_frontier_force(force, target));
+    const Rect target =
+        placed(entry.success, droplet).intersection_with(chip);
+    out.cost = 1.0 + wear_penalty_lambda * (1.0 - force(target));
   }
   return out;
 }
@@ -199,15 +200,20 @@ CompiledModel build_compiled_mdp(const assay::RoutingJob& rj,
   out.start = intern(rj.start);
   out.choice_offset.push_back(0);
   out.trans_offset.push_back(0);
+  // Frontier means read the force field clamped once, and each droplet
+  // shape's enabled-by-rules actions and rects are resolved once.
+  const ClampedForce clamped(force);
+  ActionTable table(rules);
   // Breadth-first: states are expanded in intern order, so the droplet list
   // doubles as the work queue and each state's choices land contiguously.
   for (std::size_t s = 0; s < geo.droplets.size(); ++s) {
     if (!out.is_goal[s]) {  // goal states are absorbing
       const Rect droplet = geo.droplets[s];
-      for (Action a : kAllActions) {
-        if (!action_enabled(a, droplet, rules, chip)) continue;
+      for (const ActionEntry& entry :
+           table.actions(droplet.width(), droplet.height())) {
+        if (!entry.enabled_at(droplet, chip)) continue;
         const ChoiceParams params =
-            choice_params(droplet, a, force, chip, wear_penalty_lambda);
+            choice_params(entry, droplet, clamped, chip, wear_penalty_lambda);
         model.stats.transitions += params.outcomes.size();
         // Off-state branches in outcome order; the self-loop branch is
         // folded into inv_one_minus_q. Leaving δ_h is a hazard violation.
@@ -222,7 +228,9 @@ CompiledModel build_compiled_mdp(const assay::RoutingJob& rj,
         out.inv_one_minus_q.push_back(params.inv_one_minus_q);
         out.trans_offset.push_back(
             static_cast<std::uint32_t>(out.target.size()));
-        geo.choice_action.push_back(a);
+        geo.choice_action.push_back(entry.action);
+        geo.choice_outcomes.push_back(
+            static_cast<std::uint8_t>(params.outcomes.size()));
       }
     }
     out.choice_offset.push_back(
@@ -303,16 +311,17 @@ constexpr int kInfluenceRadius = 2;
 
 }  // namespace
 
-MdpPatch patch_compiled_mdp(CompiledMdp& mdp, const CompiledGeometry& geometry,
+MdpPatch patch_compiled_mdp(CompiledMdp& mdp, CompiledGeometry& geometry,
                             const DoubleMatrix& force, const Rect& hazard,
-                            const Rect& chip,
+                            const Rect& chip, const ActionRules& rules,
                             const std::vector<Vec2i>& changed_cells,
                             double wear_penalty_lambda) {
   MEDA_OBS_SPAN(span, "vi", "patch");
   MEDA_OBS_COUNT("vi.patch.calls", 1);  // attempts; aborts are a subset
   const std::size_t n = mdp.num_droplet_states;
   MEDA_REQUIRE(geometry.droplets.size() == n &&
-                   geometry.choice_action.size() == mdp.choice_count(),
+                   geometry.choice_action.size() == mdp.choice_count() &&
+                   geometry.choice_outcomes.size() == mdp.choice_count(),
                "geometry side table does not match the compiled model");
   MdpPatch out;
   if (changed_cells.empty()) {
@@ -331,6 +340,8 @@ MdpPatch patch_compiled_mdp(CompiledMdp& mdp, const CompiledGeometry& geometry,
     box.yb = std::max(box.yb, cell.y);
   }
 
+  const ClampedForce clamped(force);
+  ActionTable table(rules);
   for (std::size_t s = 0; s < n; ++s) {
     if (mdp.is_goal[s]) continue;  // absorbing: no choices to refresh
     const Rect droplet = geometry.droplets[s];
@@ -347,12 +358,17 @@ MdpPatch patch_compiled_mdp(CompiledMdp& mdp, const CompiledGeometry& geometry,
     ++out.states_rescanned;
 
     bool state_dirty = false;
-    const std::uint32_t cb = mdp.choice_offset[s];
+    // The enabled actions depend on geometry and rules only, so walking the
+    // table as the builder did meets the state's choices in order.
+    std::uint32_t c = mdp.choice_offset[s];
     const std::uint32_t ce = mdp.choice_offset[s + 1];
-    for (std::uint32_t c = cb; c < ce; ++c) {
+    for (const ActionEntry& entry :
+         table.actions(droplet.width(), droplet.height())) {
+      if (!entry.enabled_at(droplet, chip)) continue;
+      MEDA_REQUIRE(c < ce && geometry.choice_action[c] == entry.action,
+                   "rules differ from the ones the model was built with");
       const ChoiceParams params =
-          choice_params(droplet, geometry.choice_action[c], force, chip,
-                        wear_penalty_lambda);
+          choice_params(entry, droplet, clamped, chip, wear_penalty_lambda);
       bool choice_dirty = false;
       std::uint32_t i = mdp.trans_offset[c];
       const std::uint32_t te = mdp.trans_offset[c + 1];
@@ -385,6 +401,12 @@ MdpPatch patch_compiled_mdp(CompiledMdp& mdp, const CompiledGeometry& geometry,
         out.dirty_states.clear();
         return out;
       }
+      // The off-state branches held, but the self-loop branch may have
+      // appeared or vanished (a pull reaching or leaving probability 1).
+      const auto outcomes = static_cast<std::uint8_t>(params.outcomes.size());
+      out.transitions_delta += static_cast<std::int64_t>(outcomes) -
+                               geometry.choice_outcomes[c];
+      geometry.choice_outcomes[c] = outcomes;
       if (mdp.inv_one_minus_q[c] != params.inv_one_minus_q) {
         mdp.inv_one_minus_q[c] = params.inv_one_minus_q;
         choice_dirty = true;
@@ -397,7 +419,10 @@ MdpPatch patch_compiled_mdp(CompiledMdp& mdp, const CompiledGeometry& geometry,
         ++out.choices_changed;
         state_dirty = true;
       }
+      ++c;
     }
+    MEDA_REQUIRE(c == ce,
+                 "rules differ from the ones the model was built with");
     if (state_dirty) out.dirty_states.push_back(static_cast<std::uint32_t>(s));
   }
 

@@ -121,13 +121,16 @@ class StateIndex {
 };
 
 /// Geometry side table of a CompiledMdp: the per-state droplet rectangles,
-/// the action behind every flat choice, and the rect → state index of the
-/// exploration. In-place health patching, start re-anchoring and strategy
-/// extraction read it; it is kept separate from CompiledMdp so the solver's
-/// hot arrays stay lean.
+/// the action and outcome count behind every flat choice, and the rect →
+/// state index of the exploration. In-place health patching, start
+/// re-anchoring and strategy extraction read it; it is kept separate from
+/// CompiledMdp so the solver's hot arrays stay lean.
 struct CompiledGeometry {
   std::vector<Rect> droplets;        ///< per droplet state
   std::vector<Action> choice_action; ///< per flat choice (CompiledMdp order)
+  /// Per flat choice: its outcome count with the self-loop branch, the
+  /// choice's share of ModelStats::transitions. The patch keeps it current.
+  std::vector<std::uint8_t> choice_outcomes;
   StateIndex state_index;            ///< over the job's hazard bounds
 };
 
@@ -168,6 +171,10 @@ struct MdpPatch {
   std::vector<std::uint32_t> dirty_states;
   std::size_t states_rescanned = 0;  ///< states whose choices were recomputed
   std::size_t choices_changed = 0;   ///< choices with any param delta
+  /// Change in the model's PRISM-style transition count: self-loop branches
+  /// that appeared (a pull fell below probability 1) or vanished (a pull
+  /// reached it) while the off-state topology held.
+  std::int64_t transitions_delta = 0;
 };
 
 /// Patches @p mdp in place for a localized force change instead of a full
@@ -179,18 +186,21 @@ struct MdpPatch {
 /// because zero-probability branches are omitted from the model) aborts the
 /// patch with patched == false. Topology-preserving patches keep sweep_order
 /// and the predecessor index valid, and leave the arrays byte-identical to a
-/// fresh build of the same job under @p force: the patch derives every
-/// choice through the builder's own outcome kernel.
+/// fresh build of the same job under @p force: the patch walks the
+/// builder's per-shape action table and derives every choice through the
+/// builder's own outcome kernel. It also keeps @p geometry's per-choice
+/// outcome counts current (see MdpPatch::transitions_delta).
 ///
 /// @param geometry   side table from build_compiled_mdp for the same model
 /// @param force      chip-sized force matrix the model should now reflect
 /// @param hazard     the routing job's hazard bounds used at build time
 /// @param chip       chip bounds
+/// @param rules      the action rules the model was built with
 /// @param changed_cells  cells whose force changed (health_delta_cells)
 /// @param wear_penalty_lambda  λ the model was built with
-MdpPatch patch_compiled_mdp(CompiledMdp& mdp, const CompiledGeometry& geometry,
+MdpPatch patch_compiled_mdp(CompiledMdp& mdp, CompiledGeometry& geometry,
                             const DoubleMatrix& force, const Rect& hazard,
-                            const Rect& chip,
+                            const Rect& chip, const ActionRules& rules,
                             const std::vector<Vec2i>& changed_cells,
                             double wear_penalty_lambda = 0.0);
 

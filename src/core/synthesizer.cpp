@@ -1,6 +1,7 @@
 #include "core/synthesizer.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "model/outcomes.hpp"
@@ -230,9 +231,14 @@ SynthesisResult Synthesizer::resynthesize(const assay::RoutingJob& rj,
     const std::vector<Vec2i> delta = health_delta_cells(ctx.health, health);
     const MdpPatch patch = patch_compiled_mdp(
         ctx.compiled, ctx.geometry, force, ctx.anchor.hazard, chip_bounds_,
-        delta, config_.wear_penalty_lambda);
+        config_.rules, delta, config_.wear_penalty_lambda);
     if (patch.patched) {
       ctx.compiled.start = start_state;
+      // Self-loop branches the patch added or dropped change the PRISM
+      // transition count even though the off-state topology held.
+      ctx.stats.transitions = static_cast<std::size_t>(
+          static_cast<std::int64_t>(ctx.stats.transitions) +
+          patch.transitions_delta);
       result.stats = ctx.stats;
       result.construction_seconds = watch.lap_seconds();
       result.warm = true;

@@ -8,11 +8,9 @@ namespace meda {
 
 double mean_frontier_force(const ForceFn& force, const Rect& fr) {
   MEDA_REQUIRE(fr.valid(), "mean force over an empty frontier");
-  double total = 0.0;
-  for (int y = fr.ya; y <= fr.yb; ++y)
-    for (int x = fr.xa; x <= fr.xb; ++x)
-      total += std::clamp(force(x, y), 0.0, 1.0);
-  return total / static_cast<double>(fr.area());
+  return detail::frontier_mean(fr, [&force](int x, int y) {
+    return std::clamp(force(x, y), 0.0, 1.0);
+  });
 }
 
 double mean_frontier_force(const DoubleMatrix& force, const Rect& fr) {
@@ -20,11 +18,13 @@ double mean_frontier_force(const DoubleMatrix& force, const Rect& fr) {
   MEDA_REQUIRE(fr.xa >= 0 && fr.ya >= 0 && fr.xb < force.width() &&
                    fr.yb < force.height(),
                "frontier outside the force matrix");
-  double total = 0.0;
-  for (int y = fr.ya; y <= fr.yb; ++y)
-    for (int x = fr.xa; x <= fr.xb; ++x)
-      total += std::clamp(force(x, y), 0.0, 1.0);
-  return total / static_cast<double>(fr.area());
+  return detail::frontier_mean(fr, [&force](int x, int y) {
+    return std::clamp(force(x, y), 0.0, 1.0);
+  });
+}
+
+ClampedForce::ClampedForce(const DoubleMatrix& force) : clamped_(force) {
+  for (double& f : clamped_.data()) f = std::clamp(f, 0.0, 1.0);
 }
 
 std::vector<Outcome> action_outcomes(const Rect& droplet, Action a,

@@ -8,7 +8,7 @@
 #include "chip/degradation.hpp"
 #include "geometry/rect.hpp"
 #include "model/action.hpp"
-#include "model/frontier.hpp"
+#include "model/action_table.hpp"
 #include "util/check.hpp"
 #include "util/matrix.hpp"
 
@@ -39,6 +39,22 @@ struct Outcome {
 /// enabled action's frontier can touch. Values are clamped to [0, 1].
 using ForceFn = std::function<double(int x, int y)>;
 
+namespace detail {
+
+/// The one frontier mean: sums cell(x, y) over @p fr row by row, then
+/// divides by its area. Every force accessor goes through it, so they agree
+/// bit for bit on equal cell values. Requires a valid @p fr; the accessors
+/// check it, which keeps the throw path out of this loop so it inlines.
+template <typename Cell>
+double frontier_mean(const Rect& fr, Cell&& cell) {
+  double total = 0.0;
+  for (int y = fr.ya; y <= fr.yb; ++y)
+    for (int x = fr.xa; x <= fr.xb; ++x) total += cell(x, y);
+  return total / static_cast<double>(fr.area());
+}
+
+}  // namespace detail
+
 /// Mean relative force over a frontier rectangle.
 double mean_frontier_force(const ForceFn& force, const Rect& fr);
 
@@ -53,6 +69,29 @@ struct MatrixForce {
   double operator()(const Rect& fr) const {
     return mean_frontier_force(force, fr);
   }
+};
+
+/// A chip-sized force matrix clamped to [0, 1] once, for model builders,
+/// which read each cell many times. Its frontier means run the same
+/// frontier_mean as mean_frontier_force over the raw matrix, on the same
+/// clamped values, so both return the same double (NaN included) without a
+/// clamp per read.
+class ClampedForce {
+ public:
+  explicit ClampedForce(const DoubleMatrix& force);
+
+  /// Mean relative force over frontier @p fr. Requires the frontier to lie
+  /// within the force matrix.
+  double operator()(const Rect& fr) const {
+    MEDA_REQUIRE(fr.valid() && fr.xa >= 0 && fr.ya >= 0 &&
+                     fr.xb < clamped_.width() && fr.yb < clamped_.height(),
+                 "frontier empty or outside the force matrix");
+    return detail::frontier_mean(
+        fr, [this](int x, int y) { return clamped_(x, y); });
+  }
+
+ private:
+  DoubleMatrix clamped_;
 };
 
 /// The outcomes of one action in a fixed-size buffer: the largest event
@@ -80,69 +119,67 @@ class OutcomeSet {
 };
 
 /// The Section V-B event spaces, implemented once: the outcome distribution
-/// of action @p a on @p droplet. @p mean_force maps a frontier rectangle to
-/// its mean relative force (one of the mean_frontier_force overloads); the
-/// compiled model builder, its in-place health patch and both
-/// action_outcomes overloads all go through this kernel, so they agree bit
-/// for bit.
+/// of the action behind @p entry on @p droplet, a droplet of the entry's
+/// shape. @p mean_force maps a frontier rectangle to its mean relative
+/// force (MatrixForce, ClampedForce or a mean_frontier_force wrapper). The
+/// compiled model builder and its in-place health patch call this kernel
+/// with entries of their ActionTable; the per-call overload below resolves
+/// the entry of its one action and runs the same code, so every caller
+/// agrees bit for bit.
 ///
 /// The caller must have established that the action is enabled
-/// (action_enabled), so all frontiers index valid cells. Zero-probability
-/// outcomes are omitted; the remaining probabilities sum to 1.
+/// (action_enabled or ActionEntry::enabled_at), so all frontiers index
+/// valid cells. Zero-probability outcomes are omitted; the remaining
+/// probabilities sum to 1.
 template <typename MeanForce>
-OutcomeSet outcome_set(const Rect& droplet, Action a, MeanForce&& mean_force) {
-  MEDA_REQUIRE(droplet.valid(), "outcomes of an invalid droplet");
-  // Success probability of the pull in direction d.
-  const auto pull = [&](const Rect& from, Dir d) {
-    return mean_force(frontier(from, a, d));
+OutcomeSet outcome_set(const ActionEntry& entry, const Rect& droplet,
+                       MeanForce&& mean_force) {
+  // Success probability of pull i.
+  const auto pull = [&](int i) {
+    return mean_force(placed(entry.pull[i], droplet));
   };
   OutcomeSet out;
-  switch (action_class(a)) {
-    case ActionClass::kCardinal: {
-      const double s = pull(droplet, cardinal_of(a));
-      out.push(apply(a, droplet), s);
+  switch (entry.action_class) {
+    case ActionClass::kCardinal:
+    case ActionClass::kWiden:
+    case ActionClass::kHeighten: {
+      const double s = pull(0);
+      out.push(placed(entry.success, droplet), s);
       out.push(droplet, 1.0 - s);
       break;
     }
     case ActionClass::kDouble: {
-      const Dir d = cardinal_of(a);
-      const Vec2i step = unit(d);
-      const Rect mid = droplet.shifted(step.x, step.y);
       // p(dd) = s1·s2, p(d) = s1·(1−s2), p(ε) = 1−s1 (second step is
       // conditioned on the first succeeding).
-      const double s1 = pull(droplet, d);
-      const double s2 = pull(mid, d);
-      out.push(apply(a, droplet), s1 * s2);
-      out.push(mid, s1 * (1.0 - s2));
+      const double s1 = pull(0);
+      const double s2 = pull(1);
+      out.push(placed(entry.success, droplet), s1 * s2);
+      out.push(placed(entry.partial[0], droplet), s1 * (1.0 - s2));
       out.push(droplet, 1.0 - s1);
       break;
     }
     case ActionClass::kOrdinal: {
-      const Ordinal o = ordinal_of(a);
-      const Dir dv = vertical(o);
-      const Dir dh = horizontal(o);
-      const double sv = pull(droplet, dv);
-      const double sh = pull(droplet, dh);
-      const Vec2i uv = unit(dv);
-      const Vec2i uh = unit(dh);
-      out.push(apply(a, droplet), sv * sh);                     // dd'
-      out.push(droplet.shifted(uv.x, uv.y), sv * (1.0 - sh));   // d
-      out.push(droplet.shifted(uh.x, uh.y), (1.0 - sv) * sh);   // d'
-      out.push(droplet, (1.0 - sv) * (1.0 - sh));               // ε
-      break;
-    }
-    case ActionClass::kWiden:
-    case ActionClass::kHeighten: {
-      const FrontierDirs dirs = pulling_directions(a);
-      MEDA_ASSERT(dirs.count == 1, "morph must have one pulling direction");
-      const double s = pull(droplet, dirs.dirs[0]);
-      out.push(apply(a, droplet), s);
-      out.push(droplet, 1.0 - s);
+      const double sv = pull(0);
+      const double sh = pull(1);
+      out.push(placed(entry.success, droplet), sv * sh);             // dd'
+      out.push(placed(entry.partial[0], droplet), sv * (1.0 - sh));  // d
+      out.push(placed(entry.partial[1], droplet), (1.0 - sv) * sh);  // d'
+      out.push(droplet, (1.0 - sv) * (1.0 - sh));                    // ε
       break;
     }
   }
   MEDA_ASSERT(!out.empty(), "action produced no outcomes");
   return out;
+}
+
+/// Per-call form of the kernel: resolves action @p a for the shape of
+/// @p droplet and evaluates it there. Both action_outcomes overloads and
+/// build_routing_mdp's re-expansion go through here.
+template <typename MeanForce>
+OutcomeSet outcome_set(const Rect& droplet, Action a, MeanForce&& mean_force) {
+  MEDA_REQUIRE(droplet.valid(), "outcomes of an invalid droplet");
+  return outcome_set(resolve_action(a, droplet.width(), droplet.height()),
+                     droplet, mean_force);
 }
 
 /// Full outcome distribution of action @p a on @p droplet under the per-MC

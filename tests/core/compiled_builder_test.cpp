@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -78,22 +79,31 @@ Rect random_rect_within(Rng& rng, const Rect& bounds, int w, int h) {
 }
 
 /// Random chip, droplet, goal and hazard; a force field mixing dead cells
-/// (zero-probability outcomes are omitted), fully healthy cells and
-/// arbitrary degradations. Every fourth case puts the hazard strictly
-/// inside the chip, every fifth starts inside the goal, every third charges
-/// a wear penalty, and morphing alternates.
+/// (zero-probability outcomes are omitted), fully healthy cells, arbitrary
+/// degradations and cells outside [0, 1] (the builder clamps the field once,
+/// the reference clamps every read). Droplet sides run 2..6, so double
+/// steps and several morph shapes occur, under aspect-ratio bounds 1.0, 1.5
+/// and 2.5. Every fourth case puts the hazard strictly inside the chip,
+/// every fifth starts inside the goal, every third charges a wear penalty,
+/// and morphing alternates.
 FuzzCase fuzz_case(Rng& rng, int k) {
   FuzzCase fc;
-  const int width = rng.uniform_int(6, 14);
-  const int height = rng.uniform_int(6, 14);
+  const int width = rng.uniform_int(10, 18);
+  const int height = rng.uniform_int(10, 18);
   fc.chip = Rect{0, 0, width - 1, height - 1};
   fc.force = DoubleMatrix(width, height, 1.0);
   for (int y = 0; y < height; ++y) {
     for (int x = 0; x < width; ++x) {
       const double u = rng.uniform(0.0, 1.0);
-      fc.force(x, y) = u < 0.1 ? 0.0 : u < 0.3 ? 1.0 : rng.uniform(0.05, 0.95);
+      fc.force(x, y) = u < 0.1    ? 0.0
+                       : u < 0.3  ? 1.0
+                       : u < 0.33 ? -0.3
+                       : u < 0.36 ? 1.4
+                                  : rng.uniform(0.05, 0.95);
     }
   }
+  constexpr double kRatios[] = {1.0, 1.5, 2.5};
+  fc.rules.max_aspect_ratio = kRatios[rng.uniform_int(0, 2)];
   fc.rules.enable_morphing = k % 2 == 0;
   fc.rules.enable_double_steps = k % 7 != 3;
   fc.rules.enable_ordinal = k % 11 != 5;
@@ -101,8 +111,8 @@ FuzzCase fuzz_case(Rng& rng, int k) {
 
   const Rect inner = fc.chip.inflated(-1);
   fc.rj.hazard = k % 4 == 1 ? inner : fc.chip;
-  const int w = rng.uniform_int(2, 4);
-  const int h = rng.uniform_int(2, 4);
+  const int w = rng.uniform_int(2, 6);
+  const int h = rng.uniform_int(2, 6);
   fc.rj.start = random_rect_within(rng, fc.rj.hazard, w, h);
   if (k % 5 == 2) {
     fc.rj.goal = fc.rj.start.inflated(1).intersection_with(fc.chip);
@@ -114,10 +124,16 @@ FuzzCase fuzz_case(Rng& rng, int k) {
   return fc;
 }
 
+bool is_double_step(Action a) {
+  return action_class(a) == ActionClass::kDouble;
+}
+
 TEST(BuildCompiledMdp, MatchesCompiledReferenceOnFuzzedJobs) {
   Rng rng(0xb01d0001u);
   int covered_dead = 0, covered_inner = 0, covered_goal_start = 0,
-      covered_lambda = 0, covered_morph = 0;
+      covered_lambda = 0, covered_morph = 0, covered_double = 0,
+      covered_out_of_range = 0, covered_wide = 0;
+  int covered_ratio[3] = {0, 0, 0};
   for (int k = 0; k < 120; ++k) {
     const FuzzCase fc = fuzz_case(rng, k);
     const std::string label = "case " + std::to_string(k);
@@ -129,9 +145,15 @@ TEST(BuildCompiledMdp, MatchesCompiledReferenceOnFuzzedJobs) {
     expect_same_arrays(built.mdp, compile_mdp(reference), label);
     EXPECT_EQ(built.geometry.droplets, reference.droplets) << label;
     std::vector<Action> actions;
-    for (const auto& state_choices : reference.choices)
-      for (const Choice& c : state_choices) actions.push_back(c.action);
+    std::vector<std::uint8_t> outcomes;
+    for (const auto& state_choices : reference.choices) {
+      for (const Choice& c : state_choices) {
+        actions.push_back(c.action);
+        outcomes.push_back(static_cast<std::uint8_t>(c.transitions.size()));
+      }
+    }
     EXPECT_EQ(built.geometry.choice_action, actions) << label;
+    EXPECT_EQ(built.geometry.choice_outcomes, outcomes) << label;
     const ModelStats want = reference.stats();
     EXPECT_EQ(built.stats.states, want.states) << label;
     EXPECT_EQ(built.stats.transitions, want.transitions) << label;
@@ -146,19 +168,39 @@ TEST(BuildCompiledMdp, MatchesCompiledReferenceOnFuzzedJobs) {
                     reference, label);
 
     // Tally the scenarios the fuzz was meant to reach.
-    bool dead = false;
-    for (double f : fc.force.data()) dead = dead || f == 0.0;
+    bool dead = false, out_of_range = false;
+    for (double f : fc.force.data()) {
+      dead = dead || f <= 0.0;
+      out_of_range = out_of_range || f < 0.0 || f > 1.0;
+    }
     covered_dead += dead ? 1 : 0;
+    covered_out_of_range += out_of_range ? 1 : 0;
     covered_inner += fc.rj.hazard != fc.chip ? 1 : 0;
     covered_goal_start += fc.rj.goal.contains(fc.rj.start) ? 1 : 0;
     covered_lambda += fc.lambda > 0.0 ? 1 : 0;
     covered_morph += fc.rules.enable_morphing ? 1 : 0;
+    covered_double += std::any_of(built.geometry.choice_action.begin(),
+                                  built.geometry.choice_action.end(),
+                                  is_double_step)
+                          ? 1
+                          : 0;
+    covered_wide +=
+        std::max(fc.rj.start.width(), fc.rj.start.height()) >= 5 ? 1 : 0;
+    if (fc.rules.enable_morphing) {
+      const double r = fc.rules.max_aspect_ratio;
+      ++covered_ratio[r == 1.0 ? 0 : r == 1.5 ? 1 : 2];
+    }
   }
   EXPECT_GT(covered_dead, 0);
   EXPECT_GT(covered_inner, 0);
   EXPECT_GT(covered_goal_start, 0);
   EXPECT_GT(covered_lambda, 0);
   EXPECT_GT(covered_morph, 0);
+  EXPECT_GT(covered_double, 0);
+  EXPECT_GT(covered_out_of_range, 0);
+  EXPECT_GT(covered_wide, 0);
+  for (int r = 0; r < 3; ++r)
+    EXPECT_GT(covered_ratio[r], 0) << "aspect-ratio bound " << r;
 }
 
 TEST(BuildCompiledMdp, StartInsideGoalIsOneAbsorbingState) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -101,9 +102,9 @@ TEST(PatchCompiledMdp, EmptyDeltaIsANoOp) {
   const IntMatrix health = uniform_health(5);
   CompiledPair c = compile_fixture(force_of(health));
   const CompiledMdp before = c.mdp;
-  const MdpPatch patch = patch_compiled_mdp(c.mdp, c.geometry,
-                                            force_of(health), chip(), chip(),
-                                            {});
+  const MdpPatch patch =
+      patch_compiled_mdp(c.mdp, c.geometry, force_of(health), chip(), chip(),
+                         ActionRules{}, {});
   EXPECT_TRUE(patch.patched);
   EXPECT_TRUE(patch.dirty_states.empty());
   EXPECT_EQ(patch.states_rescanned, 0u);
@@ -119,8 +120,8 @@ TEST(PatchCompiledMdp, RandomDeltaSequencesMatchFreshCompiles) {
       const std::vector<Vec2i> delta =
           perturb(rng, health, rng.uniform_int(1, 5));
       const DoubleMatrix force = force_of(health);
-      const MdpPatch patch = patch_compiled_mdp(c.mdp, c.geometry, force,
-                                                chip(), chip(), delta);
+      const MdpPatch patch = patch_compiled_mdp(
+          c.mdp, c.geometry, force, chip(), chip(), ActionRules{}, delta);
       ASSERT_TRUE(patch.patched) << "seq " << seq << " step " << step;
       const CompiledPair fresh = compile_fixture(force);
       expect_byte_equivalent(c.mdp, fresh.mdp, "random delta");
@@ -143,9 +144,9 @@ TEST(PatchCompiledMdp, WearCostDeltasMatchFreshCompiles) {
       const std::vector<Vec2i> delta =
           perturb(rng, health, rng.uniform_int(1, 4));
       const DoubleMatrix force = force_of(health);
-      const MdpPatch patch = patch_compiled_mdp(c.mdp, c.geometry, force,
-                                                chip(), chip(), delta,
-                                                kLambda);
+      const MdpPatch patch =
+          patch_compiled_mdp(c.mdp, c.geometry, force, chip(), chip(),
+                             ActionRules{}, delta, kLambda);
       ASSERT_TRUE(patch.patched) << "seq " << seq << " step " << step;
       const CompiledPair fresh = compile_fixture(force, kLambda);
       expect_byte_equivalent(c.mdp, fresh.mdp, "wear delta");
@@ -164,10 +165,69 @@ TEST(PatchCompiledMdp, SingleDeadCellInAWideFrontierStaysPatchable) {
   const DoubleMatrix force = force_of(health);
   const MdpPatch patch =
       patch_compiled_mdp(c.mdp, c.geometry, force, chip(), chip(),
-                         health_delta_cells(before, health));
+                         ActionRules{}, health_delta_cells(before, health));
   ASSERT_TRUE(patch.patched);
   EXPECT_FALSE(patch.dirty_states.empty());
   expect_byte_equivalent(c.mdp, compile_fixture(force).mdp, "single dead");
+}
+
+TEST(PatchCompiledMdp, SelfLoopBranchesKeepTheTransitionCountExact) {
+  // Cardinal moves on a fully healthy chip succeed with probability 1, so
+  // no choice has a failure self-loop. Wearing one frontier cell makes
+  // those branches appear while the off-state topology holds: the patch
+  // goes through, must report the added branches and must keep the
+  // per-choice outcome counts of a fresh build; healing the cell takes
+  // them back.
+  ActionRules cardinal;
+  cardinal.enable_double_steps = false;
+  cardinal.enable_ordinal = false;
+  cardinal.enable_morphing = false;
+  const IntMatrix healthy = uniform_health(kFull);
+  IntMatrix worn = healthy;
+  worn(4, 5) = kFull - 1;  // on the start droplet's east frontier
+  CompiledModel model =
+      build_compiled_mdp(fixture_job(), force_of(healthy), chip(), cardinal);
+  const CompiledModel fresh =
+      build_compiled_mdp(fixture_job(), force_of(worn), chip(), cardinal);
+  const auto added = static_cast<std::int64_t>(fresh.stats.transitions) -
+                     static_cast<std::int64_t>(model.stats.transitions);
+  ASSERT_GT(added, 0);
+
+  MdpPatch patch = patch_compiled_mdp(
+      model.mdp, model.geometry, force_of(worn), chip(), chip(), cardinal,
+      health_delta_cells(healthy, worn));
+  ASSERT_TRUE(patch.patched);
+  EXPECT_EQ(patch.transitions_delta, added);
+  expect_byte_equivalent(model.mdp, fresh.mdp, "worn");
+  EXPECT_EQ(model.geometry.choice_outcomes, fresh.geometry.choice_outcomes);
+
+  patch = patch_compiled_mdp(model.mdp, model.geometry, force_of(healthy),
+                             chip(), chip(), cardinal,
+                             health_delta_cells(worn, healthy));
+  ASSERT_TRUE(patch.patched);
+  EXPECT_EQ(patch.transitions_delta, -added);
+  const CompiledModel healed =
+      build_compiled_mdp(fixture_job(), force_of(healthy), chip(), cardinal);
+  expect_byte_equivalent(model.mdp, healed.mdp, "healed");
+  EXPECT_EQ(model.geometry.choice_outcomes, healed.geometry.choice_outcomes);
+}
+
+TEST(PatchCompiledMdp, RulesOtherThanTheBuildsAreRejected) {
+  // The patch re-derives each state's enabled actions from the rules; a
+  // rule set that enables a different action list cannot line up with the
+  // retained choices.
+  const IntMatrix health = uniform_health(5);
+  CompiledPair c = compile_fixture(force_of(health));
+  IntMatrix worn = health;
+  worn(4, 5) = 3;
+  ActionRules cardinal;
+  cardinal.enable_double_steps = false;
+  cardinal.enable_ordinal = false;
+  cardinal.enable_morphing = false;
+  EXPECT_THROW(patch_compiled_mdp(c.mdp, c.geometry, force_of(worn), chip(),
+                                  chip(), cardinal,
+                                  health_delta_cells(health, worn)),
+               PreconditionError);
 }
 
 TEST(PatchCompiledMdp, DeadFrontierAbortsThePatch) {
@@ -180,7 +240,7 @@ TEST(PatchCompiledMdp, DeadFrontierAbortsThePatch) {
   for (int y = 0; y < kGrid; ++y) health(7, y) = 0;
   const MdpPatch patch =
       patch_compiled_mdp(c.mdp, c.geometry, force_of(health), chip(), chip(),
-                         health_delta_cells(before, health));
+                         ActionRules{}, health_delta_cells(before, health));
   EXPECT_FALSE(patch.patched);
   EXPECT_TRUE(patch.dirty_states.empty());
 }
@@ -196,7 +256,7 @@ TEST(PatchCompiledMdp, RevivedFrontierAbortsThePatch) {
   for (int y = 0; y < kGrid; ++y) healed(7, y) = 5;
   const MdpPatch patch =
       patch_compiled_mdp(c.mdp, c.geometry, force_of(healed), chip(), chip(),
-                         health_delta_cells(walled, healed));
+                         ActionRules{}, health_delta_cells(walled, healed));
   EXPECT_FALSE(patch.patched);
   EXPECT_TRUE(patch.dirty_states.empty());
 }
@@ -212,7 +272,7 @@ TEST(PatchCompiledMdp, FullHealthTransitionAbortsThePatch) {
     for (int x = 4; x <= 6; ++x) health(x, y) = kFull;
   const MdpPatch patch =
       patch_compiled_mdp(c.mdp, c.geometry, force_of(health), chip(), chip(),
-                         health_delta_cells(before, health));
+                         ActionRules{}, health_delta_cells(before, health));
   EXPECT_FALSE(patch.patched);
 }
 

@@ -91,6 +91,32 @@ TEST(Resynthesize, WarmDeltaMatchesColdSynthesis) {
   }
 }
 
+TEST(Resynthesize, WarmStatsCountTheSelfLoopsAPatchAdds) {
+  // Regression: a warm result reported the transition count of the
+  // retained model's cold build. Cardinal moves on a fresh 2-bit chip have
+  // no failure branch; wearing one frontier cell from code 3 to 2 adds
+  // self-loop branches without changing the off-state topology, so the
+  // patch succeeds and its stats must equal a cold synthesis.
+  SynthesisConfig config;
+  config.rules.enable_double_steps = false;
+  config.rules.enable_ordinal = false;
+  config.rules.enable_morphing = false;
+  const Synthesizer synth(chip(), config);
+  IntMatrix health(kGrid, kGrid, 3);
+  ResynthesisContext ctx;
+  synth.resynthesize(fixture_job(), health, 2, ctx);
+  ASSERT_TRUE(ctx.valid);
+  health(4, 5) = 2;  // on the start droplet's east frontier
+  const SynthesisResult warm =
+      synth.resynthesize(fixture_job(), health, 2, ctx);
+  ASSERT_TRUE(warm.warm);
+  const SynthesisResult cold = synth.synthesize(fixture_job(), health, 2);
+  EXPECT_EQ(warm.stats.states, cold.stats.states);
+  EXPECT_EQ(warm.stats.transitions, cold.stats.transitions);
+  EXPECT_EQ(warm.stats.choices, cold.stats.choices);
+  expect_same_result(warm, cold, "self-loop delta");
+}
+
 TEST(Resynthesize, ReanchoredStartStaysWarm) {
   const Synthesizer synth(chip());
   IntMatrix health = uniform_health(5);

@@ -62,7 +62,7 @@ struct Fixture {
       health(rng.uniform_int(0, kGrid - 1), rng.uniform_int(0, kGrid - 1)) =
           rng.uniform_int(1, kFull - 1);
     const MdpPatch patch = patch_compiled_mdp(
-        compiled, geometry, force_of(health), chip(), chip(),
+        compiled, geometry, force_of(health), chip(), chip(), ActionRules{},
         health_delta_cells(before, health));
     EXPECT_TRUE(patch.patched);
     return patch.dirty_states;
@@ -175,7 +175,7 @@ TEST(WarmSolve, ReportsWarmStartTruthfully) {
   f.health(3, 6) = 3;
   const MdpPatch patch = patch_compiled_mdp(
       f.compiled, f.geometry, force_of(f.health), chip(), chip(),
-      health_delta_cells(before, f.health));
+      ActionRules{}, health_delta_cells(before, f.health));
   ASSERT_TRUE(patch.patched);
   const std::vector<std::uint32_t>& dirty = patch.dirty_states;
   SolveConfig config;

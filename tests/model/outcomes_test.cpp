@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "model/guards.hpp"
@@ -64,6 +66,32 @@ TEST(MeanFrontierForce, AveragesAndClamps) {
   EXPECT_NEAR(mean_frontier_force(force, Rect{5, 5, 5, 6}), 0.5, 1e-12);
   EXPECT_THROW(mean_frontier_force(force, Rect{9, 9, 10, 9}),
                PreconditionError);
+}
+
+TEST(MeanFrontierForce, ClampedFieldMatchesThePerReadClamp) {
+  // The builder clamps the field once; every frontier mean must still be
+  // the exact double of the per-read clamp, out-of-range cells and NaN
+  // included.
+  DoubleMatrix force = uniform_force(0.37, 6, 5);
+  force(1, 1) = -0.3;
+  force(2, 1) = 1.4;
+  force(3, 2) = 0.999999999999;
+  force(4, 3) = std::numeric_limits<double>::quiet_NaN();
+  const ClampedForce clamped(force);
+  for (int ya = 0; ya < 5; ++ya)
+    for (int yb = ya; yb < 5; ++yb)
+      for (int xa = 0; xa < 6; ++xa)
+        for (int xb = xa; xb < 6; ++xb) {
+          const Rect fr{xa, ya, xb, yb};
+          const double want = mean_frontier_force(force, fr);
+          const double got = clamped(fr);
+          if (std::isnan(want))
+            EXPECT_TRUE(std::isnan(got)) << fr.to_string();
+          else
+            EXPECT_EQ(got, want) << fr.to_string();
+        }
+  EXPECT_THROW(clamped(Rect{5, 4, 6, 4}), PreconditionError);
+  EXPECT_THROW(clamped(Rect::none()), PreconditionError);
 }
 
 TEST(Outcomes, CardinalEventSpace) {
