@@ -94,9 +94,9 @@ int main(int argc, char** argv) {
   robust.scheduler.filter.enabled = true;
   robust.scheduler.recovery.enabled = true;
   // End-of-life cells succeed with low probability rather than failing
-  // outright, so droplets crawl. The progress-rate watchdog (EWMA of
-  // Manhattan progress per cycle, on by default) gives them that patience
-  // adaptively — no hand-tuned stuck_cycles override needed.
+  // outright, so droplets crawl. The ladder's stall detector, a watchdog on
+  // the EWMA of Manhattan progress per cycle, gives them that patience
+  // adaptively.
   robust.scheduler.recovery.quarantine_after_watchdogs = 3;
 
   sim::RouterConfig nmr = robust;

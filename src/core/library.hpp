@@ -76,12 +76,19 @@ struct LibraryClassStats {
   std::uint64_t overwrites = 0;  ///< stores that replaced an entry
   std::uint64_t evictions = 0;   ///< entries dropped by the FIFO capacity
 
+  /// The field list (see RecoveryCounters::for_each_field).
+  template <typename F, typename... C>
+  static void for_each_field(F&& f, C&&... c) {
+    f("hits", c.hits...);
+    f("misses", c.misses...);
+    f("inserts", c.inserts...);
+    f("overwrites", c.overwrites...);
+    f("evictions", c.evictions...);
+  }
+
   LibraryClassStats& operator+=(const LibraryClassStats& other) {
-    hits += other.hits;
-    misses += other.misses;
-    inserts += other.inserts;
-    overwrites += other.overwrites;
-    evictions += other.evictions;
+    for_each_field([](const char*, auto& a, const auto& b) { a += b; }, *this,
+                   other);
     return *this;
   }
   friend bool operator==(const LibraryClassStats&,
@@ -94,16 +101,24 @@ struct LibraryStats {
   LibraryClassStats detour;
   LibraryClassStats replica;
 
+  /// The class list: calls `f(to_string(cls), s.<cls>...)` per digest class
+  /// in declaration order (see RecoveryCounters::for_each_field).
+  template <typename F, typename... S>
+  static void for_each_field(F&& f, S&&... s) {
+    f(to_string(DigestClass::kPlain), s.plain...);
+    f(to_string(DigestClass::kDetour), s.detour...);
+    f(to_string(DigestClass::kReplica), s.replica...);
+  }
+
   LibraryClassStats totals() const {
-    LibraryClassStats t = plain;
-    t += detour;
-    t += replica;
+    LibraryClassStats t;
+    for_each_field([&t](const char*, const LibraryClassStats& c) { t += c; },
+                   *this);
     return t;
   }
   LibraryStats& operator+=(const LibraryStats& other) {
-    plain += other.plain;
-    detour += other.detour;
-    replica += other.replica;
+    for_each_field([](const char*, auto& a, const auto& b) { a += b; }, *this,
+                   other);
     return *this;
   }
   friend bool operator==(const LibraryStats&, const LibraryStats&) = default;

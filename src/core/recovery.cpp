@@ -1,7 +1,5 @@
 #include "core/recovery.hpp"
 
-#include <sstream>
-
 namespace meda::core {
 
 std::string_view to_string(RecoveryAction action) {
@@ -17,17 +15,6 @@ std::string_view to_string(RecoveryAction action) {
     case RecoveryAction::kReplicaFailover: return "replica-failover";
   }
   return "?";
-}
-
-std::string format_events(const std::vector<RecoveryEvent>& events) {
-  std::ostringstream os;
-  for (const RecoveryEvent& e : events) {
-    os << "cycle " << e.cycle << " [" << to_string(e.action) << ']';
-    if (e.mo >= 0) os << " MO " << e.mo;
-    if (!e.detail.empty()) os << ": " << e.detail;
-    os << '\n';
-  }
-  return os.str();
 }
 
 }  // namespace meda::core

@@ -1,9 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <vector>
 
 /// @file recovery.hpp
 /// The scheduler's structured recovery ladder (robustness extension of
@@ -12,11 +10,11 @@
 /// the scheduler escalates through a fixed ladder instead of burning its
 /// cycle budget or failing the whole bioassay outright:
 ///
-///   1. droplet-stuck watchdog        → forced re-sense + strategy drop
+///   1. progress-rate watchdog        → forced re-sense + strategy drop
 ///   2. re-synthesis, bounded retries → exponential backoff between attempts
 ///   3. hazard quarantine             → persistently misbehaving cells are
 ///                                      clamped dead in the health view and
-///                                      routed around (routability-gated)
+///                                      routed around
 ///   4. replica failover              → on N-modular-redundant MOs a replica
 ///                                      that runs out of retries is abandoned
 ///                                      while its siblings keep racing
@@ -24,8 +22,9 @@
 ///                                      with a structured reason; unrelated
 ///                                      MOs keep running
 ///
-/// Every rung fired is recorded as a RecoveryEvent in the execution stats
-/// and surfaced in the HTML execution report.
+/// Every rung fired is one `"recovery"` entry of ExecutionStats::events,
+/// named by to_string(RecoveryAction), and surfaced in the HTML execution
+/// report.
 
 namespace meda::core {
 
@@ -50,24 +49,12 @@ enum class RecoveryAction : unsigned char {
 
 std::string_view to_string(RecoveryAction action);
 
-/// One recovery-ladder firing.
-struct RecoveryEvent {
-  RecoveryAction action = RecoveryAction::kWatchdogResense;
-  std::uint64_t cycle = 0;  ///< relative to the start of the execution
-  int mo = -1;              ///< affected MO (-1: execution-wide)
-  std::string detail;
-
-  friend bool operator==(const RecoveryEvent&, const RecoveryEvent&) =
-      default;
-};
-
-/// Ladder tuning. `enabled = false` preserves the legacy behavior: any
-/// infeasible synthesis fails the whole execution immediately and stuck
-/// droplets run into the cycle limit.
+/// Ladder tuning: the knobs callers set to shape their scenario. The
+/// detector and fallback constants live in scheduler.cpp. `enabled = false`
+/// preserves the legacy behavior: any infeasible synthesis fails the whole
+/// execution immediately and stuck droplets run into the cycle limit.
 struct RecoveryConfig {
   bool enabled = false;
-  /// Commanded cycles without droplet progress before the watchdog fires.
-  int stuck_cycles = 12;
   /// Re-synthesis attempts per routing job before escalating past retries.
   int max_retries = 3;
   /// Backoff before retry i is backoff_base_cycles << (i-1) cycles.
@@ -75,8 +62,6 @@ struct RecoveryConfig {
   /// Watchdog firings on the same routing job before its blocked frontier
   /// is quarantined.
   int quarantine_after_watchdogs = 2;
-  /// Also quarantine cells the health filter flags as suspect.
-  bool quarantine_suspects = true;
   /// Ceiling on the quarantine set as a fraction of the chip area.
   /// Quarantine targets a few persistently misbehaving cells; when the
   /// filter floods the scheduler with suspects (a failing *sensing
@@ -84,47 +69,11 @@ struct RecoveryConfig {
   /// the router to most of a still-routable chip. Past the budget the
   /// ladder stops quarantining and trusts the filtered estimate instead.
   double max_quarantine_fraction = 0.15;
-  /// Droplet-aware stall classification: when the watchdog fires, decide
-  /// whether the droplet is blocked by another droplet (contention) or by
-  /// dead/unresponsive cells. Contention stalls re-route around the
-  /// blocker's footprint instead of quarantining healthy cells.
-  bool classify_stalls = true;
-  /// Contention detours on the same stuck task (without progress) before
-  /// falling back to the quarantine escalation (livelock safety valve).
-  int max_contention_detours = 3;
-  /// When > 0: after each quarantine, probe chip-wide routability with this
-  /// many sampled jobs; abort the job early if the feasible fraction falls
-  /// below min_routable_fraction (the chip is effectively unroutable).
-  int routability_probe_jobs = 0;
-  double min_routable_fraction = 0.25;
-  /// Progress-rate watchdog (the default): instead of "exactly stuck_cycles
-  /// commanded cycles at the same position", track an EWMA of Manhattan
-  /// progress toward the goal frontier per commanded cycle and fire when it
-  /// decays below min_progress_rate. End-of-life chips where pulls land
-  /// every few cycles keep a healthy rate and are left to crawl; true
-  /// stalls decay to zero and still fire. `false` restores the fixed
-  /// stuck_cycles counter (the equivalence-test behavior).
-  bool progress_watchdog = true;
-  /// EWMA smoothing factor α for the progress rate (weight of the newest
-  /// cycle's progress). With the defaults a pure stall entered from a full
-  /// rate fires in ~50 cycles and from an end-of-life crawl (~0.3
-  /// cells/cycle) in ~39 — deliberately more patient than the legacy
-  /// stuck_cycles=12, because a premature firing escalates toward
-  /// quarantining cells that were merely slow.
-  double progress_alpha = 0.10;
-  /// Watchdog threshold on the smoothed progress rate (cells/cycle).
-  double min_progress_rate = 0.005;
-  /// Deadline-expired synthesis degrades to the bounded fallback router
-  /// instead of the infeasible-synthesis retry ladder.
-  bool fallback_on_deadline = true;
-  /// Expansion budget handed to the fallback router.
-  int fallback_max_expansions = 20000;
   /// While a fallback route is active, full re-synthesis is retried only
   /// after an exponential backoff on health changes: attempt i waits
-  /// fallback_backoff_base_cycles << (i-1) cycles (capped below) after the
+  /// fallback_backoff_base_cycles << (i-1) cycles (capped) after the
   /// deadline expiry before the next full attempt.
   int fallback_backoff_base_cycles = 16;
-  int fallback_backoff_max_cycles = 256;
 };
 
 /// Aggregated ladder counters for one execution.
@@ -140,33 +89,36 @@ struct RecoveryCounters {
   int fallback_routes = 0;      ///< fallback routes installed
   int paroled_cells = 0;        ///< quarantined cells released on re-sense
 
-  bool any() const {
-    return watchdog_fires > 0 || forced_resenses > 0 ||
-           synthesis_retries > 0 || backoff_cycles > 0 ||
-           quarantined_cells > 0 || contention_detours > 0 ||
-           aborted_jobs > 0 || synthesis_deadlines > 0 ||
-           fallback_routes > 0 || paroled_cells > 0;
+  /// The field list: calls `f("name", c.field...)` once per counter, in
+  /// declaration order, zipping every struct passed in @p c (none walks
+  /// the names only). The roll-up, the run metrics, the campaign slot
+  /// codec, its checkpoint digest and the metrics CSV all walk it, so a new
+  /// counter is declared above, listed here, and edited nowhere else.
+  template <typename F, typename... C>
+  static void for_each_field(F&& f, C&&... c) {
+    f("watchdog_fires", c.watchdog_fires...);
+    f("forced_resenses", c.forced_resenses...);
+    f("synthesis_retries", c.synthesis_retries...);
+    f("backoff_cycles", c.backoff_cycles...);
+    f("quarantined_cells", c.quarantined_cells...);
+    f("contention_detours", c.contention_detours...);
+    f("aborted_jobs", c.aborted_jobs...);
+    f("synthesis_deadlines", c.synthesis_deadlines...);
+    f("fallback_routes", c.fallback_routes...);
+    f("paroled_cells", c.paroled_cells...);
   }
 
+  bool any() const { return *this != RecoveryCounters{}; }
+
   /// Sums @p other into this (campaign roll-ups).
-  void accumulate(const RecoveryCounters& other) {
-    watchdog_fires += other.watchdog_fires;
-    forced_resenses += other.forced_resenses;
-    synthesis_retries += other.synthesis_retries;
-    backoff_cycles += other.backoff_cycles;
-    quarantined_cells += other.quarantined_cells;
-    contention_detours += other.contention_detours;
-    aborted_jobs += other.aborted_jobs;
-    synthesis_deadlines += other.synthesis_deadlines;
-    fallback_routes += other.fallback_routes;
-    paroled_cells += other.paroled_cells;
+  RecoveryCounters& operator+=(const RecoveryCounters& other) {
+    for_each_field([](const char*, auto& a, const auto& b) { a += b; }, *this,
+                   other);
+    return *this;
   }
 
   friend bool operator==(const RecoveryCounters&, const RecoveryCounters&) =
       default;
 };
-
-/// Renders events as one line each ("cycle 412 [quarantine] MO 3: ...").
-std::string format_events(const std::vector<RecoveryEvent>& events);
 
 }  // namespace meda::core

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/fallback_router.hpp"
-#include "core/routability.hpp"
 #include "model/outcomes.hpp"
 #include "obs/obs.hpp"
 #include "util/check.hpp"
@@ -17,6 +16,30 @@ using assay::Mo;
 using assay::MoList;
 using assay::MoType;
 using assay::RoutingJob;
+
+// Recovery-ladder constants: no caller needs another value, so they are not
+// RecoveryConfig knobs.
+
+/// EWMA smoothing factor of the progress-rate watchdog (weight of the newest
+/// cycle's progress). With kMinProgressRate, a pure stall entered from a
+/// full rate fires in ~50 cycles and from an end-of-life crawl (~0.3
+/// cells/cycle) in ~39: patient, because a premature firing escalates
+/// toward quarantining cells that were merely slow.
+constexpr double kProgressAlpha = 0.10;
+/// Watchdog threshold on the smoothed progress rate (cells/cycle).
+constexpr double kMinProgressRate = 0.005;
+/// Contention detours on one stuck task (without progress) before the
+/// stall falls through to the quarantine escalation: a livelock safety
+/// valve for two droplets that keep detouring around each other.
+constexpr int kMaxContentionDetours = 3;
+/// Expansion budget of the bounded fallback router (deadline fallbacks and
+/// the waste routes of retired replicas): it stands in for a synthesis, so
+/// it must stay cheap.
+constexpr int kFallbackMaxExpansions = 20000;
+/// Cap on the fallback backoff (RecoveryConfig::fallback_backoff_base_cycles
+/// doubled per deadline strike), so a long-lived fallback still retries
+/// full synthesis every few hundred cycles.
+constexpr int kFallbackBackoffMaxCycles = 256;
 
 /// Droplet pattern of @p area centered at an MO location.
 Rect placed_rect(const assay::Loc& loc, int area) {
@@ -118,13 +141,12 @@ struct RouteTask {
   int backoff_remaining = 0;  ///< cycles left in the current backoff wait
   int watchdog_count = 0;     ///< watchdog firings since the last escalation
   Rect watch_pos = Rect::none();
-  int no_progress = 0;        ///< commanded cycles without movement
   // Stall-classifier bookkeeping: a contention-classified stall requests
   // one droplet-avoiding re-synthesis instead of a quarantine.
   bool avoid_droplets_once = false;
   int contention_detours = 0;  ///< detours since the droplet last moved
-  // Progress-rate watchdog bookkeeping (recovery.progress_watchdog): EWMA
-  // of Manhattan progress toward the goal frontier per commanded cycle.
+  // Progress-rate watchdog bookkeeping: EWMA of Manhattan progress toward
+  // the goal frontier per commanded cycle.
   double progress_rate = 1.0;
   int last_goal_gap = -1;  ///< gap at the previous commanded cycle; -1 = none
   // Deadline-fallback bookkeeping: a deadline-expired synthesis installs a
@@ -283,9 +305,10 @@ class Runner {
     for (const RetireTask& retiree : retiring_)
       stats_.replica.droplet_cycles += chip_.cycle() - retiree.created_cycle;
     stats_.cycles = chip_.cycle() - start_cycle;
-    for (const MoRun& run : runs_)
+    for (const MoRun& run : runs_) {
       if (run.state == MoRun::State::kDone) ++stats_.completed_mos;
-    stats_.aborted_mos = stats_.recovery.aborted_jobs;
+      if (run.state == MoRun::State::kAborted) ++stats_.aborted_mos;
+    }
     stats_.success = !failed_ && all_done();
     if (failed_) {
       stats_.failure_reason = failure_reason_;
@@ -326,36 +349,14 @@ class Runner {
                    static_cast<std::uint64_t>(stats_.aborted_mos));
     MEDA_OBS_OBSERVE("sched.run_cycles", static_cast<double>(stats_.cycles),
                      obs::kPow2Buckets);
-    const RecoveryCounters& rec = stats_.recovery;
-    MEDA_OBS_COUNT("recovery.watchdog_fires",
-                   static_cast<std::uint64_t>(rec.watchdog_fires));
-    MEDA_OBS_COUNT("recovery.forced_resenses",
-                   static_cast<std::uint64_t>(rec.forced_resenses));
-    MEDA_OBS_COUNT("recovery.synthesis_retries",
-                   static_cast<std::uint64_t>(rec.synthesis_retries));
-    MEDA_OBS_COUNT("recovery.backoff_cycles", rec.backoff_cycles);
-    MEDA_OBS_COUNT("recovery.quarantined_cells",
-                   static_cast<std::uint64_t>(rec.quarantined_cells));
-    MEDA_OBS_COUNT("recovery.contention_detours",
-                   static_cast<std::uint64_t>(rec.contention_detours));
-    MEDA_OBS_COUNT("recovery.aborted_jobs",
-                   static_cast<std::uint64_t>(rec.aborted_jobs));
-    MEDA_OBS_COUNT("recovery.synthesis_deadlines",
-                   static_cast<std::uint64_t>(rec.synthesis_deadlines));
-    MEDA_OBS_COUNT("recovery.fallback_routes",
-                   static_cast<std::uint64_t>(rec.fallback_routes));
-    MEDA_OBS_COUNT("recovery.paroled_cells",
-                   static_cast<std::uint64_t>(rec.paroled_cells));
-    const ReplicaCounters& rep = stats_.replica;
-    MEDA_OBS_COUNT("replica.launched",
-                   static_cast<std::uint64_t>(rep.launched));
-    MEDA_OBS_COUNT("replica.failovers",
-                   static_cast<std::uint64_t>(rep.failovers));
-    MEDA_OBS_COUNT("replica.merges", static_cast<std::uint64_t>(rep.merges));
-    MEDA_OBS_COUNT("replica.retired", static_cast<std::uint64_t>(rep.retired));
-    MEDA_OBS_COUNT("replica.best_effort_masks",
-                   static_cast<std::uint64_t>(rep.best_effort_masks));
-    MEDA_OBS_COUNT("replica.droplet_cycles", rep.droplet_cycles);
+    const auto count = [](std::string prefix) {
+      return [prefix = std::move(prefix)]([[maybe_unused]] const char* field,
+                                          [[maybe_unused]] auto value) {
+        MEDA_OBS_COUNT(prefix + field, static_cast<std::uint64_t>(value));
+      };
+    };
+    RecoveryCounters::for_each_field(count("recovery."), stats_.recovery);
+    ReplicaCounters::for_each_field(count("replica."), stats_.replica);
   }
 
   /// Samples the cycle-domain counter tracks (droplets on chip, in-flight
@@ -410,13 +411,10 @@ class Runner {
                                        mo, std::move(detail)});
   }
 
-  /// Recovery-ladder firing: one emit fills the unified event log plus the
-  /// legacy typed RecoveryEvent view (kept for existing consumers).
+  /// Recovery-ladder firing: a "recovery" entry named after the rung.
   void event(RecoveryAction action, int mo, std::string detail) {
-    const std::uint64_t cycle = chip_.cycle() - start_cycle_;
-    obs_event("recovery", std::string(to_string(action)), mo, detail);
-    stats_.recovery_events.push_back(
-        RecoveryEvent{action, cycle, mo, std::move(detail)});
+    obs_event("recovery", std::string(to_string(action)), mo,
+              std::move(detail));
   }
 
   /// Senses the chip and rebuilds the controller's health view: raw scan or
@@ -508,7 +506,7 @@ class Runner {
   /// quarantined cell to health 0 in the current view.
   void apply_quarantine() {
     if (!config_.recovery.enabled) return;
-    if (config_.recovery.quarantine_suspects && config_.filter.enabled &&
+    if (config_.filter.enabled &&
         filter_.suspect_count() > quarantined_suspects_seen_) {
       // Budgeted: a suspect *flood* means the sensing channel is failing,
       // not the substrate — quarantining it all would blind the router to a
@@ -570,7 +568,6 @@ class Runner {
     event(RecoveryAction::kQuarantine, run.mo->id,
           std::to_string(added) + " cell(s) blocking " + pos.to_string());
     clamp_quarantined();
-    routability_gate(run);
   }
 
   /// The cells a stuck task is trying (and failing) to enter: the commanded
@@ -653,23 +650,6 @@ class Runner {
     return masked;
   }
 
-  /// After a quarantine, optionally probes chip-wide routability; a chip
-  /// that can no longer route most jobs is not worth burning cycles on.
-  void routability_gate(MoRun& run) {
-    if (config_.recovery.routability_probe_jobs <= 0) return;
-    RoutabilityConfig probe;
-    probe.jobs = config_.recovery.routability_probe_jobs;
-    probe.synthesis = config_.synthesis;
-    // Deterministic probe seed tied to the execution point.
-    Rng rng(0x90BAB17Eull ^ (chip_.cycle() * 0x9E3779B97F4A7C15ull));
-    const RoutabilityReport report =
-        assess_routability(health_, chip_.health_bits(), probe, rng);
-    if (report.feasible_fraction < config_.recovery.min_routable_fraction) {
-      abort_job(run, "chip unroutable after quarantine (feasible fraction " +
-                         std::to_string(report.feasible_fraction) + ")");
-    }
-  }
-
   /// Gracefully aborts one MO: its droplets are scheduled for discard at the
   /// end of the cycle and its dependents cascade-abort on activation.
   void abort_job(MoRun& run, const std::string& reason) {
@@ -719,12 +699,8 @@ class Runner {
       fail("synthesis deadline expired for MO " + std::to_string(task.rj.mo));
       return;
     }
-    if (!config_.recovery.fallback_on_deadline) {
-      on_synthesis_failure(run, task);  // plain infeasible-synthesis ladder
-      return;
-    }
     const int base = std::max(1, config_.recovery.fallback_backoff_base_cycles);
-    const int cap = std::max(base, config_.recovery.fallback_backoff_max_cycles);
+    const int cap = std::max(base, kFallbackBackoffMaxCycles);
     const int shift = std::min(task.deadline_strikes - 1, 16);
     const int wait = std::min(base << shift, cap);
     task.fallback_retry_at = chip_.cycle() + static_cast<std::uint64_t>(wait);
@@ -738,7 +714,7 @@ class Runner {
                         std::uint64_t digest, const IntMatrix* masked) {
     FallbackConfig fallback_config;
     fallback_config.rules = config_.synthesis.rules;
-    fallback_config.max_expansions = config_.recovery.fallback_max_expansions;
+    fallback_config.max_expansions = kFallbackMaxExpansions;
     const IntMatrix& view = masked != nullptr ? *masked : health_;
     FallbackResult fallback =
         fallback_route(rj, view, chip_bounds_, fallback_config);
@@ -918,65 +894,48 @@ class Runner {
 
     // Ladder watchdog: a commanded droplet that stops making progress
     // triggers a forced re-sense + strategy drop; repeated firings escalate
-    // to quarantining the cells it keeps failing to enter. With stall
-    // classification enabled, a stall attributable to another live droplet
-    // (contention) instead requests a droplet-avoiding re-synthesis —
-    // quarantining perfectly healthy cells just because a neighbour parked
-    // on them would permanently shrink the routable chip.
+    // to quarantining the cells it keeps failing to enter. A stall
+    // attributable to another live droplet (contention) instead requests a
+    // droplet-avoiding re-synthesis — quarantining perfectly healthy cells
+    // just because a neighbour parked on them would permanently shrink the
+    // routable chip.
     //
-    // Two stall detectors share the escalation: the progress-rate watchdog
-    // (the default) fires when an EWMA of Manhattan progress toward the
-    // goal frontier decays below min_progress_rate — an end-of-life chip
-    // where pulls still land every few cycles keeps a healthy rate and is
-    // left to crawl, while a true stall decays to zero; the fixed
-    // stuck_cycles counter (progress_watchdog = false) fires after exactly
-    // stuck_cycles commanded cycles at the same position (the
-    // equivalence-test behavior).
+    // The stall detector is a progress-rate watchdog: it fires when an EWMA
+    // of Manhattan progress toward the goal frontier decays below
+    // kMinProgressRate. An end-of-life chip where pulls still land every
+    // few cycles keeps a healthy rate and is left to crawl, while a true
+    // stall decays to zero.
     if (config_.recovery.enabled) {
       bool watchdog_fired = false;
-      if (config_.recovery.progress_watchdog) {
-        if (task.has_strategy) {
-          const int gap = goal_gap(task, pos);
-          if (task.last_goal_gap >= 0) {
-            // Movement that does not approach the goal (a detour leg, a
-            // morph) still proves the droplet responds; credit it so only
-            // genuine unresponsiveness decays the rate.
-            constexpr double kMovementCredit = 0.25;
-            double observed =
-                std::max(0.0, static_cast<double>(task.last_goal_gap - gap));
-            if (pos != task.watch_pos)
-              observed = std::max(observed, kMovementCredit);
-            const double alpha = config_.recovery.progress_alpha;
-            task.progress_rate =
-                (1.0 - alpha) * task.progress_rate + alpha * observed;
-            if (task.progress_rate < config_.recovery.min_progress_rate) {
-              watchdog_fired = true;
-              task.progress_rate = 1.0;  // fresh grace period after firing
-              task.last_goal_gap = -1;
-            } else {
-              task.last_goal_gap = gap;
-            }
+      if (task.has_strategy) {
+        const int gap = goal_gap(task, pos);
+        if (task.last_goal_gap >= 0) {
+          // Movement that does not approach the goal (a detour leg, a
+          // morph) still proves the droplet responds; credit it so only
+          // genuine unresponsiveness decays the rate.
+          constexpr double kMovementCredit = 0.25;
+          double observed =
+              std::max(0.0, static_cast<double>(task.last_goal_gap - gap));
+          if (pos != task.watch_pos)
+            observed = std::max(observed, kMovementCredit);
+          task.progress_rate = (1.0 - kProgressAlpha) * task.progress_rate +
+                               kProgressAlpha * observed;
+          if (task.progress_rate < kMinProgressRate) {
+            watchdog_fired = true;
+            task.progress_rate = 1.0;  // fresh grace period after firing
+            task.last_goal_gap = -1;
           } else {
             task.last_goal_gap = gap;
-            task.progress_rate = 1.0;
-          }
-          if (pos != task.watch_pos)
-            task.contention_detours = 0;  // movement resets the detour budget
-          task.watch_pos = pos;
-        } else {
-          task.last_goal_gap = -1;  // no commanded strategy: not stalling
-        }
-      } else if (config_.recovery.stuck_cycles > 0) {
-        if (task.has_strategy && pos == task.watch_pos) {
-          if (++task.no_progress >= config_.recovery.stuck_cycles) {
-            task.no_progress = 0;
-            watchdog_fired = true;
           }
         } else {
-          task.watch_pos = pos;
-          task.no_progress = 0;
-          task.contention_detours = 0;  // progress resets the detour budget
+          task.last_goal_gap = gap;
+          task.progress_rate = 1.0;
         }
+        if (pos != task.watch_pos)
+          task.contention_detours = 0;  // movement resets the detour budget
+        task.watch_pos = pos;
+      } else {
+        task.last_goal_gap = -1;  // no commanded strategy: not stalling
       }
       if (watchdog_fired) {
         ++task.watchdog_count;
@@ -984,17 +943,12 @@ class Runner {
         event(RecoveryAction::kWatchdogResense, task.rj.mo,
               "droplet stuck at " + pos.to_string());
         refresh_health(/*forced=*/true);
-        const StallKind kind = config_.recovery.classify_stalls
-                                   ? classify_stall(task, pos)
-                                   : StallKind::kUnknown;
-        if (config_.recovery.classify_stalls) {
-          obs_event("stall", stall_name(kind), task.rj.mo,
-                    "stuck at " + pos.to_string());
-          record_stall_metric(kind);
-        }
+        const StallKind kind = classify_stall(task, pos);
+        obs_event("stall", stall_name(kind), task.rj.mo,
+                  "stuck at " + pos.to_string());
+        record_stall_metric(kind);
         if (kind == StallKind::kContention &&
-            task.contention_detours <
-                config_.recovery.max_contention_detours) {
+            task.contention_detours < kMaxContentionDetours) {
           ++task.contention_detours;
           ++stats_.recovery.contention_detours;
           task.watchdog_count = 0;  // contention must not reach quarantine
@@ -1005,7 +959,6 @@ class Runner {
                    config_.recovery.quarantine_after_watchdogs) {
           task.watchdog_count = 0;
           quarantine_attempt_frontier(run, task, pos);
-          if (run.state != MoRun::State::kActive) return false;
         }
         task.has_strategy = false;
         task.pending = false;
@@ -1447,8 +1400,7 @@ class Runner {
         rj.mo = retiree.mo;
         FallbackConfig fallback_config;
         fallback_config.rules = config_.synthesis.rules;
-        fallback_config.max_expansions =
-            config_.recovery.fallback_max_expansions;
+        fallback_config.max_expansions = kFallbackMaxExpansions;
         FallbackResult fallback =
             fallback_route(rj, health_, chip_bounds_, fallback_config);
         if (!fallback.feasible) {
@@ -1808,7 +1760,7 @@ void RunRollup::absorb(const ExecutionStats& stats) {
   resyntheses += stats.resyntheses;
   resyntheses_warm += stats.resyntheses_warm;
   synthesis_seconds += stats.synthesis_seconds;
-  recovery.accumulate(stats.recovery);
+  recovery += stats.recovery;
   replica += stats.replica;
 }
 

@@ -105,17 +105,21 @@ struct ReplicaCounters {
   /// retired), i.e. the redundancy's extra droplet traffic.
   std::uint64_t droplet_cycles = 0;
 
-  bool any() const {
-    return launched || failovers || merges || retired || best_effort_masks ||
-           droplet_cycles;
+  /// The field list (see RecoveryCounters::for_each_field).
+  template <typename F, typename... C>
+  static void for_each_field(F&& f, C&&... c) {
+    f("launched", c.launched...);
+    f("failovers", c.failovers...);
+    f("merges", c.merges...);
+    f("retired", c.retired...);
+    f("best_effort_masks", c.best_effort_masks...);
+    f("droplet_cycles", c.droplet_cycles...);
   }
+
+  bool any() const { return *this != ReplicaCounters{}; }
   ReplicaCounters& operator+=(const ReplicaCounters& other) {
-    launched += other.launched;
-    failovers += other.failovers;
-    merges += other.merges;
-    retired += other.retired;
-    best_effort_masks += other.best_effort_masks;
-    droplet_cycles += other.droplet_cycles;
+    for_each_field([](const char*, auto& a, const auto& b) { a += b; }, *this,
+                   other);
     return *this;
   }
   friend bool operator==(const ReplicaCounters&,
@@ -154,14 +158,14 @@ struct ExecutionStats {
   std::vector<MoTiming> mo_timings;   ///< per-MO schedule (by MO id)
   std::vector<RouteRecord> routes;    ///< per-route model-vs-reality data
   RecoveryCounters recovery;          ///< ladder counters (all zero if quiet)
-  std::vector<RecoveryEvent> recovery_events;  ///< ladder firings, in order
-  /// The unified structured event log: recovery-ladder firings plus stall
-  /// classifications and other scheduler events, in emission order. The
-  /// typed `recovery_events` view above is kept as a compatibility lens on
-  /// the ladder subset; new consumers should read this log.
+  /// The execution's event log, in emission order: recovery-ladder firings
+  /// ("recovery" entries, each rung named by to_string(RecoveryAction)),
+  /// stall classifications and the other scheduler events.
   std::vector<obs::Event> events;
   int completed_mos = 0;              ///< MOs that finished
-  int aborted_mos = 0;                ///< MOs gracefully aborted (== recovery.aborted_jobs)
+  /// MOs that ended gracefully aborted, counted from the MO states (the
+  /// ladder counts the same aborts independently in recovery.aborted_jobs).
+  int aborted_mos = 0;
   ReplicaCounters replica;            ///< NMR counters (all zero if unused)
   /// Per-replica outcomes of every replicated MO, in seal order.
   std::vector<ReplicaRouteRecord> replica_routes;

@@ -7,12 +7,9 @@
 /// @file events.hpp
 /// Structured run-event log: the single event stream of one execution.
 ///
-/// Supersedes the ad-hoc `RecoveryEvent` plumbing: every notable happening —
-/// recovery-ladder rungs, stall classifications, health-change adoptions,
-/// job lifecycle — is one Event with a category, a name, an optional scope
-/// (the affected MO), and free-form detail. `ExecutionStats::recovery_events`
-/// remains as a typed view of the `category == "recovery"` subset for
-/// backward compatibility.
+/// Every notable happening — recovery-ladder rungs, stall classifications,
+/// health-change adoptions, job lifecycle — is one Event with a category, a
+/// name, an optional scope (the affected MO), and free-form detail.
 
 namespace meda::obs {
 

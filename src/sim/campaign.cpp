@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <ostream>
 #include <sstream>
 
@@ -23,7 +24,10 @@ namespace {
 // subset the reductions consume (RunRollup::absorb inputs plus the chaos
 // channel tallies); synthesis_seconds round-trips exactly via the C99 %a
 // hexfloat form so a resumed campaign reproduces the straight-through CSV
-// byte for byte.
+// byte for byte. The counter structs are written by walking their field
+// lists (for_each_field, declaration order), and the checkpoint digest
+// mixes in the same field names, so a new counter changes the payload and
+// invalidates older checkpoints without a codec edit.
 
 std::string hex_double(double v) {
   char buf[64];
@@ -31,36 +35,52 @@ std::string hex_double(double v) {
   return buf;
 }
 
+/// Field-list visitors: write, read, or digest one counter.
+struct PutField {
+  std::ostream& os;
+  template <typename T>
+  void operator()(const char*, const T& value) const {
+    os << ' ' << value;
+  }
+};
+struct GetField {
+  std::istream& is;
+  template <typename T>
+  void operator()(const char*, T& value) const {
+    is >> value;
+  }
+};
+struct MixFieldName {
+  util::DigestBuilder& digest;
+  void operator()(const char* name) const { digest.mix(std::string(name)); }
+};
+
+/// Mixes the slot payload layout into a checkpoint digest: the driver name
+/// plus the field names of the counter structs every slot carries.
+void mix_payload_layout(util::DigestBuilder& digest, const char* driver) {
+  digest.mix(std::string(driver));
+  core::RecoveryCounters::for_each_field(MixFieldName{digest});
+  core::ReplicaCounters::for_each_field(MixFieldName{digest});
+}
+
 void encode_stats(std::ostream& os, const core::ExecutionStats& s) {
-  const core::RecoveryCounters& r = s.recovery;
-  const core::ReplicaCounters& n = s.replica;
   os << (s.success ? 1 : 0) << ' ' << s.cycles << ' ' << s.completed_mos
      << ' ' << s.aborted_mos << ' ' << s.synthesis_calls << ' '
      << s.library_hits << ' ' << s.resyntheses << ' ' << s.resyntheses_warm
-     << ' ' << hex_double(s.synthesis_seconds) << ' ' << r.watchdog_fires << ' '
-     << r.forced_resenses << ' ' << r.synthesis_retries << ' '
-     << r.backoff_cycles << ' ' << r.quarantined_cells << ' '
-     << r.contention_detours << ' ' << r.aborted_jobs << ' '
-     << r.synthesis_deadlines << ' ' << r.fallback_routes << ' '
-     << r.paroled_cells << ' ' << n.launched << ' ' << n.failovers << ' '
-     << n.merges << ' ' << n.retired << ' ' << n.best_effort_masks << ' '
-     << n.droplet_cycles;
+     << ' ' << hex_double(s.synthesis_seconds);
+  core::RecoveryCounters::for_each_field(PutField{os}, s.recovery);
+  core::ReplicaCounters::for_each_field(PutField{os}, s.replica);
 }
 
 bool decode_stats(std::istream& is, core::ExecutionStats& s) {
   int success = 0;
   std::string seconds;
-  core::RecoveryCounters& r = s.recovery;
-  core::ReplicaCounters& n = s.replica;
-  if (!(is >> success >> s.cycles >> s.completed_mos >> s.aborted_mos >>
-        s.synthesis_calls >> s.library_hits >> s.resyntheses >>
-        s.resyntheses_warm >> seconds >>
-        r.watchdog_fires >> r.forced_resenses >> r.synthesis_retries >>
-        r.backoff_cycles >> r.quarantined_cells >> r.contention_detours >>
-        r.aborted_jobs >> r.synthesis_deadlines >> r.fallback_routes >>
-        r.paroled_cells >> n.launched >> n.failovers >> n.merges >>
-        n.retired >> n.best_effort_masks >> n.droplet_cycles))
-    return false;
+  is >> success >> s.cycles >> s.completed_mos >> s.aborted_mos >>
+      s.synthesis_calls >> s.library_hits >> s.resyntheses >>
+      s.resyntheses_warm >> seconds;
+  core::RecoveryCounters::for_each_field(GetField{is}, s.recovery);
+  core::ReplicaCounters::for_each_field(GetField{is}, s.replica);
+  if (!is) return false;
   s.success = success != 0;
   char* end = nullptr;
   s.synthesis_seconds = std::strtod(seconds.c_str(), &end);
@@ -124,9 +144,7 @@ std::vector<CampaignCell> run_campaign(
   util::SlotCheckpoint checkpoint;
   if (!config.checkpoint.path.empty()) {
     util::DigestBuilder digest;
-    // v3: the replica counters joined the encode_stats payload,
-    // invalidating checkpoints written by older binaries.
-    digest.mix(std::string("meda-campaign-v3"));
+    mix_payload_layout(digest, "meda-campaign");
     digest.mix(config.seed0).mix(config.chips).mix(config.runs_per_chip);
     digest.mix(config.checkpoint.salt);
     digest.mix(static_cast<std::uint64_t>(assays.size()));
@@ -222,24 +240,14 @@ struct ChaosChipSlot {
   core::LibraryStats library;  ///< the chip's private library, after all runs
 };
 
-void encode_library_class(std::ostream& os, const core::LibraryClassStats& s) {
-  os << s.hits << ' ' << s.misses << ' ' << s.inserts << ' ' << s.overwrites
-     << ' ' << s.evictions;
-}
-
-bool decode_library_class(std::istream& is, core::LibraryClassStats& s) {
-  return static_cast<bool>(is >> s.hits >> s.misses >> s.inserts >>
-                           s.overwrites >> s.evictions);
-}
-
 std::string encode_chaos_slot(const ChaosChipSlot& slot) {
   std::ostringstream os;
-  os << slot.frames_dropped << ' ' << slot.bits_flipped << ' ';
-  encode_library_class(os, slot.library.plain);
-  os << ' ';
-  encode_library_class(os, slot.library.detour);
-  os << ' ';
-  encode_library_class(os, slot.library.replica);
+  os << slot.frames_dropped << ' ' << slot.bits_flipped;
+  core::LibraryStats::for_each_field(
+      [&os](const char*, const core::LibraryClassStats& cls) {
+        core::LibraryClassStats::for_each_field(PutField{os}, cls);
+      },
+      slot.library);
   os << ' ' << slot.stats.size();
   for (const core::ExecutionStats& stats : slot.stats) {
     os << ' ';
@@ -252,10 +260,12 @@ bool decode_chaos_slot(const std::string& payload, ChaosChipSlot& out) {
   std::istringstream is(payload);
   ChaosChipSlot slot;
   std::size_t n = 0;
-  if (!(is >> slot.frames_dropped >> slot.bits_flipped)) return false;
-  if (!decode_library_class(is, slot.library.plain)) return false;
-  if (!decode_library_class(is, slot.library.detour)) return false;
-  if (!decode_library_class(is, slot.library.replica)) return false;
+  is >> slot.frames_dropped >> slot.bits_flipped;
+  core::LibraryStats::for_each_field(
+      [&is](const char*, core::LibraryClassStats& cls) {
+        core::LibraryClassStats::for_each_field(GetField{is}, cls);
+      },
+      slot.library);
   if (!(is >> n) || n > 1u << 20) return false;
   slot.stats.resize(n);
   for (core::ExecutionStats& stats : slot.stats)
@@ -294,11 +304,9 @@ std::vector<ChaosCell> run_chaos_campaign(
   util::SlotCheckpoint checkpoint;
   if (!config.checkpoint.path.empty()) {
     util::DigestBuilder digest;
-    // v2: slot payloads gained the per-class library stats block.
-    // v3: resyntheses_warm joined the encode_stats payload.
-    // v4: the replica counters joined encode_stats and the replica library
-    //     class joined the slot's library block.
-    digest.mix(std::string("meda-chaos-v4"));
+    mix_payload_layout(digest, "meda-chaos");
+    core::LibraryStats::for_each_field(MixFieldName{digest});
+    core::LibraryClassStats::for_each_field(MixFieldName{digest});
     digest.mix(config.seed0).mix(config.chips).mix(config.runs_per_chip);
     digest.mix(config.checkpoint.salt);
     digest.mix(static_cast<int>(config.adversary));
@@ -440,198 +448,62 @@ void write_chaos_csv(const std::string& path,
   }
 }
 
+namespace {
+
+/// One cell's metrics keyed by column name; the map's order is the metrics
+/// CSV's name-sorted column order. The counter blocks are their prefix plus
+/// each field name from the structs' field lists.
+std::map<std::string, std::string> chaos_metrics(const ChaosCell& c) {
+  const core::RunRollup& r = c.rollup;
+  std::map<std::string, std::string> m{
+      {"chaos.bits_flipped", std::to_string(c.bits_flipped)},
+      {"chaos.frames_dropped", std::to_string(c.frames_dropped)},
+      {"sched.aborted_mos", std::to_string(r.aborted_mos)},
+      {"sched.completed_mos", std::to_string(r.completed_mos)},
+      {"sched.library_hit_rate", fmt_double(r.library_hit_rate(), 4)},
+      {"sched.library_hits", std::to_string(r.library_hits)},
+      {"sched.mean_cycles",
+       r.cycles.count() > 0 ? fmt_double(r.cycles.mean(), 2) : std::string()},
+      {"sched.resyntheses", std::to_string(r.resyntheses)},
+      {"sched.resyntheses_warm", std::to_string(r.resyntheses_warm)},
+      {"sched.runs", std::to_string(r.runs)},
+      {"sched.success_rate", fmt_double(r.success_rate(), 4)},
+      {"sched.successes", std::to_string(r.successes)},
+      {"sched.synthesis_calls", std::to_string(r.synthesis_calls)},
+  };
+  const auto block = [&m](std::string prefix) {
+    return [&m, prefix = std::move(prefix)](const char* field,
+                                            const auto& value) {
+      m.emplace(prefix + field, std::to_string(value));
+    };
+  };
+  core::RecoveryCounters::for_each_field(block("recovery."), r.recovery);
+  // replica block: the N-modular-redundancy machinery, all zero unless a
+  // router replicates critical dispenses.
+  core::ReplicaCounters::for_each_field(block("replica."), r.replica);
+  // library block: per-digest-class strategy-library operation counts
+  // summed over the cell's per-chip libraries.
+  core::LibraryStats::for_each_field(
+      [&block](const char* cls, const core::LibraryClassStats& stats) {
+        core::LibraryClassStats::for_each_field(
+            block("library." + std::string(cls) + "."), stats);
+      },
+      c.library);
+  return m;
+}
+
+}  // namespace
+
 void write_chaos_metrics_csv(const std::string& path,
                              const std::vector<ChaosCell>& cells) {
-  // One named extractor per metric, listed in column (name-sorted) order so
-  // downstream diffing tools see a stable schema as metrics are added.
-  struct Metric {
-    const char* name;
-    std::string (*value)(const ChaosCell&);
-  };
-  static constexpr Metric kMetrics[] = {
-      {"chaos.bits_flipped",
-       [](const ChaosCell& c) { return std::to_string(c.bits_flipped); }},
-      {"chaos.frames_dropped",
-       [](const ChaosCell& c) { return std::to_string(c.frames_dropped); }},
-      // library_stats block: per-digest-class strategy-library operation
-      // counts summed over the cell's per-chip libraries.
-      {"library.detour.evictions",
-       [](const ChaosCell& c) {
-         return std::to_string(c.library.detour.evictions);
-       }},
-      {"library.detour.hits",
-       [](const ChaosCell& c) {
-         return std::to_string(c.library.detour.hits);
-       }},
-      {"library.detour.inserts",
-       [](const ChaosCell& c) {
-         return std::to_string(c.library.detour.inserts);
-       }},
-      {"library.detour.misses",
-       [](const ChaosCell& c) {
-         return std::to_string(c.library.detour.misses);
-       }},
-      {"library.detour.overwrites",
-       [](const ChaosCell& c) {
-         return std::to_string(c.library.detour.overwrites);
-       }},
-      {"library.plain.evictions",
-       [](const ChaosCell& c) {
-         return std::to_string(c.library.plain.evictions);
-       }},
-      {"library.plain.hits",
-       [](const ChaosCell& c) {
-         return std::to_string(c.library.plain.hits);
-       }},
-      {"library.plain.inserts",
-       [](const ChaosCell& c) {
-         return std::to_string(c.library.plain.inserts);
-       }},
-      {"library.plain.misses",
-       [](const ChaosCell& c) {
-         return std::to_string(c.library.plain.misses);
-       }},
-      {"library.plain.overwrites",
-       [](const ChaosCell& c) {
-         return std::to_string(c.library.plain.overwrites);
-       }},
-      {"library.replica.evictions",
-       [](const ChaosCell& c) {
-         return std::to_string(c.library.replica.evictions);
-       }},
-      {"library.replica.hits",
-       [](const ChaosCell& c) {
-         return std::to_string(c.library.replica.hits);
-       }},
-      {"library.replica.inserts",
-       [](const ChaosCell& c) {
-         return std::to_string(c.library.replica.inserts);
-       }},
-      {"library.replica.misses",
-       [](const ChaosCell& c) {
-         return std::to_string(c.library.replica.misses);
-       }},
-      {"library.replica.overwrites",
-       [](const ChaosCell& c) {
-         return std::to_string(c.library.replica.overwrites);
-       }},
-      {"recovery.aborted_jobs",
-       [](const ChaosCell& c) {
-         return std::to_string(c.rollup.recovery.aborted_jobs);
-       }},
-      {"recovery.backoff_cycles",
-       [](const ChaosCell& c) {
-         return std::to_string(c.rollup.recovery.backoff_cycles);
-       }},
-      {"recovery.contention_detours",
-       [](const ChaosCell& c) {
-         return std::to_string(c.rollup.recovery.contention_detours);
-       }},
-      {"recovery.fallback_routes",
-       [](const ChaosCell& c) {
-         return std::to_string(c.rollup.recovery.fallback_routes);
-       }},
-      {"recovery.forced_resenses",
-       [](const ChaosCell& c) {
-         return std::to_string(c.rollup.recovery.forced_resenses);
-       }},
-      {"recovery.paroled_cells",
-       [](const ChaosCell& c) {
-         return std::to_string(c.rollup.recovery.paroled_cells);
-       }},
-      {"recovery.quarantined_cells",
-       [](const ChaosCell& c) {
-         return std::to_string(c.rollup.recovery.quarantined_cells);
-       }},
-      {"recovery.synthesis_deadlines",
-       [](const ChaosCell& c) {
-         return std::to_string(c.rollup.recovery.synthesis_deadlines);
-       }},
-      {"recovery.synthesis_retries",
-       [](const ChaosCell& c) {
-         return std::to_string(c.rollup.recovery.synthesis_retries);
-       }},
-      {"recovery.watchdog_fires",
-       [](const ChaosCell& c) {
-         return std::to_string(c.rollup.recovery.watchdog_fires);
-       }},
-      // replica block: the N-modular-redundancy machinery, all zero unless
-      // a router replicates critical dispenses.
-      {"replica.best_effort_masks",
-       [](const ChaosCell& c) {
-         return std::to_string(c.rollup.replica.best_effort_masks);
-       }},
-      {"replica.droplet_cycles",
-       [](const ChaosCell& c) {
-         return std::to_string(c.rollup.replica.droplet_cycles);
-       }},
-      {"replica.failovers",
-       [](const ChaosCell& c) {
-         return std::to_string(c.rollup.replica.failovers);
-       }},
-      {"replica.launched",
-       [](const ChaosCell& c) {
-         return std::to_string(c.rollup.replica.launched);
-       }},
-      {"replica.merges",
-       [](const ChaosCell& c) {
-         return std::to_string(c.rollup.replica.merges);
-       }},
-      {"replica.retired",
-       [](const ChaosCell& c) {
-         return std::to_string(c.rollup.replica.retired);
-       }},
-      {"sched.aborted_mos",
-       [](const ChaosCell& c) {
-         return std::to_string(c.rollup.aborted_mos);
-       }},
-      {"sched.completed_mos",
-       [](const ChaosCell& c) {
-         return std::to_string(c.rollup.completed_mos);
-       }},
-      {"sched.library_hit_rate",
-       [](const ChaosCell& c) {
-         return fmt_double(c.rollup.library_hit_rate(), 4);
-       }},
-      {"sched.library_hits",
-       [](const ChaosCell& c) {
-         return std::to_string(c.rollup.library_hits);
-       }},
-      {"sched.mean_cycles",
-       [](const ChaosCell& c) {
-         return c.rollup.cycles.count() > 0
-                    ? fmt_double(c.rollup.cycles.mean(), 2)
-                    : std::string();
-       }},
-      {"sched.resyntheses",
-       [](const ChaosCell& c) {
-         return std::to_string(c.rollup.resyntheses);
-       }},
-      {"sched.resyntheses_warm",
-       [](const ChaosCell& c) {
-         return std::to_string(c.rollup.resyntheses_warm);
-       }},
-      {"sched.runs",
-       [](const ChaosCell& c) { return std::to_string(c.rollup.runs); }},
-      {"sched.success_rate",
-       [](const ChaosCell& c) {
-         return fmt_double(c.rollup.success_rate(), 4);
-       }},
-      {"sched.successes",
-       [](const ChaosCell& c) {
-         return std::to_string(c.rollup.successes);
-       }},
-      {"sched.synthesis_calls",
-       [](const ChaosCell& c) {
-         return std::to_string(c.rollup.synthesis_calls);
-       }},
-  };
   std::vector<std::string> header{"assay", "router", "level"};
-  for (const Metric& metric : kMetrics) header.push_back(metric.name);
+  for (const auto& [name, value] : chaos_metrics(ChaosCell{}))
+    header.push_back(name);
   CsvWriter csv(path, header);
   for (const ChaosCell& cell : cells) {
     std::vector<std::string> row{cell.assay, cell.router, cell.level};
-    for (const Metric& metric : kMetrics) row.push_back(metric.value(cell));
+    for (auto& [name, value] : chaos_metrics(cell))
+      row.push_back(std::move(value));
     csv.write_row(row);
   }
 }

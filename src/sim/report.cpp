@@ -45,9 +45,7 @@ void emit_summary(std::ostringstream& os, const assay::MoList& assay,
 
 void emit_recovery(std::ostringstream& os,
                    const core::ExecutionStats& stats) {
-  if (!stats.recovery.any() && stats.events.empty() &&
-      stats.recovery_events.empty())
-    return;
+  if (!stats.recovery.any() && stats.events.empty()) return;
   const core::RecoveryCounters& r = stats.recovery;
   os << "<h2>Recovery ladder</h2>\n<table class='kv'>"
      << "<tr><td>watchdog fires / forced re-senses</td><td>"
@@ -58,17 +56,10 @@ void emit_recovery(std::ostringstream& os,
      << r.quarantined_cells << " / " << r.contention_detours << "</td></tr>"
      << "<tr><td>aborted jobs</td><td>" << r.aborted_jobs
      << "</td></tr></table>\n";
-  // The unified structured event log (recovery firings, stall
-  // classifications, ...); fall back to the legacy recovery-only view for
-  // stats produced without it.
   if (!stats.events.empty()) {
     os << "<h3>Event log</h3>\n<pre style='background:#fafafa;border:1px "
           "solid #ddd;padding:8px'>"
        << obs::format_events(stats.events) << "</pre>\n";
-  } else if (!stats.recovery_events.empty()) {
-    os << "<h3>Event log</h3>\n<pre style='background:#fafafa;border:1px "
-          "solid #ddd;padding:8px'>"
-       << core::format_events(stats.recovery_events) << "</pre>\n";
   }
 }
 

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 namespace meda::core {
 namespace {
 
@@ -14,19 +12,6 @@ TEST(Recovery, ActionNamesAreStable) {
   EXPECT_EQ(to_string(RecoveryAction::kBackoff), "backoff");
   EXPECT_EQ(to_string(RecoveryAction::kQuarantine), "quarantine");
   EXPECT_EQ(to_string(RecoveryAction::kJobAbort), "job-abort");
-}
-
-TEST(Recovery, FormatEventsRendersOneLineEach) {
-  std::vector<RecoveryEvent> events;
-  events.push_back({RecoveryAction::kWatchdogResense, 12, 3, "stuck"});
-  events.push_back({RecoveryAction::kQuarantine, 40, -1, "2 suspect cell(s)"});
-  const std::string text = format_events(events);
-  EXPECT_NE(text.find("cycle 12 [watchdog-resense] MO 3: stuck"),
-            std::string::npos);
-  // Execution-wide events (mo = -1) omit the MO tag.
-  EXPECT_NE(text.find("cycle 40 [quarantine]: 2 suspect cell(s)"),
-            std::string::npos);
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
 }
 
 TEST(Recovery, CountersAnyReflectsActivity) {

@@ -41,11 +41,14 @@ assay::MoList replicated_dispense(int replicas, double cx = 30.0,
 /// action always lands), no outcome sampling. Droplets listed in `stuck`
 /// ignore every command — a mechanically dead droplet the health sensors
 /// cannot see, which drives the ladder into the replica-failover rung.
+/// A droplet listed in `crawl` with period k lands a command only on every
+/// k-th cycle: a slow but responsive droplet.
 class FakeChip : public BiochipIo {
  public:
   explicit FakeChip(Rect bounds) : bounds_(bounds) {}
 
   std::set<DropletId> stuck;
+  std::map<DropletId, std::uint64_t> crawl;
 
   Rect bounds() const override { return bounds_; }
   int health_bits() const override { return 3; }
@@ -83,6 +86,8 @@ class FakeChip : public BiochipIo {
   void step(const std::vector<Command>& commands) override {
     for (const Command& c : commands) {
       if (!c.action || stuck.contains(c.droplet)) continue;
+      const auto slow = crawl.find(c.droplet);
+      if (slow != crawl.end() && (cycle_ + 1) % slow->second != 0) continue;
       const Rect target = apply(*c.action, droplets_.at(c.droplet));
       if (bounds_.contains(target)) droplets_.at(c.droplet) = target;
     }
@@ -218,13 +223,15 @@ TEST(SchedulerReplica, ConfigFloorReplicatesCriticalDispenses) {
 }
 
 TEST(SchedulerReplica, FailoverAbandonsAStuckReplicaWithoutAbortingTheMo) {
-  // A large chip with a center goal: the winner's route is long enough for
-  // the stuck replica's ladder (watchdog → quarantine → bounded retries)
-  // to fail over before the merge.
+  // A large chip with a center goal. The second replica dispensed (droplet
+  // id 2) is mechanically dead: it never executes a command while its
+  // cells keep reading healthy. The first crawls, landing a command every
+  // 16th cycle, which keeps its watchdog quiet but its route long enough
+  // for the dead replica's ladder (watchdog → quarantine → bounded
+  // retries) to fail over before the merge.
   FakeChip chip(Rect{0, 0, 119, 119});
-  // The second replica dispensed (droplet id 2) is mechanically dead: it
-  // never executes a command while its cells keep reading healthy.
   chip.stuck = {2};
+  chip.crawl = {{1, 16}};
   SchedulerConfig config;
   config.recovery.enabled = true;
   // A tight per-replica budget: the dead replica must exhaust its rung of
@@ -232,8 +239,6 @@ TEST(SchedulerReplica, FailoverAbandonsAStuckReplicaWithoutAbortingTheMo) {
   config.recovery.max_retries = 1;
   config.recovery.backoff_base_cycles = 1;
   config.recovery.quarantine_after_watchdogs = 1;
-  config.recovery.progress_watchdog = false;
-  config.recovery.stuck_cycles = 3;
   config.max_cycles = 3000;
   Scheduler scheduler(config);
   const ExecutionStats stats =
@@ -245,8 +250,9 @@ TEST(SchedulerReplica, FailoverAbandonsAStuckReplicaWithoutAbortingTheMo) {
   EXPECT_EQ(stats.replica.retired, 0);  // the loser was abandoned, not retired
   // The failover rung fired and is distinguishable from a job abort.
   bool failover_event = false;
-  for (const RecoveryEvent& e : stats.recovery_events)
-    failover_event |= e.action == RecoveryAction::kReplicaFailover;
+  for (const obs::Event& e : stats.events)
+    failover_event |= e.category == "recovery" &&
+                      e.name == to_string(RecoveryAction::kReplicaFailover);
   EXPECT_TRUE(failover_event);
   // An abandoned replica never counts as an aborted MO.
   EXPECT_EQ(stats.aborted_mos, 0);
@@ -266,8 +272,6 @@ TEST(SchedulerReplica, AllReplicaFailureEscalatesToGracefulAbort) {
   config.recovery.enabled = true;
   config.recovery.max_retries = 2;
   config.recovery.quarantine_after_watchdogs = 1;
-  config.recovery.progress_watchdog = false;
-  config.recovery.stuck_cycles = 4;
   config.max_cycles = 3000;
   Scheduler scheduler(config);
   const ExecutionStats stats = scheduler.run(chip, replicated_dispense(2));
@@ -288,7 +292,6 @@ TEST(SchedulerReplica, SharedDeadlineBudgetIsNeverCached) {
   SchedulerConfig config;
   config.synthesis.deadline_sweeps = 1;
   config.recovery.enabled = true;
-  config.recovery.fallback_on_deadline = true;
   config.max_cycles = 3000;
   Scheduler scheduler(config, &library);
   const ExecutionStats stats = scheduler.run(chip, replicated_dispense(2));

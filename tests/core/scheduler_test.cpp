@@ -349,8 +349,9 @@ TEST(Scheduler, ContentionDetoursGoThroughTheStrategyLibrary) {
   // Droplet-avoiding re-syntheses are cached under a position-keyed digest
   // (the masked health view folds the avoid-rectangles into the key), so
   // every detour request must resolve to exactly one library lookup: a hit
-  // or a miss, never a bypass. This end-of-life clustered-fault scenario
-  // (seed 5) deterministically produces contention detours.
+  // or a miss, never a bypass. A four-execution NuIP lifetime with
+  // replicated critical dispenses on the first end-of-life chip of
+  // bench/chaos_campaign deterministically produces contention detours.
 #ifdef MEDA_OBS_DISABLED
   GTEST_SKIP() << "instrumentation compiled out (MEDA_OBS=OFF)";
 #endif
@@ -363,25 +364,26 @@ TEST(Scheduler, ContentionDetoursGoThroughTheStrategyLibrary) {
   cc.faults.faulty_fraction = 0.08;
   cc.faults.fail_at_lo = 10;
   cc.faults.fail_at_hi = 100;
-  sim::SimulatedChip chip(cc, Rng(5));
+  sim::SimulatedChip chip(cc, Rng(4200).fork(0xC41));
   SchedulerConfig config;
   config.adaptive = true;
   config.max_cycles = 2500;
   config.filter.enabled = true;
   config.recovery.enabled = true;
-  // Pin the legacy fixed-threshold watchdog: the detour count below was
-  // characterized under stuck_cycles = 12 escalation timing.
-  config.recovery.progress_watchdog = false;
-  config.recovery.stuck_cycles = 12;
   config.recovery.quarantine_after_watchdogs = 3;
+  config.replicate_critical_dispenses = 2;
   StrategyLibrary library;
   Scheduler scheduler(config, &library);
-  const ExecutionStats stats = scheduler.run(chip, assay::cep());
-  ASSERT_GE(stats.recovery.contention_detours, 1);
+  int detours = 0;
+  for (int run = 0; run < 4; ++run) {
+    chip.clear_droplets();
+    detours += scheduler.run(chip, assay::nuip()).recovery.contention_detours;
+  }
+  ASSERT_GE(detours, 1);
   const obs::MetricsRegistry& m = obs::ctx().metrics();
   EXPECT_EQ(m.counter("sched.detour_library_hits") +
                 m.counter("sched.detour_library_misses"),
-            static_cast<std::uint64_t>(stats.recovery.contention_detours));
+            static_cast<std::uint64_t>(detours));
   obs::ctx().reset();
 }
 

@@ -211,12 +211,13 @@ TEST(Events, FormatAndJson) {
   const std::vector<Event> events = {
       {412, "recovery", "quarantine", 3, "5 cell(s) blocking (7,8)"},
       {500, "stall", "blocked-by-droplet", -1, ""},
+      {640, "recovery", "quarantine", -1, "2 suspect cell(s)"},
   };
-  const std::string text = format_events(events);
-  EXPECT_NE(text.find("cycle 412"), std::string::npos);
-  EXPECT_NE(text.find("[recovery/quarantine]"), std::string::npos);
-  EXPECT_NE(text.find("MO 3"), std::string::npos);
-  EXPECT_NE(text.find("blocked-by-droplet"), std::string::npos);
+  // One line per event; execution-wide events (scope -1) carry no MO tag.
+  EXPECT_EQ(format_events(events),
+            "cycle 412 [recovery/quarantine] MO 3: 5 cell(s) blocking (7,8)\n"
+            "cycle 500 [stall/blocked-by-droplet]\n"
+            "cycle 640 [recovery/quarantine]: 2 suspect cell(s)\n");
   EXPECT_TRUE(JsonLint::valid(events_json(events)));
 }
 

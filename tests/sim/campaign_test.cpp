@@ -264,21 +264,28 @@ TEST(ChaosCampaign, AbortedMosMatchAbortedJobsWithReplicationLive) {
   // The ladder's abort invariant: every aborted MO is a graceful per-job
   // abort and vice versa. Replication must not disturb it — an abandoned
   // replica fails over silently and is NOT an aborted MO; only all-replica
-  // failure escalates to the abort rung.
+  // failure escalates to the abort rung. aborted_mos counts aborted MO
+  // states and aborted_jobs counts the abort rung's firings, so the two
+  // are independent; five runs wear the clean-channel chip far enough that
+  // MOs do abort, so the comparison is made on live aborts.
   const std::vector<assay::MoList> assays = {assay::master_mix()};
-  const auto cells =
-      run_chaos_campaign(assays, replicated_router(), harsh_chaos());
+  ChaosCampaignConfig config = harsh_chaos();
+  config.runs_per_chip = 5;
+  const auto cells = run_chaos_campaign(assays, replicated_router(), config);
   std::uint64_t launched = 0;
+  int aborted = 0;
   for (const ChaosCell& cell : cells) {
     EXPECT_EQ(cell.rollup.aborted_mos, cell.rollup.recovery.aborted_jobs)
         << cell.level;
     launched += static_cast<std::uint64_t>(cell.rollup.replica.launched);
+    aborted += cell.rollup.aborted_mos;
   }
   EXPECT_GT(launched, 0u);  // replication was actually live
+  EXPECT_GT(aborted, 0);    // and so was the abort rung
 
   // The replica counters reduce deterministically regardless of how the
   // (cell, chip) grid is spread over worker threads.
-  ChaosCampaignConfig parallel = harsh_chaos();
+  ChaosCampaignConfig parallel = config;
   parallel.jobs = 3;
   const auto again =
       run_chaos_campaign(assays, replicated_router(), parallel);
@@ -294,21 +301,30 @@ TEST(ChaosCampaign, CheckpointedRunMatchesStraightThroughByteForByte) {
   const std::string cp_path = ::testing::TempDir() + "chaos_cp.txt";
   std::remove(cp_path.c_str());
 
+  // Both CSVs of a run, concatenated: the metrics CSV carries the library
+  // block of the slot payload, which the published CSV does not.
+  const auto csvs = [](const std::string& stem,
+                       const std::vector<ChaosCell>& cells) {
+    const std::string csv = ::testing::TempDir() + stem + ".csv";
+    const std::string metrics = ::testing::TempDir() + stem + "_metrics.csv";
+    write_chaos_csv(csv, cells);
+    write_chaos_metrics_csv(metrics, cells);
+    return read_file(csv) + read_file(metrics);
+  };
+
   ChaosCampaignConfig plain = small_chaos();
-  const std::string plain_csv = ::testing::TempDir() + "chaos_plain.csv";
-  write_chaos_csv(plain_csv,
-                  run_chaos_campaign(assays, robust_router(), plain));
+  const std::vector<ChaosCell> cells =
+      run_chaos_campaign(assays, robust_router(), plain);
+  // The library block is live, so a resume that lost it would show.
+  ASSERT_GT(cells.front().library.totals().misses, 0u);
+  const std::string expected = csvs("chaos_plain", cells);
 
   ChaosCampaignConfig checkpointed = small_chaos();
   checkpointed.checkpoint.path = cp_path;
   checkpointed.checkpoint.flush_every = 1;
-  const std::string cp_csv = ::testing::TempDir() + "chaos_cp.csv";
-  write_chaos_csv(
-      cp_csv, run_chaos_campaign(assays, robust_router(), checkpointed));
-
-  const std::string expected = read_file(plain_csv);
-  ASSERT_FALSE(expected.empty());
-  EXPECT_EQ(expected, read_file(cp_csv));
+  EXPECT_EQ(expected,
+            csvs("chaos_cp",
+                 run_chaos_campaign(assays, robust_router(), checkpointed)));
 
   // Simulate a kill -9 partway through: drop the last slot lines from the
   // checkpoint, then resume at a different job count. Only the missing
@@ -328,10 +344,9 @@ TEST(ChaosCampaign, CheckpointedRunMatchesStraightThroughByteForByte) {
   resumed.checkpoint.path = cp_path;
   resumed.checkpoint.resume = true;
   resumed.jobs = 4;
-  const std::string resumed_csv = ::testing::TempDir() + "chaos_resumed.csv";
-  write_chaos_csv(resumed_csv,
-                  run_chaos_campaign(assays, robust_router(), resumed));
-  EXPECT_EQ(expected, read_file(resumed_csv));
+  EXPECT_EQ(expected,
+            csvs("chaos_resumed",
+                 run_chaos_campaign(assays, robust_router(), resumed)));
 }
 
 TEST(ChaosCampaign, CheckpointDigestMismatchRecomputesEverything) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -94,16 +96,27 @@ assay::MoList transport_assay(double out_x, double out_y) {
   return std::move(b).build();
 }
 
+/// The "recovery" entries of the event log, one per ladder firing.
+std::vector<obs::Event> ladder_events(const ExecutionStats& stats) {
+  std::vector<obs::Event> out;
+  for (const obs::Event& e : stats.events)
+    if (e.category == "recovery") out.push_back(e);
+  return out;
+}
+
+bool fired(const ExecutionStats& stats, RecoveryAction action) {
+  return std::any_of(stats.events.begin(), stats.events.end(),
+                     [action](const obs::Event& e) {
+                       return e.category == "recovery" &&
+                              e.name == to_string(action);
+                     });
+}
+
 SchedulerConfig ladder_config() {
   SchedulerConfig config;
   config.adaptive = true;
   config.max_cycles = 600;
   config.recovery.enabled = true;
-  // These tests assert exact rung timing, so they pin the legacy
-  // fixed-threshold watchdog; the adaptive progress-rate watchdog has its
-  // own tests in core/scheduler_test.cpp.
-  config.recovery.progress_watchdog = false;
-  config.recovery.stuck_cycles = 4;
   config.recovery.quarantine_after_watchdogs = 2;
   config.recovery.max_retries = 2;
   config.recovery.backoff_base_cycles = 2;
@@ -129,23 +142,16 @@ TEST(RecoveryLadder, WatchdogEscalatesThroughQuarantineToAbort) {
   // The abort is graceful: the stuck droplet was removed from the chip.
   EXPECT_EQ(chip.droplet_count(), 0);
 
-  // The event log tells the story in order: the first event is a watchdog
-  // firing, the last is the cascading abort of the dependent MO.
-  ASSERT_GE(stats.recovery_events.size(), 3u);
-  EXPECT_EQ(stats.recovery_events.front().action,
-            RecoveryAction::kWatchdogResense);
-  EXPECT_EQ(stats.recovery_events.back().action, RecoveryAction::kJobAbort);
-  EXPECT_NE(stats.recovery_events.back().detail.find("predecessor"),
-            std::string::npos);
-  const auto fired = [&stats](RecoveryAction action) {
-    return std::any_of(stats.recovery_events.begin(),
-                       stats.recovery_events.end(),
-                       [action](const RecoveryEvent& e) {
-                         return e.action == action;
-                       });
-  };
-  EXPECT_TRUE(fired(RecoveryAction::kQuarantine));
-  EXPECT_TRUE(fired(RecoveryAction::kJobAbort));
+  // The event log tells the story in order: the first ladder firing is the
+  // watchdog, the last is the cascading abort of the dependent MO.
+  const std::vector<obs::Event> ladder = ladder_events(stats);
+  ASSERT_GE(ladder.size(), 3u);
+  EXPECT_EQ(ladder.front().name,
+            to_string(RecoveryAction::kWatchdogResense));
+  EXPECT_EQ(ladder.back().name, to_string(RecoveryAction::kJobAbort));
+  EXPECT_NE(ladder.back().detail.find("predecessor"), std::string::npos);
+  EXPECT_TRUE(fired(stats, RecoveryAction::kQuarantine));
+  EXPECT_TRUE(fired(stats, RecoveryAction::kJobAbort));
 }
 
 TEST(RecoveryLadder, LegacyModeBurnsTheCycleBudgetInstead) {
@@ -159,7 +165,7 @@ TEST(RecoveryLadder, LegacyModeBurnsTheCycleBudgetInstead) {
   EXPECT_FALSE(stats.success);
   EXPECT_EQ(stats.failure_reason, "cycle limit exceeded");
   EXPECT_FALSE(stats.recovery.any());
-  EXPECT_TRUE(stats.recovery_events.empty());
+  EXPECT_TRUE(ladder_events(stats).empty());
 }
 
 TEST(RecoveryLadder, InfeasibleSynthesisRetriesWithBackoffThenAborts) {
@@ -186,8 +192,8 @@ TEST(RecoveryLadder, InfeasibleSynthesisRetriesWithBackoffThenAborts) {
   EXPECT_EQ(stats.completed_mos, 1);          // the dispense completed
   // Exponential backoff: 2, then 4 cycles (base << retries-1).
   std::vector<std::uint64_t> backoffs;
-  for (const RecoveryEvent& e : stats.recovery_events)
-    if (e.action == RecoveryAction::kBackoff)
+  for (const obs::Event& e : ladder_events(stats))
+    if (e.name == to_string(RecoveryAction::kBackoff))
       backoffs.push_back(e.cycle);
   ASSERT_EQ(backoffs.size(), 2u);
   // The aborted droplet is gone; the chip is clean for the next job.
@@ -226,20 +232,16 @@ TEST(RecoveryLadder, QuietRunReportsNoRecoveryActivity) {
       scheduler.run(chip, transport_assay(34.5, 7.5));
   EXPECT_TRUE(stats.success) << stats.failure_reason;
   EXPECT_FALSE(stats.recovery.any());
-  EXPECT_TRUE(stats.recovery_events.empty());
+  EXPECT_TRUE(ladder_events(stats).empty());
   EXPECT_EQ(stats.completed_mos, 2);
   EXPECT_EQ(stats.aborted_mos, 0);
 }
 
 TEST(ProgressWatchdog, FiresOnAPureStall) {
-  // With the adaptive progress-rate watchdog (the default), a droplet that
-  // never moves decays its EWMA progress rate from 1.0 below the 0.02
-  // threshold in ~24 cycles — the ladder escalates exactly as the fixed
-  // counter would, without any stuck_cycles tuning.
+  // A droplet that never moves decays the watchdog's EWMA progress rate
+  // from 1.0 below its threshold, and the ladder escalates to the abort.
   StuckChip chip(30, 16);
-  SchedulerConfig config = ladder_config();
-  config.recovery.progress_watchdog = true;
-  Scheduler scheduler(config);
+  Scheduler scheduler(ladder_config());
   const ExecutionStats stats =
       scheduler.run(chip, transport_assay(24.5, 7.5));
   EXPECT_FALSE(stats.success);
@@ -255,7 +257,6 @@ TEST(ProgressWatchdog, StaysQuietOnAHealthyRoute) {
   chip_config.chip.height = 16;
   sim::SimulatedChip chip(chip_config, Rng(3));
   SchedulerConfig config = ladder_config();
-  config.recovery.progress_watchdog = true;
   config.filter.enabled = true;
   Scheduler scheduler(config);
   const ExecutionStats stats =
@@ -279,12 +280,83 @@ TEST(QuarantineParole, BudgetPressureReleasesTheOldestCells) {
       scheduler.run(chip, transport_assay(24.5, 7.5));
   EXPECT_GT(stats.recovery.quarantined_cells, 0);
   EXPECT_GT(stats.recovery.paroled_cells, 0);
-  const bool parole_event =
-      std::any_of(stats.recovery_events.begin(), stats.recovery_events.end(),
-                  [](const RecoveryEvent& e) {
-                    return e.action == RecoveryAction::kQuarantineParole;
-                  });
-  EXPECT_TRUE(parole_event);
+  EXPECT_TRUE(fired(stats, RecoveryAction::kQuarantineParole));
+}
+
+TEST(RecoveryLadder, EveryLadderCounterMatchesItsEvents) {
+  // Each firing counter of the ladder counts exactly its "recovery" events,
+  // execution by execution. Two NuIP lifetimes on end-of-life chips of
+  // bench/chaos_campaign, under its robust+nmr router, fire every rung: the
+  // first (a clean channel) the watchdog, contention detours, replica
+  // failovers and job aborts; the second (1% sensor noise and a one-sweep
+  // synthesis budget) deadlines and fallback routes. synthesis_retries is
+  // left out: the attempt that escalates past max_retries emits no retry.
+  using Counter = int (*)(const ExecutionStats&);
+  const std::pair<std::string, Counter> rungs[] = {
+      {"watchdog-resense",
+       [](const ExecutionStats& s) { return s.recovery.watchdog_fires; }},
+      {"contention-detour",
+       [](const ExecutionStats& s) { return s.recovery.contention_detours; }},
+      {"job-abort",
+       [](const ExecutionStats& s) { return s.recovery.aborted_jobs; }},
+      {"replica-failover",
+       [](const ExecutionStats& s) { return s.replica.failovers; }},
+      {"synthesis-deadline",
+       [](const ExecutionStats& s) { return s.recovery.synthesis_deadlines; }},
+      {"fallback-route",
+       [](const ExecutionStats& s) { return s.recovery.fallback_routes; }},
+  };
+  struct Lifetime {
+    std::uint64_t chip_seed;
+    int runs;
+    double noise;
+    int deadline_sweeps;
+  };
+  std::map<std::string, int> fired;
+  for (const Lifetime& lifetime :
+       {Lifetime{4200, 4, 0.0, 0}, Lifetime{4201, 2, 0.01, 1}}) {
+    sim::SimulatedChipConfig cc;
+    cc.chip.width = assay::kChipWidth;
+    cc.chip.height = assay::kChipHeight;
+    cc.chip.degradation = DegradationRange{0.5, 0.9, 40.0, 100.0};
+    cc.pre_wear_max = 250;
+    cc.faults.mode = FaultMode::kClustered;
+    cc.faults.faulty_fraction = 0.08;
+    cc.faults.fail_at_lo = 10;
+    cc.faults.fail_at_hi = 100;
+    if (lifetime.noise > 0.0) {
+      cc.sensor.bit_flip_p = lifetime.noise;
+      cc.sensor.stuck_fraction = 0.01;
+      cc.sensor.frame_drop_p = 0.02;
+    }
+    sim::SimulatedChip chip(cc, Rng(lifetime.chip_seed).fork(0xC41));
+    SchedulerConfig config;
+    config.adaptive = true;
+    config.max_cycles = 2500;
+    config.filter.enabled = true;
+    config.recovery.enabled = true;
+    config.recovery.quarantine_after_watchdogs = 3;
+    config.replicate_critical_dispenses = 2;
+    config.synthesis.deadline_sweeps = lifetime.deadline_sweeps;
+    StrategyLibrary library;
+    Scheduler scheduler(config, &library);
+    for (int run = 0; run < lifetime.runs; ++run) {
+      chip.clear_droplets();
+      const ExecutionStats stats = scheduler.run(chip, assay::nuip());
+      for (const auto& [name, counter] : rungs) {
+        const auto events = std::count_if(
+            stats.events.begin(), stats.events.end(),
+            [&name](const obs::Event& e) {
+              return e.category == "recovery" && e.name == name;
+            });
+        EXPECT_EQ(counter(stats), events)
+            << name << " on chip " << lifetime.chip_seed << ", run " << run;
+        fired[name] += counter(stats);
+      }
+    }
+  }
+  for (const auto& [name, counter] : rungs)
+    EXPECT_GE(fired[name], 1) << name << " never fired";
 }
 
 TEST(RecoveryLadder, RobustRouterBeatsRawScansUnderSensorNoise) {
