@@ -181,8 +181,9 @@ void BM_SolvePmaxLegacy(benchmark::State& state) {
 }
 BENCHMARK(BM_SolvePmaxLegacy)->Arg(20);
 
-// The scheduler's actual query: compile once, answer both φ_p and φ_r with a
-// single pmax pass shared as rmin's winning region.
+// The scheduler's actual query: compile once, compute the exact winning
+// region, and solve rmin over it (numeric pmax runs only when rmin leaves the
+// start at ∞, which it never does here).
 void BM_SolveReachAvoid(benchmark::State& state) {
   const int area = static_cast<int>(state.range(0));
   const assay::RoutingJob rj = corner_job(area, 4);
@@ -196,6 +197,21 @@ void BM_SolveReachAvoid(benchmark::State& state) {
   state.SetLabel(std::to_string(mdp.state_count()) + " states");
 }
 BENCHMARK(BM_SolveReachAvoid)->Arg(10)->Arg(20)->Arg(30);
+
+// The Prob1E graph pass every combined solve starts with, on its own.
+void BM_AlmostSureWinning(benchmark::State& state) {
+  const int area = static_cast<int>(state.range(0));
+  const assay::RoutingJob rj = corner_job(area, 4);
+  const DoubleMatrix force(area, area, 0.6);
+  const Rect chip{0, 0, area - 1, area - 1};
+  const core::CompiledMdp mdp =
+      core::build_compiled_mdp(rj, force, chip, bench_rules()).mdp;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::almost_sure_winning(mdp));
+  }
+  state.SetLabel(std::to_string(mdp.state_count()) + " states");
+}
+BENCHMARK(BM_AlmostSureWinning)->Arg(10)->Arg(20)->Arg(30);
 
 // The scheduler's hot re-synthesis kernel: patch the retained compiled
 // model for a k-cell health delta and warm-start value iteration from the
@@ -248,12 +264,12 @@ void BM_SolveReachAvoidWarm(benchmark::State& state) {
         compiled, geometry, force, rj.hazard, chip, bench_rules(), cells);
     core::ReachAvoidSolution sol =
         core::solve_reach_avoid_warm(compiled, prior, patch.dirty_states);
-    benchmark::DoNotOptimize(sol.pmax.values.data());
+    benchmark::DoNotOptimize(sol.rmin.values.data());
     prior = std::move(sol);
   }
   state.SetLabel(std::to_string(compiled.num_droplet_states) + " states, " +
                  std::to_string(delta) + "-cell delta" +
-                 (prior.pmax.warm_fell_back ? " (sweep fallback)" : ""));
+                 (prior.rmin.warm_fell_back ? " (sweep fallback)" : ""));
 }
 BENCHMARK(BM_SolveReachAvoidWarm)->Arg(2)->Arg(16)->Arg(120);
 

@@ -32,6 +32,16 @@ Strategy extract_strategy(const CompiledMdp& mdp,
   return strategy;
 }
 
+bool deadline_expired(const ReachAvoidSolution& sol) {
+  return sol.pmax.deadline_expired || sol.rmin.deadline_expired;
+}
+
+/// The φ_p query reads pmax at every state, so the combined solve must
+/// solve it even where rmin alone would do.
+bool needs_pmax(const SynthesisConfig& config) {
+  return config.query == Query::kPmaxReachability;
+}
+
 /// Strategy extraction and value read-out shared by the cold and warm solve
 /// paths: fills strategy/expected_cycles/reach_probability/feasible from a
 /// non-deadline-expired combined solution of @p mdp.
@@ -42,7 +52,18 @@ void extract_result(const SynthesisConfig& config,
   const Solution& pmax = sol.pmax;
   const Solution& rmin = sol.rmin;
   const bool start_is_goal = mdp.is_goal[mdp.start] != 0;
-  result.reach_probability = pmax.values[mdp.start];
+  if (std::isfinite(rmin.values[mdp.start])) {
+    // rmin is finite only on the almost-sure winning region, so the reach
+    // probability is exactly 1, whether or not numeric pmax also ran.
+    result.reach_probability = 1.0;
+  } else {
+    result.reach_probability = pmax.values[mdp.start];
+    // Why numeric pmax had to run: the start is losing, or it is winning
+    // but rmin never gave it a finite value (the rmin stall).
+    MEDA_OBS_COUNT(sol.winning[mdp.start] ? "synth.pmax_fallback.rmin_stalled"
+                                          : "synth.pmax_fallback.losing",
+                   1);
+  }
 
   if (config.query == Query::kPmaxReachability) {
     if (result.reach_probability > 0.0) {
@@ -178,11 +199,12 @@ SynthesisResult Synthesizer::synthesize_with_force(
   const CompiledModel model =
       build_model(rj, force, chip_bounds_, config_, result);
   result.construction_seconds = watch.lap_seconds();
-  // One combined solve answers both queries: the pmax pass doubles as
-  // rmin's winning-region computation.
-  const ReachAvoidSolution sol = solve_reach_avoid(model.mdp, solver);
+  // One combined solve answers both queries: the exact winning region, rmin
+  // over it, and numeric pmax only where its values are read.
+  const ReachAvoidSolution sol =
+      solve_reach_avoid(model.mdp, solver, needs_pmax(config_));
   result.solve_seconds = watch.lap_seconds();
-  if (sol.pmax.deadline_expired || sol.rmin.deadline_expired) {
+  if (deadline_expired(sol)) {
     // Partial sweeps give untrustworthy values and policies: report the
     // expiry and leave the result infeasible so callers route around it
     // (fallback router) rather than executing a half-converged strategy.
@@ -247,9 +269,9 @@ SynthesisResult Synthesizer::resynthesize(const assay::RoutingJob& rj,
                             static_cast<double>(delta.size()));
       ReachAvoidSolution sol = solve_reach_avoid_warm(
           ctx.compiled, ctx.solution, patch.dirty_states,
-          armed_solver(config_, deadline));
+          armed_solver(config_, deadline), needs_pmax(config_));
       result.solve_seconds = watch.lap_seconds();
-      if (sol.pmax.deadline_expired || sol.rmin.deadline_expired) {
+      if (deadline_expired(sol)) {
         // The model was already patched but the solve did not finish: ctx
         // no longer pairs a converged solution with the model it solved,
         // so the next synthesis of this lineage must be cold.
@@ -281,10 +303,10 @@ SynthesisResult Synthesizer::resynthesize(const assay::RoutingJob& rj,
     ctx.geometry = std::move(model.geometry);
   }
   result.construction_seconds = watch.lap_seconds();
-  ReachAvoidSolution sol =
-      solve_reach_avoid(ctx.compiled, armed_solver(config_, deadline));
+  ReachAvoidSolution sol = solve_reach_avoid(
+      ctx.compiled, armed_solver(config_, deadline), needs_pmax(config_));
   result.solve_seconds = watch.lap_seconds();
-  if (sol.pmax.deadline_expired || sol.rmin.deadline_expired) {
+  if (deadline_expired(sol)) {
     ctx.valid = false;
     result.deadline_expired = true;
   } else {

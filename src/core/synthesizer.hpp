@@ -32,8 +32,10 @@ struct SynthesisConfig {
   Query query = Query::kRminExpectedCycles;
   HealthEstimator estimator = HealthEstimator::kScaled;
   SolveConfig solver{};
-  /// When the Rmin query is infeasible (goal not almost-surely reachable)
-  /// fall back to the Pmax strategy if it has positive reach probability.
+  /// When Rmin leaves the start at ∞ — the goal is not almost-surely
+  /// reachable, or rmin's ∞-seeded sweeps stopped before giving the start a
+  /// finite value — fall back to the Pmax strategy if it has positive reach
+  /// probability.
   bool pmax_fallback = true;
   /// Wear-aware synthesis extension: λ ≥ 0 weighting the wear imposed on
   /// degraded cells against pure cycle count in the Rmin reward. 0 (the
@@ -65,7 +67,9 @@ struct SynthesisResult {
   Strategy strategy;  ///< empty when infeasible
   double expected_cycles =
       std::numeric_limits<double>::infinity();  ///< E[r_k] at δ_s
-  double reach_probability = 0.0;               ///< Pmax at δ_s
+  /// Pmax at δ_s: exactly 1 whenever Rmin is finite there (the start is
+  /// then almost-surely winning), the numeric pmax value otherwise.
+  double reach_probability = 0.0;
   ModelStats stats;
   double construction_seconds = 0.0;
   double solve_seconds = 0.0;

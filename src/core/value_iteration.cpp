@@ -218,9 +218,17 @@ void pmax_sweeps(const CompiledMdp& m, const SolveConfig& config,
   }
 }
 
+/// Goal-anchored rmin sweeps, as pmax_sweeps. A state is backed up only
+/// while it is stale: some successor's value changed since its last backup
+/// (every state starts stale). A backup reads nothing but its successors'
+/// values and the fixed winning set, so a skipped backup would reproduce the
+/// state's value and choice bit for bit: residuals, sweep counts, values and
+/// choices are those of backing up every state, and only states_touched
+/// falls.
 void rmin_sweeps(const CompiledMdp& m, const SolveConfig& config,
                  const std::vector<std::uint8_t>& winning, Solution& sol,
                  ResidualRing& residuals) {
+  std::vector<std::uint8_t> stale(m.num_droplet_states, 1);
   while (sol.iterations < config.max_iterations) {
     if (config.deadline.expired()) {
       sol.deadline_expired = true;
@@ -230,12 +238,21 @@ void rmin_sweeps(const CompiledMdp& m, const SolveConfig& config,
     double delta = 0.0;
     std::uint64_t touched = 0;
     for (const std::uint32_t s : m.sweep_order) {
-      if (m.is_goal[s] || !winning[s]) continue;
+      if (m.is_goal[s] || !winning[s] || !stale[s]) continue;
+      stale[s] = 0;
       const Backup b = rmin_backup(m, sol.values, winning, s);
-      if (b.choice < 0) continue;  // keep ∞ (should not happen in S1)
+      // Keep ∞: every admissible choice still has a branch at ∞. This can
+      // outlast the solve at winning states — a sweep that changes nothing
+      // counts as converged — and the synthesizer's pmax fallback then
+      // covers the start.
+      if (b.choice < 0) continue;
       const double prev = sol.values[s];
       const double diff = std::isinf(prev) ? 1.0 : std::abs(b.value - prev);
       delta = std::max(delta, diff);
+      if (b.value != prev) {
+        for (std::uint32_t i = m.pred_offset[s]; i < m.pred_offset[s + 1]; ++i)
+          stale[m.pred_state[i]] = 1;
+      }
       sol.values[s] = b.value;
       sol.chosen[s] = b.choice;
       ++touched;
@@ -442,7 +459,7 @@ Solution run_pmax_warm(const CompiledMdp& m, const Solution& prior,
   return sol;
 }
 
-Solution run_rmin_warm(const CompiledMdp& m, const ReachAvoidSolution& prior,
+Solution run_rmin_warm(const CompiledMdp& m, const Solution& prior,
                        const std::vector<std::uint32_t>& dirty,
                        const SolveConfig& config,
                        const std::vector<std::uint8_t>& winning) {
@@ -454,8 +471,8 @@ Solution run_rmin_warm(const CompiledMdp& m, const ReachAvoidSolution& prior,
 
   // Seed winning states from the prior expected-cycle values (rmin's fixed
   // point over the winning region is unique — every action costs ≥ 1 — so
-  // any finite seed converges). States that just entered the winning region
-  // or carried no finite prior value start at ∞ and join the worklist.
+  // any finite seed converges). States that carried no finite prior value
+  // start at ∞ and join the worklist.
   std::vector<std::uint32_t> seeds;
   for (std::size_t s = 0; s < n; ++s) {
     if (!winning[s]) continue;
@@ -463,9 +480,8 @@ Solution run_rmin_warm(const CompiledMdp& m, const ReachAvoidSolution& prior,
       sol.values[s] = 0.0;
       continue;
     }
-    const bool prior_winning = prior.pmax.values[s] >= 1.0 - 1e-6;
-    if (prior_winning && std::isfinite(prior.rmin.values[s]))
-      sol.values[s] = prior.rmin.values[s];
+    if (std::isfinite(prior.values[s]))
+      sol.values[s] = prior.values[s];
     else
       seeds.push_back(static_cast<std::uint32_t>(s));
   }
@@ -500,6 +516,17 @@ Solution run_rmin_warm(const CompiledMdp& m, const ReachAvoidSolution& prior,
   return sol;
 }
 
+/// Numeric pmax where its values are read, the one place that decides it:
+/// the caller reads it at every state (@p need_pmax), or rmin finished and
+/// left the start at ∞ (the best-effort fallback). A warm solve whose prior
+/// carried pmax has solved it already. Both combined solves end here.
+void solve_pmax_where_read(const CompiledMdp& m, const SolveConfig& config,
+                           bool need_pmax, ReachAvoidSolution& out) {
+  if (!out.pmax.values.empty() || out.rmin.deadline_expired) return;
+  if (need_pmax || !std::isfinite(out.rmin.values[m.start]))
+    out.pmax = solve_pmax(m, config);
+}
+
 /// vi.warm.* metrics behind the standard record_solve (cold solves never
 /// emit these).
 void record_warm_solve(const Solution& sol) {
@@ -511,20 +538,77 @@ void record_warm_solve(const Solution& sol) {
   if (sol.warm_fell_back) MEDA_OBS_COUNT("vi.warm.full_sweep_fallbacks", 1);
 }
 
-/// Almost-sure-winning region: with retry self-loops the maximum reach
-/// probability is 1 exactly on the states that admit an a.s. strategy. The
-/// hazard sink (pmax 0) stays outside.
-std::vector<std::uint8_t> winning_region(const CompiledMdp& m,
-                                         const Solution& pmax) {
-  std::vector<std::uint8_t> winning(m.state_count(), 0);
-  for (std::size_t s = 0; s < m.state_count(); ++s)
-    winning[s] = pmax.values[s] >= 1.0 - 1e-6 ? 1 : 0;
-  return winning;
-}
-
 }  // namespace
 
 // Compiled fast path --------------------------------------------------------
+
+std::vector<std::uint8_t> almost_sure_winning(const CompiledMdp& m) {
+  MEDA_OBS_SPAN(span, "vi", "winning");
+  const std::uint32_t n = m.num_droplet_states;
+  // in_u: the outer candidate set U, in_r: the inner attractor R. Both are
+  // sized state_count() so a branch into the hazard sink reads "outside".
+  std::vector<std::uint8_t> in_u(m.state_count(), 1);
+  in_u[m.hazard_sink()] = 0;
+  std::vector<std::uint8_t> in_r(m.state_count(), 0);
+  std::vector<std::uint32_t> queue;
+  queue.reserve(n);
+
+  // ∃c: post(c) ⊆ U ∧ post(c) ∩ R ≠ ∅. The self-loop branch is factored
+  // out and s ∉ R when this is asked, so only the off-state branches count.
+  auto joins_r = [&m, &in_u, &in_r](std::uint32_t s) {
+    for (std::uint32_t c = m.choice_offset[s]; c < m.choice_offset[s + 1];
+         ++c) {
+      if (m.inv_one_minus_q[c] == 0.0) continue;  // pure self-loop
+      bool inside = true;
+      bool hits_r = false;
+      for (std::uint32_t i = m.trans_offset[c]; i < m.trans_offset[c + 1];
+           ++i) {
+        if (m.probability[i] <= 0.0) continue;  // not in the support
+        const std::uint32_t t = m.target[i];
+        if (!in_u[t]) {
+          inside = false;
+          break;
+        }
+        hits_r = hits_r || in_r[t] != 0;
+      }
+      if (inside && hits_r) return true;
+    }
+    return false;
+  };
+
+  std::size_t u_size = n;
+  for (;;) {
+    // μR: a backward search from the goal states; a predecessor's choices
+    // are (re)checked whenever one of its successors joins R.
+    std::fill(in_r.begin(), in_r.end(), 0);
+    queue.clear();
+    for (std::uint32_t s = 0; s < n; ++s) {
+      if (!m.is_goal[s]) continue;
+      in_r[s] = 1;
+      queue.push_back(s);
+    }
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const std::uint32_t t = queue[head];
+      for (std::uint32_t i = m.pred_offset[t]; i < m.pred_offset[t + 1]; ++i) {
+        const std::uint32_t p = m.pred_state[i];
+        if (in_r[p] || !in_u[p] || !joins_r(p)) continue;
+        in_r[p] = 1;
+        queue.push_back(p);
+      }
+    }
+    // νU: R ⊆ U always, so equal sizes mean nothing more fell out.
+    if (queue.size() == u_size) break;
+    u_size = queue.size();
+    in_u.swap(in_r);
+  }
+
+  const std::uint64_t losing = n - u_size;
+  MEDA_OBS_COUNT("vi.winning.calls", 1);
+  MEDA_OBS_COUNT("vi.winning.losing_states", losing);
+  span.arg("states", static_cast<std::int64_t>(n));
+  span.arg("losing_states", static_cast<std::int64_t>(losing));
+  return in_u;
+}
 
 Solution solve_pmax(const CompiledMdp& mdp, const SolveConfig& config) {
   require_valid(config);
@@ -535,15 +619,17 @@ Solution solve_pmax(const CompiledMdp& mdp, const SolveConfig& config) {
 }
 
 ReachAvoidSolution solve_reach_avoid(const CompiledMdp& mdp,
-                                     const SolveConfig& config) {
+                                     const SolveConfig& config,
+                                     bool need_pmax) {
   require_valid(config);
   ReachAvoidSolution out;
-  out.pmax = solve_pmax(mdp, config);
+  out.winning = almost_sure_winning(mdp);
   {
     MEDA_OBS_SPAN(span, "vi", "rmin");
-    out.rmin = run_rmin(mdp, config, winning_region(mdp, out.pmax));
+    out.rmin = run_rmin(mdp, config, out.winning);
     record_solve(span, out.rmin, "rmin", config);
   }
+  solve_pmax_where_read(mdp, config, need_pmax, out);
   return out;
 }
 
@@ -555,35 +641,40 @@ ReachAvoidSolution solve_reach_avoid(const RoutingMdp& mdp,
 
 ReachAvoidSolution solve_reach_avoid_warm(
     const CompiledMdp& mdp, const ReachAvoidSolution& prior,
-    const std::vector<std::uint32_t>& dirty, const SolveConfig& base_config) {
+    const std::vector<std::uint32_t>& dirty, const SolveConfig& base_config,
+    bool need_pmax) {
   require_valid(base_config);
-  MEDA_REQUIRE(prior.pmax.values.size() == mdp.state_count() &&
-                   prior.rmin.values.size() == mdp.state_count(),
+  MEDA_REQUIRE(prior.winning.size() == mdp.state_count() &&
+                   prior.rmin.values.size() == mdp.state_count() &&
+                   (prior.pmax.values.empty() ||
+                    prior.pmax.values.size() == mdp.state_count()),
                "prior solution does not match the compiled model");
   SolveConfig config = base_config;
   config.warm_start = true;  // truthful warm/cold telemetry split
 
   ReachAvoidSolution out;
-  {
+  out.winning = prior.winning;  // the patch kept the support graph
+  if (!prior.pmax.values.empty()) {
+    // A lineage that needed numeric pmax keeps solving it warm.
     MEDA_OBS_SPAN(span, "vi", "pmax");
     out.pmax = run_pmax_warm(mdp, prior.pmax, dirty, config);
     record_solve(span, out.pmax, "pmax", config);
     record_warm_solve(out.pmax);
-  }
-  if (out.pmax.deadline_expired) {
-    // Leave rmin at its defaults; the combined result is as unusable as a
-    // deadline-expired cold solve and the caller must discard it.
-    out.rmin.deadline_expired = true;
-    out.rmin.termination = SolveTermination::kDeadline;
-    return out;
+    if (out.pmax.deadline_expired) {
+      // Leave rmin at its defaults; the combined result is as unusable as a
+      // deadline-expired cold solve and the caller must discard it.
+      out.rmin.deadline_expired = true;
+      out.rmin.termination = SolveTermination::kDeadline;
+      return out;
+    }
   }
   {
     MEDA_OBS_SPAN(span, "vi", "rmin");
-    out.rmin = run_rmin_warm(mdp, prior, dirty, config,
-                             winning_region(mdp, out.pmax));
+    out.rmin = run_rmin_warm(mdp, prior.rmin, dirty, config, out.winning);
     record_solve(span, out.rmin, "rmin", config);
     record_warm_solve(out.rmin);
   }
+  solve_pmax_where_read(mdp, base_config, need_pmax, out);  // cold, if any
   return out;
 }
 

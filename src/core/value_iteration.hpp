@@ -18,6 +18,13 @@
 ///        (reward 1 per action) to reach goal, with PRISM reward semantics:
 ///        states from which goal is not almost-surely reachable get ∞.
 ///
+/// As in PRISM, φ_r's almost-sure winning region is a graph property and is
+/// computed exactly by a Prob1E precomputation over the compiled model's
+/// support graph (almost_sure_winning), before any numeric iteration. A
+/// combined solve then runs rmin over that region, and numeric pmax only
+/// when its values are read: when rmin leaves the start at ∞ (the best-effort
+/// pmax fallback) or for the φ_p query.
+///
 /// Failed pulls self-loop, so plain value iteration converges geometrically
 /// slowly; both solvers therefore eliminate per-choice self-loops
 /// algebraically (a choice with stay-probability q and off-state mass rest
@@ -29,8 +36,10 @@
 ///    CompiledMdp's flat CSR arrays in goal-anchored order, with the
 ///    self-loop scale 1/(1−q) precomputed per choice (see compiled_mdp.hpp);
 ///  - the **legacy reference path** (`solve_*_legacy`): the original sweeps
-///    over the pointer-based RoutingMdp in state-index order, kept as the
-///    equivalence oracle for tests and the baseline for microbenchmarks.
+///    over the pointer-based RoutingMdp in state-index order, whose rmin
+///    takes its winning region from a numeric pmax thresholded at 1 − 1e-6.
+///    Kept as the equivalence oracle for tests and the baseline for
+///    microbenchmarks.
 ///
 /// Both paths break value ties identically: among choices within `kTieEps`
 /// of the optimum, the lowest choice index — i.e. the lowest action index,
@@ -98,8 +107,9 @@ struct Solution {
   bool deadline_expired = false;  ///< stopped by SolveConfig::deadline
   SolveTermination termination = SolveTermination::kSweepLimit;
   /// State-value updates actually performed (goal/non-winning/choiceless
-  /// states a sweep skips are not counted) — the solver's real work metric,
-  /// ≈ sweeps × active states.
+  /// states a sweep skips are not counted, nor rmin states none of whose
+  /// successors changed since their last backup) — the solver's real work
+  /// metric, at most sweeps × active states.
   std::uint64_t states_touched = 0;
   /// Max residual of each of the last kResidualRingCapacity sweeps, oldest
   /// first; entry i belongs to sweep iterations - size + i + 1 (1-based).
@@ -111,38 +121,62 @@ struct Solution {
   std::uint32_t warm_seeds = 0;  ///< states seeded into the worklist
 };
 
-/// Both synthesis queries answered from one compiled model: the pmax pass
-/// doubles as the almost-sure winning-region computation rmin needs, so a
-/// combined solve runs exactly one pmax and one rmin.
+/// Both synthesis queries answered from one compiled model.
 struct ReachAvoidSolution {
-  Solution pmax;
+  /// Almost-sure winning region, indexed like the MDP (the hazard sink is
+  /// never winning): the states rmin is solved over.
+  std::vector<std::uint8_t> winning;
   Solution rmin;
+  /// Numeric pmax; empty (no values, zero sweeps) unless it was solved —
+  /// rmin left the start at ∞, or a warm solve's prior carried pmax values.
+  Solution pmax;
 };
 
 // Compiled fast path --------------------------------------------------------
+
+/// Exact almost-sure winning region of φ_r (PRISM's Prob1E precomputation):
+/// the states from which some strategy reaches a goal state with probability
+/// 1 without entering the hazard sink. Computed as the nested fixpoint
+/// νU. μR. goal ∪ {s ∈ U | ∃c: post(c) ⊆ U ∧ post(c) ∩ R ≠ ∅} over the
+/// support graph — no numeric iteration, no tolerance. A choice the compiled
+/// form marks as a pure self-loop (inv_one_minus_q == 0) makes no progress,
+/// exactly as in the solvers. Sized state_count(); emits a `vi/winning` span.
+std::vector<std::uint8_t> almost_sure_winning(const CompiledMdp& mdp);
 
 /// Maximum reach-avoid probability on the compiled form (Gauss-Seidel in
 /// goal-anchored sweep order). Goal states have value 1, the hazard sink 0.
 Solution solve_pmax(const CompiledMdp& mdp, const SolveConfig& config = {});
 
-/// Both queries from one compiled model: pmax once, then rmin restricted to
-/// the almost-sure winning region pmax just identified.
+/// Both queries from one compiled model: the exact winning region, then
+/// rmin over it, then numeric pmax only where its values are read — when
+/// the caller reads it at every state (@p need_pmax, the φ_p query) or when
+/// rmin finished and left the start at ∞ (the synthesizer's best-effort
+/// fallback). A finite rmin at the start means the start is winning, i.e.
+/// reach probability exactly 1.
 ReachAvoidSolution solve_reach_avoid(const CompiledMdp& mdp,
-                                     const SolveConfig& config = {});
+                                     const SolveConfig& config = {},
+                                     bool need_pmax = false);
 
 /// Compiles @p mdp once and runs the combined solve on it.
 ReachAvoidSolution solve_reach_avoid(const RoutingMdp& mdp,
                                      const SolveConfig& config = {});
 
-/// Incremental combined solve: seeds both value vectors from @p prior — a
-/// converged solution of the same compiled model *before* an in-place
-/// health patch (patch_compiled_mdp) — and propagates the patch's @p dirty
-/// states through a residual-prioritized worklist (bucketed by residual
-/// decade, FIFO within a bucket, predecessors via CompiledMdp::pred_state;
-/// deterministic for a given model + delta). Every warm solve finishes with
-/// plain verification sweeps to the cold convergence criterion, so results
-/// are equivalent to solve_reach_avoid on the patched model: identical
-/// strategy tie-breaks, values within solver tolerance.
+/// Incremental combined solve on a compiled model patched in place
+/// (patch_compiled_mdp) since @p prior — a converged solution of the same
+/// model — was computed. The patch preserved the transition topology, so the
+/// support graph and hence the winning region are the prior's. Seeds rmin
+/// (and pmax, when @p prior carries pmax values) from @p prior and
+/// propagates the patch's @p dirty states through a residual-prioritized
+/// worklist (bucketed by residual decade, FIFO within a bucket, predecessors
+/// via CompiledMdp::pred_state; deterministic for a given model + delta).
+/// Every warm solve finishes with plain verification sweeps to the cold
+/// convergence criterion, so results are equivalent to solve_reach_avoid on
+/// the patched model: values within solver tolerance and the identical rmin
+/// strategy. A warm pmax almost always picks the cold argmax too, but where
+/// choices' values differ by a few ulps it can settle on another one (a
+/// known defect, on about 1% of fuzzed warm pmax solves). When @p prior
+/// carried no pmax, pmax is solved cold under the rule solve_reach_avoid
+/// applies (@p need_pmax, or rmin leaves the start at ∞).
 ///
 /// Soundness: pmax re-seeds from below (prior almost-sure-winning states
 /// keep their ≈1 values — winning is a graph property, invariant under the
@@ -156,7 +190,8 @@ ReachAvoidSolution solve_reach_avoid(const RoutingMdp& mdp,
 /// and keep the prior. Sets SolveConfig::warm_start truthfully.
 ReachAvoidSolution solve_reach_avoid_warm(
     const CompiledMdp& mdp, const ReachAvoidSolution& prior,
-    const std::vector<std::uint32_t>& dirty, const SolveConfig& config = {});
+    const std::vector<std::uint32_t>& dirty, const SolveConfig& config = {},
+    bool need_pmax = false);
 
 // RoutingMdp entry points (thin wrappers over the compiled path) ------------
 
@@ -165,8 +200,8 @@ ReachAvoidSolution solve_reach_avoid_warm(
 Solution solve_pmax(const RoutingMdp& mdp, const SolveConfig& config = {});
 
 /// Minimum expected cycles to goal under the almost-sure-reachability
-/// restriction; excluded states get +∞. Compiles once and reuses the pmax
-/// winning region (one pmax pass total, not two).
+/// restriction; excluded states get +∞. Compiles once and solves rmin over
+/// the exact winning region.
 Solution solve_rmin(const RoutingMdp& mdp, const SolveConfig& config = {});
 
 // Legacy reference path -----------------------------------------------------

@@ -131,11 +131,18 @@ RoutingMdp fixture_mdp(const DoubleMatrix& force) {
 void expect_equivalent(const RoutingMdp& mdp, const char* label) {
   const Solution legacy_pmax = solve_pmax_legacy(mdp);
   const Solution legacy_rmin = solve_rmin_legacy(mdp);
-  const ReachAvoidSolution fast = solve_reach_avoid(mdp);
-  ASSERT_EQ(fast.pmax.values.size(), legacy_pmax.values.size()) << label;
+  const CompiledMdp compiled = compile_mdp(mdp);
+  const Solution fast_pmax = solve_pmax(compiled);
+  const ReachAvoidSolution fast = solve_reach_avoid(compiled);
+  ASSERT_EQ(fast_pmax.values.size(), legacy_pmax.values.size()) << label;
+  ASSERT_EQ(fast.winning.size(), legacy_pmax.values.size()) << label;
   for (std::size_t s = 0; s < legacy_pmax.values.size(); ++s) {
-    EXPECT_NEAR(fast.pmax.values[s], legacy_pmax.values[s], 1e-7)
+    EXPECT_NEAR(fast_pmax.values[s], legacy_pmax.values[s], 1e-7)
         << label << " pmax state " << s;
+    // The exact winning region is the set the legacy rmin thresholds its
+    // numeric pmax into.
+    EXPECT_EQ(fast.winning[s] != 0, legacy_pmax.values[s] >= 1.0 - 1e-6)
+        << label << " winning state " << s;
     if (std::isinf(legacy_rmin.values[s])) {
       EXPECT_TRUE(std::isinf(fast.rmin.values[s]))
           << label << " rmin state " << s;
@@ -146,7 +153,7 @@ void expect_equivalent(const RoutingMdp& mdp, const char* label) {
   }
   // The shared tie-break rule (lowest action index within kTieEps) makes
   // the two paths' policies identical, not just equal in value.
-  EXPECT_EQ(fast.pmax.chosen, legacy_pmax.chosen) << label;
+  EXPECT_EQ(fast_pmax.chosen, legacy_pmax.chosen) << label;
   EXPECT_EQ(fast.rmin.chosen, legacy_rmin.chosen) << label;
 }
 
@@ -170,9 +177,9 @@ TEST(SolverEquivalence, TieBreakPicksTheLowestActionIndex) {
   add_choice(mdp, 0, Action::kN, {{1, 0.5}, {0, 0.5}});
   EXPECT_EQ(solve_pmax_legacy(mdp).chosen[0], 0);
   EXPECT_EQ(solve_rmin_legacy(mdp).chosen[0], 0);
-  const ReachAvoidSolution fast = solve_reach_avoid(mdp);
-  EXPECT_EQ(fast.pmax.chosen[0], 0);
-  EXPECT_EQ(fast.rmin.chosen[0], 0);
+  const CompiledMdp compiled = compile_mdp(mdp);
+  EXPECT_EQ(solve_pmax(compiled).chosen[0], 0);
+  EXPECT_EQ(solve_reach_avoid(compiled).rmin.chosen[0], 0);
 }
 
 }  // namespace

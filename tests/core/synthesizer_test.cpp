@@ -261,11 +261,11 @@ TEST(Synthesizer, RejectsWrongSizedHealthMatrix) {
                PreconditionError);
 }
 
-TEST(Synthesizer, OneCompileOnePmaxOneRminPerSynthesis) {
-  // Regression pin for the double-solve fix: the legacy Rmin query ran a
-  // full pmax inside solve_rmin on top of its own pmax pass (two pmax
-  // solves per synthesis). The combined solve_reach_avoid compiles once and
-  // answers both queries from it.
+TEST(Synthesizer, OneCompileOneWinningPassOneRminPerSynthesis) {
+  // Regression pin for the solve order: one compile, one exact winning-region
+  // pass, one rmin over it. Numeric pmax runs only when rmin leaves the start
+  // at ∞, which a feasible job never does; the legacy rmin's internal pmax
+  // (a second solve per synthesis) stays out of the pipeline.
 #ifdef MEDA_OBS_DISABLED
   GTEST_SKIP() << "instrumentation compiled out (MEDA_OBS=OFF)";
 #endif
@@ -275,13 +275,155 @@ TEST(Synthesizer, OneCompileOnePmaxOneRminPerSynthesis) {
   const SynthesisResult r = synth.synthesize_with_force(
       straight_east(8), full_health_force(30, 30));
   EXPECT_TRUE(r.feasible);
+  EXPECT_EQ(r.reach_probability, 1.0);
   const obs::MetricsRegistry& m = obs::ctx().metrics();
   EXPECT_EQ(m.counter("vi.compile.calls"), 1u);
-  EXPECT_EQ(m.counter("vi.pmax.solves"), 1u);
+  EXPECT_EQ(m.counter("vi.winning.calls"), 1u);
   EXPECT_EQ(m.counter("vi.rmin.solves"), 1u);
+  EXPECT_EQ(m.counter("vi.pmax.solves"), 0u);
+  EXPECT_EQ(m.counter("synth.pmax_fallback.losing"), 0u);
+  EXPECT_EQ(m.counter("synth.pmax_fallback.rmin_stalled"), 0u);
   // The legacy reference path must stay out of the production pipeline.
   EXPECT_EQ(m.counter("vi.pmax_legacy.solves"), 0u);
   EXPECT_EQ(m.counter("vi.rmin_legacy.solves"), 0u);
+  obs::ctx().reset();
+}
+
+/// The rmin stall: a 60×30 chip at 2-bit code 2 whose goal block is dead
+/// (code 0). Every state is almost-surely winning, but no goal-adjacent state
+/// has a choice whose every branch is finite after rmin's first sweep, so
+/// that sweep changes nothing and rmin stops with every state at ∞.
+struct StallJob {
+  Rect chip{0, 0, 59, 29};
+  IntMatrix health{60, 30, 2};
+  assay::RoutingJob job;
+
+  StallJob() {
+    for (int y = 2; y <= 5; ++y)
+      for (int x = 46; x <= 49; ++x) health(x, y) = 0;
+    job.start = Rect{46, 0, 49, 3};
+    job.goal = Rect{46, 2, 49, 5};
+    job.hazard = Rect{43, 0, 52, 8};
+  }
+};
+
+TEST(Synthesizer, RminStallFallsBackToThePmaxStrategy) {
+  // The solve counts need the instrumentation; the rest runs either way.
+  const StallJob stall;
+  const Synthesizer synth(stall.chip);
+  obs::ctx().reset();
+  obs::ctx().metrics().enable();
+  const SynthesisResult r = synth.synthesize(stall.job, stall.health, 2);
+  EXPECT_TRUE(r.feasible);
+  EXPECT_TRUE(std::isinf(r.expected_cycles));
+  EXPECT_GT(r.reach_probability, 1.0 - 1e-6);
+  EXPECT_LT(r.reach_probability, 1.0);
+#ifndef MEDA_OBS_DISABLED
+  EXPECT_EQ(obs::ctx().metrics().counter("vi.pmax.solves"), 1u);
+#endif
+
+  // The strategy is the numeric-pmax argmax, state for state.
+  const CompiledModel model = build_compiled_mdp(
+      stall.job, force_from_health(stall.health, 2, HealthEstimator::kScaled),
+      stall.chip, ActionRules{});
+  const Solution pmax = solve_pmax(model.mdp);
+  std::size_t chosen = 0;
+  for (std::size_t s = 0; s < model.geometry.droplets.size(); ++s) {
+    if (pmax.chosen[s] < 0) continue;
+    ++chosen;
+    const std::uint32_t c = model.mdp.choice_offset[s] +
+                            static_cast<std::uint32_t>(pmax.chosen[s]);
+    EXPECT_EQ(r.strategy.action(model.geometry.droplets[s]),
+              model.geometry.choice_action[c])
+        << "state " << s;
+  }
+  EXPECT_EQ(r.strategy.size(), chosen);
+
+  // A probability-only delta keeps the lineage warm, and its pmax fallback
+  // is solved warm too: two warm solves (pmax and rmin), no cold pmax.
+  ResynthesisContext ctx;
+  synth.resynthesize(stall.job, stall.health, 2, ctx);
+  ASSERT_TRUE(ctx.valid);
+  IntMatrix worn = stall.health;
+  worn(45, 1) = 1;
+  obs::ctx().reset();
+  obs::ctx().metrics().enable();
+  const SynthesisResult warm = synth.resynthesize(stall.job, worn, 2, ctx);
+  EXPECT_TRUE(warm.warm);
+  EXPECT_TRUE(warm.feasible);
+  EXPECT_TRUE(std::isinf(warm.expected_cycles));
+  EXPECT_GT(warm.reach_probability, 1.0 - 1e-6);
+  EXPECT_LT(warm.reach_probability, 1.0);
+#ifndef MEDA_OBS_DISABLED
+  const obs::MetricsRegistry& m = obs::ctx().metrics();
+  EXPECT_EQ(m.counter("vi.pmax.solves"), 1u);
+  EXPECT_EQ(m.counter("vi.warm.solves"), 2u);
+#endif
+  obs::ctx().reset();
+}
+
+TEST(Synthesizer, FiniteRminReportsReachProbabilityExactlyOne) {
+  // A finite Rmin at the start puts it in the almost-sure winning region, so
+  // its reach probability is exactly 1 on every path, also where numeric
+  // pmax was solved and stopped a few ulps short of 1: the φ_p query, cold
+  // and on a warm lineage that re-solves pmax warm.
+  const Rect chip{0, 0, 29, 29};
+  const IntMatrix health(30, 30, 1);  // 2-bit code 1 everywhere
+  const CompiledModel model = build_compiled_mdp(
+      straight_east(8), force_from_health(health, 2, HealthEstimator::kScaled),
+      chip, ActionRules{});
+  ASSERT_LT(solve_pmax(model.mdp).values[model.mdp.start], 1.0);
+
+  EXPECT_EQ(Synthesizer(chip).synthesize(straight_east(8), health, 2)
+                .reach_probability,
+            1.0);
+  SynthesisConfig config;
+  config.query = Query::kPmaxReachability;
+  const Synthesizer synth(chip, config);
+  const SynthesisResult cold = synth.synthesize(straight_east(8), health, 2);
+  EXPECT_TRUE(std::isfinite(cold.expected_cycles));
+  EXPECT_EQ(cold.reach_probability, 1.0);
+
+  ResynthesisContext ctx;
+  synth.resynthesize(straight_east(8), health, 2, ctx);
+  ASSERT_TRUE(ctx.valid);
+  IntMatrix worn = health;
+  worn(5, 5) = 2;
+  const SynthesisResult warm =
+      synth.resynthesize(straight_east(8), worn, 2, ctx);
+  EXPECT_TRUE(warm.warm);
+  EXPECT_TRUE(ctx.solution.pmax.warm_started);
+  EXPECT_TRUE(std::isfinite(warm.expected_cycles));
+  EXPECT_EQ(warm.reach_probability, 1.0);
+}
+
+TEST(Synthesizer, PmaxFallbackCountersRecordWhyPmaxRan) {
+#ifdef MEDA_OBS_DISABLED
+  GTEST_SKIP() << "instrumentation compiled out (MEDA_OBS=OFF)";
+#endif
+  obs::ctx().reset();
+  obs::ctx().metrics().enable();
+  const obs::MetricsRegistry& m = obs::ctx().metrics();
+
+  // A winning start that rmin left at ∞.
+  const StallJob stall;
+  Synthesizer(stall.chip).synthesize(stall.job, stall.health, 2);
+  EXPECT_EQ(m.counter("synth.pmax_fallback.rmin_stalled"), 1u);
+  EXPECT_EQ(m.counter("synth.pmax_fallback.losing"), 0u);
+  EXPECT_EQ(m.counter("vi.winning.losing_states"), 0u);
+
+  // A losing start: a dead column walls the goal off.
+  DoubleMatrix force = full_health_force(30, 30);
+  for (int y = 0; y < 30; ++y) force(6, y) = 0.0;
+  const SynthesisResult walled =
+      Synthesizer(Rect{0, 0, 29, 29}, no_morph_config())
+          .synthesize_with_force(straight_east(8), force);
+  EXPECT_FALSE(walled.feasible);
+  EXPECT_EQ(m.counter("synth.pmax_fallback.losing"), 1u);
+  EXPECT_EQ(m.counter("synth.pmax_fallback.rmin_stalled"), 1u);
+  EXPECT_GT(m.counter("vi.winning.losing_states"), 0u);
+  EXPECT_EQ(m.counter("vi.winning.calls"), 2u);
+  EXPECT_EQ(m.counter("vi.pmax.solves"), 2u);
   obs::ctx().reset();
 }
 
