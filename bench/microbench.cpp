@@ -2,9 +2,9 @@
 // model construction (fused compiled build and the explicit-form adapter),
 // MDP compilation, the two value-iteration queries on
 // both the compiled and the legacy path, outcome-distribution evaluation,
-// campaign-cell throughput, and health sensing (the truth scan and the
-// noisy scan-chain read). Complements Table V's end-to-end timings with
-// per-kernel numbers.
+// campaign-cell throughput, and health sensing (the truth scan, the
+// noisy scan-chain read and the health-to-force map). Complements Table V's
+// end-to-end timings with per-kernel numbers.
 //
 // Refresh the committed perf record with:
 //   ./build/bench/microbench --benchmark_out=BENCH_synthesis.json
@@ -75,6 +75,18 @@ void BM_BuildCompiledMdp(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildCompiledMdp)->Arg(10)->Arg(20)->Arg(30);
 
+// A seeded 2-bit health matrix of the 60×30 reference chip, mostly healthy
+// with 3% dead cells.
+IntMatrix worn_health() {
+  IntMatrix health(assay::kChipWidth, assay::kChipHeight, 3);
+  Rng rng(0x3017u);
+  for (int& code : health.data()) {
+    const double u = rng.uniform(0.0, 1.0);
+    code = u < 0.03 ? 0 : u < 0.10 ? 1 : u < 0.30 ? 2 : 3;
+  }
+  return health;
+}
+
 // The production build on a worn reference chip under the default rules: a
 // seeded 2-bit health matrix with every code 0-3 present (dead cells drop
 // outcomes) and a non-square droplet, so the build meets both of its morph
@@ -82,12 +94,7 @@ BENCHMARK(BM_BuildCompiledMdp)->Arg(10)->Arg(20)->Arg(30);
 // shape on a uniform field.
 void BM_BuildCompiledMdpWorn(benchmark::State& state) {
   const int width = assay::kChipWidth, height = assay::kChipHeight;
-  IntMatrix health(width, height, 3);
-  Rng rng(0x3017u);
-  for (int& code : health.data()) {
-    const double u = rng.uniform(0.0, 1.0);
-    code = u < 0.03 ? 0 : u < 0.10 ? 1 : u < 0.30 ? 2 : 3;
-  }
+  const IntMatrix health = worn_health();
   for (int code = 0; code <= 3; ++code) {
     if (std::count(health.data().begin(), health.data().end(), code) == 0) {
       state.SkipWithError("health matrix misses a code");
@@ -421,6 +428,21 @@ void BM_HealthSensing(benchmark::State& state) {
   state.SetLabel("60x30 scan");
 }
 BENCHMARK(BM_HealthSensing);
+
+// The controller's health-to-force map, run on every synthesis call: the
+// worn 60×30 matrix of BM_BuildCompiledMdpWorn with its codes 0-3 spread
+// over the argument's bit depth. At 16 bits there are more codes than cells.
+void BM_ForceFromHealth(benchmark::State& state) {
+  const int bits = static_cast<int>(state.range(0));
+  IntMatrix health = worn_health();
+  for (int& code : health.data()) code = code * ((1 << bits) - 1) / 3;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        force_from_health(health, bits, HealthEstimator::kScaled));
+  }
+  state.SetLabel("60x30, " + std::to_string(bits) + " bits");
+}
+BENCHMARK(BM_ForceFromHealth)->Arg(2)->Arg(16);
 
 // One per-cycle read of a pre-worn 60×30 chip behind the hybrid_noisy
 // workload's scan chain (bit flips p = 1e-3, 2% dropped frames): the health

@@ -60,32 +60,32 @@ constexpr std::uint32_t kHazardSentinel =
 
 /// One choice as both the fused builder and the in-place patch derive it
 /// from the shared outcome kernel and a resolved table entry: its outcome
-/// set, the committed-value scale 1/(1−q) with the self-loop mass q summed
-/// in outcome order, and its cost. Deriving both through here is what makes
-/// a topology-preserving patch reproduce a fresh build bit for bit.
+/// set (a reference to the caller's buffer, valid until the next fill), the
+/// committed-value scale 1/(1−q) with the self-loop mass q summed in outcome
+/// order, and its cost. Deriving both through here is what makes a
+/// topology-preserving patch reproduce a fresh build bit for bit.
 struct ChoiceParams {
-  OutcomeSet outcomes;
-  double inv_one_minus_q = 1.0;
-  double cost = 1.0;
+  const OutcomeSet& outcomes;
+  double inv_one_minus_q;
+  double cost;
 };
 
 ChoiceParams choice_params(const ActionEntry& entry, const Rect& droplet,
                            const ClampedForce& force, const Rect& chip,
-                           double wear_penalty_lambda) {
-  ChoiceParams out;
-  out.outcomes = outcome_set(entry, droplet, force);
+                           double wear_penalty_lambda, OutcomeSet& outcomes) {
+  outcome_set(entry, droplet, force, outcomes);
   double q = 0.0;
-  for (const Outcome& o : out.outcomes)
+  for (const Outcome& o : outcomes)
     if (o.droplet == droplet) q += o.probability;
-  out.inv_one_minus_q = q >= 1.0 - 1e-12 ? 0.0 : 1.0 / (1.0 - q);
+  double cost = 1.0;
   if (wear_penalty_lambda > 0.0) {
     // Wear-aware reward: penalize actuating already-degraded cells. The
     // actuated cells are the move's target pattern a(δ).
     const Rect target =
         placed(entry.success, droplet).intersection_with(chip);
-    out.cost = 1.0 + wear_penalty_lambda * (1.0 - force(target));
+    cost = 1.0 + wear_penalty_lambda * (1.0 - force(target));
   }
-  return out;
+  return {outcomes, q >= 1.0 - 1e-12 ? 0.0 : 1.0 / (1.0 - q), cost};
 }
 
 /// The shared tail of both compiled-form producers, run once the forward
@@ -184,7 +184,35 @@ CompiledModel build_compiled_mdp(const assay::RoutingJob& rj,
   CompiledGeometry& geo = model.geometry;
   // Every state is a droplet inside δ_h, and enabled actions keep droplets
   // on the chip, so the index only needs to cover their intersection.
-  geo.state_index = StateIndex(rj.hazard.intersection_with(chip));
+  const Rect box = rj.hazard.intersection_with(chip);
+  geo.state_index = StateIndex(box);
+  // Frontier means read the force field clamped once, and each droplet
+  // shape's enabled-by-rules actions and rects are resolved once.
+  const ClampedForce clamped(force);
+  ActionTable table(rules);
+
+  // Size the arrays for one state per placement of the start shape in the
+  // box, each with every table entry of that shape as a choice. Resolving
+  // the start shape first changes nothing: the exploration resolves it
+  // first anyway. Models whose droplets change shape grow past this; a
+  // start inside the goal is one absorbing state and needs none of it.
+  if (!rj.goal.contains(rj.start)) {
+    const std::size_t states =
+        static_cast<std::size_t>(box.width() - rj.start.width() + 1) *
+        static_cast<std::size_t>(box.height() - rj.start.height() + 1);
+    const std::size_t choices =
+        states * table.actions(rj.start.width(), rj.start.height()).size();
+    geo.droplets.reserve(states);
+    out.is_goal.reserve(states);
+    out.choice_offset.reserve(states + 1);
+    out.cost.reserve(choices);
+    out.inv_one_minus_q.reserve(choices);
+    out.trans_offset.reserve(choices + 1);
+    geo.choice_action.reserve(choices);
+    geo.choice_outcomes.reserve(choices);
+    out.target.reserve(choices + choices / 2);
+    out.probability.reserve(choices + choices / 2);
+  }
 
   auto intern = [&](const Rect& droplet) -> std::uint32_t {
     std::uint32_t& slot = geo.state_index.slot(droplet);
@@ -200,10 +228,7 @@ CompiledModel build_compiled_mdp(const assay::RoutingJob& rj,
   out.start = intern(rj.start);
   out.choice_offset.push_back(0);
   out.trans_offset.push_back(0);
-  // Frontier means read the force field clamped once, and each droplet
-  // shape's enabled-by-rules actions and rects are resolved once.
-  const ClampedForce clamped(force);
-  ActionTable table(rules);
+  OutcomeSet outcomes;  // one buffer, refilled per choice
   // Breadth-first: states are expanded in intern order, so the droplet list
   // doubles as the work queue and each state's choices land contiguously.
   for (std::size_t s = 0; s < geo.droplets.size(); ++s) {
@@ -212,8 +237,8 @@ CompiledModel build_compiled_mdp(const assay::RoutingJob& rj,
       for (const ActionEntry& entry :
            table.actions(droplet.width(), droplet.height())) {
         if (!entry.enabled_at(droplet, chip)) continue;
-        const ChoiceParams params =
-            choice_params(entry, droplet, clamped, chip, wear_penalty_lambda);
+        const ChoiceParams params = choice_params(
+            entry, droplet, clamped, chip, wear_penalty_lambda, outcomes);
         model.stats.transitions += params.outcomes.size();
         // Off-state branches in outcome order; the self-loop branch is
         // folded into inv_one_minus_q. Leaving δ_h is a hazard violation.
@@ -342,6 +367,7 @@ MdpPatch patch_compiled_mdp(CompiledMdp& mdp, CompiledGeometry& geometry,
 
   const ClampedForce clamped(force);
   ActionTable table(rules);
+  OutcomeSet buffer;  // one buffer, refilled per choice
   for (std::size_t s = 0; s < n; ++s) {
     if (mdp.is_goal[s]) continue;  // absorbing: no choices to refresh
     const Rect droplet = geometry.droplets[s];
@@ -367,8 +393,8 @@ MdpPatch patch_compiled_mdp(CompiledMdp& mdp, CompiledGeometry& geometry,
       if (!entry.enabled_at(droplet, chip)) continue;
       MEDA_REQUIRE(c < ce && geometry.choice_action[c] == entry.action,
                    "rules differ from the ones the model was built with");
-      const ChoiceParams params =
-          choice_params(entry, droplet, clamped, chip, wear_penalty_lambda);
+      const ChoiceParams params = choice_params(
+          entry, droplet, clamped, chip, wear_penalty_lambda, buffer);
       bool choice_dirty = false;
       std::uint32_t i = mdp.trans_offset[c];
       const std::uint32_t te = mdp.trans_offset[c + 1];

@@ -1,6 +1,8 @@
 #include "model/outcomes.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <vector>
 
 #include "util/check.hpp"
 
@@ -54,12 +56,29 @@ DoubleMatrix force_from_degradation(const DoubleMatrix& degradation) {
 
 DoubleMatrix force_from_health(const IntMatrix& health, int bits,
                                HealthEstimator estimator) {
+  MEDA_REQUIRE(bits >= 1 && bits <= 16, "health bits out of range");
+  const auto force = [&](int code) {
+    const double d = estimate_degradation(code, bits, estimator);
+    return d * d;
+  };
   DoubleMatrix f(health.width(), health.height());
-  for (int y = 0; y < f.height(); ++y) {
-    for (int x = 0; x < f.width(); ++x) {
-      const double d = estimate_degradation(health(x, y), bits, estimator);
-      f(x, y) = d * d;
-    }
+  const std::vector<int>& codes = health.data();
+  std::vector<double>& forces = f.data();
+  const int levels = 1 << bits;
+  // A per-code table pays only while there are no more codes than cells;
+  // past that, one estimate per cell is less work.
+  if (static_cast<std::size_t>(levels) > codes.size()) {
+    for (std::size_t i = 0; i < codes.size(); ++i) forces[i] = force(codes[i]);
+    return f;
+  }
+  std::vector<double> force_of(static_cast<std::size_t>(levels));
+  for (int code = 0; code < levels; ++code)
+    force_of[static_cast<std::size_t>(code)] = force(code);
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    const int code = codes[i];
+    // estimate_degradation's message, as the per-cell path raises it.
+    MEDA_REQUIRE(code >= 0 && code < levels, "health code out of range");
+    forces[i] = force_of[static_cast<std::size_t>(code)];
   }
   return f;
 }

@@ -96,7 +96,9 @@ class ClampedForce {
 
 /// The outcomes of one action in a fixed-size buffer: the largest event
 /// space (ordinal a_dd') has four outcomes, so model builders can enumerate
-/// outcomes without a heap allocation per choice.
+/// outcomes without a heap allocation per choice. A builder keeps one set
+/// and refills it per choice (see the filling outcome_set), so the buffer
+/// is initialised once per build rather than once per choice.
 class OutcomeSet {
  public:
   static constexpr std::size_t kCapacity = 4;
@@ -105,6 +107,9 @@ class OutcomeSet {
   const Outcome* end() const { return items_.data() + size_; }
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+
+  /// Drops every outcome; the buffer is kept for the next fill.
+  void clear() { size_ = 0; }
 
   /// Appends an outcome; zero-probability outcomes are omitted.
   void push(const Rect& droplet, double p) {
@@ -130,15 +135,17 @@ class OutcomeSet {
 /// The caller must have established that the action is enabled
 /// (action_enabled or ActionEntry::enabled_at), so all frontiers index
 /// valid cells. Zero-probability outcomes are omitted; the remaining
-/// probabilities sum to 1.
+/// probabilities sum to 1. This form refills the caller's @p out, so a
+/// builder can reuse one buffer for every choice; the forms below return a
+/// fresh set through it.
 template <typename MeanForce>
-OutcomeSet outcome_set(const ActionEntry& entry, const Rect& droplet,
-                       MeanForce&& mean_force) {
+void outcome_set(const ActionEntry& entry, const Rect& droplet,
+                 MeanForce&& mean_force, OutcomeSet& out) {
   // Success probability of pull i.
   const auto pull = [&](int i) {
     return mean_force(placed(entry.pull[i], droplet));
   };
-  OutcomeSet out;
+  out.clear();
   switch (entry.action_class) {
     case ActionClass::kCardinal:
     case ActionClass::kWiden:
@@ -169,6 +176,14 @@ OutcomeSet outcome_set(const ActionEntry& entry, const Rect& droplet,
     }
   }
   MEDA_ASSERT(!out.empty(), "action produced no outcomes");
+}
+
+/// The kernel above into a fresh set.
+template <typename MeanForce>
+OutcomeSet outcome_set(const ActionEntry& entry, const Rect& droplet,
+                       MeanForce&& mean_force) {
+  OutcomeSet out;
+  outcome_set(entry, droplet, mean_force, out);
   return out;
 }
 

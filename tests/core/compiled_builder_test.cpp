@@ -132,7 +132,8 @@ TEST(BuildCompiledMdp, MatchesCompiledReferenceOnFuzzedJobs) {
   Rng rng(0xb01d0001u);
   int covered_dead = 0, covered_inner = 0, covered_goal_start = 0,
       covered_lambda = 0, covered_morph = 0, covered_double = 0,
-      covered_out_of_range = 0, covered_wide = 0;
+      covered_out_of_range = 0, covered_wide = 0, covered_outgrown = 0,
+      covered_hazard_branch = 0;
   int covered_ratio[3] = {0, 0, 0};
   for (int k = 0; k < 120; ++k) {
     const FuzzCase fc = fuzz_case(rng, k);
@@ -190,6 +191,18 @@ TEST(BuildCompiledMdp, MatchesCompiledReferenceOnFuzzedJobs) {
       const double r = fc.rules.max_aspect_ratio;
       ++covered_ratio[r == 1.0 ? 0 : r == 1.5 ? 1 : 2];
     }
+    // The builder sizes its arrays for one state per placement of the start
+    // shape in the hazard box; morphs take a model past that.
+    const Rect box = fc.rj.hazard.intersection_with(fc.chip);
+    const auto placements = static_cast<std::uint32_t>(
+        (box.width() - fc.rj.start.width() + 1) *
+        (box.height() - fc.rj.start.height() + 1));
+    covered_outgrown += built.mdp.num_droplet_states > placements ? 1 : 0;
+    covered_hazard_branch +=
+        std::count(built.mdp.target.begin(), built.mdp.target.end(),
+                   built.mdp.hazard_sink()) > 0
+            ? 1
+            : 0;
   }
   EXPECT_GT(covered_dead, 0);
   EXPECT_GT(covered_inner, 0);
@@ -199,6 +212,8 @@ TEST(BuildCompiledMdp, MatchesCompiledReferenceOnFuzzedJobs) {
   EXPECT_GT(covered_double, 0);
   EXPECT_GT(covered_out_of_range, 0);
   EXPECT_GT(covered_wide, 0);
+  EXPECT_GT(covered_outgrown, 0);
+  EXPECT_GT(covered_hazard_branch, 0);
   for (int r = 0; r < 3; ++r)
     EXPECT_GT(covered_ratio[r], 0) << "aspect-ratio bound " << r;
 }
@@ -271,6 +286,39 @@ TEST(StateIndex, ShapesKeepSeparateSlots) {
   EXPECT_EQ(index.find(tall), 9u);
   // A seen shape at a placement never stored.
   EXPECT_EQ(index.find(Rect::from_size(0, 0, 3, 2)), StateIndex::kAbsent);
+}
+
+// Switching shapes on every call must land each placement in its own
+// shape's slot, in slot() and find() alike.
+TEST(StateIndex, InterleavedShapesKeepTheirOwnSlots) {
+  const Rect box{1, 2, 10, 9};  // 10 × 8 cells
+  StateIndex index(box);
+  // Each shape shares its width or its height with another.
+  const int shapes[3][2] = {{3, 3}, {3, 2}, {2, 3}};
+  std::vector<Rect> stored;
+  for (int y = box.ya; y <= box.yb; ++y) {
+    for (int x = box.xa; x <= box.xb; ++x) {
+      for (const auto& shape : shapes) {
+        const Rect r = Rect::from_size(x, y, shape[0], shape[1]);
+        if (!box.contains(r)) continue;
+        EXPECT_EQ(index.slot(r), StateIndex::kAbsent) << r.to_string();
+        index.slot(r) = static_cast<std::uint32_t>(stored.size());
+        stored.push_back(r);
+      }
+    }
+  }
+  ASSERT_EQ(stored.size(), 8u * 6u + 8u * 7u + 9u * 6u);
+  // Read back in reverse, alternating find() and slot(), so consecutive
+  // lookups ask for different shapes.
+  for (std::size_t i = stored.size(); i-- > 0;) {
+    EXPECT_EQ(index.find(stored[i]), i) << stored[i].to_string();
+    EXPECT_EQ(index.slot(stored[i]), i) << stored[i].to_string();
+  }
+  // One corner, three shapes, three different states.
+  EXPECT_EQ(index.slot(Rect::from_size(1, 2, 3, 3)), 0u);
+  EXPECT_EQ(index.slot(Rect::from_size(1, 2, 3, 2)), 1u);
+  EXPECT_EQ(index.slot(Rect::from_size(1, 2, 2, 3)), 2u);
+  EXPECT_EQ(index.find(Rect::from_size(1, 2, 3, 3)), 0u);
 }
 
 TEST(StateIndex, RectsReachingOutsideTheBoxAreAbsent) {

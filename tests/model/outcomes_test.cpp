@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <cstring>
 #include <limits>
 #include <numeric>
+#include <string>
 
+#include "chip/degradation.hpp"
+#include "model/action_table.hpp"
 #include "model/guards.hpp"
 #include "util/check.hpp"
 
@@ -202,6 +207,51 @@ TEST(Outcomes, ForceFnOverloadMatchesTheMatrixOverload) {
   }
 }
 
+// Model builders refill one set per choice: through a sequence whose outcome
+// counts rise and fall (ordinal 4, double 3, cardinal 2, then pulls at force
+// 1 and 0 dropping branches), every fill must equal the by-value kernel
+// element for element, with nothing left over from the fill before it.
+TEST(Outcomes, ReusedBufferMatchesTheByValueKernel) {
+  const Rect d{5, 5, 8, 8};
+  DoubleMatrix split = uniform_force(0.6);
+  for (int y = 0; y < 20; ++y) split(9, y) = 1.0;  // the eastward pull is sure
+  struct Step {
+    Action action;
+    DoubleMatrix force;
+    std::size_t outcomes;
+  };
+  const Step steps[] = {
+      {Action::kNE, uniform_force(0.7), 4},
+      {Action::kEE, uniform_force(0.7), 3},
+      {Action::kN, uniform_force(0.7), 2},
+      {Action::kNE, uniform_force(1.0), 1},
+      {Action::kEE, uniform_force(0.0), 1},
+      {Action::kNE, split, 2},
+      {Action::kEE, uniform_force(0.4), 3},
+      {Action::kN, uniform_force(0.0), 1},
+  };
+  OutcomeSet reused;
+  for (const Step& step : steps) {
+    const ActionEntry entry =
+        resolve_action(step.action, d.width(), d.height());
+    outcome_set(entry, d, MatrixForce{step.force}, reused);
+    const OutcomeSet fresh = outcome_set(entry, d, MatrixForce{step.force});
+    ASSERT_EQ(fresh.size(), step.outcomes) << to_string(step.action);
+    ASSERT_EQ(reused.size(), fresh.size()) << to_string(step.action);
+    ASSERT_EQ(reused.end() - reused.begin(),
+              static_cast<std::ptrdiff_t>(fresh.size()));
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      EXPECT_EQ(reused.begin()[i].droplet, fresh.begin()[i].droplet)
+          << to_string(step.action) << " outcome " << i;
+      EXPECT_EQ(reused.begin()[i].probability, fresh.begin()[i].probability)
+          << to_string(step.action) << " outcome " << i;
+    }
+  }
+  reused.clear();
+  EXPECT_TRUE(reused.empty());
+  EXPECT_EQ(reused.begin(), reused.end());
+}
+
 TEST(Outcomes, MatrixOverloadRejectsOutOfBoundsFrontier) {
   const DoubleMatrix force(10, 10, 1.0);
   // Droplet at the matrix edge: the eastward frontier indexes column 10.
@@ -231,6 +281,72 @@ TEST(ForceFromHealth, ScaledEstimatorEndpoints) {
   EXPECT_NEAR(f(1, 0), 1.0 / 9.0, 1e-12);
   EXPECT_NEAR(f(2, 0), 4.0 / 9.0, 1e-12);
   EXPECT_DOUBLE_EQ(f(3, 0), 1.0);
+}
+
+// force_from_health maps each cell through a per-code table while there are
+// no more codes than cells, and estimates each cell on its own past that;
+// either way every cell must be bit-for-bit the square of its estimate.
+TEST(ForceFromHealth, EveryCodeMatchesTheSquaredEstimate) {
+  for (const HealthEstimator estimator :
+       {HealthEstimator::kScaled, HealthEstimator::kMidpoint,
+        HealthEstimator::kLower, HealthEstimator::kUpper}) {
+    for (int bits = 1; bits <= 16; ++bits) {
+      const int levels = 1 << bits;
+      // Codes highest first: every code once over two rows (the table), the
+      // upper half over one row (fewer cells than codes, so per cell).
+      for (const int rows : {2, 1}) {
+        IntMatrix health(levels / 2, rows);
+        for (std::size_t i = 0; i < health.size(); ++i)
+          health.data()[i] = levels - 1 - static_cast<int>(i);
+        const DoubleMatrix force = force_from_health(health, bits, estimator);
+        ASSERT_EQ(force.width(), health.width());
+        ASSERT_EQ(force.height(), health.height());
+        int mismatches = 0;
+        for (std::size_t i = 0; i < health.size(); ++i) {
+          const double d =
+              estimate_degradation(health.data()[i], bits, estimator);
+          const double want = d * d;
+          if (std::memcmp(&force.data()[i], &want, sizeof want) != 0)
+            ++mismatches;
+        }
+        EXPECT_EQ(mismatches, 0) << "bits " << bits << " rows " << rows
+                                 << " estimator "
+                                 << static_cast<int>(estimator);
+      }
+    }
+  }
+}
+
+/// Runs @p call and expects a PreconditionError whose message names
+/// @p reason.
+template <typename Call>
+void expect_precondition(Call&& call, const std::string& reason) {
+  try {
+    call();
+    ADD_FAILURE() << "no PreconditionError for " << reason;
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ForceFromHealth, RejectsBitsAndCodesOutOfRange) {
+  // Six cells: bits 1 and 2 take the table, bits 8 and 16 the per-cell path.
+  IntMatrix health(3, 2, 1);
+  for (const int bits : {0, 17, -1}) {
+    expect_precondition(
+        [&] { force_from_health(health, bits, HealthEstimator::kScaled); },
+        "health bits out of range");
+  }
+  for (const int bits : {1, 2, 8, 16}) {
+    for (const int code : {-1, 1 << bits}) {
+      health(2, 1) = code;  // the last cell, after valid ones
+      expect_precondition(
+          [&] { force_from_health(health, bits, HealthEstimator::kMidpoint); },
+          "health code out of range");
+    }
+    health(2, 1) = 1;
+  }
 }
 
 TEST(FullHealthForce, AllOnes) {
