@@ -3,8 +3,8 @@
 // MDP compilation, the two value-iteration queries on
 // both the compiled and the legacy path, outcome-distribution evaluation,
 // campaign-cell throughput, and health sensing (the truth scan, the
-// noisy scan-chain read and the health-to-force map). Complements Table V's
-// end-to-end timings with per-kernel numbers.
+// noisy scan-chain read, its random-draw floor and the health-to-force
+// map). Complements Table V's end-to-end timings with per-kernel numbers.
 //
 // Refresh the committed perf record with:
 //   ./build/bench/microbench --benchmark_out=BENCH_synthesis.json
@@ -468,6 +468,19 @@ void BM_SenseHealthNoisy(benchmark::State& state) {
   state.SetLabel("60x30x2 bits, flip 1e-3, drop 0.02");
 }
 BENCHMARK(BM_SenseHealthNoisy);
+
+// The draw floor of a fresh noisy frame: one next_u64() per bit of a
+// 60×30×2-bit scan chain, 3600 draws through Rng.
+void BM_RngDraws(benchmark::State& state) {
+  Rng rng(1);
+  for (auto _ : state) {
+    std::uint64_t acc = 0;
+    for (int i = 0; i < 3600; ++i) acc ^= rng.next_u64();
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetLabel("3600 draws");
+}
+BENCHMARK(BM_RngDraws);
 
 }  // namespace
 

@@ -20,9 +20,9 @@ SensorChannel::SensorChannel(const SensorNoiseConfig& config, int width,
   flip_ = FixedBernoulli(config.bit_flip_p);
   last_frame_ = IntMatrix(width, height);
   stuck_.assign(last_frame_.size(), StuckCell{});
+  // Scan position `flat` is bit flat % bits of cell flat / bits.
+  const int n = static_cast<int>(last_frame_.size()) * bits;
   if (config.stuck_fraction > 0.0) {
-    // Scan position `flat` is bit flat % bits of cell flat / bits.
-    const int n = static_cast<int>(last_frame_.size()) * bits;
     const int target =
         static_cast<int>(config.stuck_fraction * static_cast<double>(n) + 0.5);
     for (int flat : sample_without_replacement(rng, n, target)) {
@@ -32,6 +32,11 @@ SensorChannel::SensorChannel(const SensorNoiseConfig& config, int width,
       if (rng.bernoulli(config.stuck_at_one_share)) cell.ones |= bit;
     }
     stuck_count_ = target;
+  }
+  free_bits_.reserve(static_cast<std::size_t>(n - stuck_count_));
+  for (int flat = 0; flat < n; ++flat) {
+    const StuckCell cell = stuck_[static_cast<std::size_t>(flat / bits)];
+    if ((cell.mask & (1u << (flat % bits))) == 0) free_bits_.push_back(flat);
   }
 }
 
@@ -61,21 +66,18 @@ IntMatrix SensorChannel::read(const IntMatrix& truth, Rng& rng) {
                "health code does not fit the scan width");
 
   std::vector<int>& out = last_frame_.data();
-  const bool flipping = config_.bit_flip_p > 0.0;
+  for (std::size_t c = 0; c < codes.size(); ++c)
+    out[c] = (codes[c] & ~stuck_[c].mask) | stuck_[c].ones;
+  // The k-th flip draw belongs to the k-th non-stuck bit in scan order.
   std::uint64_t flips = 0;
-  for (std::size_t c = 0; c < codes.size(); ++c) {
-    const StuckCell stuck = stuck_[c];
-    int code = (codes[c] & ~stuck.mask) | stuck.ones;
-    if (flipping) {
-      for (int b = 0; b < bits_; ++b) {
-        const int bit = 1 << b;
-        if ((stuck.mask & bit) == 0 && flip_(rng)) {
-          code ^= bit;
-          ++flips;
-        }
+  if (config_.bit_flip_p > 0.0) {
+    for (std::size_t k = 0; k < free_bits_.size(); ++k) {
+      if (flip_(rng)) {
+        const int flat = free_bits_[k];
+        out[static_cast<std::size_t>(flat / bits_)] ^= 1 << (flat % bits_);
+        ++flips;
       }
     }
-    out[c] = code;
   }
   bits_flipped_ += flips;
   if (flips > 0) MEDA_OBS_COUNT("sensor.bits_flipped", flips);

@@ -18,14 +18,15 @@
 /// controller only has the previous (stale) frame to act on.
 ///
 /// SensorChannel models exactly these three error modes on top of the
-/// bitstream layout of scan_chain.hpp. A read is one pass over the frame in
-/// scan order (row-major, least-significant health bit first): each read
-/// code is built in place, a stuck DFF forcing its bit and every other bit
-/// taking one flip draw. The stream contract: one frame-drop draw first
-/// (from the second read on, when frame_drop_p > 0), then one 64-bit draw
-/// per non-stuck bit in scan order (when bit_flip_p > 0). This is exactly
-/// what serializing with scan_out_health, corrupting bit by bit with
-/// Rng::bernoulli and parsing with scan_in_health would draw and return.
+/// bitstream layout of scan_chain.hpp (scan order: row-major,
+/// least-significant health bit first). A read takes two flat passes: every
+/// code with its stuck DFFs forced, then one flip draw per non-stuck bit in
+/// scan order, from a table of those bits built at construction. The stream
+/// contract: one frame-drop draw first (from the second read on, when
+/// frame_drop_p > 0), then one 64-bit draw per non-stuck bit in scan order
+/// (when bit_flip_p > 0). This is exactly what serializing with
+/// scan_out_health, corrupting bit by bit with Rng::bernoulli and parsing
+/// with scan_in_health would draw and return.
 /// With a default-constructed SensorNoiseConfig the channel is transparent.
 
 namespace meda {
@@ -61,7 +62,7 @@ class SensorChannel {
   SensorChannel(const SensorNoiseConfig& config, int width, int height,
                 int bits, Rng rng);
 
-  /// Reads @p truth through the channel in one scan-order pass. Transient
+  /// Reads @p truth through the channel: stuck bits, then flips. Transient
   /// randomness (flips, frame drops) draws from @p rng. Every code must fit
   /// the scan width; a frame that does not is rejected before any bit draw
   /// and leaves the last frame as it was.
@@ -92,6 +93,9 @@ class SensorChannel {
   /// Per-cell persistence, row-major like the frame.
   std::vector<StuckCell> stuck_;
   int stuck_count_ = 0;
+  /// Scan positions of the non-stuck DFFs, ascending: the k-th flip draw of
+  /// a read decides bit free_bits_[k].
+  std::vector<int> free_bits_;
   IntMatrix last_frame_;
   bool has_last_ = false;
   std::uint64_t frames_read_ = 0;

@@ -19,16 +19,47 @@ std::uint64_t mix(std::uint64_t x) {
 
 /// A generator that yields one fixed value: handing it to a standard
 /// distribution gives that distribution's outcome for one draw of
-/// std::mt19937_64.
+/// Mt19937_64.
 struct FixedDraw {
-  using result_type = std::mt19937_64::result_type;
-  static constexpr result_type min() { return std::mt19937_64::min(); }
-  static constexpr result_type max() { return std::mt19937_64::max(); }
+  using result_type = Mt19937_64::result_type;
+  static constexpr result_type min() { return Mt19937_64::min(); }
+  static constexpr result_type max() { return Mt19937_64::max(); }
   result_type operator()() const { return value; }
   result_type value = 0;
 };
 
 }  // namespace
+
+Mt19937_64::Mt19937_64(result_type seed) {
+  state_[0] = seed;
+  for (std::size_t i = 1; i < kStateSize; ++i) {
+    const result_type prev = state_[i - 1];
+    state_[i] = 6364136223846793005ull * (prev ^ (prev >> 62)) + i;
+  }
+}
+
+void Mt19937_64::twist() {
+  // n = 312, m = 156, r = 31. Word k takes the top 33 bits of word k and the
+  // low 31 of word k + 1 (mod n); the matrix term is all-ones-masked by the
+  // low bit of that word instead of chosen by a branch on it.
+  constexpr std::size_t kShift = 156;
+  constexpr result_type kUpper = ~result_type{0} << 31;
+  constexpr result_type kLower = ~kUpper;
+  constexpr result_type kMatrix = 0xb5026f5aa96619e9ull;
+  const auto mixed = [](result_type upper, result_type lower) {
+    const result_type y = (upper & kUpper) | (lower & kLower);
+    return (y >> 1) ^ ((result_type{0} - (y & 1)) & kMatrix);
+  };
+  std::size_t k = 0;
+  for (; k < kStateSize - kShift; ++k)
+    state_[k] = state_[k + kShift] ^ mixed(state_[k], state_[k + 1]);
+  for (; k < kStateSize - 1; ++k) {
+    state_[k] = state_[k + kShift - kStateSize] ^
+                mixed(state_[k], state_[k + 1]);
+  }
+  state_[k] = state_[kShift - 1] ^ mixed(state_[k], state_[0]);
+  pos_ = 0;
+}
 
 Rng Rng::fork(std::uint64_t stream) {
   const std::uint64_t base = engine_();

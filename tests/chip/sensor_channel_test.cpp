@@ -167,7 +167,9 @@ TEST(SensorChannel, MatchesTheThreeStepReadout) {
   // equal frames, equal statistics, and an equal random stream after every
   // read.
   constexpr std::array<double, 4> kFlip = {0.0, 1e-3, 0.3, 1.0};
-  constexpr std::array<double, 2> kStuck = {0.0, 0.2};
+  // At a stuck fraction of 1 every DFF is stuck: a read takes only its drop
+  // draw.
+  constexpr std::array<double, 3> kStuck = {0.0, 0.2, 1.0};
   constexpr std::array<double, 3> kShare = {0.0, 0.5, 1.0};
   constexpr std::array<double, 2> kDrop = {0.0, 0.3};
   Rng shapes(2024);
@@ -210,7 +212,35 @@ TEST(SensorChannel, MatchesTheThreeStepReadout) {
       }
     }
   }
-  EXPECT_EQ(reads, 4 * 2 * 3 * 2 * 4 * 6);
+  EXPECT_EQ(reads, 4 * 3 * 3 * 2 * 4 * 6);
+}
+
+TEST(SensorChannel, MatchesTheThreeStepReadoutAtTheProductionShape) {
+  // The hybrid_noisy scan chain: 60x30 cells of 2 bits, flip 1e-3, 2% of
+  // frames dropped; without stuck DFFs and with 5% of them stuck.
+  for (const double stuck : {0.0, 0.05}) {
+    SensorNoiseConfig config;
+    config.bit_flip_p = 1e-3;
+    config.stuck_fraction = stuck;
+    config.frame_drop_p = 0.02;
+    SensorChannel channel(config, 60, 30, 2, Rng(77));
+    reference::ReadoutChannel oracle(config, 60, 30, 2, Rng(77));
+    EXPECT_EQ(channel.stuck_bits(), stuck == 0.0 ? 0 : 180);
+    Rng rng(78);
+    Rng oracle_rng(78);
+    Rng truth_rng(79);
+    for (int i = 0; i < 50; ++i) {
+      SCOPED_TRACE(::testing::Message() << "stuck " << stuck << " read " << i);
+      const IntMatrix truth = random_health(60, 30, 2, truth_rng);
+      ASSERT_EQ(channel.read(truth, rng), oracle.read(truth, oracle_rng));
+      ASSERT_EQ(channel.bits_flipped(), oracle.bits_flipped());
+      ASSERT_EQ(channel.frames_dropped(), oracle.frames_dropped());
+      ASSERT_EQ(channel.staleness(), oracle.staleness());
+      ASSERT_TRUE(rng.engine() == oracle_rng.engine());
+    }
+    // About 180 flips are expected over 50 reads of 3600 bits at 1e-3.
+    EXPECT_GT(channel.bits_flipped(), 0u);
+  }
 }
 
 TEST(SensorChannel, RejectedFrameLeavesTheChannelUntouched) {
