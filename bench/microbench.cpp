@@ -221,14 +221,11 @@ void BM_AlmostSureWinning(benchmark::State& state) {
 BENCHMARK(BM_AlmostSureWinning)->Arg(10)->Arg(20)->Arg(30);
 
 // The scheduler's hot re-synthesis kernel: patch the retained compiled
-// model for a k-cell health delta and warm-start value iteration from the
-// previous fixed point. Deltas are a compact wear cluster (the realistic
-// shape: cells degrade along the route). The cold twin below re-solves the
-// exact same patched model from scratch; warm/cold at equal delta is the
-// speedup the incremental path claims. At the largest delta the dirty
-// frontier exceeds SolveConfig::warm_dirty_fraction and the kernel
-// deliberately falls back to full sweeps — that case bounds the overhead of
-// choosing warm when cold would have been right.
+// model for a k-cell health delta and re-solve it with the same
+// solve_reach_avoid a fresh build gets (what Synthesizer::resynthesize does
+// when the patch holds). Deltas are a compact wear cluster (the realistic
+// shape: cells degrade along the route). BM_SolveReachAvoidColdResolve keeps
+// its name so it still lines up with earlier records.
 constexpr int kWarmWidth = assay::kChipWidth;    // the reference chip,
 constexpr int kWarmHeight = assay::kChipHeight;  // not a toy grid
 
@@ -251,34 +248,6 @@ std::vector<Vec2i> wear_cluster(int delta) {
     cells.push_back(Vec2i{x0 + i % w, y0 + i / w});
   return cells;
 }
-
-void BM_SolveReachAvoidWarm(benchmark::State& state) {
-  const int delta = static_cast<int>(state.range(0));
-  const assay::RoutingJob rj = warm_job();
-  const Rect chip = rj.hazard;
-  DoubleMatrix force(kWarmWidth, kWarmHeight, 0.6);
-  core::CompiledModel model =
-      core::build_compiled_mdp(rj, force, chip, bench_rules());
-  core::CompiledMdp& compiled = model.mdp;
-  core::CompiledGeometry& geometry = model.geometry;
-  core::ReachAvoidSolution prior = core::solve_reach_avoid(compiled);
-  const std::vector<Vec2i> cells = wear_cluster(delta);
-  bool flip = false;
-  for (auto _ : state) {
-    flip = !flip;
-    for (const Vec2i& c : cells) force(c.x, c.y) = flip ? 0.5 : 0.6;
-    const core::MdpPatch patch = core::patch_compiled_mdp(
-        compiled, geometry, force, rj.hazard, chip, bench_rules(), cells);
-    core::ReachAvoidSolution sol =
-        core::solve_reach_avoid_warm(compiled, prior, patch.dirty_states);
-    benchmark::DoNotOptimize(sol.rmin.values.data());
-    prior = std::move(sol);
-  }
-  state.SetLabel(std::to_string(compiled.num_droplet_states) + " states, " +
-                 std::to_string(delta) + "-cell delta" +
-                 (prior.rmin.warm_fell_back ? " (sweep fallback)" : ""));
-}
-BENCHMARK(BM_SolveReachAvoidWarm)->Arg(2)->Arg(16)->Arg(120);
 
 void BM_SolveReachAvoidColdResolve(benchmark::State& state) {
   const int delta = static_cast<int>(state.range(0));

@@ -95,8 +95,8 @@ void index_compiled_mdp(CompiledMdp& out) {
   const std::size_t n = out.num_droplet_states;
   // Reverse adjacency over the off-state edges, built CSR-style (counting
   // pass + placement pass) to stay allocation-light. Kept on the compiled
-  // model: the reverse BFS below anchors sweep_order on it, and the warm
-  // solver's dirty-set propagation walks it on every incremental solve.
+  // model: the reverse BFS below anchors sweep_order on it, and the
+  // winning-region pass and rmin's stale marking walk it on every solve.
   std::vector<std::uint32_t> pred_count(n, 0);
   for (std::size_t i = 0; i < out.target.size(); ++i) {
     const std::uint32_t t = out.target[i];
@@ -424,7 +424,7 @@ MdpPatch patch_compiled_mdp(CompiledMdp& mdp, CompiledGeometry& geometry,
         // partially rewritten at this point — the caller must recompile.
         MEDA_OBS_COUNT("vi.patch.topology_aborts", 1);
         out.patched = false;
-        out.dirty_states.clear();
+        out.dirty_states = 0;
         return out;
       }
       // The off-state branches held, but the self-loop branch may have
@@ -449,7 +449,7 @@ MdpPatch patch_compiled_mdp(CompiledMdp& mdp, CompiledGeometry& geometry,
     }
     MEDA_REQUIRE(c == ce,
                  "rules differ from the ones the model was built with");
-    if (state_dirty) out.dirty_states.push_back(static_cast<std::uint32_t>(s));
+    if (state_dirty) ++out.dirty_states;
   }
 
   out.patched = true;
@@ -457,11 +457,11 @@ MdpPatch patch_compiled_mdp(CompiledMdp& mdp, CompiledGeometry& geometry,
     span.arg("changed_cells", static_cast<std::int64_t>(changed_cells.size()));
     span.arg("states_rescanned",
              static_cast<std::int64_t>(out.states_rescanned));
-    span.arg("dirty_states", static_cast<std::int64_t>(out.dirty_states.size()));
+    span.arg("dirty_states", static_cast<std::int64_t>(out.dirty_states));
     MEDA_OBS_COUNT("vi.patch.choices_changed",
                    static_cast<std::uint64_t>(out.choices_changed));
     MEDA_OBS_OBSERVE_LOG2("vi.patch.dirty_states",
-                          static_cast<double>(out.dirty_states.size()));
+                          static_cast<double>(out.dirty_states));
   }
   return out;
 }

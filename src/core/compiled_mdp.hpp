@@ -69,8 +69,8 @@ struct CompiledMdp {
   /// Reverse adjacency, CSR-style: the source states with an off-state edge
   /// into s are pred_state[pred_offset[s]..pred_offset[s+1]), in ascending
   /// source order (one entry per edge, so multiplicity is preserved). The
-  /// warm solver's dirty-set propagation walks this index; the compile-time
-  /// reverse BFS that builds sweep_order uses the same arrays.
+  /// compile-time reverse BFS that builds sweep_order, the winning-region
+  /// pass and rmin's stale marking walk this index.
   std::vector<std::uint32_t> pred_offset;  ///< size n+1
   std::vector<std::uint32_t> pred_state;   ///< size = edges into droplet states
 
@@ -166,9 +166,8 @@ struct MdpPatch {
   /// quarantine/parole case); the model is left partially written and must
   /// be rebuilt from scratch.
   bool patched = false;
-  /// Droplet states whose choice parameters actually changed, ascending —
-  /// the dirty seed set for solve_reach_avoid_warm.
-  std::vector<std::uint32_t> dirty_states;
+  /// Number of droplet states whose choice parameters actually changed.
+  std::size_t dirty_states = 0;
   std::size_t states_rescanned = 0;  ///< states whose choices were recomputed
   std::size_t choices_changed = 0;   ///< choices with any param delta
   /// Change in the model's PRISM-style transition count: self-loop branches

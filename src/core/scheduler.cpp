@@ -160,9 +160,9 @@ struct RouteTask {
   bool recorded = false;
   // Observability: nonzero while an async "job" span is open for this task.
   std::uint64_t job_span_id = 0;
-  // Incremental re-synthesis: the solver state retained across this task's
-  // health-delta re-syntheses (primed by the first cold synthesis of the
-  // lineage, reused warm while the topology holds).
+  // Incremental re-synthesis: the model retained across this task's
+  // health-delta re-syntheses (primed by the first fresh build of the
+  // lineage, patched in place while the topology holds).
   ResynthesisContext resynth;
   // N-modular redundancy: >= 0 marks this task as replica #replica of its
   // MO, synthesized against a corridor-masked health view (sibling bands
@@ -1160,10 +1160,9 @@ class Runner {
         result = synthesizer_.synthesize(rj, masked_health,
                                          chip_.health_bits(), deadline);
       } else if (config_.adaptive) {
-        // The hot re-synthesis path: reuse the task's retained solver state
-        // so a small health delta patches + warm-solves instead of
-        // rebuilding the MDP from scratch. Replicas solve over their
-        // corridor-masked view.
+        // The hot re-synthesis path: reuse the task's retained model so a
+        // small health delta patches it in place instead of rebuilding the
+        // MDP from scratch. Replicas solve over their corridor-masked view.
         result = synthesizer_.resynthesize(
             rj, replica_mask ? replica_health : health_, chip_.health_bits(),
             task.resynth, deadline);

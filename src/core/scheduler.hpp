@@ -150,8 +150,8 @@ struct ExecutionStats {
   int synthesis_calls = 0;            ///< model-checker invocations
   int library_hits = 0;               ///< strategies served from the library
   int resyntheses = 0;                ///< syntheses triggered by H changes
-  /// Syntheses served by the incremental warm path (retained model patched
-  /// in place + warm-started solve) rather than a cold rebuild.
+  /// Syntheses served by patching the retained model in place rather than
+  /// rebuilding it (SynthesisResult::warm).
   int resyntheses_warm = 0;
   double synthesis_seconds = 0.0;     ///< wall time spent synthesizing
   std::string failure_reason;         ///< empty on success

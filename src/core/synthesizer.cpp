@@ -42,8 +42,8 @@ bool needs_pmax(const SynthesisConfig& config) {
   return config.query == Query::kPmaxReachability;
 }
 
-/// Strategy extraction and value read-out shared by the cold and warm solve
-/// paths: fills strategy/expected_cycles/reach_probability/feasible from a
+/// Strategy extraction and value read-out shared by every synthesis entry
+/// point: fills strategy/expected_cycles/reach_probability/feasible from a
 /// non-deadline-expired combined solution of @p mdp.
 void extract_result(const SynthesisConfig& config,
                     const ReachAvoidSolution& sol, const CompiledMdp& mdp,
@@ -90,9 +90,9 @@ void extract_result(const SynthesisConfig& config,
   if (std::isfinite(result.expected_cycles)) {
     result.strategy = extract_strategy(mdp, geometry, rmin);
     result.feasible = !result.strategy.empty() || start_is_goal;
-  } else if (config.pmax_fallback && result.reach_probability > 0.0) {
+  } else if (result.reach_probability > 0.0) {
     // PRISM semantics give (π, k) = (∅, ∞) here; for runtime robustness we
-    // optionally fall back to the best-effort Pmax strategy.
+    // fall back to the best-effort Pmax strategy.
     result.strategy = extract_strategy(mdp, geometry, pmax);
     result.feasible = !result.strategy.empty() || start_is_goal;
   }
@@ -223,13 +223,11 @@ SynthesisResult Synthesizer::resynthesize(const assay::RoutingJob& rj,
                                           int health_bits,
                                           ResynthesisContext& ctx,
                                           const util::Deadline& deadline) const {
-  if (!config_.incremental)
-    return synthesize(rj, health, health_bits, deadline);
   MEDA_REQUIRE(health.width() == chip_bounds_.width() &&
                    health.height() == chip_bounds_.height(),
                "health matrix must be chip-sized");
 
-  // Warm eligibility: the retained model must cover the same (goal, hazard)
+  // Patch eligibility: the retained model must cover the same (goal, hazard)
   // anchor, and the (possibly re-anchored) start must be a state it already
   // explored. A different goal or hazard changes the reachable state space
   // outright; an unexplored start means the droplet drifted somewhere the
@@ -249,77 +247,59 @@ SynthesisResult Synthesizer::resynthesize(const assay::RoutingJob& rj,
   MEDA_OBS_SPAN(span, "synth", "resynthesize");
   obs::Stopwatch watch;
 
+  bool patched = false;
   if (eligible) {
     const std::vector<Vec2i> delta = health_delta_cells(ctx.health, health);
     const MdpPatch patch = patch_compiled_mdp(
         ctx.compiled, ctx.geometry, force, ctx.anchor.hazard, chip_bounds_,
         config_.rules, delta, config_.wear_penalty_lambda);
-    if (patch.patched) {
+    patched = patch.patched;
+    if (patched) {
       ctx.compiled.start = start_state;
       // Self-loop branches the patch added or dropped change the PRISM
       // transition count even though the off-state topology held.
       ctx.stats.transitions = static_cast<std::size_t>(
           static_cast<std::int64_t>(ctx.stats.transitions) +
           patch.transitions_delta);
-      result.stats = ctx.stats;
-      result.construction_seconds = watch.lap_seconds();
-      result.warm = true;
       MEDA_OBS_COUNT("synth.warm.patched", 1);
       MEDA_OBS_OBSERVE_LOG2("synth.warm.delta_cells",
                             static_cast<double>(delta.size()));
-      ReachAvoidSolution sol = solve_reach_avoid_warm(
-          ctx.compiled, ctx.solution, patch.dirty_states,
-          armed_solver(config_, deadline), needs_pmax(config_));
-      result.solve_seconds = watch.lap_seconds();
-      if (deadline_expired(sol)) {
-        // The model was already patched but the solve did not finish: ctx
-        // no longer pairs a converged solution with the model it solved,
-        // so the next synthesis of this lineage must be cold.
-        ctx.valid = false;
-        result.deadline_expired = true;
-      } else {
-        extract_result(config_, sol, ctx.compiled, ctx.geometry, result);
-        ctx.anchor = rj;
-        ctx.health = health;
-        ctx.solution = std::move(sol);
-      }
-      result.total_seconds = watch.total_seconds();
-      record_synthesis(span, result);
-      span.arg("warm", static_cast<std::int64_t>(1));
-      return result;
+    } else {
+      // A cell died or revived inside the model's footprint: the transition
+      // topology changed (quarantine/parole) and the retained arrays are
+      // partially rewritten — rebuild from scratch below.
+      MEDA_OBS_COUNT("synth.warm.topology_cold", 1);
+      ctx.valid = false;
     }
-    // A cell died or revived inside the model's footprint: the transition
-    // topology changed (quarantine/parole) and the retained arrays are
-    // partially rewritten — rebuild from scratch below.
-    MEDA_OBS_COUNT("synth.warm.topology_cold", 1);
-    ctx.valid = false;
   }
-
-  // Cold rebuild, re-priming ctx so the next delta can go warm.
-  {
+  if (!patched) {
     CompiledModel model =
         build_model(rj, force, chip_bounds_, config_, result);
     ctx.compiled = std::move(model.mdp);
     ctx.geometry = std::move(model.geometry);
+    ctx.stats = result.stats;
   }
+  result.stats = ctx.stats;
   result.construction_seconds = watch.lap_seconds();
-  ReachAvoidSolution sol = solve_reach_avoid(
+
+  const ReachAvoidSolution sol = solve_reach_avoid(
       ctx.compiled, armed_solver(config_, deadline), needs_pmax(config_));
   result.solve_seconds = watch.lap_seconds();
   if (deadline_expired(sol)) {
+    // ctx.compiled now reflects a health matrix and job ctx does not record,
+    // so the next synthesis of this lineage rebuilds.
     ctx.valid = false;
     result.deadline_expired = true;
   } else {
     extract_result(config_, sol, ctx.compiled, ctx.geometry, result);
+    result.warm = patched;
     ctx.valid = true;
     ctx.anchor = rj;
     ctx.health = health;
-    ctx.solution = std::move(sol);
-    ctx.stats = result.stats;
   }
   result.total_seconds = watch.total_seconds();
   record_synthesis(span, result);
-  span.arg("warm", static_cast<std::int64_t>(0));
+  span.arg("warm", static_cast<std::int64_t>(result.warm ? 1 : 0));
   return result;
 }
 

@@ -32,11 +32,6 @@ struct SynthesisConfig {
   Query query = Query::kRminExpectedCycles;
   HealthEstimator estimator = HealthEstimator::kScaled;
   SolveConfig solver{};
-  /// When Rmin leaves the start at ∞ — the goal is not almost-surely
-  /// reachable, or rmin's ∞-seeded sweeps stopped before giving the start a
-  /// finite value — fall back to the Pmax strategy if it has positive reach
-  /// probability.
-  bool pmax_fallback = true;
   /// Wear-aware synthesis extension: λ ≥ 0 weighting the wear imposed on
   /// degraded cells against pure cycle count in the Rmin reward. 0 (the
   /// default) is the paper's r_k reward; positive values make routes spread
@@ -53,13 +48,6 @@ struct SynthesisConfig {
   /// set — it expires identically on every machine, which is what the
   /// deadline tests and reproducible campaigns need.
   std::uint64_t deadline_sweeps = 0;
-  /// Incremental re-synthesis: when a ResynthesisContext holds a converged
-  /// solution for the same (goal, hazard) anchor, resynthesize() patches the
-  /// retained CompiledMdp in place for the sensed health delta and runs the
-  /// warm-started solver instead of rebuilding from scratch. Results are
-  /// equivalent to a cold synthesis (see solve_reach_avoid_warm); disabling
-  /// this routes every resynthesize() through the cold path.
-  bool incremental = true;
 };
 
 /// Result of one synthesis call.
@@ -83,9 +71,8 @@ struct SynthesisResult {
   /// partial solver values are discarded, no strategy is extracted, and the
   /// result must not be cached in a StrategyLibrary.
   bool deadline_expired = false;
-  /// Produced by the incremental path: the retained model was patched in
-  /// place and solved warm instead of rebuilt. Never true for a deadline-
-  /// expired or cold result.
+  /// Served by patching the retained model in place instead of rebuilding
+  /// it (resynthesize). Never true for a deadline-expired or rebuilt result.
   bool warm = false;
 };
 
@@ -94,20 +81,19 @@ struct SynthesisResult {
 std::vector<Vec2i> health_delta_cells(const IntMatrix& before,
                                       const IntMatrix& after);
 
-/// Solver state retained between consecutive syntheses of one routing job
-/// lineage (same MO and query; the start may re-anchor as the droplet
-/// advances). Owned by the caller — the scheduler keeps one per active
-/// route task — and handed to Synthesizer::resynthesize, which reads the
-/// prior solution, patches the compiled model in place, and writes the
-/// refreshed state back. `valid` is false until the first successful
-/// synthesis and after any deadline expiry (a half-patched model and a
-/// stale solution must not seed the next solve).
+/// Model retained between consecutive syntheses of one routing job lineage
+/// (same MO and query; the start may re-anchor as the droplet advances).
+/// Owned by the caller — the scheduler keeps one per active route task — and
+/// handed to Synthesizer::resynthesize, which patches the compiled model in
+/// place for the sensed health delta and writes the refreshed state back.
+/// `valid` is false until the first successful synthesis and after any
+/// deadline expiry (the model was then patched or rebuilt for a health
+/// matrix and job that `health` and `anchor` do not record).
 struct ResynthesisContext {
   bool valid = false;
   assay::RoutingJob anchor;   ///< job the retained model was built for
   CompiledMdp compiled;       ///< patched in place across health deltas
   CompiledGeometry geometry;  ///< side table for patching + extraction
-  ReachAvoidSolution solution;  ///< converged prior (warm-start seed)
   IntMatrix health;           ///< sensed health the model currently reflects
   ModelStats stats;           ///< shape of the retained model
 };
@@ -140,17 +126,18 @@ class Synthesizer {
       const assay::RoutingJob& rj, const DoubleMatrix& force,
       const util::Deadline& deadline = {}) const;
 
-  /// Incremental Algorithm 2: like synthesize, but reuses @p ctx when it
-  /// holds a converged solution for the same (goal, hazard) anchor. The
+  /// Incremental Algorithm 2: like synthesize, but reuses the model @p ctx
+  /// retains when it was built for the same (goal, hazard) anchor. The
   /// sensed-health delta against ctx.health is patched into the retained
-  /// CompiledMdp (patch_compiled_mdp) and solved warm
-  /// (solve_reach_avoid_warm); any topology change, anchor mismatch, or
-  /// start outside the retained state space falls back to a cold build that
-  /// re-primes ctx. Deadline expiry invalidates ctx — the model may be
-  /// half-patched — so the next call is cold. With config().incremental
-  /// false this is exactly synthesize() and ctx is left untouched.
-  /// @p deadline as in synthesize(); expiry under a shared token
-  /// invalidates ctx exactly like a per-call expiry.
+  /// CompiledMdp (patch_compiled_mdp), whose arrays then equal a fresh
+  /// build's; any topology change, anchor mismatch, or start outside the
+  /// retained state space falls back to a fresh build that re-primes ctx.
+  /// Either way the model gets the solve synthesize() runs, so the result
+  /// equals synthesize()'s bit for bit while the start is the one the model
+  /// was built from (a re-anchored start keeps the model's state numbering,
+  /// which can move values by rounding). Deadline expiry invalidates ctx, so
+  /// the next call rebuilds. @p deadline as in synthesize(); expiry under a
+  /// shared token invalidates ctx exactly like a per-call expiry.
   SynthesisResult resynthesize(const assay::RoutingJob& rj,
                                const IntMatrix& health, int health_bits,
                                ResynthesisContext& ctx,

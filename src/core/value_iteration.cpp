@@ -1,7 +1,6 @@
 #include "core/value_iteration.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -69,8 +68,7 @@ double off_state_value(const Choice& choice, std::uint32_t s,
 /// touched, and termination cause — as span args, registry metrics, and
 /// (when tracing) sweep-domain counter samples.
 template <typename Span>
-void record_solve(Span& span, const Solution& sol, const char* query,
-                  const SolveConfig& config) {
+void record_solve(Span& span, const Solution& sol, const char* query) {
   if (!MEDA_OBS_ACTIVE()) return;  // skip the name formatting entirely
   span.arg("sweeps", static_cast<std::int64_t>(sol.iterations));
   span.arg("residual", sol.final_residual);
@@ -84,12 +82,8 @@ void record_solve(Span& span, const Solution& sol, const char* query,
                  sol.states_touched);
   MEDA_OBS_OBSERVE(std::string("vi.") + query + ".sweeps_per_solve",
                    static_cast<double>(sol.iterations), obs::kPow2Buckets);
-  // Cross-query sweep-count distribution (one observation per solve) and
-  // the warm/cold split the incremental re-synthesis work will compare.
+  // Cross-query sweep-count distribution (one observation per solve).
   MEDA_OBS_OBSERVE_LOG2("vi.sweep_count", static_cast<double>(sol.iterations));
-  MEDA_OBS_OBSERVE_LOG2(config.warm_start ? "vi.sweep_count.warm"
-                                          : "vi.sweep_count.cold",
-                        static_cast<double>(sol.iterations));
   MEDA_OBS_COUNT(std::string("vi.term.") + to_string(sol.termination), 1);
   // Residual curve: the ring's sweeps feed the convergence histogram and,
   // when the tracer is on, a sweep-domain counter track per query.
@@ -112,16 +106,12 @@ void record_solve(Span& span, const Solution& sol, const char* query,
 void require_valid(const SolveConfig& config) {
   MEDA_REQUIRE(config.tolerance > 0.0 && config.max_iterations > 0,
                "invalid solve configuration");
-  MEDA_REQUIRE(config.warm_dirty_fraction >= 0.0 &&
-                   config.warm_pop_budget_sweeps >= 0,
-               "invalid warm-solve configuration");
 }
 
 // Compiled kernels ----------------------------------------------------------
 
 /// One Bellman backup at a state: the optimizing value and local choice
-/// index. Shared verbatim between the sweep loops and the warm worklist so
-/// both paths perform byte-identical arithmetic and tie-breaks.
+/// index.
 struct Backup {
   double value;
   int choice;
@@ -181,19 +171,24 @@ Backup rmin_backup(const CompiledMdp& m, const std::vector<double>& values,
   return {best, best_choice};
 }
 
-/// Goal-anchored Gauss-Seidel sweeps over the current values of @p sol until
-/// convergence, the sweep limit, or the deadline. The cold kernels run this
-/// from their initial seeding; the warm kernels run it after the worklist
-/// phase as the verification pass — same loop, same termination criterion.
-void pmax_sweeps(const CompiledMdp& m, const SolveConfig& config,
-                 Solution& sol, ResidualRing& residuals) {
+/// Goal-anchored Gauss-Seidel pmax sweeps from goals at 1 and every other
+/// state at 0, until convergence, the sweep limit, or the deadline.
+Solution run_pmax(const CompiledMdp& m, const SolveConfig& config) {
+  const std::size_t n = m.num_droplet_states;
+  Solution sol;
+  sol.values.assign(m.state_count(), 0.0);
+  sol.chosen.assign(n, -1);
+  for (std::size_t s = 0; s < n; ++s)
+    if (m.is_goal[s]) sol.values[s] = 1.0;
+
+  ResidualRing residuals;
   while (sol.iterations < config.max_iterations) {
     // Deadline poll once per sweep: coarse enough to be free, fine enough
     // that a stuck solve stops within one sweep of the budget.
     if (config.deadline.expired()) {
       sol.deadline_expired = true;
       sol.termination = SolveTermination::kDeadline;
-      return;
+      break;
     }
     double delta = 0.0;
     std::uint64_t touched = 0;
@@ -213,27 +208,37 @@ void pmax_sweeps(const CompiledMdp& m, const SolveConfig& config,
     if (delta < config.tolerance) {
       sol.converged = true;
       sol.termination = SolveTermination::kConverged;
-      return;
+      break;
     }
   }
+  sol.sweep_residuals = residuals.take_chronological();
+  return sol;
 }
 
-/// Goal-anchored rmin sweeps, as pmax_sweeps. A state is backed up only
-/// while it is stale: some successor's value changed since its last backup
-/// (every state starts stale). A backup reads nothing but its successors'
-/// values and the fixed winning set, so a skipped backup would reproduce the
+/// Goal-anchored rmin sweeps over @p winning from winning goals at 0 and
+/// every other state at ∞, as run_pmax. A state is backed up only while it
+/// is stale: some successor's value changed since its last backup (every
+/// state starts stale). A backup reads nothing but its successors' values
+/// and the fixed winning set, so a skipped backup would reproduce the
 /// state's value and choice bit for bit: residuals, sweep counts, values and
 /// choices are those of backing up every state, and only states_touched
 /// falls.
-void rmin_sweeps(const CompiledMdp& m, const SolveConfig& config,
-                 const std::vector<std::uint8_t>& winning, Solution& sol,
-                 ResidualRing& residuals) {
-  std::vector<std::uint8_t> stale(m.num_droplet_states, 1);
+Solution run_rmin(const CompiledMdp& m, const SolveConfig& config,
+                  const std::vector<std::uint8_t>& winning) {
+  const std::size_t n = m.num_droplet_states;
+  Solution sol;
+  sol.values.assign(m.state_count(), kInf);
+  sol.chosen.assign(n, -1);
+  for (std::size_t s = 0; s < n; ++s)
+    if (m.is_goal[s] && winning[s]) sol.values[s] = 0.0;
+
+  ResidualRing residuals;
+  std::vector<std::uint8_t> stale(n, 1);
   while (sol.iterations < config.max_iterations) {
     if (config.deadline.expired()) {
       sol.deadline_expired = true;
       sol.termination = SolveTermination::kDeadline;
-      return;
+      break;
     }
     double delta = 0.0;
     std::uint64_t touched = 0;
@@ -264,278 +269,11 @@ void rmin_sweeps(const CompiledMdp& m, const SolveConfig& config,
     if (delta < config.tolerance) {
       sol.converged = true;
       sol.termination = SolveTermination::kConverged;
-      return;
+      break;
     }
   }
-}
-
-Solution run_pmax(const CompiledMdp& m, const SolveConfig& config) {
-  const std::size_t n = m.num_droplet_states;
-  Solution sol;
-  sol.values.assign(m.state_count(), 0.0);
-  sol.chosen.assign(n, -1);
-  for (std::size_t s = 0; s < n; ++s)
-    if (m.is_goal[s]) sol.values[s] = 1.0;
-
-  ResidualRing residuals;
-  pmax_sweeps(m, config, sol, residuals);
   sol.sweep_residuals = residuals.take_chronological();
   return sol;
-}
-
-Solution run_rmin(const CompiledMdp& m, const SolveConfig& config,
-                  const std::vector<std::uint8_t>& winning) {
-  const std::size_t n = m.num_droplet_states;
-  Solution sol;
-  sol.values.assign(m.state_count(), kInf);
-  sol.chosen.assign(n, -1);
-  for (std::size_t s = 0; s < n; ++s)
-    if (m.is_goal[s] && winning[s]) sol.values[s] = 0.0;
-
-  ResidualRing residuals;
-  rmin_sweeps(m, config, winning, sol, residuals);
-  sol.sweep_residuals = residuals.take_chronological();
-  return sol;
-}
-
-// Warm (incremental) kernels ------------------------------------------------
-
-/// Residual-prioritized worklist with deterministic order: states bucket by
-/// residual decade above tolerance (larger residuals drain first) and are
-/// FIFO within a bucket. Re-pushing at a higher priority supersedes the
-/// queued entry (the stale one is skipped on pop); re-pushing at the same
-/// or lower priority is a no-op.
-class PriorityWorklist {
- public:
-  PriorityWorklist(std::size_t n, double tolerance)
-      : queued_(n, -1), tol_(tolerance) {}
-
-  void push(std::uint32_t s, double priority) {
-    const std::int8_t b = bucket_of(priority);
-    if (queued_[s] >= 0 && queued_[s] <= b) return;
-    queued_[s] = b;
-    queue_[static_cast<std::size_t>(b)].push_back(s);
-  }
-
-  /// Pops the highest-priority state into @p s; false when drained.
-  bool pop(std::uint32_t& s) {
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      std::vector<std::uint32_t>& q = queue_[b];
-      while (head_[b] < q.size()) {
-        const std::uint32_t cand = q[head_[b]++];
-        if (queued_[cand] == static_cast<std::int8_t>(b)) {
-          queued_[cand] = -1;
-          s = cand;
-          return true;
-        }
-      }
-    }
-    return false;
-  }
-
- private:
-  static constexpr std::size_t kBuckets = 4;
-
-  std::int8_t bucket_of(double priority) const {
-    if (priority >= tol_ * 1e6) return 0;  // also +∞ seed priority
-    if (priority >= tol_ * 1e3) return 1;
-    if (priority >= tol_ * 10.0) return 2;
-    return 3;
-  }
-
-  std::array<std::vector<std::uint32_t>, kBuckets> queue_;
-  std::array<std::size_t, kBuckets> head_{};
-  std::vector<std::int8_t> queued_;
-  double tol_;
-};
-
-/// The shared worklist phase: drains @p wl with @p backup (a Backup-returning
-/// callable), pushing predecessors of states whose value moved more than the
-/// tolerance. Returns false when the deadline expired mid-drain. Deadline
-/// polls are amortized to once per droplet-state-count pops so deterministic
-/// check budgets stay sweep-denominated like the cold path's.
-template <typename BackupFn, typename DiffFn>
-bool drain_worklist(const CompiledMdp& m, const SolveConfig& config,
-                    PriorityWorklist& wl, Solution& sol, BackupFn&& backup,
-                    DiffFn&& diff_of) {
-  const std::size_t n = m.num_droplet_states;
-  const std::uint64_t budget =
-      static_cast<std::uint64_t>(config.warm_pop_budget_sweeps) *
-      static_cast<std::uint64_t>(n);
-  std::uint64_t since_poll = 0;
-  std::uint32_t s = 0;
-  while (wl.pop(s)) {
-    if (sol.warm_pops >= budget) {
-      sol.warm_fell_back = true;  // adversarial delta: sweeps are cheaper
-      return true;
-    }
-    if (++since_poll >= n) {
-      since_poll = 0;
-      if (config.deadline.expired()) {
-        sol.deadline_expired = true;
-        sol.termination = SolveTermination::kDeadline;
-        return false;
-      }
-    }
-    if (m.is_goal[s]) continue;
-    if (m.choice_offset[s] == m.choice_offset[s + 1]) continue;
-    const Backup b = backup(s);
-    if (b.choice < 0) continue;  // rmin: no admissible choice, keep ∞
-    const double diff = diff_of(sol.values[s], b.value);
-    sol.values[s] = b.value;
-    sol.chosen[s] = b.choice;
-    ++sol.warm_pops;
-    ++sol.states_touched;
-    if (diff > config.tolerance) {
-      for (std::uint32_t i = m.pred_offset[s]; i < m.pred_offset[s + 1]; ++i)
-        wl.push(m.pred_state[i], diff);
-    }
-  }
-  return true;
-}
-
-/// Merges the patch's dirty states with the kernel's own seed states into
-/// one ascending, deduplicated worklist seed.
-std::vector<std::uint32_t> merge_seeds(const std::vector<std::uint32_t>& dirty,
-                                       std::vector<std::uint32_t> seeds) {
-  seeds.insert(seeds.end(), dirty.begin(), dirty.end());
-  std::sort(seeds.begin(), seeds.end());
-  seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
-  return seeds;
-}
-
-Solution run_pmax_warm(const CompiledMdp& m, const Solution& prior,
-                       const std::vector<std::uint32_t>& dirty,
-                       const SolveConfig& config) {
-  const std::size_t n = m.num_droplet_states;
-  Solution sol;
-  sol.warm_started = true;
-  sol.values.assign(m.state_count(), 0.0);
-  sol.chosen.assign(n, -1);
-
-  // Seed from below: goals at 1 and prior almost-sure-winning states at
-  // their prior (≤ true) values — winning/losing are graph properties, so a
-  // probability-only patch cannot flip them. Quantitative (0,1) states
-  // restart at 0 and re-rise through the worklist: iterating pmax from
-  // above is unsound (stale values survive on no-leak cycles).
-  std::vector<std::uint32_t> seeds;
-  for (std::size_t s = 0; s < n; ++s) {
-    if (m.is_goal[s]) {
-      sol.values[s] = 1.0;
-      continue;
-    }
-    const double pv = prior.values[s];
-    if (pv >= 1.0 - 1e-6) {
-      sol.values[s] = pv;
-    } else if (pv > 0.0) {
-      seeds.push_back(static_cast<std::uint32_t>(s));
-    }
-  }
-
-  const std::vector<std::uint32_t> work = merge_seeds(dirty, std::move(seeds));
-  sol.warm_seeds = static_cast<std::uint32_t>(work.size());
-  ResidualRing residuals;
-  if (static_cast<double>(work.size()) >
-      config.warm_dirty_fraction * static_cast<double>(n)) {
-    sol.warm_fell_back = true;
-  } else if (config.warm_pop_budget_sweeps > 0) {
-    PriorityWorklist wl(n, config.tolerance);
-    for (const std::uint32_t s : work) wl.push(s, kInf);
-    const bool alive = drain_worklist(
-        m, config, wl, sol,
-        [&m, &sol](std::uint32_t s) { return pmax_backup(m, sol.values, s); },
-        [](double prev, double next) { return std::abs(next - prev); });
-    if (!alive) {
-      sol.sweep_residuals = residuals.take_chronological();
-      return sol;  // deadline: partial values, caller discards
-    }
-  }
-
-  // Verification pass: plain sweeps to the cold convergence criterion. The
-  // first sweep also (re)computes every state's argmax, so strategies come
-  // out identical to a cold solve's.
-  pmax_sweeps(m, config, sol, residuals);
-  sol.sweep_residuals = residuals.take_chronological();
-  return sol;
-}
-
-Solution run_rmin_warm(const CompiledMdp& m, const Solution& prior,
-                       const std::vector<std::uint32_t>& dirty,
-                       const SolveConfig& config,
-                       const std::vector<std::uint8_t>& winning) {
-  const std::size_t n = m.num_droplet_states;
-  Solution sol;
-  sol.warm_started = true;
-  sol.values.assign(m.state_count(), kInf);
-  sol.chosen.assign(n, -1);
-
-  // Seed winning states from the prior expected-cycle values (rmin's fixed
-  // point over the winning region is unique — every action costs ≥ 1 — so
-  // any finite seed converges). States that carried no finite prior value
-  // start at ∞ and join the worklist.
-  std::vector<std::uint32_t> seeds;
-  for (std::size_t s = 0; s < n; ++s) {
-    if (!winning[s]) continue;
-    if (m.is_goal[s]) {
-      sol.values[s] = 0.0;
-      continue;
-    }
-    if (std::isfinite(prior.values[s]))
-      sol.values[s] = prior.values[s];
-    else
-      seeds.push_back(static_cast<std::uint32_t>(s));
-  }
-
-  const std::vector<std::uint32_t> work = merge_seeds(dirty, std::move(seeds));
-  sol.warm_seeds = static_cast<std::uint32_t>(work.size());
-  ResidualRing residuals;
-  if (static_cast<double>(work.size()) >
-      config.warm_dirty_fraction * static_cast<double>(n)) {
-    sol.warm_fell_back = true;
-  } else if (config.warm_pop_budget_sweeps > 0) {
-    PriorityWorklist wl(n, config.tolerance);
-    for (const std::uint32_t s : work)
-      if (winning[s]) wl.push(s, kInf);
-    const bool alive = drain_worklist(
-        m, config, wl, sol,
-        [&m, &sol, &winning](std::uint32_t s) {
-          if (!winning[s]) return Backup{kInf, -1};
-          return rmin_backup(m, sol.values, winning, s);
-        },
-        [](double prev, double next) {
-          return std::isinf(prev) ? 1.0 : std::abs(next - prev);
-        });
-    if (!alive) {
-      sol.sweep_residuals = residuals.take_chronological();
-      return sol;
-    }
-  }
-
-  rmin_sweeps(m, config, winning, sol, residuals);
-  sol.sweep_residuals = residuals.take_chronological();
-  return sol;
-}
-
-/// Numeric pmax where its values are read, the one place that decides it:
-/// the caller reads it at every state (@p need_pmax), or rmin finished and
-/// left the start at ∞ (the best-effort fallback). A warm solve whose prior
-/// carried pmax has solved it already. Both combined solves end here.
-void solve_pmax_where_read(const CompiledMdp& m, const SolveConfig& config,
-                           bool need_pmax, ReachAvoidSolution& out) {
-  if (!out.pmax.values.empty() || out.rmin.deadline_expired) return;
-  if (need_pmax || !std::isfinite(out.rmin.values[m.start]))
-    out.pmax = solve_pmax(m, config);
-}
-
-/// vi.warm.* metrics behind the standard record_solve (cold solves never
-/// emit these).
-void record_warm_solve(const Solution& sol) {
-  if (!MEDA_OBS_ACTIVE()) return;
-  MEDA_OBS_COUNT("vi.warm.solves", 1);
-  MEDA_OBS_COUNT("vi.warm.pops", sol.warm_pops);
-  MEDA_OBS_OBSERVE_LOG2("vi.warm.dirty_seeds",
-                        static_cast<double>(sol.warm_seeds));
-  if (sol.warm_fell_back) MEDA_OBS_COUNT("vi.warm.full_sweep_fallbacks", 1);
 }
 
 }  // namespace
@@ -614,7 +352,7 @@ Solution solve_pmax(const CompiledMdp& mdp, const SolveConfig& config) {
   require_valid(config);
   MEDA_OBS_SPAN(span, "vi", "pmax");
   Solution sol = run_pmax(mdp, config);
-  record_solve(span, sol, "pmax", config);
+  record_solve(span, sol, "pmax");
   return sol;
 }
 
@@ -627,9 +365,14 @@ ReachAvoidSolution solve_reach_avoid(const CompiledMdp& mdp,
   {
     MEDA_OBS_SPAN(span, "vi", "rmin");
     out.rmin = run_rmin(mdp, config, out.winning);
-    record_solve(span, out.rmin, "rmin", config);
+    record_solve(span, out.rmin, "rmin");
   }
-  solve_pmax_where_read(mdp, config, need_pmax, out);
+  // Numeric pmax only where its values are read: the caller reads it at
+  // every state, or rmin finished and left the start at ∞ (the
+  // synthesizer's best-effort fallback).
+  if (!out.rmin.deadline_expired &&
+      (need_pmax || !std::isfinite(out.rmin.values[mdp.start])))
+    out.pmax = solve_pmax(mdp, config);
   return out;
 }
 
@@ -637,45 +380,6 @@ ReachAvoidSolution solve_reach_avoid(const RoutingMdp& mdp,
                                      const SolveConfig& config) {
   require_valid(config);
   return solve_reach_avoid(compile_mdp(mdp), config);
-}
-
-ReachAvoidSolution solve_reach_avoid_warm(
-    const CompiledMdp& mdp, const ReachAvoidSolution& prior,
-    const std::vector<std::uint32_t>& dirty, const SolveConfig& base_config,
-    bool need_pmax) {
-  require_valid(base_config);
-  MEDA_REQUIRE(prior.winning.size() == mdp.state_count() &&
-                   prior.rmin.values.size() == mdp.state_count() &&
-                   (prior.pmax.values.empty() ||
-                    prior.pmax.values.size() == mdp.state_count()),
-               "prior solution does not match the compiled model");
-  SolveConfig config = base_config;
-  config.warm_start = true;  // truthful warm/cold telemetry split
-
-  ReachAvoidSolution out;
-  out.winning = prior.winning;  // the patch kept the support graph
-  if (!prior.pmax.values.empty()) {
-    // A lineage that needed numeric pmax keeps solving it warm.
-    MEDA_OBS_SPAN(span, "vi", "pmax");
-    out.pmax = run_pmax_warm(mdp, prior.pmax, dirty, config);
-    record_solve(span, out.pmax, "pmax", config);
-    record_warm_solve(out.pmax);
-    if (out.pmax.deadline_expired) {
-      // Leave rmin at its defaults; the combined result is as unusable as a
-      // deadline-expired cold solve and the caller must discard it.
-      out.rmin.deadline_expired = true;
-      out.rmin.termination = SolveTermination::kDeadline;
-      return out;
-    }
-  }
-  {
-    MEDA_OBS_SPAN(span, "vi", "rmin");
-    out.rmin = run_rmin_warm(mdp, prior.rmin, dirty, config, out.winning);
-    record_solve(span, out.rmin, "rmin", config);
-    record_warm_solve(out.rmin);
-  }
-  solve_pmax_where_read(mdp, base_config, need_pmax, out);  // cold, if any
-  return out;
 }
 
 // RoutingMdp wrappers -------------------------------------------------------
@@ -750,7 +454,7 @@ Solution solve_pmax_legacy(const RoutingMdp& mdp, const SolveConfig& config) {
     }
   }
   sol.sweep_residuals = residuals.take_chronological();
-  record_solve(span, sol, "pmax_legacy", config);
+  record_solve(span, sol, "pmax_legacy");
   return sol;
 }
 
@@ -828,7 +532,7 @@ Solution solve_rmin_legacy(const RoutingMdp& mdp, const SolveConfig& config) {
     }
   }
   sol.sweep_residuals = residuals.take_chronological();
-  record_solve(span, sol, "rmin_legacy", config);
+  record_solve(span, sol, "rmin_legacy");
   return sol;
 }
 

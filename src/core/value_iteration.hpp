@@ -62,21 +62,6 @@ struct SolveConfig {
   /// deadline_expired = true; partial values are still returned but must
   /// not be used for strategy extraction. A default token never expires.
   util::Deadline deadline{};
-  /// Warm/cold telemetry split: solve_reach_avoid_warm forces this on so
-  /// its sweep counts land in vi.sweep_count.warm; the cold entry points
-  /// leave it false. Callers never need to set it by hand.
-  bool warm_start = false;
-  /// Warm-solve tuning (solve_reach_avoid_warm only). When the seeded dirty
-  /// set exceeds this fraction of the droplet states, the prioritized
-  /// worklist phase is skipped — the delta is too wide for locality to pay
-  /// and plain goal-anchored sweeps converge faster.
-  double warm_dirty_fraction = 0.25;
-  /// Worklist pop budget, in units of full sweeps (pops ≤ budget × droplet
-  /// states). Exceeding it abandons the worklist for plain sweeps, which
-  /// bounds the warm path at a small multiple of a cold solve even on
-  /// adversarial deltas. 0 disables the worklist phase entirely (the solve
-  /// is then seeded-but-swept).
-  int warm_pop_budget_sweeps = 8;
 };
 
 /// Why a solve stopped (Solution::termination).
@@ -114,11 +99,6 @@ struct Solution {
   /// Max residual of each of the last kResidualRingCapacity sweeps, oldest
   /// first; entry i belongs to sweep iterations - size + i + 1 (1-based).
   std::vector<double> sweep_residuals;
-  // Warm-solve telemetry (all zero/false on cold solves).
-  bool warm_started = false;   ///< produced by solve_reach_avoid_warm
-  bool warm_fell_back = false; ///< dirty frontier forced plain full sweeps
-  std::uint64_t warm_pops = 0; ///< prioritized-worklist state updates
-  std::uint32_t warm_seeds = 0;  ///< states seeded into the worklist
 };
 
 /// Both synthesis queries answered from one compiled model.
@@ -128,7 +108,7 @@ struct ReachAvoidSolution {
   std::vector<std::uint8_t> winning;
   Solution rmin;
   /// Numeric pmax; empty (no values, zero sweeps) unless it was solved —
-  /// rmin left the start at ∞, or a warm solve's prior carried pmax values.
+  /// rmin left the start at ∞, or the caller asked for it (the φ_p query).
   Solution pmax;
 };
 
@@ -160,38 +140,6 @@ ReachAvoidSolution solve_reach_avoid(const CompiledMdp& mdp,
 /// Compiles @p mdp once and runs the combined solve on it.
 ReachAvoidSolution solve_reach_avoid(const RoutingMdp& mdp,
                                      const SolveConfig& config = {});
-
-/// Incremental combined solve on a compiled model patched in place
-/// (patch_compiled_mdp) since @p prior — a converged solution of the same
-/// model — was computed. The patch preserved the transition topology, so the
-/// support graph and hence the winning region are the prior's. Seeds rmin
-/// (and pmax, when @p prior carries pmax values) from @p prior and
-/// propagates the patch's @p dirty states through a residual-prioritized
-/// worklist (bucketed by residual decade, FIFO within a bucket, predecessors
-/// via CompiledMdp::pred_state; deterministic for a given model + delta).
-/// Every warm solve finishes with plain verification sweeps to the cold
-/// convergence criterion, so results are equivalent to solve_reach_avoid on
-/// the patched model: values within solver tolerance and the identical rmin
-/// strategy. A warm pmax almost always picks the cold argmax too, but where
-/// choices' values differ by a few ulps it can settle on another one (a
-/// known defect, on about 1% of fuzzed warm pmax solves). When @p prior
-/// carried no pmax, pmax is solved cold under the rule solve_reach_avoid
-/// applies (@p need_pmax, or rmin leaves the start at ∞).
-///
-/// Soundness: pmax re-seeds from below (prior almost-sure-winning states
-/// keep their ≈1 values — winning is a graph property, invariant under the
-/// probability-only deltas a successful patch guarantees — while
-/// quantitative (0,1) states restart at 0), because Gauss-Seidel from above
-/// can lock onto a spurious fixed point on no-leak cycles. rmin has a
-/// unique fixed point over the winning region (every action costs ≥ 1), so
-/// any finite seed converges.
-///
-/// Deadline-expired warm results are as partial as cold ones: discard them
-/// and keep the prior. Sets SolveConfig::warm_start truthfully.
-ReachAvoidSolution solve_reach_avoid_warm(
-    const CompiledMdp& mdp, const ReachAvoidSolution& prior,
-    const std::vector<std::uint32_t>& dirty, const SolveConfig& config = {},
-    bool need_pmax = false);
 
 // RoutingMdp entry points (thin wrappers over the compiled path) ------------
 

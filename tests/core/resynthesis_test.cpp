@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <map>
 
 #include "assay/benchmarks.hpp"
@@ -10,12 +11,13 @@
 #include "sim/simulated_chip.hpp"
 #include "util/rng.hpp"
 
-/// Incremental re-synthesis (Synthesizer::resynthesize): the warm path must
-/// be observationally identical to Algorithm 2 from scratch — same strategy,
-/// same values within solver tolerance — while the ResynthesisContext
-/// lifecycle (prime, reuse, topology fallback, deadline invalidation)
-/// behaves as documented. The scheduler-level test pins the
-/// resyntheses_warm counter end to end.
+/// Incremental re-synthesis (Synthesizer::resynthesize): a synthesis served
+/// by patching the retained model must equal Algorithm 2 from scratch — the
+/// patched arrays equal a fresh build's and get the same solve, so strategy
+/// and values match exactly while the start keeps its state number — and
+/// the ResynthesisContext lifecycle (prime, reuse, topology fallback,
+/// deadline invalidation) behaves as documented. The scheduler-level test
+/// pins the resyntheses_warm counter end to end.
 
 namespace meda::core {
 namespace {
@@ -192,21 +194,73 @@ TEST(Resynthesize, DeadlineExpiryInvalidatesTheContext) {
       bounded.resynthesize(fixture_job(), health, kBits, ctx);
   EXPECT_TRUE(result.deadline_expired);
   EXPECT_FALSE(result.feasible);
+  // The patch went through, but a result the deadline cut short was not
+  // served by it.
+  EXPECT_FALSE(result.warm);
   EXPECT_FALSE(ctx.valid);
 }
 
-TEST(Resynthesize, IncrementalDisabledBypassesTheContext) {
-  SynthesisConfig config;
-  config.incremental = false;
-  const Synthesizer synth(chip(), config);
-  const IntMatrix health = uniform_health(5);
-  ResynthesisContext ctx;
-  const SynthesisResult result =
-      synth.resynthesize(fixture_job(), health, kBits, ctx);
-  EXPECT_FALSE(result.warm);
-  EXPECT_FALSE(ctx.valid);  // never touched
-  expect_same_result(result, synth.synthesize(fixture_job(), health, kBits),
-                     "disabled");
+TEST(Resynthesize, FuzzedPatchedResolvesEqualFreshSyntheses) {
+  // Exact oracle for the patched path on the reference chip: random 25×15
+  // hazard boxes, droplets from 2×2 to 4×4, and 2-bit health at codes 1–2
+  // only, so no pull reaches probability 0 or 1 and every delta keeps the
+  // transition topology. The start stays put, so the patched model numbers
+  // its states like a fresh build and each re-synthesis must reproduce
+  // synthesize() on the same health bit for bit, under both queries.
+  constexpr int kWidth = 60;
+  constexpr int kHeight = 30;
+  constexpr int kHealthBits = 2;
+  const Rect chip{0, 0, kWidth - 1, kHeight - 1};
+  // Draws in statement order, so every compiler replays the same lineages.
+  const auto rect_in = [](Rng& rng, const Rect& box, int w, int h) {
+    const int x = rng.uniform_int(box.xa, box.xb - w + 1);
+    const int y = rng.uniform_int(box.ya, box.yb - h + 1);
+    return Rect::from_size(x, y, w, h);
+  };
+  int patched = 0;
+  for (const Query query :
+       {Query::kRminExpectedCycles, Query::kPmaxReachability}) {
+    SynthesisConfig config;
+    config.query = query;
+    const Synthesizer synth(chip, config);
+    for (std::uint64_t seed = 0xace50000u; seed <= 0xace50027u; ++seed) {
+      Rng rng(seed);
+      assay::RoutingJob rj;
+      rj.hazard = rect_in(rng, chip, 25, 15);
+      const int w = rng.uniform_int(2, 4);
+      const int h = rng.uniform_int(2, 4);
+      rj.start = rect_in(rng, rj.hazard, w, h);
+      do {
+        rj.goal = rect_in(rng, rj.hazard, w, h);
+      } while (rj.goal == rj.start);
+      IntMatrix health(kWidth, kHeight, 2);
+      for (int y = 0; y < kHeight; ++y)
+        for (int x = 0; x < kWidth; ++x) health(x, y) = rng.uniform_int(1, 2);
+
+      ResynthesisContext ctx;
+      synth.resynthesize(rj, health, kHealthBits, ctx);
+      ASSERT_TRUE(ctx.valid) << "seed " << seed;
+      for (int step = 0; step < 8; ++step) {
+        for (int i = rng.uniform_int(1, 8); i > 0; --i) {
+          const Rect cell = rect_in(rng, rj.hazard, 1, 1);
+          health(cell.xa, cell.ya) = rng.uniform_int(1, 2);
+        }
+        const SynthesisResult warm =
+            synth.resynthesize(rj, health, kHealthBits, ctx);
+        ASSERT_TRUE(warm.warm) << "seed " << seed << " step " << step;
+        ++patched;
+        const SynthesisResult fresh = synth.synthesize(rj, health, kHealthBits);
+        EXPECT_EQ(warm.feasible, fresh.feasible) << "seed " << seed;
+        EXPECT_EQ(warm.expected_cycles, fresh.expected_cycles)
+            << "seed " << seed << " step " << step;
+        EXPECT_EQ(warm.reach_probability, fresh.reach_probability)
+            << "seed " << seed << " step " << step;
+        EXPECT_EQ(to_map(warm.strategy), to_map(fresh.strategy))
+            << "seed " << seed << " step " << step;
+      }
+    }
+  }
+  EXPECT_EQ(patched, 2 * 40 * 8);
 }
 
 TEST(Scheduler, CountsWarmResynthesesOnADegradingChip) {
