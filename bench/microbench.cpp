@@ -2,9 +2,10 @@
 // model construction (fused compiled build and the explicit-form adapter),
 // MDP compilation, the two value-iteration queries on
 // both the compiled and the legacy path, outcome-distribution evaluation,
-// campaign-cell throughput, and health sensing (the truth scan, the
-// noisy scan-chain read, its random-draw floor and the health-to-force
-// map). Complements Table V's end-to-end timings with per-kernel numbers.
+// campaign-cell throughput, and health sensing (the per-cycle read, the
+// noisy scan-chain read, its random-draw floor, the health filter's update
+// and the health-to-force map). Complements Table V's end-to-end timings
+// with per-kernel numbers.
 //
 // Refresh the committed perf record with:
 //   ./build/bench/microbench --benchmark_out=BENCH_synthesis.json
@@ -14,11 +15,13 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "assay/benchmarks.hpp"
 #include "assay/helper.hpp"
 #include "chip/biochip.hpp"
 #include "core/compiled_mdp.hpp"
+#include "core/health_filter.hpp"
 #include "core/mdp.hpp"
 #include "core/synthesizer.hpp"
 #include "core/value_iteration.hpp"
@@ -381,20 +384,25 @@ void BM_SolveReachAvoidInstrumented(benchmark::State& state) {
 }
 BENCHMARK(BM_SolveReachAvoidInstrumented)->Arg(20);
 
+// One per-cycle read of a pre-worn 60×30 chip on a perfect channel: a 3×3
+// block walks the chip and is actuated before each read, so a few codes are
+// re-quantized per cycle as under a moving droplet, and sense_health() copies
+// out the chip's live code matrix.
 void BM_HealthSensing(benchmark::State& state) {
-  Rng rng(1);
-  BiochipConfig config;
-  config.width = 60;
-  config.height = 30;
-  Biochip chip(config, rng);
-  // Worn cells exercise the quantization path.
-  for (int y = 0; y < 30; ++y)
-    for (int x = 0; x < 60; ++x)
-      chip.mc(x, y).actuate_n(static_cast<std::uint64_t>(x * y));
+  sim::SimulatedChipConfig config;
+  config.chip.width = 60;
+  config.chip.height = 30;
+  config.pre_wear_max = 150;
+  sim::SimulatedChip chip(config, Rng(1));
+  int step = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(chip.health_matrix());
+    const int x = step % 58;
+    const int y = (step / 58) % 28;
+    chip.substrate().actuate(Rect{x, y, x + 2, y + 2});
+    benchmark::DoNotOptimize(chip.sense_health());
+    ++step;
   }
-  state.SetLabel("60x30 scan");
+  state.SetLabel("60x30 scan, 3x3 actuated per read");
 }
 BENCHMARK(BM_HealthSensing);
 
@@ -437,6 +445,39 @@ void BM_SenseHealthNoisy(benchmark::State& state) {
   state.SetLabel("60x30x2 bits, flip 1e-3, drop 0.02");
 }
 BENCHMARK(BM_SenseHealthNoisy);
+
+// The hybrid scheme's per-cycle filter update: a default HealthFilter fed,
+// round-robin, 64 frames read from BM_SenseHealthNoisy's pre-worn chip and
+// channel (flip 1e-3, 2% drops) while a 3×3 block walks and wears it. The
+// frames are recorded before timing, so the loop times observe() alone.
+void BM_HealthFilterObserve(benchmark::State& state) {
+  sim::SimulatedChipConfig config;
+  config.chip.width = 60;
+  config.chip.height = 30;
+  config.pre_wear_max = 150;
+  config.sensor.bit_flip_p = 0.001;
+  config.sensor.frame_drop_p = 0.02;
+  sim::SimulatedChip chip(config, Rng(1));
+  std::vector<IntMatrix> frames;
+  for (int step = 0; step < 64; ++step) {
+    const int x = step % 58;
+    const int y = (step / 58) % 28;
+    chip.substrate().actuate(Rect{x, y, x + 2, y + 2});
+    frames.push_back(chip.sense_health());
+  }
+  core::HealthFilterConfig filter_config;
+  filter_config.enabled = true;
+  core::HealthFilter filter(filter_config);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    filter.observe(frames[next]);
+    benchmark::DoNotOptimize(filter.estimate().data().data());
+    benchmark::ClobberMemory();
+    next = (next + 1) % frames.size();
+  }
+  state.SetLabel("60x30, flip 1e-3, drop 0.02");
+}
+BENCHMARK(BM_HealthFilterObserve);
 
 // The draw floor of a fresh noisy frame: one next_u64() per bit of a
 // 60×30×2-bit scan chain, 3600 draws through Rng.

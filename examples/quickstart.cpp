@@ -24,7 +24,7 @@ namespace {
 void age_band(Biochip& chip, const Rect& band, std::uint64_t actuations) {
   for (int y = band.ya; y <= band.yb; ++y)
     for (int x = band.xa; x <= band.xb; ++x)
-      chip.mc(x, y).actuate_n(actuations);
+      chip.wear(x, y, actuations);
 }
 
 /// Executes a single routing job with the given strategy; returns cycles.

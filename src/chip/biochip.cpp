@@ -24,11 +24,8 @@ Biochip::Biochip(const BiochipConfig& config, Rng& rng) : config_(config) {
   cells_.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
     cells_.emplace_back(config.degradation.sample(rng));
-}
-
-Microelectrode& Biochip::mc(int x, int y) {
-  MEDA_REQUIRE(in_bounds(x, y), "MC coordinates out of bounds");
-  return cells_[index(x, y)];
+  health_ = IntMatrix(config.width, config.height);
+  for (std::size_t i = 0; i < n; ++i) requantize(i);
 }
 
 const Microelectrode& Biochip::mc(int x, int y) const {
@@ -40,12 +37,12 @@ void Biochip::actuate(const BoolMatrix& pattern) {
   MEDA_REQUIRE(pattern.width() == config_.width &&
                    pattern.height() == config_.height,
                "actuation pattern dimensions mismatch");
-  for (int y = 0; y < config_.height; ++y) {
-    for (int x = 0; x < config_.width; ++x) {
-      if (pattern(x, y)) {
-        cells_[index(x, y)].actuate();
-        ++total_actuations_;
-      }
+  const std::vector<unsigned char>& set = pattern.data();  // row-major
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    if (set[i]) {
+      cells_[i].actuate();
+      requantize(i);
+      ++total_actuations_;
     }
   }
   ++cycles_;
@@ -56,10 +53,26 @@ void Biochip::actuate(const Rect& cells) {
   if (!clipped.valid()) return;
   for (int y = clipped.ya; y <= clipped.yb; ++y) {
     for (int x = clipped.xa; x <= clipped.xb; ++x) {
-      cells_[index(x, y)].actuate();
+      const std::size_t i = index(x, y);
+      cells_[i].actuate();
+      requantize(i);
       ++total_actuations_;
     }
   }
+}
+
+void Biochip::wear(int x, int y, std::uint64_t n) {
+  MEDA_REQUIRE(in_bounds(x, y), "MC coordinates out of bounds");
+  const std::size_t i = index(x, y);
+  cells_[i].actuate_n(n);
+  requantize(i);
+}
+
+void Biochip::inject_fault(int x, int y, std::uint64_t fail_at) {
+  MEDA_REQUIRE(in_bounds(x, y), "MC coordinates out of bounds");
+  const std::size_t i = index(x, y);
+  cells_[i].inject_fault(fail_at);
+  requantize(i);
 }
 
 DoubleMatrix Biochip::degradation_matrix() const {
@@ -70,22 +83,13 @@ DoubleMatrix Biochip::degradation_matrix() const {
   return d;
 }
 
-IntMatrix Biochip::health_matrix() const {
-  IntMatrix h(config_.width, config_.height);
-  std::vector<int>& codes = h.data();  // row-major, like cells_
-  for (std::size_t i = 0; i < cells_.size(); ++i)
-    codes[i] = cells_[i].health(config_.health_bits);
-  return h;
-}
-
 IntMatrix Biochip::health_matrix(const Rect& area) const {
   const Rect clipped = area.intersection_with(bounds());
   MEDA_REQUIRE(clipped.valid(), "health area lies outside the chip");
   IntMatrix h(clipped.width(), clipped.height());
   for (int y = clipped.ya; y <= clipped.yb; ++y)
     for (int x = clipped.xa; x <= clipped.xb; ++x)
-      h(x - clipped.xa, y - clipped.ya) =
-          cells_[index(x, y)].health(config_.health_bits);
+      h(x - clipped.xa, y - clipped.ya) = health_(x, y);
   return h;
 }
 

@@ -59,7 +59,8 @@ class Biochip {
     return r.valid() && bounds().contains(r);
   }
 
-  Microelectrode& mc(int x, int y);
+  /// Read-only view of one MC. Every mutation goes through the mutators
+  /// below, which keep health_matrix() in step with the cells.
   const Microelectrode& mc(int x, int y) const;
 
   /// Applies one operational cycle's actuation pattern: every set cell in
@@ -69,11 +70,22 @@ class Biochip {
   /// Actuates every cell inside @p cells (clipped to the chip bounds).
   void actuate(const Rect& cells);
 
+  /// Registers @p n actuations of MC (x, y) at once (accelerated aging,
+  /// adversarial wear). Counts toward neither total_actuations() nor
+  /// cycles().
+  void wear(int x, int y, std::uint64_t n);
+
+  /// Marks MC (x, y) fault-injected: it fails permanently once its
+  /// actuation count reaches @p fail_at (at once if it already has).
+  void inject_fault(int x, int y, std::uint64_t fail_at);
+
   /// True degradation matrix D (full-information view; simulator-only).
   DoubleMatrix degradation_matrix() const;
 
-  /// Sensed b-bit health matrix H (what the controller observes).
-  IntMatrix health_matrix() const;
+  /// Sensed b-bit health matrix H (what the controller observes). Kept live:
+  /// each mutator re-quantizes exactly the cells it touched, so a read walks
+  /// no cells, and the reference tracks the chip for the chip's lifetime.
+  const IntMatrix& health_matrix() const { return health_; }
 
   /// Sensed health restricted to @p area (clipped to chip bounds); cells are
   /// addressed by absolute chip coordinates in the returned matrix' frame
@@ -96,8 +108,16 @@ class Biochip {
            static_cast<std::size_t>(x);
   }
 
+  /// Re-quantizes the health code of the cell at flat index @p i.
+  void requantize(std::size_t i) {
+    health_.data()[i] = cells_[i].health(config_.health_bits);
+  }
+
   BiochipConfig config_;
   std::vector<Microelectrode> cells_;
+  /// health_(x, y) == quantize_health(mc(x, y).degradation(), bits) at
+  /// every cell, at all times.
+  IntMatrix health_;
   std::uint64_t total_actuations_ = 0;
   std::uint64_t cycles_ = 0;
 };

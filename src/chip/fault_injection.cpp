@@ -96,7 +96,7 @@ std::vector<Vec2i> inject_faults(Biochip& chip,
 
   injected.reserve(chosen.size());
   for (const Vec2i& p : chosen) {
-    chip.mc(p.x, p.y).inject_fault(sample_threshold(config, rng));
+    chip.inject_fault(p.x, p.y, sample_threshold(config, rng));
     injected.push_back(p);
   }
   // Deterministic output order (the set iteration order is unspecified).

@@ -47,8 +47,8 @@ class Microelectrode {
   const DegradationParams& params() const { return params_; }
 
   /// True degradation level D(n); 0 after a sudden failure. Cached per
-  /// actuation count — health is sensed every operational cycle, while most
-  /// MCs are not actuated most cycles.
+  /// actuation count — the simulator reads the true force around every
+  /// droplet on every step, while most MCs are not actuated most cycles.
   double degradation() const {
     if (failed()) return 0.0;
     if (cached_for_ != actuations_ + 1) {
@@ -65,22 +65,9 @@ class Microelectrode {
   }
 
   /// b-bit sensed health code H(n) as produced by the dual-DFF sensor.
-  /// Cached like degradation(), keyed on the actuation count, the fault
-  /// state and @p bits: a health-matrix read re-quantizes only the MCs that
-  /// changed since the last one.
-  int health(int bits) const {
-    const bool dead = failed();
-    if (health_for_ != actuations_ + 1 || health_bits_ != bits ||
-        health_dead_ != dead) {
-      // quantize_health checks bits in [1, 16], so both casts are exact.
-      health_code_ =
-          static_cast<std::uint16_t>(quantize_health(degradation(), bits));
-      health_for_ = actuations_ + 1;
-      health_bits_ = static_cast<std::uint8_t>(bits);
-      health_dead_ = dead;
-    }
-    return health_code_;
-  }
+  /// Biochip keeps every cell's code in its live health matrix, so this is
+  /// only evaluated when a cell changes.
+  int health(int bits) const { return quantize_health(degradation(), bits); }
 
  private:
   DegradationParams params_{};
@@ -88,10 +75,6 @@ class Microelectrode {
   std::uint64_t fail_at_ = std::numeric_limits<std::uint64_t>::max();
   mutable std::uint64_t cached_for_ = 0;
   mutable double cached_degradation_ = 1.0;
-  mutable std::uint64_t health_for_ = 0;  // same "+1, 0 = unset" key
-  mutable std::uint16_t health_code_ = 0;
-  mutable std::uint8_t health_bits_ = 0;
-  mutable bool health_dead_ = false;
 };
 
 }  // namespace meda

@@ -11,6 +11,7 @@ void HealthFilter::observe(const IntMatrix& scan) {
   MEDA_REQUIRE(scan.width() > 0 && scan.height() > 0,
                "health filter needs a non-empty frame");
   ++frames_;
+  MEDA_OBS_COUNT("filter.frames", 1);
   if (!seeded_ || force_resense_) {
     if (seeded_) {
       MEDA_REQUIRE(scan.width() == estimate_.width() &&
@@ -33,57 +34,68 @@ void HealthFilter::observe(const IntMatrix& scan) {
                    scan.height() == estimate_.height(),
                "health frame dimensions changed");
 
-  const std::uint64_t adopted_before = adopted_updates_;
-  const std::uint64_t rejected_before = rejected_updates_;
-  const bool decay = config_.suspect_decay_frames > 0 &&
-                     frames_ % static_cast<std::uint64_t>(
-                                   config_.suspect_decay_frames) ==
-                         0;
-  for (int y = 0; y < scan.height(); ++y) {
-    for (int x = 0; x < scan.width(); ++x) {
-      const int v = scan(x, y);
-      int& e = estimate_(x, y);
-      if (decay) disagree_(x, y) /= 2;
-      if (v == e) {
-        confidence_(x, y) =
-            std::min(confidence_(x, y) + 1, config_.confidence_cap);
-        streak_(x, y) = 0;
-        candidate_(x, y) = -1;
-        continue;
-      }
-      // Reading disagrees with the settled estimate.
-      if (++disagree_(x, y) >= config_.suspect_threshold &&
-          suspect_(x, y) == 0) {
-        suspect_(x, y) = 1;
-        ++suspect_count_;
-      }
-      if (v == candidate_(x, y)) {
-        ++streak_(x, y);
-      } else {
-        candidate_(x, y) = v;
-        streak_(x, y) = 1;
-      }
-      const int needed =
-          v < e ? std::max(1, config_.down_confirm)
-                : std::max(std::max(1, config_.down_confirm),
-                           config_.up_confirm);
-      if (streak_(x, y) >= needed) {
-        e = v;
-        confidence_(x, y) = 1;
-        streak_(x, y) = 0;
-        candidate_(x, y) = -1;
-        ++adopted_updates_;
-      } else {
-        ++rejected_updates_;
-      }
+  // The loop below writes ints, which may alias config_'s fields, so they
+  // are read once per frame here rather than once per cell.
+  const int cap = config_.confidence_cap;
+  const int suspect_threshold = config_.suspect_threshold;
+  const int down_needed = std::max(1, config_.down_confirm);
+  const int up_needed = std::max(down_needed, config_.up_confirm);
+  const int decay_frames = config_.suspect_decay_frames;
+
+  // The matrices share one row-major layout, so cell i is index i of each.
+  const std::size_t n = scan.size();
+  const int* const in = scan.data().data();
+  int* const est = estimate_.data().data();
+  int* const conf = confidence_.data().data();
+  int* const cand = candidate_.data().data();
+  int* const streak = streak_.data().data();
+  int* const score = disagree_.data().data();
+  unsigned char* const sus = suspect_.data().data();
+
+  // Halving first keeps each cell's decay ahead of its own update.
+  if (decay_frames > 0 &&
+      frames_ % static_cast<std::uint64_t>(decay_frames) == 0) {
+    for (std::size_t i = 0; i < n; ++i) score[i] /= 2;
+  }
+  std::uint64_t adopted = 0;
+  std::uint64_t rejected = 0;
+  int suspects = suspect_count_;
+  for (std::size_t i = 0; i < n; ++i) {
+    const int v = in[i];
+    const int e = est[i];
+    if (v == e) {
+      conf[i] = std::min(conf[i] + 1, cap);
+      streak[i] = 0;
+      cand[i] = -1;
+      continue;
+    }
+    // Reading disagrees with the settled estimate.
+    if (++score[i] >= suspect_threshold && sus[i] == 0) {
+      sus[i] = 1;
+      ++suspects;
+    }
+    if (v == cand[i]) {
+      ++streak[i];
+    } else {
+      cand[i] = v;
+      streak[i] = 1;
+    }
+    if (streak[i] >= (v < e ? down_needed : up_needed)) {
+      est[i] = v;
+      conf[i] = 1;
+      streak[i] = 0;
+      cand[i] = -1;
+      ++adopted;
+    } else {
+      ++rejected;
     }
   }
+  suspect_count_ = suspects;
+  adopted_updates_ += adopted;
+  rejected_updates_ += rejected;
   if (MEDA_OBS_ACTIVE()) {
-    MEDA_OBS_COUNT("filter.frames", 1);
-    MEDA_OBS_COUNT("filter.adopted_updates",
-                   adopted_updates_ - adopted_before);
-    MEDA_OBS_COUNT("filter.rejected_updates",
-                   rejected_updates_ - rejected_before);
+    MEDA_OBS_COUNT("filter.adopted_updates", adopted);
+    MEDA_OBS_COUNT("filter.rejected_updates", rejected);
     MEDA_OBS_GAUGE("filter.suspects", static_cast<double>(suspect_count_));
   }
 }

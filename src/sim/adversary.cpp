@@ -4,14 +4,6 @@
 
 namespace meda::sim {
 
-namespace {
-
-void damage(Biochip& chip, int x, int y, std::uint64_t wear) {
-  chip.mc(x, y).actuate_n(wear);
-}
-
-}  // namespace
-
 void RandomAdversary::act(
     Biochip& chip,
     const std::vector<std::pair<core::DropletId, Rect>>& /*droplets*/,
@@ -20,7 +12,7 @@ void RandomAdversary::act(
   for (int i = 0; i < budget_.cells_per_cycle; ++i) {
     const int x = rng.uniform_int(0, chip.width() - 1);
     const int y = rng.uniform_int(0, chip.height() - 1);
-    damage(chip, x, y, budget_.wear_per_hit);
+    chip.wear(x, y, budget_.wear_per_hit);
   }
 }
 
@@ -47,7 +39,7 @@ void FrontierAdversary::act(
     const Vec2i cell =
         ring[static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<int>(ring.size()) - 1))];
-    damage(chip, cell.x, cell.y, budget_.wear_per_hit);
+    chip.wear(cell.x, cell.y, budget_.wear_per_hit);
   }
 }
 

@@ -92,7 +92,7 @@ void emit_gantt(std::ostringstream& os, const assay::MoList& assay,
 
 void emit_heatmap(std::ostringstream& os, const SimulatedChip& chip) {
   const Biochip& substrate = chip.substrate();
-  const IntMatrix health = substrate.health_matrix();
+  const IntMatrix& health = substrate.health_matrix();
   const int cell = 10;
   os << "<h2>Final health matrix (b = " << substrate.health_bits()
      << " bits)</h2>\n<svg width='" << substrate.width() * cell

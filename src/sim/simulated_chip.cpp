@@ -1,6 +1,7 @@
 #include "sim/simulated_chip.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "model/actuation.hpp"
 #include "model/outcomes.hpp"
@@ -8,14 +9,28 @@
 
 namespace meda::sim {
 
+namespace {
+
+/// The pre-wear draw takes int bounds, so a larger pre_wear_max would wrap
+/// or invert them. Runs in the initializer list, before any draw.
+const SimulatedChipConfig& checked(const SimulatedChipConfig& config) {
+  MEDA_REQUIRE(config.pre_wear_max <= static_cast<std::uint64_t>(
+                                          std::numeric_limits<int>::max()),
+               "pre_wear_max exceeds the int range of the pre-wear draw");
+  return config;
+}
+
+}  // namespace
+
 SimulatedChip::SimulatedChip(const SimulatedChipConfig& config, Rng rng)
-    : config_(config), chip_(config.chip, rng), rng_(std::move(rng)) {
+    : config_(checked(config)), chip_(config.chip, rng), rng_(std::move(rng)) {
   faults_ = inject_faults(chip_, config.faults, rng_);
   if (config.pre_wear_max > 0) {
+    const int max_wear = static_cast<int>(config.pre_wear_max);
     for (int y = 0; y < chip_.height(); ++y)
       for (int x = 0; x < chip_.width(); ++x)
-        chip_.mc(x, y).actuate_n(static_cast<std::uint64_t>(
-            rng_.uniform_int(0, static_cast<int>(config.pre_wear_max))));
+        chip_.wear(x, y, static_cast<std::uint64_t>(
+                             rng_.uniform_int(0, max_wear)));
   }
   // Only fork the sensing RNG when noise is configured: a perfect channel
   // must leave rng_'s stream — and hence every downstream outcome sample of
@@ -213,7 +228,7 @@ void SimulatedChip::step(const std::vector<core::Command>& commands) {
 std::string render_frame(const SimulatedChip& chip,
                          const SimulatedChip::DropletSnapshot& snapshot) {
   const Biochip& substrate = chip.substrate();
-  const IntMatrix health = substrate.health_matrix();
+  const IntMatrix& health = substrate.health_matrix();
   std::string out;
   out.reserve(static_cast<std::size_t>((substrate.width() + 3) *
                                        (substrate.height() + 2)));

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "chip/microelectrode.hpp"
 #include "util/check.hpp"
 
@@ -125,6 +128,8 @@ TEST(Biochip, GeometryAndBounds) {
   EXPECT_TRUE(chip.in_bounds(Rect{0, 0, 7, 5}));
   EXPECT_FALSE(chip.in_bounds(Rect{0, 0, 8, 5}));
   EXPECT_THROW(chip.mc(8, 0), PreconditionError);
+  EXPECT_THROW(chip.wear(8, 0, 1), PreconditionError);
+  EXPECT_THROW(chip.inject_fault(0, -1, 5), PreconditionError);
 }
 
 TEST(Biochip, FreshChipSensesTopHealthEverywhere) {
@@ -171,7 +176,7 @@ TEST(Biochip, PatternDimensionMismatchThrows) {
 TEST(Biochip, AreaHealthMatrixIsClippedView) {
   Rng rng(1);
   Biochip chip(small_config(), rng);
-  chip.mc(3, 2).actuate_n(1000000);  // wear one cell to the floor
+  chip.wear(3, 2, 1000000);  // wear one cell to the floor
   const IntMatrix h = chip.health_matrix(Rect{2, 1, 4, 3});
   EXPECT_EQ(h.width(), 3);
   EXPECT_EQ(h.height(), 3);
@@ -196,12 +201,93 @@ TEST(Biochip, HealthDropsWithWear) {
   BiochipConfig config = small_config();
   config.degradation = DegradationRange{0.5, 0.5, 100.0, 100.0};
   Biochip chip(config, rng);
-  chip.mc(1, 1).actuate_n(100);  // D = 0.5 → H = 2
-  chip.mc(2, 2).actuate_n(300);  // D = 0.125 → H = 0
+  chip.wear(1, 1, 100);  // D = 0.5 → H = 2
+  chip.wear(2, 2, 300);  // D = 0.125 → H = 0
   const IntMatrix h = chip.health_matrix();
   EXPECT_EQ(h(1, 1), 2);
   EXPECT_EQ(h(2, 2), 0);
   EXPECT_EQ(h(0, 0), 3);
+}
+
+/// Test-local sweep of the truth: the code of every cell of @p area,
+/// quantized afresh from its degradation.
+IntMatrix fresh_codes(const Biochip& chip, const Rect& area) {
+  IntMatrix h(area.width(), area.height());
+  for (int y = area.ya; y <= area.yb; ++y)
+    for (int x = area.xa; x <= area.xb; ++x)
+      h(x - area.xa, y - area.ya) =
+          quantize_health(chip.mc(x, y).degradation(), chip.health_bits());
+  return h;
+}
+
+/// A rect that may overhang the chip on any side (or miss it entirely).
+Rect random_rect(Rng& rng, int width, int height) {
+  const int xa = rng.uniform_int(-3, width + 1);
+  const int ya = rng.uniform_int(-3, height + 1);
+  return Rect{xa, ya, xa + rng.uniform_int(0, 4), ya + rng.uniform_int(0, 4)};
+}
+
+TEST(Biochip, HealthCodesEqualAFreshQuantizationAfterEveryMutation) {
+  // Low c moves the codes within a few actuations; τ = 0 makes a cell drop
+  // from the top code to 0 on its first actuation.
+  const DegradationRange ranges[] = {{0.3, 0.9, 3.0, 30.0},
+                                     {0.0, 0.0, 3.0, 30.0}};
+  for (int bits = 1; bits <= 4; ++bits) {
+    for (const DegradationRange& range : ranges) {
+      BiochipConfig config;
+      config.width = 9;
+      config.height = 7;
+      config.health_bits = bits;
+      config.degradation = range;
+      Rng rng(static_cast<std::uint64_t>(100 * bits) +
+              (range.tau_hi == 0.0 ? 1u : 0u));
+      Biochip chip(config, rng);
+      ASSERT_EQ(chip.health_matrix(), fresh_codes(chip, chip.bounds()));
+      for (int step = 0; step < 400; ++step) {
+        const int kind = rng.uniform_int(0, 3);
+        if (kind == 0) {
+          // Overlapping rects, clipped to the chip, charged as one cycle.
+          BoolMatrix pattern(config.width, config.height);
+          for (int r = rng.uniform_int(1, 3); r > 0; --r) {
+            const Rect c = random_rect(rng, config.width, config.height)
+                               .intersection_with(chip.bounds());
+            if (!c.valid()) continue;
+            for (int y = c.ya; y <= c.yb; ++y)
+              for (int x = c.xa; x <= c.xb; ++x) pattern(x, y) = 1;
+          }
+          chip.actuate(pattern);
+        } else if (kind == 1) {
+          chip.actuate(random_rect(rng, config.width, config.height));
+        } else {
+          const int x = rng.uniform_int(0, config.width - 1);
+          const int y = rng.uniform_int(0, config.height - 1);
+          const auto n = static_cast<std::uint64_t>(rng.uniform_int(0, 20));
+          if (kind == 2) {
+            chip.wear(x, y, n);
+          } else {
+            // Below, at or above the cell's count.
+            const std::uint64_t count = chip.mc(x, y).actuations();
+            const int side = rng.uniform_int(-1, 1);
+            const std::uint64_t fail_at =
+                side < 0 ? count - std::min(count, n)
+                         : (side == 0 ? count : count + n);
+            chip.inject_fault(x, y, fail_at);
+          }
+        }
+        SCOPED_TRACE(::testing::Message()
+                     << "bits " << bits << ", tau <= " << range.tau_hi
+                     << ", step " << step << ", kind " << kind);
+        ASSERT_EQ(chip.health_matrix(), fresh_codes(chip, chip.bounds()));
+        const Rect area = random_rect(rng, config.width, config.height);
+        const Rect clipped = area.intersection_with(chip.bounds());
+        if (clipped.valid()) {
+          ASSERT_EQ(chip.health_matrix(area), fresh_codes(chip, clipped));
+        }
+      }
+      EXPECT_NE(chip.health_matrix(),
+                IntMatrix(config.width, config.height, (1 << bits) - 1));
+    }
+  }
 }
 
 TEST(Biochip, RejectsInvalidConfig) {

@@ -95,10 +95,10 @@ TEST(FaultInjection, ThresholdsWithinConfiguredRange) {
   config.fail_at_hi = 20;
   const auto injected = inject_faults(chip, config, rng);
   for (const Vec2i& p : injected) {
-    Microelectrode& mc = chip.mc(p.x, p.y);
-    mc.actuate_n(9);
+    const Microelectrode& mc = chip.mc(p.x, p.y);
+    chip.wear(p.x, p.y, 9);
     EXPECT_FALSE(mc.failed());
-    mc.actuate_n(11);  // now at 20 >= any threshold in [10, 20]
+    chip.wear(p.x, p.y, 11);  // now at 20 >= any threshold in [10, 20]
     EXPECT_TRUE(mc.failed());
   }
 }

@@ -200,7 +200,7 @@ TEST(Scheduler, AdaptiveEscapesAFaultWallBaselineStalls) {
     // inside the routing job's hazard zone.
     for (int y = 0; y <= 17; ++y)
       for (int x = 26; x <= 27; ++x)
-        chip.substrate().mc(x, y).inject_fault(0);
+        chip.substrate().inject_fault(x, y, 0);
     SchedulerConfig config;
     config.adaptive = adaptive;
     config.max_cycles = 800;
@@ -277,7 +277,7 @@ TEST(Scheduler, ReactiveRecoveryRescuesAStuckBaseline) {
     sim::SimulatedChip chip(chip_config(), Rng(66));
     for (int y = 0; y <= 17; ++y)
       for (int x = 26; x <= 27; ++x)
-        chip.substrate().mc(x, y).inject_fault(0);
+        chip.substrate().inject_fault(x, y, 0);
     SchedulerConfig config;
     config.adaptive = false;
     config.reactive_recovery_stuck_cycles = reactive_stuck;

@@ -38,26 +38,37 @@ TEST(RandomAdversaryTest, AddsExactlyTheBudgetedWear) {
 }
 
 TEST(RandomAdversaryTest, HealthMatrixTracksTheDamage) {
-  // The adversary wears cells through actuate_n between reads, so every
-  // read of the cached per-cell codes must equal a fresh quantization.
-  SimulatedChip chip(small_config(), Rng(4));
-  chip.set_adversary(
-      std::make_unique<RandomAdversary>(AdversaryBudget{6, 15}));
-  const Biochip& substrate = chip.substrate();
-  for (int cycle = 0; cycle < 40; ++cycle) {
-    const IntMatrix health = substrate.health_matrix();
-    for (int y = 0; y < substrate.height(); ++y) {
-      for (int x = 0; x < substrate.width(); ++x) {
-        ASSERT_EQ(health(x, y),
-                  quantize_health(substrate.mc(x, y).degradation(),
-                                  substrate.health_bits()))
-            << "cell (" << x << ", " << y << "), cycle " << cycle;
+  // The adversary wears cells through Biochip::wear between reads, so every
+  // read of the live per-cell codes must equal a fresh quantization: on a
+  // fresh chip, and on one whose codes pre-wear and clustered faults set
+  // before the first cycle.
+  SimulatedChipConfig worn = small_config();
+  worn.pre_wear_max = 60;
+  worn.faults.mode = FaultMode::kClustered;
+  worn.faults.faulty_fraction = 0.1;
+  worn.faults.fail_at_lo = 0;
+  worn.faults.fail_at_hi = 90;
+  for (const SimulatedChipConfig& config : {small_config(), worn}) {
+    SimulatedChip chip(config, Rng(4));
+    chip.set_adversary(
+        std::make_unique<RandomAdversary>(AdversaryBudget{6, 15}));
+    const Biochip& substrate = chip.substrate();
+    for (int cycle = 0; cycle < 40; ++cycle) {
+      const IntMatrix& health = substrate.health_matrix();
+      for (int y = 0; y < substrate.height(); ++y) {
+        for (int x = 0; x < substrate.width(); ++x) {
+          ASSERT_EQ(health(x, y),
+                    quantize_health(substrate.mc(x, y).degradation(),
+                                    substrate.health_bits()))
+              << "cell (" << x << ", " << y << "), cycle " << cycle
+              << ", pre-wear " << config.pre_wear_max;
+        }
       }
+      chip.step({});
     }
-    chip.step({});
+    EXPECT_NE(substrate.health_matrix(),
+              IntMatrix(substrate.width(), substrate.height(), 3));
   }
-  EXPECT_NE(substrate.health_matrix(),
-            IntMatrix(substrate.width(), substrate.height(), 3));
 }
 
 TEST(FrontierAdversaryTest, IdleWithoutDroplets) {

@@ -177,7 +177,7 @@ TEST(RecoveryLadder, InfeasibleSynthesisRetriesWithBackoffThenAborts) {
   chip_config.chip.height = 16;
   sim::SimulatedChip chip(chip_config, Rng(11));
   for (int y = 0; y < 16; ++y)
-    for (int x = 19; x <= 20; ++x) chip.substrate().mc(x, y).inject_fault(0);
+    for (int x = 19; x <= 20; ++x) chip.substrate().inject_fault(x, y, 0);
 
   SchedulerConfig config = ladder_config();
   Scheduler scheduler(config);
@@ -206,7 +206,7 @@ TEST(RecoveryLadder, InfeasibleSynthesisFailsHardWithoutRecovery) {
   chip_config.chip.height = 16;
   sim::SimulatedChip chip(chip_config, Rng(11));
   for (int y = 0; y < 16; ++y)
-    for (int x = 19; x <= 20; ++x) chip.substrate().mc(x, y).inject_fault(0);
+    for (int x = 19; x <= 20; ++x) chip.substrate().inject_fault(x, y, 0);
 
   SchedulerConfig config;
   config.adaptive = true;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "util/check.hpp"
 
@@ -81,7 +83,7 @@ TEST(SimulatedChip, FailedPullLeavesDropletInPlace) {
   SimulatedChip chip(small_config(), Rng(5));
   const core::DropletId id = chip.dispense(Rect{0, 4, 3, 7});
   // Kill the entire frontier column for an eastward move.
-  for (int y = 0; y < 12; ++y) chip.substrate().mc(4, y).inject_fault(0);
+  for (int y = 0; y < 12; ++y) chip.substrate().inject_fault(4, y, 0);
   chip.step({move(id, Action::kE)});
   EXPECT_EQ(chip.droplet_position(id), (Rect{0, 4, 3, 7}));
 }
@@ -95,7 +97,7 @@ TEST(SimulatedChip, OutcomeFrequenciesTrackTrueForce) {
   SimulatedChip chip(config, Rng(6));
   for (int y = 0; y < 12; ++y)
     for (int x = 0; x < 20; ++x)
-      chip.substrate().mc(x, y).actuate_n(100000);
+      chip.substrate().wear(x, y, 100000);
   const core::DropletId id = chip.dispense(Rect{0, 4, 3, 7});
   int successes = 0;
   const int attempts = 1500;
@@ -261,6 +263,27 @@ TEST(SimulatedChip, PreWearAgesTheChipHeterogeneously) {
   EXPECT_GT(distinct_values, 100u);  // heterogeneous, not constant
 }
 
+TEST(SimulatedChip, RejectsPreWearBeyondIntRange) {
+  // The pre-wear draw takes int bounds: 2^31 would invert them and 2^32
+  // would wrap to an unworn chip.
+  for (const std::uint64_t wear :
+       {std::uint64_t{1} << 31, std::uint64_t{1} << 32}) {
+    SimulatedChipConfig config = small_config();
+    config.pre_wear_max = wear;
+    try {
+      SimulatedChip chip(config, Rng(1));
+      ADD_FAILURE() << "pre_wear_max " << wear << " was accepted";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("pre_wear_max"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  SimulatedChipConfig config = small_config();
+  config.pre_wear_max = std::numeric_limits<int>::max();
+  EXPECT_NO_THROW(SimulatedChip(config, Rng(1)));
+}
+
 TEST(SimulatedChip, DropletTraceRecordsFrames) {
   SimulatedChipConfig config = small_config();
   config.record_droplet_trace = true;
@@ -278,7 +301,7 @@ TEST(SimulatedChip, RenderFrameShowsDropletsAndWear) {
   SimulatedChipConfig config = small_config();
   config.record_droplet_trace = true;
   SimulatedChip chip(config, Rng(19));
-  chip.substrate().mc(10, 0).inject_fault(0);  // dead cell → '#'
+  chip.substrate().inject_fault(10, 0, 0);  // dead cell → '#'
   const core::DropletId id = chip.dispense(Rect{0, 0, 2, 2});
   chip.step({});
   const std::string frame =
