@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <unordered_set>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -10,11 +12,18 @@ namespace meda {
 
 namespace {
 
-std::uint64_t sample_threshold(const FaultInjectionConfig& cfg, Rng& rng) {
+/// The int bounds of the failure-threshold draw. A bound beyond INT_MAX
+/// would wrap or invert them, so it is rejected by name before any draw.
+std::pair<int, int> threshold_bounds(const FaultInjectionConfig& cfg) {
+  constexpr auto kIntMax =
+      static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+  MEDA_REQUIRE(cfg.fail_at_lo <= kIntMax,
+               "fail_at_lo exceeds the int range of the threshold draw");
+  MEDA_REQUIRE(cfg.fail_at_hi <= kIntMax,
+               "fail_at_hi exceeds the int range of the threshold draw");
   MEDA_REQUIRE(cfg.fail_at_lo <= cfg.fail_at_hi,
                "fault threshold range invalid");
-  return static_cast<std::uint64_t>(rng.uniform_int(
-      static_cast<int>(cfg.fail_at_lo), static_cast<int>(cfg.fail_at_hi)));
+  return {static_cast<int>(cfg.fail_at_lo), static_cast<int>(cfg.fail_at_hi)};
 }
 
 /// Grows @p chosen to exactly @p target cells by repeatedly adding a random
@@ -60,6 +69,7 @@ std::vector<Vec2i> inject_faults(Biochip& chip,
   const int target =
       static_cast<int>(std::llround(config.faulty_fraction * total));
   if (target == 0) return injected;
+  const auto [fail_lo, fail_hi] = threshold_bounds(config);
 
   std::unordered_set<Vec2i> chosen;
   if (config.mode == FaultMode::kUniform) {
@@ -96,7 +106,8 @@ std::vector<Vec2i> inject_faults(Biochip& chip,
 
   injected.reserve(chosen.size());
   for (const Vec2i& p : chosen) {
-    chip.inject_fault(p.x, p.y, sample_threshold(config, rng));
+    chip.inject_fault(p.x, p.y, static_cast<std::uint64_t>(
+                                    rng.uniform_int(fail_lo, fail_hi)));
     injected.push_back(p);
   }
   // Deterministic output order (the set iteration order is unspecified).

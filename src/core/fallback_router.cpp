@@ -23,14 +23,18 @@ int heuristic(const Rect& droplet, const Rect& goal) {
   return (gap + 1) / 2;
 }
 
+/// Minimum sensed health for the new cells an action pulls the droplet
+/// onto: 1 skips only dead/quarantined cells.
+constexpr int kMinHealth = 1;
+
 /// Cells the action pulls the droplet onto must be alive; cells already
 /// under the droplet are occluded from sensing and exempt.
 bool new_cells_healthy(const Rect& next, const Rect& cur,
-                       const IntMatrix& health, int min_health) {
+                       const IntMatrix& health) {
   for (int y = next.ya; y <= next.yb; ++y)
     for (int x = next.xa; x <= next.xb; ++x) {
       if (cur.contains(x, y)) continue;
-      if (health(x, y) < min_health) return false;
+      if (health(x, y) < kMinHealth) return false;
     }
   return true;
 }
@@ -85,7 +89,7 @@ FallbackResult fallback_route(const assay::RoutingJob& rj,
       if (!action_enabled(a, cur, config.rules, chip)) continue;
       const Rect next = apply(a, cur);
       if (!rj.hazard.contains(next)) continue;
-      if (!new_cells_healthy(next, cur, health, config.min_health)) continue;
+      if (!new_cells_healthy(next, cur, health)) continue;
       const int next_g = g + 1;
       const auto it = g_cost.find(next);
       if (it != g_cost.end() && it->second <= next_g) continue;

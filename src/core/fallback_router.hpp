@@ -32,10 +32,6 @@ struct FallbackConfig {
   /// A* open-list pops allowed before giving up (the router's own budget;
   /// generously above any single-job state count on our chips).
   int max_expansions = 20000;
-  /// Minimum sensed health for the *new* cells an action pulls the droplet
-  /// onto (cells already under the droplet are occluded from sensing and
-  /// exempt). 1 skips only dead/quarantined cells.
-  int min_health = 1;
 };
 
 /// Result of one fallback routing attempt.

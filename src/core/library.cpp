@@ -67,7 +67,7 @@ std::size_t StrategyLibrary::KeyHash::operator()(const Key& k) const noexcept {
 const SynthesisResult* StrategyLibrary::lookup(const assay::RoutingJob& rj,
                                                std::uint64_t digest,
                                                DigestClass cls) const {
-  const std::uint64_t now = tick_++;
+  [[maybe_unused]] const std::uint64_t now = tick_++;
   LibraryClassStats& s = class_stats(stats_, cls);
   const Key key{rj.start, rj.goal, rj.hazard, digest};
   const auto it = entries_.find(key);

@@ -133,9 +133,11 @@ struct RouteTask {
   Strategy pending_strategy;
   std::uint64_t pending_digest = 0;
   // Reactive-recovery bookkeeping: consecutive commanded cycles without
-  // progress.
+  // progress; reaching the threshold requests one re-route from the sensed
+  // health view.
   Rect last_pos = Rect::none();
   int stuck_cycles = 0;
+  bool reroute_once = false;
   // Recovery-ladder bookkeeping.
   int retries = 0;            ///< failed synthesis attempts (current episode)
   int backoff_remaining = 0;  ///< cycles left in the current backoff wait
@@ -455,26 +457,23 @@ class Runner {
   /// Without this, early (possibly sensing-noise-driven) quarantines stay
   /// blacklisted forever while genuinely dead cells compete for the budget.
   void parole_quarantined() {
-    if (!config_.recovery.enabled || quarantine_count_ == 0 ||
+    if (!config_.recovery.enabled || quarantine_order_.empty() ||
         health_.empty())
       return;
     const int budget = quarantine_budget();
-    if (quarantine_count_ < budget) return;
+    if (quarantine_size() < budget) return;
     const int target = (budget * 3) / 4;
     int released = 0;
     auto it = quarantine_order_.begin();
-    while (it != quarantine_order_.end() && quarantine_count_ > target) {
+    while (it != quarantine_order_.end() && quarantine_size() > target) {
       const int x = it->x;
       const int y = it->y;
-      if (quarantined_(x, y) == 0) {
-        it = quarantine_order_.erase(it);  // stale entry (already released)
-      } else if (health_(x, y) > 1) {
+      if (health_(x, y) > 1) {
         // Parole demands more than the weakest alive reading: under heavy
         // sensing noise a dead cell's level-0 word often corrupts into
         // level 1, and releasing on that would churn the same cells through
         // quarantine → parole → re-quarantine.
         quarantined_(x, y) = 0;
-        --quarantine_count_;
         ++released;
         it = quarantine_order_.erase(it);
       } else {
@@ -485,7 +484,13 @@ class Runner {
     stats_.recovery.paroled_cells += released;
     event(RecoveryAction::kQuarantineParole, -1,
           std::to_string(released) + " cell(s) re-sensed alive; released");
-    if (quarantine_count_ < budget) quarantine_budget_hit_ = false;
+    if (quarantine_size() < budget) quarantine_budget_hit_ = false;
+  }
+
+  /// Cells in the quarantine set: quarantine_order_ holds exactly the cells
+  /// marked in quarantined_.
+  int quarantine_size() const {
+    return static_cast<int>(quarantine_order_.size());
   }
 
   /// Tracks changes of the controller's whole health view (metrics counter +
@@ -516,7 +521,7 @@ class Runner {
       int added = 0;
       for (int y = 0; y < quarantined_.height(); ++y)
         for (int x = 0; x < quarantined_.width(); ++x) {
-          if (quarantine_count_ + added >= budget) break;
+          if (quarantine_size() >= budget) break;
           if (suspect(x, y) != 0 && quarantined_(x, y) == 0) {
             quarantined_(x, y) = 1;
             quarantine_order_.push_back({x, y});
@@ -525,12 +530,11 @@ class Runner {
         }
       quarantined_suspects_seen_ = filter_.suspect_count();
       if (added > 0) {
-        quarantine_count_ += added;
         stats_.recovery.quarantined_cells += added;
         event(RecoveryAction::kQuarantine, -1,
               std::to_string(added) + " suspect cell(s)");
       }
-      if (quarantine_count_ >= budget && !quarantine_budget_hit_) {
+      if (quarantine_size() >= budget && !quarantine_budget_hit_) {
         quarantine_budget_hit_ = true;
         obs_event("recovery", "quarantine-budget", -1,
                   "suspect flood: budget of " + std::to_string(budget) +
@@ -541,7 +545,7 @@ class Runner {
   }
 
   void clamp_quarantined() {
-    if (quarantine_count_ == 0 || health_.empty()) return;
+    if (quarantine_order_.empty() || health_.empty()) return;
     for (int y = 0; y < health_.height(); ++y)
       for (int x = 0; x < health_.width(); ++x)
         if (quarantined_(x, y) != 0) health_(x, y) = 0;
@@ -563,7 +567,6 @@ class Runner {
           ++added;
         }
     if (added == 0) return;
-    quarantine_count_ += added;
     stats_.recovery.quarantined_cells += added;
     event(RecoveryAction::kQuarantine, run.mo->id,
           std::to_string(added) + " cell(s) blocking " + pos.to_string());
@@ -966,15 +969,15 @@ class Runner {
     }
 
     // Reactive error recovery (retrial-based, Section II-C): once the
-    // droplet has been stuck long enough, re-route using the sensed health.
+    // droplet has been stuck long enough, drop the strategy and request one
+    // re-route from the sensed health (ensure_strategy serves it).
     if (config_.reactive_recovery_stuck_cycles > 0 && !config_.adaptive) {
       if (pos == task.last_pos) {
         if (++task.stuck_cycles >= config_.reactive_recovery_stuck_cycles) {
           task.stuck_cycles = 0;
           task.has_strategy = false;
           task.pending = false;
-          recover_strategy(run, task, pos);
-          if (failed_ || run.state != MoRun::State::kActive) return false;
+          task.reroute_once = true;
         }
       } else {
         task.last_pos = pos;
@@ -1021,52 +1024,10 @@ class Runner {
     return false;
   }
 
-  /// One-shot reactive re-route from the sensed health matrix (used by the
-  /// retrial-recovery comparison mode; bypasses the adaptive digest logic).
-  void recover_strategy(MoRun& run, RouteTask& task, const Rect& pos) {
-    ++stats_.resyntheses;
-    if (!task.rj.hazard.contains(pos))
-      task.rj.hazard = task.rj.hazard.union_with(pos);
-    RoutingJob rj = task.rj;
-    rj.start = pos;
-    const std::uint64_t digest = health_digest(health_, task.rj.hazard);
-    SynthesisResult result;
-    const SynthesisResult* cached =
-        config_.use_library ? library_.lookup(rj, digest) : nullptr;
-    if (cached != nullptr) {
-      ++stats_.library_hits;
-      result = *cached;
-    } else {
-      ++stats_.synthesis_calls;
-      result = synthesizer_.synthesize(rj, health_, chip_.health_bits());
-      stats_.synthesis_seconds += result.total_seconds;
-      if (config_.use_library && !result.deadline_expired)
-        library_.store(rj, digest, result);
-    }
-    if (result.deadline_expired) {
-      ++stats_.recovery.synthesis_deadlines;
-      event(RecoveryAction::kSynthesisDeadline, task.rj.mo,
-            "synthesis deadline expired during reactive recovery");
-    }
-    if (!result.feasible) {
-      if (config_.recovery.enabled) {
-        on_synthesis_failure(run, task);
-      } else {
-        fail("reactive recovery found no feasible strategy for MO " +
-             std::to_string(task.rj.mo));
-      }
-      return;
-    }
-    task.retries = 0;
-    task.strategy = std::move(result.strategy);
-    // Store the baseline digest so ensure_strategy keeps the recovered
-    // strategy until the droplet gets stuck again.
-    task.digest = 0;
-    task.has_strategy = true;
-  }
-
   /// Retrieves / synthesizes / re-synthesizes the task's strategy
-  /// (Algorithm 3 lines 11-16 plus the hybrid re-synthesis rule).
+  /// (Algorithm 3 lines 11-16 plus the hybrid re-synthesis rule): the one
+  /// provisioning chain of library lookup, synthesis and fallback router,
+  /// for contention detours and reactive re-routes too.
   void ensure_strategy(MoRun& run, RouteTask& task, const Rect& pos) {
     // Adopt a finished asynchronous synthesis.
     if (task.pending) {
@@ -1102,14 +1063,18 @@ class Runner {
     }
     if (task.has_strategy && digest == task.digest) return;
 
-    if (task.has_strategy) ++stats_.resyntheses;
+    // One-shot requests, consumed success or not: a contention detour and a
+    // reactive re-route both synthesize afresh from the sensed view.
+    const bool avoid_droplets = task.avoid_droplets_once && !health_.empty();
+    const bool reroute = task.reroute_once;
+    task.avoid_droplets_once = false;
+    task.reroute_once = false;
+    if (task.has_strategy || reroute) ++stats_.resyntheses;
 
     RoutingJob rj = task.rj;
     rj.start = pos;  // re-anchor at the droplet's current location
 
     SynthesisResult result;
-    const bool avoid_droplets = task.avoid_droplets_once && !health_.empty();
-    task.avoid_droplets_once = false;  // one-shot, success or not
     // Contention detours synthesize against the droplet-masked health view.
     // They are cached under a position-keyed digest: hashing the *masked*
     // view folds the avoid-rectangles (the other droplets' inflated
@@ -1125,6 +1090,11 @@ class Runner {
       masked_health = droplet_masked_health(
           task, pos, replica_mask ? replica_health : health_);
       lookup_digest = detour_digest(masked_health, task.rj.hazard);
+    } else if (reroute) {
+      // A baseline re-route is keyed by the sensed health it solves over,
+      // while the task keeps the baseline digest 0: the re-routed strategy
+      // holds until the droplet gets stuck again.
+      lookup_digest = health_digest(health_, task.rj.hazard);
     }
 
     // While a fallback route is active, full re-synthesis is under backoff:
@@ -1148,17 +1118,16 @@ class Runner {
                             : nullptr;
     if (cached != nullptr) {
       ++stats_.library_hits;
-      if (avoid_droplets) MEDA_OBS_COUNT("sched.detour_library_hits", 1);
       result = *cached;
     } else {
       ++stats_.synthesis_calls;
       // All of one MO's replicas draw from a single per-cycle Deadline
       // token (inactive for non-replicas — per-call arming applies).
       const util::Deadline deadline = replica_deadline(run, task);
-      if (avoid_droplets) {
-        MEDA_OBS_COUNT("sched.detour_library_misses", 1);
-        result = synthesizer_.synthesize(rj, masked_health,
-                                         chip_.health_bits(), deadline);
+      if (avoid_droplets || reroute) {
+        result = synthesizer_.synthesize(
+            rj, avoid_droplets ? masked_health : health_, chip_.health_bits(),
+            deadline);
       } else if (config_.adaptive) {
         // The hot re-synthesis path: reuse the task's retained model so a
         // small health delta patches it in place instead of rebuilding the
@@ -1272,21 +1241,17 @@ class Runner {
 
   /// The shared synthesis budget of a replicated MO: every replica's solve
   /// in one chip cycle draws from a single Deadline token, re-armed once
-  /// per cycle from the configured budget — N replicas never multiply the
-  /// budget N×. Inactive (per-call arming applies) for non-replica tasks
-  /// or when no budget is configured.
+  /// per cycle with the configured sweep budget — N replicas never multiply
+  /// the budget N×. Inactive (per-call arming applies) for non-replica
+  /// tasks or when no budget is configured.
   util::Deadline replica_deadline(MoRun& run, const RouteTask& task) {
     if (task.replica < 0) return {};
     if (run.replica_deadline_cycle != chip_.cycle()) {
       run.replica_deadline_cycle = chip_.cycle();
-      if (config_.synthesis.deadline_sweeps > 0)
-        run.replica_deadline =
-            util::Deadline::after_checks(config_.synthesis.deadline_sweeps);
-      else if (config_.synthesis.deadline_seconds > 0.0)
-        run.replica_deadline =
-            util::Deadline::after_seconds(config_.synthesis.deadline_seconds);
-      else
-        run.replica_deadline = util::Deadline{};
+      run.replica_deadline =
+          config_.synthesis.deadline_sweeps > 0
+              ? util::Deadline::after_checks(config_.synthesis.deadline_sweeps)
+              : util::Deadline{};
     }
     return run.replica_deadline;
   }
@@ -1716,7 +1681,6 @@ class Runner {
   IntMatrix health_;  ///< the controller's current health view
   HealthFilter filter_;
   BoolMatrix quarantined_;
-  int quarantine_count_ = 0;
   int quarantined_suspects_seen_ = 0;
   bool quarantine_budget_hit_ = false;
   std::vector<Vec2i> quarantine_order_;  ///< FIFO for budget-pressure parole

@@ -98,7 +98,7 @@ void extract_result(const SynthesisConfig& config,
   }
 }
 
-void record_model_metrics(const ModelStats& stats) {
+void record_model_metrics([[maybe_unused]] const ModelStats& stats) {
   MEDA_OBS_COUNT("synth.calls", 1);
   MEDA_OBS_OBSERVE("synth.mdp_states", static_cast<double>(stats.states),
                    obs::kStateCountBuckets);
@@ -124,8 +124,7 @@ void record_synthesis(Span& span, const SynthesisResult& result) {
 }
 
 /// A fresh deadline token per synthesize call: each synthesis gets the full
-/// budget, and an expired token from one job can never starve the next. The
-/// sweep budget wins over the wall-clock budget because it is deterministic.
+/// budget, and an expired token from one job can never starve the next.
 /// An *active* external token overrides the per-call arming — callers pass
 /// one to pool the budget across several solves (replicated MOs share one
 /// token per cycle instead of multiplying the budget N×).
@@ -136,8 +135,6 @@ SolveConfig armed_solver(const SynthesisConfig& config,
     solver.deadline = external;
   else if (config.deadline_sweeps > 0)
     solver.deadline = util::Deadline::after_checks(config.deadline_sweeps);
-  else if (config.deadline_seconds > 0.0)
-    solver.deadline = util::Deadline::after_seconds(config.deadline_seconds);
   return solver;
 }
 

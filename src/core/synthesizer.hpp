@@ -37,16 +37,13 @@ struct SynthesisConfig {
   /// default) is the paper's r_k reward; positive values make routes spread
   /// wear proactively (see bench/wear_leveling).
   double wear_penalty_lambda = 0.0;
-  /// Wall-clock budget per synthesize call (0 = unbounded). A fresh
-  /// util::Deadline is armed per call and polled once per Gauss-Seidel
-  /// sweep; on expiry the result comes back infeasible with
-  /// deadline_expired set, and the scheduler degrades to the fallback
-  /// router (see core/fallback_router.hpp) instead of aborting the job.
-  double deadline_seconds = 0.0;
-  /// Deterministic budget: total solver sweeps allowed per synthesize call
-  /// (0 = unbounded). Takes precedence over deadline_seconds when both are
-  /// set — it expires identically on every machine, which is what the
-  /// deadline tests and reproducible campaigns need.
+  /// Sweep budget per synthesize call (0 = unbounded): a fresh
+  /// util::Deadline of this many solver sweeps is armed per call. On expiry
+  /// the result comes back infeasible with deadline_expired set, and the
+  /// scheduler degrades to the fallback router (see
+  /// core/fallback_router.hpp) instead of aborting the job. The budget
+  /// counts sweeps, not seconds, so it expires identically on every
+  /// machine.
   std::uint64_t deadline_sweeps = 0;
 };
 
@@ -114,7 +111,7 @@ class Synthesizer {
   /// sharing one token share one budget: the scheduler arms one per
   /// replicated MO per cycle so N redundant replicas never multiply the
   /// synthesis budget N×. An inactive (default) token restores the
-  /// per-call arming of config().deadline_sweeps / deadline_seconds.
+  /// per-call arming of config().deadline_sweeps.
   SynthesisResult synthesize(const assay::RoutingJob& rj,
                              const IntMatrix& health, int health_bits,
                              const util::Deadline& deadline = {}) const;

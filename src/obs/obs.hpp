@@ -123,7 +123,7 @@ class FlushGuard {
 #else  // MEDA_OBS_DISABLED: compile instrumentation out entirely.
 
 #define MEDA_OBS_SPAN(var, cat, name) \
-  ::meda::obs::NullSpan var {}
+  [[maybe_unused]] ::meda::obs::NullSpan var {}
 #define MEDA_OBS_COUNT(name, delta) ((void)0)
 #define MEDA_OBS_GAUGE(name, value) ((void)0)
 #define MEDA_OBS_OBSERVE(name, value, bounds) ((void)0)

@@ -1,79 +1,45 @@
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 
 /// @file deadline.hpp
-/// Cooperative deadline/cancellation token for long-running solver loops.
-///
-/// A Deadline is a cheap copyable handle over shared state; every copy
-/// observes the same expiry. Three triggers compose (any one expires the
-/// token):
-///
-///  - a wall-clock budget (`after_seconds`) checked against steady_clock;
-///  - a deterministic check-count budget (`after_checks`): the token expires
-///    after it has been polled N times, independent of wall time — the knob
-///    tests and reproducible campaigns use to force expiry at an exact
-///    sweep;
-///  - manual cancellation (`cancel()`).
-///
-/// Callers poll `expired()` at coarse granularity (once per Gauss-Seidel
-/// sweep, not per state) so the poll cost is invisible next to the work it
-/// bounds. A default-constructed Deadline is inactive: `expired()` is false
-/// forever and costs one relaxed atomic load.
-///
-/// Edge cases are pinned deterministic (tests/util/deadline_test.cpp):
-/// a zero or negative wall budget constructs an already-expired token
-/// without ever consulting the clock, absurdly large budgets saturate
-/// instead of overflowing steady_clock arithmetic (which would wrap the
-/// expiry into the past), and a check budget of N survives exactly N polls
-/// on every machine.
+/// Deterministic sweep budget for solver loops, polled once per
+/// Gauss-Seidel sweep. `after_checks(N)` survives exactly N `expired()`
+/// polls and expires on the next one; no clock is consulted, so a budget
+/// expires at the same sweep on every machine. Copies share one countdown
+/// (SolveConfig carries the token by value, and an expired pmax thereby
+/// also expires the rmin after it). A default token is inactive, allocates
+/// nothing and never expires. Single-threaded, like the schedulers that
+/// arm it.
 namespace meda::util {
 
 class Deadline {
  public:
-  /// Inactive token: never expires (until `cancel()`).
-  Deadline() : state_(std::make_shared<State>()) {}
+  /// Inactive token: never expires.
+  Deadline() = default;
 
-  /// Token that expires once @p seconds of wall time elapse. Non-positive
-  /// budgets are already expired at construction (no clock comparison
-  /// involved — the token is born cancelled, deterministically). Budgets
-  /// too large for steady_clock arithmetic saturate to "never expires by
-  /// time" instead of wrapping.
-  static Deadline after_seconds(double seconds);
-
-  /// Token that survives exactly @p checks `expired()` polls and expires on
-  /// the next one. Deterministic across machines and runs;
-  /// `after_checks(0)` is already expired.
-  static Deadline after_checks(std::uint64_t checks);
-
-  /// True if any trigger (time, check budget, cancel) is armed.
-  bool active() const {
-    return state_->cancelled.load(std::memory_order_relaxed) ||
-           state_->has_time_limit || state_->has_check_limit;
+  /// Token that survives exactly @p checks polls; `after_checks(0)` is
+  /// already expired.
+  static Deadline after_checks(std::uint64_t checks) {
+    Deadline d;
+    d.remaining_ = std::make_shared<std::uint64_t>(checks);
+    return d;
   }
 
-  /// Polls the token. Once true, stays true.
-  bool expired() const;
+  /// True if the token carries a budget.
+  bool active() const { return remaining_ != nullptr; }
 
-  /// Manually expires the token (all copies observe it).
-  void cancel() { state_->cancelled.store(true, std::memory_order_relaxed); }
+  /// Polls the token, spending one check. Once true, stays true.
+  bool expired() const {
+    if (remaining_ == nullptr) return false;
+    if (*remaining_ == 0) return true;
+    --*remaining_;
+    return false;
+  }
 
  private:
-  using Clock = std::chrono::steady_clock;
-
-  struct State {
-    std::atomic<bool> cancelled{false};
-    std::atomic<std::uint64_t> checks{0};
-    bool has_time_limit = false;
-    bool has_check_limit = false;
-    std::uint64_t check_limit = 0;
-    Clock::time_point not_after{};
-  };
-
-  std::shared_ptr<State> state_;
+  std::shared_ptr<std::uint64_t> remaining_;  ///< checks left; null = none
 };
 
 }  // namespace meda::util

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
 
 #include "util/check.hpp"
 
@@ -181,6 +184,42 @@ TEST(FaultInjection, RejectsBadFraction) {
   config.faulty_fraction = 1.5;
   config.mode = FaultMode::kUniform;
   EXPECT_THROW(inject_faults(chip, config, rng), PreconditionError);
+}
+
+TEST(FaultInjection, RejectsThresholdsBeyondIntRangeBeforeAnyDraw) {
+  // The threshold draw takes int bounds: 2^31 would invert them and
+  // 2^32 + 100 would wrap to a draw from [50, 100].
+  const std::uint64_t too_big[] = {std::uint64_t{1} << 31,
+                                   (std::uint64_t{1} << 32) + 100};
+  for (const bool high : {true, false}) {
+    for (const std::uint64_t bound : too_big) {
+      Rng rng(10);
+      Biochip chip = make_chip(rng);
+      FaultInjectionConfig config;
+      config.mode = FaultMode::kClustered;
+      config.faulty_fraction = 0.05;
+      config.fail_at_hi = bound;
+      if (!high) config.fail_at_lo = bound;
+      Rng untouched = rng;
+      try {
+        inject_faults(chip, config, rng);
+        ADD_FAILURE() << "bound " << bound << " was accepted";
+      } catch (const PreconditionError& e) {
+        const char* field = high ? "fail_at_hi" : "fail_at_lo";
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(rng.next_u64(), untouched.next_u64()) << "a draw was spent";
+    }
+  }
+  Rng rng(10);
+  Biochip chip = make_chip(rng);
+  FaultInjectionConfig config;
+  config.mode = FaultMode::kUniform;
+  config.faulty_fraction = 0.05;
+  config.fail_at_lo = 1;
+  config.fail_at_hi = std::numeric_limits<int>::max();
+  EXPECT_NO_THROW(inject_faults(chip, config, rng));
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 
 #include "assay/benchmarks.hpp"
 #include "core/library.hpp"
-#include "obs/obs.hpp"
 #include "sim/simulated_chip.hpp"
 #include "util/check.hpp"
 
@@ -292,6 +291,35 @@ TEST(Scheduler, ReactiveRecoveryRescuesAStuckBaseline) {
   EXPECT_GT(recovered.resyntheses, 0);
 }
 
+TEST(Scheduler, ReactiveReroutesGoThroughTheStrategyLibrary) {
+  // The reactive re-route is cached under the sensed health it was
+  // synthesized from, like every other strategy: on a second, identical
+  // dead-wall chip sharing the library, the whole run — baseline routes
+  // and the re-route alike — replays from the library.
+  SchedulerConfig config;
+  config.adaptive = false;
+  config.reactive_recovery_stuck_cycles = 8;
+  config.max_cycles = 800;
+  StrategyLibrary library;
+  Scheduler scheduler(config, &library);
+  auto run = [&scheduler] {
+    sim::SimulatedChip chip(chip_config(), Rng(66));
+    for (int y = 0; y <= 17; ++y)
+      for (int x = 26; x <= 27; ++x)
+        chip.substrate().inject_fault(x, y, 0);
+    return scheduler.run(chip, assay::covid_rat());
+  };
+  const ExecutionStats first = run();
+  ASSERT_TRUE(first.success) << first.failure_reason;
+  EXPECT_EQ(first.resyntheses, 1);
+  const ExecutionStats second = run();
+  ASSERT_TRUE(second.success) << second.failure_reason;
+  EXPECT_EQ(second.cycles, first.cycles);
+  EXPECT_EQ(second.synthesis_calls, 0);
+  EXPECT_EQ(second.library_hits, first.synthesis_calls);
+  EXPECT_EQ(second.resyntheses, 1);
+}
+
 TEST(Scheduler, ReactiveRecoveryIsIgnoredByTheAdaptiveRouter) {
   sim::SimulatedChip chip(chip_config(), Rng(21));
   SchedulerConfig config;
@@ -352,11 +380,6 @@ TEST(Scheduler, ContentionDetoursGoThroughTheStrategyLibrary) {
   // or a miss, never a bypass. A four-execution NuIP lifetime with
   // replicated critical dispenses on the first end-of-life chip of
   // bench/chaos_campaign deterministically produces contention detours.
-#ifdef MEDA_OBS_DISABLED
-  GTEST_SKIP() << "instrumentation compiled out (MEDA_OBS=OFF)";
-#endif
-  obs::ctx().reset();
-  obs::ctx().metrics().enable();
   sim::SimulatedChipConfig cc = chip_config();
   cc.chip.degradation = DegradationRange{0.5, 0.9, 40.0, 100.0};
   cc.pre_wear_max = 250;
@@ -380,11 +403,8 @@ TEST(Scheduler, ContentionDetoursGoThroughTheStrategyLibrary) {
     detours += scheduler.run(chip, assay::nuip()).recovery.contention_detours;
   }
   ASSERT_GE(detours, 1);
-  const obs::MetricsRegistry& m = obs::ctx().metrics();
-  EXPECT_EQ(m.counter("sched.detour_library_hits") +
-                m.counter("sched.detour_library_misses"),
-            static_cast<std::uint64_t>(detours));
-  obs::ctx().reset();
+  const LibraryClassStats& detour = library.stats().detour;
+  EXPECT_EQ(detour.hits + detour.misses, static_cast<std::uint64_t>(detours));
 }
 
 }  // namespace
