@@ -1,8 +1,5 @@
 #include "core/library.hpp"
 
-#include <algorithm>
-#include <tuple>
-
 #include "obs/obs.hpp"
 
 namespace meda::core {
@@ -94,61 +91,17 @@ void StrategyLibrary::store(const assay::RoutingJob& rj, std::uint64_t digest,
   const Key key{rj.start, rj.goal, rj.hazard, digest};
   const auto it = entries_.find(key);
   if (it != entries_.end()) {
-    // Overwrite in place, keeping the original insertion tick (and thus
-    // the entry's FIFO position — refreshing content does not renew age).
+    // Overwrite in place, keeping the original insertion tick (refreshing
+    // content does not renew the entry's age).
     it->second.result = std::move(result);
     ++s.overwrites;
     MEDA_OBS_COUNT(std::string("library.") + to_string(cls) + ".overwrites",
                    1);
     return;
   }
-  if (capacity_ > 0) evict_down_to(capacity_ - 1);
-  entries_.emplace(key, Entry{std::move(result), now, cls});
-  insertion_order_.emplace(now, key);
+  entries_.emplace(key, Entry{std::move(result), now});
   ++s.inserts;
   MEDA_OBS_COUNT(std::string("library.") + to_string(cls) + ".inserts", 1);
-}
-
-void StrategyLibrary::set_capacity(std::size_t capacity) {
-  capacity_ = capacity;
-  if (capacity_ > 0) evict_down_to(capacity_);
-}
-
-void StrategyLibrary::evict_down_to(std::size_t limit) {
-  while (entries_.size() > limit && !insertion_order_.empty()) {
-    const auto oldest = insertion_order_.begin();
-    const auto it = entries_.find(oldest->second);
-    if (it != entries_.end()) {
-      const DigestClass cls = it->second.cls;
-      LibraryClassStats& s = class_stats(stats_, cls);
-      ++s.evictions;
-      MEDA_OBS_COUNT(std::string("library.") + to_string(cls) + ".evictions",
-                     1);
-      entries_.erase(it);
-    }
-    insertion_order_.erase(oldest);
-  }
-}
-
-void StrategyLibrary::clear() {
-  entries_.clear();
-  insertion_order_.clear();
-  tick_ = 0;
-  stats_ = LibraryStats{};
-}
-
-std::vector<StrategyLibrary::EntryView> StrategyLibrary::entries() const {
-  std::vector<EntryView> views;
-  views.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_)
-    views.push_back(EntryView{key.start, key.goal, key.hazard, key.digest,
-                              &entry.result});
-  std::sort(views.begin(), views.end(),
-            [](const EntryView& a, const EntryView& b) {
-              return std::tie(a.start, a.goal, a.hazard, a.digest) <
-                     std::tie(b.start, b.goal, b.hazard, b.digest);
-            });
-  return views;
 }
 
 }  // namespace meda::core

@@ -1,9 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <unordered_map>
-#include <vector>
 
 #include "assay/helper.hpp"
 #include "core/synthesizer.hpp"
@@ -16,7 +14,7 @@
 /// area changes the digest and forces a fresh synthesis.
 ///
 /// Introspection: the library keeps per-digest-class hit/miss/insert/
-/// overwrite/eviction counts (LibraryStats) and, when the global metrics
+/// overwrite counts (LibraryStats) and, when the global metrics
 /// registry is enabled, feeds two log2 histograms — `library.entry_age`
 /// (operations between an entry's insertion and a hit on it, a reuse-
 /// distance proxy) and `library.strategy_cells` (stored strategy size).
@@ -74,7 +72,6 @@ struct LibraryClassStats {
   std::uint64_t misses = 0;
   std::uint64_t inserts = 0;     ///< stores that created a new entry
   std::uint64_t overwrites = 0;  ///< stores that replaced an entry
-  std::uint64_t evictions = 0;   ///< entries dropped by the FIFO capacity
 
   /// The field list (see RecoveryCounters::for_each_field).
   template <typename F, typename... C>
@@ -83,7 +80,6 @@ struct LibraryClassStats {
     f("misses", c.misses...);
     f("inserts", c.inserts...);
     f("overwrites", c.overwrites...);
-    f("evictions", c.evictions...);
   }
 
   LibraryClassStats& operator+=(const LibraryClassStats& other) {
@@ -134,39 +130,20 @@ class StrategyLibrary {
  public:
   /// Returns the cached result for the job under the digest, if present.
   /// @p cls only attributes the hit/miss to a stats class. The pointer is
-  /// valid until the next `store()`, `set_capacity()` or `clear()`.
+  /// valid until the next `store()`.
   const SynthesisResult* lookup(const assay::RoutingJob& rj,
                                 std::uint64_t digest,
                                 DigestClass cls = DigestClass::kPlain) const;
 
   /// Stores @p result for the job/digest (overwrites an existing entry —
-  /// health can only degrade, so newer entries supersede older ones). When
-  /// a capacity is set and the library is full, the oldest entry by
-  /// insertion order is evicted first.
+  /// health can only degrade, so newer entries supersede older ones).
   void store(const assay::RoutingJob& rj, std::uint64_t digest,
              SynthesisResult result, DigestClass cls = DigestClass::kPlain);
-
-  /// Caps the entry count; 0 (the default) means unlimited. Shrinking
-  /// below the current size evicts oldest-first immediately.
-  void set_capacity(std::size_t capacity);
-  std::size_t capacity() const { return capacity_; }
 
   std::size_t size() const { return entries_.size(); }
   const LibraryStats& stats() const { return stats_; }
   std::uint64_t hits() const { return stats_.totals().hits; }
   std::uint64_t misses() const { return stats_.totals().misses; }
-
-  void clear();
-
-  /// A read-only view of one cached entry (used by persistence/inspection).
-  struct EntryView {
-    Rect start, goal, hazard;
-    std::uint64_t digest = 0;
-    const SynthesisResult* result = nullptr;
-  };
-
-  /// All entries in a deterministic (key-sorted) order.
-  std::vector<EntryView> entries() const;
 
  private:
   struct Key {
@@ -180,16 +157,9 @@ class StrategyLibrary {
   struct Entry {
     SynthesisResult result;
     std::uint64_t inserted_tick = 0;  ///< operation-clock time of insertion
-    DigestClass cls = DigestClass::kPlain;
   };
 
-  void evict_down_to(std::size_t limit);
-
   std::unordered_map<Key, Entry, KeyHash> entries_;
-  /// Insertion order for FIFO eviction: operation tick → key. Overwrites
-  /// keep the original tick (the entry's age is since first insertion).
-  std::map<std::uint64_t, Key> insertion_order_;
-  std::size_t capacity_ = 0;  ///< 0 = unlimited
   mutable std::uint64_t tick_ = 0;
   mutable LibraryStats stats_;
 };

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/fallback_router.hpp"
+#include "core/replica_corridors.hpp"
 #include "model/outcomes.hpp"
 #include "obs/obs.hpp"
 #include "util/check.hpp"

@@ -7,7 +7,6 @@
 #include "assay/helper.hpp"
 #include "assay/mo.hpp"
 #include "core/biochip_io.hpp"
-#include "core/fleet_planner.hpp"
 #include "core/health_filter.hpp"
 #include "core/library.hpp"
 #include "core/recovery.hpp"

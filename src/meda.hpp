@@ -47,12 +47,8 @@
 
 // Synthesis framework (Section VI) and extensions
 #include "core/biochip_io.hpp"
-#include "core/evaluation.hpp"
-#include "core/fleet_planner.hpp"
 #include "core/library.hpp"
-#include "core/library_io.hpp"
 #include "core/mdp.hpp"
-#include "core/pair_planner.hpp"
 #include "core/prism_export.hpp"
 #include "core/routability.hpp"
 #include "core/scheduler.hpp"

@@ -123,7 +123,7 @@ struct ChaosCell {
   std::uint64_t frames_dropped = 0;  ///< summed over all chips
   std::uint64_t bits_flipped = 0;    ///< summed over all chips
   /// Strategy-library operation counts summed over the cell's per-chip
-  /// libraries (per-digest-class hits/misses/inserts/overwrites/evictions;
+  /// libraries (per-digest-class hits/misses/inserts/overwrites;
   /// the `library.*` columns of the metrics CSV).
   core::LibraryStats library;
 };

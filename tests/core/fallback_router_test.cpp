@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <limits>
+#include <unordered_map>
+
 #include "model/action.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace meda::core {
 namespace {
@@ -118,6 +123,78 @@ TEST(FallbackRouter, CellsUnderTheDropletAreExemptFromHealthChecks) {
   const FallbackResult r = fallback_route(rj, health, chip);
   ASSERT_TRUE(r.feasible);
   EXPECT_EQ(walk(r.strategy, rj), r.path_length);
+}
+
+/// Breadth-first search over droplet rectangles, every action one cycle:
+/// the fewest actions from rj.start to a rectangle inside rj.goal, or -1
+/// when none exists. It shares only the action model (action_enabled,
+/// apply) with fallback_route, not its search, heuristic or bookkeeping.
+int bfs_path_length(const assay::RoutingJob& rj, const IntMatrix& health,
+                    const Rect& chip, const ActionRules& rules) {
+  std::unordered_map<Rect, int> dist{{rj.start, 0}};
+  std::deque<Rect> queue{rj.start};
+  while (!queue.empty()) {
+    const Rect cur = queue.front();
+    queue.pop_front();
+    const int d = dist.at(cur);
+    if (rj.goal.contains(cur)) return d;
+    for (const Action a : kAllActions) {
+      if (!action_enabled(a, cur, rules, chip)) continue;
+      const Rect next = apply(a, cur);
+      if (!rj.hazard.contains(next) || dist.contains(next)) continue;
+      // Newly covered cells must be alive; cells under the droplet are not
+      // sensed.
+      bool alive = true;
+      for (int y = next.ya; y <= next.yb && alive; ++y)
+        for (int x = next.xa; x <= next.xb && alive; ++x)
+          alive = cur.contains(x, y) || health(x, y) >= 1;
+      if (!alive) continue;
+      dist.emplace(next, d + 1);
+      queue.push_back(next);
+    }
+  }
+  return -1;
+}
+
+TEST(FallbackRouter, PathLengthMatchesBreadthFirstSearch) {
+  // Random chips with up to 30% dead cells: the unbounded A* must agree
+  // with plain BFS on feasibility and on the shortest action count, which
+  // holds only while its heuristic never overestimates.
+  Rng rng(20260518);
+  int feasible = 0;
+  for (int instance = 0; instance < 400; ++instance) {
+    const int w = rng.uniform_int(10, 19);
+    const int h = rng.uniform_int(10, 19);
+    const Rect chip{0, 0, w - 1, h - 1};
+    const double dead = rng.uniform(0.0, 0.3);
+    IntMatrix health(w, h, 3);
+    for (int y = 0; y < h; ++y)
+      for (int x = 0; x < w; ++x)
+        health(x, y) = rng.bernoulli(dead) ? 0 : rng.uniform_int(1, 3);
+    const int side = rng.uniform_int(2, 4);
+    assay::RoutingJob rj;
+    rj.start = Rect::from_size(rng.uniform_int(0, w - side),
+                               rng.uniform_int(0, h - side), side, side);
+    rj.goal = Rect::from_size(rng.uniform_int(0, w - side - 1),
+                              rng.uniform_int(0, h - side - 1), side + 1,
+                              side + 1);
+    rj.hazard = assay::zone(rj.start, rj.goal, chip, rng.uniform_int(0, 3));
+    FallbackConfig config;
+    config.rules.enable_morphing = instance % 2 == 0;
+    config.max_expansions = std::numeric_limits<int>::max();
+
+    const int expected = bfs_path_length(rj, health, chip, config.rules);
+    const FallbackResult r = fallback_route(rj, health, chip, config);
+    ASSERT_EQ(r.feasible, expected >= 0) << "instance " << instance;
+    if (!r.feasible) continue;
+    ++feasible;
+    ASSERT_EQ(r.path_length, expected) << "instance " << instance;
+    EXPECT_EQ(walk(r.strategy, rj, r.path_length), r.path_length)
+        << "instance " << instance;
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(feasible, 40);
+  EXPECT_LT(feasible, 360);
 }
 
 TEST(FallbackRouter, RejectsMalformedInputs) {

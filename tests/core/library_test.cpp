@@ -161,87 +161,20 @@ TEST(StrategyLibrary, PerClassStatsAttributeOperations) {
 TEST(StrategyLibrary, StatsRollUpAcrossInstances) {
   LibraryStats a, b;
   a.plain.hits = 3;
-  a.detour.evictions = 1;
+  a.detour.overwrites = 1;
   b.plain.hits = 2;
   b.plain.misses = 4;
   a += b;
   EXPECT_EQ(a.plain.hits, 5u);
   EXPECT_EQ(a.plain.misses, 4u);
-  EXPECT_EQ(a.detour.evictions, 1u);
+  EXPECT_EQ(a.detour.overwrites, 1u);
   EXPECT_EQ(a.totals().hits, 5u);
-}
-
-TEST(StrategyLibrary, CapacityEvictsOldestInsertionFirst) {
-  StrategyLibrary lib;
-  lib.set_capacity(2);
-  const assay::RoutingJob rj = sample_job();
-  lib.store(rj, 1, sample_result(1.0));
-  lib.store(rj, 2, sample_result(2.0));
-  lib.store(rj, 3, sample_result(3.0));  // evicts digest 1 (FIFO)
-  EXPECT_EQ(lib.size(), 2u);
-  EXPECT_EQ(lib.lookup(rj, 1), nullptr);
-  EXPECT_NE(lib.lookup(rj, 2), nullptr);
-  EXPECT_NE(lib.lookup(rj, 3), nullptr);
-  EXPECT_EQ(lib.stats().plain.evictions, 1u);
-}
-
-TEST(StrategyLibrary, OverwriteKeepsOriginalInsertionOrder) {
-  StrategyLibrary lib;
-  lib.set_capacity(2);
-  const assay::RoutingJob rj = sample_job();
-  lib.store(rj, 1, sample_result(1.0));
-  lib.store(rj, 2, sample_result(2.0));
-  lib.store(rj, 1, sample_result(9.0));  // overwrite: still oldest
-  lib.store(rj, 3, sample_result(3.0));  // must evict digest 1, not 2
-  EXPECT_EQ(lib.lookup(rj, 1), nullptr);
-  ASSERT_NE(lib.lookup(rj, 2), nullptr);
-  EXPECT_EQ(lib.stats().plain.overwrites, 1u);
-  EXPECT_EQ(lib.stats().plain.evictions, 1u);
-}
-
-TEST(StrategyLibrary, ShrinkingCapacityEvictsImmediately) {
-  StrategyLibrary lib;
-  const assay::RoutingJob rj = sample_job();
-  for (std::uint64_t d = 1; d <= 4; ++d)
-    lib.store(rj, d, sample_result(static_cast<double>(d)));
-  lib.set_capacity(2);
-  EXPECT_EQ(lib.size(), 2u);
-  EXPECT_EQ(lib.stats().plain.evictions, 2u);
-  EXPECT_EQ(lib.lookup(rj, 1), nullptr);  // oldest two are gone
-  EXPECT_EQ(lib.lookup(rj, 2), nullptr);
-  EXPECT_NE(lib.lookup(rj, 3), nullptr);
-  EXPECT_NE(lib.lookup(rj, 4), nullptr);
-  lib.set_capacity(0);  // back to unlimited: nothing else is evicted
-  lib.store(rj, 5, sample_result(5.0));
-  EXPECT_EQ(lib.size(), 3u);
-}
-
-TEST(StrategyLibrary, EvictionAttributesToTheEvictedEntrysClass) {
-  StrategyLibrary lib;
-  lib.set_capacity(1);
-  const assay::RoutingJob rj = sample_job();
-  lib.store(rj, 1, sample_result(1.0), DigestClass::kDetour);
-  lib.store(rj, 2, sample_result(2.0), DigestClass::kPlain);
-  // The detour entry was evicted by a plain store: the eviction belongs to
-  // the detour class.
-  EXPECT_EQ(lib.stats().detour.evictions, 1u);
-  EXPECT_EQ(lib.stats().plain.evictions, 0u);
 }
 
 TEST(DigestClass, StableLabels) {
   EXPECT_STREQ(to_string(DigestClass::kPlain), "plain");
   EXPECT_STREQ(to_string(DigestClass::kDetour), "detour");
   EXPECT_STREQ(to_string(DigestClass::kReplica), "replica");
-}
-
-TEST(StrategyLibrary, ClearResetsEverything) {
-  StrategyLibrary lib;
-  lib.store(sample_job(), 1, sample_result(5.0));
-  (void)lib.lookup(sample_job(), 1);
-  lib.clear();
-  EXPECT_EQ(lib.size(), 0u);
-  EXPECT_EQ(lib.hits(), 0u);
-  EXPECT_EQ(lib.misses(), 0u);
 }
 
 }  // namespace

@@ -160,8 +160,7 @@ TEST(SimulatedChip, SplitReplacesTheParent) {
 
 TEST(SimulatedChip, SimultaneousCoordinatedMotionIsNotBlocked) {
   // B vacates the space A enters in the same operational cycle — legal on
-  // real MEDA (all droplets actuate at once) and required by the pair
-  // planner.
+  // real MEDA (all droplets actuate at once).
   SimulatedChip chip(small_config(), Rng(21));
   const core::DropletId a = chip.dispense(Rect{0, 0, 3, 3});
   const core::DropletId b = chip.dispense(Rect{6, 0, 9, 3});  // gap 3
