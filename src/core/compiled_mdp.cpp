@@ -303,8 +303,7 @@ CompiledMdp compile_mdp(const RoutingMdp& mdp) {
     out.is_goal[s] = mdp.is_goal[s] ? 1 : 0;
     for (const Choice& choice : mdp.choices[s]) {
       // Factor the self-loop branch out of the transition list: sum its
-      // mass q exactly as the legacy solver does (in transition order) and
-      // keep only the off-state branches.
+      // mass q in transition order and keep only the off-state branches.
       double q = 0.0;
       for (const Transition& t : choice.transitions)
         if (t.target == s) q += t.probability;

@@ -33,8 +33,7 @@
 /// (build_routing_mdp is an expansion of this build), so a choice's local
 /// index (`c - choice_offset[s]`) is the RoutingMdp choice index and
 /// compile_mdp of the explicit form reproduces these arrays bit for bit —
-/// Solution::chosen stays interchangeable between the legacy and compiled
-/// solvers.
+/// Solution::chosen indexes the explicit form's choice lists as well.
 
 namespace meda::core {
 

@@ -68,8 +68,8 @@ struct RoutingMdp {
 /// This is the explicit form of build_compiled_mdp (compiled_mdp.hpp), which
 /// synthesis uses directly: the exploration runs once, in compiled form, and
 /// each choice is expanded back to its full outcome list (self-loop branch
-/// included) through the same outcome kernel. It serves PRISM export, the
-/// legacy reference solvers and tests.
+/// included) through the same outcome kernel. It serves PRISM export and
+/// the tests' oracles, which read the explicit choices.
 ///
 /// @param rj     the routing job; rj.start must be a valid on-chip droplet
 ///               inside rj.hazard

@@ -33,7 +33,8 @@ Strategy extract_strategy(const CompiledMdp& mdp,
 }
 
 bool deadline_expired(const ReachAvoidSolution& sol) {
-  return sol.pmax.deadline_expired || sol.rmin.deadline_expired;
+  return sol.pmax.termination == SolveTermination::kDeadline ||
+         sol.rmin.termination == SolveTermination::kDeadline;
 }
 
 /// The φ_p query reads pmax at every state, so the combined solve must

@@ -47,23 +47,6 @@ class ResidualRing {
   std::size_t next_ = 0;
 };
 
-/// Probability mass a choice keeps in state @p s (failed-pull self-loop).
-double self_loop_mass(const Choice& choice, std::uint32_t s) {
-  double q = 0.0;
-  for (const Transition& t : choice.transitions)
-    if (t.target == s) q += t.probability;
-  return q;
-}
-
-/// Σ p·V(target) over the non-self-loop branches.
-double off_state_value(const Choice& choice, std::uint32_t s,
-                       const std::vector<double>& values) {
-  double acc = 0.0;
-  for (const Transition& t : choice.transitions)
-    if (t.target != s) acc += t.probability * values[t.target];
-  return acc;
-}
-
 /// Shared solver telemetry: per-solve sweep count, residual curve, states
 /// touched, and termination cause — as span args, registry metrics, and
 /// (when tracing) sweep-domain counter samples.
@@ -72,7 +55,8 @@ void record_solve(Span& span, const Solution& sol, const char* query) {
   if (!MEDA_OBS_ACTIVE()) return;  // skip the name formatting entirely
   span.arg("sweeps", static_cast<std::int64_t>(sol.iterations));
   span.arg("residual", sol.final_residual);
-  span.arg("converged", static_cast<std::int64_t>(sol.converged ? 1 : 0));
+  const bool converged = sol.termination == SolveTermination::kConverged;
+  span.arg("converged", static_cast<std::int64_t>(converged ? 1 : 0));
   span.arg("termination", to_string(sol.termination));
   span.arg("states_touched", static_cast<std::int64_t>(sol.states_touched));
   MEDA_OBS_COUNT(std::string("vi.") + query + ".solves", 1);
@@ -99,16 +83,15 @@ void record_solve(Span& span, const Solution& sol, const char* query) {
                                         residual, sweep);
     }
   }
-  if (!sol.converged) MEDA_OBS_COUNT("vi.nonconverged", 1);
-  if (sol.deadline_expired) MEDA_OBS_COUNT("vi.deadline_expired", 1);
+  if (!converged) MEDA_OBS_COUNT("vi.nonconverged", 1);
+  if (sol.termination == SolveTermination::kDeadline)
+    MEDA_OBS_COUNT("vi.deadline_expired", 1);
 }
 
 void require_valid(const SolveConfig& config) {
   MEDA_REQUIRE(config.tolerance > 0.0 && config.max_iterations > 0,
                "invalid solve configuration");
 }
-
-// Compiled kernels ----------------------------------------------------------
 
 /// One Bellman backup at a state: the optimizing value and local choice
 /// index.
@@ -186,7 +169,6 @@ Solution run_pmax(const CompiledMdp& m, const SolveConfig& config) {
     // Deadline poll once per sweep: coarse enough to be free, fine enough
     // that a stuck solve stops within one sweep of the budget.
     if (config.deadline.expired()) {
-      sol.deadline_expired = true;
       sol.termination = SolveTermination::kDeadline;
       break;
     }
@@ -206,7 +188,6 @@ Solution run_pmax(const CompiledMdp& m, const SolveConfig& config) {
     sol.states_touched += touched;
     residuals.push(delta);
     if (delta < config.tolerance) {
-      sol.converged = true;
       sol.termination = SolveTermination::kConverged;
       break;
     }
@@ -236,7 +217,6 @@ Solution run_rmin(const CompiledMdp& m, const SolveConfig& config,
   std::vector<std::uint8_t> stale(n, 1);
   while (sol.iterations < config.max_iterations) {
     if (config.deadline.expired()) {
-      sol.deadline_expired = true;
       sol.termination = SolveTermination::kDeadline;
       break;
     }
@@ -267,7 +247,6 @@ Solution run_rmin(const CompiledMdp& m, const SolveConfig& config,
     sol.states_touched += touched;
     residuals.push(delta);
     if (delta < config.tolerance) {
-      sol.converged = true;
       sol.termination = SolveTermination::kConverged;
       break;
     }
@@ -277,8 +256,6 @@ Solution run_rmin(const CompiledMdp& m, const SolveConfig& config,
 }
 
 }  // namespace
-
-// Compiled fast path --------------------------------------------------------
 
 std::vector<std::uint8_t> almost_sure_winning(const CompiledMdp& m) {
   MEDA_OBS_SPAN(span, "vi", "winning");
@@ -370,170 +347,10 @@ ReachAvoidSolution solve_reach_avoid(const CompiledMdp& mdp,
   // Numeric pmax only where its values are read: the caller reads it at
   // every state, or rmin finished and left the start at ∞ (the
   // synthesizer's best-effort fallback).
-  if (!out.rmin.deadline_expired &&
+  if (out.rmin.termination != SolveTermination::kDeadline &&
       (need_pmax || !std::isfinite(out.rmin.values[mdp.start])))
     out.pmax = solve_pmax(mdp, config);
   return out;
-}
-
-ReachAvoidSolution solve_reach_avoid(const RoutingMdp& mdp,
-                                     const SolveConfig& config) {
-  require_valid(config);
-  return solve_reach_avoid(compile_mdp(mdp), config);
-}
-
-// RoutingMdp wrappers -------------------------------------------------------
-
-Solution solve_pmax(const RoutingMdp& mdp, const SolveConfig& config) {
-  require_valid(config);
-  return solve_pmax(compile_mdp(mdp), config);
-}
-
-Solution solve_rmin(const RoutingMdp& mdp, const SolveConfig& config) {
-  require_valid(config);
-  return solve_reach_avoid(compile_mdp(mdp), config).rmin;
-}
-
-// Legacy reference path -----------------------------------------------------
-
-Solution solve_pmax_legacy(const RoutingMdp& mdp, const SolveConfig& config) {
-  require_valid(config);
-  MEDA_OBS_SPAN(span, "vi", "pmax_legacy");
-  const std::size_t n = mdp.droplets.size();
-  Solution sol;
-  sol.values.assign(mdp.state_count(), 0.0);
-  sol.chosen.assign(n, -1);
-  for (std::size_t s = 0; s < n; ++s)
-    if (mdp.is_goal[s]) sol.values[s] = 1.0;
-
-  ResidualRing residuals;
-  for (int iter = 0; iter < config.max_iterations; ++iter) {
-    if (config.deadline.expired()) {
-      sol.deadline_expired = true;
-      sol.termination = SolveTermination::kDeadline;
-      break;
-    }
-    double delta = 0.0;
-    std::uint64_t touched = 0;
-    for (std::size_t s = 0; s < n; ++s) {
-      if (mdp.is_goal[s] || mdp.choices[s].empty()) continue;
-      double best = 0.0;
-      int best_choice = -1;
-      for (std::size_t c = 0; c < mdp.choices[s].size(); ++c) {
-        const Choice& choice = mdp.choices[s][c];
-        const double q =
-            self_loop_mass(choice, static_cast<std::uint32_t>(s));
-        double value;
-        if (q >= 1.0 - 1e-12) {
-          value = 0.0;  // pure self-loop: never reaches goal
-        } else {
-          // Value of committing to this choice until the state changes.
-          value = off_state_value(choice, static_cast<std::uint32_t>(s),
-                                  sol.values) /
-                  (1.0 - q);
-        }
-        if (value > best + kTieEps || best_choice < 0) {
-          best = value;
-          best_choice = static_cast<int>(c);
-        }
-      }
-      best = std::min(best, 1.0);  // numeric slack
-      delta = std::max(delta, std::abs(best - sol.values[s]));
-      sol.values[s] = best;
-      sol.chosen[s] = best_choice;
-      ++touched;
-    }
-    sol.iterations = iter + 1;
-    sol.final_residual = delta;
-    sol.states_touched += touched;
-    residuals.push(delta);
-    if (delta < config.tolerance) {
-      sol.converged = true;
-      sol.termination = SolveTermination::kConverged;
-      break;
-    }
-  }
-  sol.sweep_residuals = residuals.take_chronological();
-  record_solve(span, sol, "pmax_legacy");
-  return sol;
-}
-
-Solution solve_rmin_legacy(const RoutingMdp& mdp, const SolveConfig& config) {
-  require_valid(config);
-  MEDA_OBS_SPAN(span, "vi", "rmin_legacy");
-  const std::size_t n = mdp.droplets.size();
-
-  // The legacy path's known double-solve: a full pmax from scratch just for
-  // the winning region (solve_reach_avoid shares it instead).
-  const Solution pmax = solve_pmax_legacy(mdp, config);
-  std::vector<bool> winning(mdp.state_count(), false);
-  for (std::size_t s = 0; s < mdp.state_count(); ++s)
-    winning[s] = pmax.values[s] >= 1.0 - 1e-6;
-
-  Solution sol;
-  sol.values.assign(mdp.state_count(), kInf);
-  sol.chosen.assign(n, -1);
-  sol.values[mdp.hazard_sink()] = kInf;
-  for (std::size_t s = 0; s < n; ++s)
-    if (mdp.is_goal[s] && winning[s]) sol.values[s] = 0.0;
-
-  ResidualRing residuals;
-  for (int iter = 0; iter < config.max_iterations; ++iter) {
-    if (config.deadline.expired()) {
-      sol.deadline_expired = true;
-      sol.termination = SolveTermination::kDeadline;
-      break;
-    }
-    double delta = 0.0;
-    std::uint64_t touched = 0;
-    for (std::size_t s = 0; s < n; ++s) {
-      if (mdp.is_goal[s] || !winning[s] || mdp.choices[s].empty()) continue;
-      double best = kInf;
-      int best_choice = -1;
-      for (std::size_t c = 0; c < mdp.choices[s].size(); ++c) {
-        const Choice& choice = mdp.choices[s][c];
-        // A choice is admissible only if it keeps the run inside the
-        // winning region with probability 1.
-        bool safe = true;
-        for (const Transition& t : choice.transitions) {
-          if (t.probability > 0.0 && !winning[t.target]) {
-            safe = false;
-            break;
-          }
-        }
-        if (!safe) continue;
-        const double q =
-            self_loop_mass(choice, static_cast<std::uint32_t>(s));
-        if (q >= 1.0 - 1e-12) continue;  // no progress possible
-        const double rest = off_state_value(
-            choice, static_cast<std::uint32_t>(s), sol.values);
-        const double value = (choice.cost + rest) / (1.0 - q);
-        if (value < best - kTieEps) {
-          best = value;
-          best_choice = static_cast<int>(c);
-        }
-      }
-      if (best_choice < 0) continue;  // keep ∞ (should not happen in S1)
-      const double prev = sol.values[s];
-      const double diff = std::isinf(prev) ? 1.0 : std::abs(best - prev);
-      delta = std::max(delta, diff);
-      sol.values[s] = best;
-      sol.chosen[s] = best_choice;
-      ++touched;
-    }
-    sol.iterations = iter + 1;
-    sol.final_residual = delta;
-    sol.states_touched += touched;
-    residuals.push(delta);
-    if (delta < config.tolerance) {
-      sol.converged = true;
-      sol.termination = SolveTermination::kConverged;
-      break;
-    }
-  }
-  sol.sweep_residuals = residuals.take_chronological();
-  record_solve(span, sol, "rmin_legacy");
-  return sol;
 }
 
 }  // namespace meda::core

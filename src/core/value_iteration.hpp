@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/compiled_mdp.hpp"
-#include "core/mdp.hpp"
 #include "util/deadline.hpp"
 
 /// @file value_iteration.hpp
@@ -26,31 +25,24 @@
 /// pmax fallback) or for the φ_p query.
 ///
 /// Failed pulls self-loop, so plain value iteration converges geometrically
-/// slowly; both solvers therefore eliminate per-choice self-loops
+/// slowly; the solvers therefore eliminate per-choice self-loops
 /// algebraically (a choice with stay-probability q and off-state mass rest
 /// has committed value rest/(1−q), or (cost + rest)/(1−q) for rewards).
 ///
-/// Two solver paths share this interface:
-///
-///  - the **compiled fast path** (the default): Gauss-Seidel sweeps over a
-///    CompiledMdp's flat CSR arrays in goal-anchored order, with the
-///    self-loop scale 1/(1−q) precomputed per choice (see compiled_mdp.hpp);
-///  - the **legacy reference path** (`solve_*_legacy`): the original sweeps
-///    over the pointer-based RoutingMdp in state-index order, whose rmin
-///    takes its winning region from a numeric pmax thresholded at 1 − 1e-6.
-///    Kept as the equivalence oracle for tests and the baseline for
-///    microbenchmarks.
-///
-/// Both paths break value ties identically: among choices within `kTieEps`
-/// of the optimum, the lowest choice index — i.e. the lowest action index,
-/// since the model builder enumerates kAllActions in order — wins. Policies
-/// are therefore stable across the two paths and across sweep orders.
+/// Every solve runs Gauss-Seidel sweeps over a CompiledMdp's flat CSR arrays
+/// in goal-anchored order, with the self-loop scale 1/(1−q) precomputed per
+/// choice (see compiled_mdp.hpp). Value ties break to the lowest choice
+/// index: among choices within `kTieEps` of the optimum, the lowest action
+/// index wins, since a state's choices follow kAllActions order.
+/// Policies are therefore stable across sweep orders. The tests check the
+/// solvers against exact policy evaluation and a textbook Prob1E, which
+/// share no code with them.
 
 namespace meda::core {
 
-/// Tie-break window shared by every solver path: a choice must beat the
-/// incumbent by more than this to replace it, so exact ties (and sub-noise
-/// differences) resolve to the lowest action index in pmax and rmin alike.
+/// Tie-break window: a choice must beat the incumbent by more than this to
+/// replace it, so exact ties (and sub-noise differences) resolve to the
+/// lowest action index in pmax and rmin alike.
 inline constexpr double kTieEps = 1e-15;
 
 /// Iteration controls.
@@ -58,9 +50,9 @@ struct SolveConfig {
   double tolerance = 1e-9;
   int max_iterations = 200000;
   /// Cooperative deadline polled once per Gauss-Seidel sweep (never per
-  /// state). On expiry the solver stops early with converged = false and
-  /// deadline_expired = true; partial values are still returned but must
-  /// not be used for strategy extraction. A default token never expires.
+  /// state). On expiry the solver stops early with termination kDeadline;
+  /// partial values are still returned but must not be used for strategy
+  /// extraction. A default token never expires.
   util::Deadline deadline{};
 };
 
@@ -88,8 +80,6 @@ struct Solution {
   std::vector<int> chosen;     ///< choice index per droplet state; -1 if none
   int iterations = 0;          ///< Bellman sweeps performed
   double final_residual = 0.0; ///< max value change in the last sweep
-  bool converged = false;
-  bool deadline_expired = false;  ///< stopped by SolveConfig::deadline
   SolveTermination termination = SolveTermination::kSweepLimit;
   /// State-value updates actually performed (goal/non-winning/choiceless
   /// states a sweep skips are not counted, nor rmin states none of whose
@@ -111,8 +101,6 @@ struct ReachAvoidSolution {
   /// rmin left the start at ∞, or the caller asked for it (the φ_p query).
   Solution pmax;
 };
-
-// Compiled fast path --------------------------------------------------------
 
 /// Exact almost-sure winning region of φ_r (PRISM's Prob1E precomputation):
 /// the states from which some strategy reaches a goal state with probability
@@ -136,33 +124,5 @@ Solution solve_pmax(const CompiledMdp& mdp, const SolveConfig& config = {});
 ReachAvoidSolution solve_reach_avoid(const CompiledMdp& mdp,
                                      const SolveConfig& config = {},
                                      bool need_pmax = false);
-
-/// Compiles @p mdp once and runs the combined solve on it.
-ReachAvoidSolution solve_reach_avoid(const RoutingMdp& mdp,
-                                     const SolveConfig& config = {});
-
-// RoutingMdp entry points (thin wrappers over the compiled path) ------------
-
-/// Maximum reach-avoid probability. Compiles the model and runs the fast
-/// path; values and the chosen policy match the legacy solver.
-Solution solve_pmax(const RoutingMdp& mdp, const SolveConfig& config = {});
-
-/// Minimum expected cycles to goal under the almost-sure-reachability
-/// restriction; excluded states get +∞. Compiles once and solves rmin over
-/// the exact winning region.
-Solution solve_rmin(const RoutingMdp& mdp, const SolveConfig& config = {});
-
-// Legacy reference path -----------------------------------------------------
-
-/// Original state-index-order Jacobi/Gauss-Seidel pmax on the pointer-based
-/// representation. Reference implementation for equivalence tests and the
-/// compiled-vs-legacy microbenchmarks.
-Solution solve_pmax_legacy(const RoutingMdp& mdp,
-                           const SolveConfig& config = {});
-
-/// Original rmin (internally re-runs a full legacy pmax for the winning
-/// region — the double-solve the compiled path eliminates).
-Solution solve_rmin_legacy(const RoutingMdp& mdp,
-                           const SolveConfig& config = {});
 
 }  // namespace meda::core

@@ -9,7 +9,6 @@
 
 #include "core/library.hpp"
 #include "obs/obs.hpp"
-#include "sim/experiments.hpp"
 #include "util/check.hpp"
 #include "util/checkpoint.hpp"
 #include "util/csv.hpp"
@@ -21,10 +20,10 @@ namespace meda::sim {
 namespace {
 
 // Checkpoint payload codec. A slot serializes exactly the ExecutionStats
-// subset the reductions consume (RunRollup::absorb inputs plus the chaos
-// channel tallies); synthesis_seconds round-trips exactly via the C99 %a
-// hexfloat form so a resumed campaign reproduces the straight-through CSV
-// byte for byte. The counter structs are written by walking their field
+// subset the reductions consume (RunRollup::absorb inputs plus the
+// sensing-channel tallies); synthesis_seconds round-trips exactly via the
+// C99 %a hexfloat form so a resumed campaign reproduces the straight-through
+// CSV byte for byte. The counter structs are written by walking their field
 // lists (for_each_field, declaration order), and the checkpoint digest
 // mixes in the same field names, so a new counter changes the payload and
 // invalidates older checkpoints without a codec edit.
@@ -55,14 +54,6 @@ struct MixFieldName {
   void operator()(const char* name) const { digest.mix(std::string(name)); }
 };
 
-/// Mixes the slot payload layout into a checkpoint digest: the driver name
-/// plus the field names of the counter structs every slot carries.
-void mix_payload_layout(util::DigestBuilder& digest, const char* driver) {
-  digest.mix(std::string(driver));
-  core::RecoveryCounters::for_each_field(MixFieldName{digest});
-  core::ReplicaCounters::for_each_field(MixFieldName{digest});
-}
-
 void encode_stats(std::ostream& os, const core::ExecutionStats& s) {
   os << (s.success ? 1 : 0) << ' ' << s.cycles << ' ' << s.completed_mos
      << ' ' << s.aborted_mos << ' ' << s.synthesis_calls << ' '
@@ -87,138 +78,6 @@ bool decode_stats(std::istream& is, core::ExecutionStats& s) {
   return end != nullptr && *end == '\0';
 }
 
-std::string encode_run_records(const std::vector<RunRecord>& records) {
-  std::ostringstream os;
-  os << records.size();
-  for (const RunRecord& record : records) {
-    os << ' ';
-    encode_stats(os, record.stats);
-  }
-  return os.str();
-}
-
-bool decode_run_records(const std::string& payload,
-                        std::vector<RunRecord>& out) {
-  std::istringstream is(payload);
-  std::size_t n = 0;
-  if (!(is >> n) || n > 1u << 20) return false;
-  std::vector<RunRecord> records(n);
-  for (RunRecord& record : records) {
-    if (!decode_stats(is, record.stats)) return false;
-    record.success = record.stats.success;
-    record.cycles = record.stats.cycles;
-  }
-  out = std::move(records);
-  return true;
-}
-
-}  // namespace
-
-// Both campaigns share the same parallel structure: the (cell, chip) grid
-// is flattened into independent tasks, each task derives everything random
-// from the chip index alone (seed0 + chip_idx) and writes into its own
-// preallocated slot, and the slots are reduced serially in the original
-// grid order afterwards. Because no floating-point accumulation happens
-// concurrently and no seed depends on execution order, the cells — and any
-// CSV written from them — are byte-identical at every job count, including
-// the serial jobs = 1 path.
-
-std::vector<CampaignCell> run_campaign(
-    const std::vector<assay::MoList>& assays,
-    const std::vector<RouterConfig>& routers, const CampaignConfig& config) {
-  MEDA_REQUIRE(!assays.empty() && !routers.empty(),
-               "campaign needs at least one assay and one router");
-  MEDA_REQUIRE(config.chips >= 1 && config.runs_per_chip >= 1,
-               "campaign needs positive chip/run counts");
-  std::vector<CampaignCell> cells(assays.size() * routers.size());
-  for (std::size_t a = 0; a < assays.size(); ++a) {
-    for (std::size_t r = 0; r < routers.size(); ++r) {
-      CampaignCell& cell = cells[a * routers.size() + r];
-      cell.assay = assays[a].name;
-      cell.router = routers[r].name;
-    }
-  }
-
-  const std::size_t chips = static_cast<std::size_t>(config.chips);
-  std::vector<std::vector<RunRecord>> slots(cells.size() * chips);
-  util::SlotCheckpoint checkpoint;
-  if (!config.checkpoint.path.empty()) {
-    util::DigestBuilder digest;
-    mix_payload_layout(digest, "meda-campaign");
-    digest.mix(config.seed0).mix(config.chips).mix(config.runs_per_chip);
-    digest.mix(config.checkpoint.salt);
-    digest.mix(static_cast<std::uint64_t>(assays.size()));
-    for (const assay::MoList& assay_list : assays) digest.mix(assay_list.name);
-    digest.mix(static_cast<std::uint64_t>(routers.size()));
-    for (const RouterConfig& router : routers) digest.mix(router.name);
-    checkpoint.open(config.checkpoint.path, digest.value(),
-                    config.checkpoint.resume, slots.size(),
-                    config.checkpoint.flush_every);
-  }
-  util::parallel_for(config.jobs, slots.size(), [&](std::size_t t) {
-    if (const std::string* payload = checkpoint.restored(t))
-      if (decode_run_records(*payload, slots[t])) return;
-    const std::size_t cell_idx = t / chips;
-    const int chip_idx = static_cast<int>(t % chips);
-    const assay::MoList& assay_list = assays[cell_idx / routers.size()];
-    const RouterConfig& router = routers[cell_idx % routers.size()];
-    MEDA_OBS_SPAN(chip_span, "campaign", "chip");
-    chip_span.arg("assay", assay_list.name);
-    chip_span.arg("router", router.name);
-    chip_span.arg("chip", static_cast<std::int64_t>(chip_idx));
-    RepeatedRunsConfig runs_config;
-    runs_config.chip = config.chip;
-    runs_config.scheduler = router.scheduler;
-    runs_config.runs = config.runs_per_chip;
-    runs_config.seed = config.seed0 + static_cast<std::uint64_t>(chip_idx);
-    slots[t] = run_repeated(assay_list, runs_config);
-    if (checkpoint.active())
-      checkpoint.record(t, encode_run_records(slots[t]));
-  });
-  checkpoint.flush();
-
-  for (std::size_t cell_idx = 0; cell_idx < cells.size(); ++cell_idx) {
-    CampaignCell& cell = cells[cell_idx];
-    MEDA_OBS_SPAN(cell_span, "campaign", "cell");
-    for (std::size_t chip_idx = 0; chip_idx < chips; ++chip_idx) {
-      for (const RunRecord& record : slots[cell_idx * chips + chip_idx]) {
-        cell.rollup.absorb(record.stats);
-        cell.resyntheses.add(record.stats.resyntheses);
-      }
-    }
-    cell_span.arg("assay", cell.assay);
-    cell_span.arg("router", cell.router);
-    cell_span.arg("runs", static_cast<std::int64_t>(cell.rollup.runs));
-    cell_span.arg("successes",
-                  static_cast<std::int64_t>(cell.rollup.successes));
-  }
-  return cells;
-}
-
-void print_campaign(std::ostream& os,
-                    const std::vector<CampaignCell>& cells) {
-  Table table({"bioassay", "router", "success rate (± SE)",
-               "cycles (± 95% CI)", "mean re-syntheses/run"});
-  for (const CampaignCell& cell : cells) {
-    const core::RunRollup& r = cell.rollup;
-    const double p = r.success_rate();
-    const double se =
-        r.runs > 0 ? std::sqrt(p * (1.0 - p) / r.runs) : 0.0;
-    table.add_row(
-        {cell.assay, cell.router,
-         fmt_prob(p) + " ± " + fmt_prob(se),
-         r.cycles.count() > 0
-             ? fmt_double(r.cycles.mean(), 1) + " ± " +
-                   fmt_double(r.cycles.ci95_halfwidth(), 1)
-             : "-",
-         fmt_double(cell.resyntheses.count() ? cell.resyntheses.mean() : 0.0,
-                    1)});
-  }
-  table.print(os);
-}
-
-namespace {
-
 std::unique_ptr<DegradationAdversary> make_adversary(
     AdversaryKind kind, const AdversaryBudget& budget) {
   switch (kind) {
@@ -233,14 +92,14 @@ std::unique_ptr<DegradationAdversary> make_adversary(
 
 /// One (cell, chip) task's output: per-run stats in execution order plus
 /// the chip's sensing-channel tallies.
-struct ChaosChipSlot {
+struct ChipSlot {
   std::vector<core::ExecutionStats> stats;
   std::uint64_t frames_dropped = 0;
   std::uint64_t bits_flipped = 0;
   core::LibraryStats library;  ///< the chip's private library, after all runs
 };
 
-std::string encode_chaos_slot(const ChaosChipSlot& slot) {
+std::string encode_slot(const ChipSlot& slot) {
   std::ostringstream os;
   os << slot.frames_dropped << ' ' << slot.bits_flipped;
   core::LibraryStats::for_each_field(
@@ -256,9 +115,9 @@ std::string encode_chaos_slot(const ChaosChipSlot& slot) {
   return os.str();
 }
 
-bool decode_chaos_slot(const std::string& payload, ChaosChipSlot& out) {
+bool decode_slot(const std::string& payload, ChipSlot& out) {
   std::istringstream is(payload);
-  ChaosChipSlot slot;
+  ChipSlot slot;
   std::size_t n = 0;
   is >> slot.frames_dropped >> slot.bits_flipped;
   core::LibraryStats::for_each_field(
@@ -276,21 +135,28 @@ bool decode_chaos_slot(const std::string& payload, ChaosChipSlot& out) {
 
 }  // namespace
 
-std::vector<ChaosCell> run_chaos_campaign(
+// The (cell, chip) grid is flattened into independent tasks, each task
+// derives everything random from the chip index alone (seed0 + chip_idx) and
+// writes into its own preallocated slot, and the slots are reduced serially
+// in the original grid order afterwards. Because no floating-point
+// accumulation happens concurrently and no seed depends on execution order,
+// the cells — and any CSV written from them — are byte-identical at every
+// job count, including the serial jobs = 1 path.
+
+std::vector<CampaignCell> run_campaign(
     const std::vector<assay::MoList>& assays,
-    const std::vector<RouterConfig>& routers,
-    const ChaosCampaignConfig& config) {
+    const std::vector<RouterConfig>& routers, const CampaignConfig& config) {
   MEDA_REQUIRE(!assays.empty() && !routers.empty() && !config.levels.empty(),
-               "chaos campaign needs an assay, a router, and a level");
+               "campaign needs an assay, a router, and a level");
   MEDA_REQUIRE(config.chips >= 1 && config.runs_per_chip >= 1,
-               "chaos campaign needs positive chip/run counts");
+               "campaign needs positive chip/run counts");
   const std::size_t n_routers = routers.size();
   const std::size_t n_levels = config.levels.size();
-  std::vector<ChaosCell> cells(assays.size() * n_levels * n_routers);
+  std::vector<CampaignCell> cells(assays.size() * n_levels * n_routers);
   for (std::size_t a = 0; a < assays.size(); ++a) {
     for (std::size_t l = 0; l < n_levels; ++l) {
       for (std::size_t r = 0; r < n_routers; ++r) {
-        ChaosCell& cell = cells[(a * n_levels + l) * n_routers + r];
+        CampaignCell& cell = cells[(a * n_levels + l) * n_routers + r];
         cell.assay = assays[a].name;
         cell.router = routers[r].name;
         cell.level = config.levels[l].name;
@@ -300,11 +166,15 @@ std::vector<ChaosCell> run_chaos_campaign(
   }
 
   const std::size_t chips = static_cast<std::size_t>(config.chips);
-  std::vector<ChaosChipSlot> slots(cells.size() * chips);
+  std::vector<ChipSlot> slots(cells.size() * chips);
   util::SlotCheckpoint checkpoint;
   if (!config.checkpoint.path.empty()) {
+    // The slot payload layout: the codec's tag plus the field names of the
+    // counter structs every slot carries.
     util::DigestBuilder digest;
-    mix_payload_layout(digest, "meda-chaos");
+    digest.mix(std::string("meda-chaos"));
+    core::RecoveryCounters::for_each_field(MixFieldName{digest});
+    core::ReplicaCounters::for_each_field(MixFieldName{digest});
     core::LibraryStats::for_each_field(MixFieldName{digest});
     core::LibraryClassStats::for_each_field(MixFieldName{digest});
     digest.mix(config.seed0).mix(config.chips).mix(config.runs_per_chip);
@@ -327,10 +197,10 @@ std::vector<ChaosCell> run_chaos_campaign(
   }
   util::parallel_for(config.jobs, slots.size(), [&](std::size_t t) {
     if (const std::string* payload = checkpoint.restored(t))
-      if (decode_chaos_slot(*payload, slots[t])) return;
+      if (decode_slot(*payload, slots[t])) return;
     const std::size_t cell_idx = t / chips;
     const int chip_idx = static_cast<int>(t % chips);
-    const ChaosCell& cell = cells[cell_idx];
+    const CampaignCell& cell = cells[cell_idx];
     const assay::MoList& assay_list =
         assays[cell_idx / (n_levels * n_routers)];
     const RouterConfig& router = routers[cell_idx % n_routers];
@@ -345,7 +215,7 @@ std::vector<ChaosCell> run_chaos_campaign(
         make_adversary(config.adversary, config.adversary_budget));
     core::StrategyLibrary library;
     core::Scheduler scheduler(router.scheduler, &library);
-    ChaosChipSlot& slot = slots[t];
+    ChipSlot& slot = slots[t];
     slot.stats.reserve(static_cast<std::size_t>(config.runs_per_chip));
     for (int run = 0; run < config.runs_per_chip; ++run) {
       MEDA_OBS_SPAN(trial_span, "campaign", "trial");
@@ -364,14 +234,14 @@ std::vector<ChaosCell> run_chaos_campaign(
     slot.frames_dropped = chip.sensor_channel().frames_dropped();
     slot.bits_flipped = chip.sensor_channel().bits_flipped();
     slot.library = library.stats();
-    if (checkpoint.active()) checkpoint.record(t, encode_chaos_slot(slot));
+    if (checkpoint.active()) checkpoint.record(t, encode_slot(slot));
   });
   checkpoint.flush();
 
   for (std::size_t cell_idx = 0; cell_idx < cells.size(); ++cell_idx) {
-    ChaosCell& cell = cells[cell_idx];
+    CampaignCell& cell = cells[cell_idx];
     for (std::size_t chip_idx = 0; chip_idx < chips; ++chip_idx) {
-      const ChaosChipSlot& slot = slots[cell_idx * chips + chip_idx];
+      const ChipSlot& slot = slots[cell_idx * chips + chip_idx];
       for (const core::ExecutionStats& stats : slot.stats)
         cell.rollup.absorb(stats);
       cell.frames_dropped += slot.frames_dropped;
@@ -382,12 +252,35 @@ std::vector<ChaosCell> run_chaos_campaign(
   return cells;
 }
 
+void print_campaign(std::ostream& os,
+                    const std::vector<CampaignCell>& cells) {
+  Table table({"bioassay", "router", "success rate (± SE)",
+               "cycles (± 95% CI)", "mean re-syntheses/run"});
+  for (const CampaignCell& cell : cells) {
+    const core::RunRollup& r = cell.rollup;
+    const double p = r.success_rate();
+    const double se =
+        r.runs > 0 ? std::sqrt(p * (1.0 - p) / r.runs) : 0.0;
+    table.add_row(
+        {cell.assay, cell.router,
+         fmt_prob(p) + " ± " + fmt_prob(se),
+         r.cycles.count() > 0
+             ? fmt_double(r.cycles.mean(), 1) + " ± " +
+                   fmt_double(r.cycles.ci95_halfwidth(), 1)
+             : "-",
+         fmt_double(r.runs > 0 ? static_cast<double>(r.resyntheses) / r.runs
+                               : 0.0,
+                    1)});
+  }
+  table.print(os);
+}
+
 void print_chaos_campaign(std::ostream& os,
-                          const std::vector<ChaosCell>& cells) {
+                          const std::vector<CampaignCell>& cells) {
   Table table({"bioassay", "noise", "router", "success", "cycles",
                "watchdog", "retries", "quarantined", "detours", "replicas",
                "failovers", "aborted"});
-  for (const ChaosCell& cell : cells) {
+  for (const CampaignCell& cell : cells) {
     const core::RunRollup& r = cell.rollup;
     table.add_row(
         {cell.assay, cell.level, cell.router,
@@ -405,7 +298,7 @@ void print_chaos_campaign(std::ostream& os,
 }
 
 void write_chaos_csv(const std::string& path,
-                     const std::vector<ChaosCell>& cells) {
+                     const std::vector<CampaignCell>& cells) {
   CsvWriter csv(path,
                 {"assay", "router", "level", "bit_flip_p", "stuck_fraction",
                  "frame_drop_p", "runs", "successes", "success_rate",
@@ -416,7 +309,7 @@ void write_chaos_csv(const std::string& path,
                  "bits_flipped", "synthesis_calls", "replicas_launched",
                  "replica_failovers", "replica_merges", "replica_retired",
                  "replica_best_effort_masks", "replica_droplet_cycles"});
-  for (const ChaosCell& cell : cells) {
+  for (const CampaignCell& cell : cells) {
     const core::RunRollup& r = cell.rollup;
     csv.write_row(
         {cell.assay, cell.router, cell.level,
@@ -453,7 +346,7 @@ namespace {
 /// One cell's metrics keyed by column name; the map's order is the metrics
 /// CSV's name-sorted column order. The counter blocks are their prefix plus
 /// each field name from the structs' field lists.
-std::map<std::string, std::string> chaos_metrics(const ChaosCell& c) {
+std::map<std::string, std::string> chaos_metrics(const CampaignCell& c) {
   const core::RunRollup& r = c.rollup;
   std::map<std::string, std::string> m{
       {"chaos.bits_flipped", std::to_string(c.bits_flipped)},
@@ -495,12 +388,12 @@ std::map<std::string, std::string> chaos_metrics(const ChaosCell& c) {
 }  // namespace
 
 void write_chaos_metrics_csv(const std::string& path,
-                             const std::vector<ChaosCell>& cells) {
+                             const std::vector<CampaignCell>& cells) {
   std::vector<std::string> header{"assay", "router", "level"};
-  for (const auto& [name, value] : chaos_metrics(ChaosCell{}))
+  for (const auto& [name, value] : chaos_metrics(CampaignCell{}))
     header.push_back(name);
   CsvWriter csv(path, header);
-  for (const ChaosCell& cell : cells) {
+  for (const CampaignCell& cell : cells) {
     std::vector<std::string> row{cell.assay, cell.router, cell.level};
     for (auto& [name, value] : chaos_metrics(cell))
       row.push_back(std::move(value));

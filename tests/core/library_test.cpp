@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "obs/obs.hpp"
+
 namespace meda::core {
 namespace {
 
@@ -156,6 +160,48 @@ TEST(StrategyLibrary, PerClassStatsAttributeOperations) {
   EXPECT_EQ(lib.hits(), 2u);
   EXPECT_EQ(lib.misses(), 1u);
   EXPECT_EQ(stats.totals().inserts, 2u);
+}
+
+TEST(StrategyLibrary, RegistryCountsEachOperationUnderItsClassName) {
+  // Each class gets its own count of each operation, so a registry name
+  // wired to the wrong class or operation reads a wrong count.
+#ifdef MEDA_OBS_DISABLED
+  GTEST_SKIP() << "instrumentation compiled out (MEDA_OBS=OFF)";
+#endif
+  obs::ctx().reset();
+  obs::ctx().metrics().enable();
+  struct Class {
+    DigestClass cls;
+    const char* prefix;
+  };
+  const Class classes[] = {{DigestClass::kPlain, "library.plain."},
+                           {DigestClass::kDetour, "library.detour."},
+                           {DigestClass::kReplica, "library.replica."}};
+  StrategyLibrary lib;
+  const assay::RoutingJob rj = sample_job();
+  for (std::uint64_t c = 0; c < 3; ++c) {
+    const DigestClass cls = classes[c].cls;
+    const std::uint64_t base = 100 * (c + 1);  // one digest range per class
+    const std::uint64_t n = 4 * c;
+    for (std::uint64_t i = 0; i < n + 1; ++i)
+      (void)lib.lookup(rj, base + 50 + i, cls);  // miss
+    for (std::uint64_t i = 0; i < n + 2; ++i)
+      lib.store(rj, base + i, sample_result(5.0), cls);  // insert
+    for (std::uint64_t i = 0; i < n + 3; ++i)
+      (void)lib.lookup(rj, base + i % (n + 2), cls);  // hit
+    for (std::uint64_t i = 0; i < n + 4; ++i)
+      lib.store(rj, base + i % (n + 2), sample_result(4.0), cls);  // overwrite
+  }
+  const obs::MetricsRegistry& m = obs::ctx().metrics();
+  for (std::uint64_t c = 0; c < 3; ++c) {
+    const std::string prefix = classes[c].prefix;
+    const std::uint64_t n = 4 * c;
+    EXPECT_EQ(m.counter(prefix + "misses"), n + 1) << prefix;
+    EXPECT_EQ(m.counter(prefix + "inserts"), n + 2) << prefix;
+    EXPECT_EQ(m.counter(prefix + "hits"), n + 3) << prefix;
+    EXPECT_EQ(m.counter(prefix + "overwrites"), n + 4) << prefix;
+  }
+  obs::ctx().reset();
 }
 
 TEST(StrategyLibrary, StatsRollUpAcrossInstances) {

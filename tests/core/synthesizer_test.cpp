@@ -264,8 +264,7 @@ TEST(Synthesizer, RejectsWrongSizedHealthMatrix) {
 TEST(Synthesizer, OneCompileOneWinningPassOneRminPerSynthesis) {
   // Regression pin for the solve order: one compile, one exact winning-region
   // pass, one rmin over it. Numeric pmax runs only when rmin leaves the start
-  // at ∞, which a feasible job never does; the legacy rmin's internal pmax
-  // (a second solve per synthesis) stays out of the pipeline.
+  // at ∞, which a feasible job never does.
 #ifdef MEDA_OBS_DISABLED
   GTEST_SKIP() << "instrumentation compiled out (MEDA_OBS=OFF)";
 #endif
@@ -283,9 +282,6 @@ TEST(Synthesizer, OneCompileOneWinningPassOneRminPerSynthesis) {
   EXPECT_EQ(m.counter("vi.pmax.solves"), 0u);
   EXPECT_EQ(m.counter("synth.pmax_fallback.losing"), 0u);
   EXPECT_EQ(m.counter("synth.pmax_fallback.rmin_stalled"), 0u);
-  // The legacy reference path must stay out of the production pipeline.
-  EXPECT_EQ(m.counter("vi.pmax_legacy.solves"), 0u);
-  EXPECT_EQ(m.counter("vi.rmin_legacy.solves"), 0u);
   obs::ctx().reset();
 }
 

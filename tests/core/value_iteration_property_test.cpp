@@ -11,37 +11,13 @@
 #include <cmath>
 #include <vector>
 
+#include "core/compiled_mdp.hpp"
 #include "core/value_iteration.hpp"
+#include "policy_evaluation.hpp"
 #include "util/rng.hpp"
 
 namespace meda::core {
 namespace {
-
-/// Dense Gaussian elimination with partial pivoting: solves A·x = b.
-std::vector<double> solve_linear(std::vector<std::vector<double>> a,
-                                 std::vector<double> b) {
-  const std::size_t n = b.size();
-  for (std::size_t col = 0; col < n; ++col) {
-    std::size_t pivot = col;
-    for (std::size_t row = col + 1; row < n; ++row)
-      if (std::abs(a[row][col]) > std::abs(a[pivot][col])) pivot = row;
-    std::swap(a[col], a[pivot]);
-    std::swap(b[col], b[pivot]);
-    EXPECT_GT(std::abs(a[col][col]), 1e-12) << "singular system";
-    for (std::size_t row = col + 1; row < n; ++row) {
-      const double f = a[row][col] / a[col][col];
-      for (std::size_t k = col; k < n; ++k) a[row][k] -= f * a[col][k];
-      b[row] -= f * b[col];
-    }
-  }
-  std::vector<double> x(n, 0.0);
-  for (std::size_t row = n; row-- > 0;) {
-    double acc = b[row];
-    for (std::size_t k = row + 1; k < n; ++k) acc -= a[row][k] * x[k];
-    x[row] = acc / a[row][row];
-  }
-  return x;
-}
 
 /// Random MDP with one goal state and a hazard sink; choices have 2-3
 /// successors including (sometimes) a self-loop and (rarely) the sink.
@@ -87,25 +63,8 @@ RoutingMdp random_mdp(Rng& rng, std::size_t states) {
   return mdp;
 }
 
-/// Exact expected-cycles of the chosen policy via linear solve, restricted
-/// to states with finite VI value.
-std::vector<double> exact_policy_cost(const RoutingMdp& mdp,
-                                      const Solution& sol) {
-  const std::size_t n = mdp.droplets.size();
-  std::vector<std::vector<double>> a(n, std::vector<double>(n, 0.0));
-  std::vector<double> b(n, 0.0);
-  for (std::size_t s = 0; s < n; ++s) {
-    a[s][s] = 1.0;
-    if (mdp.is_goal[s] || sol.chosen[s] < 0) continue;  // J = 0 or excluded
-    const Choice& choice =
-        mdp.choices[s][static_cast<std::size_t>(sol.chosen[s])];
-    b[s] = 1.0;
-    for (const Transition& t : choice.transitions) {
-      if (t.target < n) a[s][t.target] -= t.probability;
-      // sink contributes nothing (cost accounted as infeasible elsewhere)
-    }
-  }
-  return solve_linear(std::move(a), std::move(b));
+Solution compiled_rmin(const RoutingMdp& mdp) {
+  return solve_reach_avoid(compile_mdp(mdp)).rmin;
 }
 
 class RandomMdpTest : public ::testing::TestWithParam<int> {};
@@ -113,16 +72,16 @@ class RandomMdpTest : public ::testing::TestWithParam<int> {};
 TEST_P(RandomMdpTest, RminMatchesExactPolicyEvaluation) {
   Rng rng(1234 + static_cast<std::uint64_t>(GetParam()));
   const RoutingMdp mdp = random_mdp(rng, 12 + GetParam() % 9);
-  const Solution sol = solve_rmin(mdp);
-  ASSERT_TRUE(sol.converged);
-  // Exact policy evaluation only over almost-surely-winning states whose
-  // chosen policy never leaves the winning region (guaranteed by solve_rmin
-  // choice admissibility).
+  const Solution sol = compiled_rmin(mdp);
+  ASSERT_EQ(sol.termination, SolveTermination::kConverged);
+  // Exact policy evaluation over the states with a finite value, whose
+  // chosen choices never leave that set (rmin's choice admissibility).
   bool any_finite = false;
   for (std::size_t s = 0; s < mdp.droplets.size(); ++s)
     any_finite |= std::isfinite(sol.values[s]) && !mdp.is_goal[s];
   if (!any_finite) return;  // degenerate instance
-  const std::vector<double> exact = exact_policy_cost(mdp, sol);
+  const std::vector<double> exact =
+      reference::exact_policy_cost(mdp, sol.chosen, sol.values);
   for (std::size_t s = 0; s < mdp.droplets.size(); ++s) {
     if (!std::isfinite(sol.values[s])) continue;
     EXPECT_NEAR(sol.values[s], exact[s], 1e-5) << "state " << s;
@@ -132,37 +91,18 @@ TEST_P(RandomMdpTest, RminMatchesExactPolicyEvaluation) {
 TEST_P(RandomMdpTest, RminSatisfiesBellmanOptimality) {
   Rng rng(777 + static_cast<std::uint64_t>(GetParam()));
   const RoutingMdp mdp = random_mdp(rng, 10 + GetParam() % 7);
-  const Solution sol = solve_rmin(mdp);
-  for (std::size_t s = 0; s < mdp.droplets.size(); ++s) {
-    if (mdp.is_goal[s] || !std::isfinite(sol.values[s])) continue;
-    // The reported value must be <= the one-step lookahead of EVERY
-    // admissible choice, and equal for the chosen one.
-    for (const Choice& choice : mdp.choices[s]) {
-      double rest = 0.0, self = 0.0;
-      bool admissible = true;
-      for (const Transition& t : choice.transitions) {
-        if (t.target == s) {
-          self += t.probability;
-        } else if (t.target < mdp.droplets.size() &&
-                   std::isfinite(sol.values[t.target])) {
-          rest += t.probability * sol.values[t.target];
-        } else {
-          admissible = false;  // leads outside the winning region
-          break;
-        }
-      }
-      if (!admissible || self >= 1.0 - 1e-12) continue;
-      const double lookahead = (1.0 + rest) / (1.0 - self);
-      EXPECT_LE(sol.values[s], lookahead + 1e-6) << "state " << s;
-    }
-  }
+  const Solution sol = compiled_rmin(mdp);
+  // The reported value must be <= the one-step lookahead of EVERY
+  // admissible choice.
+  const reference::Deviation d = reference::best_deviation(mdp, sol.values);
+  EXPECT_LE(d.gain, 1e-6) << "state " << d.state;
 }
 
 TEST_P(RandomMdpTest, PmaxBoundsAndConsistencyWithRmin) {
   Rng rng(4242 + static_cast<std::uint64_t>(GetParam()));
   const RoutingMdp mdp = random_mdp(rng, 14);
-  const Solution pmax = solve_pmax(mdp);
-  const Solution rmin = solve_rmin(mdp);
+  const Solution pmax = solve_pmax(compile_mdp(mdp));
+  const Solution rmin = compiled_rmin(mdp);
   for (std::size_t s = 0; s < mdp.droplets.size(); ++s) {
     EXPECT_GE(pmax.values[s], -1e-12);
     EXPECT_LE(pmax.values[s], 1.0 + 1e-12);
@@ -180,7 +120,7 @@ TEST_P(RandomMdpTest, PmaxBoundsAndConsistencyWithRmin) {
 TEST_P(RandomMdpTest, PmaxMatchesExactPolicyEvaluation) {
   Rng rng(31415 + static_cast<std::uint64_t>(GetParam()));
   const RoutingMdp mdp = random_mdp(rng, 12);
-  const Solution sol = solve_pmax(mdp);
+  const Solution sol = solve_pmax(compile_mdp(mdp));
   // Exact reach probability of the chosen policy: V = P_π V with V(goal)=1.
   const std::size_t n = mdp.droplets.size();
   std::vector<std::vector<double>> a(n, std::vector<double>(n, 0.0));
@@ -197,7 +137,8 @@ TEST_P(RandomMdpTest, PmaxMatchesExactPolicyEvaluation) {
     for (const Transition& t : choice.transitions)
       if (t.target < n) a[s][t.target] -= t.probability;
   }
-  const std::vector<double> exact = solve_linear(std::move(a), std::move(b));
+  const std::vector<double> exact =
+      reference::solve_linear(std::move(a), std::move(b));
   for (std::size_t s = 0; s < n; ++s)
     EXPECT_NEAR(sol.values[s], exact[s], 1e-5) << "state " << s;
 }

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "core/compiled_mdp.hpp"
 #include "model/outcomes.hpp"
 
 namespace meda::core {
@@ -29,12 +30,20 @@ void add_choice(RoutingMdp& mdp, std::size_t state, Action a,
   mdp.choices[state].push_back(Choice{a, 1.0, std::move(transitions)});
 }
 
+Solution compiled_pmax(const RoutingMdp& mdp) {
+  return solve_pmax(compile_mdp(mdp));
+}
+
+Solution compiled_rmin(const RoutingMdp& mdp) {
+  return solve_reach_avoid(compile_mdp(mdp)).rmin;
+}
+
 TEST(Pmax, RetryLoopReachesAlmostSurely) {
   // s0 --(p=0.3 goal, 0.7 stay)--> goal: committed retries give Pmax = 1.
   RoutingMdp mdp = make_mdp(2, {1});
   add_choice(mdp, 0, Action::kE, {{1, 0.3}, {0, 0.7}});
-  const Solution sol = solve_pmax(mdp);
-  EXPECT_TRUE(sol.converged);
+  const Solution sol = compiled_pmax(mdp);
+  EXPECT_EQ(sol.termination, SolveTermination::kConverged);
   EXPECT_NEAR(sol.values[0], 1.0, 1e-9);
   EXPECT_EQ(sol.chosen[0], 0);
 }
@@ -43,7 +52,7 @@ TEST(Pmax, HazardRiskReducesProbability) {
   // Single choice: 0.8 goal, 0.2 hazard sink.
   RoutingMdp mdp = make_mdp(2, {1});
   add_choice(mdp, 0, Action::kE, {{1, 0.8}, {2 /*sink*/, 0.2}});
-  const Solution sol = solve_pmax(mdp);
+  const Solution sol = compiled_pmax(mdp);
   EXPECT_NEAR(sol.values[0], 0.8, 1e-9);
   EXPECT_DOUBLE_EQ(sol.values[mdp.hazard_sink()], 0.0);
 }
@@ -54,7 +63,7 @@ TEST(Pmax, PicksTheSaferChoice) {
   RoutingMdp mdp = make_mdp(2, {1});
   add_choice(mdp, 0, Action::kE, {{1, 0.9}, {2, 0.1}});
   add_choice(mdp, 0, Action::kN, {{1, 0.2}, {0, 0.8}});
-  const Solution sol = solve_pmax(mdp);
+  const Solution sol = compiled_pmax(mdp);
   EXPECT_NEAR(sol.values[0], 1.0, 1e-9);
   EXPECT_EQ(sol.chosen[0], 1);
 }
@@ -63,14 +72,14 @@ TEST(Pmax, UnreachableGoalIsZero) {
   // s0's only move self-loops forever.
   RoutingMdp mdp = make_mdp(2, {1});
   add_choice(mdp, 0, Action::kE, {{0, 1.0}});
-  const Solution sol = solve_pmax(mdp);
+  const Solution sol = compiled_pmax(mdp);
   EXPECT_DOUBLE_EQ(sol.values[0], 0.0);
 }
 
 TEST(Pmax, GoalStateHasValueOne) {
   RoutingMdp mdp = make_mdp(2, {1});
   add_choice(mdp, 0, Action::kE, {{1, 1.0}});
-  const Solution sol = solve_pmax(mdp);
+  const Solution sol = compiled_pmax(mdp);
   EXPECT_DOUBLE_EQ(sol.values[1], 1.0);
 }
 
@@ -79,7 +88,7 @@ TEST(Rmin, GeometricRetryHasExpectedCyclesOneOverP) {
   for (const double p : {1.0, 0.5, 0.25, 0.1}) {
     RoutingMdp mdp = make_mdp(2, {1});
     add_choice(mdp, 0, Action::kE, {{1, p}, {0, 1.0 - p}});
-    const Solution sol = solve_rmin(mdp);
+    const Solution sol = compiled_rmin(mdp);
     EXPECT_NEAR(sol.values[0], 1.0 / p, 1e-6) << "p = " << p;
   }
 }
@@ -90,7 +99,7 @@ TEST(Rmin, ChainAddsExpectations) {
   RoutingMdp mdp = make_mdp(3, {2});
   add_choice(mdp, 0, Action::kE, {{1, 0.5}, {0, 0.5}});
   add_choice(mdp, 1, Action::kE, {{2, 0.25}, {1, 0.75}});
-  const Solution sol = solve_rmin(mdp);
+  const Solution sol = compiled_rmin(mdp);
   EXPECT_NEAR(sol.values[0], 6.0, 1e-6);
   EXPECT_NEAR(sol.values[1], 4.0, 1e-6);
   EXPECT_DOUBLE_EQ(sol.values[2], 0.0);
@@ -103,7 +112,7 @@ TEST(Rmin, PrefersFastPathOverSlowPath) {
   add_choice(mdp, 0, Action::kE, {{2, 0.2}, {0, 0.8}});
   add_choice(mdp, 0, Action::kN, {{1, 1.0}});
   add_choice(mdp, 1, Action::kE, {{2, 1.0}});
-  const Solution sol = solve_rmin(mdp);
+  const Solution sol = compiled_rmin(mdp);
   EXPECT_NEAR(sol.values[0], 2.0, 1e-9);
   EXPECT_EQ(sol.chosen[0], 1);
 }
@@ -115,7 +124,7 @@ TEST(Rmin, ExcludesChoicesThatRiskTheHazard) {
   RoutingMdp mdp = make_mdp(2, {1});
   add_choice(mdp, 0, Action::kE, {{1, 0.9}, {2, 0.1}});
   add_choice(mdp, 0, Action::kN, {{1, 0.1}, {0, 0.9}});
-  const Solution sol = solve_rmin(mdp);
+  const Solution sol = compiled_rmin(mdp);
   EXPECT_NEAR(sol.values[0], 10.0, 1e-6);
   EXPECT_EQ(sol.chosen[0], 1);
 }
@@ -124,7 +133,7 @@ TEST(Rmin, InfeasibleStatesGetInfinity) {
   // Goal unreachable: Rmin = ∞ (the paper's (π, k) = (∅, ∞) case).
   RoutingMdp mdp = make_mdp(2, {1});
   add_choice(mdp, 0, Action::kE, {{0, 1.0}});
-  const Solution sol = solve_rmin(mdp);
+  const Solution sol = compiled_rmin(mdp);
   EXPECT_TRUE(std::isinf(sol.values[0]));
   EXPECT_EQ(sol.chosen[0], -1);
 }
@@ -132,7 +141,7 @@ TEST(Rmin, InfeasibleStatesGetInfinity) {
 TEST(Rmin, HazardOnlyPathIsInfeasible) {
   RoutingMdp mdp = make_mdp(2, {1});
   add_choice(mdp, 0, Action::kE, {{2, 1.0}});  // straight into the sink
-  const Solution sol = solve_rmin(mdp);
+  const Solution sol = compiled_rmin(mdp);
   EXPECT_TRUE(std::isinf(sol.values[0]));
 }
 
@@ -143,7 +152,7 @@ TEST(Rmin, BranchingOutcomesWeightedCorrectly) {
   RoutingMdp mdp = make_mdp(3, {2});
   add_choice(mdp, 0, Action::kNE, {{2, 0.5}, {1, 0.3}, {0, 0.2}});
   add_choice(mdp, 1, Action::kE, {{2, 1.0}});
-  const Solution sol = solve_rmin(mdp);
+  const Solution sol = compiled_rmin(mdp);
   EXPECT_NEAR(sol.values[0], 1.625, 1e-9);
 }
 
@@ -159,11 +168,11 @@ TEST(Solvers, DeterministicShortestPathOnGrid) {
   rules.enable_morphing = false;
   const RoutingMdp mdp =
       build_routing_mdp(rj, full_health_force(12, 12), chip, rules);
-  const Solution rmin = solve_rmin(mdp);
+  const ReachAvoidSolution sol =
+      solve_reach_avoid(compile_mdp(mdp), {}, /*need_pmax=*/true);
   // 8 cells east with double steps = 4 cycles.
-  EXPECT_NEAR(rmin.values[mdp.start], 4.0, 1e-9);
-  const Solution pmax = solve_pmax(mdp);
-  EXPECT_NEAR(pmax.values[mdp.start], 1.0, 1e-9);
+  EXPECT_NEAR(sol.rmin.values[mdp.start], 4.0, 1e-9);
+  EXPECT_NEAR(sol.pmax.values[mdp.start], 1.0, 1e-9);
 }
 
 TEST(SolveTermination, StableLabels) {
@@ -172,9 +181,9 @@ TEST(SolveTermination, StableLabels) {
   EXPECT_STREQ(to_string(SolveTermination::kDeadline), "deadline");
 }
 
-/// Linear chain s0 → s1 → … → goal with one certain step each: the legacy
-/// state-index-order sweep propagates the goal value one state per sweep,
-/// so convergence takes ~length sweeps — a controllable sweep count.
+/// Linear chain s0 → s1 → … → goal with one certain step each. The
+/// goal-anchored sweep order backs it up from the goal in one sweep, and a
+/// second confirms convergence.
 RoutingMdp make_chain(std::size_t length) {
   RoutingMdp mdp = make_mdp(length, {length - 1});
   for (std::size_t s = 0; s + 1 < length; ++s)
@@ -182,12 +191,22 @@ RoutingMdp make_chain(std::size_t length) {
   return mdp;
 }
 
+/// s0 → s1 with certainty; s1 reaches the goal with probability 0.1 and
+/// falls back to s0 otherwise. Each pass round the cycle moves only a tenth
+/// of the remaining mass into the goal, so whatever the sweep order pmax's
+/// residual shrinks by 0.9 per sweep: about 176 sweeps to the default 1e-9
+/// tolerance, a controllable sweep count.
+RoutingMdp make_slow_cycle() {
+  RoutingMdp mdp = make_mdp(3, {2});
+  add_choice(mdp, 0, Action::kE, {{1, 1.0}});
+  add_choice(mdp, 1, Action::kE, {{2, 0.1}, {0, 0.9}});
+  return mdp;
+}
+
 TEST(Telemetry, ConvergedSolveReportsCauseWorkAndResiduals) {
   RoutingMdp mdp = make_mdp(2, {1});
   add_choice(mdp, 0, Action::kE, {{1, 0.3}, {0, 0.7}});
-  for (const Solution& sol : {solve_pmax(mdp), solve_rmin(mdp),
-                             solve_pmax_legacy(mdp), solve_rmin_legacy(mdp)}) {
-    EXPECT_TRUE(sol.converged);
+  for (const Solution& sol : {compiled_pmax(mdp), compiled_rmin(mdp)}) {
     EXPECT_EQ(sol.termination, SolveTermination::kConverged);
     EXPECT_GT(sol.states_touched, 0u);
     ASSERT_FALSE(sol.sweep_residuals.empty());
@@ -201,49 +220,46 @@ TEST(Telemetry, ConvergedSolveReportsCauseWorkAndResiduals) {
 }
 
 TEST(Telemetry, SweepLimitStopIsTagged) {
-  const RoutingMdp mdp = make_chain(6);
+  const CompiledMdp mdp = compile_mdp(make_slow_cycle());
   SolveConfig config;
-  config.max_iterations = 2;  // goal value cannot reach s0 in two sweeps
-  const Solution sol = solve_pmax_legacy(mdp, config);
-  EXPECT_FALSE(sol.converged);
-  EXPECT_FALSE(sol.deadline_expired);
+  config.max_iterations = 2;  // the cycle cannot converge in two sweeps
+  const Solution sol = solve_pmax(mdp, config);
   EXPECT_EQ(sol.termination, SolveTermination::kSweepLimit);
   EXPECT_EQ(sol.iterations, 2);
   EXPECT_EQ(sol.sweep_residuals.size(), 2u);
 }
 
 TEST(Telemetry, DeadlineStopIsTagged) {
-  const RoutingMdp mdp = make_chain(6);
+  const CompiledMdp mdp = compile_mdp(make_slow_cycle());
   SolveConfig config;
   config.deadline = util::Deadline::after_checks(1);  // expire on sweep 2
-  const Solution sol = solve_pmax_legacy(mdp, config);
-  EXPECT_FALSE(sol.converged);
-  EXPECT_TRUE(sol.deadline_expired);
+  const Solution sol = solve_pmax(mdp, config);
   EXPECT_EQ(sol.termination, SolveTermination::kDeadline);
+  EXPECT_EQ(sol.iterations, 1);
 }
 
 TEST(Telemetry, ResidualRingIsBoundedAndChronological) {
-  // A 100-state chain needs ~100 legacy sweeps, overflowing the 64-entry
-  // ring: only the newest kResidualRingCapacity residuals survive, oldest
-  // first, ending in the converging residual.
-  const RoutingMdp mdp = make_chain(100);
-  const Solution sol = solve_pmax_legacy(mdp);
-  EXPECT_TRUE(sol.converged);
+  // The slow cycle needs far more sweeps than the 64-entry ring holds: only
+  // the newest kResidualRingCapacity residuals survive, oldest first,
+  // ending in the converging residual.
+  const Solution sol = compiled_pmax(make_slow_cycle());
+  EXPECT_EQ(sol.termination, SolveTermination::kConverged);
   EXPECT_GT(sol.iterations, static_cast<int>(kResidualRingCapacity));
   ASSERT_EQ(sol.sweep_residuals.size(), kResidualRingCapacity);
   EXPECT_DOUBLE_EQ(sol.sweep_residuals.back(), sol.final_residual);
-  // While the goal value is still propagating, each sweep's max change is
-  // 1.0; the tail of the curve must end below tolerance.
-  EXPECT_DOUBLE_EQ(sol.sweep_residuals.front(), 1.0);
   EXPECT_LT(sol.sweep_residuals.back(), 1e-9);
+  // Each sweep's residual is 0.9 times the one before it.
+  for (std::size_t i = 1; i < kResidualRingCapacity; ++i)
+    EXPECT_NEAR(sol.sweep_residuals[i] / sol.sweep_residuals[i - 1], 0.9,
+                1e-4)
+        << "ring entry " << i;
 }
 
 TEST(Telemetry, StatesTouchedCountsPerStateUpdates) {
-  // In the chain every non-goal state is updated every sweep on the legacy
-  // path, so the work metric is exactly sweeps × (length − 1).
+  // pmax backs up every non-goal state with a choice in every sweep, so on
+  // the chain the work metric is exactly sweeps × (length − 1).
   const std::size_t length = 10;
-  const RoutingMdp mdp = make_chain(length);
-  const Solution sol = solve_pmax_legacy(mdp);
+  const Solution sol = compiled_pmax(make_chain(length));
   EXPECT_EQ(sol.states_touched,
             static_cast<std::uint64_t>(sol.iterations) * (length - 1));
 }
@@ -253,10 +269,11 @@ TEST(Solvers, RejectBadConfig) {
   add_choice(mdp, 0, Action::kE, {{1, 1.0}});
   SolveConfig config;
   config.tolerance = 0.0;
-  EXPECT_THROW(solve_pmax(mdp, config), PreconditionError);
+  const CompiledMdp compiled = compile_mdp(mdp);
+  EXPECT_THROW(solve_pmax(compiled, config), PreconditionError);
   config = SolveConfig{};
   config.max_iterations = 0;
-  EXPECT_THROW(solve_rmin(mdp, config), PreconditionError);
+  EXPECT_THROW(solve_reach_avoid(compiled, config), PreconditionError);
 }
 
 }  // namespace
