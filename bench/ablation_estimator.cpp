@@ -8,57 +8,20 @@
 #include <iostream>
 
 #include "assay/benchmarks.hpp"
-#include "sim/experiments.hpp"
-#include "util/stats.hpp"
+#include "sim/campaign.hpp"
 #include "util/table.hpp"
 
 using namespace meda;
 
-namespace {
-
-constexpr int kChips = 5;
-constexpr int kRuns = 10;
-
-struct Outcome {
-  double success_rate = 0.0;
-  double mean_cycles = 0.0;  // over successful runs
-};
-
-Outcome run_with(HealthEstimator estimator) {
-  int successes = 0;
-  int total = 0;
-  stats::RunningStats cycles;
-  for (int chip_idx = 0; chip_idx < kChips; ++chip_idx) {
-    sim::RepeatedRunsConfig config;
-    config.chip.chip.width = assay::kChipWidth;
-    config.chip.chip.height = assay::kChipHeight;
-    config.chip.chip.degradation = DegradationRange{0.5, 0.9, 60.0, 150.0};
-    config.scheduler.adaptive = true;
-    config.scheduler.synthesis.estimator = estimator;
-    config.scheduler.max_cycles = 1200;
-    config.runs = kRuns;
-    config.seed = 300 + static_cast<std::uint64_t>(chip_idx);
-    for (const sim::RunRecord& r :
-         sim::run_repeated(assay::serial_dilution(), config)) {
-      ++total;
-      if (r.success) {
-        ++successes;
-        cycles.add(static_cast<double>(r.cycles));
-      }
-    }
-  }
-  return Outcome{static_cast<double>(successes) / total,
-                 cycles.count() > 0 ? cycles.mean() : 0.0};
-}
-
-}  // namespace
-
 int main() {
-  std::cout << "=== Ablation — health-code force estimator ===\n(Serial "
-               "Dilution, "
-            << kChips << " worn chips x " << kRuns << " runs)\n\n";
-  Table table({"estimator", "D-hat per code {0,1,2,3}", "success rate",
-               "mean cycles (successful)"});
+  sim::CampaignConfig config;
+  config.chip.chip.width = assay::kChipWidth;
+  config.chip.chip.height = assay::kChipHeight;
+  config.chip.chip.degradation = DegradationRange{0.5, 0.9, 60.0, 150.0};
+  config.chips = 5;
+  config.runs_per_chip = 10;
+  config.seed0 = 300;
+
   const struct {
     const char* name;
     HealthEstimator estimator;
@@ -68,15 +31,33 @@ int main() {
       {"lower    H/2^b", HealthEstimator::kLower},
       {"upper    (H+1)/2^b", HealthEstimator::kUpper},
   };
+  std::vector<sim::RouterConfig> routers;
   for (const auto& row : rows) {
+    sim::RouterConfig router{row.name, {}};
+    router.scheduler.adaptive = true;
+    router.scheduler.synthesis.estimator = row.estimator;
+    router.scheduler.max_cycles = 1200;
+    routers.push_back(router);
+  }
+
+  std::cout << "=== Ablation — health-code force estimator ===\n(Serial "
+               "Dilution, "
+            << config.chips << " worn chips x " << config.runs_per_chip
+            << " runs)\n\n";
+  Table table({"estimator", "D-hat per code {0,1,2,3}", "success rate",
+               "mean cycles (successful)"});
+  const std::vector<sim::CampaignCell> cells =
+      sim::run_campaign({assay::serial_dilution()}, routers, config);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
     std::string codes;
     for (int h = 0; h <= 3; ++h) {
-      codes += fmt_double(estimate_degradation(h, 2, row.estimator), 2);
+      codes += fmt_double(estimate_degradation(h, 2, rows[i].estimator), 2);
       if (h < 3) codes += " ";
     }
-    const Outcome o = run_with(row.estimator);
-    table.add_row({row.name, codes, fmt_prob(o.success_rate),
-                   fmt_double(o.mean_cycles, 1)});
+    const core::RunRollup& r = cells[i].rollup;
+    table.add_row({cells[i].router, codes, fmt_prob(r.success_rate()),
+                   fmt_double(r.cycles.count() > 0 ? r.cycles.mean() : 0.0,
+                              1)});
   }
   table.print(std::cout);
   std::cout << "\nExpected: the scaled estimator dominates — it synthesizes\n"

@@ -6,63 +6,44 @@
 #include <iostream>
 
 #include "assay/benchmarks.hpp"
-#include "sim/experiments.hpp"
+#include "sim/campaign.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
 using namespace meda;
 
-namespace {
-
-constexpr int kChips = 5;
-constexpr int kRuns = 12;
-
-struct Outcome {
-  double success_rate = 0.0;
-  double mean_cycles = 0.0;
-  double mean_resyntheses = 0.0;
-};
-
-Outcome run_with(int health_bits) {
-  int successes = 0, total = 0;
-  stats::RunningStats cycles, resynth;
-  for (int chip_idx = 0; chip_idx < kChips; ++chip_idx) {
-    sim::RepeatedRunsConfig config;
-    config.chip.chip.width = assay::kChipWidth;
-    config.chip.chip.height = assay::kChipHeight;
-    config.chip.chip.health_bits = health_bits;
-    config.chip.chip.degradation = DegradationRange{0.5, 0.9, 60.0, 150.0};
-    config.scheduler.adaptive = true;
-    config.scheduler.max_cycles = 1200;
-    config.runs = kRuns;
-    config.seed = 500 + static_cast<std::uint64_t>(chip_idx);
-    for (const sim::RunRecord& r :
-         sim::run_repeated(assay::cep(), config)) {
-      ++total;
-      resynth.add(r.stats.resyntheses);
-      if (r.success) {
-        ++successes;
-        cycles.add(static_cast<double>(r.cycles));
-      }
-    }
-  }
-  return Outcome{static_cast<double>(successes) / total,
-                 cycles.count() > 0 ? cycles.mean() : 0.0, resynth.mean()};
-}
-
-}  // namespace
-
 int main() {
+  sim::CampaignConfig config;
+  config.chip.chip.width = assay::kChipWidth;
+  config.chip.chip.height = assay::kChipHeight;
+  config.chip.chip.degradation = DegradationRange{0.5, 0.9, 60.0, 150.0};
+  config.chips = 5;
+  config.runs_per_chip = 12;
+  config.seed0 = 500;
+  sim::RouterConfig adaptive{"adaptive", {}};
+  adaptive.scheduler.adaptive = true;
+  adaptive.scheduler.max_cycles = 1200;
+
   std::cout << "=== Ablation — health-sensor resolution b ===\n(CEP, "
-            << kChips << " worn chips x " << kRuns << " runs)\n\n";
+            << config.chips << " worn chips x " << config.runs_per_chip
+            << " runs)\n\n";
   Table table({"b (bits)", "health codes", "success rate",
                "mean cycles (successful)", "mean re-syntheses/run"});
+  // b is a chip setting, so each resolution is its own campaign.
   for (const int b : {1, 2, 3, 4}) {
-    const Outcome o = run_with(b);
-    table.add_row({std::to_string(b),
-                   "0.." + std::to_string((1 << b) - 1),
-                   fmt_prob(o.success_rate), fmt_double(o.mean_cycles, 1),
-                   fmt_double(o.mean_resyntheses, 1)});
+    config.chip.chip.health_bits = b;
+    const sim::CampaignCell cell =
+        sim::run_campaign({assay::cep()}, {adaptive}, config).front();
+    stats::RunningStats resynth;
+    for (const auto& chip_runs : cell.runs)
+      for (const core::ExecutionStats& run : chip_runs)
+        resynth.add(run.resyntheses);
+    const core::RunRollup& r = cell.rollup;
+    table.add_row({std::to_string(b), "0.." + std::to_string((1 << b) - 1),
+                   fmt_prob(r.success_rate()),
+                   fmt_double(r.cycles.count() > 0 ? r.cycles.mean() : 0.0,
+                              1),
+                   fmt_double(resynth.mean(), 1)});
   }
   table.print(std::cout);
   std::cout << "\nExpected: b = 1 only distinguishes dead-ish from alive-ish\n"

@@ -12,63 +12,26 @@
 #include <iostream>
 
 #include "assay/benchmarks.hpp"
-#include "sim/experiments.hpp"
+#include "sim/campaign.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
 using namespace meda;
 
-namespace {
-
-constexpr int kChips = 5;
-constexpr int kRuns = 8;
-
-struct Outcome {
-  double success_rate = 0.0;
-  double mean_cycles = 0.0;
-  double mean_reroutes = 0.0;
-};
-
-Outcome run_config(bool adaptive, int reactive_stuck) {
-  int successes = 0, total = 0;
-  stats::RunningStats cycles, reroutes;
-  for (int chip_idx = 0; chip_idx < kChips; ++chip_idx) {
-    sim::RepeatedRunsConfig config;
-    config.chip.chip.width = assay::kChipWidth;
-    config.chip.chip.height = assay::kChipHeight;
-    config.chip.chip.degradation = DegradationRange{0.5, 0.9, 60.0, 150.0};
-    config.chip.pre_wear_max = 150;
-    config.chip.faults.mode = FaultMode::kClustered;
-    config.chip.faults.faulty_fraction = 0.08;
-    config.chip.faults.fail_at_lo = 15;
-    config.chip.faults.fail_at_hi = 120;
-    config.scheduler.adaptive = adaptive;
-    config.scheduler.reactive_recovery_stuck_cycles = reactive_stuck;
-    config.scheduler.max_cycles = 1500;
-    config.runs = kRuns;
-    config.seed = 1100 + static_cast<std::uint64_t>(chip_idx);
-    for (const sim::RunRecord& r :
-         sim::run_repeated(assay::cep(), config)) {
-      ++total;
-      reroutes.add(r.stats.resyntheses);
-      if (r.success) {
-        ++successes;
-        cycles.add(static_cast<double>(r.cycles));
-      }
-    }
-  }
-  return Outcome{static_cast<double>(successes) / total,
-                 cycles.count() ? cycles.mean() : 0.0, reroutes.mean()};
-}
-
-}  // namespace
-
 int main() {
-  std::cout << "=== Ablation — proactive adaptation vs reactive recovery "
-               "===\n(CEP, "
-            << kChips << " mid-life faulty chips x " << kRuns << " runs)\n\n";
-  Table table({"controller", "success rate", "mean cycles (successful)",
-               "mean re-routes/run"});
+  sim::CampaignConfig config;
+  config.chip.chip.width = assay::kChipWidth;
+  config.chip.chip.height = assay::kChipHeight;
+  config.chip.chip.degradation = DegradationRange{0.5, 0.9, 60.0, 150.0};
+  config.chip.pre_wear_max = 150;
+  config.chip.faults.mode = FaultMode::kClustered;
+  config.chip.faults.faulty_fraction = 0.08;
+  config.chip.faults.fail_at_lo = 15;
+  config.chip.faults.fail_at_hi = 120;
+  config.chips = 5;
+  config.runs_per_chip = 8;
+  config.seed0 = 1100;
+
   const struct {
     const char* name;
     bool adaptive;
@@ -79,11 +42,31 @@ int main() {
       {"reactive recovery, T = 4 stuck cycles", false, 4},
       {"proactive adaptive (proposed)", true, 0},
   };
+  std::vector<sim::RouterConfig> routers;
   for (const auto& row : rows) {
-    const Outcome o = run_config(row.adaptive, row.reactive);
-    table.add_row({row.name, fmt_prob(o.success_rate),
-                   fmt_double(o.mean_cycles, 1),
-                   fmt_double(o.mean_reroutes, 1)});
+    sim::RouterConfig router{row.name, {}};
+    router.scheduler.adaptive = row.adaptive;
+    router.scheduler.reactive_recovery_stuck_cycles = row.reactive;
+    router.scheduler.max_cycles = 1500;
+    routers.push_back(router);
+  }
+
+  std::cout << "=== Ablation — proactive adaptation vs reactive recovery "
+               "===\n(CEP, "
+            << config.chips << " mid-life faulty chips x "
+            << config.runs_per_chip << " runs)\n\n";
+  Table table({"controller", "success rate", "mean cycles (successful)",
+               "mean re-routes/run"});
+  for (const sim::CampaignCell& cell :
+       sim::run_campaign({assay::cep()}, routers, config)) {
+    stats::RunningStats reroutes;
+    for (const auto& chip_runs : cell.runs)
+      for (const core::ExecutionStats& run : chip_runs)
+        reroutes.add(run.resyntheses);
+    const core::RunRollup& r = cell.rollup;
+    table.add_row({cell.router, fmt_prob(r.success_rate()),
+                   fmt_double(r.cycles.count() ? r.cycles.mean() : 0.0, 1),
+                   fmt_double(reroutes.mean(), 1)});
   }
   table.print(std::cout);
   std::cout << "\nExpected: reactive recovery rescues most stuck droplets\n"

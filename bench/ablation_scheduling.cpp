@@ -10,8 +10,8 @@
 #include <iostream>
 
 #include "assay/benchmarks.hpp"
+#include "sim/campaign.hpp"
 #include "sim/experiments.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 
 using namespace meda;
@@ -84,32 +84,27 @@ void scheme_comparison() {
 void latency_sweep() {
   std::cout << "\nSynthesis latency (Serial Dilution, degrading chip, "
                "5 chips x 8 runs):\n";
+  sim::CampaignConfig config;
+  config.chip.chip = reference_chip();
+  config.chip.chip.degradation = DegradationRange{0.5, 0.9, 60.0, 150.0};
+  config.chips = 5;
+  config.runs_per_chip = 8;
+  config.seed0 = 700;
+  std::vector<sim::RouterConfig> routers;
+  for (const int latency : {0, 3, 6, 12}) {
+    sim::RouterConfig router{std::to_string(latency), {}};
+    router.scheduler.adaptive = true;
+    router.scheduler.synthesis_latency_cycles = latency;
+    router.scheduler.max_cycles = 1500;
+    routers.push_back(router);
+  }
   Table table({"latency (cycles/synthesis)", "success rate",
                "mean cycles (successful)"});
-  for (const int latency : {0, 3, 6, 12}) {
-    int successes = 0, total = 0;
-    stats::RunningStats cycles;
-    for (int chip_idx = 0; chip_idx < 5; ++chip_idx) {
-      sim::RepeatedRunsConfig config;
-      config.chip.chip = reference_chip();
-      config.chip.chip.degradation = DegradationRange{0.5, 0.9, 60.0, 150.0};
-      config.scheduler.adaptive = true;
-      config.scheduler.synthesis_latency_cycles = latency;
-      config.scheduler.max_cycles = 1500;
-      config.runs = 8;
-      config.seed = 700 + static_cast<std::uint64_t>(chip_idx);
-      for (const sim::RunRecord& r :
-           sim::run_repeated(assay::serial_dilution(), config)) {
-        ++total;
-        if (r.success) {
-          ++successes;
-          cycles.add(static_cast<double>(r.cycles));
-        }
-      }
-    }
-    table.add_row({std::to_string(latency),
-                   fmt_prob(static_cast<double>(successes) / total),
-                   fmt_double(cycles.count() ? cycles.mean() : 0.0, 1)});
+  for (const sim::CampaignCell& cell :
+       sim::run_campaign({assay::serial_dilution()}, routers, config)) {
+    const core::RunRollup& r = cell.rollup;
+    table.add_row({cell.router, fmt_prob(r.success_rate()),
+                   fmt_double(r.cycles.count() ? r.cycles.mean() : 0.0, 1)});
   }
   table.print(std::cout);
   std::cout << "\nExpected: the precomputed library removes all runtime\n"

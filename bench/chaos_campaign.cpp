@@ -1,7 +1,7 @@
 // Chaos campaign: success-vs-sensor-noise curves (Fig. 16-style) under the
 // composed adversaries of the robustness subsystem — a lying scan chain
-// (transient bit flips + stuck DFFs + dropped frames), injected substrate
-// faults with heterogeneous pre-wear, and an explicit degradation player.
+// (transient bit flips + stuck DFFs + dropped frames) and injected substrate
+// faults with heterogeneous pre-wear.
 //
 // Two routers run on identical chips at every noise level:
 //   - adaptive : the paper's proactive router acting on raw scan frames;

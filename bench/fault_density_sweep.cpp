@@ -7,59 +7,53 @@
 #include <iostream>
 
 #include "assay/benchmarks.hpp"
+#include "sim/campaign.hpp"
 #include "sim/experiments.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
 using namespace meda;
 
-namespace {
-
-constexpr int kChips = 6;
-constexpr int kRuns = 5;
-constexpr std::uint64_t kBudget = 400;  // PoS cycle budget per execution
-
-struct Outcome {
-  double pos = 0.0;       ///< mean over chips of per-chip PoS
-  double ci95 = 0.0;      ///< 95% CI half-width over chips
-};
-
-Outcome run_config(bool adaptive, double fault_fraction) {
-  stats::RunningStats per_chip_pos;
-  for (int chip_idx = 0; chip_idx < kChips; ++chip_idx) {
-    sim::RepeatedRunsConfig config;
-    config.chip.chip.width = assay::kChipWidth;
-    config.chip.chip.height = assay::kChipHeight;
-    config.chip.chip.degradation = DegradationRange{0.5, 0.9, 80.0, 200.0};
-    config.chip.pre_wear_max = 120;
-    config.chip.faults.mode = FaultMode::kClustered;
-    config.chip.faults.faulty_fraction = fault_fraction;
-    config.chip.faults.fail_at_lo = 15;
-    config.chip.faults.fail_at_hi = 120;
-    config.scheduler.adaptive = adaptive;
-    config.scheduler.max_cycles = 1000;
-    config.runs = kRuns;
-    config.seed = 1300 + static_cast<std::uint64_t>(chip_idx);
-    const auto runs = sim::run_repeated(assay::cep(), config);
-    per_chip_pos.add(sim::probability_of_success(runs, kBudget));
-  }
-  return Outcome{per_chip_pos.mean(), per_chip_pos.ci95_halfwidth()};
-}
-
-}  // namespace
-
 int main() {
-  std::cout << "=== Extension — PoS vs fault density ===\n(CEP, " << kChips
-            << " chips x " << kRuns << " runs, PoS budget " << kBudget
+  constexpr std::uint64_t kBudget = 400;  // PoS cycle budget per execution
+  sim::CampaignConfig config;
+  config.chip.chip.width = assay::kChipWidth;
+  config.chip.chip.height = assay::kChipHeight;
+  config.chip.chip.degradation = DegradationRange{0.5, 0.9, 80.0, 200.0};
+  config.chip.pre_wear_max = 120;
+  config.chip.faults.mode = FaultMode::kClustered;
+  config.chip.faults.fail_at_lo = 15;
+  config.chip.faults.fail_at_hi = 120;
+  config.chips = 6;
+  config.runs_per_chip = 5;
+  config.seed0 = 1300;
+  std::vector<sim::RouterConfig> routers(2);
+  routers[0].name = "baseline";
+  routers[0].scheduler.adaptive = false;
+  routers[1].name = "adaptive";
+  for (sim::RouterConfig& router : routers) router.scheduler.max_cycles = 1000;
+
+  std::cout << "=== Extension — PoS vs fault density ===\n(CEP, "
+            << config.chips << " chips x " << config.runs_per_chip
+            << " runs, PoS budget " << kBudget
             << " cycles, clustered faults)\n\n";
   Table table({"faulty fraction", "baseline PoS (±95% CI)",
                "adaptive PoS (±95% CI)"});
+  // The fault density is a chip setting, so each fraction is its own
+  // campaign.
   for (const double fraction : {0.0, 0.04, 0.08, 0.12, 0.16, 0.22, 0.30}) {
-    const Outcome baseline = run_config(false, fraction);
-    const Outcome adaptive = run_config(true, fraction);
-    table.add_row({fmt_double(fraction, 2),
-                   fmt_prob(baseline.pos) + " ± " + fmt_prob(baseline.ci95),
-                   fmt_prob(adaptive.pos) + " ± " + fmt_prob(adaptive.ci95)});
+    config.chip.faults.faulty_fraction = fraction;
+    std::vector<std::string> row = {fmt_double(fraction, 2)};
+    for (const sim::CampaignCell& cell :
+         sim::run_campaign({assay::cep()}, routers, config)) {
+      // Mean and 95% CI over chips of the per-chip PoS.
+      stats::RunningStats per_chip_pos;
+      for (const auto& chip_runs : cell.runs)
+        per_chip_pos.add(sim::probability_of_success(chip_runs, kBudget));
+      row.push_back(fmt_prob(per_chip_pos.mean()) + " ± " +
+                    fmt_prob(per_chip_pos.ci95_halfwidth()));
+    }
+    table.add_row(std::move(row));
   }
   table.print(std::cout);
   std::cout << "\nExpected: both routers start near PoS 1 on fault-free\n"

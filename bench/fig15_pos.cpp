@@ -8,19 +8,18 @@
 // long bioassays at intermediate budgets (the paper quotes Serial Dilution at
 // k_max = 300: 0.8 adaptive vs 0.1 baseline on their testbed).
 
-// Pass `--jobs N` to run the chip instances of each configuration on N
-// worker threads (0 = all hardware threads); every chip's seed is derived
-// from its index alone and the per-chip results are concatenated in chip
-// order, so the tables and CSV are byte-identical at any job count.
+// Pass `--jobs N` to spread the (configuration, chip) grid over N worker
+// threads (0 = all hardware threads); every chip's seed is derived from its
+// index alone and the per-chip results are concatenated in chip order, so
+// the tables and CSV are byte-identical at any job count.
 // `--checkpoint PATH` persists completed chips; `--resume` reloads them.
 
 #include <iostream>
-#include <sstream>
 #include <vector>
 
 #include "assay/benchmarks.hpp"
+#include "sim/campaign.hpp"
 #include "sim/experiments.hpp"
-#include "util/checkpoint.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
@@ -28,75 +27,30 @@
 
 using namespace meda;
 
-namespace {
-
-constexpr int kChips = 6;          // chip instances per configuration
-constexpr int kRunsPerChip = 14;   // executions per chip (reuse)
-
-// PoS only consumes (success, cycles) per run, so that is all a slot
-// persists (see probability_of_success).
-std::string encode_chip(const std::vector<sim::RunRecord>& runs) {
-  std::ostringstream os;
-  os << runs.size();
-  for (const sim::RunRecord& run : runs)
-    os << ' ' << (run.success ? 1 : 0) << ' ' << run.cycles;
-  return os.str();
-}
-
-bool decode_chip(const std::string& payload,
-                 std::vector<sim::RunRecord>& out) {
-  std::istringstream is(payload);
-  std::size_t n = 0;
-  if (!(is >> n) || n > 1u << 20) return false;
-  std::vector<sim::RunRecord> runs(n);
-  for (sim::RunRecord& run : runs) {
-    int success = 0;
-    if (!(is >> success >> run.cycles)) return false;
-    run.success = success != 0;
-    run.stats.success = run.success;
-    run.stats.cycles = run.cycles;
-  }
-  out = std::move(runs);
-  return true;
-}
-
-std::vector<sim::RunRecord> collect_runs(const assay::MoList& assay_list,
-                                         bool adaptive, int jobs,
-                                         util::SlotCheckpoint& checkpoint,
-                                         std::size_t slot_base) {
-  std::vector<std::vector<sim::RunRecord>> per_chip(kChips);
-  util::parallel_for(jobs, per_chip.size(), [&](std::size_t chip_idx) {
-    const std::size_t slot = slot_base + chip_idx;
-    if (const std::string* payload = checkpoint.restored(slot))
-      if (decode_chip(*payload, per_chip[chip_idx])) return;
-    sim::RepeatedRunsConfig config;
-    config.chip.chip.width = assay::kChipWidth;
-    config.chip.chip.height = assay::kChipHeight;
-    // Accelerated degradation constants (c scaled down ~3x from the paper's
-    // U(200, 500)) so chip wear-out falls inside 14 executions; see
-    // EXPERIMENTS.md for the scaling argument.
-    config.chip.chip.degradation = DegradationRange{0.5, 0.9, 60.0, 150.0};
-    config.scheduler.adaptive = adaptive;
-    config.scheduler.max_cycles = 1200;
-    config.runs = kRunsPerChip;
-    config.seed = 1000 + static_cast<std::uint64_t>(chip_idx);  // same chips
-    per_chip[chip_idx] = sim::run_repeated(assay_list, config);
-    if (checkpoint.active())
-      checkpoint.record(slot, encode_chip(per_chip[chip_idx]));
-  });
-  std::vector<sim::RunRecord> all;
-  for (const auto& runs : per_chip)
-    all.insert(all.end(), runs.begin(), runs.end());
-  return all;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const int jobs = util::parse_jobs_flag(argc, argv);
+  sim::CampaignConfig config;
+  config.jobs = util::parse_jobs_flag(argc, argv);
+  config.checkpoint.path = util::flag_value(argc, argv, "--checkpoint", "");
+  config.checkpoint.resume = util::has_flag(argc, argv, "--resume");
+  config.chip.chip.width = assay::kChipWidth;
+  config.chip.chip.height = assay::kChipHeight;
+  // Accelerated degradation constants (c scaled down ~3x from the paper's
+  // U(200, 500)) so chip wear-out falls inside 14 executions; see
+  // EXPERIMENTS.md for the scaling argument.
+  config.chip.chip.degradation = DegradationRange{0.5, 0.9, 60.0, 150.0};
+  config.chips = 6;           // chip instances per configuration
+  config.runs_per_chip = 14;  // executions per chip (reuse)
+  config.seed0 = 1000;        // same chips for both routers
+
+  std::vector<sim::RouterConfig> routers(2);
+  routers[0].name = "baseline";
+  routers[0].scheduler.adaptive = false;
+  routers[1].name = "adaptive";
+  for (sim::RouterConfig& router : routers) router.scheduler.max_cycles = 1200;
+
   std::cout << "=== Fig. 15 — probability of successful completion vs k_max "
                "===\n("
-            << kChips << " chips x " << kRunsPerChip
+            << config.chips << " chips x " << config.runs_per_chip
             << " executions per configuration)\n\n";
 
   const std::vector<std::uint64_t> kmax_grid = {100, 140, 180, 220, 260,
@@ -105,46 +59,32 @@ int main(int argc, char** argv) {
   // Machine-readable copy for external plotting.
   CsvWriter csv("fig15_pos.csv", {"assay", "router", "kmax", "pos"});
 
-  // Global slot grid: (assay, router) configurations in iteration order,
-  // kChips slots each. The digest ties the file to this grid shape and the
-  // seed base.
   const std::vector<assay::MoList> suite = assay::evaluation_suite();
-  util::SlotCheckpoint checkpoint;
-  const std::string checkpoint_path =
-      util::flag_value(argc, argv, "--checkpoint", "");
-  if (!checkpoint_path.empty()) {
-    util::DigestBuilder digest;
-    digest.mix(std::string("fig15-v1"));
-    digest.mix(kChips).mix(kRunsPerChip).mix(1000);
-    for (const assay::MoList& assay_list : suite) digest.mix(assay_list.name);
-    checkpoint.open(checkpoint_path, digest.value(),
-                    util::has_flag(argc, argv, "--resume"),
-                    suite.size() * 2 * kChips);
-  }
-  std::size_t slot_base = 0;
-  for (const assay::MoList& assay_list : suite) {
-    std::cout << assay_list.name << ":\n";
+  const std::vector<sim::CampaignCell> cells =
+      sim::run_campaign(suite, routers, config);
+  for (std::size_t a = 0; a < suite.size(); ++a) {
+    std::cout << suite[a].name << ":\n";
     std::vector<std::string> headers = {"router"};
     for (const std::uint64_t k : kmax_grid)
       headers.push_back("k<=" + std::to_string(k));
     Table table(std::move(headers));
-    for (const bool adaptive : {false, true}) {
-      const auto runs =
-          collect_runs(assay_list, adaptive, jobs, checkpoint, slot_base);
-      slot_base += kChips;
-      std::vector<std::string> row = {adaptive ? "adaptive" : "baseline"};
+    for (std::size_t r = 0; r < routers.size(); ++r) {
+      const sim::CampaignCell& cell = cells[a * routers.size() + r];
+      std::vector<core::ExecutionStats> runs;
+      for (const auto& chip_runs : cell.runs)
+        runs.insert(runs.end(), chip_runs.begin(), chip_runs.end());
+      std::vector<std::string> row = {cell.router};
       for (const std::uint64_t k : kmax_grid) {
         const double pos = sim::probability_of_success(runs, k);
         row.push_back(fmt_prob(pos));
-        csv.write_row({assay_list.name, adaptive ? "adaptive" : "baseline",
-                       std::to_string(k), fmt_prob(pos)});
+        csv.write_row({cell.assay, cell.router, std::to_string(k),
+                       fmt_prob(pos)});
       }
       table.add_row(std::move(row));
     }
     table.print(std::cout);
     std::cout << '\n';
   }
-  checkpoint.flush();
   std::cout << "Expected: the adaptive row dominates the baseline row; the\n"
                "largest gaps appear for the longer bioassays (Serial\n"
                "Dilution, NuIP) at intermediate budgets.\n"

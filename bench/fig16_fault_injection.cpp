@@ -45,19 +45,15 @@ struct Summary {
 
 std::string encode_trial(const sim::TrialResult& r) {
   std::ostringstream os;
-  os << r.total_cycles << ' ' << r.successes << ' ' << r.executions << ' '
-     << r.first_failure_execution << ' ' << (r.aborted ? 1 : 0);
+  sim::TrialResult::for_each_field(util::PutField{os}, r);
   return os.str();
 }
 
 bool decode_trial(const std::string& payload, sim::TrialResult& out) {
   std::istringstream is(payload);
   sim::TrialResult r;
-  int aborted = 0;
-  if (!(is >> r.total_cycles >> r.successes >> r.executions >>
-        r.first_failure_execution >> aborted))
-    return false;
-  r.aborted = aborted != 0;
+  sim::TrialResult::for_each_field(util::GetField{is}, r);
+  if (!is) return false;
   out = r;
   return true;
 }
@@ -123,6 +119,7 @@ int main(int argc, char** argv) {
   if (!checkpoint_path.empty()) {
     util::DigestBuilder digest;
     digest.mix(std::string("fig16-v1"));
+    sim::TrialResult::for_each_field(util::MixFieldName{digest});
     digest.mix(kTrials).mix(static_cast<std::uint64_t>(kBudget)).mix(7000);
     for (const assay::MoList& assay_list : suite) digest.mix(assay_list.name);
     checkpoint.open(checkpoint_path, digest.value(),

@@ -7,16 +7,17 @@
 
 #include "assay/benchmarks.hpp"
 #include "core/routability.hpp"
-#include "sim/experiments.hpp"
+#include "sim/campaign.hpp"
 #include "util/table.hpp"
 
 using namespace meda;
 
 namespace {
 
-int executions_before_first_failure(const std::vector<sim::RunRecord>& runs) {
+int executions_before_first_failure(
+    const std::vector<core::ExecutionStats>& runs) {
   int n = 0;
-  for (const sim::RunRecord& r : runs) {
+  for (const core::ExecutionStats& r : runs) {
     if (!r.success) break;
     ++n;
   }
@@ -30,35 +31,38 @@ int main() {
   std::cout << "Repeatedly executing " << assay_list.name
             << " on one chip (degradation persists between runs)\n\n";
 
+  sim::CampaignConfig campaign;
+  campaign.chip.chip.width = assay::kChipWidth;
+  campaign.chip.chip.height = assay::kChipHeight;
+  // Accelerated degradation so the lifetime difference shows in 14 runs.
+  campaign.chip.chip.degradation = DegradationRange{0.5, 0.9, 60.0, 150.0};
+  campaign.chips = 1;
+  campaign.runs_per_chip = 14;
+  campaign.seed0 = 99;  // identical chip for both routers
+  std::vector<sim::RouterConfig> routers(2);
+  routers[0].name = "adaptive (proposed)";
+  routers[1].name = "baseline (shortest path)";
+  routers[1].scheduler.adaptive = false;
+  for (sim::RouterConfig& router : routers) router.scheduler.max_cycles = 1200;
+
   Table table({"router", "runs attempted", "successes",
                "runs before 1st failure", "mean cycles (successful)"});
-
-  for (const bool adaptive : {true, false}) {
-    sim::RepeatedRunsConfig config;
-    config.chip.chip.width = assay::kChipWidth;
-    config.chip.chip.height = assay::kChipHeight;
-    // Accelerated degradation so the lifetime difference shows in 14 runs.
-    config.chip.chip.degradation = DegradationRange{0.5, 0.9, 60.0, 150.0};
-    config.scheduler.adaptive = adaptive;
-    config.scheduler.max_cycles = 1200;
-    config.runs = 14;
-    config.seed = 99;  // identical chip for both routers
-
-    const std::vector<sim::RunRecord> runs =
-        sim::run_repeated(assay_list, config);
+  for (const sim::CampaignCell& cell :
+       sim::run_campaign({assay_list}, routers, campaign)) {
+    const std::vector<core::ExecutionStats>& runs = cell.runs.front();
     int successes = 0;
     double cycle_sum = 0.0;
-    for (const sim::RunRecord& r : runs) {
+    for (const core::ExecutionStats& r : runs) {
       if (r.success) {
         ++successes;
         cycle_sum += static_cast<double>(r.cycles);
       }
     }
-    table.add_row(
-        {adaptive ? "adaptive (proposed)" : "baseline (shortest path)",
-         std::to_string(runs.size()), std::to_string(successes),
-         std::to_string(executions_before_first_failure(runs)),
-         successes > 0 ? fmt_double(cycle_sum / successes, 1) : "-"});
+    table.add_row({cell.router, std::to_string(runs.size()),
+                   std::to_string(successes),
+                   std::to_string(executions_before_first_failure(runs)),
+                   successes > 0 ? fmt_double(cycle_sum / successes, 1)
+                                 : "-"});
   }
 
   table.print(std::cout);

@@ -9,8 +9,8 @@
 /// @file mo.hpp
 /// Microfluidic operations (MOs) and sequencing graphs (Section VI-A,
 /// Table III). A bioassay is a list of MOs, each with a type, predecessor
-/// references, and a placement (module center location) determined by the
-/// planner.
+/// references, and a placement (module center location) given with the
+/// bioassay (the paper leaves placement to an external planner).
 
 namespace meda::assay {
 

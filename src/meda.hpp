@@ -41,7 +41,6 @@
 #include "assay/helper.hpp"
 #include "assay/mo.hpp"
 #include "assay/parser.hpp"
-#include "assay/planner.hpp"
 #include "assay/registry.hpp"
 #include "assay/summary.hpp"
 

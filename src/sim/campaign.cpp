@@ -1,8 +1,6 @@
 #include "sim/campaign.hpp"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -19,75 +17,38 @@ namespace meda::sim {
 
 namespace {
 
-// Checkpoint payload codec. A slot serializes exactly the ExecutionStats
-// subset the reductions consume (RunRollup::absorb inputs plus the
-// sensing-channel tallies); synthesis_seconds round-trips exactly via the
-// C99 %a hexfloat form so a resumed campaign reproduces the straight-through
-// CSV byte for byte. The counter structs are written by walking their field
-// lists (for_each_field, declaration order), and the checkpoint digest
-// mixes in the same field names, so a new counter changes the payload and
-// invalidates older checkpoints without a codec edit.
+// Checkpoint payload codec. A slot persists exactly the ExecutionStats
+// fields the reductions consume (the RunRollup::absorb inputs) plus the
+// chip's sensing-channel tallies and library counts, each written by
+// walking a field list (util::PutField, declaration order); the checkpoint
+// digest mixes in the same field names, so a new counter changes the
+// payload and invalidates older checkpoints without a codec edit.
+// synthesis_seconds round-trips exactly as a hexfloat, so a resumed cell
+// equals a straight-through one field for field.
 
-std::string hex_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
+/// The ExecutionStats fields a slot persists, in payload order.
+template <typename F, typename... S>
+void for_each_persisted_field(F&& f, S&&... s) {
+  f("success", s.success...);
+  f("cycles", s.cycles...);
+  f("completed_mos", s.completed_mos...);
+  f("aborted_mos", s.aborted_mos...);
+  f("synthesis_calls", s.synthesis_calls...);
+  f("library_hits", s.library_hits...);
+  f("resyntheses", s.resyntheses...);
+  f("resyntheses_warm", s.resyntheses_warm...);
+  f("synthesis_seconds", s.synthesis_seconds...);
+  core::RecoveryCounters::for_each_field(f, s.recovery...);
+  core::ReplicaCounters::for_each_field(f, s.replica...);
 }
 
-/// Field-list visitors: write, read, or digest one counter.
-struct PutField {
-  std::ostream& os;
-  template <typename T>
-  void operator()(const char*, const T& value) const {
-    os << ' ' << value;
-  }
-};
-struct GetField {
-  std::istream& is;
-  template <typename T>
-  void operator()(const char*, T& value) const {
-    is >> value;
-  }
-};
-struct MixFieldName {
-  util::DigestBuilder& digest;
-  void operator()(const char* name) const { digest.mix(std::string(name)); }
-};
-
-void encode_stats(std::ostream& os, const core::ExecutionStats& s) {
-  os << (s.success ? 1 : 0) << ' ' << s.cycles << ' ' << s.completed_mos
-     << ' ' << s.aborted_mos << ' ' << s.synthesis_calls << ' '
-     << s.library_hits << ' ' << s.resyntheses << ' ' << s.resyntheses_warm
-     << ' ' << hex_double(s.synthesis_seconds);
-  core::RecoveryCounters::for_each_field(PutField{os}, s.recovery);
-  core::ReplicaCounters::for_each_field(PutField{os}, s.replica);
-}
-
-bool decode_stats(std::istream& is, core::ExecutionStats& s) {
-  int success = 0;
-  std::string seconds;
-  is >> success >> s.cycles >> s.completed_mos >> s.aborted_mos >>
-      s.synthesis_calls >> s.library_hits >> s.resyntheses >>
-      s.resyntheses_warm >> seconds;
-  core::RecoveryCounters::for_each_field(GetField{is}, s.recovery);
-  core::ReplicaCounters::for_each_field(GetField{is}, s.replica);
-  if (!is) return false;
-  s.success = success != 0;
-  char* end = nullptr;
-  s.synthesis_seconds = std::strtod(seconds.c_str(), &end);
-  return end != nullptr && *end == '\0';
-}
-
-std::unique_ptr<DegradationAdversary> make_adversary(
-    AdversaryKind kind, const AdversaryBudget& budget) {
-  switch (kind) {
-    case AdversaryKind::kNone: return nullptr;
-    case AdversaryKind::kRandom:
-      return std::make_unique<RandomAdversary>(budget);
-    case AdversaryKind::kFrontier:
-      return std::make_unique<FrontierAdversary>(budget);
-  }
-  return nullptr;
+/// @p stats without its per-run logs: what a slot stores and persists.
+core::ExecutionStats persisted(const core::ExecutionStats& stats) {
+  core::ExecutionStats kept;
+  for_each_persisted_field(
+      [](const char*, auto& to, const auto& from) { to = from; }, kept,
+      stats);
+  return kept;
 }
 
 /// One (cell, chip) task's output: per-run stats in execution order plus
@@ -104,14 +65,12 @@ std::string encode_slot(const ChipSlot& slot) {
   os << slot.frames_dropped << ' ' << slot.bits_flipped;
   core::LibraryStats::for_each_field(
       [&os](const char*, const core::LibraryClassStats& cls) {
-        core::LibraryClassStats::for_each_field(PutField{os}, cls);
+        core::LibraryClassStats::for_each_field(util::PutField{os}, cls);
       },
       slot.library);
   os << ' ' << slot.stats.size();
-  for (const core::ExecutionStats& stats : slot.stats) {
-    os << ' ';
-    encode_stats(os, stats);
-  }
+  for (const core::ExecutionStats& stats : slot.stats)
+    for_each_persisted_field(util::PutField{os}, stats);
   return os.str();
 }
 
@@ -122,13 +81,14 @@ bool decode_slot(const std::string& payload, ChipSlot& out) {
   is >> slot.frames_dropped >> slot.bits_flipped;
   core::LibraryStats::for_each_field(
       [&is](const char*, core::LibraryClassStats& cls) {
-        core::LibraryClassStats::for_each_field(GetField{is}, cls);
+        core::LibraryClassStats::for_each_field(util::GetField{is}, cls);
       },
       slot.library);
   if (!(is >> n) || n > 1u << 20) return false;
   slot.stats.resize(n);
   for (core::ExecutionStats& stats : slot.stats)
-    if (!decode_stats(is, stats)) return false;
+    for_each_persisted_field(util::GetField{is}, stats);
+  if (!is) return false;
   out = std::move(slot);
   return true;
 }
@@ -169,17 +129,15 @@ std::vector<CampaignCell> run_campaign(
   std::vector<ChipSlot> slots(cells.size() * chips);
   util::SlotCheckpoint checkpoint;
   if (!config.checkpoint.path.empty()) {
-    // The slot payload layout: the codec's tag plus the field names of the
-    // counter structs every slot carries.
+    // The slot payload layout: the codec's tag plus the field names of
+    // everything a slot carries.
     util::DigestBuilder digest;
     digest.mix(std::string("meda-chaos"));
-    core::RecoveryCounters::for_each_field(MixFieldName{digest});
-    core::ReplicaCounters::for_each_field(MixFieldName{digest});
-    core::LibraryStats::for_each_field(MixFieldName{digest});
-    core::LibraryClassStats::for_each_field(MixFieldName{digest});
+    for_each_persisted_field(util::MixFieldName{digest});
+    core::LibraryStats::for_each_field(util::MixFieldName{digest});
+    core::LibraryClassStats::for_each_field(util::MixFieldName{digest});
     digest.mix(config.seed0).mix(config.chips).mix(config.runs_per_chip);
     digest.mix(config.checkpoint.salt);
-    digest.mix(static_cast<int>(config.adversary));
     digest.mix(static_cast<std::uint64_t>(assays.size()));
     for (const assay::MoList& assay_list : assays) digest.mix(assay_list.name);
     digest.mix(static_cast<std::uint64_t>(routers.size()));
@@ -211,8 +169,6 @@ std::vector<CampaignCell> run_campaign(
     SimulatedChipConfig chip_config = config.chip;
     chip_config.sensor = cell.sensor;
     SimulatedChip chip(chip_config, rng.fork(0xC41));
-    chip.set_adversary(
-        make_adversary(config.adversary, config.adversary_budget));
     core::StrategyLibrary library;
     core::Scheduler scheduler(router.scheduler, &library);
     ChipSlot& slot = slots[t];
@@ -229,7 +185,7 @@ std::vector<CampaignCell> run_campaign(
       trial_span.arg("success",
                      static_cast<std::int64_t>(stats.success ? 1 : 0));
       trial_span.arg("cycles", static_cast<std::int64_t>(stats.cycles));
-      slot.stats.push_back(stats);
+      slot.stats.push_back(persisted(stats));
     }
     slot.frames_dropped = chip.sensor_channel().frames_dropped();
     slot.bits_flipped = chip.sensor_channel().bits_flipped();
@@ -240,13 +196,15 @@ std::vector<CampaignCell> run_campaign(
 
   for (std::size_t cell_idx = 0; cell_idx < cells.size(); ++cell_idx) {
     CampaignCell& cell = cells[cell_idx];
+    cell.runs.reserve(chips);
     for (std::size_t chip_idx = 0; chip_idx < chips; ++chip_idx) {
-      const ChipSlot& slot = slots[cell_idx * chips + chip_idx];
+      ChipSlot& slot = slots[cell_idx * chips + chip_idx];
       for (const core::ExecutionStats& stats : slot.stats)
         cell.rollup.absorb(stats);
       cell.frames_dropped += slot.frames_dropped;
       cell.bits_flipped += slot.bits_flipped;
       cell.library += slot.library;
+      cell.runs.push_back(std::move(slot.stats));
     }
   }
   return cells;

@@ -7,21 +7,22 @@
 #include "assay/mo.hpp"
 #include "core/library.hpp"
 #include "core/scheduler.hpp"
-#include "sim/adversary.hpp"
 #include "sim/simulated_chip.hpp"
 
 /// @file campaign.hpp
-/// Structured experiment campaigns: a grid of (bioassay × sensor-noise level
-/// × router configuration) evaluated over a population of chips with
-/// repeated executions each, aggregated with confidence intervals. It runs
-/// `bench/evaluation_summary` (the default single clean level) and
+/// The chip-population runner of the evaluation (Section VII): a grid of
+/// (bioassay × sensor-noise level × router configuration) evaluated over a
+/// population of paired chips, each chip reused for repeated executions
+/// under one strategy library and one scheduler, so its wear persists from
+/// run to run. Every cell keeps each chip's executions, for per-run metrics
+/// such as PoS(k_max), and rolls them up for the tables and CSVs. It runs
+/// `bench/fig15_pos`, the ablations, `bench/fault_density_sweep`,
+/// `bench/evaluation_summary` (all on the default single clean level) and
 /// `bench/chaos_campaign` (a sensor-noise axis), and is the recommended way
 /// to benchmark a custom router configuration against the built-in ones.
 ///
-/// A chaos sweep composes the three independent adversaries of the
-/// robustness evaluation — sensor noise (the scan chain lies), injected
-/// faults / pre-wear (the substrate is damaged), and an explicit degradation
-/// player (the substrate keeps getting damaged) — into one grid, producing
+/// A chaos sweep composes sensor noise (the scan chain lies) with injected
+/// faults and pre-wear (the substrate is damaged) into one grid, producing
 /// the Fig. 16-style success-vs-noise curves for each router.
 
 namespace meda::sim {
@@ -54,17 +55,12 @@ struct ChaosLevel {
   SensorNoiseConfig sensor{};
 };
 
-/// Which explicit degradation player (SMG player ②) to install.
-enum class AdversaryKind { kNone, kRandom, kFrontier };
-
 /// Campaign-wide controls. The substrate configuration (faults, pre-wear)
 /// comes from `chip`; its sensor field is overridden per level.
 struct CampaignConfig {
   SimulatedChipConfig chip{};
   /// The sensor-noise axis; by default one level with a perfect sensor.
   std::vector<ChaosLevel> levels = {ChaosLevel{"clean", {}}};
-  AdversaryKind adversary = AdversaryKind::kNone;
-  AdversaryBudget adversary_budget{};
   int chips = 5;            ///< chip instances per cell
   int runs_per_chip = 10;   ///< repeated executions per chip (reuse)
   std::uint64_t seed0 = 1;  ///< chip i uses seed0 + i (paired across
@@ -84,6 +80,11 @@ struct CampaignCell {
   std::string level;
   SensorNoiseConfig sensor{};
   core::RunRollup rollup;            ///< execution outcomes + ladder counters
+  /// Every execution, indexed [chip][execution], holding the fields a
+  /// checkpoint slot persists (the RunRollup::absorb inputs); the per-run
+  /// logs (events, MO timings, routes, failure reason) are dropped, so a
+  /// resumed cell equals a straight-through one field for field.
+  std::vector<std::vector<core::ExecutionStats>> runs;
   std::uint64_t frames_dropped = 0;  ///< summed over all chips
   std::uint64_t bits_flipped = 0;    ///< summed over all chips
   /// Strategy-library operation counts summed over the cell's per-chip

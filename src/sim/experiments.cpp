@@ -6,35 +6,14 @@
 
 namespace meda::sim {
 
-std::vector<RunRecord> run_repeated(const assay::MoList& assay,
-                                    const RepeatedRunsConfig& config) {
-  MEDA_REQUIRE(config.runs >= 1, "need at least one run");
-  Rng rng(config.seed);
-  SimulatedChip chip(config.chip, rng.fork(0xC41));
-  core::StrategyLibrary library;
-  core::Scheduler scheduler(config.scheduler, &library);
-
-  std::vector<RunRecord> records;
-  records.reserve(static_cast<std::size_t>(config.runs));
-  for (int i = 0; i < config.runs; ++i) {
-    chip.clear_droplets();
-    RunRecord record;
-    record.stats = scheduler.run(chip, assay);
-    record.success = record.stats.success;
-    record.cycles = record.stats.cycles;
-    records.push_back(std::move(record));
-  }
-  return records;
-}
-
-double probability_of_success(const std::vector<RunRecord>& records,
+double probability_of_success(const std::vector<core::ExecutionStats>& runs,
                               std::uint64_t kmax) {
-  MEDA_REQUIRE(!records.empty(), "no run records");
+  MEDA_REQUIRE(!runs.empty(), "no executions");
   const auto ok = std::count_if(
-      records.begin(), records.end(), [kmax](const RunRecord& r) {
+      runs.begin(), runs.end(), [kmax](const core::ExecutionStats& r) {
         return r.success && r.cycles <= kmax;
       });
-  return static_cast<double>(ok) / static_cast<double>(records.size());
+  return static_cast<double>(ok) / static_cast<double>(runs.size());
 }
 
 TrialResult run_trial(const assay::MoList& assay, const TrialConfig& config) {

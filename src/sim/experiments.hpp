@@ -9,37 +9,17 @@
 #include "sim/simulated_chip.hpp"
 
 /// @file experiments.hpp
-/// Experiment harnesses for the paper's evaluation (Section VII):
-///  - repeated executions of a bioassay on one (reused, degrading) chip and
-///    the PoS(k_max) metric of Fig. 15;
-///  - fault-injection trials (five successes or abort) of Fig. 16.
+/// Experiment harnesses for the paper's evaluation (Section VII), next to
+/// the chip-population runner of sim/campaign.hpp:
+///  - the PoS(k_max) metric of Fig. 15 over a campaign cell's executions;
+///  - fault-injection trials (five successes or abort) of Fig. 16;
+///  - the offline phase of the hybrid scheduling scheme.
 
 namespace meda::sim {
 
-/// One bioassay execution on a chip.
-struct RunRecord {
-  bool success = false;
-  std::uint64_t cycles = 0;
-  core::ExecutionStats stats;
-};
-
-/// Configuration for repeated executions on a single chip instance.
-struct RepeatedRunsConfig {
-  SimulatedChipConfig chip{};
-  core::SchedulerConfig scheduler{};
-  int runs = 10;            ///< executions on the same chip
-  std::uint64_t seed = 1;   ///< chip + outcome randomness
-};
-
-/// Executes @p assay `runs` times on one chip (degradation persists across
-/// executions; droplets are cleared in between). A shared strategy library
-/// implements the hybrid scheduling scheme across executions.
-std::vector<RunRecord> run_repeated(const assay::MoList& assay,
-                                    const RepeatedRunsConfig& config);
-
-/// PoS(k_max): the fraction of runs that completed successfully within
-/// @p kmax cycles (Fig. 15's y-axis).
-double probability_of_success(const std::vector<RunRecord>& records,
+/// PoS(k_max): the fraction of executions that completed successfully
+/// within @p kmax cycles (Fig. 15's y-axis).
+double probability_of_success(const std::vector<core::ExecutionStats>& runs,
                               std::uint64_t kmax);
 
 /// Fig. 16 trial configuration: repeat the bioassay on one chip until
@@ -60,6 +40,17 @@ struct TrialResult {
   int executions = 0;
   int first_failure_execution = 0;    ///< 1-based; 0 = never failed
   bool aborted = false;               ///< ran out of the cycle budget
+
+  /// The field list (see core::RecoveryCounters::for_each_field):
+  /// bench/fig16_fault_injection's checkpoint codec and digest walk it.
+  template <typename F, typename... T>
+  static void for_each_field(F&& f, T&&... t) {
+    f("total_cycles", t.total_cycles...);
+    f("successes", t.successes...);
+    f("executions", t.executions...);
+    f("first_failure_execution", t.first_failure_execution...);
+    f("aborted", t.aborted...);
+  }
 };
 
 /// Runs one Fig. 16 trial.

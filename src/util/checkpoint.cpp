@@ -1,6 +1,7 @@
 #include "util/checkpoint.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -21,6 +22,20 @@ DigestBuilder& DigestBuilder::mix(const std::string& s) {
   for (const char c : s)
     mix(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
   return *this;
+}
+
+void PutField::operator()(const char*, double value) const {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", value);
+  os << ' ' << buf;
+}
+
+void GetField::operator()(const char*, double& value) const {
+  std::string token;
+  if (!(is >> token)) return;
+  char* end = nullptr;
+  value = std::strtod(token.c_str(), &end);
+  if (end == token.c_str() || *end != '\0') is.setstate(std::ios::failbit);
 }
 
 void SlotCheckpoint::open(std::string path, std::uint64_t digest, bool resume,

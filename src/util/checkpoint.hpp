@@ -1,8 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <istream>
 #include <mutex>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -52,6 +54,38 @@ class DigestBuilder {
 
  private:
   std::uint64_t hash_ = 1469598103934665603ull;  // FNV offset basis
+};
+
+/// Field-list visitors for slot codecs. A payload struct declares its
+/// fields once, as `for_each_field(f, s...)` calling `f("name", s.field...)`
+/// in declaration order; encoding walks it with PutField, decoding with
+/// GetField, and the checkpoint digest mixes the names with MixFieldName, so
+/// a new field changes the payload and discards older checkpoints without a
+/// codec edit. Each value is written after one space; doubles round-trip
+/// exactly through the C99 `%a` hexfloat form.
+struct PutField {
+  std::ostream& os;
+  template <typename T>
+  void operator()(const char*, const T& value) const {
+    os << ' ' << value;
+  }
+  void operator()(const char*, double value) const;
+};
+
+/// Reads the fields PutField wrote; a malformed value sets the stream's
+/// failbit.
+struct GetField {
+  std::istream& is;
+  template <typename T>
+  void operator()(const char*, T& value) const {
+    is >> value;
+  }
+  void operator()(const char*, double& value) const;
+};
+
+struct MixFieldName {
+  DigestBuilder& digest;
+  void operator()(const char* name) const { digest.mix(std::string(name)); }
 };
 
 /// Periodic, atomic checkpoint of completed slots. Thread-safe: pool

@@ -24,9 +24,10 @@
 /// 1 − 1e-6 threshold on numeric pmax part ways, and one where they agree.
 ///
 /// SolverOracle: rmin and pmax on real routing models (three 12×12 force
-/// fixtures and seeded jobs over random health, each with and without the
-/// wear penalty) against exact policy evaluation (policy_evaluation.hpp),
-/// a one-step deviation check, and the textbook winning region.
+/// fixtures, seeded jobs over random health, and seeded jobs whose tight
+/// hazard box leaves some states losing, each with and without the wear
+/// penalty) against exact policy evaluation (policy_evaluation.hpp), a
+/// one-step deviation check, and the textbook winning region.
 
 namespace meda::core {
 namespace {
@@ -245,14 +246,19 @@ constexpr double kLambdas[] = {0.0, 25.0};
 
 /// Solves @p mdp for both queries and checks the solution against the
 /// oracles. rmin must be finite only inside the winning region, and with
-/// @p exact_region on all of it.
+/// @p exact_region on all of it; pmax must be 1 on winning states and below
+/// 1 on losing ones.
 void expect_matches_oracles(const RoutingMdp& mdp, bool exact_region,
                             const std::string& label) {
   const ReachAvoidSolution sol =
       solve_reach_avoid(compile_mdp(mdp), {}, /*need_pmax=*/true);
   const std::vector<double>& rmin = sol.rmin.values;
   ASSERT_EQ(sol.rmin.termination, SolveTermination::kConverged) << label;
-  ASSERT_TRUE(std::isfinite(rmin[mdp.start])) << label;
+  const std::vector<std::uint8_t> winning =
+      reference::almost_sure_winning(mdp);
+  if (winning[mdp.start]) {
+    ASSERT_TRUE(std::isfinite(rmin[mdp.start])) << label;
+  }
 
   // rmin is the exact cost of its own policy, each step charged its cost.
   const std::vector<double> exact =
@@ -269,8 +275,6 @@ void expect_matches_oracles(const RoutingMdp& mdp, bool exact_region,
 
   // A finite rmin means almost-sure winning, and a winning state reaches
   // the goal with probability 1.
-  const std::vector<std::uint8_t> winning =
-      reference::almost_sure_winning(mdp);
   for (std::size_t s = 0; s < mdp.droplets.size(); ++s) {
     if (std::isfinite(rmin[s])) {
       EXPECT_TRUE(winning[s]) << label << " state " << s;
@@ -279,6 +283,8 @@ void expect_matches_oracles(const RoutingMdp& mdp, bool exact_region,
     }
     if (winning[s]) {
       EXPECT_GE(sol.pmax.values[s], 1.0 - 1e-7) << label << " state " << s;
+    } else {
+      EXPECT_LT(sol.pmax.values[s], 1.0) << label << " state " << s;
     }
   }
 }
@@ -311,6 +317,79 @@ TEST(SolverOracle, RoutingJobsWithDeadCells) {
                              /*exact_region=*/false,
                              "job " + std::to_string(i) + " at lambda " +
                                  std::to_string(static_cast<int>(lambda)));
+  }
+}
+
+/// A seeded routing job on a 20×12 chip with 8–26% dead cells, 2×2
+/// droplets and morphing on, whose hazard box spans exactly the rows of
+/// start ∪ goal across the chip: a droplet that morphs taller or slips out
+/// of those rows is lost, so some states are losing.
+struct TightBoxJob {
+  assay::RoutingJob rj;
+  DoubleMatrix force;
+
+  RoutingMdp build(double wear_penalty_lambda) const {
+    ActionRules rules;
+    rules.enable_morphing = true;
+    return build_routing_mdp(rj, force, Rect{0, 0, 19, 11}, rules,
+                             wear_penalty_lambda);
+  }
+};
+
+TightBoxJob tight_box_job(Rng& rng) {
+  TightBoxJob job{{}, full_health_force(20, 12)};
+  const double dead = rng.uniform(0.08, 0.26);
+  for (int y = 0; y < 12; ++y)
+    for (int x = 0; x < 20; ++x) {
+      const double u = rng.uniform(0.0, 1.0);
+      job.force(x, y) = u < dead ? 0.0 : rng.uniform(0.3, 1.0);
+    }
+  job.rj.start =
+      Rect::from_size(rng.uniform_int(0, 3), rng.uniform_int(0, 10), 2, 2);
+  job.rj.goal =
+      Rect::from_size(rng.uniform_int(14, 18), rng.uniform_int(0, 10), 2, 2);
+  job.rj.hazard = Rect{0, std::min(job.rj.start.ya, job.rj.goal.ya), 19,
+                       std::max(job.rj.start.yb, job.rj.goal.yb)};
+  return job;
+}
+
+TEST(SolverOracle, RoutingJobsWithLosingStates) {
+  // Scan a fixed seed for jobs with both winning and losing states (goals
+  // aside), capped so a generator that stops producing them fails here
+  // instead of looping.
+  constexpr std::size_t kWanted = 4;
+  constexpr int kScanCap = 400;
+  Rng rng(0x9f1e0003u);
+  std::vector<TightBoxJob> jobs;
+  for (int scanned = 0; scanned < kScanCap && jobs.size() < kWanted;
+       ++scanned) {
+    TightBoxJob job = tight_box_job(rng);
+    const RoutingMdp mdp = job.build(0.0);
+    const std::vector<std::uint8_t> winning =
+        reference::almost_sure_winning(mdp);
+    bool any_winning = false;
+    bool any_losing = false;
+    for (std::size_t s = 0; s < mdp.droplets.size(); ++s) {
+      if (mdp.is_goal[s]) continue;
+      any_winning = any_winning || winning[s] != 0;
+      any_losing = any_losing || winning[s] == 0;
+    }
+    if (any_winning && any_losing) jobs.push_back(std::move(job));
+  }
+  ASSERT_EQ(jobs.size(), kWanted)
+      << "too few jobs with losing states in " << kScanCap;
+
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    for (const double lambda : kLambdas) {
+      const RoutingMdp mdp = jobs[j].build(lambda);
+      const std::string label =
+          "job " + std::to_string(j) + " at lambda " +
+          std::to_string(static_cast<int>(lambda));
+      EXPECT_EQ(almost_sure_winning(compile_mdp(mdp)),
+                reference::almost_sure_winning(mdp))
+          << label;
+      expect_matches_oracles(mdp, /*exact_region=*/true, label);
+    }
   }
 }
 

@@ -5,7 +5,7 @@
 
 #include "assay/benchmarks.hpp"
 #include "core/scheduler.hpp"
-#include "sim/experiments.hpp"
+#include "sim/campaign.hpp"
 #include "sim/simulated_chip.hpp"
 
 namespace meda {
@@ -48,31 +48,27 @@ TEST(EndToEnd, ActuationAccountingIsConsistent) {
 
 TEST(EndToEnd, FaultInjectionDegradesBaselineMoreThanAdaptive) {
   // Aggregate over a few pre-worn faulty chips: the adaptive router must
-  // complete at least as many executions as the baseline and never more
-  // cycles on the same chip when both succeed everywhere.
-  int adaptive_successes = 0;
-  int baseline_successes = 0;
-  for (int seed = 0; seed < 4; ++seed) {
-    for (const bool adaptive : {true, false}) {
-      sim::RepeatedRunsConfig config;
-      config.chip = reference_chip();
-      config.chip.chip.degradation = DegradationRange{0.5, 0.9, 60.0, 150.0};
-      config.chip.pre_wear_max = 150;
-      config.chip.faults.mode = FaultMode::kClustered;
-      config.chip.faults.faulty_fraction = 0.08;
-      config.chip.faults.fail_at_lo = 15;
-      config.chip.faults.fail_at_hi = 120;
-      config.scheduler.adaptive = adaptive;
-      config.scheduler.max_cycles = 1000;
-      config.runs = 4;
-      config.seed = 9000 + static_cast<std::uint64_t>(seed);
-      for (const sim::RunRecord& r :
-           sim::run_repeated(assay::serial_dilution(), config)) {
-        (adaptive ? adaptive_successes : baseline_successes) += r.success;
-      }
-    }
-  }
-  EXPECT_GT(adaptive_successes, baseline_successes);
+  // complete more executions than the baseline on the same chips.
+  sim::CampaignConfig config;
+  config.chip = reference_chip();
+  config.chip.chip.degradation = DegradationRange{0.5, 0.9, 60.0, 150.0};
+  config.chip.pre_wear_max = 150;
+  config.chip.faults.mode = FaultMode::kClustered;
+  config.chip.faults.faulty_fraction = 0.08;
+  config.chip.faults.fail_at_lo = 15;
+  config.chip.faults.fail_at_hi = 120;
+  config.chips = 4;
+  config.runs_per_chip = 4;
+  config.seed0 = 9000;
+  std::vector<sim::RouterConfig> routers(2);
+  routers[0].name = "adaptive";
+  routers[1].name = "baseline";
+  routers[1].scheduler.adaptive = false;
+  for (sim::RouterConfig& router : routers) router.scheduler.max_cycles = 1000;
+  const auto cells =
+      sim::run_campaign({assay::serial_dilution()}, routers, config);
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_GT(cells[0].rollup.successes, cells[1].rollup.successes);
 }
 
 TEST(EndToEnd, AdaptiveReroutesAroundMidRunFailures) {
@@ -96,18 +92,20 @@ TEST(EndToEnd, AdaptiveReroutesAroundMidRunFailures) {
 }
 
 TEST(EndToEnd, HybridLibraryAmortizesSynthesisAcrossExecutions) {
-  sim::RepeatedRunsConfig config;
+  sim::CampaignConfig config;
   config.chip = reference_chip();
-  config.scheduler.adaptive = true;
-  config.runs = 4;
-  config.seed = 71;
-  const auto runs = sim::run_repeated(assay::covid_pcr(), config);
+  config.chips = 1;
+  config.runs_per_chip = 4;
+  config.seed0 = 71;
+  const auto cells = sim::run_campaign(
+      {assay::covid_pcr()}, {sim::RouterConfig{"adaptive", {}}}, config);
+  const std::vector<core::ExecutionStats>& runs = cells.at(0).runs.at(0);
   ASSERT_EQ(runs.size(), 4u);
-  for (const sim::RunRecord& r : runs) ASSERT_TRUE(r.success);
+  for (const core::ExecutionStats& r : runs) ASSERT_TRUE(r.success);
   // On an undamaged chip the health digest stays constant, so later
   // executions are served from the library.
-  EXPECT_GT(runs[1].stats.library_hits, 0);
-  EXPECT_LT(runs[3].stats.synthesis_calls, runs[0].stats.synthesis_calls);
+  EXPECT_GT(runs[1].library_hits, 0);
+  EXPECT_LT(runs[3].synthesis_calls, runs[0].synthesis_calls);
 }
 
 TEST(EndToEnd, TwoAssayPanelRunsConcurrently) {

@@ -72,6 +72,137 @@ TEST(Campaign, PrintsEveryCell) {
   EXPECT_NE(text.find("±"), std::string::npos);
 }
 
+/// One chip per cell, reused for @p runs executions.
+CampaignConfig one_chip(int runs) {
+  CampaignConfig config = small_campaign();
+  config.chips = 1;
+  config.runs_per_chip = runs;
+  config.seed0 = 7;
+  return config;
+}
+
+TEST(Campaign, HealthyChipSucceedsEveryRun) {
+  const auto cells = run_campaign({assay::covid_rat()},
+                                  {RouterConfig{"adaptive", {}}}, one_chip(3));
+  ASSERT_EQ(cells.size(), 1u);
+  ASSERT_EQ(cells[0].runs.size(), 1u);
+  ASSERT_EQ(cells[0].runs[0].size(), 3u);
+  for (const core::ExecutionStats& run : cells[0].runs[0]) {
+    EXPECT_TRUE(run.success);
+    EXPECT_GT(run.cycles, 0u);
+  }
+}
+
+TEST(Campaign, ChipDegradationPersistsAcrossRuns) {
+  // With aggressive degradation, later runs take at least as long (the
+  // transport corridor wears out).
+  CampaignConfig config = one_chip(10);
+  config.chip.chip.degradation = DegradationRange{0.5, 0.7, 60.0, 120.0};
+  const auto cells = run_campaign({assay::serial_dilution()},
+                                  {RouterConfig{"adaptive", {}}}, config);
+  const std::vector<core::ExecutionStats>& runs = cells.at(0).runs.at(0);
+  ASSERT_EQ(runs.size(), 10u);
+  EXPECT_TRUE(runs.front().success);
+  EXPECT_GT(runs.back().cycles + (runs.back().success ? 0 : 100000),
+            runs.front().cycles);
+}
+
+/// The deterministic fields of two executions (all but the wall-clock
+/// synthesis_seconds) are equal.
+void expect_same_run(const core::ExecutionStats& a,
+                     const core::ExecutionStats& b, const std::string& label) {
+  EXPECT_EQ(a.success, b.success) << label;
+  EXPECT_EQ(a.cycles, b.cycles) << label;
+  EXPECT_EQ(a.completed_mos, b.completed_mos) << label;
+  EXPECT_EQ(a.aborted_mos, b.aborted_mos) << label;
+  EXPECT_EQ(a.synthesis_calls, b.synthesis_calls) << label;
+  EXPECT_EQ(a.library_hits, b.library_hits) << label;
+  EXPECT_EQ(a.resyntheses, b.resyntheses) << label;
+  EXPECT_EQ(a.resyntheses_warm, b.resyntheses_warm) << label;
+  EXPECT_EQ(a.recovery, b.recovery) << label;
+  EXPECT_EQ(a.replica, b.replica) << label;
+}
+
+/// Cell by cell, the names, the deterministic roll-up fields (bit for bit),
+/// the channel tallies, the library counts and every execution match.
+void expect_same_cells(const std::vector<CampaignCell>& got,
+                       const std::vector<CampaignCell>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].assay, want[i].assay) << "cell " << i;
+    EXPECT_EQ(got[i].level, want[i].level) << "cell " << i;
+    EXPECT_EQ(got[i].router, want[i].router) << "cell " << i;
+    const core::RunRollup& a = got[i].rollup;
+    const core::RunRollup& b = want[i].rollup;
+    EXPECT_EQ(a.runs, b.runs) << "cell " << i;
+    EXPECT_EQ(a.successes, b.successes) << "cell " << i;
+    EXPECT_EQ(a.cycles.count(), b.cycles.count()) << "cell " << i;
+    if (a.cycles.count() > 0 && b.cycles.count() > 0) {
+      EXPECT_EQ(a.cycles.mean(), b.cycles.mean()) << "cell " << i;
+    }
+    EXPECT_EQ(a.synthesis_calls, b.synthesis_calls) << "cell " << i;
+    EXPECT_EQ(a.library_hits, b.library_hits) << "cell " << i;
+    EXPECT_EQ(a.resyntheses, b.resyntheses) << "cell " << i;
+    EXPECT_EQ(a.recovery, b.recovery) << "cell " << i;
+    EXPECT_EQ(a.replica, b.replica) << "cell " << i;
+    EXPECT_EQ(got[i].frames_dropped, want[i].frames_dropped) << "cell " << i;
+    EXPECT_EQ(got[i].bits_flipped, want[i].bits_flipped) << "cell " << i;
+    EXPECT_EQ(got[i].library, want[i].library) << "cell " << i;
+    ASSERT_EQ(got[i].runs.size(), want[i].runs.size()) << "cell " << i;
+    for (std::size_t c = 0; c < got[i].runs.size(); ++c) {
+      ASSERT_EQ(got[i].runs[c].size(), want[i].runs[c].size());
+      for (std::size_t r = 0; r < got[i].runs[c].size(); ++r)
+        expect_same_run(got[i].runs[c][r], want[i].runs[c][r],
+                        "cell " + std::to_string(i) + " chip " +
+                            std::to_string(c) + " run " + std::to_string(r));
+    }
+  }
+}
+
+TEST(Campaign, ChipRunsMatchAPerChipReferenceLoop) {
+  // The semantics Fig. 15 and the ablations rely on, rebuilt without the
+  // campaign: chip i is SimulatedChip(Rng(seed0 + i).fork(0xC41)), reused
+  // for every execution under one strategy library and one scheduler.
+  CampaignConfig config = small_campaign();
+  config.chip.chip.degradation = DegradationRange{0.5, 0.9, 60.0, 150.0};
+  config.runs_per_chip = 3;
+  config.jobs = 2;
+  const assay::MoList assay_list = assay::master_mix();
+  const std::vector<RouterConfig> routers = two_routers();
+  const auto cells = run_campaign({assay_list}, routers, config);
+  ASSERT_EQ(cells.size(), routers.size());
+  int resyntheses = 0;
+  for (std::size_t r = 0; r < routers.size(); ++r) {
+    ASSERT_EQ(cells[r].runs.size(), 2u);
+    for (int i = 0; i < config.chips; ++i) {
+      SimulatedChip chip(
+          config.chip,
+          Rng(config.seed0 + static_cast<std::uint64_t>(i)).fork(0xC41));
+      core::StrategyLibrary library;
+      core::Scheduler scheduler(routers[r].scheduler, &library);
+      const std::vector<core::ExecutionStats>& runs =
+          cells[r].runs[static_cast<std::size_t>(i)];
+      ASSERT_EQ(runs.size(), 3u);
+      for (const core::ExecutionStats& run : runs) {
+        chip.clear_droplets();
+        const core::ExecutionStats expected = scheduler.run(chip, assay_list);
+        const std::string label =
+            routers[r].name + " chip " + std::to_string(i);
+        EXPECT_EQ(run.success, expected.success) << label;
+        EXPECT_EQ(run.cycles, expected.cycles) << label;
+        EXPECT_EQ(run.synthesis_calls, expected.synthesis_calls) << label;
+        EXPECT_EQ(run.library_hits, expected.library_hits) << label;
+        EXPECT_EQ(run.resyntheses, expected.resyntheses) << label;
+        // A cell keeps the roll-up fields only, not the per-run logs.
+        EXPECT_TRUE(run.mo_timings.empty()) << label;
+        EXPECT_TRUE(run.routes.empty()) << label;
+        resyntheses += run.resyntheses;
+      }
+    }
+  }
+  EXPECT_GT(resyntheses, 0);  // the chips wore enough to re-synthesize
+}
+
 CampaignConfig small_chaos() {
   CampaignConfig config;
   config.chip.chip.width = assay::kChipWidth;
@@ -114,21 +245,8 @@ TEST(ChaosCampaign, ReproducibleFromTheMasterSeed) {
   // The entire campaign — substrates, noise processes, recovery firings —
   // derives from seed0; two invocations must agree cell by cell.
   const std::vector<assay::MoList> assays = {assay::covid_rat()};
-  const auto a = run_campaign(assays, robust_router(), small_chaos());
-  const auto b = run_campaign(assays, robust_router(), small_chaos());
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const core::RunRollup& ra = a[i].rollup;
-    const core::RunRollup& rb = b[i].rollup;
-    EXPECT_EQ(ra.successes, rb.successes);
-    EXPECT_EQ(ra.cycles.count(), rb.cycles.count());
-    if (ra.cycles.count() > 0) {
-      EXPECT_DOUBLE_EQ(ra.cycles.mean(), rb.cycles.mean());
-    }
-    EXPECT_EQ(ra.recovery, rb.recovery);
-    EXPECT_EQ(a[i].bits_flipped, b[i].bits_flipped);
-    EXPECT_EQ(a[i].frames_dropped, b[i].frames_dropped);
-  }
+  expect_same_cells(run_campaign(assays, robust_router(), small_chaos()),
+                    run_campaign(assays, robust_router(), small_chaos()));
 }
 
 TEST(ChaosCampaign, WritesOneCsvRowPerCell) {
@@ -195,17 +313,8 @@ TEST(Campaign, ParallelCellsMatchTheSerialPath) {
   CampaignConfig parallel = small_campaign();
   parallel.jobs = 4;
   const auto serial = run_campaign(assays, two_routers(), small_campaign());
-  const auto cells = run_campaign(assays, two_routers(), parallel);
-  ASSERT_EQ(cells.size(), serial.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_EQ(cells[i].assay, serial[i].assay);
-    EXPECT_EQ(cells[i].router, serial[i].router);
-    EXPECT_EQ(cells[i].rollup.runs, serial[i].rollup.runs);
-    EXPECT_EQ(cells[i].rollup.successes, serial[i].rollup.successes);
-    // Bit-identical accumulation, not merely statistically equal.
-    EXPECT_EQ(cells[i].rollup.cycles.mean(), serial[i].rollup.cycles.mean());
-    EXPECT_EQ(cells[i].rollup.resyntheses, serial[i].rollup.resyntheses);
-  }
+  // Bit-identical accumulation, not merely statistically equal.
+  expect_same_cells(run_campaign(assays, two_routers(), parallel), serial);
 }
 
 TEST(ChaosCampaign, MetricsCsvHasNameSortedColumnsAndOneRowPerCell) {
@@ -337,13 +446,14 @@ TEST(ChaosCampaign, CheckpointedRunMatchesStraightThroughByteForByte) {
     for (std::size_t i = 0; i + 1 < lines.size(); ++i)
       out << lines[i] << '\n';
   }
-  CampaignConfig resumed = small_chaos();
-  resumed.checkpoint.path = cp_path;
-  resumed.checkpoint.resume = true;
-  resumed.jobs = 4;
-  EXPECT_EQ(expected,
-            csvs("chaos_resumed",
-                 run_campaign(assays, robust_router(), resumed)));
+  CampaignConfig resumed_config = small_chaos();
+  resumed_config.checkpoint.path = cp_path;
+  resumed_config.checkpoint.resume = true;
+  resumed_config.jobs = 4;
+  const std::vector<CampaignCell> resumed =
+      run_campaign(assays, robust_router(), resumed_config);
+  EXPECT_EQ(expected, csvs("chaos_resumed", resumed));
+  expect_same_cells(resumed, cells);
 }
 
 TEST(ChaosCampaign, CheckpointDigestMismatchRecomputesEverything) {
@@ -363,13 +473,7 @@ TEST(ChaosCampaign, CheckpointDigestMismatchRecomputesEverything) {
   const auto resumed = run_campaign(assays, robust_router(), reseeded);
   CampaignConfig fresh = small_chaos();
   fresh.seed0 = reseeded.seed0;
-  const auto expected = run_campaign(assays, robust_router(), fresh);
-  ASSERT_EQ(resumed.size(), expected.size());
-  for (std::size_t i = 0; i < resumed.size(); ++i) {
-    EXPECT_EQ(resumed[i].rollup.successes, expected[i].rollup.successes);
-    EXPECT_EQ(resumed[i].rollup.recovery, expected[i].rollup.recovery);
-    EXPECT_EQ(resumed[i].bits_flipped, expected[i].bits_flipped);
-  }
+  expect_same_cells(resumed, run_campaign(assays, robust_router(), fresh));
 }
 
 TEST(Campaign, CheckpointResumeReplaysOnlyMissingSlots) {
@@ -379,25 +483,42 @@ TEST(Campaign, CheckpointResumeReplaysOnlyMissingSlots) {
   CampaignConfig checkpointed = small_campaign();
   checkpointed.checkpoint.path = cp_path;
   checkpointed.checkpoint.flush_every = 1;
-  const auto first =
-      run_campaign(assays, two_routers(), checkpointed);
+  const auto first = run_campaign(assays, two_routers(), checkpointed);
+
+  // Keep the header and the first cell's two chip slots, and mark slot 0:
+  // its first hexfloat is the first run's synthesis_seconds.
+  std::ifstream in(cp_path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  in.close();
+  ASSERT_EQ(lines.size(), 5u);  // header + 2 routers × 2 chips
+  ASSERT_EQ(lines[1].rfind("0 ", 0), 0u);
+  ASSERT_EQ(lines[2].rfind("1 ", 0), 0u);
+  const std::size_t hex = lines[1].find(" 0x");
+  ASSERT_NE(hex, std::string::npos);
+  const std::size_t hex_end = lines[1].find(' ', hex + 1);
+  lines[1].replace(hex + 1, hex_end - hex - 1, "0x1p+10");
+  {
+    std::ofstream out(cp_path, std::ios::trunc);
+    for (std::size_t i = 0; i < 3; ++i) out << lines[i] << '\n';
+  }
 
   CampaignConfig resumed_config = small_campaign();
   resumed_config.checkpoint.path = cp_path;
   resumed_config.checkpoint.resume = true;
   resumed_config.jobs = 3;
   const auto resumed = run_campaign(assays, two_routers(), resumed_config);
-  ASSERT_EQ(resumed.size(), first.size());
-  for (std::size_t i = 0; i < resumed.size(); ++i) {
-    EXPECT_EQ(resumed[i].rollup.runs, first[i].rollup.runs);
-    EXPECT_EQ(resumed[i].rollup.successes, first[i].rollup.successes);
-    // Bit-identical: the replayed slots round-trip through the codec.
-    EXPECT_EQ(resumed[i].rollup.cycles.mean(), first[i].rollup.cycles.mean());
-    EXPECT_EQ(resumed[i].rollup.synthesis_seconds,
-              first[i].rollup.synthesis_seconds);
-    EXPECT_EQ(resumed[i].rollup.resyntheses, first[i].rollup.resyntheses);
-    EXPECT_EQ(resumed[i].rollup.recovery, first[i].rollup.recovery);
-  }
+  expect_same_cells(resumed, first);
+  // The kept slots were read from the file, not recomputed: the edited one
+  // carries the sentinel, and the other runs round-trip bit for bit.
+  const std::vector<std::vector<core::ExecutionStats>>& kept =
+      resumed[0].runs;
+  EXPECT_EQ(kept[0][0].synthesis_seconds, 1024.0);
+  EXPECT_EQ(kept[0][1].synthesis_seconds,
+            first[0].runs[0][1].synthesis_seconds);
+  for (std::size_t r = 0; r < kept[1].size(); ++r)
+    EXPECT_EQ(kept[1][r].synthesis_seconds,
+              first[0].runs[1][r].synthesis_seconds);
 }
 
 TEST(ChaosCampaign, RejectsEmptyLevels) {

@@ -3,68 +3,42 @@
 #include <gtest/gtest.h>
 
 #include "assay/benchmarks.hpp"
+#include "sim/campaign.hpp"
 #include "util/check.hpp"
 
 namespace meda::sim {
 namespace {
 
-RepeatedRunsConfig healthy_config(int runs = 3) {
-  RepeatedRunsConfig config;
-  config.chip.chip.width = assay::kChipWidth;
-  config.chip.chip.height = assay::kChipHeight;
-  config.runs = runs;
-  config.seed = 7;
-  return config;
-}
-
-TEST(RunRepeated, HealthyChipSucceedsEveryRun) {
-  const auto runs = run_repeated(assay::covid_rat(), healthy_config());
-  ASSERT_EQ(runs.size(), 3u);
-  for (const RunRecord& r : runs) {
-    EXPECT_TRUE(r.success) << r.stats.failure_reason;
-    EXPECT_GT(r.cycles, 0u);
-    EXPECT_EQ(r.cycles, r.stats.cycles);
-  }
-}
-
-TEST(RunRepeated, IsDeterministicPerSeed) {
-  const auto a = run_repeated(assay::covid_rat(), healthy_config());
-  const auto b = run_repeated(assay::covid_rat(), healthy_config());
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].success, b[i].success);
-    EXPECT_EQ(a[i].cycles, b[i].cycles);
-  }
-}
-
-TEST(RunRepeated, ChipDegradationPersistsAcrossRuns) {
-  // With aggressive degradation, later runs take at least as long (the
-  // transport corridor wears out).
-  RepeatedRunsConfig config = healthy_config(10);
-  config.chip.chip.degradation = DegradationRange{0.5, 0.7, 60.0, 120.0};
-  const auto runs = run_repeated(assay::serial_dilution(), config);
-  ASSERT_EQ(runs.size(), 10u);
-  EXPECT_TRUE(runs.front().success);
-  EXPECT_GT(runs.back().cycles + (runs.back().success ? 0 : 100000),
-            runs.front().cycles);
+core::ExecutionStats execution(bool success, std::uint64_t cycles) {
+  core::ExecutionStats stats;
+  stats.success = success;
+  stats.cycles = cycles;
+  return stats;
 }
 
 TEST(ProbabilityOfSuccess, CountsOnlyRunsWithinBudget) {
-  std::vector<RunRecord> records(4);
-  records[0] = {true, 100, {}};
-  records[1] = {true, 200, {}};
-  records[2] = {false, 150, {}};  // failed runs never count
-  records[3] = {true, 300, {}};
-  EXPECT_DOUBLE_EQ(probability_of_success(records, 99), 0.0);
-  EXPECT_DOUBLE_EQ(probability_of_success(records, 100), 0.25);
-  EXPECT_DOUBLE_EQ(probability_of_success(records, 250), 0.5);
-  EXPECT_DOUBLE_EQ(probability_of_success(records, 1000), 0.75);
+  const std::vector<core::ExecutionStats> runs = {
+      execution(true, 100), execution(true, 200),
+      execution(false, 150),  // failed runs never count
+      execution(true, 300)};
+  EXPECT_DOUBLE_EQ(probability_of_success(runs, 99), 0.0);
+  EXPECT_DOUBLE_EQ(probability_of_success(runs, 100), 0.25);
+  EXPECT_DOUBLE_EQ(probability_of_success(runs, 250), 0.5);
+  EXPECT_DOUBLE_EQ(probability_of_success(runs, 1000), 0.75);
 }
 
 TEST(ProbabilityOfSuccess, MonotoneInBudget) {
-  RepeatedRunsConfig config = healthy_config(6);
+  CampaignConfig config;
+  config.chip.chip.width = assay::kChipWidth;
+  config.chip.chip.height = assay::kChipHeight;
   config.chip.chip.degradation = DegradationRange{0.5, 0.9, 80.0, 200.0};
-  const auto runs = run_repeated(assay::master_mix(), config);
+  config.chips = 1;
+  config.runs_per_chip = 6;
+  config.seed0 = 7;
+  const std::vector<CampaignCell> cells = run_campaign(
+      {assay::master_mix()}, {RouterConfig{"adaptive", {}}}, config);
+  const std::vector<core::ExecutionStats>& runs = cells.front().runs.front();
+  ASSERT_EQ(runs.size(), 6u);
   double prev = 0.0;
   for (std::uint64_t k = 50; k <= 1000; k += 50) {
     const double pos = probability_of_success(runs, k);
