@@ -3,7 +3,7 @@
 // (transient bit flips + stuck DFFs + dropped frames) and injected substrate
 // faults with heterogeneous pre-wear.
 //
-// Two routers run on identical chips at every noise level:
+// Three routers run on identical chips at every noise level:
 //   - adaptive : the paper's proactive router acting on raw scan frames;
 //   - robust   : the same router behind the health filter, with the
 //                recovery ladder armed (watchdog → re-sense → bounded
@@ -15,10 +15,15 @@
 //                the cost of extra droplet traffic and synthesis calls,
 //                both reported in the same CSV.
 //
-// Expected shape: both routers match on a clean channel; as noise grows the
-// raw-scan router chases phantom health changes (re-synthesis storms,
-// infeasible plans from phantom-dead cells) while the robust router's curve
-// degrades gracefully.
+// What the default grid shows (3 chips x 4 runs = 12 executions per cell,
+// so cells a few successes apart are within sampling noise; EXPERIMENTS.md
+// has the table): on a clean channel adaptive completes every execution and
+// the robust routers lose one or two to the recovery ladder's aborts on
+// these end-of-life chips. Through the mid-noise band the robust routers
+// stay near their clean level while adaptive starts to lose executions. At
+// the two harshest levels every router completes about half to three
+// quarters of its executions, and the robust routers quarantine thousands
+// of cells.
 
 // Flags:
 //   --jobs N           spread the (cell, chip) grid over N worker threads
@@ -52,8 +57,7 @@ int main(int argc, char** argv) {
   config.chip.chip.height = assay::kChipHeight;
   // End-of-life chips: fast degradation, heavy pre-wear, a dense clustered
   // fault population that keeps failing during the campaign. Harsh enough
-  // that the curves collapse at the top of the noise axis (a full
-  // Fig. 16-style success curve, not just its flat beginning).
+  // that every router loses executions at the top of the noise axis.
   config.chip.chip.degradation = DegradationRange{0.5, 0.9, 40.0, 100.0};
   config.chip.pre_wear_max = 250;
   config.chip.faults.mode = FaultMode::kClustered;
@@ -120,13 +124,14 @@ int main(int argc, char** argv) {
     sim::write_chaos_metrics_csv("chaos_campaign_metrics.csv", cells);
     std::cout << "(Per-cell metrics written to chaos_campaign_metrics.csv.)\n";
   }
-  std::cout << "Expected: the routers tie on a clean channel; the robust\n"
-               "router leads through the mid-noise band (the filter absorbs\n"
-               "phantom health changes the raw router chases), robust+nmr\n"
-               "sits above it (a replicated critical dispense survives one\n"
-               "dead corridor) at the price of extra droplet cycles and\n"
-               "synthesis calls, and every curve collapses at the harshest\n"
-               "level — with the chip this degraded, flying 80%-blind\n"
-               "leaves no router a good plan.\n";
+  std::cout << "Expected (12 executions per cell on the default grid, so\n"
+               "cells a few successes apart are within sampling noise): on a\n"
+               "clean channel adaptive completes every execution and the\n"
+               "robust routers lose one or two to recovery-ladder aborts;\n"
+               "through the mid-noise band the robust routers stay near\n"
+               "their clean level while adaptive starts to lose executions;\n"
+               "at the two harshest levels every router completes about half\n"
+               "to three quarters of its executions, and the robust routers\n"
+               "quarantine thousands of cells.\n";
   return 0;
 }

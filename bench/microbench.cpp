@@ -374,9 +374,10 @@ BENCHMARK(BM_ForceFromHealth)->Arg(2)->Arg(16);
 
 // One per-cycle read of a pre-worn 60×30 chip behind the hybrid_noisy
 // workload's scan chain (bit flips p = 1e-3, 2% dropped frames): the health
-// matrix plus the noisy readout, 3600 flip draws per fresh frame. A 3×3
-// block walks the chip and is actuated before each read, so a few cells
-// change per cycle as under a moving droplet.
+// matrix plus the noisy readout, about 4.6 flip-gap draws per fresh frame
+// of 3600 bits (one per flip plus one). A 3×3 block walks the chip and is
+// actuated before each read, so a few cells change per cycle as under a
+// moving droplet.
 void BM_SenseHealthNoisy(benchmark::State& state) {
   sim::SimulatedChipConfig config;
   config.chip.width = 60;
@@ -430,8 +431,8 @@ void BM_HealthFilterObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_HealthFilterObserve);
 
-// The draw floor of a fresh noisy frame: one next_u64() per bit of a
-// 60×30×2-bit scan chain, 3600 draws through Rng.
+// Rng's raw stream: 3600 next_u64() draws, the stream the simulator's
+// outcome sampling and the scan chain's frame-drop and flip-gap draws use.
 void BM_RngDraws(benchmark::State& state) {
   Rng rng(1);
   for (auto _ : state) {

@@ -1,5 +1,7 @@
 #include "chip/sensor_channel.hpp"
 
+#include <cmath>
+
 #include "obs/obs.hpp"
 #include "util/check.hpp"
 
@@ -17,7 +19,8 @@ SensorChannel::SensorChannel(const SensorNoiseConfig& config, int width,
                    config.stuck_at_one_share <= 1.0 &&
                    config.frame_drop_p >= 0.0 && config.frame_drop_p < 1.0,
                "sensor noise probabilities out of range");
-  flip_ = FixedBernoulli(config.bit_flip_p);
+  if (config.bit_flip_p > 0.0 && config.bit_flip_p < 1.0)
+    gap_scale_ = 1.0 / std::log1p(-config.bit_flip_p);
   last_frame_ = IntMatrix(width, height);
   stuck_.assign(last_frame_.size(), StuckCell{});
   // Scan position `flat` is bit flat % bits of cell flat / bits.
@@ -47,8 +50,8 @@ IntMatrix SensorChannel::read(const IntMatrix& truth, Rng& rng) {
   MEDA_REQUIRE(truth.width() == width_ && truth.height() == height_,
                "health frame does not match the channel dimensions");
   // A dropped frame never reaches the controller: it keeps the previous
-  // frame. The drop is decided before per-bit noise so the random stream
-  // stays aligned whether or not the frame survives.
+  // frame. The drop is decided before the flips so the random stream stays
+  // aligned whether or not the frame survives.
   if (has_last_ && config_.frame_drop_p > 0.0 &&
       rng.bernoulli(config_.frame_drop_p)) {
     ++frames_dropped_;
@@ -56,9 +59,9 @@ IntMatrix SensorChannel::read(const IntMatrix& truth, Rng& rng) {
     MEDA_OBS_COUNT("sensor.frames_dropped", 1);
     return last_frame_;
   }
-  // The whole frame must fit the scan width before the first bit draw, so a
-  // rejected frame consumes no draws and leaves last_frame_ as it was. A
-  // negative code sets the top bit of the OR.
+  // The whole frame must fit the scan width before the first flip draw, so
+  // a rejected frame consumes no flip draw and leaves last_frame_ as it
+  // was. A negative code sets the top bit of the OR.
   const std::vector<int>& codes = truth.data();
   unsigned used = 0;
   for (const int code : codes) used |= static_cast<unsigned>(code);
@@ -68,15 +71,24 @@ IntMatrix SensorChannel::read(const IntMatrix& truth, Rng& rng) {
   std::vector<int>& out = last_frame_.data();
   for (std::size_t c = 0; c < codes.size(); ++c)
     out[c] = (codes[c] & ~stuck_[c].mask) | stuck_[c].ones;
-  // The k-th flip draw belongs to the k-th non-stuck bit in scan order.
   std::uint64_t flips = 0;
-  if (config_.bit_flip_p > 0.0) {
-    for (std::size_t k = 0; k < free_bits_.size(); ++k) {
-      if (flip_(rng)) {
-        const int flat = free_bits_[k];
-        out[static_cast<std::size_t>(flat / bits_)] ^= 1 << (flat % bits_);
-        ++flips;
-      }
+  const auto flip = [&](int flat) {
+    out[static_cast<std::size_t>(flat / bits_)] ^= 1 << (flat % bits_);
+    ++flips;
+  };
+  if (config_.bit_flip_p == 1.0) {
+    for (const int flat : free_bits_) flip(flat);
+  } else if (config_.bit_flip_p > 0.0) {
+    // Each draw is the number of clean non-stuck bits before the next flip;
+    // the first that reaches past the last one ends the frame. The test runs
+    // on the double: at a tiny p the gap is far beyond any index, or +inf.
+    for (std::size_t k = 0;; ++k) {
+      const double u =
+          static_cast<double>((rng.next_u64() >> 11) + 1) * 0x1p-53;
+      const double gap = std::floor(std::log(u) * gap_scale_);
+      if (!(gap < static_cast<double>(free_bits_.size() - k))) break;
+      k += static_cast<std::size_t>(gap);
+      flip(free_bits_[k]);
     }
   }
   bits_flipped_ += flips;

@@ -20,13 +20,17 @@
 /// SensorChannel models exactly these three error modes on top of the
 /// bitstream layout of scan_chain.hpp (scan order: row-major,
 /// least-significant health bit first). A read takes two flat passes: every
-/// code with its stuck DFFs forced, then one flip draw per non-stuck bit in
-/// scan order, from a table of those bits built at construction. The stream
-/// contract: one frame-drop draw first (from the second read on, when
-/// frame_drop_p > 0), then one 64-bit draw per non-stuck bit in scan order
-/// (when bit_flip_p > 0). This is exactly what serializing with
-/// scan_out_health, corrupting bit by bit with Rng::bernoulli and parsing
-/// with scan_in_health would draw and return.
+/// code with its stuck DFFs forced, then the transient flips, placed by
+/// sampling the gaps between them. The flips of a frame are independent
+/// Bernoulli(bit_flip_p) trials over the non-stuck bits, so the number of
+/// clean non-stuck bits before the next flip is geometric; a read draws it
+/// by inversion, floor(ln U / ln(1 - p)) (Knuth, TAOCP Vol. 2, 3.4.1), and
+/// indexes the gaps into a table of the non-stuck scan positions built at
+/// construction. The stream contract: one frame-drop draw first (from the
+/// second read on, when frame_drop_p > 0), then, when 0 < bit_flip_p < 1,
+/// one 64-bit draw per flipped bit plus one that ends the frame. At
+/// bit_flip_p = 0 no bit flips and at bit_flip_p = 1 every non-stuck bit
+/// flips, both without a draw.
 /// With a default-constructed SensorNoiseConfig the channel is transparent.
 
 namespace meda {
@@ -64,7 +68,7 @@ class SensorChannel {
 
   /// Reads @p truth through the channel: stuck bits, then flips. Transient
   /// randomness (flips, frame drops) draws from @p rng. Every code must fit
-  /// the scan width; a frame that does not is rejected before any bit draw
+  /// the scan width; a frame that does not is rejected before any flip draw
   /// and leaves the last frame as it was.
   IntMatrix read(const IntMatrix& truth, Rng& rng);
 
@@ -86,15 +90,17 @@ class SensorChannel {
   };
 
   SensorNoiseConfig config_{};
-  FixedBernoulli flip_{};
+  /// 1 / ln(1 - bit_flip_p) when 0 < bit_flip_p < 1: ln U times it is the
+  /// gap before the next flip.
+  double gap_scale_ = 0.0;
   int width_ = 0;
   int height_ = 0;
   int bits_ = 0;
   /// Per-cell persistence, row-major like the frame.
   std::vector<StuckCell> stuck_;
   int stuck_count_ = 0;
-  /// Scan positions of the non-stuck DFFs, ascending: the k-th flip draw of
-  /// a read decides bit free_bits_[k].
+  /// Scan positions of the non-stuck DFFs, ascending: the flip gaps of a
+  /// read count entries of this table.
   std::vector<int> free_bits_;
   IntMatrix last_frame_;
   bool has_last_ = false;

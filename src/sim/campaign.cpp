@@ -130,9 +130,11 @@ std::vector<CampaignCell> run_campaign(
   util::SlotCheckpoint checkpoint;
   if (!config.checkpoint.path.empty()) {
     // The slot payload layout: the codec's tag plus the field names of
-    // everything a slot carries.
+    // everything a slot carries. The tag also versions what no field
+    // records, such as the scan chain's draw order (v5: geometric flip
+    // gaps).
     util::DigestBuilder digest;
-    digest.mix(std::string("meda-chaos"));
+    digest.mix(std::string("meda-chaos-v5"));
     for_each_persisted_field(util::MixFieldName{digest});
     core::LibraryStats::for_each_field(util::MixFieldName{digest});
     core::LibraryClassStats::for_each_field(util::MixFieldName{digest});
@@ -142,11 +144,28 @@ std::vector<CampaignCell> run_campaign(
     for (const assay::MoList& assay_list : assays) digest.mix(assay_list.name);
     digest.mix(static_cast<std::uint64_t>(routers.size()));
     for (const RouterConfig& router : routers) digest.mix(router.name);
+    // Every chip setting that reaches a result (the trace switches do not;
+    // each level's sensor replaces the chip's).
+    const SimulatedChipConfig& chip = config.chip;
+    digest.mix(chip.chip.width).mix(chip.chip.height);
+    digest.mix(chip.chip.health_bits);
+    digest.mix(chip.chip.degradation.tau_lo).mix(chip.chip.degradation.tau_hi);
+    digest.mix(chip.chip.degradation.c_lo).mix(chip.chip.degradation.c_hi);
+    digest.mix(static_cast<int>(chip.faults.mode));
+    digest.mix(chip.faults.faulty_fraction);
+    digest.mix(chip.faults.fail_at_lo).mix(chip.faults.fail_at_hi);
+    digest.mix(chip.faults.cluster_size);
+    digest.mix(chip.rules.max_aspect_ratio);
+    digest.mix(static_cast<int>(chip.rules.enable_double_steps));
+    digest.mix(static_cast<int>(chip.rules.enable_ordinal));
+    digest.mix(static_cast<int>(chip.rules.enable_morphing));
+    digest.mix(chip.pre_wear_max);
     digest.mix(static_cast<std::uint64_t>(config.levels.size()));
     for (const ChaosLevel& level : config.levels) {
       digest.mix(level.name);
       digest.mix(level.sensor.bit_flip_p);
       digest.mix(level.sensor.stuck_fraction);
+      digest.mix(level.sensor.stuck_at_one_share);
       digest.mix(level.sensor.frame_drop_p);
     }
     checkpoint.open(config.checkpoint.path, digest.value(),

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -11,11 +12,14 @@
 /// @file reference_readout.hpp
 /// Reference readout for the sensor-channel oracle tests: the scan-chain
 /// read as three separate steps — scan_out_health serializes the frame into
-/// a bitstream, each bit is forced by its stuck DFF or corrupted by one
-/// Rng::bernoulli trial, and scan_in_health parses the stream back. It keeps
-/// one stuck state per scan position and shares no readout code with
-/// SensorChannel, whose one-pass read must match it frame for frame, draw
-/// for draw.
+/// a bitstream, each bit is forced by its stuck DFF, the bits that are not
+/// stuck are flipped at geometric gaps, and scan_in_health parses the stream
+/// back. It keeps one stuck state per scan position and shares no readout
+/// code with SensorChannel, whose two-pass read must match it frame for
+/// frame, draw for draw. The gap inversion is the stream contract, written
+/// out again here so the two must agree on every draw: it is the part of
+/// the read this oracle does not check independently (the statistical tests
+/// in sensor_channel_test.cpp do).
 
 namespace meda::reference {
 
@@ -49,14 +53,33 @@ class ReadoutChannel {
       return last_frame_;
     }
     std::vector<bool> stream = scan_out_health(truth, bits_);
+    std::vector<std::size_t> unstuck;  // non-stuck stream positions, in order
     for (std::size_t i = 0; i < stream.size(); ++i) {
-      if (stuck_[i] != 0) {
+      if (stuck_[i] == 0) {
+        unstuck.push_back(i);
+      } else {
         stream[i] = stuck_[i] == 2;
-        continue;
       }
-      if (config_.bit_flip_p > 0.0 && rng.bernoulli(config_.bit_flip_p)) {
-        stream[i] = !stream[i];
+    }
+    const double p = config_.bit_flip_p;
+    if (p == 1.0) {
+      for (const std::size_t i : unstuck) stream[i] = !stream[i];
+      bits_flipped_ += unstuck.size();
+    } else if (p > 0.0) {
+      // Geometric gaps by inversion: each draw counts the clean non-stuck
+      // positions before the next flip, and the draw that runs past the
+      // last one ends the frame.
+      const double scale = 1.0 / std::log1p(-p);
+      std::size_t next = 0;
+      for (;;) {
+        const std::uint64_t top = rng.next_u64() >> 11;
+        const double u = static_cast<double>(top + 1) / 9007199254740992.0;
+        const double gap = std::floor(std::log(u) * scale);
+        if (!(gap < static_cast<double>(unstuck.size() - next))) break;
+        next += static_cast<std::size_t>(gap);
+        stream[unstuck[next]] = !stream[unstuck[next]];
         ++bits_flipped_;
+        ++next;
       }
     }
     last_frame_ = scan_in_health(stream, width_, height_, bits_);

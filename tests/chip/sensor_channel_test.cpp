@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
+#include <cstddef>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "reference_readout.hpp"
 #include "util/check.hpp"
@@ -163,12 +167,12 @@ TEST(SensorChannel, DeterministicPerSeed) {
 
 TEST(SensorChannel, MatchesTheThreeStepReadout) {
   // Every channel shape and noise mode against the reference readout
-  // (scan_out_health, per-bit stuck or Rng::bernoulli, scan_in_health):
-  // equal frames, equal statistics, and an equal random stream after every
-  // read.
+  // (scan_out_health, per-position stuck forcing and flips at geometric
+  // gaps, scan_in_health): equal frames, equal statistics, and an equal
+  // random stream after every read.
   constexpr std::array<double, 4> kFlip = {0.0, 1e-3, 0.3, 1.0};
-  // At a stuck fraction of 1 every DFF is stuck: a read takes only its drop
-  // draw.
+  // At a stuck fraction of 1 every DFF is stuck: a read takes its drop draw
+  // and, when 0 < p < 1, the one flip draw that ends the frame.
   constexpr std::array<double, 3> kStuck = {0.0, 0.2, 1.0};
   constexpr std::array<double, 3> kShare = {0.0, 0.5, 1.0};
   constexpr std::array<double, 2> kDrop = {0.0, 0.3};
@@ -266,7 +270,7 @@ TEST(SensorChannel, RejectedFrameLeavesTheChannelUntouched) {
   for (const IntMatrix& bad : {too_wide, negative}) {
     steer(false);
     Rng expected = rng;
-    expected.next_u64();  // the drop draw, and no bit draw after it
+    expected.next_u64();  // the drop draw, and no flip draw after it
     EXPECT_THROW(channel.read(bad, rng), PreconditionError);
     EXPECT_TRUE(rng.engine() == expected.engine());
     EXPECT_EQ(channel.bits_flipped(), flipped);
@@ -276,6 +280,297 @@ TEST(SensorChannel, RejectedFrameLeavesTheChannelUntouched) {
   EXPECT_EQ(channel.read(IntMatrix(7, 5, 0), rng), first);
   EXPECT_EQ(channel.frames_dropped(), 1u);
   EXPECT_EQ(channel.staleness(), 1u);
+}
+
+// --- Statistical oracle for the flip sampler ---------------------------------
+// The tests below look only at frames, channel counters and engine state, and
+// share no code or formula with the sampler: a flip is a bit in which a noisy
+// read differs from a read of the same frame through a twin channel at
+// bit_flip_p = 0, built from the same construction stream and so with the
+// same stuck DFFs. Every case is seeded and deterministic; its bounds are
+// 0.999 quantiles.
+
+constexpr int kScanW = 60;  // the production scan chain: 60x30 cells of 2 bits
+constexpr int kScanH = 30;
+constexpr int kScanBits = 2;
+constexpr std::size_t kScanPositions = kScanW * kScanH * kScanBits;
+constexpr double kZ999 = 3.090232306167813;    // one-sided normal 0.999
+constexpr double kZ999Two = 3.290526731491926;  // two-sided normal 0.999
+
+/// Upper 0.999 quantile of chi-square with @p df degrees of freedom
+/// (Wilson-Hilferty; a little above the exact value at small df).
+double chi_square_999(int df) {
+  const double v = 2.0 / (9.0 * df);
+  return df * std::pow(1.0 - v + kZ999 * std::sqrt(v), 3.0);
+}
+
+/// Pearson's statistic of @p observed against @p expected, bins merged left
+/// to right until each expects at least 5 (a short tail joins the last bin).
+/// Returns the statistic and its degrees of freedom (merged bins - 1).
+std::pair<double, int> chi_square(const std::vector<double>& observed,
+                                  const std::vector<double>& expected) {
+  std::vector<std::pair<double, double>> bins;  // (observed, expected)
+  double obs = 0.0;
+  double exp = 0.0;
+  for (std::size_t i = 0; i < observed.size(); ++i) {
+    obs += observed[i];
+    exp += expected[i];
+    if (exp >= 5.0) {
+      bins.emplace_back(obs, exp);
+      obs = exp = 0.0;
+    }
+  }
+  if (bins.empty()) return {0.0, 0};
+  bins.back().first += obs;
+  bins.back().second += exp;
+  double stat = 0.0;
+  for (const auto& [o, e] : bins) stat += (o - e) * (o - e) / e;
+  return {stat, static_cast<int>(bins.size()) - 1};
+}
+
+/// Scan position of bit @p bit of code @p cell (row-major, LSB first).
+std::size_t scan_position(std::size_t cell, int bit) {
+  return cell * kScanBits + static_cast<std::size_t>(bit);
+}
+
+/// A production-shape channel with flip probability p beside its flip-free
+/// twin. Frames are never dropped, so a read takes flip draws only.
+class FlipProbe {
+ public:
+  FlipProbe(double p, double stuck_fraction, std::uint64_t seed)
+      : noisy_(config(p, stuck_fraction), kScanW, kScanH, kScanBits,
+               Rng(seed)),
+        clean_(config(0.0, stuck_fraction), kScanW, kScanH, kScanBits,
+               Rng(seed)),
+        rng_(seed + 1),
+        truth_rng_(seed + 2) {
+    // Stuck-at-1 DFFs read 1 under an all-zero frame, stuck-at-0 DFFs read
+    // 0 under an all-ones frame.
+    const IntMatrix zeros =
+        clean_.read(IntMatrix(kScanW, kScanH, 0), clean_rng_);
+    const IntMatrix ones = clean_.read(
+        IntMatrix(kScanW, kScanH, (1 << kScanBits) - 1), clean_rng_);
+    stuck_.assign(kScanPositions, false);
+    for (std::size_t c = 0; c < zeros.size(); ++c) {
+      for (int b = 0; b < kScanBits; ++b) {
+        const bool high = ((zeros.data()[c] >> b) & 1) != 0;
+        const bool low = ((ones.data()[c] >> b) & 1) == 0;
+        stuck_[scan_position(c, b)] = high || low;
+      }
+    }
+  }
+
+  /// Reads a fresh random frame and returns its flip mask by scan position.
+  /// Also checks the channel's flip counter against the mask and, when
+  /// @p check_draws is set, that the read took one draw per flip plus one.
+  std::vector<bool> read(bool check_draws = false) {
+    const IntMatrix truth =
+        random_health(kScanW, kScanH, kScanBits, truth_rng_);
+    const Rng before = rng_;
+    const std::uint64_t counted = noisy_.bits_flipped();
+    const IntMatrix seen = noisy_.read(truth, rng_);
+    const IntMatrix base = clean_.read(truth, clean_rng_);
+    std::vector<bool> mask(kScanPositions, false);
+    std::size_t flips = 0;
+    for (std::size_t c = 0; c < seen.size(); ++c) {
+      const int diff = seen.data()[c] ^ base.data()[c];
+      for (int b = 0; b < kScanBits; ++b) {
+        if (((diff >> b) & 1) == 0) continue;
+        mask[scan_position(c, b)] = true;
+        ++flips;
+      }
+    }
+    EXPECT_EQ(noisy_.bits_flipped() - counted, flips);
+    if (check_draws) {
+      Rng expected = before;
+      for (std::size_t i = 0; i <= flips; ++i) expected.next_u64();
+      EXPECT_TRUE(expected.engine() == rng_.engine())
+          << "a read takes one draw per flip plus one";
+    }
+    return mask;
+  }
+
+  /// The noisy channel's generator, as it stands.
+  Rng rng() const { return rng_; }
+  /// Stuck scan positions, found from the twin's reads.
+  const std::vector<bool>& stuck() const { return stuck_; }
+  std::size_t free_bits() const {
+    std::size_t n = 0;
+    for (const bool s : stuck_) n += s ? 0 : 1;
+    return n;
+  }
+
+ private:
+  static SensorNoiseConfig config(double p, double stuck_fraction) {
+    SensorNoiseConfig config;
+    config.bit_flip_p = p;
+    config.stuck_fraction = stuck_fraction;
+    return config;
+  }
+
+  SensorChannel noisy_;
+  SensorChannel clean_;
+  Rng rng_;
+  Rng truth_rng_;
+  Rng clean_rng_{0};  // the twin reads without a draw
+  std::vector<bool> stuck_;
+};
+
+std::size_t count(const std::vector<bool>& mask) {
+  std::size_t n = 0;
+  for (const bool bit : mask) n += bit ? 1 : 0;
+  return n;
+}
+
+TEST(SensorChannel, FlipCountPerFrameIsBinomial) {
+  // Binomial(n_free, p) per frame, chi-square over the count's bins, with
+  // one case of 5% stuck DFFs so that n_free < n.
+  struct Case {
+    double p;
+    double stuck;
+  };
+  constexpr int kFrames = 2000;
+  std::uint64_t seed = 1000;
+  for (const Case c : {Case{1e-3, 0.0}, Case{0.05, 0.0}, Case{0.3, 0.0},
+                       Case{0.05, 0.05}}) {
+    SCOPED_TRACE(::testing::Message() << "p " << c.p << " stuck " << c.stuck);
+    FlipProbe probe(c.p, c.stuck, seed++);
+    const std::size_t n = probe.free_bits();
+    EXPECT_EQ(n, c.stuck == 0.0 ? kScanPositions : kScanPositions - 180);
+    std::vector<double> observed(n + 1, 0.0);
+    for (int f = 0; f < kFrames; ++f) observed[count(probe.read(true))] += 1;
+    std::vector<double> expected(n + 1);
+    const double nd = static_cast<double>(n);
+    for (std::size_t k = 0; k <= n; ++k) {
+      const double kd = static_cast<double>(k);
+      const double log_pmf = std::lgamma(nd + 1) - std::lgamma(kd + 1) -
+                             std::lgamma(nd - kd + 1) + kd * std::log(c.p) +
+                             (nd - kd) * std::log1p(-c.p);
+      expected[k] = kFrames * std::exp(log_pmf);
+    }
+    const auto [stat, df] = chi_square(observed, expected);
+    ASSERT_GE(df, 4);
+    EXPECT_LT(stat, chi_square_999(df)) << "df " << df;
+  }
+}
+
+TEST(SensorChannel, FlipPositionsAreUniformOverTheFreeBits) {
+  // 36 buckets of consecutive non-stuck scan positions, chi-square against
+  // equal shares of the flips.
+  constexpr int kFrames = 2000;
+  constexpr std::size_t kBuckets = 36;
+  FlipProbe probe(0.05, 0.05, 2024);
+  std::vector<double> per_position(kScanPositions, 0.0);
+  for (int f = 0; f < kFrames; ++f) {
+    const std::vector<bool> mask = probe.read();
+    for (std::size_t i = 0; i < kScanPositions; ++i)
+      per_position[i] += mask[i] ? 1.0 : 0.0;
+  }
+  const std::size_t n = probe.free_bits();
+  std::vector<double> observed(kBuckets, 0.0);
+  std::vector<double> size(kBuckets, 0.0);
+  std::size_t rank = 0;
+  double total = 0.0;
+  for (std::size_t i = 0; i < kScanPositions; ++i) {
+    if (probe.stuck()[i]) continue;
+    const std::size_t bucket = rank++ * kBuckets / n;
+    observed[bucket] += per_position[i];
+    size[bucket] += 1.0;
+    total += per_position[i];
+  }
+  std::vector<double> expected(kBuckets);
+  for (std::size_t b = 0; b < kBuckets; ++b)
+    expected[b] = total * size[b] / static_cast<double>(n);
+  const auto [stat, df] = chi_square(observed, expected);
+  ASSERT_EQ(df, static_cast<int>(kBuckets) - 1);
+  EXPECT_LT(stat, chi_square_999(df));
+}
+
+TEST(SensorChannel, StuckBitsNeverFlip) {
+  for (const double p : {0.3, 1.0}) {
+    FlipProbe probe(p, 0.2, 7);
+    ASSERT_EQ(probe.free_bits(), kScanPositions - 720);
+    std::size_t flips = 0;
+    for (int f = 0; f < 200; ++f) {
+      const std::vector<bool> mask = probe.read();
+      for (std::size_t i = 0; i < kScanPositions; ++i) {
+        if (probe.stuck()[i]) {
+          ASSERT_FALSE(mask[i]) << "position " << i;
+        }
+      }
+      flips += count(mask);
+    }
+    EXPECT_GT(flips, 0u);
+  }
+}
+
+TEST(SensorChannel, AdjacentBitsAndSuccessiveFramesFlipIndependently) {
+  // Adjacent scan positions: the joint flips of k and k + 1 against
+  // n p^2, with the variance of overlapping pairs. Successive frames: the
+  // correlation of their flip counts against 0.
+  constexpr int kFrames = 2000;
+  constexpr double kP = 0.05;
+  FlipProbe probe(kP, 0.0, 99);
+  double joint = 0.0;
+  std::vector<double> counts;
+  for (int f = 0; f < kFrames; ++f) {
+    const std::vector<bool> mask = probe.read();
+    for (std::size_t i = 0; i + 1 < kScanPositions; ++i)
+      joint += (mask[i] && mask[i + 1]) ? 1.0 : 0.0;
+    counts.push_back(static_cast<double>(count(mask)));
+  }
+  const double pairs = static_cast<double>(kFrames) * (kScanPositions - 1);
+  const double p2 = kP * kP;
+  const double sd =
+      std::sqrt(pairs * (p2 * (1.0 - p2) + 2.0 * (p2 * kP - p2 * p2)));
+  EXPECT_LT(std::abs(joint - pairs * p2), kZ999Two * sd)
+      << joint << " joint flips, " << pairs * p2 << " expected";
+
+  double mean = 0.0;
+  for (const double c : counts) mean += c;
+  mean /= kFrames;
+  double cov = 0.0;
+  double var = 0.0;
+  for (int f = 0; f < kFrames; ++f) {
+    const double d = counts[static_cast<std::size_t>(f)] - mean;
+    var += d * d;
+    if (f + 1 < kFrames)
+      cov += d * (counts[static_cast<std::size_t>(f + 1)] - mean);
+  }
+  ASSERT_GT(var, 0.0);
+  EXPECT_LT(std::abs(cov / var), kZ999Two / std::sqrt(kFrames - 1.0));
+}
+
+TEST(SensorChannel, CertainFlipProbabilitiesTakeNoDraw) {
+  // p = 0 flips nothing and p = 1 flips every non-stuck bit; neither moves
+  // the engine.
+  for (const double p : {0.0, 1.0}) {
+    FlipProbe probe(p, 0.05, 5);
+    for (int f = 0; f < 20; ++f) {
+      Rng before = probe.rng();
+      const std::vector<bool> mask = probe.read();
+      ASSERT_TRUE(probe.rng().engine() == before.engine()) << "p " << p;
+      for (std::size_t i = 0; i < kScanPositions; ++i)
+        ASSERT_EQ(mask[i], p == 1.0 && !probe.stuck()[i]) << "p " << p;
+    }
+  }
+}
+
+TEST(SensorChannel, ExtremeFlipProbabilitiesStayInRange) {
+  // The smallest p make gaps far beyond the chain (+inf at denorm_min) and
+  // flip nothing; the largest p below 1 flips every non-stuck bit.
+  constexpr int kFrames = 1000;
+  for (const double p : {std::numeric_limits<double>::denorm_min(), 1e-12,
+                         std::nextafter(1.0, 0.0)}) {
+    SCOPED_TRACE(::testing::Message() << "p " << p);
+    FlipProbe probe(p, 0.05, 13);
+    const bool all = p > 0.5;
+    for (int f = 0; f < kFrames; ++f) {
+      const std::vector<bool> mask = probe.read(true);
+      for (std::size_t i = 0; i < kScanPositions; ++i)
+        ASSERT_EQ(mask[i], all && !probe.stuck()[i]) << "frame " << f;
+    }
+  }
 }
 
 }  // namespace

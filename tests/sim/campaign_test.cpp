@@ -476,6 +476,61 @@ TEST(ChaosCampaign, CheckpointDigestMismatchRecomputesEverything) {
   expect_same_cells(resumed, run_campaign(assays, robust_router(), fresh));
 }
 
+/// Sets the first hexfloat of a checkpoint slot line, its first run's
+/// synthesis_seconds, to 1024: a value no recomputed run reads.
+void mark_slot(std::string& line) {
+  const std::size_t hex = line.find(" 0x");
+  ASSERT_NE(hex, std::string::npos);
+  const std::size_t hex_end = line.find(' ', hex + 1);
+  line.replace(hex + 1, hex_end - hex - 1, "0x1p+10");
+}
+
+/// Marks every slot line of the checkpoint at @p path.
+void mark_every_slot(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  in.close();
+  ASSERT_GT(lines.size(), 1u);
+  std::ofstream out(path, std::ios::trunc);
+  out << lines[0] << '\n';
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    mark_slot(lines[i]);
+    out << lines[i] << '\n';
+  }
+}
+
+TEST(ChaosCampaign, CheckpointOfAnotherChipOrSensorRecomputesEverything) {
+  // A resume under another chip pre-wear, or under another stuck-at-one
+  // share only, must not graft the checkpoint's slots: every slot is
+  // recomputed (no run keeps the marked synthesis time) and the cells equal
+  // a fresh run of the new configuration.
+  const std::vector<assay::MoList> assays = {assay::covid_rat()};
+  const std::string cp_path = ::testing::TempDir() + "chaos_cp_chip.txt";
+  const std::vector<void (*)(CampaignConfig&)> changes = {
+      [](CampaignConfig& c) { c.chip.pre_wear_max = 150; },
+      [](CampaignConfig& c) { c.levels[1].sensor.stuck_at_one_share = 0.9; }};
+  for (const auto change : changes) {
+    std::remove(cp_path.c_str());
+    CampaignConfig first = small_chaos();
+    first.checkpoint.path = cp_path;
+    (void)run_campaign(assays, robust_router(), first);
+    mark_every_slot(cp_path);
+
+    CampaignConfig fresh = small_chaos();
+    change(fresh);
+    CampaignConfig resumed_config = fresh;
+    resumed_config.checkpoint.path = cp_path;
+    resumed_config.checkpoint.resume = true;
+    const auto resumed = run_campaign(assays, robust_router(), resumed_config);
+    for (const CampaignCell& cell : resumed)
+      for (const std::vector<core::ExecutionStats>& chip : cell.runs)
+        for (const core::ExecutionStats& run : chip)
+          EXPECT_NE(run.synthesis_seconds, 1024.0) << cell.level;
+    expect_same_cells(resumed, run_campaign(assays, robust_router(), fresh));
+  }
+}
+
 TEST(Campaign, CheckpointResumeReplaysOnlyMissingSlots) {
   const std::vector<assay::MoList> assays = {assay::covid_rat()};
   const std::string cp_path = ::testing::TempDir() + "campaign_cp.txt";
@@ -494,10 +549,7 @@ TEST(Campaign, CheckpointResumeReplaysOnlyMissingSlots) {
   ASSERT_EQ(lines.size(), 5u);  // header + 2 routers × 2 chips
   ASSERT_EQ(lines[1].rfind("0 ", 0), 0u);
   ASSERT_EQ(lines[2].rfind("1 ", 0), 0u);
-  const std::size_t hex = lines[1].find(" 0x");
-  ASSERT_NE(hex, std::string::npos);
-  const std::size_t hex_end = lines[1].find(' ', hex + 1);
-  lines[1].replace(hex + 1, hex_end - hex - 1, "0x1p+10");
+  mark_slot(lines[1]);
   {
     std::ofstream out(cp_path, std::ios::trunc);
     for (std::size_t i = 0; i < 3; ++i) out << lines[i] << '\n';

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <limits>
 #include <numeric>
 #include <random>
@@ -187,7 +186,7 @@ TEST(Rng, HelpersMatchTheStdEngineReference) {
     for (int step = 0; step < 4000; ++step) {
       SCOPED_TRACE(::testing::Message() << "seed " << seed << ", step "
                                         << step);
-      switch (choose(10)) {
+      switch (choose(9)) {
         case 0: {
           const double lo = choose(200) - 100.0;
           const double hi = lo + choose(3) * 0.75;  // includes lo == hi
@@ -243,12 +242,6 @@ TEST(Rng, HelpersMatchTheStdEngineReference) {
           std::shuffle(order.begin(), order.end(), rng.engine());
           std::shuffle(ref_order.begin(), ref_order.end(), ref.engine());
           ASSERT_EQ(order, ref_order);
-          break;
-        }
-        case 8: {
-          const double p = choose(5) / 4.0;
-          const FixedBernoulli trial(p);
-          ASSERT_EQ(trial(rng), ref.bernoulli(p));
           break;
         }
         default:
@@ -323,54 +316,6 @@ TEST(Rng, BernoulliFrequencyNearP) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) hits += rng.bernoulli(0.3);
   EXPECT_NEAR(hits / static_cast<double>(n), 0.3, 0.02);
-}
-
-const std::array<double, 9> kFixedPs = {
-    0.0,  std::numeric_limits<double>::denorm_min(),
-    1e-12, 1e-3,
-    0.02, 1.0 / 3.0,
-    0.5,  std::nextafter(1.0, 0.0),
-    1.0};
-
-TEST(Rng, FixedBernoulliMatchesBernoulliDrawForDraw) {
-  for (const double p : kFixedPs) {
-    const FixedBernoulli trial(p);
-    Rng fast(37), reference(37);
-    int hits = 0;
-    for (int i = 0; i < 20000; ++i) {
-      const bool expected = reference.bernoulli(p);
-      ASSERT_EQ(trial(fast), expected) << "p = " << p << ", draw " << i;
-      hits += expected;
-    }
-    EXPECT_TRUE(fast.engine() == reference.engine()) << "p = " << p;
-    if (p == 0.0) {
-      EXPECT_EQ(hits, 0);
-    }
-    if (p == 1.0) {
-      EXPECT_EQ(hits, 20000);
-    }
-  }
-}
-
-TEST(Rng, FixedBernoulliThresholdIsTheFirstFailingDraw) {
-  // A draw x succeeds iff double(x) / 2^64 < p, so K is the smallest x with
-  // double(x) >= p * 2^64 (exact: a power-of-two scaling).
-  for (const double p : kFixedPs) {
-    if (p == 1.0) continue;  // every draw succeeds: no failing draw
-    const std::uint64_t k = FixedBernoulli(p).threshold();
-    const double cut = std::ldexp(p, 64);
-    EXPECT_LE(cut, static_cast<double>(k)) << "p = " << p;
-    if (k > 0) {
-      EXPECT_LT(static_cast<double>(k - 1), cut) << "p = " << p;
-    }
-  }
-}
-
-TEST(Rng, FixedBernoulliRejectsOutOfRangeP) {
-  EXPECT_THROW(FixedBernoulli(-0.1), PreconditionError);
-  EXPECT_THROW(FixedBernoulli(1.5), PreconditionError);
-  EXPECT_THROW(FixedBernoulli(std::numeric_limits<double>::quiet_NaN()),
-               PreconditionError);
 }
 
 TEST(Rng, CategoricalRespectsWeights) {
