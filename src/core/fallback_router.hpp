@@ -6,18 +6,17 @@
 #include "util/matrix.hpp"
 
 /// @file fallback_router.hpp
-/// Bounded A* fallback router for deadline-expired synthesis.
+/// Bounded A* router for the waste routes of retired replicas.
 ///
-/// When a full MDP synthesis blows its deadline (end-of-life chips widen
-/// hazard zones until the model has hundreds of thousands of states), the
-/// scheduler still needs *some* route now: this router runs a deterministic
-/// A* over droplet rectangles using the same action set and guards as the
-/// MDP builder, treating every move as succeeding (ignoring the
-/// probabilistic outcome model entirely). The resulting path is wrapped as
-/// a core::Strategy; because failed pulls leave the droplet in place and
-/// path states re-command their own action, execution simply retries until
-/// the pull lands — slower than the Rmin-optimal strategy, but the assay
-/// degrades to "slower route" instead of "aborted job".
+/// After the vote of an N-modular-redundant dispense, the scheduler drains
+/// each losing replica to the nearest chip edge (its one caller,
+/// advance_retirements). Waste disposal needs no model checking, so this
+/// router runs a deterministic A* over droplet rectangles using the same
+/// action set and guards as the MDP builder, treating every move as
+/// succeeding (ignoring the probabilistic outcome model entirely). The
+/// resulting path is wrapped as a core::Strategy; because failed pulls
+/// leave the droplet in place and path states re-command their own action,
+/// execution simply retries until the pull lands.
 ///
 /// Cost model: every action costs 1 cycle; the heuristic is
 /// ceil(manhattan_gap/2) (admissible: double steps move at most 2 cells), so

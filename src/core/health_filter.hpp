@@ -39,6 +39,17 @@ struct HealthFilterConfig {
   int suspect_decay_frames = 16;
   /// Cap on the per-cell agreement streak (confidence saturates).
   int confidence_cap = 16;
+
+  /// The field list (see SchedulerConfig::for_each_field).
+  template <typename F, typename... C>
+  static void for_each_field(F&& f, C&&... c) {
+    f("enabled", c.enabled...);
+    f("down_confirm", c.down_confirm...);
+    f("up_confirm", c.up_confirm...);
+    f("suspect_threshold", c.suspect_threshold...);
+    f("suspect_decay_frames", c.suspect_decay_frames...);
+    f("confidence_cap", c.confidence_cap...);
+  }
 };
 
 /// Stateful per-cell health estimator. Feed every scanned frame through

@@ -10,7 +10,6 @@ std::string_view to_string(RecoveryAction action) {
     case RecoveryAction::kQuarantine: return "quarantine";
     case RecoveryAction::kContentionDetour: return "contention-detour";
     case RecoveryAction::kJobAbort: return "job-abort";
-    case RecoveryAction::kSynthesisDeadline: return "synthesis-deadline";
     case RecoveryAction::kQuarantineParole: return "quarantine-parole";
     case RecoveryAction::kReplicaFailover: return "replica-failover";
   }

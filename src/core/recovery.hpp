@@ -37,8 +37,6 @@ enum class RecoveryAction : unsigned char {
   kContentionDetour,   ///< droplet-blocked stall: re-route around the
                        ///< blocker instead of quarantining healthy cells
   kJobAbort,           ///< one MO aborted gracefully
-  kSynthesisDeadline,  ///< synthesis blew its deadline: fallback route
-                       ///< installed, full re-synthesis backed off
   kQuarantineParole,   ///< budget pressure: oldest quarantined cells that
                        ///< re-sensed alive were released back to the router
   kReplicaFailover,    ///< a redundant replica exhausted its per-replica
@@ -50,7 +48,7 @@ enum class RecoveryAction : unsigned char {
 std::string_view to_string(RecoveryAction action);
 
 /// Ladder tuning: the knobs callers set to shape their scenario. The
-/// detector and fallback constants live in scheduler.cpp. `enabled = false`
+/// detector constants live in scheduler.cpp. `enabled = false`
 /// preserves the legacy behavior: any infeasible synthesis fails the whole
 /// execution immediately and stuck droplets run into the cycle limit.
 struct RecoveryConfig {
@@ -69,11 +67,16 @@ struct RecoveryConfig {
   /// the router to most of a still-routable chip. Past the budget the
   /// ladder stops quarantining and trusts the filtered estimate instead.
   double max_quarantine_fraction = 0.15;
-  /// While a fallback route is active, full re-synthesis is retried only
-  /// after an exponential backoff on health changes: attempt i waits
-  /// fallback_backoff_base_cycles << (i-1) cycles (capped) after the
-  /// deadline expiry before the next full attempt.
-  int fallback_backoff_base_cycles = 16;
+
+  /// The field list (see SchedulerConfig::for_each_field).
+  template <typename F, typename... C>
+  static void for_each_field(F&& f, C&&... c) {
+    f("enabled", c.enabled...);
+    f("max_retries", c.max_retries...);
+    f("backoff_base_cycles", c.backoff_base_cycles...);
+    f("quarantine_after_watchdogs", c.quarantine_after_watchdogs...);
+    f("max_quarantine_fraction", c.max_quarantine_fraction...);
+  }
 };
 
 /// Aggregated ladder counters for one execution.
@@ -85,9 +88,12 @@ struct RecoveryCounters {
   int quarantined_cells = 0;
   int contention_detours = 0;
   int aborted_jobs = 0;
-  int synthesis_deadlines = 0;  ///< deadline-expired synthesis calls
-  int fallback_routes = 0;      ///< fallback routes installed
-  int paroled_cells = 0;        ///< quarantined cells released on re-sense
+  /// Always 0: no ladder rung installs a fallback route (retired replicas
+  /// drain through the fallback router without counting here). Kept only
+  /// because perfbench reports it as core.recovery.fallback_routes; it
+  /// goes with that metric.
+  int fallback_routes = 0;
+  int paroled_cells = 0;  ///< quarantined cells released on re-sense
 
   /// The field list: calls `f("name", c.field...)` once per counter, in
   /// declaration order, zipping every struct passed in @p c (none walks
@@ -103,7 +109,6 @@ struct RecoveryCounters {
     f("quarantined_cells", c.quarantined_cells...);
     f("contention_detours", c.contention_detours...);
     f("aborted_jobs", c.aborted_jobs...);
-    f("synthesis_deadlines", c.synthesis_deadlines...);
     f("fallback_routes", c.fallback_routes...);
     f("paroled_cells", c.paroled_cells...);
   }

@@ -33,14 +33,6 @@ constexpr double kMinProgressRate = 0.005;
 /// stall falls through to the quarantine escalation: a livelock safety
 /// valve for two droplets that keep detouring around each other.
 constexpr int kMaxContentionDetours = 3;
-/// Expansion budget of the bounded fallback router (deadline fallbacks and
-/// the waste routes of retired replicas): it stands in for a synthesis, so
-/// it must stay cheap.
-constexpr int kFallbackMaxExpansions = 20000;
-/// Cap on the fallback backoff (RecoveryConfig::fallback_backoff_base_cycles
-/// doubled per deadline strike), so a long-lived fallback still retries
-/// full synthesis every few hundred cycles.
-constexpr int kFallbackBackoffMaxCycles = 256;
 
 /// Droplet pattern of @p area centered at an MO location.
 Rect placed_rect(const assay::Loc& loc, int area) {
@@ -152,11 +144,6 @@ struct RouteTask {
   // the goal frontier per commanded cycle.
   double progress_rate = 1.0;
   int last_goal_gap = -1;  ///< gap at the previous commanded cycle; -1 = none
-  // Deadline-fallback bookkeeping: a deadline-expired synthesis installs a
-  // fallback route and backs off full re-synthesis exponentially.
-  bool fallback_active = false;
-  int deadline_strikes = 0;             ///< consecutive deadline expiries
-  std::uint64_t fallback_retry_at = 0;  ///< chip cycle to retry full synthesis
   // Model-vs-reality bookkeeping.
   std::uint64_t created_cycle = 0;
   double first_expected_cycles = -1.0;
@@ -232,10 +219,6 @@ struct MoRun {
   int launched = 0;            ///< replicas dispensed so far
   int abandoned_replicas = 0;  ///< replicas lost to failover
   ReplicaCorridorPlan corridors;
-  /// Shared synthesis budget of this MO's replicas: one Deadline token per
-  /// chip cycle, drawn from by every replica's solve (never N× the budget).
-  std::uint64_t replica_deadline_cycle = ~std::uint64_t{0};
-  util::Deadline replica_deadline;
 };
 
 /// Per-execution driver implementing Algorithm 3 plus the recovery ladder.
@@ -687,59 +670,6 @@ class Runner {
       }
   }
 
-  /// Ladder stage: a deadline-expired synthesis. Instead of burning the
-  /// retry budget on a solve that just proved too expensive, degrade to the
-  /// bounded fallback router and back off full re-synthesis exponentially:
-  /// strike i waits fallback_backoff_base_cycles << (i-1) cycles (capped)
-  /// before the next health change may retry the real thing.
-  void on_synthesis_deadline(MoRun& run, RouteTask& task, const RoutingJob& rj,
-                             std::uint64_t digest, const IntMatrix* masked) {
-    ++stats_.recovery.synthesis_deadlines;
-    ++task.deadline_strikes;
-    event(RecoveryAction::kSynthesisDeadline, task.rj.mo,
-          "synthesis deadline expired (strike " +
-              std::to_string(task.deadline_strikes) + ")");
-    if (!config_.recovery.enabled) {
-      fail("synthesis deadline expired for MO " + std::to_string(task.rj.mo));
-      return;
-    }
-    const int base = std::max(1, config_.recovery.fallback_backoff_base_cycles);
-    const int cap = std::max(base, kFallbackBackoffMaxCycles);
-    const int shift = std::min(task.deadline_strikes - 1, 16);
-    const int wait = std::min(base << shift, cap);
-    task.fallback_retry_at = chip_.cycle() + static_cast<std::uint64_t>(wait);
-    install_fallback(run, task, rj, digest, masked);
-  }
-
-  /// Computes and installs a bounded fallback route over the current health
-  /// view (droplet-masked when a contention detour requested it). An
-  /// infeasible fallback falls through to the retry/abort ladder.
-  void install_fallback(MoRun& run, RouteTask& task, const RoutingJob& rj,
-                        std::uint64_t digest, const IntMatrix* masked) {
-    FallbackConfig fallback_config;
-    fallback_config.rules = config_.synthesis.rules;
-    fallback_config.max_expansions = kFallbackMaxExpansions;
-    const IntMatrix& view = masked != nullptr ? *masked : health_;
-    FallbackResult fallback =
-        fallback_route(rj, view, chip_bounds_, fallback_config);
-    if (!fallback.feasible) {
-      on_synthesis_failure(run, task);
-      return;
-    }
-    ++stats_.recovery.fallback_routes;
-    obs_event("recovery", "fallback-route", task.rj.mo,
-              "fallback route of " + std::to_string(fallback.path_length) +
-                  " action(s) installed");
-    task.strategy = std::move(fallback.strategy);
-    task.digest = digest;
-    task.has_strategy = true;
-    task.pending = false;
-    task.fallback_active = true;
-    task.retries = 0;
-    if (task.first_expected_cycles < 0.0)
-      task.first_expected_cycles = static_cast<double>(fallback.path_length);
-  }
-
   /// Ladder stage: an infeasible synthesis. Bounded retries with
   /// exponential backoff and a forced re-sense; then the replica-failover
   /// rung for replicated droplets, graceful job abort otherwise.
@@ -1027,8 +957,8 @@ class Runner {
 
   /// Retrieves / synthesizes / re-synthesizes the task's strategy
   /// (Algorithm 3 lines 11-16 plus the hybrid re-synthesis rule): the one
-  /// provisioning chain of library lookup, synthesis and fallback router,
-  /// for contention detours and reactive re-routes too.
+  /// provisioning chain of library lookup and synthesis, for contention
+  /// detours and reactive re-routes too.
   void ensure_strategy(MoRun& run, RouteTask& task, const Rect& pos) {
     // Adopt a finished asynchronous synthesis.
     if (task.pending) {
@@ -1098,19 +1028,6 @@ class Runner {
       lookup_digest = health_digest(health_, task.rj.hazard);
     }
 
-    // While a fallback route is active, full re-synthesis is under backoff:
-    // a health change inside the window re-runs only the cheap fallback
-    // router; the first change after the window retries the real synthesis.
-    if (task.fallback_active && config_.recovery.enabled &&
-        chip_.cycle() < task.fallback_retry_at) {
-      install_fallback(run, task, rj, digest,
-                       avoid_droplets ? &masked_health : nullptr);
-      return;
-    }
-    if (task.fallback_active)
-      obs_event("recovery", "deadline-retry", task.rj.mo,
-                "backoff elapsed: retrying full synthesis");
-
     const DigestClass digest_class = avoid_droplets ? DigestClass::kDetour
                                      : replica_mask ? DigestClass::kReplica
                                                     : DigestClass::kPlain;
@@ -1122,20 +1039,16 @@ class Runner {
       result = *cached;
     } else {
       ++stats_.synthesis_calls;
-      // All of one MO's replicas draw from a single per-cycle Deadline
-      // token (inactive for non-replicas — per-call arming applies).
-      const util::Deadline deadline = replica_deadline(run, task);
       if (avoid_droplets || reroute) {
         result = synthesizer_.synthesize(
-            rj, avoid_droplets ? masked_health : health_, chip_.health_bits(),
-            deadline);
+            rj, avoid_droplets ? masked_health : health_, chip_.health_bits());
       } else if (config_.adaptive) {
         // The hot re-synthesis path: reuse the task's retained model so a
         // small health delta patches it in place instead of rebuilding the
         // MDP from scratch. Replicas solve over their corridor-masked view.
         result = synthesizer_.resynthesize(
             rj, replica_mask ? replica_health : health_, chip_.health_bits(),
-            task.resynth, deadline);
+            task.resynth);
         if (result.warm) ++stats_.resyntheses_warm;
       } else {
         result = synthesizer_.synthesize_with_force(
@@ -1143,16 +1056,8 @@ class Runner {
             full_health_force(chip_bounds_.width(), chip_bounds_.height()));
       }
       stats_.synthesis_seconds += result.total_seconds;
-      // Deadline-expired results carry no strategy and describe a solver
-      // budget, not the health state — caching them would poison the key.
-      if (config_.use_library && !result.deadline_expired)
+      if (config_.use_library)
         library_.store(rj, lookup_digest, result, digest_class);
-    }
-
-    if (result.deadline_expired) {
-      on_synthesis_deadline(run, task, rj, digest,
-                            avoid_droplets ? &masked_health : nullptr);
-      return;
     }
 
     if (!result.feasible) {
@@ -1183,12 +1088,6 @@ class Runner {
       return;
     }
     task.retries = 0;
-    if (task.fallback_active) {
-      task.fallback_active = false;
-      task.deadline_strikes = 0;
-      obs_event("recovery", "fallback-retired", task.rj.mo,
-                "full synthesis recovered; fallback route retired");
-    }
     if (task.first_expected_cycles < 0.0 &&
         std::isfinite(result.expected_cycles))
       task.first_expected_cycles = result.expected_cycles;
@@ -1238,23 +1137,6 @@ class Runner {
         }
     }
     return masked;
-  }
-
-  /// The shared synthesis budget of a replicated MO: every replica's solve
-  /// in one chip cycle draws from a single Deadline token, re-armed once
-  /// per cycle with the configured sweep budget — N replicas never multiply
-  /// the budget N×. Inactive (per-call arming applies) for non-replica
-  /// tasks or when no budget is configured.
-  util::Deadline replica_deadline(MoRun& run, const RouteTask& task) {
-    if (task.replica < 0) return {};
-    if (run.replica_deadline_cycle != chip_.cycle()) {
-      run.replica_deadline_cycle = chip_.cycle();
-      run.replica_deadline =
-          config_.synthesis.deadline_sweeps > 0
-              ? util::Deadline::after_checks(config_.synthesis.deadline_sweeps)
-              : util::Deadline{};
-    }
-    return run.replica_deadline;
   }
 
   /// Seals one replica's outcome record (idempotent per task).
@@ -1365,7 +1247,6 @@ class Runner {
         rj.mo = retiree.mo;
         FallbackConfig fallback_config;
         fallback_config.rules = config_.synthesis.rules;
-        fallback_config.max_expansions = kFallbackMaxExpansions;
         FallbackResult fallback =
             fallback_route(rj, health_, chip_bounds_, fallback_config);
         if (!fallback.feasible) {

@@ -70,6 +70,27 @@ struct SchedulerConfig {
   /// disjointness tests and debugging, and campaigns must not pay the
   /// memory (replica route *records* without trails are always kept).
   bool record_replica_trails = false;
+
+  /// The field list: calls `f("name", c.field...)` once per setting, in
+  /// declaration order, with the nested configs flattened in place by their
+  /// own lists. The campaign checkpoint digest mixes every value
+  /// (util::MixFieldValue), so a new setting is declared and listed here
+  /// and keys older checkpoints out without a codec edit. Leaves out
+  /// record_replica_trails: it fills only the per-run logs, which a
+  /// campaign slot drops, as it drops the chip's trace switches.
+  template <typename F, typename... C>
+  static void for_each_field(F&& f, C&&... c) {
+    SynthesisConfig::for_each_field(f, c.synthesis...);
+    f("adaptive", c.adaptive...);
+    f("use_library", c.use_library...);
+    f("max_cycles", c.max_cycles...);
+    f("zone_margin", c.zone_margin...);
+    f("synthesis_latency_cycles", c.synthesis_latency_cycles...);
+    f("reactive_recovery_stuck_cycles", c.reactive_recovery_stuck_cycles...);
+    HealthFilterConfig::for_each_field(f, c.filter...);
+    RecoveryConfig::for_each_field(f, c.recovery...);
+    f("replicate_critical_dispenses", c.replicate_critical_dispenses...);
+  }
 };
 
 /// Activation/completion cycle of one MO within an execution (cycle counts

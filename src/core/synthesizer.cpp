@@ -32,11 +32,6 @@ Strategy extract_strategy(const CompiledMdp& mdp,
   return strategy;
 }
 
-bool deadline_expired(const ReachAvoidSolution& sol) {
-  return sol.pmax.termination == SolveTermination::kDeadline ||
-         sol.rmin.termination == SolveTermination::kDeadline;
-}
-
 /// The φ_p query reads pmax at every state, so the combined solve must
 /// solve it even where rmin alone would do.
 bool needs_pmax(const SynthesisConfig& config) {
@@ -45,7 +40,7 @@ bool needs_pmax(const SynthesisConfig& config) {
 
 /// Strategy extraction and value read-out shared by every synthesis entry
 /// point: fills strategy/expected_cycles/reach_probability/feasible from a
-/// non-deadline-expired combined solution of @p mdp.
+/// combined solution of @p mdp.
 void extract_result(const SynthesisConfig& config,
                     const ReachAvoidSolution& sol, const CompiledMdp& mdp,
                     const CompiledGeometry& geometry,
@@ -116,27 +111,9 @@ void record_synthesis(Span& span, const SynthesisResult& result) {
   MEDA_OBS_OBSERVE("synth.total_seconds", result.total_seconds,
                    obs::kSecondsBuckets);
   if (!result.feasible) MEDA_OBS_COUNT("synth.infeasible", 1);
-  if (result.deadline_expired) MEDA_OBS_COUNT("synth.deadline_expired", 1);
   span.arg("states", static_cast<std::int64_t>(result.stats.states));
   span.arg("feasible", static_cast<std::int64_t>(result.feasible ? 1 : 0));
-  span.arg("deadline_expired",
-           static_cast<std::int64_t>(result.deadline_expired ? 1 : 0));
   span.arg("reach_probability", result.reach_probability);
-}
-
-/// A fresh deadline token per synthesize call: each synthesis gets the full
-/// budget, and an expired token from one job can never starve the next.
-/// An *active* external token overrides the per-call arming — callers pass
-/// one to pool the budget across several solves (replicated MOs share one
-/// token per cycle instead of multiplying the budget N×).
-SolveConfig armed_solver(const SynthesisConfig& config,
-                         const util::Deadline& external) {
-  SolveConfig solver = config.solver;
-  if (external.active())
-    solver.deadline = external;
-  else if (config.deadline_sweeps > 0)
-    solver.deadline = util::Deadline::after_checks(config.deadline_sweeps);
-  return solver;
 }
 
 /// The cold model build of every synthesis path, under the synth/mdp_build
@@ -177,39 +154,29 @@ Synthesizer::Synthesizer(Rect chip_bounds, SynthesisConfig config)
 
 SynthesisResult Synthesizer::synthesize(const assay::RoutingJob& rj,
                                         const IntMatrix& health,
-                                        int health_bits,
-                                        const util::Deadline& deadline) const {
+                                        int health_bits) const {
   MEDA_REQUIRE(health.width() == chip_bounds_.width() &&
                    health.height() == chip_bounds_.height(),
                "health matrix must be chip-sized");
   return synthesize_with_force(
-      rj, force_from_health(health, health_bits, config_.estimator), deadline);
+      rj, force_from_health(health, health_bits, config_.estimator));
 }
 
 SynthesisResult Synthesizer::synthesize_with_force(
-    const assay::RoutingJob& rj, const DoubleMatrix& force,
-    const util::Deadline& deadline) const {
+    const assay::RoutingJob& rj, const DoubleMatrix& force) const {
   SynthesisResult result;
   MEDA_OBS_SPAN(span, "synth", "synthesize");
   obs::Stopwatch watch;
 
-  const SolveConfig solver = armed_solver(config_, deadline);
   const CompiledModel model =
       build_model(rj, force, chip_bounds_, config_, result);
   result.construction_seconds = watch.lap_seconds();
   // One combined solve answers both queries: the exact winning region, rmin
   // over it, and numeric pmax only where its values are read.
   const ReachAvoidSolution sol =
-      solve_reach_avoid(model.mdp, solver, needs_pmax(config_));
+      solve_reach_avoid(model.mdp, config_.solver, needs_pmax(config_));
   result.solve_seconds = watch.lap_seconds();
-  if (deadline_expired(sol)) {
-    // Partial sweeps give untrustworthy values and policies: report the
-    // expiry and leave the result infeasible so callers route around it
-    // (fallback router) rather than executing a half-converged strategy.
-    result.deadline_expired = true;
-  } else {
-    extract_result(config_, sol, model.mdp, model.geometry, result);
-  }
+  extract_result(config_, sol, model.mdp, model.geometry, result);
 
   result.total_seconds = watch.total_seconds();
   record_synthesis(span, result);
@@ -219,8 +186,7 @@ SynthesisResult Synthesizer::synthesize_with_force(
 SynthesisResult Synthesizer::resynthesize(const assay::RoutingJob& rj,
                                           const IntMatrix& health,
                                           int health_bits,
-                                          ResynthesisContext& ctx,
-                                          const util::Deadline& deadline) const {
+                                          ResynthesisContext& ctx) const {
   MEDA_REQUIRE(health.width() == chip_bounds_.width() &&
                    health.height() == chip_bounds_.height(),
                "health matrix must be chip-sized");
@@ -280,21 +246,14 @@ SynthesisResult Synthesizer::resynthesize(const assay::RoutingJob& rj,
   result.stats = ctx.stats;
   result.construction_seconds = watch.lap_seconds();
 
-  const ReachAvoidSolution sol = solve_reach_avoid(
-      ctx.compiled, armed_solver(config_, deadline), needs_pmax(config_));
+  const ReachAvoidSolution sol =
+      solve_reach_avoid(ctx.compiled, config_.solver, needs_pmax(config_));
   result.solve_seconds = watch.lap_seconds();
-  if (deadline_expired(sol)) {
-    // ctx.compiled now reflects a health matrix and job ctx does not record,
-    // so the next synthesis of this lineage rebuilds.
-    ctx.valid = false;
-    result.deadline_expired = true;
-  } else {
-    extract_result(config_, sol, ctx.compiled, ctx.geometry, result);
-    result.warm = patched;
-    ctx.valid = true;
-    ctx.anchor = rj;
-    ctx.health = health;
-  }
+  extract_result(config_, sol, ctx.compiled, ctx.geometry, result);
+  result.warm = patched;
+  ctx.valid = true;
+  ctx.anchor = rj;
+  ctx.health = health;
   result.total_seconds = watch.total_seconds();
   record_synthesis(span, result);
   span.arg("warm", static_cast<std::int64_t>(result.warm ? 1 : 0));

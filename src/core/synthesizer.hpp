@@ -37,14 +37,17 @@ struct SynthesisConfig {
   /// default) is the paper's r_k reward; positive values make routes spread
   /// wear proactively (see bench/wear_leveling).
   double wear_penalty_lambda = 0.0;
-  /// Sweep budget per synthesize call (0 = unbounded): a fresh
-  /// util::Deadline of this many solver sweeps is armed per call. On expiry
-  /// the result comes back infeasible with deadline_expired set, and the
-  /// scheduler degrades to the fallback router (see
-  /// core/fallback_router.hpp) instead of aborting the job. The budget
-  /// counts sweeps, not seconds, so it expires identically on every
-  /// machine.
-  std::uint64_t deadline_sweeps = 0;
+
+  /// The field list, nested configs flattened in place (see
+  /// SchedulerConfig::for_each_field).
+  template <typename F, typename... C>
+  static void for_each_field(F&& f, C&&... c) {
+    ActionRules::for_each_field(f, c.rules...);
+    f("query", c.query...);
+    f("estimator", c.estimator...);
+    SolveConfig::for_each_field(f, c.solver...);
+    f("wear_penalty_lambda", c.wear_penalty_lambda...);
+  }
 };
 
 /// Result of one synthesis call.
@@ -64,12 +67,8 @@ struct SynthesisResult {
   /// sum of the two phase fields above).
   double total_seconds = 0.0;
   bool feasible = false;  ///< a usable strategy was produced
-  /// The call was cut short by the synthesis deadline. Implies !feasible;
-  /// partial solver values are discarded, no strategy is extracted, and the
-  /// result must not be cached in a StrategyLibrary.
-  bool deadline_expired = false;
   /// Served by patching the retained model in place instead of rebuilding
-  /// it (resynthesize). Never true for a deadline-expired or rebuilt result.
+  /// it (resynthesize). Never true for a rebuilt result.
   bool warm = false;
 };
 
@@ -83,9 +82,8 @@ std::vector<Vec2i> health_delta_cells(const IntMatrix& before,
 /// Owned by the caller — the scheduler keeps one per active route task — and
 /// handed to Synthesizer::resynthesize, which patches the compiled model in
 /// place for the sensed health delta and writes the refreshed state back.
-/// `valid` is false until the first successful synthesis and after any
-/// deadline expiry (the model was then patched or rebuilt for a health
-/// matrix and job that `health` and `anchor` do not record).
+/// `valid` is false until the first synthesis primes the context; a caller
+/// clears it to force the next call to rebuild.
 struct ResynthesisContext {
   bool valid = false;
   assay::RoutingJob anchor;   ///< job the retained model was built for
@@ -105,23 +103,14 @@ class Synthesizer {
 
   /// Algorithm 2: synthesize from the sensed b-bit health matrix (the
   /// controller's information). @p health must be chip-sized.
-  ///
-  /// @p deadline — when active, this externally owned token bounds the
-  /// solve *instead of* a fresh per-call budget from the config. All solves
-  /// sharing one token share one budget: the scheduler arms one per
-  /// replicated MO per cycle so N redundant replicas never multiply the
-  /// synthesis budget N×. An inactive (default) token restores the
-  /// per-call arming of config().deadline_sweeps.
   SynthesisResult synthesize(const assay::RoutingJob& rj,
-                             const IntMatrix& health, int health_bits,
-                             const util::Deadline& deadline = {}) const;
+                             const IntMatrix& health, int health_bits) const;
 
   /// Synthesize from an explicit per-MC relative-force matrix. Used by the
   /// degradation-unaware baseline (full-health force) and by analyses that
-  /// bypass quantization. @p deadline as in synthesize().
-  SynthesisResult synthesize_with_force(
-      const assay::RoutingJob& rj, const DoubleMatrix& force,
-      const util::Deadline& deadline = {}) const;
+  /// bypass quantization.
+  SynthesisResult synthesize_with_force(const assay::RoutingJob& rj,
+                                        const DoubleMatrix& force) const;
 
   /// Incremental Algorithm 2: like synthesize, but reuses the model @p ctx
   /// retains when it was built for the same (goal, hazard) anchor. The
@@ -132,13 +121,10 @@ class Synthesizer {
   /// Either way the model gets the solve synthesize() runs, so the result
   /// equals synthesize()'s bit for bit while the start is the one the model
   /// was built from (a re-anchored start keeps the model's state numbering,
-  /// which can move values by rounding). Deadline expiry invalidates ctx, so
-  /// the next call rebuilds. @p deadline as in synthesize(); expiry under a
-  /// shared token invalidates ctx exactly like a per-call expiry.
+  /// which can move values by rounding).
   SynthesisResult resynthesize(const assay::RoutingJob& rj,
                                const IntMatrix& health, int health_bits,
-                               ResynthesisContext& ctx,
-                               const util::Deadline& deadline = {}) const;
+                               ResynthesisContext& ctx) const;
 
  private:
   Rect chip_bounds_;

@@ -14,7 +14,6 @@ const char* to_string(SolveTermination termination) {
   switch (termination) {
     case SolveTermination::kConverged: return "converged";
     case SolveTermination::kSweepLimit: return "sweep_limit";
-    case SolveTermination::kDeadline: return "deadline";
   }
   return "unknown";
 }
@@ -84,8 +83,6 @@ void record_solve(Span& span, const Solution& sol, const char* query) {
     }
   }
   if (!converged) MEDA_OBS_COUNT("vi.nonconverged", 1);
-  if (sol.termination == SolveTermination::kDeadline)
-    MEDA_OBS_COUNT("vi.deadline_expired", 1);
 }
 
 void require_valid(const SolveConfig& config) {
@@ -155,7 +152,7 @@ Backup rmin_backup(const CompiledMdp& m, const std::vector<double>& values,
 }
 
 /// Goal-anchored Gauss-Seidel pmax sweeps from goals at 1 and every other
-/// state at 0, until convergence, the sweep limit, or the deadline.
+/// state at 0, until convergence or the sweep limit.
 Solution run_pmax(const CompiledMdp& m, const SolveConfig& config) {
   const std::size_t n = m.num_droplet_states;
   Solution sol;
@@ -166,12 +163,6 @@ Solution run_pmax(const CompiledMdp& m, const SolveConfig& config) {
 
   ResidualRing residuals;
   while (sol.iterations < config.max_iterations) {
-    // Deadline poll once per sweep: coarse enough to be free, fine enough
-    // that a stuck solve stops within one sweep of the budget.
-    if (config.deadline.expired()) {
-      sol.termination = SolveTermination::kDeadline;
-      break;
-    }
     double delta = 0.0;
     std::uint64_t touched = 0;
     for (const std::uint32_t s : m.sweep_order) {
@@ -216,10 +207,6 @@ Solution run_rmin(const CompiledMdp& m, const SolveConfig& config,
   ResidualRing residuals;
   std::vector<std::uint8_t> stale(n, 1);
   while (sol.iterations < config.max_iterations) {
-    if (config.deadline.expired()) {
-      sol.termination = SolveTermination::kDeadline;
-      break;
-    }
     double delta = 0.0;
     std::uint64_t touched = 0;
     for (const std::uint32_t s : m.sweep_order) {
@@ -345,10 +332,9 @@ ReachAvoidSolution solve_reach_avoid(const CompiledMdp& mdp,
     record_solve(span, out.rmin, "rmin");
   }
   // Numeric pmax only where its values are read: the caller reads it at
-  // every state, or rmin finished and left the start at ∞ (the
-  // synthesizer's best-effort fallback).
-  if (out.rmin.termination != SolveTermination::kDeadline &&
-      (need_pmax || !std::isfinite(out.rmin.values[mdp.start])))
+  // every state, or rmin left the start at ∞ (the synthesizer's
+  // best-effort fallback).
+  if (need_pmax || !std::isfinite(out.rmin.values[mdp.start]))
     out.pmax = solve_pmax(mdp, config);
   return out;
 }

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/compiled_mdp.hpp"
-#include "util/deadline.hpp"
 
 /// @file value_iteration.hpp
 /// The model-checking engine standing in for PRISM-games (Section VI-C).
@@ -49,21 +48,22 @@ inline constexpr double kTieEps = 1e-15;
 struct SolveConfig {
   double tolerance = 1e-9;
   int max_iterations = 200000;
-  /// Cooperative deadline polled once per Gauss-Seidel sweep (never per
-  /// state). On expiry the solver stops early with termination kDeadline;
-  /// partial values are still returned but must not be used for strategy
-  /// extraction. A default token never expires.
-  util::Deadline deadline{};
+
+  /// The field list (see SchedulerConfig::for_each_field).
+  template <typename F, typename... C>
+  static void for_each_field(F&& f, C&&... c) {
+    f("tolerance", c.tolerance...);
+    f("max_iterations", c.max_iterations...);
+  }
 };
 
 /// Why a solve stopped (Solution::termination).
 enum class SolveTermination {
   kConverged,   ///< residual fell below SolveConfig::tolerance
   kSweepLimit,  ///< ran out of max_iterations
-  kDeadline,    ///< SolveConfig::deadline expired mid-solve
 };
 
-/// Stable lower-case label ("converged" / "sweep_limit" / "deadline"),
+/// Stable lower-case label ("converged" / "sweep_limit"),
 /// used in span args, metric names, and CSV cells.
 const char* to_string(SolveTermination termination);
 
@@ -118,8 +118,7 @@ Solution solve_pmax(const CompiledMdp& mdp, const SolveConfig& config = {});
 /// Both queries from one compiled model: the exact winning region, then
 /// rmin over it, then numeric pmax only where its values are read — when
 /// the caller reads it at every state (@p need_pmax, the φ_p query) or when
-/// rmin finished and left the start at ∞ (the synthesizer's best-effort
-/// fallback). A finite rmin at the start means the start is winning, i.e.
+/// rmin left the start at ∞ (the synthesizer's best-effort fallback). A finite rmin at the start means the start is winning, i.e.
 /// reach probability exactly 1.
 ReachAvoidSolution solve_reach_avoid(const CompiledMdp& mdp,
                                      const SolveConfig& config = {},

@@ -21,6 +21,15 @@ struct ActionRules {
   bool enable_double_steps = true;  ///< include A_dd in the enabled set
   bool enable_ordinal = true;       ///< include A_dd' in the enabled set
   bool enable_morphing = true;      ///< include A_↓/A_↑ in the enabled set
+
+  /// The field list (see core::SchedulerConfig::for_each_field).
+  template <typename F, typename... C>
+  static void for_each_field(F&& f, C&&... c) {
+    f("max_aspect_ratio", c.max_aspect_ratio...);
+    f("enable_double_steps", c.enable_double_steps...);
+    f("enable_ordinal", c.enable_ordinal...);
+    f("enable_morphing", c.enable_morphing...);
+  }
 };
 
 /// Evaluates the guard of @p a on @p droplet (geometry-only; ignores the

@@ -61,12 +61,12 @@ class Context {
 Context& ctx();
 
 /// Writes the global context's trace/metrics outputs when destroyed, so
-/// every exit path — normal return, uncaught exception, deadline bail-out —
-/// leaves valid, parseable files on disk. Construct one at the top of a
-/// driver's main after enabling the sinks; call disarm() on paths that
-/// handle their own writes, or flush() to write early (destruction then
-/// rewrites the files with any events recorded since, which is idempotent
-/// for a finished run). Empty paths and disabled sinks are skipped.
+/// every exit path — normal return or uncaught exception — leaves valid,
+/// parseable files on disk. Construct one at the top of a driver's main
+/// after enabling the sinks; call disarm() on paths that handle their own
+/// writes, or flush() to write early (destruction then rewrites the files
+/// with any events recorded since, which is idempotent for a finished
+/// run). Empty paths and disabled sinks are skipped.
 class FlushGuard {
  public:
   FlushGuard(std::string trace_path, std::string metrics_path)

@@ -143,7 +143,11 @@ std::vector<CampaignCell> run_campaign(
     digest.mix(static_cast<std::uint64_t>(assays.size()));
     for (const assay::MoList& assay_list : assays) digest.mix(assay_list.name);
     digest.mix(static_cast<std::uint64_t>(routers.size()));
-    for (const RouterConfig& router : routers) digest.mix(router.name);
+    for (const RouterConfig& router : routers) {
+      digest.mix(router.name);
+      core::SchedulerConfig::for_each_field(util::MixFieldValue{digest},
+                                            router.scheduler);
+    }
     // Every chip setting that reaches a result (the trace switches do not;
     // each level's sensor replaces the chip's).
     const SimulatedChipConfig& chip = config.chip;
@@ -155,10 +159,7 @@ std::vector<CampaignCell> run_campaign(
     digest.mix(chip.faults.faulty_fraction);
     digest.mix(chip.faults.fail_at_lo).mix(chip.faults.fail_at_hi);
     digest.mix(chip.faults.cluster_size);
-    digest.mix(chip.rules.max_aspect_ratio);
-    digest.mix(static_cast<int>(chip.rules.enable_double_steps));
-    digest.mix(static_cast<int>(chip.rules.enable_ordinal));
-    digest.mix(static_cast<int>(chip.rules.enable_morphing));
+    ActionRules::for_each_field(util::MixFieldValue{digest}, chip.rules);
     digest.mix(chip.pre_wear_max);
     digest.mix(static_cast<std::uint64_t>(config.levels.size()));
     for (const ChaosLevel& level : config.levels) {
@@ -281,10 +282,10 @@ void write_chaos_csv(const std::string& path,
                  "frame_drop_p", "runs", "successes", "success_rate",
                  "mean_cycles", "watchdog_fires", "forced_resenses",
                  "synthesis_retries", "backoff_cycles", "quarantined_cells",
-                 "contention_detours", "aborted_jobs", "synthesis_deadlines",
-                 "fallback_routes", "paroled_cells", "frames_dropped",
-                 "bits_flipped", "synthesis_calls", "replicas_launched",
-                 "replica_failovers", "replica_merges", "replica_retired",
+                 "contention_detours", "aborted_jobs", "fallback_routes",
+                 "paroled_cells", "frames_dropped", "bits_flipped",
+                 "synthesis_calls", "replicas_launched", "replica_failovers",
+                 "replica_merges", "replica_retired",
                  "replica_best_effort_masks", "replica_droplet_cycles"});
   for (const CampaignCell& cell : cells) {
     const core::RunRollup& r = cell.rollup;
@@ -303,7 +304,6 @@ void write_chaos_csv(const std::string& path,
          std::to_string(r.recovery.quarantined_cells),
          std::to_string(r.recovery.contention_detours),
          std::to_string(r.recovery.aborted_jobs),
-         std::to_string(r.recovery.synthesis_deadlines),
          std::to_string(r.recovery.fallback_routes),
          std::to_string(r.recovery.paroled_cells),
          std::to_string(cell.frames_dropped),

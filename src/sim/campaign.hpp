@@ -40,10 +40,9 @@ struct RouterConfig {
 /// the cells — whether the campaign ran straight through, was killed and
 /// resumed, or resumed at a different jobs count, because each slot's
 /// content depends only on its index. The file is keyed by a digest of the
-/// grid identity (seeds, counts, assay/router/level names, every chip and
-/// sensor setting that reaches a result, plus the caller's salt); a
-/// mismatch discards the stale file. A router's scheduler settings are not
-/// in the digest: resume only under the same router configurations.
+/// grid identity (seeds, counts, assay/router/level names, every scheduler,
+/// chip and sensor setting that reaches a result, plus the caller's salt);
+/// a mismatch discards the stale file.
 struct CampaignCheckpoint {
   std::string path;     ///< empty = checkpointing disabled
   bool resume = false;  ///< load compatible completed slots from the file

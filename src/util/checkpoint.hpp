@@ -6,6 +6,7 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 /// @file checkpoint.hpp
@@ -86,6 +87,19 @@ struct GetField {
 struct MixFieldName {
   DigestBuilder& digest;
   void operator()(const char* name) const { digest.mix(std::string(name)); }
+};
+
+/// Mixes each field's value into a digest: a checkpoint digest walks a
+/// config's field list with it. Enums mix as their underlying value.
+struct MixFieldValue {
+  DigestBuilder& digest;
+  template <typename T>
+  void operator()(const char*, const T& value) const {
+    if constexpr (std::is_enum_v<T>)
+      digest.mix(static_cast<std::uint64_t>(value));
+    else
+      digest.mix(value);
+  }
 };
 
 /// Periodic, atomic checkpoint of completed slots. Thread-safe: pool

@@ -15,9 +15,9 @@
 /// by patching the retained model must equal Algorithm 2 from scratch — the
 /// patched arrays equal a fresh build's and get the same solve, so strategy
 /// and values match exactly while the start keeps its state number — and
-/// the ResynthesisContext lifecycle (prime, reuse, topology fallback,
-/// deadline invalidation) behaves as documented. The scheduler-level test
-/// pins the resyntheses_warm counter end to end.
+/// the ResynthesisContext lifecycle (prime, reuse, topology fallback)
+/// behaves as documented. The scheduler-level test pins the
+/// resyntheses_warm counter end to end.
 
 namespace meda::core {
 namespace {
@@ -173,31 +173,6 @@ TEST(Resynthesize, TopologyChangeGoesColdAndReprimes) {
   EXPECT_TRUE(warm.warm);
   expect_same_result(warm, synth.synthesize(fixture_job(), health, kBits),
                      "re-primed");
-}
-
-TEST(Resynthesize, DeadlineExpiryInvalidatesTheContext) {
-  // Prime with an unbounded synthesizer, then re-synthesize under a 1-sweep
-  // budget: the warm attempt patches the retained model before the solver
-  // gives up, so the context must be discarded wholesale.
-  SynthesisConfig slow;
-  const Synthesizer primer(chip(), slow);
-  IntMatrix health = uniform_health(5);
-  ResynthesisContext ctx;
-  primer.resynthesize(fixture_job(), health, kBits, ctx);
-  ASSERT_TRUE(ctx.valid);
-
-  SynthesisConfig strict;
-  strict.deadline_sweeps = 1;
-  const Synthesizer bounded(chip(), strict);
-  health(5, 5) = 2;
-  const SynthesisResult result =
-      bounded.resynthesize(fixture_job(), health, kBits, ctx);
-  EXPECT_TRUE(result.deadline_expired);
-  EXPECT_FALSE(result.feasible);
-  // The patch went through, but a result the deadline cut short was not
-  // served by it.
-  EXPECT_FALSE(result.warm);
-  EXPECT_FALSE(ctx.valid);
 }
 
 TEST(Resynthesize, FuzzedPatchedResolvesEqualFreshSyntheses) {

@@ -4,15 +4,14 @@
 #include <set>
 
 #include "assay/benchmarks.hpp"
-#include "core/library.hpp"
 #include "core/scheduler.hpp"
 #include "sim/simulated_chip.hpp"
 #include "util/check.hpp"
 
 /// @file scheduler_replica_test.cpp
 /// N-modular-redundant droplet execution: replica launch, the k = 1 of N
-/// vote/merge, region-disjoint corridor routing, the replica-failover rung
-/// of the recovery ladder, and the shared per-MO synthesis budget.
+/// vote/merge, region-disjoint corridor routing, the losers' waste routes
+/// and the replica-failover rung of the recovery ladder.
 
 namespace meda::core {
 namespace {
@@ -140,6 +139,15 @@ TEST(SchedulerReplica, LoserDrainsOffTheChip) {
   EXPECT_EQ(stats.replica.retired, 1);
   // Winner left via the output MO, loser via its waste route.
   EXPECT_TRUE(chip.droplets().empty());
+  // The loser drove its fallback route to the chip edge: an empty chip
+  // alone would also pass for a loser discarded where it stood.
+  int reached_edge = 0;
+  for (const obs::Event& e : stats.events) {
+    if (e.category != "replica" || e.name != "retired") continue;
+    reached_edge += e.detail == "reached the waste edge" ? 1 : 0;
+    EXPECT_NE(e.detail, "no waste route; discarded in place");
+  }
+  EXPECT_EQ(reached_edge, 1);
 }
 
 TEST(SchedulerReplica, RoutesArePairwiseRegionDisjoint) {
@@ -281,25 +289,6 @@ TEST(SchedulerReplica, AllReplicaFailureEscalatesToGracefulAbort) {
   EXPECT_EQ(stats.aborted_mos, 2);
   EXPECT_EQ(stats.recovery.aborted_jobs, 2);
   EXPECT_EQ(stats.completed_mos, 0);
-}
-
-TEST(SchedulerReplica, SharedDeadlineBudgetIsNeverCached) {
-  // A 1-sweep budget expires every solve; the shared per-MO token must
-  // keep N replicas within one budget and deadline-expired results must
-  // never enter the strategy library.
-  sim::SimulatedChip chip(chip_config(), Rng(7));
-  StrategyLibrary library;
-  SchedulerConfig config;
-  config.synthesis.deadline_sweeps = 1;
-  config.recovery.enabled = true;
-  config.max_cycles = 3000;
-  Scheduler scheduler(config, &library);
-  const ExecutionStats stats = scheduler.run(chip, replicated_dispense(2));
-  ASSERT_TRUE(stats.success) << stats.failure_reason;
-  EXPECT_GE(stats.recovery.synthesis_deadlines, 2);
-  EXPECT_GT(stats.recovery.fallback_routes, 0);
-  EXPECT_EQ(library.stats().replica.inserts, 0u);
-  EXPECT_EQ(library.stats().plain.inserts, 0u);
 }
 
 TEST(SchedulerReplica, DeterministicGivenTheSameSeed) {

@@ -178,7 +178,6 @@ TEST(Solvers, DeterministicShortestPathOnGrid) {
 TEST(SolveTermination, StableLabels) {
   EXPECT_STREQ(to_string(SolveTermination::kConverged), "converged");
   EXPECT_STREQ(to_string(SolveTermination::kSweepLimit), "sweep_limit");
-  EXPECT_STREQ(to_string(SolveTermination::kDeadline), "deadline");
 }
 
 /// Linear chain s0 → s1 → … → goal with one certain step each. The
@@ -227,15 +226,6 @@ TEST(Telemetry, SweepLimitStopIsTagged) {
   EXPECT_EQ(sol.termination, SolveTermination::kSweepLimit);
   EXPECT_EQ(sol.iterations, 2);
   EXPECT_EQ(sol.sweep_residuals.size(), 2u);
-}
-
-TEST(Telemetry, DeadlineStopIsTagged) {
-  const CompiledMdp mdp = compile_mdp(make_slow_cycle());
-  SolveConfig config;
-  config.deadline = util::Deadline::after_checks(1);  // expire on sweep 2
-  const Solution sol = solve_pmax(mdp, config);
-  EXPECT_EQ(sol.termination, SolveTermination::kDeadline);
-  EXPECT_EQ(sol.iterations, 1);
 }
 
 TEST(Telemetry, ResidualRingIsBoundedAndChronological) {

@@ -500,17 +500,29 @@ void mark_every_slot(const std::string& path) {
   }
 }
 
-TEST(ChaosCampaign, CheckpointOfAnotherChipOrSensorRecomputesEverything) {
-  // A resume under another chip pre-wear, or under another stuck-at-one
-  // share only, must not graft the checkpoint's slots: every slot is
-  // recomputed (no run keeps the marked synthesis time) and the cells equal
-  // a fresh run of the new configuration.
+TEST(ChaosCampaign,
+     CheckpointOfAnotherChipSensorOrSchedulerRecomputesEverything) {
+  // A resume under another chip pre-wear, under another stuck-at-one share
+  // only, or under another scheduler setting of the same-named router (a
+  // top-level one and one nested in the recovery ladder) must not graft the
+  // checkpoint's slots: every slot is recomputed (no run keeps the marked
+  // synthesis time) and the cells equal a fresh run of the new
+  // configuration.
   const std::vector<assay::MoList> assays = {assay::covid_rat()};
   const std::string cp_path = ::testing::TempDir() + "chaos_cp_chip.txt";
-  const std::vector<void (*)(CampaignConfig&)> changes = {
-      [](CampaignConfig& c) { c.chip.pre_wear_max = 150; },
-      [](CampaignConfig& c) { c.levels[1].sensor.stuck_at_one_share = 0.9; }};
-  for (const auto change : changes) {
+  using Change = void (*)(CampaignConfig&, core::SchedulerConfig&);
+  const std::vector<Change> changes = {
+      [](CampaignConfig& c, core::SchedulerConfig&) {
+        c.chip.pre_wear_max = 150;
+      },
+      [](CampaignConfig& c, core::SchedulerConfig&) {
+        c.levels[1].sensor.stuck_at_one_share = 0.9;
+      },
+      [](CampaignConfig&, core::SchedulerConfig& s) { s.max_cycles = 150; },
+      [](CampaignConfig&, core::SchedulerConfig& s) {
+        s.recovery.quarantine_after_watchdogs = 3;
+      }};
+  for (const Change change : changes) {
     std::remove(cp_path.c_str());
     CampaignConfig first = small_chaos();
     first.checkpoint.path = cp_path;
@@ -518,16 +530,17 @@ TEST(ChaosCampaign, CheckpointOfAnotherChipOrSensorRecomputesEverything) {
     mark_every_slot(cp_path);
 
     CampaignConfig fresh = small_chaos();
-    change(fresh);
+    std::vector<RouterConfig> routers = robust_router();
+    change(fresh, routers[0].scheduler);
     CampaignConfig resumed_config = fresh;
     resumed_config.checkpoint.path = cp_path;
     resumed_config.checkpoint.resume = true;
-    const auto resumed = run_campaign(assays, robust_router(), resumed_config);
+    const auto resumed = run_campaign(assays, routers, resumed_config);
     for (const CampaignCell& cell : resumed)
       for (const std::vector<core::ExecutionStats>& chip : cell.runs)
         for (const core::ExecutionStats& run : chip)
           EXPECT_NE(run.synthesis_seconds, 1024.0) << cell.level;
-    expect_same_cells(resumed, run_campaign(assays, robust_router(), fresh));
+    expect_same_cells(resumed, run_campaign(assays, routers, fresh));
   }
 }
 

@@ -286,11 +286,10 @@ TEST(QuarantineParole, BudgetPressureReleasesTheOldestCells) {
 TEST(RecoveryLadder, EveryLadderCounterMatchesItsEvents) {
   // Each firing counter of the ladder counts exactly its "recovery" events,
   // execution by execution. Two NuIP lifetimes on end-of-life chips of
-  // bench/chaos_campaign, under its robust+nmr router, fire every rung: the
-  // first (a clean channel) the watchdog, contention detours, replica
-  // failovers and job aborts; the second (1% sensor noise and a one-sweep
-  // synthesis budget) deadlines and fallback routes. synthesis_retries is
-  // left out: the attempt that escalates past max_retries emits no retry.
+  // bench/chaos_campaign, under its robust+nmr router: the first (a clean
+  // channel) fires every rung, and the second checks the counts on a noisy
+  // channel (1% sensor noise). synthesis_retries is left out: the attempt
+  // that escalates past max_retries emits no retry.
   using Counter = int (*)(const ExecutionStats&);
   const std::pair<std::string, Counter> rungs[] = {
       {"watchdog-resense",
@@ -301,20 +300,15 @@ TEST(RecoveryLadder, EveryLadderCounterMatchesItsEvents) {
        [](const ExecutionStats& s) { return s.recovery.aborted_jobs; }},
       {"replica-failover",
        [](const ExecutionStats& s) { return s.replica.failovers; }},
-      {"synthesis-deadline",
-       [](const ExecutionStats& s) { return s.recovery.synthesis_deadlines; }},
-      {"fallback-route",
-       [](const ExecutionStats& s) { return s.recovery.fallback_routes; }},
   };
   struct Lifetime {
     std::uint64_t chip_seed;
     int runs;
     double noise;
-    int deadline_sweeps;
   };
   std::map<std::string, int> fired;
   for (const Lifetime& lifetime :
-       {Lifetime{4200, 4, 0.0, 0}, Lifetime{4201, 2, 0.01, 1}}) {
+       {Lifetime{4200, 4, 0.0}, Lifetime{4201, 2, 0.01}}) {
     sim::SimulatedChipConfig cc;
     cc.chip.width = assay::kChipWidth;
     cc.chip.height = assay::kChipHeight;
@@ -337,7 +331,6 @@ TEST(RecoveryLadder, EveryLadderCounterMatchesItsEvents) {
     config.recovery.enabled = true;
     config.recovery.quarantine_after_watchdogs = 3;
     config.replicate_critical_dispenses = 2;
-    config.synthesis.deadline_sweeps = lifetime.deadline_sweeps;
     StrategyLibrary library;
     Scheduler scheduler(config, &library);
     for (int run = 0; run < lifetime.runs; ++run) {
