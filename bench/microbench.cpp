@@ -417,9 +417,7 @@ void BM_HealthFilterObserve(benchmark::State& state) {
     chip.substrate().actuate(Rect{x, y, x + 2, y + 2});
     frames.push_back(chip.sense_health());
   }
-  core::HealthFilterConfig filter_config;
-  filter_config.enabled = true;
-  core::HealthFilter filter(filter_config);
+  core::HealthFilter filter;
   std::size_t next = 0;
   for (auto _ : state) {
     filter.observe(frames[next]);

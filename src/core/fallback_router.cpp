@@ -43,7 +43,7 @@ bool new_cells_healthy(const Rect& next, const Rect& cur,
 
 FallbackResult fallback_route(const assay::RoutingJob& rj,
                               const IntMatrix& health, const Rect& chip,
-                              const FallbackConfig& config) {
+                              const ActionRules& rules) {
   MEDA_REQUIRE(rj.start.valid() && rj.goal.valid() && rj.hazard.valid(),
                "routing job rectangles must be valid");
   MEDA_REQUIRE(chip.contains(rj.start), "start droplet must be on the chip");
@@ -52,8 +52,6 @@ FallbackResult fallback_route(const assay::RoutingJob& rj,
   MEDA_REQUIRE(health.width() == chip.width() &&
                    health.height() == chip.height(),
                "health matrix must be chip-sized");
-  MEDA_REQUIRE(config.max_expansions > 0,
-               "fallback expansion budget must be positive");
 
   MEDA_OBS_SPAN(span, "synth", "fallback_route");
   FallbackResult result;
@@ -75,7 +73,7 @@ FallbackResult fallback_route(const assay::RoutingJob& rj,
   open.emplace(heuristic(rj.start, rj.goal), seq++, rj.start);
 
   Rect goal_state = Rect::none();
-  while (!open.empty() && result.expansions < config.max_expansions) {
+  while (!open.empty() && result.expansions < kMaxFallbackExpansions) {
     const auto [f, order, cur] = open.top();
     open.pop();
     const int g = g_cost.at(cur);
@@ -86,7 +84,7 @@ FallbackResult fallback_route(const assay::RoutingJob& rj,
       break;
     }
     for (const Action a : kAllActions) {
-      if (!action_enabled(a, cur, config.rules, chip)) continue;
+      if (!action_enabled(a, cur, rules, chip)) continue;
       const Rect next = apply(a, cur);
       if (!rj.hazard.contains(next)) continue;
       if (!new_cells_healthy(next, cur, health)) continue;

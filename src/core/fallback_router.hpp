@@ -21,17 +21,13 @@
 /// Cost model: every action costs 1 cycle; the heuristic is
 /// ceil(manhattan_gap/2) (admissible: double steps move at most 2 cells), so
 /// the path minimizes commanded-action count, not expected cycles. Expansion
-/// is bounded by FallbackConfig::max_expansions so the fallback itself can
-/// never hang.
+/// is bounded by kMaxFallbackExpansions so the fallback itself can never
+/// hang.
 namespace meda::core {
 
-/// Fallback router controls.
-struct FallbackConfig {
-  ActionRules rules{};
-  /// A* open-list pops allowed before giving up (the router's own budget;
-  /// generously above any single-job state count on our chips).
-  int max_expansions = 20000;
-};
+/// A* open-list pops allowed before giving up (the router's own budget;
+/// generously above any single-job state count on our chips).
+inline constexpr int kMaxFallbackExpansions = 20000;
 
 /// Result of one fallback routing attempt.
 struct FallbackResult {
@@ -42,10 +38,11 @@ struct FallbackResult {
 };
 
 /// Routes @p rj over the sensed b-bit health matrix @p health (chip-sized)
-/// within chip bounds @p chip. Deterministic: ties in f-cost resolve to
-/// insertion order, and neighbors are generated in kAllActions order.
+/// within chip bounds @p chip, with the moves that @p rules enable.
+/// Deterministic: ties in f-cost resolve to insertion order, and neighbors
+/// are generated in kAllActions order.
 FallbackResult fallback_route(const assay::RoutingJob& rj,
                               const IntMatrix& health, const Rect& chip,
-                              const FallbackConfig& config = {});
+                              const ActionRules& rules = {});
 
 }  // namespace meda::core

@@ -47,35 +47,34 @@ enum class RecoveryAction : unsigned char {
 
 std::string_view to_string(RecoveryAction action);
 
+/// Re-synthesis attempts per routing job before escalating past retries.
+inline constexpr int kMaxSynthesisRetries = 3;
+/// Backoff before retry i is kBackoffBaseCycles << (i-1) cycles.
+inline constexpr int kBackoffBaseCycles = 4;
+/// Ceiling on the quarantine set as a fraction of the chip area.
+/// Quarantine targets a few persistently misbehaving cells; when the
+/// filter floods the scheduler with suspects (a failing *sensing
+/// channel*, not a failing substrate), quarantining them all would blind
+/// the router to most of a still-routable chip. Past the budget the
+/// ladder stops quarantining and trusts the filtered estimate instead.
+inline constexpr double kMaxQuarantineFraction = 0.15;
+
 /// Ladder tuning: the knobs callers set to shape their scenario. The
-/// detector constants live in scheduler.cpp. `enabled = false`
-/// preserves the legacy behavior: any infeasible synthesis fails the whole
-/// execution immediately and stuck droplets run into the cycle limit.
+/// budgets above and the detector constants in scheduler.cpp are fixed.
+/// `enabled = false` preserves the legacy behavior: any infeasible
+/// synthesis fails the whole execution immediately and stuck droplets run
+/// into the cycle limit.
 struct RecoveryConfig {
   bool enabled = false;
-  /// Re-synthesis attempts per routing job before escalating past retries.
-  int max_retries = 3;
-  /// Backoff before retry i is backoff_base_cycles << (i-1) cycles.
-  int backoff_base_cycles = 4;
   /// Watchdog firings on the same routing job before its blocked frontier
   /// is quarantined.
   int quarantine_after_watchdogs = 2;
-  /// Ceiling on the quarantine set as a fraction of the chip area.
-  /// Quarantine targets a few persistently misbehaving cells; when the
-  /// filter floods the scheduler with suspects (a failing *sensing
-  /// channel*, not a failing substrate), quarantining them all would blind
-  /// the router to most of a still-routable chip. Past the budget the
-  /// ladder stops quarantining and trusts the filtered estimate instead.
-  double max_quarantine_fraction = 0.15;
 
   /// The field list (see SchedulerConfig::for_each_field).
   template <typename F, typename... C>
   static void for_each_field(F&& f, C&&... c) {
     f("enabled", c.enabled...);
-    f("max_retries", c.max_retries...);
-    f("backoff_base_cycles", c.backoff_base_cycles...);
     f("quarantine_after_watchdogs", c.quarantine_after_watchdogs...);
-    f("max_quarantine_fraction", c.max_quarantine_fraction...);
   }
 };
 

@@ -6,6 +6,12 @@
 #include "util/check.hpp"
 
 namespace meda::core {
+namespace {
+
+/// Minimum start→goal Manhattan distance of a sampled job.
+constexpr int kMinDistance = 10;
+
+}  // namespace
 
 RoutabilityReport assess_routability(const IntMatrix& health, int health_bits,
                                      const RoutabilityConfig& config,
@@ -36,14 +42,14 @@ RoutabilityReport assess_routability(const IntMatrix& health, int health_bits,
     };
     const Vec2i s = sample_corner();
     Vec2i g = sample_corner();
-    for (int attempt = 0; attempt < 16 && manhattan(s, g) < config.min_distance;
+    for (int attempt = 0; attempt < 16 && manhattan(s, g) < kMinDistance;
          ++attempt)
       g = sample_corner();
 
     assay::RoutingJob rj;
     rj.start = Rect::from_size(s.x, s.y, side, side);
     rj.goal = Rect::from_size(g.x, g.y, side, side);
-    rj.hazard = assay::zone(rj.start, rj.goal, chip, config.zone_margin);
+    rj.hazard = assay::zone(rj.start, rj.goal, chip);
 
     const SynthesisResult degraded =
         synthesizer.synthesize(rj, health, health_bits);

@@ -19,8 +19,6 @@ namespace meda::core {
 struct RoutabilityConfig {
   int jobs = 50;            ///< random start/goal pairs to sample
   int droplet_side = 4;     ///< droplet pattern edge length
-  int zone_margin = 3;      ///< hazard-bound margin (ZONE rule)
-  int min_distance = 10;    ///< minimum start→goal Manhattan distance
   SynthesisConfig synthesis{};
 };
 

@@ -166,7 +166,6 @@ struct RouteTask {
   bool mask_degraded = false;     ///< mask dropped after infeasible synthesis
   bool abandoned = false;         ///< failed over; no longer commanded
   bool replica_recorded = false;  ///< ReplicaRouteRecord already sealed
-  std::vector<Rect> trail;        ///< per-cycle positions (opt-in)
 };
 
 /// A losing replica being retired to waste after the vote: routed to the
@@ -233,7 +232,6 @@ class Runner {
         chip_bounds_(chip.bounds()),
         synthesizer_(chip.bounds(), config.synthesis),
         outputs_(assay::compute_outputs(assay_list)),
-        filter_(config.filter),
         quarantined_(chip.bounds().width(), chip.bounds().height(), 0) {
     runs_.resize(assay_.ops.size());
     for (std::size_t i = 0; i < assay_.ops.size(); ++i)
@@ -431,7 +429,7 @@ class Runner {
   /// and the parole trigger.
   int quarantine_budget() const {
     return static_cast<int>(
-        config_.recovery.max_quarantine_fraction *
+        kMaxQuarantineFraction *
         static_cast<double>(quarantined_.width() * quarantined_.height()));
   }
 
@@ -676,7 +674,7 @@ class Runner {
   void on_synthesis_failure(MoRun& run, RouteTask& task) {
     ++task.retries;
     ++stats_.recovery.synthesis_retries;
-    if (task.retries > config_.recovery.max_retries) {
+    if (task.retries > kMaxSynthesisRetries) {
       if (task.replica >= 0) {
         // Per-replica budget exhausted: abandon this replica and let its
         // siblings race on — only all-replica failure aborts the MO.
@@ -689,13 +687,10 @@ class Runner {
     }
     event(RecoveryAction::kSynthesisRetry, task.rj.mo,
           "attempt " + std::to_string(task.retries) + "/" +
-              std::to_string(config_.recovery.max_retries));
-    if (config_.recovery.backoff_base_cycles > 0) {
-      task.backoff_remaining = config_.recovery.backoff_base_cycles
-                               << (task.retries - 1);
-      event(RecoveryAction::kBackoff, task.rj.mo,
-            std::to_string(task.backoff_remaining) + " cycle(s)");
-    }
+              std::to_string(kMaxSynthesisRetries));
+    task.backoff_remaining = kBackoffBaseCycles << (task.retries - 1);
+    event(RecoveryAction::kBackoff, task.rj.mo,
+          std::to_string(task.backoff_remaining) + " cycle(s)");
     // Fresh information for the retry.
     refresh_health(/*forced=*/true);
   }
@@ -753,8 +748,7 @@ class Runner {
     RouteTask task;
     task.rj.start = chip_.droplet_position(droplet);
     task.rj.goal = goal;
-    task.rj.hazard =
-        assay::zone(task.rj.start, goal, chip_bounds_, config_.zone_margin);
+    task.rj.hazard = assay::zone(task.rj.start, goal, chip_bounds_);
     task.rj.mo = mo_id;
     task.droplet = droplet;
     task.partner = partner;
@@ -1152,7 +1146,6 @@ class Runner {
     record.band = task.band;
     record.start_funnel = task.start_funnel;
     record.goal_funnel = task.goal_funnel;
-    record.trail = std::move(task.trail);
     stats_.replica_routes.push_back(std::move(record));
   }
 
@@ -1242,13 +1235,10 @@ class Runner {
         RoutingJob rj;
         rj.start = pos;
         rj.goal = dispense_entry_rect(pos, chip_bounds_);
-        rj.hazard =
-            assay::zone(rj.start, rj.goal, chip_bounds_, config_.zone_margin);
+        rj.hazard = assay::zone(rj.start, rj.goal, chip_bounds_);
         rj.mo = retiree.mo;
-        FallbackConfig fallback_config;
-        fallback_config.rules = config_.synthesis.rules;
-        FallbackResult fallback =
-            fallback_route(rj, health_, chip_bounds_, fallback_config);
+        FallbackResult fallback = fallback_route(rj, health_, chip_bounds_,
+                                                 config_.synthesis.rules);
         if (!fallback.feasible) {
           finish_retirement(i, "no waste route; discarded in place");
           continue;
@@ -1277,7 +1267,7 @@ class Runner {
       RoutingJob seed;
       seed.start = entry;
       seed.goal = goal;
-      seed.hazard = assay::zone(entry, goal, chip_bounds_, config_.zone_margin);
+      seed.hazard = assay::zone(entry, goal, chip_bounds_);
       seed.mo = mo.id;
       run.corridors = plan_replica_corridors(seed, replicas, chip_bounds_);
       if (!run.corridors.disjoint) {
@@ -1318,8 +1308,6 @@ class Runner {
     for (RouteTask& task : run.routes) {
       if (task.abandoned) continue;
       if (task.replica == just_launched) continue;  // dispensing used its cycle
-      if (config_.record_replica_trails)
-        task.trail.push_back(chip_.droplet_position(task.droplet));
       const bool arrived = advance_route(run, task, commands);
       if (failed_ || run.state != MoRun::State::kActive) return;
       if (arrived) {

@@ -37,8 +37,6 @@ struct SchedulerConfig {
   bool use_library = true;
   /// Abort the execution after this many operational cycles.
   std::uint64_t max_cycles = 5000;
-  /// Safety margin around routing jobs (ZONE margin, Section VI-B).
-  int zone_margin = 3;
   /// Cycles a (re)synthesis takes; the droplet continues under the previous
   /// strategy (or holds) until the new one is ready (Section VI-D discusses
   /// this online-scheme delay; 0 models instantaneous synthesis).
@@ -65,26 +63,18 @@ struct SchedulerConfig {
   /// `Mo::replicas` annotations above this floor are honored. Requires
   /// `adaptive` — the baseline router cannot mask corridor views.
   int replicate_critical_dispenses = 1;
-  /// Record every replica's per-cycle position trail into
-  /// ExecutionStats::replica_routes. Off by default: trails exist for the
-  /// disjointness tests and debugging, and campaigns must not pay the
-  /// memory (replica route *records* without trails are always kept).
-  bool record_replica_trails = false;
 
   /// The field list: calls `f("name", c.field...)` once per setting, in
   /// declaration order, with the nested configs flattened in place by their
   /// own lists. The campaign checkpoint digest mixes every value
   /// (util::MixFieldValue), so a new setting is declared and listed here
-  /// and keys older checkpoints out without a codec edit. Leaves out
-  /// record_replica_trails: it fills only the per-run logs, which a
-  /// campaign slot drops, as it drops the chip's trace switches.
+  /// and keys older checkpoints out without a codec edit.
   template <typename F, typename... C>
   static void for_each_field(F&& f, C&&... c) {
     SynthesisConfig::for_each_field(f, c.synthesis...);
     f("adaptive", c.adaptive...);
     f("use_library", c.use_library...);
     f("max_cycles", c.max_cycles...);
-    f("zone_margin", c.zone_margin...);
     f("synthesis_latency_cycles", c.synthesis_latency_cycles...);
     f("reactive_recovery_stuck_cycles", c.reactive_recovery_stuck_cycles...);
     HealthFilterConfig::for_each_field(f, c.filter...);
@@ -159,8 +149,6 @@ struct ReplicaRouteRecord {
   Rect band = Rect::none();  ///< corridor band this replica owned
   Rect start_funnel = Rect::none();  ///< shared funnels (disjointness is
   Rect goal_funnel = Rect::none();   ///< only promised outside them)
-  /// Per-cycle positions, only with SchedulerConfig::record_replica_trails.
-  std::vector<Rect> trail;
 };
 
 /// Outcome of one bioassay execution.

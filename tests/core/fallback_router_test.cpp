@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <deque>
-#include <limits>
 #include <unordered_map>
 
 #include "model/action.hpp"
@@ -82,14 +81,19 @@ TEST(FallbackRouter, ReportsInfeasibleAcrossAFullWall) {
 }
 
 TEST(FallbackRouter, ExpansionBudgetBoundsTheSearch) {
-  const Rect chip{0, 0, 19, 19};
-  const IntMatrix health(20, 20, 3);
-  FallbackConfig config;
-  config.max_expansions = 2;  // far too small to cross the chip
-  const FallbackResult r =
-      fallback_route(straight_east(14), health, chip, config);
+  // A full-height dead wall cuts the goal off, and the 2×2 droplet has more
+  // placements west of it (249 × 99) than the budget allows pops, so the
+  // search ends on the budget, not on an exhausted open list.
+  const Rect chip{0, 0, 299, 99};
+  IntMatrix health(300, 100, 3);
+  for (int y = 0; y < 100; ++y) health(250, y) = 0;
+  assay::RoutingJob rj;
+  rj.start = Rect::from_size(10, 50, 2, 2);
+  rj.goal = Rect::from_size(280, 50, 2, 2);
+  rj.hazard = chip;
+  const FallbackResult r = fallback_route(rj, health, chip);
   EXPECT_FALSE(r.feasible);
-  EXPECT_LE(r.expansions, 2);
+  EXPECT_EQ(r.expansions, kMaxFallbackExpansions);
 }
 
 TEST(FallbackRouter, IsDeterministic) {
@@ -157,9 +161,9 @@ int bfs_path_length(const assay::RoutingJob& rj, const IntMatrix& health,
 }
 
 TEST(FallbackRouter, PathLengthMatchesBreadthFirstSearch) {
-  // Random chips with up to 30% dead cells: the unbounded A* must agree
-  // with plain BFS on feasibility and on the shortest action count, which
-  // holds only while its heuristic never overestimates.
+  // Random chips with up to 30% dead cells: the A* must agree with plain
+  // BFS on feasibility and on the shortest action count, which holds only
+  // while its heuristic never overestimates.
   Rng rng(20260518);
   int feasible = 0;
   for (int instance = 0; instance < 400; ++instance) {
@@ -179,12 +183,13 @@ TEST(FallbackRouter, PathLengthMatchesBreadthFirstSearch) {
                               rng.uniform_int(0, h - side - 1), side + 1,
                               side + 1);
     rj.hazard = assay::zone(rj.start, rj.goal, chip, rng.uniform_int(0, 3));
-    FallbackConfig config;
-    config.rules.enable_morphing = instance % 2 == 0;
-    config.max_expansions = std::numeric_limits<int>::max();
+    ActionRules rules;
+    rules.enable_morphing = instance % 2 == 0;
 
-    const int expected = bfs_path_length(rj, health, chip, config.rules);
-    const FallbackResult r = fallback_route(rj, health, chip, config);
+    const int expected = bfs_path_length(rj, health, chip, rules);
+    const FallbackResult r = fallback_route(rj, health, chip, rules);
+    // On chips this small the budget never binds, so the search is exact.
+    ASSERT_LT(r.expansions, kMaxFallbackExpansions) << "instance " << instance;
     ASSERT_EQ(r.feasible, expected >= 0) << "instance " << instance;
     if (!r.feasible) continue;
     ++feasible;
@@ -205,10 +210,6 @@ TEST(FallbackRouter, RejectsMalformedInputs) {
   EXPECT_THROW(fallback_route(off_chip, health, chip), PreconditionError);
   const IntMatrix small(10, 10, 3);
   EXPECT_THROW(fallback_route(straight_east(4), small, chip),
-               PreconditionError);
-  FallbackConfig config;
-  config.max_expansions = 0;
-  EXPECT_THROW(fallback_route(straight_east(4), health, chip, config),
                PreconditionError);
 }
 

@@ -12,18 +12,8 @@
 namespace meda::core {
 namespace {
 
-HealthFilterConfig quick_config() {
-  HealthFilterConfig config;
-  config.enabled = true;
-  config.down_confirm = 2;
-  config.up_confirm = 4;
-  config.suspect_threshold = 3;
-  config.suspect_decay_frames = 0;  // no decay: disagreements accumulate
-  return config;
-}
-
 TEST(HealthFilter, SeedsFromTheFirstFrame) {
-  HealthFilter filter(quick_config());
+  HealthFilter filter;
   EXPECT_FALSE(filter.seeded());
   const IntMatrix frame(5, 4, 3);
   filter.observe(frame);
@@ -32,7 +22,7 @@ TEST(HealthFilter, SeedsFromTheFirstFrame) {
 }
 
 TEST(HealthFilter, TransientFlipIsDebounced) {
-  HealthFilter filter(quick_config());
+  HealthFilter filter;
   IntMatrix frame(5, 4, 3);
   filter.observe(frame);
   IntMatrix glitched = frame;
@@ -47,7 +37,8 @@ TEST(HealthFilter, TransientFlipIsDebounced) {
 }
 
 TEST(HealthFilter, PersistentDecreaseAdoptedAfterDownConfirm) {
-  HealthFilter filter(quick_config());  // down_confirm = 2
+  static_assert(HealthFilter::kDownConfirm == 2);
+  HealthFilter filter;
   IntMatrix frame(5, 4, 3);
   filter.observe(frame);
   IntMatrix degraded = frame;
@@ -61,22 +52,23 @@ TEST(HealthFilter, PersistentDecreaseAdoptedAfterDownConfirm) {
 
 TEST(HealthFilter, IncreaseNeedsMoreConfirmationThanDecrease) {
   // The monotone-wear prior: health readings that *rise* fight the physics
-  // and need up_confirm (= 4) consecutive reads instead of 2.
-  HealthFilter filter(quick_config());
+  // and need kUpConfirm consecutive reads instead of kDownConfirm.
+  static_assert(HealthFilter::kUpConfirm > HealthFilter::kDownConfirm);
+  HealthFilter filter;
   IntMatrix frame(5, 4, 1);
   filter.observe(frame);
   IntMatrix raised = frame;
   raised(3, 3) = 3;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 1; i < HealthFilter::kUpConfirm; ++i) {
     filter.observe(raised);
-    EXPECT_EQ(filter.estimate()(3, 3), 1) << "read " << i + 1;
+    EXPECT_EQ(filter.estimate()(3, 3), 1) << "read " << i;
   }
-  filter.observe(raised);  // 4th consecutive read
+  filter.observe(raised);  // kUpConfirm-th consecutive read
   EXPECT_EQ(filter.estimate()(3, 3), 3);
 }
 
 TEST(HealthFilter, InterruptedStreakStartsOver) {
-  HealthFilter filter(quick_config());
+  HealthFilter filter;
   IntMatrix frame(4, 4, 3);
   filter.observe(frame);
   IntMatrix degraded = frame;
@@ -90,7 +82,7 @@ TEST(HealthFilter, InterruptedStreakStartsOver) {
 }
 
 TEST(HealthFilter, ForceResenseReseedsVerbatim) {
-  HealthFilter filter(quick_config());
+  HealthFilter filter;
   filter.observe(IntMatrix(4, 3, 3));
   IntMatrix fresh(4, 3, 2);
   filter.force_resense();
@@ -99,14 +91,19 @@ TEST(HealthFilter, ForceResenseReseedsVerbatim) {
 }
 
 TEST(HealthFilter, FlakyCellBecomesSuspect) {
-  HealthFilter filter(quick_config());  // suspect_threshold = 3
+  // The seeding frame and the disagreeing ones stay below the first decay
+  // frame, so the score is the disagreement count.
+  static_assert(HealthFilter::kSuspectThreshold <
+                HealthFilter::kSuspectDecayFrames - 1);
+  HealthFilter filter;
   IntMatrix frame(4, 4, 3);
   filter.observe(frame);
   // A flaky DFF makes the cell's reading bounce between two wrong values;
   // the estimate never settles on the noise (the candidate keeps changing)
   // but the disagreement score accumulates to the suspect threshold.
   IntMatrix noisy = frame;
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < HealthFilter::kSuspectThreshold; ++i) {
+    EXPECT_EQ(filter.suspect_count(), 0) << "read " << i;
     noisy(2, 2) = (i % 2 == 0) ? 1 : 2;
     filter.observe(noisy);
   }
@@ -119,11 +116,11 @@ TEST(HealthFilter, FlakyCellBecomesSuspect) {
 }
 
 TEST(HealthFilter, SuspectStateSurvivesForcedResense) {
-  HealthFilter filter(quick_config());
+  HealthFilter filter;
   IntMatrix frame(4, 4, 3);
   filter.observe(frame);
   IntMatrix noisy = frame;
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < HealthFilter::kSuspectThreshold; ++i) {
     noisy(1, 1) = (i % 2 == 0) ? 0 : 2;
     filter.observe(noisy);
   }
@@ -133,17 +130,8 @@ TEST(HealthFilter, SuspectStateSurvivesForcedResense) {
   EXPECT_EQ(filter.suspect_count(), 1);  // the defect memory is kept
 }
 
-TEST(HealthFilter, ConfidenceSaturatesAtTheCap) {
-  HealthFilterConfig config = quick_config();
-  config.confidence_cap = 3;
-  HealthFilter filter(config);
-  const IntMatrix frame(3, 3, 2);
-  for (int i = 0; i < 10; ++i) filter.observe(frame);
-  EXPECT_EQ(filter.confidence()(1, 1), 3);
-}
-
 TEST(HealthFilter, RejectsDimensionChanges) {
-  HealthFilter filter(quick_config());
+  HealthFilter filter;
   filter.observe(IntMatrix(4, 3, 1));
   EXPECT_THROW(filter.observe(IntMatrix(3, 4, 1)), PreconditionError);
 }
@@ -152,7 +140,7 @@ TEST(HealthFilter, FramesCounterCountsEveryObservedFrame) {
   // The seeding frame and a forced re-sense are observed frames too.
   obs::ctx().reset();
   obs::ctx().metrics().enable();
-  HealthFilter filter(quick_config());
+  HealthFilter filter;
   const IntMatrix frame(4, 3, 3);
   filter.observe(frame);
   for (int i = 0; i < 5; ++i) filter.observe(frame);
@@ -201,6 +189,8 @@ class FrameFuzzer {
 };
 
 TEST(HealthFilter, MatchesTheReferenceFilterOnFuzzedFrames) {
+  // Streams of 40 or 80 frames run past several decay frames (every
+  // kSuspectDecayFrames-th), with forced re-senses at random.
   struct Shape {
     int width;
     int height;
@@ -209,52 +199,34 @@ TEST(HealthFilter, MatchesTheReferenceFilterOnFuzzedFrames) {
   Rng rng(2024);
   int streams = 0;
   for (const Shape shape : shapes) {
-    for (const int decay_frames : {0, 1, 16}) {
-      for (const int cap : {1, 3, 16}) {
-        for (int down = 1; down <= 4; ++down) {
-          for (int up = 1; up <= 4; ++up) {
-            HealthFilterConfig config;
-            config.enabled = true;
-            config.down_confirm = down;
-            config.up_confirm = up;
-            config.suspect_decay_frames = decay_frames;
-            config.confidence_cap = cap;
-            config.suspect_threshold = rng.uniform_int(1, 12);
-            HealthFilter filter(config);
-            reference::HealthFilter reference(config);
-            FrameFuzzer fuzzer(shape.width, shape.height,
-                               rng.uniform_int(1, 4), rng);
-            const int frames = shape.width * shape.height > 100 ? 24 : 48;
-            for (int f = 0; f < frames; ++f) {
-              if (f > 0 && rng.bernoulli(0.06)) {
-                filter.force_resense();
-                reference.force_resense();
-              }
-              const IntMatrix frame = fuzzer.next(rng);
-              filter.observe(frame);
-              reference.observe(frame);
-              SCOPED_TRACE(::testing::Message()
-                           << shape.width << "x" << shape.height
-                           << " decay " << decay_frames << " cap " << cap
-                           << " confirm " << down << "/" << up << " frame "
-                           << f);
-              ASSERT_EQ(filter.estimate(), reference.estimate());
-              ASSERT_EQ(filter.confidence(), reference.confidence());
-              ASSERT_EQ(filter.suspect(), reference.suspect());
-              ASSERT_EQ(filter.suspect_count(), reference.suspect_count());
-              ASSERT_EQ(filter.adopted_updates(),
-                        reference.adopted_updates());
-              ASSERT_EQ(filter.rejected_updates(),
-                        reference.rejected_updates());
-              ASSERT_EQ(filter.frames(), reference.frames());
-            }
-            ++streams;
-          }
+    for (int stream = 0; stream < 48; ++stream) {
+      HealthFilter filter;
+      reference::HealthFilter reference;
+      FrameFuzzer fuzzer(shape.width, shape.height, rng.uniform_int(1, 4),
+                         rng);
+      const int frames = shape.width * shape.height > 100 ? 40 : 80;
+      for (int f = 0; f < frames; ++f) {
+        if (f > 0 && rng.bernoulli(0.06)) {
+          filter.force_resense();
+          reference.force_resense();
         }
+        const IntMatrix frame = fuzzer.next(rng);
+        filter.observe(frame);
+        reference.observe(frame);
+        SCOPED_TRACE(::testing::Message()
+                     << shape.width << "x" << shape.height << " stream "
+                     << stream << " frame " << f);
+        ASSERT_EQ(filter.estimate(), reference.estimate());
+        ASSERT_EQ(filter.suspect(), reference.suspect());
+        ASSERT_EQ(filter.suspect_count(), reference.suspect_count());
+        ASSERT_EQ(filter.adopted_updates(), reference.adopted_updates());
+        ASSERT_EQ(filter.rejected_updates(), reference.rejected_updates());
+        ASSERT_EQ(filter.frames(), reference.frames());
       }
+      ++streams;
     }
   }
-  EXPECT_EQ(streams, 5 * 3 * 3 * 4 * 4);
+  EXPECT_EQ(streams, 5 * 48);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 
 #include "core/health_filter.hpp"
@@ -9,8 +8,8 @@
 
 /// @file reference_health_filter.hpp
 /// Reference health filter for the oracle tests: core::HealthFilter's
-/// update written as one (x, y) pass over six matrices, with the decay
-/// halving folded into each cell's update and every config field read where
+/// update written as one (x, y) pass over five matrices, with the decay
+/// halving folded into each cell's update and every threshold read where
 /// it is used. It keeps no metrics and shares no update code with
 /// core::HealthFilter, whose flat pass must match it frame for frame.
 
@@ -18,7 +17,7 @@ namespace meda::reference {
 
 class HealthFilter {
  public:
-  explicit HealthFilter(core::HealthFilterConfig config) : config_(config) {}
+  using Core = core::HealthFilter;
 
   void observe(const IntMatrix& scan) {
     MEDA_REQUIRE(scan.width() > 0 && scan.height() > 0,
@@ -31,7 +30,6 @@ class HealthFilter {
                      "health frame dimensions changed");
       }
       estimate_ = scan;
-      confidence_ = IntMatrix(scan.width(), scan.height(), 1);
       candidate_ = IntMatrix(scan.width(), scan.height(), -1);
       streak_ = IntMatrix(scan.width(), scan.height(), 0);
       if (!seeded_) {
@@ -46,24 +44,19 @@ class HealthFilter {
                      scan.height() == estimate_.height(),
                  "health frame dimensions changed");
 
-    const bool decay = config_.suspect_decay_frames > 0 &&
-                       frames_ % static_cast<std::uint64_t>(
-                                     config_.suspect_decay_frames) ==
-                           0;
+    const bool decay = frames_ % Core::kSuspectDecayFrames == 0;
     for (int y = 0; y < scan.height(); ++y) {
       for (int x = 0; x < scan.width(); ++x) {
         const int v = scan(x, y);
         int& e = estimate_(x, y);
         if (decay) disagree_(x, y) /= 2;
         if (v == e) {
-          confidence_(x, y) =
-              std::min(confidence_(x, y) + 1, config_.confidence_cap);
           streak_(x, y) = 0;
           candidate_(x, y) = -1;
           continue;
         }
         // Reading disagrees with the settled estimate.
-        if (++disagree_(x, y) >= config_.suspect_threshold &&
+        if (++disagree_(x, y) >= Core::kSuspectThreshold &&
             suspect_(x, y) == 0) {
           suspect_(x, y) = 1;
           ++suspect_count_;
@@ -74,13 +67,9 @@ class HealthFilter {
           candidate_(x, y) = v;
           streak_(x, y) = 1;
         }
-        const int needed =
-            v < e ? std::max(1, config_.down_confirm)
-                  : std::max(std::max(1, config_.down_confirm),
-                             config_.up_confirm);
+        const int needed = v < e ? Core::kDownConfirm : Core::kUpConfirm;
         if (streak_(x, y) >= needed) {
           e = v;
-          confidence_(x, y) = 1;
           streak_(x, y) = 0;
           candidate_(x, y) = -1;
           ++adopted_updates_;
@@ -94,7 +83,6 @@ class HealthFilter {
   void force_resense() { force_resense_ = true; }
 
   const IntMatrix& estimate() const { return estimate_; }
-  const IntMatrix& confidence() const { return confidence_; }
   const BoolMatrix& suspect() const { return suspect_; }
   int suspect_count() const { return suspect_count_; }
   std::uint64_t frames() const { return frames_; }
@@ -102,11 +90,9 @@ class HealthFilter {
   std::uint64_t adopted_updates() const { return adopted_updates_; }
 
  private:
-  core::HealthFilterConfig config_;
   bool seeded_ = false;
   bool force_resense_ = false;
   IntMatrix estimate_;
-  IntMatrix confidence_;
   IntMatrix candidate_;
   IntMatrix streak_;
   IntMatrix disagree_;

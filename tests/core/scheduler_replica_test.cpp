@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -150,23 +151,104 @@ TEST(SchedulerReplica, LoserDrainsOffTheChip) {
   EXPECT_EQ(reached_edge, 1);
 }
 
+/// Pass-through chip that records, per dispensed droplet, its position at
+/// dispense and after every cycle while it is on the chip, with the cycle
+/// (relative to the wrapper's construction) it held that position at.
+class RecordingChip : public BiochipIo {
+ public:
+  struct Sample {
+    std::uint64_t cycle;
+    Rect position;
+  };
+
+  explicit RecordingChip(BiochipIo& inner)
+      : inner_(inner), start_(inner.cycle()) {}
+
+  /// Dispensed droplets in dispense order.
+  std::vector<DropletId> dispensed;
+  std::map<DropletId, std::vector<Sample>> trails;
+
+  Rect bounds() const override { return inner_.bounds(); }
+  int health_bits() const override { return inner_.health_bits(); }
+  IntMatrix sense_health() const override { return inner_.sense_health(); }
+  Rect droplet_position(DropletId id) const override {
+    return inner_.droplet_position(id);
+  }
+  bool location_clear(const Rect& at) const override {
+    return inner_.location_clear(at);
+  }
+  DropletId dispense(const Rect& at) override {
+    const DropletId id = inner_.dispense(at);
+    dispensed.push_back(id);
+    on_chip_.insert(id);
+    record(id);
+    return id;
+  }
+  void discard(DropletId id) override {
+    on_chip_.erase(id);
+    inner_.discard(id);
+  }
+  DropletId merge(DropletId a, DropletId b, const Rect& merged) override {
+    on_chip_.erase(a);
+    on_chip_.erase(b);
+    return inner_.merge(a, b, merged);
+  }
+  bool split_clear(DropletId id, const Rect& part0,
+                   const Rect& part1) const override {
+    return inner_.split_clear(id, part0, part1);
+  }
+  std::pair<DropletId, DropletId> split(DropletId id, const Rect& part0,
+                                        const Rect& part1) override {
+    on_chip_.erase(id);
+    return inner_.split(id, part0, part1);
+  }
+  void step(const std::vector<Command>& commands) override {
+    inner_.step(commands);
+    for (const DropletId id : on_chip_) record(id);
+  }
+  std::uint64_t cycle() const override { return inner_.cycle(); }
+
+ private:
+  void record(DropletId id) {
+    trails[id].push_back(
+        {inner_.cycle() - start_, inner_.droplet_position(id)});
+  }
+
+  BiochipIo& inner_;
+  std::uint64_t start_;
+  std::set<DropletId> on_chip_;
+};
+
 TEST(SchedulerReplica, RoutesArePairwiseRegionDisjoint) {
-  sim::SimulatedChip chip(chip_config(), Rng(7));
-  SchedulerConfig config;
-  config.record_replica_trails = true;
-  Scheduler scheduler(config);
+  sim::SimulatedChip sim_chip(chip_config(), Rng(7));
+  RecordingChip chip(sim_chip);
+  Scheduler scheduler(SchedulerConfig{});
   const ExecutionStats stats = scheduler.run(chip, replicated_dispense(2));
   ASSERT_TRUE(stats.success) << stats.failure_reason;
   ASSERT_EQ(stats.replica_routes.size(), 2u);
+  // The replicas race until the vote; afterwards the winner carries on as
+  // the MO's output and the loser retires to waste, both outside the bands.
+  const auto merge = std::find_if(
+      stats.events.begin(), stats.events.end(), [](const obs::Event& e) {
+        return e.category == "replica" && e.name == "merge";
+      });
+  ASSERT_NE(merge, stats.events.end());
+  // The assay dispenses only its replicas, one per launch in replica order.
+  ASSERT_EQ(chip.dispensed.size(), 2u);
   for (const ReplicaRouteRecord& record : stats.replica_routes) {
     // The zone at this placement is thick enough: full disjointness, no
     // best-effort degradation.
     ASSERT_FALSE(record.mask_best_effort);
     ASSERT_TRUE(record.band.valid());
-    ASSERT_FALSE(record.trail.empty());
+    const std::vector<RecordingChip::Sample>& trail = chip.trails.at(
+        chip.dispensed.at(static_cast<std::size_t>(record.replica)));
+    int raced = 0;
     // Outside the shared endpoint funnels every cell the replica touched
     // lies inside its own corridor band.
-    for (const Rect& pos : record.trail) {
+    for (const RecordingChip::Sample& sample : trail) {
+      if (sample.cycle > merge->cycle) break;
+      ++raced;
+      const Rect& pos = sample.position;
       for (int y = pos.ya; y <= pos.yb; ++y)
         for (int x = pos.xa; x <= pos.xb; ++x) {
           if (record.start_funnel.contains(x, y) ||
@@ -174,9 +256,10 @@ TEST(SchedulerReplica, RoutesArePairwiseRegionDisjoint) {
             continue;
           EXPECT_TRUE(record.band.contains(x, y))
               << "replica " << record.replica << " left its band at (" << x
-              << ", " << y << ")";
+              << ", " << y << ") in cycle " << sample.cycle;
         }
     }
+    EXPECT_GT(raced, 1) << "replica " << record.replica;
   }
   // The two bands themselves are disjoint.
   EXPECT_EQ(stats.replica_routes[0]
@@ -187,9 +270,7 @@ TEST(SchedulerReplica, RoutesArePairwiseRegionDisjoint) {
 
 TEST(SchedulerReplica, ThinZoneDegradesToBestEffort) {
   sim::SimulatedChip chip(chip_config(), Rng(7));
-  SchedulerConfig config;
-  config.record_replica_trails = true;
-  Scheduler scheduler(config);
+  Scheduler scheduler(SchedulerConfig{});
   // Three replicas need 3 × (1 + 4) = 15 cells across the zone, but the
   // vertical corridor here is only ~10 wide: the plan must degrade
   // gracefully to best-effort disjointness, not fail the MO.
@@ -242,10 +323,8 @@ TEST(SchedulerReplica, FailoverAbandonsAStuckReplicaWithoutAbortingTheMo) {
   chip.crawl = {{1, 16}};
   SchedulerConfig config;
   config.recovery.enabled = true;
-  // A tight per-replica budget: the dead replica must exhaust its rung of
-  // the ladder while its healthy sibling is still in flight.
-  config.recovery.max_retries = 1;
-  config.recovery.backoff_base_cycles = 1;
+  // The dead replica must exhaust its rung of the ladder while its healthy
+  // sibling is still in flight.
   config.recovery.quarantine_after_watchdogs = 1;
   config.max_cycles = 3000;
   Scheduler scheduler(config);
@@ -278,7 +357,6 @@ TEST(SchedulerReplica, AllReplicaFailureEscalatesToGracefulAbort) {
   chip.stuck = {1, 2};  // both replicas mechanically dead
   SchedulerConfig config;
   config.recovery.enabled = true;
-  config.recovery.max_retries = 2;
   config.recovery.quarantine_after_watchdogs = 1;
   config.max_cycles = 3000;
   Scheduler scheduler(config);

@@ -343,18 +343,6 @@ TEST(Scheduler, RunsWithNonDefaultHealthBits) {
   }
 }
 
-TEST(Scheduler, WiderZoneMarginStillCompletes) {
-  for (const int margin : {1, 5}) {
-    sim::SimulatedChip chip(chip_config(), Rng(92));
-    SchedulerConfig config;
-    config.zone_margin = margin;
-    Scheduler scheduler(config);
-    const ExecutionStats stats = scheduler.run(chip, assay::master_mix());
-    EXPECT_TRUE(stats.success) << "margin " << margin << ": "
-                               << stats.failure_reason;
-  }
-}
-
 TEST(Scheduler, PmaxQueryConfigurationAlsoRoutes) {
   sim::SimulatedChip chip(chip_config(), Rng(93));
   SchedulerConfig config;

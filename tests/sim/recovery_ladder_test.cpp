@@ -118,8 +118,6 @@ SchedulerConfig ladder_config() {
   config.max_cycles = 600;
   config.recovery.enabled = true;
   config.recovery.quarantine_after_watchdogs = 2;
-  config.recovery.max_retries = 2;
-  config.recovery.backoff_base_cycles = 2;
   return config;
 }
 
@@ -179,23 +177,23 @@ TEST(RecoveryLadder, InfeasibleSynthesisRetriesWithBackoffThenAborts) {
   for (int y = 0; y < 16; ++y)
     for (int x = 19; x <= 20; ++x) chip.substrate().inject_fault(x, y, 0);
 
-  SchedulerConfig config = ladder_config();
-  Scheduler scheduler(config);
+  Scheduler scheduler(ladder_config());
   const ExecutionStats stats =
       scheduler.run(chip, transport_assay(34.5, 7.5));
 
   EXPECT_FALSE(stats.success);
-  EXPECT_EQ(stats.recovery.synthesis_retries,
-            config.recovery.max_retries + 1);
-  EXPECT_GT(stats.recovery.backoff_cycles, 0u);
+  static_assert(kMaxSynthesisRetries == 3 && kBackoffBaseCycles == 4);
+  EXPECT_EQ(stats.recovery.synthesis_retries, 4);
   EXPECT_EQ(stats.recovery.aborted_jobs, 1);  // only the output MO routes
   EXPECT_EQ(stats.completed_mos, 1);          // the dispense completed
-  // Exponential backoff: 2, then 4 cycles (base << retries-1).
-  std::vector<std::uint64_t> backoffs;
+  // Exponential backoff: 4, 8, then 16 cycles (base << retries-1).
+  std::vector<std::string> backoffs;
   for (const obs::Event& e : ladder_events(stats))
     if (e.name == to_string(RecoveryAction::kBackoff))
-      backoffs.push_back(e.cycle);
-  ASSERT_EQ(backoffs.size(), 2u);
+      backoffs.push_back(e.detail);
+  EXPECT_EQ(backoffs, (std::vector<std::string>{"4 cycle(s)", "8 cycle(s)",
+                                                "16 cycle(s)"}));
+  EXPECT_EQ(stats.recovery.backoff_cycles, 28u);
   // The aborted droplet is gone; the chip is clean for the next job.
   EXPECT_TRUE(chip.droplets().empty());
 }
@@ -266,18 +264,19 @@ TEST(ProgressWatchdog, StaysQuietOnAHealthyRoute) {
 }
 
 TEST(QuarantineParole, BudgetPressureReleasesTheOldestCells) {
-  // A tiny quarantine budget fills after the first frontier quarantine (the
-  // StuckChip droplet never moves, so the ladder keeps quarantining its
-  // ring). Every forced re-sense then reads the quarantined cells alive
-  // again (StuckChip reports full health), so parole must release the
-  // oldest ones instead of blacklisting them forever.
-  StuckChip chip(30, 16);
-  SchedulerConfig config = ladder_config();
-  config.recovery.max_quarantine_fraction = 0.02;  // 9 of 480 cells
-  config.recovery.max_retries = 4;  // survive several quarantine rounds
-  Scheduler scheduler(config);
-  const ExecutionStats stats =
-      scheduler.run(chip, transport_assay(24.5, 7.5));
+  // On a small chip the quarantine budget fills after the first frontier
+  // quarantines (the StuckChip droplet never moves, so the ladder keeps
+  // quarantining its ring). Every forced re-sense then reads the
+  // quarantined cells alive again (StuckChip reports full health), so
+  // parole must release the oldest ones instead of blacklisting them
+  // forever.
+  StuckChip chip(12, 10);  // a budget of 18 of its 120 cells
+  static_assert(kMaxQuarantineFraction == 0.15);
+  assay::AssayBuilder b("short-transport");
+  const int d = b.dispense(3.5, 4.5, 16);
+  b.output({d}, 9.5, 4.5);
+  Scheduler scheduler(ladder_config());
+  const ExecutionStats stats = scheduler.run(chip, std::move(b).build());
   EXPECT_GT(stats.recovery.quarantined_cells, 0);
   EXPECT_GT(stats.recovery.paroled_cells, 0);
   EXPECT_TRUE(fired(stats, RecoveryAction::kQuarantineParole));
@@ -289,7 +288,7 @@ TEST(RecoveryLadder, EveryLadderCounterMatchesItsEvents) {
   // bench/chaos_campaign, under its robust+nmr router: the first (a clean
   // channel) fires every rung, and the second checks the counts on a noisy
   // channel (1% sensor noise). synthesis_retries is left out: the attempt
-  // that escalates past max_retries emits no retry.
+  // that escalates past kMaxSynthesisRetries emits no retry.
   using Counter = int (*)(const ExecutionStats&);
   const std::pair<std::string, Counter> rungs[] = {
       {"watchdog-resense",

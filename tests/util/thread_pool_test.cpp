@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/check.hpp"
@@ -142,6 +143,27 @@ TEST(ParseJobsFlag, ParsesBothSpellings) {
   EXPECT_EQ(parse_jobs_flag(1, const_cast<char**>(argv3), 7), 7);
   const char* argv4[] = {"bench", "--jobs=0"};
   EXPECT_EQ(parse_jobs_flag(2, const_cast<char**>(argv4)), 0);
+}
+
+TEST(ParseJobsFlag, RejectsMalformedValues) {
+  for (const char* value : {"abc", "4x", "-1", "99999999999", ""}) {
+    const char* spaced[] = {"bench", "--jobs", value};
+    try {
+      parse_jobs_flag(3, const_cast<char**>(spaced));
+      ADD_FAILURE() << "--jobs '" << value << "' was accepted";
+    } catch (const PreconditionError& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("--jobs"), std::string::npos) << message;
+      EXPECT_NE(message.find("'" + std::string(value) + "'"),
+                std::string::npos)
+          << message;
+    }
+    const std::string joined = std::string("--jobs=") + value;
+    const char* glued[] = {"bench", joined.c_str()};
+    EXPECT_THROW(parse_jobs_flag(2, const_cast<char**>(glued)),
+                 PreconditionError)
+        << joined;
+  }
 }
 
 }  // namespace
