@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -50,7 +51,7 @@ std::string fmt_ns(double ns) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using meda::util::flag_value;
   using meda::util::has_flag;
 
@@ -73,9 +74,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const double threshold =
-      std::atof(flag_value(argc, argv, "--threshold", "1.25").c_str());
-  if (threshold <= 0.0) {
+  const double threshold = meda::util::parse_flag<double>(
+      "--threshold", flag_value(argc, argv, "--threshold", "1.25"));
+  if (!(threshold > 0.0)) {
     std::fprintf(stderr, "bench_compare: --threshold must be positive\n");
     return 2;
   }
@@ -152,4 +153,7 @@ int main(int argc, char** argv) {
   }
 
   return regressions > 0 ? 1 : 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "bench_compare: %s\n", e.what());
+  return 2;
 }

@@ -36,6 +36,7 @@
 //   --checkpoint PATH  persist completed (cell, chip) slots to PATH.
 //   --resume           reload compatible completed slots from PATH.
 
+#include <exception>
 #include <iostream>
 
 #include "assay/benchmarks.hpp"
@@ -46,7 +47,7 @@
 
 using namespace meda;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const bool full = util::has_flag(argc, argv, "--full");
   const bool smoke = util::has_flag(argc, argv, "--smoke");
   sim::CampaignConfig config;
@@ -134,4 +135,7 @@ int main(int argc, char** argv) {
                "to three quarters of its executions, and the robust routers\n"
                "quarantine thousands of cells.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 2;
 }

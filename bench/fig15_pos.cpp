@@ -14,6 +14,7 @@
 // the tables and CSV are byte-identical at any job count.
 // `--checkpoint PATH` persists completed chips; `--resume` reloads them.
 
+#include <exception>
 #include <iostream>
 #include <vector>
 
@@ -27,7 +28,7 @@
 
 using namespace meda;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   sim::CampaignConfig config;
   config.jobs = util::parse_jobs_flag(argc, argv);
   config.checkpoint.path = util::flag_value(argc, argv, "--checkpoint", "");
@@ -90,4 +91,7 @@ int main(int argc, char** argv) {
                "Dilution, NuIP) at intermediate budgets.\n"
                "(Series also written to fig15_pos.csv.)\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 2;
 }

@@ -15,6 +15,7 @@
 // byte-identical at any job count.
 // `--checkpoint PATH` persists completed trials; `--resume` reloads them.
 
+#include <exception>
 #include <iostream>
 #include <sstream>
 #include <vector>
@@ -79,7 +80,6 @@ Summary run_config(const assay::MoList& assay_list, bool adaptive,
     config.chip.faults.fail_at_hi = 120;
     config.scheduler.adaptive = adaptive;
     config.scheduler.max_cycles = 1200;
-    config.successes_target = 5;
     config.kmax_total = kBudget;
     config.seed = 7000 + static_cast<std::uint64_t>(t);  // same chips/faults
     results[t] = sim::run_trial(assay_list, config);
@@ -101,7 +101,7 @@ Summary run_config(const assay::MoList& assay_list, bool adaptive,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const int jobs = util::parse_jobs_flag(argc, argv);
   std::cout << "=== Fig. 16 — trial cycles under fault injection ===\n("
             << kTrials << " trials; 5 successes or " << kBudget
@@ -161,4 +161,7 @@ int main(int argc, char** argv) {
                "fewer cycles with smaller SD; baseline aborts dominate under\n"
                "clustered faults.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 2;
 }

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <exception>
 #include <iostream>
 #include <iterator>
 #include <string>
@@ -56,14 +57,11 @@ double median(std::vector<double> v) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const int reps = std::stoi(util::flag_value(argc, argv, "--reps", "15"));
-  const std::uint64_t seed =
-      std::stoull(util::flag_value(argc, argv, "--seed", "2021"));
-  if (reps < 1) {
-    std::cerr << "--reps must be at least 1\n";
-    return 2;
-  }
+int main(int argc, char** argv) try {
+  const int reps = util::parse_flag<int>(
+      "--reps", util::flag_value(argc, argv, "--reps", "15"), 1);
+  const auto seed = util::parse_flag<std::uint64_t>(
+      "--seed", util::flag_value(argc, argv, "--seed", "2021"));
 
   core::SynthesisConfig config;
   config.rules.enable_morphing = false;  // positional states, as in Table V
@@ -141,4 +139,7 @@ int main(int argc, char** argv) {
                "gives none. Ours are the paper's states minus 2.)\n"
                "(Series also written to tablev_synthesis_runtime.csv.)\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 2;
 }

@@ -82,10 +82,8 @@ int main() {
     config.pre_wear_max = wear;
     sim::SimulatedChip chip(config, Rng(99));
     Rng sampler(4);
-    core::RoutabilityConfig rconfig;
-    rconfig.jobs = 40;
     const core::RoutabilityReport report = core::assess_routability(
-        chip.sense_health(), chip.health_bits(), rconfig, sampler);
+        chip.sense_health(), chip.health_bits(), 40, sampler);
     health_table.add_row(
         {wear == 0 ? "fresh" : "pre-wear <= " + std::to_string(wear),
          fmt_prob(report.feasible_fraction),

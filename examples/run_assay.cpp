@@ -31,13 +31,9 @@
 //   --robust              health filter + recovery ladder (watchdog,
 //                         re-sense, quarantine, bounded retries, abort)
 
-#include <charconv>
 #include <cstring>
 #include <iostream>
-#include <limits>
-#include <stdexcept>
 #include <string>
-#include <type_traits>
 
 #include "assay/benchmarks.hpp"
 #include "assay/parser.hpp"
@@ -46,6 +42,7 @@
 #include "obs/obs.hpp"
 #include "sim/report.hpp"
 #include "sim/simulated_chip.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
 using namespace meda;
@@ -54,28 +51,6 @@ namespace {
 
 assay::MoList pick_assay(const std::string& name) {
   return assay::make_benchmark(name);
-}
-
-/// Parses the whole of @p text as a T (an integer type or double). Trailing
-/// characters, a sign an unsigned T cannot hold, a value out of T's range
-/// and one below @p min throw std::invalid_argument naming @p flag and the
-/// value.
-template <typename T>
-T parse_value(const std::string& flag, const std::string& text,
-              T min = std::numeric_limits<T>::lowest()) {
-  T value{};
-  const char* const end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, value);
-  if (error == std::errc{} && stop == end && !(value < min)) return value;
-  std::string expected = "an integer";
-  if constexpr (std::is_floating_point_v<T>)
-    expected = "a number";
-  else if (min > 0)
-    expected += " >= " + std::to_string(min);
-  else if constexpr (std::is_unsigned_v<T>)
-    expected = "a non-negative integer";
-  throw std::invalid_argument(flag + ": expected " + expected + ", got '" +
-                              text + "'");
 }
 
 [[noreturn]] void usage() {
@@ -122,41 +97,41 @@ int main(int argc, char** argv) {
         sched.adaptive = false;
       } else if (arg == "--reactive") {
         sched.adaptive = false;
-        sched.reactive_recovery_stuck_cycles = parse_value<int>(arg, next());
+        sched.reactive_recovery_stuck_cycles = util::parse_flag<int>(arg, next());
       } else if (arg == "--runs") {
-        runs = parse_value<int>(arg, next(), 1);
+        runs = util::parse_flag<int>(arg, next(), 1);
       } else if (arg == "--seed") {
-        seed = parse_value<std::uint64_t>(arg, next());
+        seed = util::parse_flag<std::uint64_t>(arg, next());
       } else if (arg == "--prewear") {
-        chip_config.pre_wear_max = parse_value<std::uint64_t>(arg, next());
+        chip_config.pre_wear_max = util::parse_flag<std::uint64_t>(arg, next());
       } else if (arg == "--faults") {
         const std::string mode = next();
         if (mode == "uniform") chip_config.faults.mode = FaultMode::kUniform;
         else if (mode == "clustered")
           chip_config.faults.mode = FaultMode::kClustered;
         else usage();
-        chip_config.faults.faulty_fraction = parse_value<double>(arg, next());
+        chip_config.faults.faulty_fraction = util::parse_flag<double>(arg, next());
         chip_config.faults.fail_at_lo = 15;
         chip_config.faults.fail_at_hi = 150;
       } else if (arg == "--degradation") {
-        chip_config.chip.degradation.c_lo = parse_value<double>(arg, next());
-        chip_config.chip.degradation.c_hi = parse_value<double>(arg, next());
+        chip_config.chip.degradation.c_lo = util::parse_flag<double>(arg, next());
+        chip_config.chip.degradation.c_hi = util::parse_flag<double>(arg, next());
       } else if (arg == "--max-cycles") {
-        sched.max_cycles = parse_value<std::uint64_t>(arg, next());
+        sched.max_cycles = util::parse_flag<std::uint64_t>(arg, next());
       } else if (arg == "--trace") {
         trace_path = next();
       } else if (arg == "--metrics") {
         metrics_path = next();
       } else if (arg == "--ascii-trace") {
-        trace_every = parse_value<int>(arg, next());
+        trace_every = util::parse_flag<int>(arg, next());
         chip_config.record_droplet_trace = true;
       } else if (arg == "--report") {
         report_path = next();
         chip_config.record_droplet_trace = true;
       } else if (arg == "--health-bits") {
-        chip_config.chip.health_bits = parse_value<int>(arg, next());
+        chip_config.chip.health_bits = util::parse_flag<int>(arg, next());
       } else if (arg == "--sensor-noise") {
-        chip_config.sensor.bit_flip_p = parse_value<double>(arg, next());
+        chip_config.sensor.bit_flip_p = util::parse_flag<double>(arg, next());
         chip_config.sensor.stuck_fraction = 0.01;
         chip_config.sensor.frame_drop_p = 0.02;
       } else if (arg == "--robust") {

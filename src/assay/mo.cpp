@@ -108,22 +108,6 @@ MoList translate_assay(const MoList& list, double dx, double dy) {
   return shifted;
 }
 
-MoList replicate_critical_dispenses(const MoList& list, int n) {
-  if (n < 2) return list;
-  MoList annotated = list;
-  for (const Mo& mo : annotated.ops) {
-    if (mo.type != MoType::kMix && mo.type != MoType::kDilute) continue;
-    for (const PreRef& ref : mo.pre) {
-      if (ref.mo < 0 || ref.mo >= static_cast<int>(annotated.ops.size()))
-        continue;
-      Mo& pre = annotated.ops[static_cast<std::size_t>(ref.mo)];
-      if (pre.type == MoType::kDispense)
-        pre.replicas = std::max(pre.replicas, n);
-    }
-  }
-  return annotated;
-}
-
 namespace {
 
 [[noreturn]] void fail(const MoList& list, int id, const std::string& what) {

@@ -99,14 +99,6 @@ MoList merge_assays(const MoList& a, const MoList& b);
 /// panel member into its own chip region before merging.
 MoList translate_assay(const MoList& list, double dx, double dy);
 
-/// Returns a copy of @p list with every dispense MO that directly feeds a
-/// mixing operation (mix or dilute) marked critical with `replicas = n`
-/// (n < 2 returns the list unchanged). Dispenses already annotated with a
-/// higher degree keep it. This is the assay-level NMR annotation; the
-/// scheduler also accepts the same policy at run time via
-/// SchedulerConfig::replicate_critical_dispenses.
-MoList replicate_critical_dispenses(const MoList& list, int n);
-
 /// Validates an MO list against a chip: ids are positional, predecessor
 /// references point backwards to existing outputs, each output droplet is
 /// consumed at most once, every non-sink output is eventually consumed, loc

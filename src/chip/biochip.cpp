@@ -1,6 +1,7 @@
 #include "chip/biochip.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/check.hpp"
 
@@ -9,7 +10,8 @@ namespace meda {
 DegradationParams DegradationRange::sample(Rng& rng) const {
   MEDA_REQUIRE(0.0 <= tau_lo && tau_lo <= tau_hi && tau_hi <= 1.0,
                "tau range invalid");
-  MEDA_REQUIRE(0.0 < c_lo && c_lo <= c_hi, "c range invalid");
+  MEDA_REQUIRE(0.0 < c_lo && c_lo <= c_hi && std::isfinite(c_hi),
+               "c range invalid");
   return DegradationParams{rng.uniform(tau_lo, tau_hi),
                            rng.uniform(c_lo, c_hi)};
 }

@@ -22,7 +22,8 @@ struct DegradationRange {
   double c_lo = 200.0;
   double c_hi = 500.0;
 
-  /// Samples one (τ, c) pair.
+  /// Samples one (τ, c) pair. Requires 0 ≤ tau_lo ≤ tau_hi ≤ 1 and
+  /// 0 < c_lo ≤ c_hi < ∞.
   DegradationParams sample(Rng& rng) const;
 };
 

@@ -12,6 +12,10 @@ namespace meda {
 
 namespace {
 
+/// Edge length of a fault cluster (the paper's 2×2 clusters), clamped to
+/// the chip's sides.
+constexpr int kFaultClusterSize = 2;
+
 /// The int bounds of the failure-threshold draw. A bound beyond INT_MAX
 /// would wrap or invert them, so it is rejected by name before any draw.
 std::pair<int, int> threshold_bounds(const FaultInjectionConfig& cfg) {
@@ -76,8 +80,7 @@ std::vector<Vec2i> inject_faults(Biochip& chip,
     for (int flat : sample_without_replacement(rng, total, target))
       chosen.insert(Vec2i{flat % chip.width(), flat / chip.width()});
   } else {
-    MEDA_REQUIRE(config.cluster_size >= 1, "cluster size must be positive");
-    const int cs = std::min({config.cluster_size, chip.width(), chip.height()});
+    const int cs = std::min({kFaultClusterSize, chip.width(), chip.height()});
     // Place clusters until the target cell count is covered. Clusters are
     // placed independently, so overlaps are possible (and simply merge).
     // Two guarantees keep the count exact (no silent over/undershoot):

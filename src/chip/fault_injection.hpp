@@ -29,7 +29,6 @@ struct FaultInjectionConfig {
   double faulty_fraction = 0.05;   ///< fraction of MCs made faulty
   std::uint64_t fail_at_lo = 50;   ///< sudden-failure threshold, lower bound
   std::uint64_t fail_at_hi = 400;  ///< sudden-failure threshold, upper bound
-  int cluster_size = 2;            ///< cluster edge length (paper: 2×2)
 };
 
 /// Marks MCs of @p chip as faulty according to @p config and returns the

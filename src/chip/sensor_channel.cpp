@@ -15,8 +15,6 @@ SensorChannel::SensorChannel(const SensorNoiseConfig& config, int width,
   MEDA_REQUIRE(config.bit_flip_p >= 0.0 && config.bit_flip_p <= 1.0 &&
                    config.stuck_fraction >= 0.0 &&
                    config.stuck_fraction <= 1.0 &&
-                   config.stuck_at_one_share >= 0.0 &&
-                   config.stuck_at_one_share <= 1.0 &&
                    config.frame_drop_p >= 0.0 && config.frame_drop_p < 1.0,
                "sensor noise probabilities out of range");
   if (config.bit_flip_p > 0.0 && config.bit_flip_p < 1.0)
@@ -32,7 +30,7 @@ SensorChannel::SensorChannel(const SensorNoiseConfig& config, int width,
       StuckCell& cell = stuck_[static_cast<std::size_t>(flat / bits)];
       const auto bit = static_cast<std::uint16_t>(1u << (flat % bits));
       cell.mask |= bit;
-      if (rng.bernoulli(config.stuck_at_one_share)) cell.ones |= bit;
+      if (rng.bernoulli(kStuckAtOneShare)) cell.ones |= bit;
     }
     stuck_count_ = target;
   }

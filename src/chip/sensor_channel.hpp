@@ -35,6 +35,9 @@
 
 namespace meda {
 
+/// Share of stuck DFFs that are stuck-at-1 (the rest are stuck-at-0).
+inline constexpr double kStuckAtOneShare = 0.5;
+
 /// Error-channel configuration for the health scan-out path.
 struct SensorNoiseConfig {
   /// Per-bit probability of a transient flip (independent per read).
@@ -42,8 +45,6 @@ struct SensorNoiseConfig {
   /// Fraction of scan-chain DFF positions that are permanently stuck.
   /// Stuck positions are sampled once per chip and persist across reads.
   double stuck_fraction = 0.0;
-  /// Share of stuck DFFs that are stuck-at-1 (the rest are stuck-at-0).
-  double stuck_at_one_share = 0.5;
   /// Probability a whole scan frame is dropped; the reader then sees the
   /// last successfully transferred frame (staleness). The first frame is
   /// never dropped (there is nothing stale to fall back to).

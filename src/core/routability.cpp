@@ -8,32 +8,32 @@
 namespace meda::core {
 namespace {
 
+/// Edge length of a sampled job's square droplet.
+constexpr int kDropletSide = 4;
 /// Minimum start→goal Manhattan distance of a sampled job.
 constexpr int kMinDistance = 10;
 
 }  // namespace
 
 RoutabilityReport assess_routability(const IntMatrix& health, int health_bits,
-                                     const RoutabilityConfig& config,
-                                     Rng& rng) {
-  MEDA_REQUIRE(config.jobs > 0, "need at least one job");
-  MEDA_REQUIRE(config.droplet_side >= 1, "droplet side must be positive");
+                                     int jobs, Rng& rng) {
+  MEDA_REQUIRE(jobs > 0, "need at least one job");
   const int width = health.width();
   const int height = health.height();
-  const int side = config.droplet_side;
+  constexpr int side = kDropletSide;
   MEDA_REQUIRE(width > side && height > side,
                "chip too small for the droplet");
   const Rect chip{0, 0, width - 1, height - 1};
 
-  const Synthesizer synthesizer(chip, config.synthesis);
+  const Synthesizer synthesizer(chip, SynthesisConfig{});
   const DoubleMatrix fresh = full_health_force(width, height);
 
   RoutabilityReport report;
-  report.jobs = config.jobs;
+  report.jobs = jobs;
   double cycles_sum = 0.0;
   double stretch_sum = 0.0;
 
-  for (int j = 0; j < config.jobs; ++j) {
+  for (int j = 0; j < jobs; ++j) {
     // Sample a start/goal pair with a minimum separation (re-draw the goal
     // a bounded number of times; fall back to whatever we have).
     const auto sample_corner = [&] {

@@ -15,13 +15,6 @@
 
 namespace meda::core {
 
-/// Sampling configuration.
-struct RoutabilityConfig {
-  int jobs = 50;            ///< random start/goal pairs to sample
-  int droplet_side = 4;     ///< droplet pattern edge length
-  SynthesisConfig synthesis{};
-};
-
 /// Aggregate routability of a health state.
 struct RoutabilityReport {
   int jobs = 0;
@@ -34,10 +27,10 @@ struct RoutabilityReport {
   double mean_stretch = 0.0;
 };
 
-/// Assesses routability of @p health (b-bit codes) by sampling random jobs.
-/// Deterministic for a given @p rng state.
+/// Assesses routability of @p health (b-bit codes) by sampling @p jobs
+/// random start/goal pairs of 4×4 droplets, each synthesized with the
+/// default SynthesisConfig. Deterministic for a given @p rng state.
 RoutabilityReport assess_routability(const IntMatrix& health, int health_bits,
-                                     const RoutabilityConfig& config,
-                                     Rng& rng);
+                                     int jobs, Rng& rng);
 
 }  // namespace meda::core

@@ -7,26 +7,6 @@
 
 namespace meda {
 
-namespace {
-
-/// Whether the rules' class switches admit the actions of class @p c.
-bool class_allowed(ActionClass c, const ActionRules& rules) {
-  switch (c) {
-    case ActionClass::kCardinal:
-      return true;
-    case ActionClass::kDouble:
-      return rules.enable_double_steps;
-    case ActionClass::kOrdinal:
-      return rules.enable_ordinal;
-    case ActionClass::kWiden:
-    case ActionClass::kHeighten:
-      return rules.enable_morphing;
-  }
-  throw InvariantError("unknown action class");
-}
-
-}  // namespace
-
 ActionEntry resolve_action(Action a, int width, int height) {
   MEDA_REQUIRE(width >= 1 && height >= 1, "action on an empty droplet shape");
   const Rect d = Rect::from_size(0, 0, width, height);
@@ -86,8 +66,7 @@ std::span<const ActionEntry> ActionTable::actions(int width, int height) {
   for (Action a : kAllActions) {
     // The guard reads only the droplet's shape, so one reference placement
     // decides it for every placement.
-    if (!class_allowed(action_class(a), rules_) ||
-        !guard_satisfied(a, reference, rules_))
+    if (!rules_.allows(action_class(a)) || !guard_satisfied(a, reference))
       continue;
     ActionEntry entry = resolve_action(a, width, height);
     // action_enabled also refuses an empty pulling frontier.

@@ -5,10 +5,9 @@
 
 namespace meda {
 
-bool guard_satisfied(Action a, const Rect& d, const ActionRules& rules) {
+bool guard_satisfied(Action a, const Rect& d) {
   MEDA_REQUIRE(d.valid(), "guard on an invalid droplet");
-  MEDA_REQUIRE(rules.max_aspect_ratio >= 1.0, "aspect ratio bound must be >= 1");
-  const double r = rules.max_aspect_ratio;
+  constexpr double r = kMaxAspectRatio;
   switch (action_class(a)) {
     case ActionClass::kCardinal:
     case ActionClass::kOrdinal:
@@ -34,21 +33,7 @@ bool guard_satisfied(Action a, const Rect& d, const ActionRules& rules) {
 
 bool action_enabled(Action a, const Rect& d, const ActionRules& rules,
                     const Rect& chip) {
-  switch (action_class(a)) {
-    case ActionClass::kCardinal:
-      break;
-    case ActionClass::kDouble:
-      if (!rules.enable_double_steps) return false;
-      break;
-    case ActionClass::kOrdinal:
-      if (!rules.enable_ordinal) return false;
-      break;
-    case ActionClass::kWiden:
-    case ActionClass::kHeighten:
-      if (!rules.enable_morphing) return false;
-      break;
-  }
-  if (!guard_satisfied(a, d, rules)) return false;
+  if (!rules.allows(action_class(a)) || !guard_satisfied(a, d)) return false;
 
   // The final droplet must stay on the chip.
   if (!chip.contains(apply(a, d))) return false;

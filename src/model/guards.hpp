@@ -15,26 +15,31 @@
 
 namespace meda {
 
-/// Guard/enabling configuration for the action set.
+/// r, the morph guard's aspect-ratio bound (Section V-B): a morph must keep
+/// the droplet's aspect ratio within [1/r, r].
+inline constexpr double kMaxAspectRatio = 1.5;
+
+/// Enabling configuration for the action set. Cardinal, double-step and
+/// ordinal moves are always in it.
 struct ActionRules {
-  double max_aspect_ratio = 1.5;    ///< r; allowed AR range is [1/r, r]
-  bool enable_double_steps = true;  ///< include A_dd in the enabled set
-  bool enable_ordinal = true;       ///< include A_dd' in the enabled set
-  bool enable_morphing = true;      ///< include A_↓/A_↑ in the enabled set
+  bool enable_morphing = true;  ///< include A_↓/A_↑ in the enabled set
+
+  /// Whether the actions of class @p c are in the enabled set.
+  bool allows(ActionClass c) const {
+    return enable_morphing ||
+           (c != ActionClass::kWiden && c != ActionClass::kHeighten);
+  }
 
   /// The field list (see core::SchedulerConfig::for_each_field).
   template <typename F, typename... C>
   static void for_each_field(F&& f, C&&... c) {
-    f("max_aspect_ratio", c.max_aspect_ratio...);
-    f("enable_double_steps", c.enable_double_steps...);
-    f("enable_ordinal", c.enable_ordinal...);
     f("enable_morphing", c.enable_morphing...);
   }
 };
 
 /// Evaluates the guard of @p a on @p droplet (geometry-only; ignores the
-/// enable_* switches). Movement actions are unguarded and return true.
-bool guard_satisfied(Action a, const Rect& droplet, const ActionRules& rules);
+/// morphing switch). Movement actions are unguarded and return true.
+bool guard_satisfied(Action a, const Rect& droplet);
 
 /// Full enabling check used by the model builder and the simulator: the
 /// action class is enabled by @p rules, its guard holds, and both its

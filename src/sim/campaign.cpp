@@ -158,15 +158,12 @@ std::vector<CampaignCell> run_campaign(
     digest.mix(static_cast<int>(chip.faults.mode));
     digest.mix(chip.faults.faulty_fraction);
     digest.mix(chip.faults.fail_at_lo).mix(chip.faults.fail_at_hi);
-    digest.mix(chip.faults.cluster_size);
-    ActionRules::for_each_field(util::MixFieldValue{digest}, chip.rules);
     digest.mix(chip.pre_wear_max);
     digest.mix(static_cast<std::uint64_t>(config.levels.size()));
     for (const ChaosLevel& level : config.levels) {
       digest.mix(level.name);
       digest.mix(level.sensor.bit_flip_p);
       digest.mix(level.sensor.stuck_fraction);
-      digest.mix(level.sensor.stuck_at_one_share);
       digest.mix(level.sensor.frame_drop_p);
     }
     checkpoint.open(config.checkpoint.path, digest.value(),

@@ -17,13 +17,12 @@ double probability_of_success(const std::vector<core::ExecutionStats>& runs,
 }
 
 TrialResult run_trial(const assay::MoList& assay, const TrialConfig& config) {
-  MEDA_REQUIRE(config.successes_target >= 1, "need a positive target");
   Rng rng(config.seed);
   SimulatedChip chip(config.chip, rng.fork(0xF417));
   core::StrategyLibrary library;
 
   TrialResult result;
-  while (result.successes < config.successes_target) {
+  while (result.successes < kTrialSuccesses) {
     if (result.total_cycles >= config.kmax_total) {
       result.aborted = true;
       break;

@@ -22,13 +22,15 @@ namespace meda::sim {
 double probability_of_success(const std::vector<core::ExecutionStats>& runs,
                               std::uint64_t kmax);
 
+/// Successful executions that complete a Fig. 16 trial (Section VII-C).
+inline constexpr int kTrialSuccesses = 5;
+
 /// Fig. 16 trial configuration: repeat the bioassay on one chip until
-/// `successes_target` successful executions, aborting when the cumulative
+/// kTrialSuccesses successful executions, aborting when the cumulative
 /// cycle count exceeds `kmax_total`.
 struct TrialConfig {
   SimulatedChipConfig chip{};
   core::SchedulerConfig scheduler{};
-  int successes_target = 5;
   std::uint64_t kmax_total = 1000;
   std::uint64_t seed = 1;
 };

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "model/actuation.hpp"
+#include "model/guards.hpp"
 #include "model/outcomes.hpp"
 #include "util/check.hpp"
 
@@ -168,7 +169,7 @@ void SimulatedChip::step(const std::vector<core::Command>& commands) {
     if (it != commanded.end() && it->second->action.has_value()) {
       const core::Command& cmd = *it->second;
       const Action a = *cmd.action;
-      MEDA_REQUIRE(action_enabled(a, pos, config_.rules, chip_.bounds()),
+      MEDA_REQUIRE(action_enabled(a, pos, ActionRules{}, chip_.bounds()),
                    "commanded action is not enabled");
       partner[i] = cmd.merge_partner;
       // The shifted-in pattern is the target a(δ) regardless of outcome.

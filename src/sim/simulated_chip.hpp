@@ -9,7 +9,6 @@
 #include "chip/fault_injection.hpp"
 #include "chip/sensor_channel.hpp"
 #include "core/biochip_io.hpp"
-#include "model/guards.hpp"
 #include "sim/adversary.hpp"
 #include "util/rng.hpp"
 
@@ -26,7 +25,6 @@ namespace meda::sim {
 struct SimulatedChipConfig {
   BiochipConfig chip{};
   FaultInjectionConfig faults{};
-  ActionRules rules{};  ///< action semantics (must match the controller's)
   /// Record the per-cycle Boolean actuation matrix (Section III-C study).
   bool record_actuation_trace = false;
   /// Record per-cycle droplet snapshots (positions after each step), for

@@ -1,12 +1,11 @@
 #include "util/thread_pool.hpp"
 
 #include <atomic>
-#include <charconv>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "util/check.hpp"
+#include "util/cli.hpp"
 
 namespace meda::util {
 
@@ -107,26 +106,13 @@ void parallel_for(int jobs, std::size_t count,
   pool.wait();
 }
 
-namespace {
-
-/// The value of `--jobs`: the whole of @p text as a non-negative int.
-int parse_jobs_value(std::string_view text) {
-  int jobs = -1;
-  const char* const end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, jobs);
-  MEDA_REQUIRE(error == std::errc{} && stop == end && jobs >= 0,
-               "--jobs expects a non-negative integer, got '" +
-                   std::string(text) + "'");
-  return jobs;
-}
-
-}  // namespace
-
 int parse_jobs_flag(int argc, char** argv, int default_jobs) {
   for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--jobs" && i + 1 < argc) return parse_jobs_value(argv[i + 1]);
-    if (arg.substr(0, 7) == "--jobs=") return parse_jobs_value(arg.substr(7));
+    const std::string arg = argv[i];
+    if (arg == "--jobs" && i + 1 < argc)
+      return parse_flag<int>("--jobs", argv[i + 1], 0);
+    if (arg.rfind("--jobs=", 0) == 0)
+      return parse_flag<int>("--jobs", arg.substr(7), 0);
   }
   return default_jobs;
 }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 
 #include "chip/microelectrode.hpp"
 #include "util/check.hpp"
@@ -297,6 +298,26 @@ TEST(Biochip, RejectsInvalidConfig) {
   EXPECT_THROW(Biochip(config, rng), PreconditionError);
   config = small_config();
   config.health_bits = 0;
+  EXPECT_THROW(Biochip(config, rng), PreconditionError);
+}
+
+TEST(Biochip, DegradationRangeRejectsNonFiniteBounds) {
+  // U(c_lo, inf) violates the standard uniform distribution's precondition
+  // (b - a <= DBL_MAX), so an infinite or NaN bound is refused before any
+  // draw.
+  Rng rng(2);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((DegradationRange{0.5, 0.9, 200.0, kInf}.sample(rng)),
+               PreconditionError);
+  EXPECT_THROW((DegradationRange{0.5, 0.9, kInf, kInf}.sample(rng)),
+               PreconditionError);
+  EXPECT_THROW((DegradationRange{0.5, 0.9, 200.0, kNaN}.sample(rng)),
+               PreconditionError);
+  EXPECT_THROW((DegradationRange{0.5, kNaN, 200.0, 500.0}.sample(rng)),
+               PreconditionError);
+  BiochipConfig config = small_config();
+  config.degradation.c_hi = kInf;
   EXPECT_THROW(Biochip(config, rng), PreconditionError);
 }
 

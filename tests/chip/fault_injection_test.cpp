@@ -71,7 +71,6 @@ TEST(FaultInjection, ClusteredFormsSquareClusters) {
   FaultInjectionConfig config;
   config.mode = FaultMode::kClustered;
   config.faulty_fraction = 0.05;
-  config.cluster_size = 2;
   const auto injected = inject_faults(chip, config, rng);
   EXPECT_GE(injected.size(), 60u);  // ≈ 5% of 1200 cells
   // Every injected cell has at least one injected neighbour within its 2×2
@@ -133,20 +132,16 @@ TEST(FaultInjection, ClusteredHitsTargetCountExactly) {
   // the count to round(fraction · cells), like the uniform mode.
   Rng rng(7);
   for (const double fraction : {0.02, 0.05, 0.11}) {
-    for (const int cluster_size : {2, 3}) {
-      Biochip chip = make_chip(rng, 40, 30);  // 1200 cells
-      FaultInjectionConfig config;
-      config.mode = FaultMode::kClustered;
-      config.faulty_fraction = fraction;
-      config.cluster_size = cluster_size;
-      const auto injected = inject_faults(chip, config, rng);
-      const auto target =
-          static_cast<std::size_t>(std::llround(fraction * 1200));
-      EXPECT_EQ(injected.size(), target)
-          << "fraction " << fraction << ", cluster " << cluster_size;
-      std::set<Vec2i> unique(injected.begin(), injected.end());
-      EXPECT_EQ(unique.size(), injected.size());
-    }
+    Biochip chip = make_chip(rng, 40, 30);  // 1200 cells
+    FaultInjectionConfig config;
+    config.mode = FaultMode::kClustered;
+    config.faulty_fraction = fraction;
+    const auto injected = inject_faults(chip, config, rng);
+    const auto target =
+        static_cast<std::size_t>(std::llround(fraction * 1200));
+    EXPECT_EQ(injected.size(), target) << "fraction " << fraction;
+    std::set<Vec2i> unique(injected.begin(), injected.end());
+    EXPECT_EQ(unique.size(), injected.size());
   }
 }
 
@@ -171,10 +166,14 @@ TEST(FaultInjection, ClusteredStaysInBoundsNearEdges) {
   FaultInjectionConfig config;
   config.mode = FaultMode::kClustered;
   config.faulty_fraction = 0.5;
-  config.cluster_size = 3;
   const auto injected = inject_faults(chip, config, rng);
   EXPECT_EQ(injected.size(), 13u);  // round(0.5 · 25), half rounds up
   for (const Vec2i& p : injected) EXPECT_TRUE(chip.in_bounds(p.x, p.y));
+  // On a one-row chip the cluster side clamps to 1.
+  Biochip row = make_chip(rng, 10, 1);
+  const auto in_row = inject_faults(row, config, rng);
+  EXPECT_EQ(in_row.size(), 5u);
+  for (const Vec2i& p : in_row) EXPECT_TRUE(row.in_bounds(p.x, p.y));
 }
 
 TEST(FaultInjection, RejectsBadFraction) {

@@ -38,7 +38,7 @@ class ReadoutChannel {
           config.stuck_fraction * static_cast<double>(n) + 0.5);
       for (int flat : sample_without_replacement(rng, n, target)) {
         stuck_[static_cast<std::size_t>(flat)] =
-            rng.bernoulli(config.stuck_at_one_share) ? 2 : 1;
+            rng.bernoulli(kStuckAtOneShare) ? 2 : 1;
       }
     }
   }

@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstddef>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -61,14 +61,6 @@ TEST(SensorChannel, RejectsBadProbabilities) {
   config.stuck_fraction = -0.1;
   EXPECT_THROW(SensorChannel(config, 4, 4, 2, rng.fork(3)),
                PreconditionError);
-  // Rng::bernoulli would clamp a share above 1 silently.
-  config = SensorNoiseConfig{};
-  config.stuck_at_one_share = 1.5;
-  EXPECT_THROW(SensorChannel(config, 4, 4, 2, rng.fork(4)),
-               PreconditionError);
-  config.stuck_at_one_share = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(SensorChannel(config, 4, 4, 2, rng.fork(5)),
-               PreconditionError);
 }
 
 TEST(SensorChannel, RejectsMismatchedFrame) {
@@ -92,7 +84,6 @@ TEST(SensorChannel, StuckBitsArePersistentAcrossReads) {
   Rng rng(6);
   SensorNoiseConfig config;
   config.stuck_fraction = 0.25;
-  config.stuck_at_one_share = 1.0;  // all stuck-at-1
   SensorChannel channel(config, 10, 10, 3, rng.fork(1));
   EXPECT_EQ(channel.stuck_bits(), 75);  // 25% of 10*10*3 positions
   const IntMatrix truth(10, 10, 0);
@@ -102,23 +93,32 @@ TEST(SensorChannel, StuckBitsArePersistentAcrossReads) {
   EXPECT_NE(r1, truth);  // stuck-at-1 bits must surface over all-zero truth
 }
 
-TEST(SensorChannel, StuckAtZeroOnlyPullsReadingsDown) {
+TEST(SensorChannel, StuckBitsHoldTheirLevel) {
+  // Without flips, a stuck-at-1 DFF sets its bit over an all-zero frame and
+  // a stuck-at-0 DFF clears it under an all-max frame. Each stuck DFF does
+  // exactly one of the two, and no other bit moves.
   Rng rng(7);
   SensorNoiseConfig config;
   config.stuck_fraction = 0.3;
-  config.stuck_at_one_share = 0.0;  // all stuck-at-0
   const int bits = 2;
+  const int max_code = (1 << bits) - 1;
   SensorChannel channel(config, 12, 8, bits, rng.fork(1));
-  const IntMatrix truth(12, 8, (1 << bits) - 1);
-  const IntMatrix seen = channel.read(truth, rng);
-  int lowered = 0;
+  const IntMatrix zeros = channel.read(IntMatrix(12, 8, 0), rng);
+  const IntMatrix maxed = channel.read(IntMatrix(12, 8, max_code), rng);
+  int stuck_at_one = 0;
+  int stuck_at_zero = 0;
   for (int y = 0; y < 8; ++y) {
     for (int x = 0; x < 12; ++x) {
-      EXPECT_LE(seen(x, y), truth(x, y));
-      if (seen(x, y) < truth(x, y)) ++lowered;
+      const auto set = static_cast<unsigned>(zeros(x, y));
+      const auto cleared = static_cast<unsigned>(max_code - maxed(x, y));
+      EXPECT_EQ(set & cleared, 0u) << x << "," << y;
+      stuck_at_one += std::popcount(set);
+      stuck_at_zero += std::popcount(cleared);
     }
   }
-  EXPECT_GT(lowered, 0);
+  EXPECT_EQ(stuck_at_one + stuck_at_zero, channel.stuck_bits());
+  EXPECT_GT(stuck_at_one, 0);
+  EXPECT_GT(stuck_at_zero, 0);
 }
 
 TEST(SensorChannel, FrameDropServesTheStaleFrame) {
@@ -174,49 +174,45 @@ TEST(SensorChannel, MatchesTheThreeStepReadout) {
   // At a stuck fraction of 1 every DFF is stuck: a read takes its drop draw
   // and, when 0 < p < 1, the one flip draw that ends the frame.
   constexpr std::array<double, 3> kStuck = {0.0, 0.2, 1.0};
-  constexpr std::array<double, 3> kShare = {0.0, 0.5, 1.0};
   constexpr std::array<double, 2> kDrop = {0.0, 0.3};
   Rng shapes(2024);
   int reads = 0;
   for (const double flip : kFlip) {
     for (const double stuck : kStuck) {
-      for (const double share : kShare) {
-        for (const double drop : kDrop) {
-          for (int trial = 0; trial < 4; ++trial) {
-            const int w = shapes.uniform_int(1, 12);
-            const int h = shapes.uniform_int(1, 12);
-            const int bits = shapes.uniform_int(1, 4);
-            SensorNoiseConfig config;
-            config.bit_flip_p = flip;
-            config.stuck_fraction = stuck;
-            config.stuck_at_one_share = share;
-            config.frame_drop_p = drop;
-            const std::uint64_t seed = shapes.next_u64();
-            SensorChannel channel(config, w, h, bits, Rng(seed));
-            reference::ReadoutChannel oracle(config, w, h, bits, Rng(seed));
-            Rng rng(seed + 1);
-            Rng oracle_rng(seed + 1);
-            Rng truth_rng(seed + 2);
-            for (int i = 0; i < 6; ++i) {
-              SCOPED_TRACE(::testing::Message()
-                           << w << "x" << h << "x" << bits << " flip "
-                           << flip << " stuck " << stuck << " share "
-                           << share << " drop " << drop << " read " << i);
-              const IntMatrix truth = random_health(w, h, bits, truth_rng);
-              ASSERT_EQ(channel.read(truth, rng),
-                        oracle.read(truth, oracle_rng));
-              ASSERT_EQ(channel.bits_flipped(), oracle.bits_flipped());
-              ASSERT_EQ(channel.frames_dropped(), oracle.frames_dropped());
-              ASSERT_EQ(channel.staleness(), oracle.staleness());
-              ASSERT_TRUE(rng.engine() == oracle_rng.engine());
-              ++reads;
-            }
+      for (const double drop : kDrop) {
+        for (int trial = 0; trial < 12; ++trial) {
+          const int w = shapes.uniform_int(1, 12);
+          const int h = shapes.uniform_int(1, 12);
+          const int bits = shapes.uniform_int(1, 4);
+          SensorNoiseConfig config;
+          config.bit_flip_p = flip;
+          config.stuck_fraction = stuck;
+          config.frame_drop_p = drop;
+          const std::uint64_t seed = shapes.next_u64();
+          SensorChannel channel(config, w, h, bits, Rng(seed));
+          reference::ReadoutChannel oracle(config, w, h, bits, Rng(seed));
+          Rng rng(seed + 1);
+          Rng oracle_rng(seed + 1);
+          Rng truth_rng(seed + 2);
+          for (int i = 0; i < 6; ++i) {
+            SCOPED_TRACE(::testing::Message()
+                         << w << "x" << h << "x" << bits << " flip " << flip
+                         << " stuck " << stuck << " drop " << drop << " read "
+                         << i);
+            const IntMatrix truth = random_health(w, h, bits, truth_rng);
+            ASSERT_EQ(channel.read(truth, rng),
+                      oracle.read(truth, oracle_rng));
+            ASSERT_EQ(channel.bits_flipped(), oracle.bits_flipped());
+            ASSERT_EQ(channel.frames_dropped(), oracle.frames_dropped());
+            ASSERT_EQ(channel.staleness(), oracle.staleness());
+            ASSERT_TRUE(rng.engine() == oracle_rng.engine());
+            ++reads;
           }
         }
       }
     }
   }
-  EXPECT_EQ(reads, 4 * 3 * 3 * 2 * 4 * 6);
+  EXPECT_EQ(reads, 4 * 3 * 2 * 12 * 6);
 }
 
 TEST(SensorChannel, MatchesTheThreeStepReadoutAtTheProductionShape) {

@@ -169,42 +169,44 @@ TEST(PatchCompiledMdp, SingleDeadCellInAWideFrontierStaysPatchable) {
 }
 
 TEST(PatchCompiledMdp, SelfLoopBranchesKeepTheTransitionCountExact) {
-  // Cardinal moves on a fully healthy chip succeed with probability 1, so
-  // no choice has a failure self-loop. Wearing one frontier cell makes
-  // those branches appear while the off-state topology holds: the patch
-  // goes through, must report the added branches and must keep the
-  // per-choice outcome counts of a fresh build; healing the cell takes
-  // them back.
-  ActionRules cardinal;
-  cardinal.enable_double_steps = false;
-  cardinal.enable_ordinal = false;
-  cardinal.enable_morphing = false;
-  const IntMatrix healthy = uniform_health(kFull);
+  // A corridor as tall as the droplet: the 3×3 droplet's north and south
+  // frontiers lie off the 12×3 chip, so only E and W are enabled, and on a
+  // fully healthy chip each succeeds with probability 1 and has no failure
+  // self-loop. Wearing one frontier cell makes those branches appear while
+  // the off-state topology holds: the patch goes through, must report the
+  // added branches and must keep the per-choice outcome counts of a fresh
+  // build; healing the cell takes them back.
+  const Rect corridor{0, 0, 11, 2};
+  assay::RoutingJob rj;
+  rj.start = Rect::from_size(0, 0, 3, 3);
+  rj.goal = Rect::from_size(9, 0, 3, 3);
+  rj.hazard = corridor;
+  const IntMatrix healthy(12, 3, kFull);
   IntMatrix worn = healthy;
-  worn(4, 5) = kFull - 1;  // on the start droplet's east frontier
+  worn(3, 1) = kFull - 1;  // on the E frontier of x = 0 and W of x = 4
   CompiledModel model =
-      build_compiled_mdp(fixture_job(), force_of(healthy), chip(), cardinal);
+      build_compiled_mdp(rj, force_of(healthy), corridor, ActionRules{});
   const CompiledModel fresh =
-      build_compiled_mdp(fixture_job(), force_of(worn), chip(), cardinal);
+      build_compiled_mdp(rj, force_of(worn), corridor, ActionRules{});
   const auto added = static_cast<std::int64_t>(fresh.stats.transitions) -
                      static_cast<std::int64_t>(model.stats.transitions);
-  ASSERT_GT(added, 0);
+  EXPECT_EQ(added, 2);
 
   MdpPatch patch = patch_compiled_mdp(
-      model.mdp, model.geometry, force_of(worn), chip(), chip(), cardinal,
-      health_delta_cells(healthy, worn));
+      model.mdp, model.geometry, force_of(worn), corridor, corridor,
+      ActionRules{}, health_delta_cells(healthy, worn));
   ASSERT_TRUE(patch.patched);
   EXPECT_EQ(patch.transitions_delta, added);
   expect_byte_equivalent(model.mdp, fresh.mdp, "worn");
   EXPECT_EQ(model.geometry.choice_outcomes, fresh.geometry.choice_outcomes);
 
   patch = patch_compiled_mdp(model.mdp, model.geometry, force_of(healthy),
-                             chip(), chip(), cardinal,
+                             corridor, corridor, ActionRules{},
                              health_delta_cells(worn, healthy));
   ASSERT_TRUE(patch.patched);
   EXPECT_EQ(patch.transitions_delta, -added);
   const CompiledModel healed =
-      build_compiled_mdp(fixture_job(), force_of(healthy), chip(), cardinal);
+      build_compiled_mdp(rj, force_of(healthy), corridor, ActionRules{});
   expect_byte_equivalent(model.mdp, healed.mdp, "healed");
   EXPECT_EQ(model.geometry.choice_outcomes, healed.geometry.choice_outcomes);
 }
@@ -212,17 +214,19 @@ TEST(PatchCompiledMdp, SelfLoopBranchesKeepTheTransitionCountExact) {
 TEST(PatchCompiledMdp, RulesOtherThanTheBuildsAreRejected) {
   // The patch re-derives each state's enabled actions from the rules; a
   // rule set that enables a different action list cannot line up with the
-  // retained choices.
+  // retained choices. A 5×4 droplet can morph under r = 3/2, so the model
+  // has morph choices that rules without morphing do not enable.
+  assay::RoutingJob rj = fixture_job();
+  rj.start = Rect::from_size(0, 4, 5, 4);
   const IntMatrix health = uniform_health(5);
-  CompiledPair c = compile_fixture(force_of(health));
+  CompiledModel model =
+      build_compiled_mdp(rj, force_of(health), chip(), ActionRules{});
   IntMatrix worn = health;
-  worn(4, 5) = 3;
-  ActionRules cardinal;
-  cardinal.enable_double_steps = false;
-  cardinal.enable_ordinal = false;
-  cardinal.enable_morphing = false;
-  EXPECT_THROW(patch_compiled_mdp(c.mdp, c.geometry, force_of(worn), chip(),
-                                  chip(), cardinal,
+  worn(5, 5) = 3;  // on the start droplet's east frontier
+  ActionRules no_morph;
+  no_morph.enable_morphing = false;
+  EXPECT_THROW(patch_compiled_mdp(model.mdp, model.geometry, force_of(worn),
+                                  chip(), chip(), no_morph,
                                   health_delta_cells(health, worn)),
                PreconditionError);
 }

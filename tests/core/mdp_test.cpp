@@ -15,12 +15,10 @@ ActionRules no_morph_rules() {
 }
 
 /// Routing job across a square area with droplet and area side lengths.
-assay::RoutingJob corner_to_corner(int area_side, int droplet_side) {
+assay::RoutingJob corner_to_corner(int area_side, int side) {
   assay::RoutingJob rj;
-  rj.start = Rect::from_size(0, 0, droplet_side, droplet_side);
-  rj.goal = Rect::from_size(area_side - droplet_side,
-                            area_side - droplet_side, droplet_side,
-                            droplet_side);
+  rj.start = Rect::from_size(0, 0, side, side);
+  rj.goal = Rect::from_size(area_side - side, area_side - side, side, side);
   rj.hazard = Rect{0, 0, area_side - 1, area_side - 1};
   return rj;
 }

@@ -95,24 +95,26 @@ TEST(Resynthesize, WarmDeltaMatchesColdSynthesis) {
 
 TEST(Resynthesize, WarmStatsCountTheSelfLoopsAPatchAdds) {
   // Regression: a warm result reported the transition count of the
-  // retained model's cold build. Cardinal moves on a fresh 2-bit chip have
-  // no failure branch; wearing one frontier cell from code 3 to 2 adds
-  // self-loop branches without changing the off-state topology, so the
-  // patch succeeds and its stats must equal a cold synthesis.
-  SynthesisConfig config;
-  config.rules.enable_double_steps = false;
-  config.rules.enable_ordinal = false;
-  config.rules.enable_morphing = false;
-  const Synthesizer synth(chip(), config);
-  IntMatrix health(kGrid, kGrid, 3);
+  // retained model's cold build. In a corridor as tall as the 3×3 droplet
+  // only E and W are enabled, and on a fresh chip they have no failure
+  // branch; wearing one frontier cell from code 7 to 6 adds self-loop
+  // branches without changing the off-state topology, so the patch
+  // succeeds and its stats must equal a cold synthesis.
+  const Rect corridor{0, 0, 11, 2};
+  assay::RoutingJob rj;
+  rj.start = Rect::from_size(0, 0, 3, 3);
+  rj.goal = Rect::from_size(9, 0, 3, 3);
+  rj.hazard = corridor;
+  const Synthesizer synth(corridor);
+  IntMatrix health(12, 3, (1 << kBits) - 1);
   ResynthesisContext ctx;
-  synth.resynthesize(fixture_job(), health, 2, ctx);
+  const SynthesisResult primed = synth.resynthesize(rj, health, kBits, ctx);
   ASSERT_TRUE(ctx.valid);
-  health(4, 5) = 2;  // on the start droplet's east frontier
-  const SynthesisResult warm =
-      synth.resynthesize(fixture_job(), health, 2, ctx);
+  health(3, 1) = (1 << kBits) - 2;  // on the start droplet's east frontier
+  const SynthesisResult warm = synth.resynthesize(rj, health, kBits, ctx);
   ASSERT_TRUE(warm.warm);
-  const SynthesisResult cold = synth.synthesize(fixture_job(), health, 2);
+  const SynthesisResult cold = synth.synthesize(rj, health, kBits);
+  EXPECT_GT(cold.stats.transitions, primed.stats.transitions);
   EXPECT_EQ(warm.stats.states, cold.stats.states);
   EXPECT_EQ(warm.stats.transitions, cold.stats.transitions);
   EXPECT_EQ(warm.stats.choices, cold.stats.choices);

@@ -12,12 +12,11 @@
 #include "util/check.hpp"
 
 /// The per-shape action table against the per-call API it stands in for in
-/// the model builder. Over every droplet shape up to 8×8, every combination
-/// of the rule switches, three aspect-ratio bounds and every placement on a
-/// 12×12 chip, the entries enabled at a placement must be exactly the
-/// actions action_enabled admits there, in kAllActions order, and every
-/// entry's rects, translated to the placement, must be what apply and
-/// frontier give there.
+/// the model builder. Over every droplet shape up to 8×8, morphing on and
+/// off, and every placement on a 12×12 chip, the entries enabled at a
+/// placement must be exactly the actions action_enabled admits there, in
+/// kAllActions order, and every entry's rects, translated to the placement,
+/// must be what apply and frontier give there.
 
 namespace meda {
 namespace {
@@ -71,50 +70,42 @@ TEST(ActionTable, MatchesActionEnabledApplyAndFrontierEverywhere) {
   int failures = 0;
   std::string first_failure;
   std::array<long long, 5> enabled_by_class{};
-  for (const double ratio : {1.0, 1.5, 2.5}) {
-    for (int switches = 0; switches < 8; ++switches) {
-      ActionRules rules;
-      rules.max_aspect_ratio = ratio;
-      rules.enable_double_steps = (switches & 1) != 0;
-      rules.enable_ordinal = (switches & 2) != 0;
-      rules.enable_morphing = (switches & 4) != 0;
-      ActionTable table(rules);
-      for (int w = 1; w <= kMaxSide; ++w) {
-        for (int h = 1; h <= kMaxSide; ++h) {
-          const auto entries = table.actions(w, h);
-          for (int y = 0; y + h <= kChip; ++y) {
-            for (int x = 0; x + w <= kChip; ++x) {
-              const Rect droplet = Rect::from_size(x, y, w, h);
-              ++placements;
-              std::vector<Action> want;
-              for (Action a : kAllActions)
-                if (action_enabled(a, droplet, rules, chip)) want.push_back(a);
-              std::vector<Action> got;
-              for (const ActionEntry& e : entries) {
-                const std::string bad = geometry_mismatch(e, droplet);
-                if (!bad.empty() && failures++ == 0)
-                  first_failure = std::string(to_string(e.action)) + " " +
-                                  bad + " at " + droplet.to_string();
-                if (e.enabled_at(droplet, chip)) {
-                  got.push_back(e.action);
-                  ++enabled_by_class[static_cast<std::size_t>(
-                      e.action_class)];
-                }
+  for (const bool morphing : {false, true}) {
+    ActionRules rules;
+    rules.enable_morphing = morphing;
+    ActionTable table(rules);
+    for (int w = 1; w <= kMaxSide; ++w) {
+      for (int h = 1; h <= kMaxSide; ++h) {
+        const auto entries = table.actions(w, h);
+        for (int y = 0; y + h <= kChip; ++y) {
+          for (int x = 0; x + w <= kChip; ++x) {
+            const Rect droplet = Rect::from_size(x, y, w, h);
+            ++placements;
+            std::vector<Action> want;
+            for (Action a : kAllActions)
+              if (action_enabled(a, droplet, rules, chip)) want.push_back(a);
+            std::vector<Action> got;
+            for (const ActionEntry& e : entries) {
+              const std::string bad = geometry_mismatch(e, droplet);
+              if (!bad.empty() && failures++ == 0)
+                first_failure = std::string(to_string(e.action)) + " " + bad +
+                                " at " + droplet.to_string();
+              if (e.enabled_at(droplet, chip)) {
+                got.push_back(e.action);
+                ++enabled_by_class[static_cast<std::size_t>(e.action_class)];
               }
-              if (got != want && failures++ == 0)
-                first_failure = "enabled set at " + droplet.to_string() +
-                                " (ratio " + std::to_string(ratio) +
-                                ", switches " + std::to_string(switches) +
-                                ")";
             }
+            if (got != want && failures++ == 0)
+              first_failure = "enabled set at " + droplet.to_string() +
+                              (morphing ? " (morphing on)" : " (morphing off)");
           }
         }
       }
     }
   }
   EXPECT_EQ(failures, 0) << "first: " << first_failure;
-  // 24 rule sets × (Σ_{s=1..8} (13 − s))² placements.
-  EXPECT_EQ(placements, 24LL * 68 * 68);
+  // 2 rule sets × (Σ_{s=1..8} (13 − s))² placements.
+  EXPECT_EQ(placements, 2LL * 68 * 68);
   for (std::size_t c = 0; c < enabled_by_class.size(); ++c)
     EXPECT_GT(enabled_by_class[c], 0) << "class " << c << " never enabled";
 }
@@ -139,9 +130,7 @@ TEST(ActionTable, ResolvingADegenerateMorphThrowsLikeApply) {
   EXPECT_THROW(resolve_action(Action::kHeightenSW, 1, 3), PreconditionError);
   EXPECT_THROW(resolve_action(Action::kN, 0, 2), PreconditionError);
   // The table never resolves them: the morph guard refuses unit sides.
-  ActionRules rules;
-  rules.max_aspect_ratio = 100.0;
-  ActionTable table(rules);
+  ActionTable table(ActionRules{});
   for (const ActionEntry& e : table.actions(3, 1))
     EXPECT_NE(e.action_class, ActionClass::kWiden) << to_string(e.action);
   for (const ActionEntry& e : table.actions(1, 3))

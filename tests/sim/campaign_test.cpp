@@ -502,7 +502,7 @@ void mark_every_slot(const std::string& path) {
 
 TEST(ChaosCampaign,
      CheckpointOfAnotherChipSensorOrSchedulerRecomputesEverything) {
-  // A resume under another chip pre-wear, under another stuck-at-one share
+  // A resume under another chip pre-wear, under another frame-drop rate
   // only, or under another scheduler setting of the same-named router (a
   // top-level one and one nested in the recovery ladder) must not graft the
   // checkpoint's slots: every slot is recomputed (no run keeps the marked
@@ -516,7 +516,7 @@ TEST(ChaosCampaign,
         c.chip.pre_wear_max = 150;
       },
       [](CampaignConfig& c, core::SchedulerConfig&) {
-        c.levels[1].sensor.stuck_at_one_share = 0.9;
+        c.levels[1].sensor.frame_drop_p = 0.2;
       },
       [](CampaignConfig&, core::SchedulerConfig& s) { s.max_cycles = 150; },
       [](CampaignConfig&, core::SchedulerConfig& s) {

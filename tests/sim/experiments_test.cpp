@@ -55,12 +55,11 @@ TEST(RunTrial, HealthyChipReachesTheTarget) {
   TrialConfig config;
   config.chip.chip.width = assay::kChipWidth;
   config.chip.chip.height = assay::kChipHeight;
-  config.successes_target = 3;
   config.kmax_total = 2000;
   config.seed = 11;
   const TrialResult r = run_trial(assay::covid_rat(), config);
-  EXPECT_EQ(r.successes, 3);
-  EXPECT_EQ(r.executions, 3);
+  EXPECT_EQ(r.successes, kTrialSuccesses);
+  EXPECT_EQ(r.executions, kTrialSuccesses);
   EXPECT_FALSE(r.aborted);
   EXPECT_EQ(r.first_failure_execution, 0);
   EXPECT_GT(r.total_cycles, 0u);
@@ -71,7 +70,6 @@ TEST(RunTrial, TinyBudgetAborts) {
   TrialConfig config;
   config.chip.chip.width = assay::kChipWidth;
   config.chip.chip.height = assay::kChipHeight;
-  config.successes_target = 5;
   config.kmax_total = 30;  // far below one execution's cycle count
   config.seed = 11;
   const TrialResult r = run_trial(assay::covid_rat(), config);
@@ -85,8 +83,7 @@ TEST(RunTrial, BudgetCapsTheCumulativeCycles) {
   config.chip.chip.width = assay::kChipWidth;
   config.chip.chip.height = assay::kChipHeight;
   config.chip.chip.degradation = DegradationRange{0.5, 0.7, 40.0, 80.0};
-  config.successes_target = 20;  // unreachable on this dying chip
-  config.kmax_total = 800;
+  config.kmax_total = 800;  // short of five executions on this dying chip
   config.seed = 13;
   const TrialResult r = run_trial(assay::serial_dilution(), config);
   EXPECT_TRUE(r.aborted);
@@ -139,7 +136,6 @@ TEST(RunTrial, DeterministicPerSeed) {
   TrialConfig config;
   config.chip.chip.width = assay::kChipWidth;
   config.chip.chip.height = assay::kChipHeight;
-  config.successes_target = 2;
   config.seed = 17;
   const TrialResult a = run_trial(assay::master_mix(), config);
   const TrialResult b = run_trial(assay::master_mix(), config);

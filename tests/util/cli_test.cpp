@@ -1,0 +1,75 @@
+#include "util/cli.hpp"
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <limits>
+#include <string>
+
+namespace meda::util {
+namespace {
+
+/// The message parse_flag throws for @p text, or "" when it parses.
+template <typename T>
+std::string rejection(const std::string& text,
+                      T min = std::numeric_limits<T>::lowest()) {
+  try {
+    parse_flag<T>("--flag", text, min);
+  } catch (const PreconditionError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ParseFlag, ParsesWholeValues) {
+  EXPECT_EQ(parse_flag<int>("--runs", "12"), 12);
+  EXPECT_EQ(parse_flag<int>("--reactive", "-3"), -3);
+  EXPECT_EQ(parse_flag<int>("--runs", "1", 1), 1);
+  EXPECT_EQ(parse_flag<std::uint64_t>("--seed", "18446744073709551615"),
+            18446744073709551615ull);
+  EXPECT_DOUBLE_EQ(parse_flag<double>("--threshold", "1.25"), 1.25);
+  EXPECT_DOUBLE_EQ(parse_flag<double>("--threshold", "2e-1"), 0.2);
+}
+
+TEST(ParseFlag, RejectsTrailingCharacters) {
+  for (const char* text : {"2x", "4 ", " 4", "1.5", "0x10", ""})
+    EXPECT_NE(rejection<int>(text), "") << "'" << text << "'";
+  EXPECT_NE(rejection<double>("2x"), "");
+  EXPECT_NE(rejection<double>("1.25.0"), "");
+  EXPECT_NE(rejection<std::uint64_t>("7seven"), "");
+}
+
+TEST(ParseFlag, RejectsOutOfRangeValues) {
+  EXPECT_NE(rejection<int>("99999999999"), "");
+  EXPECT_NE(rejection<int>("-99999999999"), "");
+  EXPECT_NE(rejection<std::uint64_t>("18446744073709551616"), "");
+  EXPECT_NE(rejection<double>("1e999"), "");
+}
+
+TEST(ParseFlag, RejectsNegativesForUnsignedTypes) {
+  const std::string message = rejection<std::uint64_t>("-1");
+  EXPECT_NE(message.find("a non-negative integer"), std::string::npos)
+      << message;
+  EXPECT_NE(rejection<unsigned>("-0"), "");
+}
+
+TEST(ParseFlag, RejectsValuesBelowTheMinimum) {
+  EXPECT_NE(rejection<int>("0", 1), "");
+  EXPECT_NE(rejection<int>("-1", 0), "");
+  EXPECT_NE(rejection<double>("-0.5", 0.0), "");
+  EXPECT_EQ(rejection<int>("0", 0), "");
+  const std::string message = rejection<int>("0", 1);
+  EXPECT_NE(message.find("an integer >= 1"), std::string::npos) << message;
+}
+
+TEST(ParseFlag, MessageNamesTheFlagAndTheValue) {
+  try {
+    parse_flag<int>("--reps", "abc", 1);
+    ADD_FAILURE() << "'abc' was accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_STREQ(e.what(), "--reps: expected an integer >= 1, got 'abc'");
+  }
+}
+
+}  // namespace
+}  // namespace meda::util
