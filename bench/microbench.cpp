@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the synthesis engine's hot kernels:
 // model construction (fused compiled build and the explicit-form adapter),
 // MDP compilation, the value-iteration queries on a compiled model,
-// outcome-distribution evaluation,
+// outcome-distribution evaluation, a strategy-library hit,
 // campaign-cell throughput, and health sensing (the per-cycle read, the
 // noisy scan-chain read, its random-draw floor, the health filter's update
 // and the health-to-force map). Complements Table V's end-to-end timings
@@ -22,6 +22,7 @@
 #include "chip/biochip.hpp"
 #include "core/compiled_mdp.hpp"
 #include "core/health_filter.hpp"
+#include "core/library.hpp"
 #include "core/mdp.hpp"
 #include "core/synthesizer.hpp"
 #include "core/value_iteration.hpp"
@@ -243,6 +244,35 @@ void BM_FullSynthesis(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullSynthesis)->Arg(10)->Arg(20)->Arg(30);
+
+// A strategy-library hit as the scheduler serves one: look up the stored
+// result of BM_FullSynthesis/30, copy it out, then probe its strategy at
+// every state of the model (a route reads one state per cycle).
+void BM_StrategyLibraryHit(benchmark::State& state) {
+  constexpr int kArea = 30;
+  const Rect chip{0, 0, kArea - 1, kArea - 1};
+  core::SynthesisConfig config;
+  config.rules = bench_rules();
+  const core::Synthesizer synth(chip, config);
+  const assay::RoutingJob rj = corner_job(kArea, 4);
+  const IntMatrix health(kArea, kArea, 2);
+  core::StrategyLibrary library;
+  library.store(rj, 1, synth.synthesize(rj, health, 2));
+  const std::vector<Rect> states =
+      core::build_compiled_mdp(
+          rj, force_from_health(health, 2, HealthEstimator::kScaled), chip,
+          bench_rules())
+          .geometry.droplets;
+  for (auto _ : state) {
+    const core::SynthesisResult hit = *library.lookup(rj, 1);
+    std::size_t covered = 0;
+    for (const Rect& droplet : states)
+      covered += hit.strategy.action(droplet).has_value() ? 1 : 0;
+    benchmark::DoNotOptimize(covered);
+  }
+  state.SetLabel(std::to_string(states.size()) + " states probed");
+}
+BENCHMARK(BM_StrategyLibraryHit);
 
 // One campaign cell end to end (COVID-RAT assay, adaptive router, one chip,
 // one run): the unit of work the parallel campaign drivers distribute.

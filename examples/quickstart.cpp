@@ -7,6 +7,8 @@
 // sensed 2-bit health matrix and routes around it.
 
 #include <iostream>
+#include <utility>
+#include <vector>
 
 #include "assay/helper.hpp"
 #include "core/scheduler.hpp"
@@ -91,9 +93,10 @@ int main() {
   // 5. Execute both strategies on the simulator (same chip state).
   const core::DropletId d1 = chip.dispense(Rect::from_size(0, 12, 4, 4));
   // Walk it to the start location first (the dispense port is at the edge).
-  core::Strategy walk;  // trivial eastward walk
+  std::vector<std::pair<Rect, Action>> eastward;  // trivial eastward walk
   for (int x = 0; x < rj.start.xa; ++x)
-    walk.set(Rect::from_size(x, 12, 4, 4), Action::kE);
+    eastward.emplace_back(Rect::from_size(x, 12, 4, 4), Action::kE);
+  const core::Strategy walk(eastward);
   assay::RoutingJob to_start = rj;
   to_start.goal = rj.start;
   execute(chip, d1, to_start, walk, 100);

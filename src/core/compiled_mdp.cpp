@@ -11,46 +11,6 @@
 
 namespace meda::core {
 
-// StateIndex ----------------------------------------------------------------
-
-StateIndex::StateIndex(const Rect& box) : box_(box) {
-  MEDA_REQUIRE(box.valid(), "state index over an empty box");
-}
-
-const StateIndex::Shape* StateIndex::shape_of(const Rect& droplet) const {
-  for (const Shape& shape : shapes_)
-    if (shape.width == droplet.width() && shape.height == droplet.height())
-      return &shape;
-  return nullptr;
-}
-
-std::uint32_t StateIndex::find(const Rect& droplet) const {
-  if (!droplet.valid() || !box_.contains(droplet)) return kAbsent;
-  const Shape* shape = shape_of(droplet);
-  return shape ? slots_[slot_of(*shape, droplet)] : kAbsent;
-}
-
-std::uint32_t& StateIndex::slot(const Rect& droplet) {
-  MEDA_REQUIRE(droplet.valid() && box_.contains(droplet),
-               "state index slot outside the box");
-  const Shape* shape = shape_of(droplet);
-  if (!shape) {
-    Shape fresh;
-    fresh.width = droplet.width();
-    fresh.height = droplet.height();
-    fresh.columns = box_.width() - fresh.width + 1;
-    fresh.offset = static_cast<std::uint32_t>(slots_.size());
-    const std::size_t rows =
-        static_cast<std::size_t>(box_.height() - fresh.height + 1);
-    slots_.resize(slots_.size() +
-                      rows * static_cast<std::size_t>(fresh.columns),
-                  kAbsent);
-    shapes_.push_back(fresh);
-    shape = &shapes_.back();
-  }
-  return slots_[slot_of(*shape, droplet)];
-}
-
 namespace {
 
 /// Placeholder for the hazard sink while the state count is still growing;

@@ -5,6 +5,7 @@
 
 #include "assay/helper.hpp"
 #include "core/mdp.hpp"
+#include "core/state_index.hpp"
 #include "geometry/rect.hpp"
 #include "model/action.hpp"
 #include "model/guards.hpp"
@@ -76,47 +77,6 @@ struct CompiledMdp {
   std::uint32_t hazard_sink() const { return num_droplet_states; }
   std::size_t state_count() const { return num_droplet_states + 1u; }
   std::size_t choice_count() const { return cost.size(); }
-};
-
-/// Dense rect → droplet-state interning over a routing job's hazard box.
-/// Each droplet shape (w, h) seen gets (box.w − w + 1)·(box.h − h + 1) slots,
-/// one per placement of that shape inside the box, so a lookup is a shape
-/// match plus one array read instead of a hash probe.
-class StateIndex {
- public:
-  /// Marks a rect with no state: never interned, or not placeable in the box.
-  static constexpr std::uint32_t kAbsent = 0xffffffffu;
-
-  StateIndex() = default;
-  explicit StateIndex(const Rect& box);
-
-  /// State of @p droplet, or kAbsent when it was never interned, its shape
-  /// was never seen, or it reaches outside the box.
-  std::uint32_t find(const Rect& droplet) const;
-
-  /// The slot of @p droplet, kAbsent until a state is stored there; the
-  /// shape's slot array is created on first use. Requires a valid droplet
-  /// inside the box.
-  std::uint32_t& slot(const Rect& droplet);
-
- private:
-  struct Shape {
-    int width = 0;
-    int height = 0;
-    int columns = 0;           ///< placements per row: box.w − w + 1
-    std::uint32_t offset = 0;  ///< first slot in slots_
-  };
-  const Shape* shape_of(const Rect& droplet) const;
-  std::size_t slot_of(const Shape& shape, const Rect& droplet) const {
-    return shape.offset +
-           static_cast<std::size_t>(droplet.ya - box_.ya) *
-               static_cast<std::size_t>(shape.columns) +
-           static_cast<std::size_t>(droplet.xa - box_.xa);
-  }
-
-  Rect box_ = Rect::none();
-  std::vector<Shape> shapes_;         ///< in first-seen order
-  std::vector<std::uint32_t> slots_;  ///< every shape's slots, concatenated
 };
 
 /// Geometry side table of a CompiledMdp: the per-state droplet rectangles,

@@ -101,14 +101,16 @@ FallbackResult fallback_route(const assay::RoutingJob& rj,
     result.feasible = true;
     // Walk the path backwards; each predecessor re-commands its action, and
     // the failed-pull self-loop retries it until the droplet moves.
+    std::vector<std::pair<Rect, Action>> path;
     Rect state = goal_state;
     while (true) {
       const auto it = came_from.find(state);
       if (it == came_from.end()) break;
-      result.strategy.set(it->second.first, it->second.second);
+      path.push_back(it->second);
       state = it->second.first;
-      ++result.path_length;
     }
+    result.path_length = static_cast<int>(path.size());
+    result.strategy = Strategy(path);
   }
 
   MEDA_OBS_COUNT("fallback.routes", 1);

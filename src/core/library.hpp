@@ -124,8 +124,9 @@ struct LibraryStats {
 ///
 /// Single owner, not thread-safe, like the scheduler that owns it: every
 /// scheduler, experiment run and campaign task builds its own library.
-/// Copies hold independent data (perfbench copies its offline libraries
-/// once per round).
+/// Copies share the stored strategies' immutable tables (see Strategy), so
+/// copying a library, storing a result or copying out a hit copies no
+/// table; perfbench copies its offline libraries once per op.
 class StrategyLibrary {
  public:
   /// Returns the cached result for the job under the digest, if present.

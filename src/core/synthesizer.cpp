@@ -12,24 +12,25 @@ namespace meda::core {
 
 namespace {
 
-/// The action behind local choice @p c of state @p s.
-Action action_of(const CompiledMdp& mdp, const CompiledGeometry& geometry,
-                 std::size_t s, int c) {
-  return geometry
-      .choice_action[mdp.choice_offset[s] + static_cast<std::uint32_t>(c)];
-}
-
-/// Extracts the strategy a solver run recorded over the compiled model.
+/// Extracts the strategy a solver run recorded over the compiled model: each
+/// state takes @p first's choice, or @p otherwise's where @p first has none
+/// (the φ_p overlay of rmin on pmax), mapped through the geometry's
+/// per-choice actions.
 Strategy extract_strategy(const CompiledMdp& mdp,
                           const CompiledGeometry& geometry,
-                          const Solution& sol) {
-  Strategy strategy;
-  for (std::size_t s = 0; s < geometry.droplets.size(); ++s) {
-    const int c = sol.chosen[s];
+                          const Solution& first,
+                          const Solution* otherwise = nullptr) {
+  std::vector<std::uint8_t> actions(geometry.droplets.size(),
+                                    Strategy::kNoAction);
+  for (std::size_t s = 0; s < actions.size(); ++s) {
+    int c = first.chosen[s];
+    if (c < 0 && otherwise != nullptr) c = otherwise->chosen[s];
     if (c < 0) continue;
-    strategy.set(geometry.droplets[s], action_of(mdp, geometry, s, c));
+    actions[s] = static_cast<std::uint8_t>(
+        geometry.choice_action[mdp.choice_offset[s] +
+                               static_cast<std::uint32_t>(c)]);
   }
-  return strategy;
+  return Strategy(geometry.state_index, std::move(actions));
 }
 
 /// The φ_p query reads pmax at every state, so the combined solve must
@@ -69,12 +70,7 @@ void extract_result(const SynthesisConfig& config,
       // follow the Rmin strategy (fewest expected cycles among the
       // Pmax-optimal choices); elsewhere fall back to the Pmax argmax.
       MEDA_OBS_SPAN(extract_span, "synth", "extract");
-      result.strategy = extract_strategy(mdp, geometry, pmax);
-      for (std::size_t s = 0; s < geometry.droplets.size(); ++s) {
-        if (rmin.chosen[s] >= 0)
-          result.strategy.set(geometry.droplets[s],
-                              action_of(mdp, geometry, s, rmin.chosen[s]));
-      }
+      result.strategy = extract_strategy(mdp, geometry, rmin, &pmax);
       result.expected_cycles = rmin.values[mdp.start];
       result.feasible = !result.strategy.empty() || start_is_goal;
     }

@@ -17,7 +17,9 @@ std::string flag_value(int argc, char** argv, const std::string& name,
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-    if (arg == name && i + 1 < argc) return argv[i + 1];
+    if (arg != name) continue;
+    if (i + 1 == argc) throw PreconditionError(name + ": missing value");
+    return argv[i + 1];
   }
   return fallback;
 }

@@ -19,7 +19,9 @@ namespace meda::util {
 bool has_flag(int argc, char** argv, const std::string& name);
 
 /// Value of `--name value` / `--name=value`, or @p fallback when the flag is
-/// absent or valueless.
+/// absent. A bare `--name` with no argument after it throws
+/// PreconditionError naming the flag; an empty `--name=` value is returned
+/// as is, for the caller's parser to judge.
 std::string flag_value(int argc, char** argv, const std::string& name,
                        const std::string& fallback = "");
 

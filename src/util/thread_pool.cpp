@@ -1,7 +1,6 @@
 #include "util/thread_pool.hpp"
 
 #include <atomic>
-#include <string>
 #include <utility>
 
 #include "util/check.hpp"
@@ -107,14 +106,8 @@ void parallel_for(int jobs, std::size_t count,
 }
 
 int parse_jobs_flag(int argc, char** argv, int default_jobs) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--jobs" && i + 1 < argc)
-      return parse_flag<int>("--jobs", argv[i + 1], 0);
-    if (arg.rfind("--jobs=", 0) == 0)
-      return parse_flag<int>("--jobs", arg.substr(7), 0);
-  }
-  return default_jobs;
+  if (!has_flag(argc, argv, "--jobs")) return default_jobs;
+  return parse_flag<int>("--jobs", flag_value(argc, argv, "--jobs"), 0);
 }
 
 }  // namespace meda::util

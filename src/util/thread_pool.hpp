@@ -79,8 +79,8 @@ void parallel_for(int jobs, std::size_t count,
 /// Scans argv for `--jobs N` / `--jobs=N` (the bench drivers' shared flag)
 /// and returns N, or @p default_jobs when absent. N = 0 conventionally
 /// means "one worker per hardware thread" (see effective_jobs). N must be
-/// a whole non-negative int; anything else throws PreconditionError naming
-/// the flag and the value.
+/// a whole non-negative int; anything else, or a trailing `--jobs` with no
+/// value, throws PreconditionError naming the flag.
 int parse_jobs_flag(int argc, char** argv, int default_jobs = 1);
 
 }  // namespace meda::util

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <vector>
 
+#include "core/compiled_mdp.hpp"
+#include "model/outcomes.hpp"
 #include "obs/obs.hpp"
 
 namespace meda::core {
@@ -21,7 +25,7 @@ SynthesisResult sample_result(double cycles) {
   SynthesisResult r;
   r.feasible = true;
   r.expected_cycles = cycles;
-  r.strategy.set(Rect::from_size(0, 0, 4, 4), Action::kEE);
+  r.strategy = Strategy({{Rect::from_size(0, 0, 4, 4), Action::kEE}});
   return r;
 }
 
@@ -102,6 +106,53 @@ TEST(StrategyLibrary, StoreOverwritesNewerResult) {
   lib.store(rj, 9, sample_result(3.0));
   EXPECT_EQ(lib.size(), 1u);
   EXPECT_DOUBLE_EQ(lib.lookup(rj, 9)->expected_cycles, 3.0);
+}
+
+TEST(StrategyLibrary, CopiesShareStrategiesThatOutliveTheirSource) {
+  // Copies share the stored tables: a copied library serves the original's
+  // strategies, and each copy stays valid after the original overwrites the
+  // key and after the library it came from is destroyed (ASan in CI).
+  const Rect chip{0, 0, 16, 9};
+  const assay::RoutingJob rj = sample_job();
+  const Synthesizer synth(chip);
+  const IntMatrix healthy(17, 10, 3);
+  IntMatrix worn = healthy;
+  for (int y = 0; y <= 5; ++y) worn(7, y) = 0;  // a wall the route skirts
+  const SynthesisResult first = synth.synthesize(rj, healthy, 2);
+  const SynthesisResult second = synth.synthesize(rj, worn, 2);
+  ASSERT_TRUE(first.feasible);
+  ASSERT_TRUE(second.feasible);
+  // The states any of these strategies can cover.
+  const std::vector<Rect> states =
+      build_compiled_mdp(rj, full_health_force(17, 10), chip, ActionRules{})
+          .geometry.droplets;
+  auto expect_same = [&states](const Strategy& a, const Strategy& b) {
+    EXPECT_EQ(a.size(), b.size());
+    for (const Rect& droplet : states)
+      EXPECT_EQ(a.action(droplet), b.action(droplet)) << droplet.to_string();
+  };
+  bool differ = false;
+  for (const Rect& droplet : states)
+    differ |= first.strategy.action(droplet) != second.strategy.action(droplet);
+  ASSERT_TRUE(differ) << "the wall must change the strategy";
+
+  auto original = std::make_unique<StrategyLibrary>();
+  original->store(rj, 1, first);
+  auto copy = std::make_unique<StrategyLibrary>(*original);
+  ASSERT_NE(copy->lookup(rj, 1), nullptr);
+  expect_same(copy->lookup(rj, 1)->strategy, original->lookup(rj, 1)->strategy);
+  const SynthesisResult held = *copy->lookup(rj, 1);
+
+  original->store(rj, 1, second);  // overwrite the shared key
+  expect_same(original->lookup(rj, 1)->strategy, second.strategy);
+  expect_same(copy->lookup(rj, 1)->strategy, first.strategy);
+
+  original.reset();
+  expect_same(copy->lookup(rj, 1)->strategy, first.strategy);
+  const StrategyLibrary last = *copy;
+  copy.reset();
+  expect_same(last.lookup(rj, 1)->strategy, first.strategy);
+  expect_same(held.strategy, first.strategy);
 }
 
 TEST(DetourDigest, SaltSeparatesTheKeyFamilies) {

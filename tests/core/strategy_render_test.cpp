@@ -63,8 +63,7 @@ TEST(StrategyRender, DetourFieldAvoidsTheDeadWall) {
 }
 
 TEST(StrategyRender, UncoveredPositionsAreBlank) {
-  Strategy sparse;
-  sparse.set(Rect::from_size(0, 0, 2, 2), Action::kE);
+  const Strategy sparse({{Rect::from_size(0, 0, 2, 2), Action::kE}});
   assay::RoutingJob rj;
   rj.start = Rect::from_size(0, 0, 2, 2);
   rj.goal = Rect::from_size(4, 0, 2, 2);

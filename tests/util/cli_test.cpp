@@ -62,6 +62,34 @@ TEST(ParseFlag, RejectsValuesBelowTheMinimum) {
   EXPECT_NE(message.find("an integer >= 1"), std::string::npos) << message;
 }
 
+TEST(ParseFlag, ATrailingFlagWithoutAValueIsRejected) {
+  // Spaced: the flag ends argv, so there is no value to read.
+  const char* spaced[] = {"bench", "A.json", "B.json", "--threshold"};
+  try {
+    flag_value(4, const_cast<char**>(spaced), "--threshold", "1.25");
+    ADD_FAILURE() << "a trailing --threshold fell back to its default";
+  } catch (const PreconditionError& e) {
+    EXPECT_STREQ(e.what(), "--threshold: missing value");
+  }
+  // Glued: the value is empty, and the typed parse rejects it by name.
+  const char* glued[] = {"bench", "A.json", "B.json", "--threshold="};
+  const std::string value =
+      flag_value(4, const_cast<char**>(glued), "--threshold", "1.25");
+  EXPECT_EQ(value, "");
+  try {
+    parse_flag<double>("--threshold", value);
+    ADD_FAILURE() << "an empty --threshold= was accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_STREQ(e.what(), "--threshold: expected a number, got ''");
+  }
+  // A flag that is absent still falls back, and one with a value reads it.
+  EXPECT_EQ(flag_value(3, const_cast<char**>(spaced), "--threshold", "1.25"),
+            "1.25");
+  const char* valued[] = {"bench", "--threshold", "2"};
+  EXPECT_EQ(flag_value(3, const_cast<char**>(valued), "--threshold", "1.25"),
+            "2");
+}
+
 TEST(ParseFlag, MessageNamesTheFlagAndTheValue) {
   try {
     parse_flag<int>("--reps", "abc", 1);

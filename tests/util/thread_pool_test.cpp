@@ -145,6 +145,20 @@ TEST(ParseJobsFlag, ParsesBothSpellings) {
   EXPECT_EQ(parse_jobs_flag(2, const_cast<char**>(argv4)), 0);
 }
 
+TEST(ParseJobsFlag, ATrailingFlagWithoutAValueIsRejected) {
+  const char* spaced[] = {"bench", "--smoke", "--jobs"};
+  const char* glued[] = {"bench", "--smoke", "--jobs="};
+  for (const char** argv : {spaced, glued}) {
+    try {
+      parse_jobs_flag(3, const_cast<char**>(argv), 4);
+      ADD_FAILURE() << "a trailing " << argv[2] << " ran on the default";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("--jobs"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ParseJobsFlag, RejectsMalformedValues) {
   for (const char* value : {"abc", "4x", "-1", "99999999999", ""}) {
     const char* spaced[] = {"bench", "--jobs", value};
