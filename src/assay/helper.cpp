@@ -17,13 +17,12 @@ Rect zone(const Rect& start, const Rect& goal, const Rect& chip, int margin) {
               std::min(inflated.xb, chip.xb), std::min(inflated.yb, chip.yb)};
 }
 
-namespace {
-
-/// The droplet rectangle for @p area centered at @p loc.
 Rect placed_rect(const Loc& loc, int area) {
   const DropletSize size = size_for_area(area);
   return Rect::from_center(loc.x, loc.y, size.w, size.h);
 }
+
+namespace {
 
 /// Input droplet areas of @p mo given the output areas of its predecessors.
 std::vector<int> input_areas(const MoList& list, const Mo& mo,

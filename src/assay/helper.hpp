@@ -31,6 +31,9 @@ struct RoutingJob {
 Rect zone(const Rect& start, const Rect& goal, const Rect& chip,
           int margin = 3);
 
+/// The droplet pattern of @p area centered at module location @p loc.
+Rect placed_rect(const Loc& loc, int area);
+
 /// Output droplet rectangles per MO: outputs[id] lists the droplets MO id
 /// leaves on the chip (empty for out/dsc). Requires a validated list.
 std::vector<std::vector<Rect>> compute_outputs(const MoList& list);

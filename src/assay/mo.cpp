@@ -137,7 +137,9 @@ void validate(const MoList& list, const Rect& chip) {
     if (static_cast<int>(mo.locs.size()) != loc_count(mo.type))
       fail(list, id, "wrong number of locations");
     if (mo.hold_cycles < 0) fail(list, id, "negative hold time");
-    if (mo.replicas < 1) fail(list, id, "replicas must be at least 1");
+    if (mo.replicas < 1 || mo.replicas > kMaxReplicas)
+      fail(list, id, "replicas must be in [1, kMaxReplicas = " +
+                         std::to_string(kMaxReplicas) + "]");
     if (mo.replicas > 1 && mo.type != MoType::kDispense)
       fail(list, id, "replicas > 1 is only meaningful on dispense MOs");
 

@@ -49,6 +49,10 @@ struct PreRef {
   friend bool operator==(const PreRef&, const PreRef&) = default;
 };
 
+/// Most replicas one dispense may launch: the ceiling on Mo::replicas and on
+/// core::SchedulerConfig::replicate_critical_dispenses.
+inline constexpr int kMaxReplicas = 8;
+
 /// One microfluidic operation MO = (type, pre, loc).
 struct Mo {
   int id = -1;
@@ -61,7 +65,8 @@ struct Mo {
   /// With replicas = N > 1 an adaptive scheduler launches N droplets of the
   /// same reagent racing through pairwise region-disjoint corridors; the
   /// first arrival completes the MO (k = 1 vote/merge) and the rest retire
-  /// to waste. Other MO types must keep the default 1.
+  /// to waste. Other MO types must keep the default 1. validate() rejects a
+  /// value outside [1, kMaxReplicas].
   int replicas = 1;
 };
 

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
+#include <optional>
+#include <span>
 
 #include "core/fallback_router.hpp"
 #include "core/replica_corridors.hpp"
@@ -33,12 +36,6 @@ constexpr double kMinProgressRate = 0.005;
 /// stall falls through to the quarantine escalation: a livelock safety
 /// valve for two droplets that keep detouring around each other.
 constexpr int kMaxContentionDetours = 3;
-
-/// Droplet pattern of @p area centered at an MO location.
-Rect placed_rect(const assay::Loc& loc, int area) {
-  const assay::DropletSize size = assay::size_for_area(area);
-  return Rect::from_center(loc.x, loc.y, size.w, size.h);
-}
 
 /// Translates @p r the minimum amount needed to fit inside @p chip.
 Rect clamp_into(Rect r, const Rect& chip) {
@@ -112,6 +109,220 @@ std::pair<Rect, Rect> split_rects(const Rect& droplet, int area0, int area1,
 
 namespace {
 
+/// Calls @p visit(x, y) for every cell of @p area on the chip @p bounds that
+/// no rectangle of @p keep contains, row by row.
+template <typename F>
+void for_each_cell_outside(const Rect& area, const Rect& bounds,
+                           std::initializer_list<Rect> keep, F&& visit) {
+  const Rect cells = area.intersection_with(bounds);
+  for (int y = cells.ya; y <= cells.yb; ++y)
+    for (int x = cells.xa; x <= cells.xb; ++x)
+      if (std::none_of(keep.begin(), keep.end(),
+                       [&](const Rect& r) { return r.contains(x, y); }))
+        visit(x, y);
+}
+
+/// What one execution reports, written by every part of the scheduler: the
+/// stats and the event log, stamped in cycles since the execution started.
+struct Journal {
+  std::uint64_t now() const { return chip.cycle() - start; }
+
+  /// Appends one entry to the unified structured event log (and mirrors it
+  /// to the wall-clock trace as an instant marker when tracing is on).
+  void event(std::string category, std::string name, int mo,
+             std::string detail) {
+    MEDA_OBS_INSTANT("event", name, detail);
+    stats.events.push_back(obs::Event{now(), std::move(category),
+                                      std::move(name), mo, std::move(detail)});
+  }
+
+  /// Recovery-ladder firing: a "recovery" entry named after the rung.
+  void event(RecoveryAction action, int mo, std::string detail) {
+    event("recovery", std::string(to_string(action)), mo, std::move(detail));
+  }
+
+  const BiochipIo& chip;
+  const std::uint64_t start;
+  ExecutionStats stats;
+};
+
+/// Counts the consecutive cycles a droplet sits on the same cells.
+struct StillCounter {
+  Rect last = Rect::none();
+  int cycles = 0;
+
+  /// Notes the droplet at @p pos; true, and counting afresh, once it has sat
+  /// still for @p limit cycles in a row.
+  bool fires(const Rect& pos, int limit) {
+    cycles = pos == last ? cycles + 1 : 0;
+    last = pos;
+    if (cycles < limit) return false;
+    cycles = 0;
+    return true;
+  }
+};
+
+/// The controller's health view: senses the chip, filters the scan when the
+/// filter is on, and clamps quarantined cells dead. It owns the quarantine
+/// set with its budget and parole, and counts the changes of the view.
+class HealthView {
+ public:
+  HealthView(const SchedulerConfig& config, BiochipIo& chip, Journal& journal)
+      : config_(config),
+        chip_(chip),
+        journal_(journal),
+        senses_(config.adaptive || config.reactive_recovery_stuck_cycles > 0 ||
+                config.recovery.enabled || config.filter.enabled),
+        quarantined_(chip.bounds().width(), chip.bounds().height(), 0),
+        budget_(static_cast<int>(kMaxQuarantineFraction *
+                                 static_cast<double>(chip.bounds().area()))) {}
+
+  /// The current view; empty when the configuration never senses.
+  const IntMatrix& view() const { return health_; }
+
+  /// Changes of the whole view so far.
+  std::int64_t changes() const { return changes_; }
+
+  /// Senses the chip and rebuilds the view: raw scan or filtered estimate,
+  /// with quarantined cells clamped dead. @p forced marks a ladder-driven
+  /// re-sense (the filter re-seeds from the next frame).
+  void refresh(bool forced) {
+    if (!senses_) return;
+    IntMatrix scan = chip_.sense_health();
+    if (config_.filter.enabled) {
+      if (forced) filter_.force_resense();
+      filter_.observe(scan);
+      health_ = filter_.estimate();
+    } else {
+      health_ = std::move(scan);
+    }
+    if (forced) {
+      ++journal_.stats.recovery.forced_resenses;
+      // The fresh (pre-clamp) estimate is the parole evidence: a cell the
+      // re-sense reads alive may leave the quarantine set under budget
+      // pressure before the clamp below re-kills the remaining inmates.
+      parole();
+    }
+    if (config_.recovery.enabled) quarantine_suspects();
+    clamp();
+    note_change();
+  }
+
+  /// Quarantines the cells of @p area outside @p keep, so the router plans
+  /// around them even though they may still read healthy. Returns how many
+  /// cells were not quarantined before.
+  int quarantine(const Rect& area, const Rect& keep) {
+    int added = 0;
+    for_each_cell_outside(area, chip_.bounds(), {keep},
+                          [&](int x, int y) { added += add(x, y); });
+    if (added > 0) clamp();
+    return added;
+  }
+
+ private:
+  /// Adds cell (x, y) to the quarantine set; false when it already was in.
+  bool add(int x, int y) {
+    if (quarantined_(x, y) != 0) return false;
+    quarantined_(x, y) = 1;
+    order_.push_back({x, y});
+    ++journal_.stats.recovery.quarantined_cells;
+    return true;
+  }
+
+  /// Budget-pressure parole: once the quarantine budget is exhausted, a
+  /// forced re-sense releases the *oldest* quarantined cells whose fresh
+  /// estimate reads alive, until the set is back at 3/4 of the budget.
+  /// Without this, early (possibly sensing-noise-driven) quarantines stay
+  /// blacklisted forever while genuinely dead cells compete for the budget.
+  void parole() {
+    if (!config_.recovery.enabled || std::ssize(order_) < budget_) return;
+    const int target = (budget_ * 3) / 4;
+    int released = 0;
+    auto it = order_.begin();
+    while (it != order_.end() && std::ssize(order_) > target) {
+      const int x = it->x;
+      const int y = it->y;
+      if (health_(x, y) > 1) {
+        // Parole demands more than the weakest alive reading: under heavy
+        // sensing noise a dead cell's level-0 word often corrupts into
+        // level 1, and releasing on that would churn the same cells through
+        // quarantine → parole → re-quarantine.
+        quarantined_(x, y) = 0;
+        ++released;
+        it = order_.erase(it);
+      } else {
+        ++it;  // still reads dead: stays quarantined
+      }
+    }
+    if (released == 0) return;
+    journal_.stats.recovery.paroled_cells += released;
+    journal_.event(RecoveryAction::kQuarantineParole, -1,
+                   std::to_string(released) +
+                       " cell(s) re-sensed alive; released");
+    if (std::ssize(order_) < budget_) budget_hit_ = false;
+  }
+
+  /// Folds filter-suspect cells into the quarantine set. Budgeted: a suspect
+  /// *flood* means the sensing channel is failing, not the substrate —
+  /// quarantining it all would blind the router to a still-routable chip.
+  /// Past the budget, trust the filtered estimate.
+  void quarantine_suspects() {
+    if (!config_.filter.enabled || filter_.suspect_count() <= suspects_seen_)
+      return;
+    const BoolMatrix& suspect = filter_.suspect();
+    const Rect chip = chip_.bounds();
+    int added = 0;
+    for_each_cell_outside(chip, chip, {}, [&](int x, int y) {
+      if (std::ssize(order_) < budget_ && suspect(x, y) != 0)
+        added += add(x, y);
+    });
+    suspects_seen_ = filter_.suspect_count();
+    if (added > 0)
+      journal_.event(RecoveryAction::kQuarantine, -1,
+                     std::to_string(added) + " suspect cell(s)");
+    if (std::ssize(order_) >= budget_ && !budget_hit_) {
+      budget_hit_ = true;
+      journal_.event("recovery", "quarantine-budget", -1,
+                     "suspect flood: budget of " + std::to_string(budget_) +
+                         " cell(s) exhausted; trusting the filter estimate");
+    }
+  }
+
+  /// Clamps every quarantined cell to health 0 in the view.
+  void clamp() {
+    if (health_.empty()) return;
+    for (const Vec2i& cell : order_) health_(cell.x, cell.y) = 0;
+  }
+
+  /// Counts changes of the whole view (metrics counter + cycle-domain
+  /// instant) so the trace shows when the world shifted.
+  void note_change() {
+    if (!MEDA_OBS_ACTIVE() || health_.empty()) return;
+    const std::uint64_t digest = health_digest(health_, chip_.bounds());
+    if (last_digest_ && digest != *last_digest_) {
+      ++changes_;
+      MEDA_OBS_COUNT("sched.health_changes", 1);
+      MEDA_OBS_CYCLE_INSTANT("health-change", journal_.now());
+    }
+    last_digest_ = digest;
+  }
+
+  const SchedulerConfig& config_;
+  BiochipIo& chip_;
+  Journal& journal_;
+  const bool senses_;
+  IntMatrix health_;
+  HealthFilter filter_;
+  BoolMatrix quarantined_;
+  /// The cells marked in quarantined_, oldest first (parole order).
+  std::vector<Vec2i> order_;
+  const int budget_;  ///< ceiling on the quarantine set (cells)
+  int suspects_seen_ = 0;
+  bool budget_hit_ = false;
+  std::int64_t changes_ = 0;
+  std::optional<std::uint64_t> last_digest_;
+};
+
 /// One in-flight single-droplet route (a routing job being executed).
 struct RouteTask {
   RoutingJob rj;
@@ -125,11 +336,9 @@ struct RouteTask {
   int pending_countdown = 0;
   Strategy pending_strategy;
   std::uint64_t pending_digest = 0;
-  // Reactive-recovery bookkeeping: consecutive commanded cycles without
-  // progress; reaching the threshold requests one re-route from the sensed
-  // health view.
-  Rect last_pos = Rect::none();
-  int stuck_cycles = 0;
+  // Reactive recovery: a droplet still for the configured number of
+  // commanded cycles requests one re-route from the sensed health view.
+  StillCounter still;
   bool reroute_once = false;
   // Recovery-ladder bookkeeping.
   int retries = 0;            ///< failed synthesis attempts (current episode)
@@ -154,18 +363,94 @@ struct RouteTask {
   // health-delta re-syntheses (primed by the first fresh build of the
   // lineage, patched in place while the topology holds).
   ResynthesisContext resynth;
-  // N-modular redundancy: >= 0 marks this task as replica #replica of its
-  // MO, synthesized against a corridor-masked health view (sibling bands
-  // clamped dead outside the shared funnels — see replica_masked_health).
+  /// N-modular redundancy: this task's replica index within its MO, or -1
+  /// for a plain route. The replica's corridor and fate live in ReplicaSet.
   int replica = -1;
-  Rect band = Rect::none();          ///< corridor band this replica owns
-  std::vector<Rect> masked_bands;    ///< sibling bands to clamp dead
-  Rect start_funnel = Rect::none();  ///< shared slabs exempt from masking
-  Rect goal_funnel = Rect::none();
-  bool mask_best_effort = false;  ///< corridor plan was not truly disjoint
-  bool mask_degraded = false;     ///< mask dropped after infeasible synthesis
-  bool abandoned = false;         ///< failed over; no longer commanded
-  bool replica_recorded = false;  ///< ReplicaRouteRecord already sealed
+
+  /// Forgets the strategy and any synthesis in flight, so the next
+  /// provisioning synthesizes afresh.
+  void drop_strategy() { has_strategy = pending = false; }
+
+  /// Closes the async job span at chip cycle @p cycle (idempotent; no-op
+  /// when none is open).
+  void end_span(std::string_view outcome, std::uint64_t cycle) {
+    if (job_span_id == 0) return;
+    obs::ctx().tracer().async_end(
+        "job", "MO " + std::to_string(rj.mo) + " route", job_span_id,
+        {{"outcome", obs::json_quote(outcome)},
+         {"cycles", std::to_string(cycle - created_cycle)}});
+    job_span_id = 0;
+  }
+};
+
+/// One step of an MO's program; process() runs it.
+struct Step {
+  enum Kind : unsigned char {
+    kDispense,   ///< dispense at the port nearest output 0 and route there
+    kRoute,      ///< route droplets to their goals
+    kMerge,      ///< route the two droplets into contact, then merge them
+    kSplit,      ///< split the droplet in two
+    kHold,       ///< hold in place for the MO's hold_cycles
+    kDiscard,    ///< move the droplet off the chip
+    kReplicate,  ///< replicated dispense: launch, race and vote
+  };
+  static constexpr int kEach = -1;
+
+  Kind kind;
+  /// kRoute: the live droplet it routes, or kEach for all of them at once.
+  int slot = kEach;
+  /// kRoute: the goal is the MO's first location, sized to the droplet,
+  /// instead of the MO's output of the droplet's slot.
+  bool to_loc = false;
+};
+
+constexpr Step kDispenseSteps[] = {{Step::kDispense}, {Step::kRoute}};
+constexpr Step kReplicatedSteps[] = {{Step::kReplicate}};
+constexpr Step kExitSteps[] = {{Step::kRoute, 0, true}, {Step::kDiscard}};
+constexpr Step kMagSenseSteps[] = {{Step::kRoute, 0, true}, {Step::kHold}};
+constexpr Step kMixSteps[] = {
+    {Step::kMerge}, {Step::kRoute, 0, true}, {Step::kHold}};
+constexpr Step kSplitSteps[] = {{Step::kSplit}, {Step::kRoute}};
+/// Mix at loc[0], split, then distribute: the departing half routes to its
+/// output before the stayer settles, so it cannot block the stayer's goal.
+constexpr Step kDiluteSteps[] = {
+    {Step::kMerge}, {Step::kRoute, 0, true}, {Step::kHold},
+    {Step::kSplit}, {Step::kRoute, 1},       {Step::kRoute, 0}};
+
+/// The step list of an MO of @p type; @p replicated selects the replicated
+/// dispense.
+std::span<const Step> program(MoType type, bool replicated) {
+  switch (type) {
+    case MoType::kDispense:
+      if (replicated) return kReplicatedSteps;
+      return kDispenseSteps;
+    case MoType::kOutput:
+    case MoType::kDiscard: return kExitSteps;
+    case MoType::kMagSense: return kMagSenseSteps;
+    case MoType::kMix: return kMixSteps;
+    case MoType::kSplit: return kSplitSteps;
+    case MoType::kDilute: return kDiluteSteps;
+  }
+  return kExitSteps;
+}
+
+/// Runtime state of one MO: where it stands in its step list and which
+/// droplets it holds.
+struct MoRun {
+  MoRun(const Mo& op, std::span<const Step> plan) : mo(&op), steps(plan) {}
+
+  const Mo* mo;
+  std::span<const Step> steps;
+  enum class State { kWaiting, kActive, kDone, kAborted } state =
+      State::kWaiting;
+  std::size_t step = 0;           ///< index of the current step
+  std::size_t routed = SIZE_MAX;  ///< the step `routes` belong to
+  int hold_remaining = 0;         ///< cycles a kHold step still waits
+  std::vector<RouteTask> routes;
+  /// Droplets the MO holds on the chip: its inputs, then what its steps
+  /// made of them, which become `out` when it completes.
+  std::vector<DropletId> live;
+  std::vector<DropletId> out;
 };
 
 /// A losing replica being retired to waste after the vote: routed to the
@@ -175,13 +460,286 @@ struct RouteTask {
 struct RetireTask {
   DropletId droplet = -1;
   int mo = -1;
+  std::uint64_t created_cycle = 0;
   Strategy strategy;
   bool has_strategy = false;
   Rect goal = Rect::none();
-  std::uint64_t created_cycle = 0;
-  Rect last_pos = Rect::none();
-  int stuck = 0;    ///< consecutive cycles without movement
+  StillCounter still;
   int replans = 0;  ///< fallback re-routes consumed
+};
+
+/// N-modular redundancy: plans each replicated dispense's corridors, masks
+/// each replica's synthesis view, holds the first-arrival vote, fails over
+/// replicas whose retries ran out, and drains the losers to waste.
+class ReplicaSet {
+ public:
+  ReplicaSet(const SchedulerConfig& config, const MoList& assay,
+             BiochipIo& chip, Journal& journal)
+      : config_(config),
+        chip_(chip),
+        journal_(journal),
+        groups_(assay.ops.size()) {
+    // Criticality floor: a dispense feeding a mix/dilute carries a critical
+    // reagent, so SchedulerConfig::replicate_critical_dispenses raises its
+    // redundancy degree (per-MO Mo::replicas annotations above the floor
+    // are honored either way).
+    for (const Mo& mo : assay.ops)
+      if (mo.type == MoType::kMix || mo.type == MoType::kDilute)
+        for (const assay::PreRef& ref : mo.pre)
+          if (assay.ops[static_cast<std::size_t>(ref.mo)].type ==
+              MoType::kDispense)
+            group(ref.mo).critical = true;
+  }
+
+  /// The redundancy degree of @p mo: the per-MO Mo::replicas annotation,
+  /// raised to the config floor for dispenses feeding a mix/dilute.
+  /// Replication needs the adaptive router (the baseline cannot synthesize
+  /// under a corridor mask) and only applies to dispense MOs.
+  int degree(const Mo& mo) {
+    if (!config_.adaptive || mo.type != MoType::kDispense) return 1;
+    if (!group(mo.id).critical) return mo.replicas;
+    return std::max(mo.replicas, config_.replicate_critical_dispenses);
+  }
+
+  /// True while replicated dispense @p mo, from the port @p entry to
+  /// @p goal, has replicas left to launch. Plans its corridors on the first
+  /// call.
+  bool launching(const Mo& mo, const Rect& entry, const Rect& goal) {
+    Group& g = group(mo.id);
+    if (g.plan.corridors.empty()) {
+      const int replicas = degree(mo);
+      RoutingJob seed;
+      seed.start = entry;
+      seed.goal = goal;
+      seed.hazard = assay::zone(entry, goal, chip_.bounds());
+      seed.mo = mo.id;
+      g.plan = plan_replica_corridors(seed, replicas, chip_.bounds());
+      if (!g.plan.disjoint) {
+        ++journal_.stats.replica.best_effort_masks;
+        journal_.event("replica", "best-effort-mask", mo.id,
+                       "zone too thin for " + std::to_string(replicas) +
+                           " disjoint corridors; replicas share the full zone");
+      }
+      journal_.event("replica", "corridors-planned", mo.id,
+                     std::to_string(replicas) + " replica(s), disjointness=" +
+                         (g.plan.disjoint ? "full" : "best-effort"));
+    }
+    return g.fates.size() < g.plan.corridors.size();
+  }
+
+  /// Makes @p task, the route of a droplet just dispensed, the next replica
+  /// of its MO.
+  void launch(RouteTask& task) {
+    Group& g = group(task.rj.mo);
+    task.replica = static_cast<int>(g.fates.size());
+    g.fates.emplace_back();
+    ++journal_.stats.replica.launched;
+    journal_.event("replica", "launch", task.rj.mo,
+                   "replica " + std::to_string(task.replica) + " of " +
+                       std::to_string(g.plan.corridors.size()) + " dispensed");
+  }
+
+  bool abandoned(const RouteTask& task) { return fate(task).abandoned; }
+
+  /// The health view replica @p task synthesizes over at @p pos: @p health
+  /// with its sibling corridor bands clamped dead, which makes the replica
+  /// routes pairwise region-disjoint. Cells inside the shared start/goal
+  /// funnels stay unmasked (every replica must reach the dispense port and
+  /// converge on the goal), as do the droplet's own cells (it may straddle a
+  /// band edge). nullopt when the task routes over the plain view: not a
+  /// replica, a best-effort plan, or a mask dropped after an infeasible
+  /// synthesis.
+  std::optional<IntMatrix> masked_view(const RouteTask& task, const Rect& pos,
+                                       const IntMatrix& health) {
+    if (task.replica < 0 || health.empty() || fate(task).mask_dropped)
+      return std::nullopt;
+    const ReplicaCorridorPlan& plan = group(task.rj.mo).plan;
+    const std::vector<Rect>& siblings = corridor(task).masked;
+    if (siblings.empty()) return std::nullopt;
+    IntMatrix masked = health;
+    for (const Rect& band : siblings)
+      for_each_cell_outside(band, chip_.bounds(),
+                            {pos, plan.start_funnel, plan.goal_funnel},
+                            [&](int x, int y) { masked(x, y) = 0; });
+    return masked;
+  }
+
+  /// The corridor mask made replica @p task's synthesis infeasible (the band
+  /// may have degraded underneath the droplet): it routes over the plain
+  /// view from here, recorded as best-effort disjointness.
+  void drop_mask(const RouteTask& task) {
+    fate(task).mask_dropped = true;
+    ++journal_.stats.replica.best_effort_masks;
+    journal_.event("replica", "mask-degraded", task.rj.mo,
+                   "corridor mask infeasible for replica " +
+                       std::to_string(task.replica) +
+                       "; best-effort disjointness from here");
+  }
+
+  /// Ladder rung between quarantine and per-job abort: abandons replica
+  /// @p task of @p run, whose retries ran out. Its droplet joins @p doomed
+  /// and its siblings race on. True once every replica of the MO is lost,
+  /// which escalates to the graceful abort.
+  bool fail_over(MoRun& run, RouteTask& task,
+                 std::vector<DropletId>& doomed) {
+    if (fate(task).abandoned) return false;
+    fate(task).abandoned = true;
+    Group& g = group(task.rj.mo);
+    const auto remain = std::ssize(g.plan.corridors) -
+                        std::ranges::count(g.fates, true, &Fate::abandoned);
+    ++journal_.stats.replica.failovers;
+    charge(task.created_cycle);
+    journal_.event(RecoveryAction::kReplicaFailover, task.rj.mo,
+                   "replica " + std::to_string(task.replica) +
+                       " abandoned after " + std::to_string(task.retries) +
+                       " attempt(s); " + std::to_string(remain) + " remain");
+    seal(task, /*winner=*/false);
+    task.end_span("abandoned", chip_.cycle());
+    doomed.push_back(task.droplet);
+    std::erase(run.live, task.droplet);
+    return remain <= 0;
+  }
+
+  /// The k = 1 of N vote: @p winner arrived first and completes its MO;
+  /// every other surviving replica of @p run retires to waste, draining to
+  /// the nearest chip edge while the MO completes regardless.
+  void vote(MoRun& run, RouteTask& winner) {
+    const Group& g = group(winner.rj.mo);
+    ++journal_.stats.replica.merges;
+    journal_.event("replica", "merge", winner.rj.mo,
+                   "replica " + std::to_string(winner.replica) +
+                       " arrived first of " + std::to_string(g.fates.size()) +
+                       "; MO completes (k = 1 of " +
+                       std::to_string(g.plan.corridors.size()) + ")");
+    seal(winner, /*winner=*/true);
+    for (RouteTask& task : run.routes) {
+      if (&task == &winner || abandoned(task)) continue;
+      ++journal_.stats.replica.retired;
+      charge(task.created_cycle);
+      seal(task, /*winner=*/false);
+      task.end_span("retired", chip_.cycle());
+      journal_.event("replica", "retire", task.rj.mo,
+                     "replica " + std::to_string(task.replica) +
+                         " lost the vote; retiring to waste");
+      RetireTask retiree;
+      retiree.droplet = task.droplet;
+      retiree.mo = task.rj.mo;
+      retiree.created_cycle = chip_.cycle();
+      retiring_.push_back(std::move(retiree));
+      std::erase(run.live, task.droplet);
+    }
+  }
+
+  /// Seals replica @p task's outcome record, once; no-op for plain routes.
+  void seal(const RouteTask& task, bool winner) {
+    if (task.replica < 0 || fate(task).sealed) return;
+    fate(task).sealed = true;
+    const ReplicaCorridorPlan& plan = group(task.rj.mo).plan;
+    journal_.stats.replica_routes.push_back(ReplicaRouteRecord{
+        task.rj.mo, task.replica, winner, fate(task).abandoned,
+        !plan.disjoint || fate(task).mask_dropped, corridor(task).band,
+        plan.start_funnel, plan.goal_funnel});
+  }
+
+  /// Losing replicas still draining to waste.
+  const std::vector<RetireTask>& retiring() const { return retiring_; }
+
+  /// Drives every retiring replica one cycle toward the nearest chip edge
+  /// on cheap fallback routes over @p health (no model checking for waste
+  /// disposal); arrival, a persistent blockage, or an exhausted replan
+  /// budget discards it.
+  void drain(std::vector<Command>& commands, const IntMatrix& health) {
+    constexpr int kRetireStuckCycles = 8;
+    constexpr int kRetireMaxReplans = 4;
+    for (std::size_t i = 0; i < retiring_.size();) {
+      RetireTask& retiree = retiring_[i];
+      if (retiree.created_cycle == chip_.cycle()) {
+        ++i;  // handed over this cycle — its route command is already out
+        continue;
+      }
+      const Rect pos = chip_.droplet_position(retiree.droplet);
+      if (retiree.has_strategy && retiree.goal.contains(pos)) {
+        discard(i, "reached the waste edge");
+        continue;
+      }
+      if (retiree.has_strategy &&
+          retiree.still.fires(pos, kRetireStuckCycles))
+        retiree.has_strategy = false;  // replan around the blockage
+      if (!retiree.has_strategy) {
+        FallbackResult fallback;
+        RoutingJob rj;
+        if (retiree.replans < kRetireMaxReplans && !health.empty()) {
+          ++retiree.replans;
+          const Rect chip = chip_.bounds();
+          rj.start = pos;
+          rj.goal = dispense_entry_rect(pos, chip);
+          rj.hazard = assay::zone(rj.start, rj.goal, chip);
+          rj.mo = retiree.mo;
+          fallback = fallback_route(rj, health, chip, config_.synthesis.rules);
+        }
+        if (!fallback.feasible) {
+          discard(i, "no waste route; discarded in place");
+          continue;
+        }
+        retiree.goal = rj.goal;
+        retiree.strategy = std::move(fallback.strategy);
+        retiree.has_strategy = true;
+        retiree.still = StillCounter{pos};
+      }
+      const std::optional<Action> action = retiree.strategy.action(pos);
+      if (!action) retiree.has_strategy = false;  // drifted off; replan next
+      commands.push_back(Command{retiree.droplet, action, -1});
+      ++i;
+    }
+  }
+
+  /// Charges the traffic of the replicas still draining at teardown.
+  void charge_retiring() {
+    for (const RetireTask& retiree : retiring_) charge(retiree.created_cycle);
+  }
+
+ private:
+  /// One replica's fate.
+  struct Fate {
+    bool mask_dropped = false;  ///< routes unmasked after an infeasible mask
+    bool abandoned = false;     ///< failed over; no longer commanded
+    bool sealed = false;        ///< ReplicaRouteRecord already written
+  };
+  /// One MO's replicas.
+  struct Group {
+    bool critical = false;     ///< a dispense feeding a mix/dilute
+    ReplicaCorridorPlan plan;  ///< one corridor per planned replica
+    std::vector<Fate> fates;   ///< the replicas launched, by index
+  };
+
+  Group& group(int mo) { return groups_[static_cast<std::size_t>(mo)]; }
+  Fate& fate(const RouteTask& task) {
+    return group(task.rj.mo).fates[static_cast<std::size_t>(task.replica)];
+  }
+  const ReplicaCorridor& corridor(const RouteTask& task) {
+    return group(task.rj.mo)
+        .plan.corridors[static_cast<std::size_t>(task.replica)];
+  }
+
+  /// Charges a non-winning replica's chip cycles since @p since.
+  void charge(std::uint64_t since) {
+    journal_.stats.replica.droplet_cycles += chip_.cycle() - since;
+  }
+
+  /// Discards retiring replica @p i and charges its drain traffic.
+  void discard(std::size_t i, const std::string& reason) {
+    const RetireTask& retiree = retiring_[i];
+    charge(retiree.created_cycle);
+    journal_.event("replica", "retired", retiree.mo, reason);
+    chip_.discard(retiree.droplet);
+    retiring_.erase(retiring_.begin() + static_cast<std::ptrdiff_t>(i));
+  }
+
+  const SchedulerConfig& config_;
+  BiochipIo& chip_;
+  Journal& journal_;
+  std::vector<Group> groups_;  ///< by MO id
+  std::vector<RetireTask> retiring_;
 };
 
 /// What a watchdog-confirmed stall is blocked by (satellite classifier).
@@ -191,36 +749,16 @@ enum class StallKind : unsigned char {
   kUnknown,     ///< cells read healthy and no droplet nearby (lying cells)
 };
 
-const char* stall_name(StallKind kind) {
-  switch (kind) {
-    case StallKind::kContention: return "blocked-by-droplet";
-    case StallKind::kDeadCells: return "blocked-by-dead-cells";
-    case StallKind::kUnknown: return "blocked-unknown";
-  }
-  return "blocked-unknown";
-}
-
-/// Runtime state of one MO.
-struct MoRun {
-  const Mo* mo = nullptr;
-  enum class State { kWaiting, kActive, kDone, kAborted } state =
-      State::kWaiting;
-  int phase = 0;
-  int hold_remaining = 0;
-  std::vector<RouteTask> routes;
-  std::vector<DropletId> in;
-  std::vector<DropletId> out;
-  std::vector<DropletId> live;  ///< droplets this MO currently owns on chip
-  DropletId merged = -1;                          // mix/dlt intermediate
-  std::pair<DropletId, DropletId> parts{-1, -1};  // spt/dlt parts
-  // Replicated-dispense bookkeeping (kDispense with effective N > 1).
-  int replicas_planned = 1;
-  int launched = 0;            ///< replicas dispensed so far
-  int abandoned_replicas = 0;  ///< replicas lost to failover
-  ReplicaCorridorPlan corridors;
+/// Event name and metrics counter of each StallKind, in order.
+constexpr std::pair<const char*, const char*> kStallNames[] = {
+    {"blocked-by-droplet", "sched.stalls_contention"},
+    {"blocked-by-dead-cells", "sched.stalls_dead_cells"},
+    {"blocked-unknown", "sched.stalls_unknown"},
 };
 
-/// Per-execution driver implementing Algorithm 3 plus the recovery ladder.
+/// Per-execution driver implementing Algorithm 3 plus the recovery ladder:
+/// one loop owns the cycle, runs every active MO's step list, and advances
+/// the routes those steps start.
 class Runner {
  public:
   Runner(const SchedulerConfig& config, StrategyLibrary& library,
@@ -228,110 +766,90 @@ class Runner {
       : config_(config),
         library_(library),
         chip_(chip),
-        assay_(assay_list),
         chip_bounds_(chip.bounds()),
         synthesizer_(chip.bounds(), config.synthesis),
         outputs_(assay::compute_outputs(assay_list)),
-        quarantined_(chip.bounds().width(), chip.bounds().height(), 0) {
-    runs_.resize(assay_.ops.size());
-    for (std::size_t i = 0; i < assay_.ops.size(); ++i)
-      runs_[i].mo = &assay_.ops[i];
-    // Criticality floor: a dispense feeding a mix/dilute carries a critical
-    // reagent, so SchedulerConfig::replicate_critical_dispenses raises its
-    // redundancy degree (per-MO Mo::replicas annotations above the floor
-    // are honored either way).
-    feeds_mix_.assign(assay_.ops.size(), 0);
-    for (const Mo& mo : assay_.ops)
-      if (mo.type == MoType::kMix || mo.type == MoType::kDilute)
-        for (const assay::PreRef& ref : mo.pre)
-          if (assay_.ops[static_cast<std::size_t>(ref.mo)].type ==
-              MoType::kDispense)
-            feeds_mix_[static_cast<std::size_t>(ref.mo)] = 1;
-    senses_health_ = config_.adaptive ||
-                     config_.reactive_recovery_stuck_cycles > 0 ||
-                     config_.recovery.enabled || config_.filter.enabled;
+        journal_{chip, chip.cycle(), {}},
+        health_(config, chip, journal_),
+        replicas_(config, assay_list, chip, journal_) {
+    runs_.reserve(assay_list.ops.size());
+    for (const Mo& mo : assay_list.ops) {
+      runs_.emplace_back(mo, program(mo.type, replicas_.degree(mo) > 1));
+      journal_.stats.mo_timings.push_back(MoTiming{.mo = mo.id});
+    }
   }
 
   ExecutionStats execute() {
     MEDA_OBS_SPAN(run_span, "sched", "execute");
-    const std::uint64_t start_cycle = chip_.cycle();
-    start_cycle_ = start_cycle;
-    stats_.mo_timings.resize(runs_.size());
-    for (std::size_t i = 0; i < runs_.size(); ++i)
-      stats_.mo_timings[i].mo = static_cast<int>(i);
-    while (!failed_ && !all_settled()) {
-      if (chip_.cycle() - start_cycle >= config_.max_cycles) {
-        fail("cycle limit exceeded");
+    ExecutionStats& stats = journal_.stats;
+    while (!failure_ && !all_settled()) {
+      if (journal_.now() >= config_.max_cycles) {
+        failure_ = "cycle limit exceeded";
         break;
       }
       {
         MEDA_OBS_SPAN(cycle_span, "sched", "cycle");
-        refresh_health(/*forced=*/false);
+        health_.refresh(/*forced=*/false);
         std::vector<Command> commands;
         for (MoRun& run : runs_) {
-          if (failed_) break;
+          if (failure_) break;
           if (run.state == MoRun::State::kWaiting) try_activate(run);
           if (run.state == MoRun::State::kActive) process(run, commands);
         }
-        if (failed_) break;
-        advance_retirements(commands);
+        if (failure_) break;
+        replicas_.drain(commands, health_.view());
         finalize_aborts(commands);
         chip_.step(commands);
       }
       sample_cycle_counters();
     }
     for (MoRun& run : runs_)  // cycle-limit / hard-fail leftovers
-      for (RouteTask& task : run.routes) {
-        record_replica_route(task, /*winner=*/false);
-        close_job_span(task, "unfinished");
-      }
-    // Replicas still draining to waste at teardown: charge their traffic.
-    for (const RetireTask& retiree : retiring_)
-      stats_.replica.droplet_cycles += chip_.cycle() - retiree.created_cycle;
-    stats_.cycles = chip_.cycle() - start_cycle;
+      release_routes(run, "unfinished");
+    replicas_.charge_retiring();
+    stats.cycles = journal_.now();
     for (const MoRun& run : runs_) {
-      if (run.state == MoRun::State::kDone) ++stats_.completed_mos;
-      if (run.state == MoRun::State::kAborted) ++stats_.aborted_mos;
+      if (run.state == MoRun::State::kDone) ++stats.completed_mos;
+      if (run.state == MoRun::State::kAborted) ++stats.aborted_mos;
     }
-    stats_.success = !failed_ && all_done();
-    if (failed_) {
-      stats_.failure_reason = failure_reason_;
-    } else if (!stats_.success && !abort_reasons_.empty()) {
-      std::string reason = std::to_string(abort_reasons_.size()) +
-                           " job(s) aborted — first: " + abort_reasons_.front();
-      stats_.failure_reason = std::move(reason);
-    }
+    stats.success = !failure_ && stats.completed_mos == std::ssize(runs_);
+    if (failure_)
+      stats.failure_reason = *failure_;
+    else if (!stats.success && !abort_reasons_.empty())
+      stats.failure_reason = std::to_string(abort_reasons_.size()) +
+                             " job(s) aborted — first: " +
+                             abort_reasons_.front();
     record_run_metrics(run_span);
-    return stats_;
+    return stats;
   }
 
   /// End-of-run roll-up into the metrics registry plus execute-span args.
   template <typename Span>
   void record_run_metrics(Span& span) {
     if (!MEDA_OBS_ACTIVE()) return;
-    span.arg("cycles", static_cast<std::int64_t>(stats_.cycles));
-    span.arg("success", static_cast<std::int64_t>(stats_.success ? 1 : 0));
+    const ExecutionStats& stats = journal_.stats;
+    span.arg("cycles", static_cast<std::int64_t>(stats.cycles));
+    span.arg("success", static_cast<std::int64_t>(stats.success ? 1 : 0));
     span.arg("synthesis_calls",
-             static_cast<std::int64_t>(stats_.synthesis_calls));
-    span.arg("resyntheses", static_cast<std::int64_t>(stats_.resyntheses));
+             static_cast<std::int64_t>(stats.synthesis_calls));
+    span.arg("resyntheses", static_cast<std::int64_t>(stats.resyntheses));
     span.arg("resyntheses_warm",
-             static_cast<std::int64_t>(stats_.resyntheses_warm));
+             static_cast<std::int64_t>(stats.resyntheses_warm));
     MEDA_OBS_COUNT("sched.runs", 1);
-    if (stats_.success) MEDA_OBS_COUNT("sched.successes", 1);
-    MEDA_OBS_COUNT("sched.cycles", stats_.cycles);
+    if (stats.success) MEDA_OBS_COUNT("sched.successes", 1);
+    MEDA_OBS_COUNT("sched.cycles", stats.cycles);
     MEDA_OBS_COUNT("sched.synthesis_calls",
-                   static_cast<std::uint64_t>(stats_.synthesis_calls));
+                   static_cast<std::uint64_t>(stats.synthesis_calls));
     MEDA_OBS_COUNT("sched.library_hits",
-                   static_cast<std::uint64_t>(stats_.library_hits));
+                   static_cast<std::uint64_t>(stats.library_hits));
     MEDA_OBS_COUNT("sched.resyntheses",
-                   static_cast<std::uint64_t>(stats_.resyntheses));
+                   static_cast<std::uint64_t>(stats.resyntheses));
     MEDA_OBS_COUNT("sched.resyntheses_warm",
-                   static_cast<std::uint64_t>(stats_.resyntheses_warm));
+                   static_cast<std::uint64_t>(stats.resyntheses_warm));
     MEDA_OBS_COUNT("sched.completed_mos",
-                   static_cast<std::uint64_t>(stats_.completed_mos));
+                   static_cast<std::uint64_t>(stats.completed_mos));
     MEDA_OBS_COUNT("sched.aborted_mos",
-                   static_cast<std::uint64_t>(stats_.aborted_mos));
-    MEDA_OBS_OBSERVE("sched.run_cycles", static_cast<double>(stats_.cycles),
+                   static_cast<std::uint64_t>(stats.aborted_mos));
+    MEDA_OBS_OBSERVE("sched.run_cycles", static_cast<double>(stats.cycles),
                      obs::kPow2Buckets);
     const auto count = [](std::string prefix) {
       return [prefix = std::move(prefix)]([[maybe_unused]] const char* field,
@@ -339,8 +857,8 @@ class Runner {
         MEDA_OBS_COUNT(prefix + field, static_cast<std::uint64_t>(value));
       };
     };
-    RecoveryCounters::for_each_field(count("recovery."), stats_.recovery);
-    ReplicaCounters::for_each_field(count("replica."), stats_.replica);
+    RecoveryCounters::for_each_field(count("recovery."), stats.recovery);
+    ReplicaCounters::for_each_field(count("replica."), stats.replica);
   }
 
   /// Samples the cycle-domain counter tracks (droplets on chip, in-flight
@@ -349,29 +867,23 @@ class Runner {
     if (!MEDA_OBS_ACTIVE()) return;
     obs::Tracer& tracer = obs::ctx().tracer();
     if (!tracer.enabled()) return;
-    const std::uint64_t cycle = chip_.cycle() - start_cycle_;
-    std::int64_t droplets = 0;
+    const std::uint64_t cycle = journal_.now();
+    const auto retiring =
+        static_cast<std::int64_t>(replicas_.retiring().size());
+    std::int64_t droplets = retiring;
     std::int64_t pending = 0;
     for (const MoRun& run : runs_) {
       droplets += static_cast<std::int64_t>(run.live.size());
       for (const RouteTask& task : run.routes)
         if (task.pending) ++pending;
     }
-    droplets += static_cast<std::int64_t>(retiring_.size());
     tracer.cycle_counter("droplets_on_chip", droplets, cycle);
     tracer.cycle_counter("pending_syntheses", pending, cycle);
-    tracer.cycle_counter("health_changes", health_changes_total_, cycle);
-    tracer.cycle_counter("retiring_droplets",
-                         static_cast<std::int64_t>(retiring_.size()), cycle);
+    tracer.cycle_counter("health_changes", health_.changes(), cycle);
+    tracer.cycle_counter("retiring_droplets", retiring, cycle);
   }
 
  private:
-  bool all_done() const {
-    return std::all_of(runs_.begin(), runs_.end(), [](const MoRun& r) {
-      return r.state == MoRun::State::kDone;
-    });
-  }
-
   /// True when every MO has finished or gracefully aborted.
   bool all_settled() const {
     return std::all_of(runs_.begin(), runs_.end(), [](const MoRun& r) {
@@ -380,259 +892,178 @@ class Runner {
     });
   }
 
-  void fail(std::string reason) {
-    failed_ = true;
-    failure_reason_ = std::move(reason);
-  }
+  // ---- The MO lifecycle: activation, the step interpreter, completion and
+  // abort.
 
-  /// Appends one entry to the unified structured event log (and mirrors it
-  /// to the wall-clock trace as an instant marker when tracing is on).
-  void obs_event(std::string category, std::string name, int mo,
-                 std::string detail) {
-    MEDA_OBS_INSTANT("event", name, detail);
-    stats_.events.push_back(obs::Event{chip_.cycle() - start_cycle_,
-                                       std::move(category), std::move(name),
-                                       mo, std::move(detail)});
-  }
-
-  /// Recovery-ladder firing: a "recovery" entry named after the rung.
-  void event(RecoveryAction action, int mo, std::string detail) {
-    obs_event("recovery", std::string(to_string(action)), mo,
-              std::move(detail));
-  }
-
-  /// Senses the chip and rebuilds the controller's health view: raw scan or
-  /// filtered estimate, with quarantined cells clamped dead. @p forced marks
-  /// a ladder-driven re-sense (the filter re-seeds from the next frame).
-  void refresh_health(bool forced) {
-    if (!senses_health_) return;
-    IntMatrix scan = chip_.sense_health();
-    if (config_.filter.enabled) {
-      if (forced) filter_.force_resense();
-      filter_.observe(scan);
-      health_ = filter_.estimate();
-    } else {
-      health_ = std::move(scan);
+  void try_activate(MoRun& run) {
+    for (const assay::PreRef& ref : run.mo->pre) {
+      const MoRun::State s = runs_[static_cast<std::size_t>(ref.mo)].state;
+      if (s == MoRun::State::kWaiting || s == MoRun::State::kActive) return;
     }
-    if (forced) {
-      ++stats_.recovery.forced_resenses;
-      // The fresh (pre-clamp) estimate is the parole evidence: a cell the
-      // re-sense reads alive may leave the quarantine set under budget
-      // pressure before the clamp below re-kills the remaining inmates.
-      parole_quarantined();
+    for (const assay::PreRef& ref : run.mo->pre) {
+      const MoRun& pre = runs_[static_cast<std::size_t>(ref.mo)];
+      if (pre.state != MoRun::State::kDone) continue;
+      MEDA_ASSERT(ref.out < static_cast<int>(pre.out.size()),
+                  "predecessor output missing");
+      run.live.push_back(pre.out[static_cast<std::size_t>(ref.out)]);
     }
-    apply_quarantine();
-    note_health_change();
-  }
-
-  /// Ceiling on the quarantine set (cells), shared by the suspect budget
-  /// and the parole trigger.
-  int quarantine_budget() const {
-    return static_cast<int>(
-        kMaxQuarantineFraction *
-        static_cast<double>(quarantined_.width() * quarantined_.height()));
-  }
-
-  /// Budget-pressure parole: once the quarantine budget is exhausted, a
-  /// forced re-sense releases the *oldest* quarantined cells whose fresh
-  /// estimate reads alive, until the set is back at 3/4 of the budget.
-  /// Without this, early (possibly sensing-noise-driven) quarantines stay
-  /// blacklisted forever while genuinely dead cells compete for the budget.
-  void parole_quarantined() {
-    if (!config_.recovery.enabled || quarantine_order_.empty() ||
-        health_.empty())
+    // Cascade: inputs produced by completed predecessors can never be
+    // consumed; the abort removes them from the chip.
+    if (run.live.size() < run.mo->pre.size()) {
+      abort_job(run, "predecessor aborted");
       return;
-    const int budget = quarantine_budget();
-    if (quarantine_size() < budget) return;
-    const int target = (budget * 3) / 4;
-    int released = 0;
-    auto it = quarantine_order_.begin();
-    while (it != quarantine_order_.end() && quarantine_size() > target) {
-      const int x = it->x;
-      const int y = it->y;
-      if (health_(x, y) > 1) {
-        // Parole demands more than the weakest alive reading: under heavy
-        // sensing noise a dead cell's level-0 word often corrupts into
-        // level 1, and releasing on that would churn the same cells through
-        // quarantine → parole → re-quarantine.
-        quarantined_(x, y) = 0;
-        ++released;
-        it = quarantine_order_.erase(it);
-      } else {
-        ++it;  // still reads dead: stays quarantined
+    }
+    run.state = MoRun::State::kActive;
+    journal_.stats.mo_timings[static_cast<std::size_t>(run.mo->id)]
+        .activated = journal_.now();
+  }
+
+  /// Runs @p run's steps for one cycle, by the step rule: dispense, merge,
+  /// split and a route's arrival each end the MO's cycle, while a hold that
+  /// reads 0 and a discard complete without using it, so the next step runs
+  /// at once. A route step starts its routes and advances them in the same
+  /// cycle. The MO finishes in the cycle its last step completes.
+  void process(MoRun& run, std::vector<Command>& commands) {
+    for (;;) {
+      const Step& step = run.steps[run.step];
+      if (!run_step(run, step, commands) || failure_ ||
+          run.state != MoRun::State::kActive)
+        return;
+      if (++run.step == run.steps.size()) {
+        finish(run);
+        return;
       }
-    }
-    if (released == 0) return;
-    stats_.recovery.paroled_cells += released;
-    event(RecoveryAction::kQuarantineParole, -1,
-          std::to_string(released) + " cell(s) re-sensed alive; released");
-    if (quarantine_size() < budget) quarantine_budget_hit_ = false;
-  }
-
-  /// Cells in the quarantine set: quarantine_order_ holds exactly the cells
-  /// marked in quarantined_.
-  int quarantine_size() const {
-    return static_cast<int>(quarantine_order_.size());
-  }
-
-  /// Tracks changes of the controller's whole health view (metrics counter +
-  /// cycle-domain instant) so the trace shows when the world shifted.
-  void note_health_change() {
-    if (!MEDA_OBS_ACTIVE() || health_.empty()) return;
-    const std::uint64_t digest = health_digest(health_, chip_bounds_);
-    if (has_health_digest_ && digest != last_health_digest_) {
-      ++health_changes_total_;
-      MEDA_OBS_COUNT("sched.health_changes", 1);
-      MEDA_OBS_CYCLE_INSTANT("health-change", chip_.cycle() - start_cycle_);
-    }
-    last_health_digest_ = digest;
-    has_health_digest_ = true;
-  }
-
-  /// Folds filter-suspect cells into the quarantine set and clamps every
-  /// quarantined cell to health 0 in the current view.
-  void apply_quarantine() {
-    if (!config_.recovery.enabled) return;
-    if (config_.filter.enabled &&
-        filter_.suspect_count() > quarantined_suspects_seen_) {
-      // Budgeted: a suspect *flood* means the sensing channel is failing,
-      // not the substrate — quarantining it all would blind the router to a
-      // still-routable chip. Past the budget, trust the filtered estimate.
-      const int budget = quarantine_budget();
-      const BoolMatrix& suspect = filter_.suspect();
-      int added = 0;
-      for (int y = 0; y < quarantined_.height(); ++y)
-        for (int x = 0; x < quarantined_.width(); ++x) {
-          if (quarantine_size() >= budget) break;
-          if (suspect(x, y) != 0 && quarantined_(x, y) == 0) {
-            quarantined_(x, y) = 1;
-            quarantine_order_.push_back({x, y});
-            ++added;
-          }
-        }
-      quarantined_suspects_seen_ = filter_.suspect_count();
-      if (added > 0) {
-        stats_.recovery.quarantined_cells += added;
-        event(RecoveryAction::kQuarantine, -1,
-              std::to_string(added) + " suspect cell(s)");
-      }
-      if (quarantine_size() >= budget && !quarantine_budget_hit_) {
-        quarantine_budget_hit_ = true;
-        obs_event("recovery", "quarantine-budget", -1,
-                  "suspect flood: budget of " + std::to_string(budget) +
-                      " cell(s) exhausted; trusting the filter estimate");
-      }
-    }
-    clamp_quarantined();
-  }
-
-  void clamp_quarantined() {
-    if (quarantine_order_.empty() || health_.empty()) return;
-    for (int y = 0; y < health_.height(); ++y)
-      for (int x = 0; x < health_.width(); ++x)
-        if (quarantined_(x, y) != 0) health_(x, y) = 0;
-  }
-
-  /// Quarantines the cells a stuck droplet keeps failing to enter: the
-  /// commanded action's target pattern minus the current position (fallback:
-  /// the one-cell ring around the droplet). The router must then plan around
-  /// them even though they may still *read* healthy.
-  void quarantine_attempt_frontier(MoRun& run, RouteTask& task,
-                                   const Rect& pos) {
-    const Rect area = attempt_frontier(task, pos);
-    int added = 0;
-    for (int y = area.ya; y <= area.yb; ++y)
-      for (int x = area.xa; x <= area.xb; ++x)
-        if (!pos.contains(x, y) && quarantined_(x, y) == 0) {
-          quarantined_(x, y) = 1;
-          quarantine_order_.push_back({x, y});
-          ++added;
-        }
-    if (added == 0) return;
-    stats_.recovery.quarantined_cells += added;
-    event(RecoveryAction::kQuarantine, run.mo->id,
-          std::to_string(added) + " cell(s) blocking " + pos.to_string());
-    clamp_quarantined();
-  }
-
-  /// The cells a stuck task is trying (and failing) to enter: the commanded
-  /// action's target pattern (fallback: the one-cell ring around the
-  /// droplet), clamped to the chip. Shared by the quarantine escalation and
-  /// the stall classifier so both reason about the same frontier.
-  Rect attempt_frontier(const RouteTask& task, const Rect& pos) const {
-    Rect area = pos.inflated(1);
-    if (task.has_strategy) {
-      if (const std::optional<Action> a = task.strategy.action(pos))
-        area = apply(*a, pos);
-    }
-    return area.intersection_with(chip_bounds_);
-  }
-
-  /// Droplet-aware stall classification (on watchdog escalation): is the
-  /// droplet blocked by another live droplet parked on / next to its target
-  /// cells, by cells the controller's view already reads dead, or by cells
-  /// that read healthy but do not respond (lying cells)?
-  StallKind classify_stall(const RouteTask& task, const Rect& pos) const {
-    const Rect target = attempt_frontier(task, pos);
-    for (const MoRun& run : runs_) {
-      for (const DropletId other : run.live) {
-        if (other == task.droplet || other == task.partner) continue;
-        // The separation rule blocks entry when the other droplet is on the
-        // target cells or directly adjacent to them.
-        if (chip_.droplet_position(other).manhattan_gap(target) <= 1)
-          return StallKind::kContention;
-      }
-    }
-    // Retiring replicas are still physical droplets on the chip.
-    for (const RetireTask& retiree : retiring_) {
-      if (retiree.droplet == task.droplet || retiree.droplet == task.partner)
-        continue;
-      if (chip_.droplet_position(retiree.droplet).manhattan_gap(target) <= 1)
-        return StallKind::kContention;
-    }
-    if (!health_.empty()) {
-      for (int y = target.ya; y <= target.yb; ++y)
-        for (int x = target.xa; x <= target.xb; ++x)
-          if (!pos.contains(x, y) && health_(x, y) == 0)
-            return StallKind::kDeadCells;
-    }
-    return StallKind::kUnknown;
-  }
-
-  void record_stall_metric(StallKind kind) {
-    switch (kind) {
-      case StallKind::kContention:
-        MEDA_OBS_COUNT("sched.stalls_contention", 1);
-        break;
-      case StallKind::kDeadCells:
-        MEDA_OBS_COUNT("sched.stalls_dead_cells", 1);
-        break;
-      case StallKind::kUnknown:
-        MEDA_OBS_COUNT("sched.stalls_unknown", 1);
-        break;
+      run.hold_remaining = run.mo->hold_cycles;
+      if (step.kind != Step::kHold && step.kind != Step::kDiscard) return;
     }
   }
 
-  /// The given health view with every *other* live droplet's footprint
-  /// (inflated by the separation margin) masked dead: a virtual obstacle
-  /// map for contention detours. The stuck droplet's own cells are never
-  /// masked. Retiring replicas count — they are still on the chip.
-  IntMatrix droplet_masked_health(const RouteTask& task, const Rect& pos,
-                                  const IntMatrix& base) const {
-    IntMatrix masked = base;
-    const auto mask_other = [&](DropletId other) {
-      if (other == task.droplet || other == task.partner) return;
-      const Rect area = chip_.droplet_position(other)
-                            .inflated(1)
-                            .intersection_with(chip_bounds_);
-      for (int y = area.ya; y <= area.yb; ++y)
-        for (int x = area.xa; x <= area.xb; ++x)
-          if (!pos.contains(x, y)) masked(x, y) = 0;
+  /// Runs one step of @p run for this cycle; true when the step completed.
+  bool run_step(MoRun& run, const Step& step, std::vector<Command>& commands) {
+    const Mo& mo = *run.mo;
+    const std::vector<Rect>& outputs =
+        outputs_[static_cast<std::size_t>(mo.id)];
+    const auto at_loc = [&](DropletId d) {
+      return assay::placed_rect(mo.locs[0], chip_.droplet_position(d).area());
     };
-    for (const MoRun& run : runs_)
-      for (const DropletId other : run.live) mask_other(other);
-    for (const RetireTask& retiree : retiring_) mask_other(retiree.droplet);
-    return masked;
+    switch (step.kind) {
+      case Step::kDispense: {
+        const Rect entry = dispense_entry_rect(outputs[0], chip_bounds_);
+        if (!chip_.location_clear(entry)) return false;  // port busy
+        const DropletId d = chip_.dispense(entry);
+        run.live = {d};
+        run.routes = {make_route(mo.id, d, outputs[0])};
+        run.routed = run.step + 1;  // the route step after this one drives it
+        return true;
+      }
+      case Step::kRoute:
+        if (run.routed != run.step) {
+          run.routes.clear();
+          for (std::size_t k = 0; k < run.live.size(); ++k) {
+            if (step.slot != Step::kEach &&
+                k != static_cast<std::size_t>(step.slot))
+              continue;
+            const DropletId d = run.live[k];
+            run.routes.push_back(
+                make_route(mo.id, d, step.to_loc ? at_loc(d) : outputs[k]));
+          }
+          run.routed = run.step;
+        }
+        return advance_routes(run, commands);
+      case Step::kMerge: {
+        // All of the MO's droplets move concurrently (Algorithm 3); the
+        // partnered routes end at contact, not at their goals.
+        const DropletId a = run.live[0];
+        const DropletId b = run.live[1];
+        if (run.routed != run.step) {
+          run.routes = {make_route(mo.id, a, at_loc(a), /*partner=*/b),
+                        make_route(mo.id, b, at_loc(b), /*partner=*/a)};
+          run.routed = run.step;
+        }
+        const Rect pa = chip_.droplet_position(a);
+        const Rect pb = chip_.droplet_position(b);
+        if (pa.manhattan_gap(pb) <= 1) {
+          for (RouteTask& task : run.routes)
+            task.end_span("merged", chip_.cycle());
+          run.live = {chip_.merge(a, b, merge_site(pa, pb))};
+          return true;
+        }
+        advance_routes(run, commands);
+        return false;
+      }
+      case Step::kSplit: {
+        const Rect pos = chip_.droplet_position(run.live[0]);
+        const int area = pos.area();
+        const auto [r0, r1] =
+            split_rects(pos, (area + 1) / 2, area / 2, chip_bounds_);
+        if (!chip_.split_clear(run.live[0], r0, r1)) return false;
+        const auto [p0, p1] = chip_.split(run.live[0], r0, r1);
+        run.live = {p0, p1};
+        return true;
+      }
+      case Step::kHold:
+        if (run.hold_remaining == 0) return true;
+        --run.hold_remaining;  // droplet held (and actuated) in place
+        return false;
+      case Step::kDiscard:
+        for (const DropletId d : run.live) chip_.discard(d);  // via the edge
+        run.live.clear();
+        return true;
+      case Step::kReplicate:
+        return replicated_dispense(run, commands);
+    }
+    return false;
+  }
+
+  /// Advances every route of @p run one cycle; true when all have arrived.
+  bool advance_routes(MoRun& run, std::vector<Command>& commands) {
+    bool arrived = true;
+    for (RouteTask& task : run.routes) {
+      arrived = advance_route(run, task, commands) && arrived;
+      if (failure_ || run.state != MoRun::State::kActive) return false;
+    }
+    return arrived;
+  }
+
+  /// A replicated dispense (effective N > 1): the corridors are planned on
+  /// the first visit, then one replica launches per cycle through the
+  /// shared port while the live ones race. The first arrival completes the
+  /// MO (k = 1 of N vote) and the losers retire to waste.
+  bool replicated_dispense(MoRun& run, std::vector<Command>& commands) {
+    const Mo& mo = *run.mo;
+    const Rect goal = outputs_[static_cast<std::size_t>(mo.id)][0];
+    const Rect entry = dispense_entry_rect(goal, chip_bounds_);
+    // Launch at most one replica per cycle — the dispense port is shared.
+    int just_launched = -1;
+    if (replicas_.launching(mo, entry, goal) && chip_.location_clear(entry)) {
+      const DropletId d = chip_.dispense(entry);
+      run.live.push_back(d);
+      RouteTask task = make_route(mo.id, d, goal);
+      replicas_.launch(task);
+      just_launched = task.replica;
+      run.routes.push_back(std::move(task));
+    }
+    for (RouteTask& task : run.routes) {
+      // Dispensing used the new replica's cycle.
+      if (task.replica == just_launched || replicas_.abandoned(task)) continue;
+      const bool arrived = advance_route(run, task, commands);
+      if (failure_ || run.state != MoRun::State::kActive) return false;
+      if (arrived) {
+        replicas_.vote(run, task);
+        return true;
+      }
+    }
+    return false;
+  }
+
+  void finish(MoRun& run) {
+    run.out = std::exchange(run.live, {});
+    release_routes(run, "finished");
+    run.state = MoRun::State::kDone;
+    MoTiming& timing =
+        journal_.stats.mo_timings[static_cast<std::size_t>(run.mo->id)];
+    timing.completed = journal_.now();
+    timing.done = true;
   }
 
   /// Gracefully aborts one MO: its droplets are scheduled for discard at the
@@ -640,10 +1071,10 @@ class Runner {
   void abort_job(MoRun& run, const std::string& reason) {
     if (run.state == MoRun::State::kAborted) return;
     run.state = MoRun::State::kAborted;
-    ++stats_.recovery.aborted_jobs;
+    ++journal_.stats.recovery.aborted_jobs;
     abort_reasons_.push_back("MO " + std::to_string(run.mo->id) + ": " +
                              reason);
-    event(RecoveryAction::kJobAbort, run.mo->id, reason);
+    journal_.event(RecoveryAction::kJobAbort, run.mo->id, reason);
     doomed_.insert(doomed_.end(), run.live.begin(), run.live.end());
     run.live.clear();
   }
@@ -659,88 +1090,30 @@ class Runner {
     for (const DropletId id : doomed_) chip_.discard(id);
     doomed_.clear();
     for (MoRun& run : runs_)
-      if (run.state == MoRun::State::kAborted) {
-        for (RouteTask& task : run.routes) {
-          record_replica_route(task, /*winner=*/false);
-          close_job_span(task, "aborted");
-        }
-        run.routes.clear();
-      }
+      if (run.state == MoRun::State::kAborted) release_routes(run, "aborted");
   }
 
-  /// Ladder stage: an infeasible synthesis. Bounded retries with
-  /// exponential backoff and a forced re-sense; then the replica-failover
-  /// rung for replicated droplets, graceful job abort otherwise.
-  void on_synthesis_failure(MoRun& run, RouteTask& task) {
-    ++task.retries;
-    ++stats_.recovery.synthesis_retries;
-    if (task.retries > kMaxSynthesisRetries) {
-      if (task.replica >= 0) {
-        // Per-replica budget exhausted: abandon this replica and let its
-        // siblings race on — only all-replica failure aborts the MO.
-        abandon_replica(run, task);
-        return;
-      }
-      abort_job(run, "no feasible strategy after " +
-                         std::to_string(task.retries) + " attempts");
-      return;
+  /// Seals and closes every route of @p run as @p outcome, then drops them.
+  void release_routes(MoRun& run, std::string_view outcome) {
+    for (RouteTask& task : run.routes) {
+      replicas_.seal(task, /*winner=*/false);
+      task.end_span(outcome, chip_.cycle());
     }
-    event(RecoveryAction::kSynthesisRetry, task.rj.mo,
-          "attempt " + std::to_string(task.retries) + "/" +
-              std::to_string(kMaxSynthesisRetries));
-    task.backoff_remaining = kBackoffBaseCycles << (task.retries - 1);
-    event(RecoveryAction::kBackoff, task.rj.mo,
-          std::to_string(task.backoff_remaining) + " cycle(s)");
-    // Fresh information for the retry.
-    refresh_health(/*forced=*/true);
-  }
-
-  void try_activate(MoRun& run) {
-    bool aborted_pre = false;
-    for (const assay::PreRef& ref : run.mo->pre) {
-      const MoRun::State s = runs_[static_cast<std::size_t>(ref.mo)].state;
-      if (s == MoRun::State::kWaiting || s == MoRun::State::kActive) return;
-      if (s == MoRun::State::kAborted) aborted_pre = true;
-    }
-    if (aborted_pre) {
-      // Cascade: inputs produced by completed predecessors can never be
-      // consumed; remove them from the chip with the abort.
-      for (const assay::PreRef& ref : run.mo->pre) {
-        const MoRun& pre = runs_[static_cast<std::size_t>(ref.mo)];
-        if (pre.state == MoRun::State::kDone)
-          doomed_.push_back(pre.out[static_cast<std::size_t>(ref.out)]);
-      }
-      abort_job(run, "predecessor aborted");
-      return;
-    }
-    run.in.clear();
-    for (const assay::PreRef& ref : run.mo->pre) {
-      const MoRun& pre = runs_[static_cast<std::size_t>(ref.mo)];
-      MEDA_ASSERT(ref.out < static_cast<int>(pre.out.size()),
-                  "predecessor output missing");
-      run.in.push_back(pre.out[static_cast<std::size_t>(ref.out)]);
-    }
-    run.state = MoRun::State::kActive;
-    run.phase = 0;
-    run.live = run.in;
-    stats_.mo_timings[static_cast<std::size_t>(run.mo->id)].activated =
-        chip_.cycle() - start_cycle_;
-  }
-
-  void finish(MoRun& run, std::vector<DropletId> out) {
-    run.out = std::move(out);
-    for (RouteTask& task : run.routes) close_job_span(task, "finished");
     run.routes.clear();
-    run.live.clear();
-    run.state = MoRun::State::kDone;
-    MoTiming& timing = stats_.mo_timings[static_cast<std::size_t>(run.mo->id)];
-    timing.completed = chip_.cycle() - start_cycle_;
-    timing.done = true;
   }
 
-  int droplet_area(DropletId id) const {
-    return chip_.droplet_position(id).area();
+  /// Where two partnered droplets at @p pa and @p pb merge: the pattern of
+  /// their joint area centered on the contact centroid, clamped to the chip.
+  Rect merge_site(const Rect& pa, const Rect& pb) const {
+    const Rect box = pa.union_with(pb);
+    const assay::DropletSize size = assay::size_for_area(pa.area() + pb.area());
+    return clamp_into(
+        Rect::from_center(box.center_x(), box.center_y(), size.w, size.h),
+        chip_bounds_);
   }
+
+  // ---- Route advancement: one routing job per droplet, its strategy kept
+  // current by ensure_strategy and its stalls handled by the ladder.
 
   /// Creates a routing job for @p droplet from its current position.
   RouteTask make_route(int mo_id, DropletId droplet, const Rect& goal,
@@ -761,17 +1134,6 @@ class Runner {
     return task;
   }
 
-  /// Closes the task's async job span (idempotent; no-op when none is open).
-  void close_job_span(RouteTask& task, std::string_view outcome) {
-    if (task.job_span_id == 0) return;
-    obs::ctx().tracer().async_end(
-        "job", "MO " + std::to_string(task.rj.mo) + " route",
-        task.job_span_id,
-        {{"outcome", obs::json_quote(outcome)},
-         {"cycles", std::to_string(chip_.cycle() - task.created_cycle)}});
-    task.job_span_id = 0;
-  }
-
   /// Manhattan gap from the droplet to its arrival frontier: contact with
   /// the merge partner for partnered routes, the goal rectangle otherwise.
   /// The progress-rate watchdog measures its EWMA over this quantity.
@@ -785,168 +1147,247 @@ class Runner {
   /// merge-partnered routes — in contact with the partner.
   bool route_arrived(const RouteTask& task) const {
     const Rect pos = chip_.droplet_position(task.droplet);
-    if (task.partner >= 0) {
-      return pos.manhattan_gap(chip_.droplet_position(task.partner)) <= 1;
-    }
-    return task.rj.goal.contains(pos);
+    return task.partner >= 0 ? goal_gap(task, pos) <= 1
+                             : task.rj.goal.contains(pos);
   }
 
-  /// Advances one route by one cycle (emits at most one command).
-  /// Returns true when the droplet has arrived (no command emitted).
+  /// Advances one route by one cycle. Returns true when the droplet has
+  /// arrived (no command emitted); otherwise commands the droplet, with an
+  /// action or a hold, unless the execution failed or the MO aborted.
   bool advance_route(MoRun& run, RouteTask& task,
                      std::vector<Command>& commands) {
     if (route_arrived(task)) {
       if (!task.recorded && task.first_expected_cycles >= 0.0) {
-        stats_.routes.push_back(
+        journal_.stats.routes.push_back(
             RouteRecord{task.rj.mo, task.first_expected_cycles,
                         chip_.cycle() - task.created_cycle});
         task.recorded = true;
       }
-      close_job_span(task, "arrived");
+      task.end_span("arrived", chip_.cycle());
       return true;
     }
+    const std::optional<Action> action = next_action(run, task);
+    if (!failure_ && run.state == MoRun::State::kActive)
+      commands.push_back(Command{task.droplet, action, task.partner});
+    return false;
+  }
+
+  /// The action that moves @p task's droplet this cycle, or nullopt to hold
+  /// it in place.
+  std::optional<Action> next_action(MoRun& run, RouteTask& task) {
     const Rect pos = chip_.droplet_position(task.droplet);
-    if (task.partner >= 0 && task.rj.goal.contains(pos)) {
-      // Parked at the mixer waiting for the partner to make contact.
-      commands.push_back(Command{task.droplet, std::nullopt, task.partner});
-      return false;
-    }
+    // Parked at the mixer waiting for the partner to make contact.
+    if (task.partner >= 0 && task.rj.goal.contains(pos)) return std::nullopt;
 
     // Ladder backoff: hold in place while waiting out a failed synthesis.
     if (task.backoff_remaining > 0) {
       --task.backoff_remaining;
-      ++stats_.recovery.backoff_cycles;
-      commands.push_back(Command{task.droplet, std::nullopt, task.partner});
-      return false;
+      ++journal_.stats.recovery.backoff_cycles;
+      return std::nullopt;
     }
 
-    // Ladder watchdog: a commanded droplet that stops making progress
-    // triggers a forced re-sense + strategy drop; repeated firings escalate
-    // to quarantining the cells it keeps failing to enter. A stall
-    // attributable to another live droplet (contention) instead requests a
-    // droplet-avoiding re-synthesis — quarantining perfectly healthy cells
-    // just because a neighbour parked on them would permanently shrink the
-    // routable chip.
-    //
-    // The stall detector is a progress-rate watchdog: it fires when an EWMA
-    // of Manhattan progress toward the goal frontier decays below
-    // kMinProgressRate. An end-of-life chip where pulls still land every
-    // few cycles keeps a healthy rate and is left to crawl, while a true
-    // stall decays to zero.
-    if (config_.recovery.enabled) {
-      bool watchdog_fired = false;
-      if (task.has_strategy) {
-        const int gap = goal_gap(task, pos);
-        if (task.last_goal_gap >= 0) {
-          // Movement that does not approach the goal (a detour leg, a
-          // morph) still proves the droplet responds; credit it so only
-          // genuine unresponsiveness decays the rate.
-          constexpr double kMovementCredit = 0.25;
-          double observed =
-              std::max(0.0, static_cast<double>(task.last_goal_gap - gap));
-          if (pos != task.watch_pos)
-            observed = std::max(observed, kMovementCredit);
-          task.progress_rate = (1.0 - kProgressAlpha) * task.progress_rate +
-                               kProgressAlpha * observed;
-          if (task.progress_rate < kMinProgressRate) {
-            watchdog_fired = true;
-            task.progress_rate = 1.0;  // fresh grace period after firing
-            task.last_goal_gap = -1;
-          } else {
-            task.last_goal_gap = gap;
-          }
-        } else {
-          task.last_goal_gap = gap;
-          task.progress_rate = 1.0;
-        }
-        if (pos != task.watch_pos)
-          task.contention_detours = 0;  // movement resets the detour budget
-        task.watch_pos = pos;
-      } else {
-        task.last_goal_gap = -1;  // no commanded strategy: not stalling
-      }
-      if (watchdog_fired) {
-        ++task.watchdog_count;
-        ++stats_.recovery.watchdog_fires;
-        event(RecoveryAction::kWatchdogResense, task.rj.mo,
-              "droplet stuck at " + pos.to_string());
-        refresh_health(/*forced=*/true);
-        const StallKind kind = classify_stall(task, pos);
-        obs_event("stall", stall_name(kind), task.rj.mo,
-                  "stuck at " + pos.to_string());
-        record_stall_metric(kind);
-        if (kind == StallKind::kContention &&
-            task.contention_detours < kMaxContentionDetours) {
-          ++task.contention_detours;
-          ++stats_.recovery.contention_detours;
-          task.watchdog_count = 0;  // contention must not reach quarantine
-          event(RecoveryAction::kContentionDetour, task.rj.mo,
-                "re-routing around droplet near " + pos.to_string());
-          task.avoid_droplets_once = true;
-        } else if (task.watchdog_count >=
-                   config_.recovery.quarantine_after_watchdogs) {
-          task.watchdog_count = 0;
-          quarantine_attempt_frontier(run, task, pos);
-        }
-        task.has_strategy = false;
-        task.pending = false;
-      }
-    }
+    if (config_.recovery.enabled) watch(run, task, pos);
 
     // Reactive error recovery (retrial-based, Section II-C): once the
     // droplet has been stuck long enough, drop the strategy and request one
     // re-route from the sensed health (ensure_strategy serves it).
-    if (config_.reactive_recovery_stuck_cycles > 0 && !config_.adaptive) {
-      if (pos == task.last_pos) {
-        if (++task.stuck_cycles >= config_.reactive_recovery_stuck_cycles) {
-          task.stuck_cycles = 0;
-          task.has_strategy = false;
-          task.pending = false;
-          task.reroute_once = true;
-        }
-      } else {
-        task.last_pos = pos;
-        task.stuck_cycles = 0;
-      }
+    if (config_.reactive_recovery_stuck_cycles > 0 && !config_.adaptive &&
+        task.still.fires(pos, config_.reactive_recovery_stuck_cycles)) {
+      task.drop_strategy();
+      task.reroute_once = true;
     }
 
     ensure_strategy(run, task, pos);
-    if (failed_ || run.state != MoRun::State::kActive) return false;
-    if (!task.has_strategy) {
-      // Synthesis still pending (or backing off); hold in place.
-      commands.push_back(Command{task.droplet, std::nullopt, task.partner});
-      return false;
-    }
+    // Synthesis still pending (or backing off): hold in place.
+    if (failure_ || run.state != MoRun::State::kActive || !task.has_strategy)
+      return std::nullopt;
 
     std::optional<Action> action = task.strategy.action(pos);
     if (!action) {
       // The droplet drifted off the synthesized region (can happen after a
       // strategy swap); force a fresh synthesis from the current state.
-      task.has_strategy = false;
-      task.pending = false;
+      task.drop_strategy();
       ensure_strategy(run, task, pos);
-      if (failed_ || run.state != MoRun::State::kActive) return false;
+      if (failure_ || run.state != MoRun::State::kActive) return std::nullopt;
       if (task.has_strategy) action = task.strategy.action(pos);
     }
-    if (!action) {
-      if (task.backoff_remaining > 0 || !task.has_strategy) {
-        // The ladder already took over (retry scheduled); hold meanwhile.
-        commands.push_back(Command{task.droplet, std::nullopt, task.partner});
-        return false;
-      }
-      if (config_.recovery.enabled) {
-        on_synthesis_failure(run, task);
-        if (run.state == MoRun::State::kActive)
-          commands.push_back(
-              Command{task.droplet, std::nullopt, task.partner});
-        return false;
-      }
-      fail("strategy does not cover the droplet state for MO " +
-           std::to_string(task.rj.mo));
-      return false;
+    // Without an action while the ladder already took over (a retry is
+    // scheduled), the droplet holds meanwhile.
+    if (action || task.backoff_remaining > 0 || !task.has_strategy)
+      return action;
+    if (config_.recovery.enabled) {
+      on_synthesis_failure(run, task);
+    } else {
+      failure_ = "strategy does not cover the droplet state for MO " +
+                 std::to_string(task.rj.mo);
     }
-    commands.push_back(Command{task.droplet, action, task.partner});
-    return false;
+    return std::nullopt;
+  }
+
+  /// Ladder watchdog: a commanded droplet that stops making progress
+  /// triggers a forced re-sense + strategy drop; repeated firings escalate
+  /// to quarantining the cells it keeps failing to enter. A stall
+  /// attributable to another live droplet (contention) instead requests a
+  /// droplet-avoiding re-synthesis — quarantining perfectly healthy cells
+  /// just because a neighbour parked on them would permanently shrink the
+  /// routable chip.
+  ///
+  /// The stall detector is a progress-rate watchdog: it fires when an EWMA
+  /// of Manhattan progress toward the goal frontier decays below
+  /// kMinProgressRate. An end-of-life chip where pulls still land every
+  /// few cycles keeps a healthy rate and is left to crawl, while a true
+  /// stall decays to zero.
+  void watch(MoRun& run, RouteTask& task, const Rect& pos) {
+    if (!task.has_strategy) {
+      task.last_goal_gap = -1;  // no commanded strategy: not stalling
+      return;
+    }
+    const int gap = goal_gap(task, pos);
+    if (task.last_goal_gap >= 0) {
+      // Movement that does not approach the goal (a detour leg, a morph)
+      // still proves the droplet responds; credit it so only genuine
+      // unresponsiveness decays the rate.
+      constexpr double kMovementCredit = 0.25;
+      double observed =
+          std::max(0.0, static_cast<double>(task.last_goal_gap - gap));
+      if (pos != task.watch_pos) observed = std::max(observed, kMovementCredit);
+      task.progress_rate = (1.0 - kProgressAlpha) * task.progress_rate +
+                           kProgressAlpha * observed;
+    }
+    const bool fired = task.last_goal_gap >= 0 &&
+                       task.progress_rate < kMinProgressRate;
+    // A first reading, or a firing, starts a fresh grace period.
+    if (task.last_goal_gap < 0 || fired) task.progress_rate = 1.0;
+    task.last_goal_gap = fired ? -1 : gap;
+    if (pos != task.watch_pos)
+      task.contention_detours = 0;  // movement resets the detour budget
+    task.watch_pos = pos;
+    if (!fired) return;
+
+    ++task.watchdog_count;
+    ++journal_.stats.recovery.watchdog_fires;
+    journal_.event(RecoveryAction::kWatchdogResense, task.rj.mo,
+                   "droplet stuck at " + pos.to_string());
+    health_.refresh(/*forced=*/true);
+    const StallKind kind = classify_stall(task, pos);
+    const auto& names = kStallNames[static_cast<std::size_t>(kind)];
+    journal_.event("stall", names.first, task.rj.mo,
+                   "stuck at " + pos.to_string());
+    MEDA_OBS_COUNT(names.second, 1);
+    if (kind == StallKind::kContention &&
+        task.contention_detours < kMaxContentionDetours) {
+      ++task.contention_detours;
+      ++journal_.stats.recovery.contention_detours;
+      task.watchdog_count = 0;  // contention must not reach quarantine
+      journal_.event(RecoveryAction::kContentionDetour, task.rj.mo,
+                     "re-routing around droplet near " + pos.to_string());
+      task.avoid_droplets_once = true;
+    } else if (task.watchdog_count >=
+               config_.recovery.quarantine_after_watchdogs) {
+      task.watchdog_count = 0;
+      // Quarantine the cells the droplet keeps failing to enter: the router
+      // must then plan around them even though they may still read healthy.
+      const int added = health_.quarantine(attempt_frontier(task, pos), pos);
+      if (added > 0)
+        journal_.event(RecoveryAction::kQuarantine, run.mo->id,
+                       std::to_string(added) + " cell(s) blocking " +
+                           pos.to_string());
+    }
+    task.drop_strategy();
+  }
+
+  /// The cells a stuck task is trying (and failing) to enter: the commanded
+  /// action's target pattern (fallback: the one-cell ring around the
+  /// droplet), clamped to the chip. Shared by the quarantine escalation and
+  /// the stall classifier so both reason about the same frontier.
+  Rect attempt_frontier(const RouteTask& task, const Rect& pos) const {
+    Rect area = pos.inflated(1);
+    if (task.has_strategy) {
+      if (const std::optional<Action> a = task.strategy.action(pos))
+        area = apply(*a, pos);
+    }
+    return area.intersection_with(chip_bounds_);
+  }
+
+  /// Where every droplet on the chip other than @p task's own and its merge
+  /// partner sits: every MO's live droplets, then the retiring replicas
+  /// (still physical droplets on the chip).
+  std::vector<Rect> other_droplets(const RouteTask& task) const {
+    std::vector<Rect> others;
+    const auto add = [&](DropletId id) {
+      if (id != task.droplet && id != task.partner)
+        others.push_back(chip_.droplet_position(id));
+    };
+    for (const MoRun& run : runs_)
+      for (const DropletId id : run.live) add(id);
+    for (const RetireTask& retiree : replicas_.retiring()) add(retiree.droplet);
+    return others;
+  }
+
+  /// Droplet-aware stall classification (on watchdog escalation): is the
+  /// droplet blocked by another live droplet parked on / next to its target
+  /// cells, by cells the controller's view already reads dead, or by cells
+  /// that read healthy but do not respond (lying cells)?
+  StallKind classify_stall(const RouteTask& task, const Rect& pos) const {
+    const Rect target = attempt_frontier(task, pos);
+    // The separation rule blocks entry when the other droplet is on the
+    // target cells or directly adjacent to them.
+    for (const Rect& other : other_droplets(task))
+      if (other.manhattan_gap(target) <= 1) return StallKind::kContention;
+    const IntMatrix& health = health_.view();
+    bool dead = false;
+    if (!health.empty())
+      for_each_cell_outside(target, chip_bounds_, {pos}, [&](int x, int y) {
+        dead = dead || health(x, y) == 0;
+      });
+    return dead ? StallKind::kDeadCells : StallKind::kUnknown;
+  }
+
+  /// @p base with every *other* live droplet's footprint (inflated by the
+  /// separation margin) masked dead: a virtual obstacle map for contention
+  /// detours. The stuck droplet's own cells are never masked.
+  IntMatrix droplet_masked_health(const RouteTask& task, const Rect& pos,
+                                  const IntMatrix& base) const {
+    IntMatrix masked = base;
+    for (const Rect& other : other_droplets(task))
+      for_each_cell_outside(other.inflated(1), chip_bounds_, {pos},
+                            [&](int x, int y) { masked(x, y) = 0; });
+    return masked;
+  }
+
+  /// Ladder stage: an infeasible synthesis. Bounded retries with
+  /// exponential backoff and a forced re-sense; then the replica-failover
+  /// rung for replicated droplets, graceful job abort otherwise.
+  void on_synthesis_failure(MoRun& run, RouteTask& task) {
+    ++task.retries;
+    ++journal_.stats.recovery.synthesis_retries;
+    if (task.retries > kMaxSynthesisRetries) {
+      if (task.replica >= 0) {
+        // Per-replica budget exhausted: abandon this replica and let its
+        // siblings race on — only all-replica failure aborts the MO.
+        fail_over(run, task);
+        return;
+      }
+      abort_job(run, "no feasible strategy after " +
+                         std::to_string(task.retries) + " attempts");
+      return;
+    }
+    journal_.event(RecoveryAction::kSynthesisRetry, task.rj.mo,
+                   "attempt " + std::to_string(task.retries) + "/" +
+                       std::to_string(kMaxSynthesisRetries));
+    task.backoff_remaining = kBackoffBaseCycles << (task.retries - 1);
+    journal_.event(RecoveryAction::kBackoff, task.rj.mo,
+                   std::to_string(task.backoff_remaining) + " cycle(s)");
+    // Fresh information for the retry.
+    health_.refresh(/*forced=*/true);
+  }
+
+  /// Hands replica @p task, whose retries ran out, to the failover rung; the
+  /// MO aborts once none of its replicas is left.
+  void fail_over(MoRun& run, RouteTask& task) {
+    if (replicas_.fail_over(run, task, doomed_))
+      abort_job(run, "all " + std::to_string(replicas_.degree(*run.mo)) +
+                         " replicas failed");
   }
 
   /// Retrieves / synthesizes / re-synthesizes the task's strategy
@@ -956,14 +1397,12 @@ class Runner {
   void ensure_strategy(MoRun& run, RouteTask& task, const Rect& pos) {
     // Adopt a finished asynchronous synthesis.
     if (task.pending) {
-      if (--task.pending_countdown <= 0) {
-        task.strategy = std::move(task.pending_strategy);
-        task.digest = task.pending_digest;
-        task.has_strategy = true;
-        task.pending = false;
-      } else {
-        return;  // keep executing the previous strategy meanwhile
-      }
+      // Keep executing the previous strategy meanwhile.
+      if (--task.pending_countdown > 0) return;
+      task.strategy = std::move(task.pending_strategy);
+      task.digest = task.pending_digest;
+      task.has_strategy = true;
+      task.pending = false;
     }
 
     // A droplet can end up just outside its original zone (strategy swaps
@@ -972,29 +1411,27 @@ class Runner {
     if (!task.rj.hazard.contains(pos))
       task.rj.hazard = task.rj.hazard.union_with(pos);
 
-    // Replica-masked synthesis view: sibling corridor bands clamped dead
-    // (outside the shared funnels) make the replica routes pairwise
-    // region-disjoint. The digest is taken over the *masked* view and
-    // salted (kReplicaDigestSalt), so the band geometry is folded into
-    // both the re-synthesis trigger and the library key.
-    const bool replica_mask = task.replica >= 0 && !task.masked_bands.empty() &&
-                              !task.mask_degraded && !health_.empty();
-    IntMatrix replica_health;
-    std::uint64_t digest =
-        config_.adaptive ? health_digest(health_, task.rj.hazard) : 0;
-    if (replica_mask) {
-      replica_health = replica_masked_health(task, pos);
-      digest = replica_digest(replica_health, task.rj.hazard);
-    }
+    // A replica synthesizes over its corridor-masked view. The digest is
+    // taken over the *masked* view and salted (kReplicaDigestSalt), so the
+    // band geometry is folded into both the re-synthesis trigger and the
+    // library key.
+    const IntMatrix& health = health_.view();
+    const std::optional<IntMatrix> replica_health =
+        replicas_.masked_view(task, pos, health);
+    const IntMatrix& view = replica_health ? *replica_health : health;
+    const std::uint64_t digest =
+        replica_health     ? replica_digest(view, task.rj.hazard)
+        : config_.adaptive ? health_digest(health, task.rj.hazard)
+                           : 0;
     if (task.has_strategy && digest == task.digest) return;
 
     // One-shot requests, consumed success or not: a contention detour and a
     // reactive re-route both synthesize afresh from the sensed view.
-    const bool avoid_droplets = task.avoid_droplets_once && !health_.empty();
+    const bool avoid_droplets = task.avoid_droplets_once && !health.empty();
     const bool reroute = task.reroute_once;
     task.avoid_droplets_once = false;
     task.reroute_once = false;
-    if (task.has_strategy || reroute) ++stats_.resyntheses;
+    if (task.has_strategy || reroute) ++journal_.stats.resyntheses;
 
     RoutingJob rj = task.rj;
     rj.start = pos;  // re-anchor at the droplet's current location
@@ -1012,60 +1449,51 @@ class Runner {
     IntMatrix masked_health;
     std::uint64_t lookup_digest = digest;
     if (avoid_droplets) {
-      masked_health = droplet_masked_health(
-          task, pos, replica_mask ? replica_health : health_);
+      masked_health = droplet_masked_health(task, pos, view);
       lookup_digest = detour_digest(masked_health, task.rj.hazard);
     } else if (reroute) {
       // A baseline re-route is keyed by the sensed health it solves over,
       // while the task keeps the baseline digest 0: the re-routed strategy
       // holds until the droplet gets stuck again.
-      lookup_digest = health_digest(health_, task.rj.hazard);
+      lookup_digest = health_digest(health, task.rj.hazard);
     }
 
     const DigestClass digest_class = avoid_droplets ? DigestClass::kDetour
-                                     : replica_mask ? DigestClass::kReplica
-                                                    : DigestClass::kPlain;
+                                     : replica_health ? DigestClass::kReplica
+                                                      : DigestClass::kPlain;
     const SynthesisResult* cached =
         config_.use_library ? library_.lookup(rj, lookup_digest, digest_class)
                             : nullptr;
     if (cached != nullptr) {
-      ++stats_.library_hits;
+      ++journal_.stats.library_hits;
       result = *cached;
     } else {
-      ++stats_.synthesis_calls;
+      ++journal_.stats.synthesis_calls;
       if (avoid_droplets || reroute) {
         result = synthesizer_.synthesize(
-            rj, avoid_droplets ? masked_health : health_, chip_.health_bits());
+            rj, avoid_droplets ? masked_health : health, chip_.health_bits());
       } else if (config_.adaptive) {
         // The hot re-synthesis path: reuse the task's retained model so a
         // small health delta patches it in place instead of rebuilding the
-        // MDP from scratch. Replicas solve over their corridor-masked view.
-        result = synthesizer_.resynthesize(
-            rj, replica_mask ? replica_health : health_, chip_.health_bits(),
-            task.resynth);
-        if (result.warm) ++stats_.resyntheses_warm;
+        // MDP from scratch.
+        result = synthesizer_.resynthesize(rj, view, chip_.health_bits(),
+                                           task.resynth);
+        if (result.warm) ++journal_.stats.resyntheses_warm;
       } else {
         result = synthesizer_.synthesize_with_force(
             rj,
             full_health_force(chip_bounds_.width(), chip_bounds_.height()));
       }
-      stats_.synthesis_seconds += result.total_seconds;
+      journal_.stats.synthesis_seconds += result.total_seconds;
       if (config_.use_library)
         library_.store(rj, lookup_digest, result, digest_class);
     }
 
     if (!result.feasible) {
-      if (replica_mask) {
-        // The corridor mask itself made the job infeasible (the band may
-        // have degraded underneath the droplet): degrade this replica to
-        // best-effort disjointness — recorded as such — and retry the
+      if (replica_health) {
+        // The corridor mask itself made the job infeasible: retry the
         // synthesis unmasked right away instead of burning the ladder.
-        task.mask_degraded = true;
-        ++stats_.replica.best_effort_masks;
-        obs_event("replica", "mask-degraded", task.rj.mo,
-                  "corridor mask infeasible for replica " +
-                      std::to_string(task.replica) +
-                      "; best-effort disjointness from here");
+        replicas_.drop_mask(task);
         task.resynth.valid = false;  // the retained model reflects the mask
         task.has_strategy = false;
         ensure_strategy(run, task, pos);
@@ -1074,10 +1502,10 @@ class Runner {
       if (config_.recovery.enabled) {
         on_synthesis_failure(run, task);
       } else if (task.replica >= 0) {
-        abandon_replica(run, task);
+        fail_over(run, task);
       } else {
-        fail("no feasible routing strategy for MO " +
-             std::to_string(task.rj.mo));
+        failure_ = "no feasible routing strategy for MO " +
+                   std::to_string(task.rj.mo);
       }
       return;
     }
@@ -1098,478 +1526,31 @@ class Runner {
     }
   }
 
-  /// The redundancy degree of one MO: the per-MO Mo::replicas annotation,
-  /// raised to the config floor for dispenses feeding a mix/dilute.
-  /// Replication needs the adaptive router (the baseline cannot synthesize
-  /// under a corridor mask) and only applies to dispense MOs.
-  int effective_replicas(const MoRun& run) const {
-    if (!config_.adaptive || run.mo->type != MoType::kDispense) return 1;
-    int n = run.mo->replicas;
-    if (feeds_mix_[static_cast<std::size_t>(run.mo->id)] != 0)
-      n = std::max(n, config_.replicate_critical_dispenses);
-    return std::min(n, 8);
-  }
-
-  /// The controller's health view with this replica's sibling corridor
-  /// bands clamped dead — the region mask behind pairwise-disjoint replica
-  /// routes. Cells inside the shared start/goal funnels stay unmasked
-  /// (every replica must reach the dispense port and converge on the
-  /// goal), as do the droplet's own cells (it may straddle a band edge).
-  IntMatrix replica_masked_health(const RouteTask& task,
-                                  const Rect& pos) const {
-    IntMatrix masked = health_;
-    for (const Rect& band : task.masked_bands) {
-      const Rect area = band.intersection_with(chip_bounds_);
-      if (!area.valid()) continue;
-      for (int y = area.ya; y <= area.yb; ++y)
-        for (int x = area.xa; x <= area.xb; ++x) {
-          if (pos.contains(x, y)) continue;
-          if (task.start_funnel.contains(x, y) ||
-              task.goal_funnel.contains(x, y))
-            continue;
-          masked(x, y) = 0;
-        }
-    }
-    return masked;
-  }
-
-  /// Seals one replica's outcome record (idempotent per task).
-  void record_replica_route(RouteTask& task, bool winner) {
-    if (task.replica < 0 || task.replica_recorded) return;
-    task.replica_recorded = true;
-    ReplicaRouteRecord record;
-    record.mo = task.rj.mo;
-    record.replica = task.replica;
-    record.winner = winner;
-    record.abandoned = task.abandoned;
-    record.mask_best_effort = task.mask_best_effort || task.mask_degraded;
-    record.band = task.band;
-    record.start_funnel = task.start_funnel;
-    record.goal_funnel = task.goal_funnel;
-    stats_.replica_routes.push_back(std::move(record));
-  }
-
-  /// Ladder rung between quarantine and per-job abort: a replica that
-  /// exhausted its per-replica retry budget is abandoned — its droplet is
-  /// discarded and its siblings race on — instead of aborting the MO. Only
-  /// the failure of the last replica escalates to the graceful abort.
-  void abandon_replica(MoRun& run, RouteTask& task) {
-    if (task.abandoned) return;
-    task.abandoned = true;
-    ++run.abandoned_replicas;
-    ++stats_.replica.failovers;
-    stats_.replica.droplet_cycles += chip_.cycle() - task.created_cycle;
-    event(RecoveryAction::kReplicaFailover, run.mo->id,
-          "replica " + std::to_string(task.replica) + " abandoned after " +
-              std::to_string(task.retries) + " attempt(s); " +
-              std::to_string(run.replicas_planned - run.abandoned_replicas) +
-              " remain");
-    record_replica_route(task, /*winner=*/false);
-    close_job_span(task, "abandoned");
-    doomed_.push_back(task.droplet);
-    std::erase(run.live, task.droplet);
-    if (run.abandoned_replicas >= run.replicas_planned)
-      abort_job(run, "all " + std::to_string(run.replicas_planned) +
-                         " replicas failed");
-  }
-
-  /// Hands a losing replica over to the retirement queue: it leaves the MO
-  /// (which completes regardless) and drains to the nearest chip edge.
-  void retire_replica(MoRun& run, RouteTask& task) {
-    ++stats_.replica.retired;
-    stats_.replica.droplet_cycles += chip_.cycle() - task.created_cycle;
-    record_replica_route(task, /*winner=*/false);
-    close_job_span(task, "retired");
-    obs_event("replica", "retire", run.mo->id,
-              "replica " + std::to_string(task.replica) +
-                  " lost the vote; retiring to waste");
-    RetireTask retiree;
-    retiree.droplet = task.droplet;
-    retiree.mo = run.mo->id;
-    retiree.created_cycle = chip_.cycle();
-    retiree.last_pos = chip_.droplet_position(task.droplet);
-    retiring_.push_back(std::move(retiree));
-  }
-
-  /// Discards one retiring replica and charges its drain traffic.
-  void finish_retirement(std::size_t i, const std::string& reason) {
-    RetireTask& retiree = retiring_[i];
-    stats_.replica.droplet_cycles += chip_.cycle() - retiree.created_cycle;
-    obs_event("replica", "retired", retiree.mo, reason);
-    chip_.discard(retiree.droplet);
-    retiring_.erase(retiring_.begin() + static_cast<std::ptrdiff_t>(i));
-  }
-
-  /// Drives every retiring replica one cycle toward the chip edge on cheap
-  /// fallback routes (no model checking for waste disposal); arrival, a
-  /// persistent blockage, or an exhausted replan budget discards it.
-  void advance_retirements(std::vector<Command>& commands) {
-    constexpr int kRetireStuckCycles = 8;
-    constexpr int kRetireMaxReplans = 4;
-    for (std::size_t i = 0; i < retiring_.size();) {
-      RetireTask& retiree = retiring_[i];
-      if (retiree.created_cycle == chip_.cycle()) {
-        ++i;  // handed over this cycle — its route command is already out
-        continue;
-      }
-      const Rect pos = chip_.droplet_position(retiree.droplet);
-      if (retiree.has_strategy && retiree.goal.contains(pos)) {
-        finish_retirement(i, "reached the waste edge");
-        continue;
-      }
-      if (retiree.has_strategy && pos == retiree.last_pos) {
-        if (++retiree.stuck >= kRetireStuckCycles) {
-          retiree.stuck = 0;
-          retiree.has_strategy = false;  // replan around the blockage
-        }
-      } else {
-        retiree.last_pos = pos;
-        retiree.stuck = 0;
-      }
-      if (!retiree.has_strategy) {
-        if (retiree.replans >= kRetireMaxReplans || health_.empty()) {
-          finish_retirement(i, "no waste route; discarded in place");
-          continue;
-        }
-        ++retiree.replans;
-        RoutingJob rj;
-        rj.start = pos;
-        rj.goal = dispense_entry_rect(pos, chip_bounds_);
-        rj.hazard = assay::zone(rj.start, rj.goal, chip_bounds_);
-        rj.mo = retiree.mo;
-        FallbackResult fallback = fallback_route(rj, health_, chip_bounds_,
-                                                 config_.synthesis.rules);
-        if (!fallback.feasible) {
-          finish_retirement(i, "no waste route; discarded in place");
-          continue;
-        }
-        retiree.goal = rj.goal;
-        retiree.strategy = std::move(fallback.strategy);
-        retiree.has_strategy = true;
-      }
-      const std::optional<Action> action = retiree.strategy.action(pos);
-      if (!action) retiree.has_strategy = false;  // drifted off; replan next
-      commands.push_back(Command{retiree.droplet, action, -1});
-      ++i;
-    }
-  }
-
-  /// Dispense machine for a replicated MO (effective N > 1). Phase 0 plans
-  /// the disjoint corridors; then one replica launches per cycle through
-  /// the shared port while the live ones race. The first arrival completes
-  /// the MO (k = 1 of N vote) and the losers retire to waste.
-  void process_replicated_dispense(MoRun& run, std::vector<Command>& commands,
-                                   int replicas, const Rect& goal) {
-    const Mo& mo = *run.mo;
-    const Rect entry = dispense_entry_rect(goal, chip_bounds_);
-    if (run.phase == 0) {
-      run.replicas_planned = replicas;
-      RoutingJob seed;
-      seed.start = entry;
-      seed.goal = goal;
-      seed.hazard = assay::zone(entry, goal, chip_bounds_);
-      seed.mo = mo.id;
-      run.corridors = plan_replica_corridors(seed, replicas, chip_bounds_);
-      if (!run.corridors.disjoint) {
-        ++stats_.replica.best_effort_masks;
-        obs_event("replica", "best-effort-mask", mo.id,
-                  "zone too thin for " + std::to_string(replicas) +
-                      " disjoint corridors; replicas share the full zone");
-      }
-      obs_event("replica", "corridors-planned", mo.id,
-                std::to_string(replicas) + " replica(s), disjointness=" +
-                    (run.corridors.disjoint ? "full" : "best-effort"));
-      run.phase = 1;
-    }
-    // Launch at most one replica per cycle — the dispense port is shared.
-    int just_launched = -1;
-    if (run.launched < run.replicas_planned && chip_.location_clear(entry)) {
-      const DropletId d = chip_.dispense(entry);
-      run.live.push_back(d);
-      RouteTask task = make_route(mo.id, d, goal);
-      const ReplicaCorridor& corridor =
-          run.corridors.corridors[static_cast<std::size_t>(run.launched)];
-      task.replica = run.launched;
-      task.band = corridor.band;
-      task.masked_bands = corridor.masked;
-      task.start_funnel = run.corridors.start_funnel;
-      task.goal_funnel = run.corridors.goal_funnel;
-      task.mask_best_effort = !run.corridors.disjoint;
-      obs_event("replica", "launch", mo.id,
-                "replica " + std::to_string(task.replica) + " of " +
-                    std::to_string(run.replicas_planned) + " dispensed");
-      run.routes.push_back(std::move(task));
-      just_launched = run.launched;
-      ++run.launched;
-      ++stats_.replica.launched;
-    }
-    // Race the live replicas; the first arrival wins the vote.
-    RouteTask* winner = nullptr;
-    for (RouteTask& task : run.routes) {
-      if (task.abandoned) continue;
-      if (task.replica == just_launched) continue;  // dispensing used its cycle
-      const bool arrived = advance_route(run, task, commands);
-      if (failed_ || run.state != MoRun::State::kActive) return;
-      if (arrived) {
-        winner = &task;
-        break;
-      }
-    }
-    if (winner == nullptr) return;
-    ++stats_.replica.merges;
-    obs_event("replica", "merge", mo.id,
-              "replica " + std::to_string(winner->replica) +
-                  " arrived first of " + std::to_string(run.launched) +
-                  "; MO completes (k = 1 of " +
-                  std::to_string(run.replicas_planned) + ")");
-    record_replica_route(*winner, /*winner=*/true);
-    for (RouteTask& task : run.routes) {
-      if (&task == winner || task.abandoned) continue;
-      retire_replica(run, task);
-      std::erase(run.live, task.droplet);
-    }
-    finish(run, {winner->droplet});
-  }
-
-  /// Where two partnered droplets merge: the output-sized pattern centered
-  /// on the contact centroid, clamped to the chip.
-  Rect merge_site(DropletId a, DropletId b, int merged_area) const {
-    const Rect pa = chip_.droplet_position(a);
-    const Rect pb = chip_.droplet_position(b);
-    const Rect box = pa.union_with(pb);
-    const assay::DropletSize size = assay::size_for_area(merged_area);
-    return clamp_into(
-        Rect::from_center(box.center_x(), box.center_y(), size.w, size.h),
-        chip_bounds_);
-  }
-
-  /// Mix machine shared by kMix and kDilute. Phases:
-  ///   0 — create both routing jobs (all of the MO's droplets move
-  ///       concurrently, per Algorithm 3);
-  ///   1 — route until the partners are in contact, then merge;
-  ///   2 — transport the merged droplet to the mixer location;
-  ///   3 — hold for the mixing duration.
-  /// Leaves run.phase == 4 when complete.
-  void process_mix_phases(MoRun& run, std::vector<Command>& commands) {
-    const Mo& mo = *run.mo;
-    if (run.phase == 0) {
-      run.routes.clear();
-      run.routes.push_back(make_route(mo.id, run.in[0],
-                                      placed_rect(mo.locs[0],
-                                                  droplet_area(run.in[0])),
-                                      /*partner=*/run.in[1]));
-      run.routes.push_back(make_route(mo.id, run.in[1],
-                                      placed_rect(mo.locs[0],
-                                                  droplet_area(run.in[1])),
-                                      /*partner=*/run.in[0]));
-      run.phase = 1;
-    }
-    if (run.phase == 1) {
-      if (chip_.droplet_position(run.in[0])
-              .manhattan_gap(chip_.droplet_position(run.in[1])) <= 1) {
-        // The partnered routes end here (contact), not via advance_route.
-        for (RouteTask& task : run.routes) close_job_span(task, "merged");
-        const int merged_area =
-            droplet_area(run.in[0]) + droplet_area(run.in[1]);
-        run.merged = chip_.merge(run.in[0], run.in[1],
-                                 merge_site(run.in[0], run.in[1],
-                                            merged_area));
-        run.live = {run.merged};
-        run.phase = 2;
-        return;  // merging consumes the cycle
-      }
-      // Route the partner with the shorter remaining distance second so the
-      // pair tends to meet near the mixer; both droplets are commanded.
-      advance_route(run, run.routes[0], commands);
-      if (failed_ || run.state != MoRun::State::kActive) return;
-      advance_route(run, run.routes[1], commands);
-      return;
-    }
-    if (run.phase == 2) {
-      run.routes.clear();
-      const Rect goal = placed_rect(mo.locs[0], droplet_area(run.merged));
-      run.routes.push_back(make_route(mo.id, run.merged, goal));
-      run.phase = 3;
-    }
-    if (run.phase == 3) {
-      if (advance_route(run, run.routes[0], commands)) {
-        run.hold_remaining = mo.hold_cycles;
-        run.phase = 4;
-      }
-      return;
-    }
-    if (run.phase == 4) {
-      if (run.hold_remaining > 0) {
-        --run.hold_remaining;
-        return;
-      }
-      run.phase = 5;
-    }
-  }
-
-  /// Drives one MO's phase machine for one cycle.
-  void process(MoRun& run, std::vector<Command>& commands) {
-    const Mo& mo = *run.mo;
-    const int id = mo.id;
-    const auto& mo_outputs = outputs_[static_cast<std::size_t>(id)];
-    switch (mo.type) {
-      case MoType::kDispense: {
-        const int replicas = effective_replicas(run);
-        if (replicas > 1) {
-          process_replicated_dispense(run, commands, replicas, mo_outputs[0]);
-          return;
-        }
-        if (run.phase == 0) {
-          const Rect entry = dispense_entry_rect(mo_outputs[0], chip_bounds_);
-          if (!chip_.location_clear(entry)) return;  // port busy; wait
-          const DropletId d = chip_.dispense(entry);
-          run.in = {d};
-          run.live = {d};
-          run.routes = {make_route(id, d, mo_outputs[0])};
-          run.phase = 1;
-          return;  // dispensing consumes the cycle
-        }
-        if (advance_route(run, run.routes[0], commands))
-          finish(run, {run.routes[0].droplet});
-        return;
-      }
-      case MoType::kOutput:
-      case MoType::kDiscard: {
-        if (run.phase == 0) {
-          const Rect goal = placed_rect(mo.locs[0], droplet_area(run.in[0]));
-          run.routes = {make_route(id, run.in[0], goal)};
-          run.phase = 1;
-        }
-        if (run.phase == 1) {
-          if (advance_route(run, run.routes[0], commands)) run.phase = 2;
-          return;
-        }
-        chip_.discard(run.routes[0].droplet);  // exits through the edge
-        finish(run, {});
-        return;
-      }
-      case MoType::kMagSense: {
-        if (run.phase == 0) {
-          const Rect goal = placed_rect(mo.locs[0], droplet_area(run.in[0]));
-          run.routes = {make_route(id, run.in[0], goal)};
-          run.phase = 1;
-        }
-        if (run.phase == 1) {
-          if (advance_route(run, run.routes[0], commands)) {
-            run.phase = 2;
-            run.hold_remaining = mo.hold_cycles;
-          }
-          return;
-        }
-        if (run.hold_remaining > 0) {
-          --run.hold_remaining;  // droplet held (and actuated) in place
-          return;
-        }
-        finish(run, {run.routes[0].droplet});
-        return;
-      }
-      case MoType::kMix: {
-        process_mix_phases(run, commands);
-        if (run.phase == 5) finish(run, {run.merged});
-        return;
-      }
-      case MoType::kSplit: {
-        if (run.phase == 0) {
-          const Rect pos = chip_.droplet_position(run.in[0]);
-          const int area = pos.area();
-          const auto [r0, r1] =
-              split_rects(pos, (area + 1) / 2, area / 2, chip_bounds_);
-          if (!chip_.split_clear(run.in[0], r0, r1)) return;  // wait
-          run.parts = chip_.split(run.in[0], r0, r1);
-          run.live = {run.parts.first, run.parts.second};
-          run.phase = 1;
-          return;  // splitting consumes the cycle
-        }
-        if (run.phase == 1) {
-          run.routes = {make_route(id, run.parts.first, mo_outputs[0]),
-                        make_route(id, run.parts.second, mo_outputs[1])};
-          run.phase = 2;
-        }
-        // Route both parts concurrently; done when both have arrived.
-        const bool a0 = advance_route(run, run.routes[0], commands);
-        if (failed_ || run.state != MoRun::State::kActive) return;
-        const bool a1 = advance_route(run, run.routes[1], commands);
-        if (a0 && a1) finish(run, {run.parts.first, run.parts.second});
-        return;
-      }
-      case MoType::kDilute: {
-        // Mix at loc[0] (phases 0-4), split (5), then distribute: the
-        // departing half routes to loc[1] before the stayer settles at
-        // loc[0], so it cannot block the stayer's goal.
-        process_mix_phases(run, commands);
-        if (run.state != MoRun::State::kActive) return;
-        if (run.phase < 5) return;
-        if (run.phase == 5) {
-          const Rect pos = chip_.droplet_position(run.merged);
-          const int area = pos.area();
-          const auto [r0, r1] =
-              split_rects(pos, (area + 1) / 2, area / 2, chip_bounds_);
-          if (!chip_.split_clear(run.merged, r0, r1)) return;  // wait
-          run.parts = chip_.split(run.merged, r0, r1);
-          run.live = {run.parts.first, run.parts.second};
-          run.phase = 6;
-          return;  // splitting consumes the cycle
-        }
-        if (run.phase == 6) {
-          run.routes = {make_route(id, run.parts.second, mo_outputs[1])};
-          run.phase = 7;
-        }
-        if (run.phase == 7) {
-          if (advance_route(run, run.routes[0], commands)) run.phase = 8;
-          return;
-        }
-        if (run.phase == 8) {
-          run.routes = {make_route(id, run.parts.first, mo_outputs[0])};
-          run.phase = 9;
-        }
-        if (advance_route(run, run.routes[0], commands))
-          finish(run, {run.parts.first, run.parts.second});
-        return;
-      }
-    }
-  }
-
   const SchedulerConfig& config_;
   StrategyLibrary& library_;
   BiochipIo& chip_;
-  const MoList& assay_;
-  Rect chip_bounds_;
+  const Rect chip_bounds_;
   Synthesizer synthesizer_;
-  std::vector<std::vector<Rect>> outputs_;
+  const std::vector<std::vector<Rect>> outputs_;
+  Journal journal_;
+  HealthView health_;
+  ReplicaSet replicas_;
   std::vector<MoRun> runs_;
-  ExecutionStats stats_;
-  std::uint64_t start_cycle_ = 0;
-  bool failed_ = false;
-  std::string failure_reason_;
-  // Sensing / recovery state.
-  bool senses_health_ = false;
-  IntMatrix health_;  ///< the controller's current health view
-  HealthFilter filter_;
-  BoolMatrix quarantined_;
-  int quarantined_suspects_seen_ = 0;
-  bool quarantine_budget_hit_ = false;
-  std::vector<Vec2i> quarantine_order_;  ///< FIFO for budget-pressure parole
+  std::optional<std::string> failure_;  ///< set when the execution fails
   std::vector<DropletId> doomed_;  ///< droplets to discard at cycle end
   std::vector<std::string> abort_reasons_;
-  // N-modular redundancy state.
-  std::vector<char> feeds_mix_;      ///< per MO: dispense feeding a mix/dilute
-  std::vector<RetireTask> retiring_; ///< losing replicas draining to waste
-  // Observability bookkeeping.
-  std::uint64_t job_serial_ = 0;           ///< async job-span id source
-  std::int64_t health_changes_total_ = 0;  ///< health-view changes so far
-  std::uint64_t last_health_digest_ = 0;
-  bool has_health_digest_ = false;
+  std::uint64_t job_serial_ = 0;  ///< async job-span id source
 };
 
 }  // namespace
 
 Scheduler::Scheduler(SchedulerConfig config, StrategyLibrary* library)
-    : config_(config), shared_library_(library) {}
+    : config_(config), shared_library_(library) {
+  MEDA_REQUIRE(config.replicate_critical_dispenses >= 1 &&
+                   config.replicate_critical_dispenses <= assay::kMaxReplicas,
+               "replicate_critical_dispenses must be in [1, kMaxReplicas = " +
+                   std::to_string(assay::kMaxReplicas) + "]");
+}
 
 ExecutionStats Scheduler::run(BiochipIo& chip, const MoList& assay_list) {
   assay::validate(assay_list, chip.bounds());

@@ -61,7 +61,8 @@ struct SchedulerConfig {
   /// region-disjoint corridors, and completes the MO on the first arrival
   /// (k = 1 of N). 1 (the default) disables replication; per-MO
   /// `Mo::replicas` annotations above this floor are honored. Requires
-  /// `adaptive` — the baseline router cannot mask corridor views.
+  /// `adaptive` — the baseline router cannot mask corridor views. The
+  /// Scheduler constructor rejects a value outside [1, assay::kMaxReplicas].
   int replicate_critical_dispenses = 1;
 
   /// The field list: calls `f("name", c.field...)` once per setting, in

@@ -19,7 +19,7 @@
 /// cells. Because H is visible to the controller, the game has full
 /// information and — since H changes negligibly within one routing job — is
 /// reduced to an MDP by freezing H (the induced MDP is built by
-/// core::ModelBuilder). The simulator plays the *incomplete-information*
+/// core::build_compiled_mdp). The simulator plays the *incomplete-information*
 /// variant of the same game: player ② is the true degradation process, which
 /// the controller can only observe through the quantized H.
 

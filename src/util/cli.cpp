@@ -18,7 +18,8 @@ std::string flag_value(int argc, char** argv, const std::string& name,
     const std::string arg = argv[i];
     if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
     if (arg != name) continue;
-    if (i + 1 == argc) throw PreconditionError(name + ": missing value");
+    if (i + 1 == argc || std::string(argv[i + 1]).rfind("--", 0) == 0)
+      throw PreconditionError(name + ": missing value");
     return argv[i + 1];
   }
   return fallback;

@@ -19,9 +19,10 @@ namespace meda::util {
 bool has_flag(int argc, char** argv, const std::string& name);
 
 /// Value of `--name value` / `--name=value`, or @p fallback when the flag is
-/// absent. A bare `--name` with no argument after it throws
-/// PreconditionError naming the flag; an empty `--name=` value is returned
-/// as is, for the caller's parser to judge.
+/// absent. A bare `--name` that ends argv or is followed by another flag
+/// (an argument starting with `--`) throws PreconditionError naming the
+/// flag; a `--name=` value, empty or not, is returned as is, for the
+/// caller's parser to judge.
 std::string flag_value(int argc, char** argv, const std::string& name,
                        const std::string& fallback = "");
 

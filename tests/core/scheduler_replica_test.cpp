@@ -394,5 +394,36 @@ TEST(SchedulerReplica, ReplicasValidateOnDispensesOnly) {
   EXPECT_THROW(assay::validate(list, Rect{0, 0, 59, 29}), PreconditionError);
 }
 
+TEST(SchedulerReplica, ReplicaCountsBeyondTheCapAreRejected) {
+  // A request outside [1, kMaxReplicas = 8] is rejected by name, both as
+  // the per-MO annotation and as the config floor, instead of being clamped
+  // to 8 without a word.
+  const Rect chip{0, 0, 59, 29};
+  EXPECT_NO_THROW(assay::validate(replicated_dispense(8), chip));
+  for (const int replicas : {0, 9, 12}) {
+    try {
+      assay::validate(replicated_dispense(replicas), chip);
+      ADD_FAILURE() << replicas << " replicas validated";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("kMaxReplicas"), std::string::npos)
+          << e.what();
+    }
+    SchedulerConfig config;
+    config.replicate_critical_dispenses = replicas;
+    try {
+      const Scheduler scheduler(config);
+      ADD_FAILURE() << "replicate_critical_dispenses = " << replicas
+                    << " accepted";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("replicate_critical_dispenses"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  SchedulerConfig config;
+  config.replicate_critical_dispenses = 8;
+  EXPECT_NO_THROW(Scheduler{config});
+}
+
 }  // namespace
 }  // namespace meda::core

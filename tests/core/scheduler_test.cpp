@@ -236,6 +236,120 @@ TEST(Scheduler, MoTimingsFormAValidSchedule) {
   }
 }
 
+/// Each MO's (activated, completed) cycles when @p list runs on a chip whose
+/// cells never wear (τ = 1): every pull succeeds, so a route of L1 distance
+/// d takes ⌈d/2⌉ commanded cycles (double steps and diagonal moves) for a
+/// droplet at least 4 cells long, as every one below is.
+std::vector<std::pair<std::uint64_t, std::uint64_t>> step_timings(
+    const assay::MoList& list) {
+  sim::SimulatedChipConfig config = chip_config();
+  config.chip.degradation.tau_lo = 1.0;
+  config.chip.degradation.tau_hi = 1.0;
+  sim::SimulatedChip chip(config, Rng(3));
+  const ExecutionStats stats = Scheduler{}.run(chip, list);
+  EXPECT_TRUE(stats.success) << list.name << ": " << stats.failure_reason;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> timings;
+  for (const MoTiming& t : stats.mo_timings)
+    timings.emplace_back(t.activated, t.completed);
+  return timings;
+}
+
+TEST(Scheduler, MoLifecycleFollowsTheStepRule) {
+  // The step rule: dispense, merge, split and a route's arrival each end an
+  // MO's cycle; a route is created and first advanced in the same cycle; a
+  // hold counts down one cycle at a time and falls through when it reads
+  // 0; a discard completes without using the cycle; and an MO finishes in
+  // the cycle its last step completes, where a successor that was waiting
+  // on it activates too. Every droplet has area 16 (4×4) unless noted, and
+  // an MO at (x.5, 15.5) places a 4×4 droplet at x-1.5..x+1.5, 14..17.
+  //
+  // dis at (5.5, 15.5): dispensed at cycle 0 on the west-edge port 0..3,
+  // d = 4 to its goal 4..7, so 2 commanded cycles (1, 2) and arrival at 3.
+  // Its out at (25.5, 15.5) activates at 3: d = 20 takes cycles 3..12, the
+  // arrival at 13 ends the cycle, and the discard completes it at 14.
+  {
+    assay::AssayBuilder b("step-rule-out");
+    const int d = b.dispense(5.5, 15.5, 16);
+    b.output({d, 0}, 25.5, 15.5);
+    EXPECT_EQ(step_timings(std::move(b).build()),
+              (std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+                  {0, 3}, {3, 14}}));
+  }
+  // dsc runs out's steps.
+  {
+    assay::AssayBuilder b("step-rule-dsc");
+    const int d = b.dispense(5.5, 15.5, 16);
+    b.discard({d, 0}, 25.5, 15.5);
+    EXPECT_EQ(step_timings(std::move(b).build()),
+              (std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+                  {0, 3}, {3, 14}}));
+  }
+  // mag at (15.5, 15.5) holding 3: d = 10 takes cycles 3..7, arrival at 8,
+  // the hold counts 3 → 0 over cycles 9..11 and falls through at 12. Its
+  // out at (25.5, 15.5): cycles 12..16, arrival 17, discard 18.
+  {
+    assay::AssayBuilder b("step-rule-mag");
+    const int d = b.dispense(5.5, 15.5, 16);
+    const int m = b.mag({d, 0}, 15.5, 15.5, /*hold_cycles=*/3);
+    b.output({m, 0}, 25.5, 15.5);
+    EXPECT_EQ(step_timings(std::move(b).build()),
+              (std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+                  {0, 3}, {3, 12}, {12, 18}}));
+  }
+  // mix of A (dispensed as above) and B at (55.5, 15.5) (east port 56..59,
+  // d = 2: one commanded cycle, arrival at 2), at (5.5, 15.5) holding 2. It
+  // activates at 3 with A parked at the mixer, and B closes 54 → 8 in 23
+  // double steps (cycles 3..25) to touch A. The merge at 26 makes a 6×5
+  // droplet (area 30) at 5..10, 14..18, whose goal at the mixer is 3..8,
+  // 14..18: d = 2 is cycle 27, arrival 28, hold 29..30, done at 31. Its out
+  // at (5.5, 25.5) (6×5 goal 3..8, 24..28): cycles 31..35, 36, discard 37.
+  {
+    assay::AssayBuilder b("step-rule-mix");
+    const int a = b.dispense(5.5, 15.5, 16);
+    const int c = b.dispense(55.5, 15.5, 16);
+    const int m = b.mix({a, 0}, {c, 0}, 5.5, 15.5, /*hold_cycles=*/2);
+    b.output({m, 0}, 5.5, 25.5);
+    EXPECT_EQ(step_timings(std::move(b).build()),
+              (std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+                  {0, 3}, {0, 2}, {3, 31}, {31, 37}}));
+  }
+  // spt splits a droplet of area 32, a 6×5 dispensed at 3..8, 14..18 from
+  // the port 0..5 (d = 3: cycles 1..2, arrival 3). At activation (cycle 3)
+  // it cuts the droplet into 4×4 parts at 1..4 and 6..9, rows 15..18, using
+  // the cycle. Both routes start at 4: part 0 north to (2.5, 26.5) and part
+  // 1 east to (17.5, 16.5) are d = 10 each, cycles 4..8, and both arrive at
+  // 9, which completes the MO. Each out moves its part another d = 10 east:
+  // cycles 9..13, arrival 14, discard 15.
+  {
+    assay::AssayBuilder b("step-rule-spt");
+    const int d = b.dispense(5.5, 15.5, 32);
+    const int s = b.split({d, 0}, 2.5, 26.5, 17.5, 16.5);
+    b.output({s, 0}, 12.5, 26.5);
+    b.output({s, 1}, 27.5, 16.5);
+    EXPECT_EQ(step_timings(std::move(b).build()),
+              (std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+                  {0, 3}, {3, 9}, {9, 15}, {9, 15}}));
+  }
+  // dlt runs mix's steps (hold done at 31), then splits the 6×5 droplet at
+  // 3..8 into 4×4 parts at 1..4 and 6..9, rows 15..18, in the same cycle 31.
+  // Part 1 leaves first, to (7.5, 26.5) (6..9, 25..28): d = 10, cycles
+  // 32..36, arrival 37. Part 0 then settles at its goal 4..7, 14..17:
+  // d = 4, cycles 38..39, arrival 40 completes the MO. Each out moves its
+  // part d = 20 east: cycles 40..49, 50, 51.
+  {
+    assay::AssayBuilder b("step-rule-dlt");
+    const int a = b.dispense(5.5, 15.5, 16);
+    const int c = b.dispense(55.5, 15.5, 16);
+    const int l = b.dilute({a, 0}, {c, 0}, 5.5, 15.5, 7.5, 26.5,
+                           /*hold_cycles=*/2);
+    b.output({l, 0}, 25.5, 15.5);
+    b.output({l, 1}, 27.5, 26.5);
+    EXPECT_EQ(step_timings(std::move(b).build()),
+              (std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+                  {0, 3}, {0, 2}, {3, 40}, {40, 51}, {40, 51}}));
+  }
+}
+
 TEST(Scheduler, RouteRecordsTrackModelPredictions) {
   sim::SimulatedChip chip(chip_config(), Rng(5));
   Scheduler scheduler(SchedulerConfig{});

@@ -90,6 +90,26 @@ TEST(ParseFlag, ATrailingFlagWithoutAValueIsRejected) {
             "2");
 }
 
+TEST(ParseFlag, AFollowingFlagIsNotAValue) {
+  // `chaos_campaign --checkpoint --smoke` must not write its checkpoint to a
+  // file named `--smoke`.
+  const char* spaced[] = {"chaos_campaign", "--checkpoint", "--smoke",
+                          "--jobs", "2"};
+  try {
+    flag_value(5, const_cast<char**>(spaced), "--checkpoint", "");
+    ADD_FAILURE() << "--checkpoint took --smoke as its value";
+  } catch (const PreconditionError& e) {
+    EXPECT_STREQ(e.what(), "--checkpoint: missing value");
+  }
+  // A single-dash value, such as a negative number, is still a value, and
+  // the glued form accepts anything.
+  const char* negative[] = {"run_assay", "--reactive", "-3"};
+  EXPECT_EQ(flag_value(3, const_cast<char**>(negative), "--reactive"), "-3");
+  const char* glued[] = {"chaos_campaign", "--checkpoint=--smoke"};
+  EXPECT_EQ(flag_value(2, const_cast<char**>(glued), "--checkpoint"),
+            "--smoke");
+}
+
 TEST(ParseFlag, MessageNamesTheFlagAndTheValue) {
   try {
     parse_flag<int>("--reps", "abc", 1);
