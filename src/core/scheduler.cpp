@@ -446,11 +446,12 @@ struct MoRun {
   std::size_t step = 0;           ///< index of the current step
   std::size_t routed = SIZE_MAX;  ///< the step `routes` belong to
   int hold_remaining = 0;         ///< cycles a kHold step still waits
+  bool merge_waited = false;      ///< the merge's wait for a clear site logged
   std::vector<RouteTask> routes;
   /// Droplets the MO holds on the chip: its inputs, then what its steps
-  /// made of them, which become `out` when it completes.
+  /// made of them, which it keeps by output index until consumers take them.
   std::vector<DropletId> live;
-  std::vector<DropletId> out;
+  static constexpr DropletId kTaken = -1;  ///< a slot a consumer took
 };
 
 /// A losing replica being retired to waste after the vote: routed to the
@@ -744,7 +745,7 @@ class ReplicaSet {
 
 /// What a watchdog-confirmed stall is blocked by (satellite classifier).
 enum class StallKind : unsigned char {
-  kContention,  ///< another live droplet sits on / next to the target cells
+  kContention,  ///< another droplet sits on / next to the target cells
   kDeadCells,   ///< the target cells read dead in the controller's view
   kUnknown,     ///< cells read healthy and no droplet nearby (lying cells)
 };
@@ -868,19 +869,15 @@ class Runner {
     obs::Tracer& tracer = obs::ctx().tracer();
     if (!tracer.enabled()) return;
     const std::uint64_t cycle = journal_.now();
-    const auto retiring =
-        static_cast<std::int64_t>(replicas_.retiring().size());
-    std::int64_t droplets = retiring;
     std::int64_t pending = 0;
-    for (const MoRun& run : runs_) {
-      droplets += static_cast<std::int64_t>(run.live.size());
-      for (const RouteTask& task : run.routes)
-        if (task.pending) ++pending;
-    }
-    tracer.cycle_counter("droplets_on_chip", droplets, cycle);
+    for (const MoRun& run : runs_)
+      pending += std::ranges::count(run.routes, true, &RouteTask::pending);
+    tracer.cycle_counter("droplets_on_chip", std::ssize(droplets_on_chip()),
+                         cycle);
     tracer.cycle_counter("pending_syntheses", pending, cycle);
     tracer.cycle_counter("health_changes", health_.changes(), cycle);
-    tracer.cycle_counter("retiring_droplets", retiring, cycle);
+    tracer.cycle_counter("retiring_droplets",
+                         std::ssize(replicas_.retiring()), cycle);
   }
 
  private:
@@ -901,11 +898,11 @@ class Runner {
       if (s == MoRun::State::kWaiting || s == MoRun::State::kActive) return;
     }
     for (const assay::PreRef& ref : run.mo->pre) {
-      const MoRun& pre = runs_[static_cast<std::size_t>(ref.mo)];
+      MoRun& pre = runs_[static_cast<std::size_t>(ref.mo)];
       if (pre.state != MoRun::State::kDone) continue;
-      MEDA_ASSERT(ref.out < static_cast<int>(pre.out.size()),
-                  "predecessor output missing");
-      run.live.push_back(pre.out[static_cast<std::size_t>(ref.out)]);
+      MEDA_ASSERT(ref.out < std::ssize(pre.live), "predecessor output missing");
+      run.live.push_back(std::exchange(
+          pre.live[static_cast<std::size_t>(ref.out)], MoRun::kTaken));
     }
     // Cascade: inputs produced by completed predecessors can never be
     // consumed; the abort removes them from the chip.
@@ -983,9 +980,19 @@ class Runner {
         const Rect pa = chip_.droplet_position(a);
         const Rect pb = chip_.droplet_position(b);
         if (pa.manhattan_gap(pb) <= 1) {
+          // Hold in contact while the merged droplet would touch a third.
+          const Rect site = merge_site(pa, pb);
+          if (std::ranges::any_of(other_droplets(a, b), [&](const Rect& r) {
+                return r.manhattan_gap(site) < 2;
+              })) {
+            if (!std::exchange(run.merge_waited, true))
+              journal_.event("merge", "wait", mo.id,
+                             "site " + site.to_string() + " near a droplet");
+            return false;
+          }
           for (RouteTask& task : run.routes)
             task.end_span("merged", chip_.cycle());
-          run.live = {chip_.merge(a, b, merge_site(pa, pb))};
+          run.live = {chip_.merge(a, b, site)};
           return true;
         }
         advance_routes(run, commands);
@@ -1057,7 +1064,6 @@ class Runner {
   }
 
   void finish(MoRun& run) {
-    run.out = std::exchange(run.live, {});
     release_routes(run, "finished");
     run.state = MoRun::State::kDone;
     MoTiming& timing =
@@ -1309,30 +1315,35 @@ class Runner {
     return area.intersection_with(chip_bounds_);
   }
 
-  /// Where every droplet on the chip other than @p task's own and its merge
-  /// partner sits: every MO's live droplets, then the retiring replicas
-  /// (still physical droplets on the chip).
-  std::vector<Rect> other_droplets(const RouteTask& task) const {
-    std::vector<Rect> others;
-    const auto add = [&](DropletId id) {
-      if (id != task.droplet && id != task.partner)
-        others.push_back(chip_.droplet_position(id));
-    };
+  /// The droplet registry: every droplet on the chip. Each MO's droplets,
+  /// a finished MO's parked outputs included, then the retiring replicas.
+  std::vector<DropletId> droplets_on_chip() const {
+    std::vector<DropletId> ids;
     for (const MoRun& run : runs_)
-      for (const DropletId id : run.live) add(id);
-    for (const RetireTask& retiree : replicas_.retiring()) add(retiree.droplet);
+      for (const DropletId id : run.live)
+        if (id != MoRun::kTaken) ids.push_back(id);
+    for (const RetireTask& retiree : replicas_.retiring())
+      ids.push_back(retiree.droplet);
+    return ids;
+  }
+
+  /// Where every droplet on the chip other than @p a and @p b sits.
+  std::vector<Rect> other_droplets(DropletId a, DropletId b) const {
+    std::vector<Rect> others;
+    for (const DropletId id : droplets_on_chip())
+      if (id != a && id != b) others.push_back(chip_.droplet_position(id));
     return others;
   }
 
   /// Droplet-aware stall classification (on watchdog escalation): is the
-  /// droplet blocked by another live droplet parked on / next to its target
+  /// droplet blocked by another droplet on the chip on / next to its target
   /// cells, by cells the controller's view already reads dead, or by cells
   /// that read healthy but do not respond (lying cells)?
   StallKind classify_stall(const RouteTask& task, const Rect& pos) const {
     const Rect target = attempt_frontier(task, pos);
     // The separation rule blocks entry when the other droplet is on the
     // target cells or directly adjacent to them.
-    for (const Rect& other : other_droplets(task))
+    for (const Rect& other : other_droplets(task.droplet, task.partner))
       if (other.manhattan_gap(target) <= 1) return StallKind::kContention;
     const IntMatrix& health = health_.view();
     bool dead = false;
@@ -1343,13 +1354,13 @@ class Runner {
     return dead ? StallKind::kDeadCells : StallKind::kUnknown;
   }
 
-  /// @p base with every *other* live droplet's footprint (inflated by the
+  /// @p base with every *other* droplet's footprint (inflated by the
   /// separation margin) masked dead: a virtual obstacle map for contention
   /// detours. The stuck droplet's own cells are never masked.
   IntMatrix droplet_masked_health(const RouteTask& task, const Rect& pos,
                                   const IntMatrix& base) const {
     IntMatrix masked = base;
-    for (const Rect& other : other_droplets(task))
+    for (const Rect& other : other_droplets(task.droplet, task.partner))
       for_each_cell_outside(other.inflated(1), chip_bounds_, {pos},
                             [&](int x, int y) { masked(x, y) = 0; });
     return masked;

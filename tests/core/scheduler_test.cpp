@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "assay/benchmarks.hpp"
+#include "assay/parser.hpp"
 #include "core/library.hpp"
 #include "sim/simulated_chip.hpp"
 #include "util/check.hpp"
@@ -507,6 +510,75 @@ TEST(Scheduler, ContentionDetoursGoThroughTheStrategyLibrary) {
   ASSERT_GE(detours, 1);
   const LibraryClassStats& detour = library.stats().detour;
   EXPECT_EQ(detour.hits + detour.misses, static_cast<std::uint64_t>(detours));
+}
+
+TEST(Scheduler, AMergeNextToAThirdDropletWaitsInsteadOfThrowing) {
+  // M3 mixes at (24.5, 11.5), within one cell of M0's droplet, which waits
+  // at (24.5, 16.5) for M4 and so can only leave after M3's mix. Merging
+  // there would touch it, so M3's partners hold in contact, logging one
+  // merge wait, until the cycle limit fails the run; merging anyway would
+  // make the chip throw out of Scheduler::run.
+  const assay::MoList list = assay::parse_assay_string(
+      "name MergeNearParked\n"
+      "M0 = dis 24.5 16.5 16\n"
+      "M1 = dis 10.5 11.5 16\n"
+      "M2 = dis 40.5 11.5 16\n"
+      "M3 = mix M1 M2 24.5 11.5 hold=2\n"
+      "M4 = mix M0 M3 40.5 22.5 hold=2\n"
+      "M5 = out M4 54.5 22.5\n");
+  for (const bool robust : {false, true}) {
+    SchedulerConfig config;
+    config.max_cycles = 60;
+    config.filter.enabled = config.recovery.enabled = robust;
+    sim::SimulatedChip chip(chip_config(), Rng(1));
+    ExecutionStats stats;
+    ASSERT_NO_THROW(stats = Scheduler(config).run(chip, list))
+        << "robust=" << robust;
+    EXPECT_FALSE(stats.success);
+    EXPECT_EQ(stats.failure_reason, "cycle limit exceeded");
+    EXPECT_FALSE(stats.mo_timings[3].done);
+    EXPECT_EQ(std::ranges::count_if(stats.events,
+                                    [](const obs::Event& e) {
+                                      return e.category == "merge" &&
+                                             e.name == "wait" && e.scope == 3;
+                                    }),
+              1);
+  }
+}
+
+TEST(Scheduler, AParkedOutputBlockingARouteIsContention) {
+  // M0's droplet parks at (30.5, 15.5) until M2's 300-cycle hold ends and
+  // M3 takes it. M6's droplet, routed east along row 15.5, stalls next to
+  // it: the stall is blocked by a droplet, so the ladder detours around it
+  // and quarantines none of the healthy cells it sits beside. Settings of
+  // run_assay --robust: filter and recovery on, seed 1.
+  const assay::MoList list = assay::parse_assay_string(
+      "name ParkedOutput\n"
+      "M0 = dis 30.5 15.5 16\n"
+      "M1 = dis 45.5 3.5 16\n"
+      "M2 = mag M1 45.5 8.5 hold=300\n"
+      "M3 = mix M0 M2 38.5 22.5 hold=2\n"
+      "M4 = out M3 38.5 26.5\n"
+      "M5 = dis 5.5 15.5 16\n"
+      "M6 = out M5 55.5 15.5\n");
+  SchedulerConfig config;
+  config.max_cycles = 3000;
+  config.filter.enabled = true;
+  config.recovery.enabled = true;
+  sim::SimulatedChip chip(chip_config(), Rng(1));
+  const ExecutionStats stats = Scheduler(config).run(chip, list);
+  int stalls = 0;
+  for (const obs::Event& e : stats.events) {
+    if (e.category == "stall" && e.scope == 6) {
+      ++stalls;
+      EXPECT_EQ(e.name, "blocked-by-droplet") << "cycle " << e.cycle;
+    }
+    EXPECT_NE(e.name, to_string(RecoveryAction::kQuarantine))
+        << "cycle " << e.cycle << ": " << e.detail;
+  }
+  EXPECT_GT(stalls, 0);
+  EXPECT_GE(stats.recovery.contention_detours, 1);
+  EXPECT_EQ(stats.recovery.quarantined_cells, 0);
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "assay/benchmarks.hpp"
+#include "assay/parser.hpp"
 #include "core/scheduler.hpp"
 #include "obs/obs.hpp"
 #include "sim/simulated_chip.hpp"
@@ -198,6 +201,57 @@ TEST_F(ObsScheduler, NullSinkRunMatchesInstrumentedRunExactly) {
     EXPECT_EQ(quiet.mo_timings[i].activated, loud.mo_timings[i].activated);
     EXPECT_EQ(quiet.mo_timings[i].completed, loud.mo_timings[i].completed);
   }
+}
+
+TEST_F(ObsScheduler, DropletCountMatchesTheSimulatorOnEveryCycle) {
+#ifdef MEDA_OBS_DISABLED
+  GTEST_SKIP() << "instrumentation compiled out (MEDA_OBS=OFF)";
+#endif
+  // The scheduler's droplets_on_chip sample at cycle t against the droplet
+  // frame the simulator recorded after its step t. The two share no code:
+  // one counts the scheduler's bookkeeping, the other the chip's droplets.
+  // Parked outputs wait on the chip in every evaluation assay. Their
+  // dispenses lie next to their ports, so each first replica arrives before
+  // the next can launch; a two-replica dispense in mid-chip adds losers that
+  // retire to waste.
+  std::vector<assay::MoList> lists = assay::evaluation_suite();
+  lists.push_back(assay::parse_assay_string(
+      "name replicated-dispense\nM0 = dis 30 15 16\nM1 = out M0 55 15\n"));
+  lists.back().ops[0].replicas = 2;
+  core::SchedulerConfig replicated = robust_router();
+  replicated.replicate_critical_dispenses = 2;
+  sim::SimulatedChipConfig chip_config = noisy_chip_config();
+  chip_config.record_droplet_trace = true;
+  double retiring = 0.0;
+  for (const core::SchedulerConfig& config :
+       {core::SchedulerConfig{}, replicated}) {
+    for (const assay::MoList& list : lists) {
+      ctx().tracer().clear();
+      ctx().tracer().enable();
+      sim::SimulatedChip chip(chip_config, Rng(11));
+      const core::ExecutionStats stats =
+          core::Scheduler(config).run(chip, list);
+      const auto& frames = chip.droplet_trace();
+      ASSERT_EQ(frames.size(), stats.cycles) << list.name;
+      std::uint64_t samples = 0;
+      for (const TraceEvent& event : ctx().tracer().events()) {
+        if (event.ph != 'C' || event.pid != TraceTrack::kCyclePid) continue;
+        const double value = std::stod(event.args.at(0).second);
+        if (event.name == "retiring_droplets")
+          retiring = std::max(retiring, value);
+        if (event.name != "droplets_on_chip") continue;
+        ++samples;
+        ASSERT_GE(event.ts, 1u);
+        ASSERT_LE(event.ts, frames.size());
+        ASSERT_EQ(value, static_cast<double>(frames[event.ts - 1].size()))
+            << list.name << " at cycle " << event.ts
+            << (config.replicate_critical_dispenses > 1 ? " (replicated)"
+                                                        : "");
+      }
+      EXPECT_EQ(samples, stats.cycles) << list.name;
+    }
+  }
+  EXPECT_GT(retiring, 0.0) << "no replica retired";
 }
 
 }  // namespace
