@@ -64,9 +64,9 @@ struct Mo {
   /// Criticality annotation: N-modular redundancy degree (kDispense only).
   /// With replicas = N > 1 an adaptive scheduler launches N droplets of the
   /// same reagent racing through pairwise region-disjoint corridors; the
-  /// first arrival completes the MO (k = 1 vote/merge) and the rest retire
-  /// to waste. Other MO types must keep the default 1. validate() rejects a
-  /// value outside [1, kMaxReplicas].
+  /// first arrival completes the MO (k = 1 vote/merge) and the rest are
+  /// discarded. Other MO types must keep the default 1. validate() rejects
+  /// a value outside [1, kMaxReplicas].
   int replicas = 1;
 };
 

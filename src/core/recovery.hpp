@@ -87,10 +87,9 @@ struct RecoveryCounters {
   int quarantined_cells = 0;
   int contention_detours = 0;
   int aborted_jobs = 0;
-  /// Always 0: no ladder rung installs a fallback route (retired replicas
-  /// drain through the fallback router without counting here). Kept only
-  /// because perfbench reports it as core.recovery.fallback_routes; it
-  /// goes with that metric.
+  /// Always 0: no ladder rung installs a fallback route, and the scheduler
+  /// has no router besides the synthesizer. Kept only because perfbench
+  /// reports it as core.recovery.fallback_routes; it goes with that metric.
   int fallback_routes = 0;
   int paroled_cells = 0;  ///< quarantined cells released on re-sense
 

@@ -6,7 +6,6 @@
 #include <optional>
 #include <span>
 
-#include "core/fallback_router.hpp"
 #include "core/replica_corridors.hpp"
 #include "model/outcomes.hpp"
 #include "obs/obs.hpp"
@@ -454,24 +453,10 @@ struct MoRun {
   static constexpr DropletId kTaken = -1;  ///< a slot a consumer took
 };
 
-/// A losing replica being retired to waste after the vote: routed to the
-/// nearest chip edge by the cheap fallback router, then discarded. Kept
-/// outside MoRun — the MO completes (and its run tears down) while its
-/// losers are still draining off the chip.
-struct RetireTask {
-  DropletId droplet = -1;
-  int mo = -1;
-  std::uint64_t created_cycle = 0;
-  Strategy strategy;
-  bool has_strategy = false;
-  Rect goal = Rect::none();
-  StillCounter still;
-  int replans = 0;  ///< fallback re-routes consumed
-};
-
 /// N-modular redundancy: plans each replicated dispense's corridors, masks
-/// each replica's synthesis view, holds the first-arrival vote, fails over
-/// replicas whose retries ran out, and drains the losers to waste.
+/// each replica's synthesis view, holds the first-arrival vote and fails
+/// over replicas whose retries ran out. Losers and abandoned replicas leave
+/// the chip with the aborted jobs' droplets, at the end of the cycle.
 class ReplicaSet {
  public:
   ReplicaSet(const SchedulerConfig& config, const MoList& assay,
@@ -589,22 +574,18 @@ class ReplicaSet {
     const auto remain = std::ssize(g.plan.corridors) -
                         std::ranges::count(g.fates, true, &Fate::abandoned);
     ++journal_.stats.replica.failovers;
-    charge(task.created_cycle);
     journal_.event(RecoveryAction::kReplicaFailover, task.rj.mo,
                    "replica " + std::to_string(task.replica) +
                        " abandoned after " + std::to_string(task.retries) +
                        " attempt(s); " + std::to_string(remain) + " remain");
-    seal(task, /*winner=*/false);
-    task.end_span("abandoned", chip_.cycle());
-    doomed.push_back(task.droplet);
-    std::erase(run.live, task.droplet);
+    lose(run, task, "abandoned", doomed);
     return remain <= 0;
   }
 
   /// The k = 1 of N vote: @p winner arrived first and completes its MO;
-  /// every other surviving replica of @p run retires to waste, draining to
-  /// the nearest chip edge while the MO completes regardless.
-  void vote(MoRun& run, RouteTask& winner) {
+  /// every other surviving replica of @p run loses, and its droplet joins
+  /// @p doomed.
+  void vote(MoRun& run, RouteTask& winner, std::vector<DropletId>& doomed) {
     const Group& g = group(winner.rj.mo);
     ++journal_.stats.replica.merges;
     journal_.event("replica", "merge", winner.rj.mo,
@@ -616,18 +597,10 @@ class ReplicaSet {
     for (RouteTask& task : run.routes) {
       if (&task == &winner || abandoned(task)) continue;
       ++journal_.stats.replica.retired;
-      charge(task.created_cycle);
-      seal(task, /*winner=*/false);
-      task.end_span("retired", chip_.cycle());
+      lose(run, task, "retired", doomed);
       journal_.event("replica", "retire", task.rj.mo,
                      "replica " + std::to_string(task.replica) +
-                         " lost the vote; retiring to waste");
-      RetireTask retiree;
-      retiree.droplet = task.droplet;
-      retiree.mo = task.rj.mo;
-      retiree.created_cycle = chip_.cycle();
-      retiring_.push_back(std::move(retiree));
-      std::erase(run.live, task.droplet);
+                         " lost the vote; discarded");
     }
   }
 
@@ -640,63 +613,6 @@ class ReplicaSet {
         task.rj.mo, task.replica, winner, fate(task).abandoned,
         !plan.disjoint || fate(task).mask_dropped, corridor(task).band,
         plan.start_funnel, plan.goal_funnel});
-  }
-
-  /// Losing replicas still draining to waste.
-  const std::vector<RetireTask>& retiring() const { return retiring_; }
-
-  /// Drives every retiring replica one cycle toward the nearest chip edge
-  /// on cheap fallback routes over @p health (no model checking for waste
-  /// disposal); arrival, a persistent blockage, or an exhausted replan
-  /// budget discards it.
-  void drain(std::vector<Command>& commands, const IntMatrix& health) {
-    constexpr int kRetireStuckCycles = 8;
-    constexpr int kRetireMaxReplans = 4;
-    for (std::size_t i = 0; i < retiring_.size();) {
-      RetireTask& retiree = retiring_[i];
-      if (retiree.created_cycle == chip_.cycle()) {
-        ++i;  // handed over this cycle — its route command is already out
-        continue;
-      }
-      const Rect pos = chip_.droplet_position(retiree.droplet);
-      if (retiree.has_strategy && retiree.goal.contains(pos)) {
-        discard(i, "reached the waste edge");
-        continue;
-      }
-      if (retiree.has_strategy &&
-          retiree.still.fires(pos, kRetireStuckCycles))
-        retiree.has_strategy = false;  // replan around the blockage
-      if (!retiree.has_strategy) {
-        FallbackResult fallback;
-        RoutingJob rj;
-        if (retiree.replans < kRetireMaxReplans && !health.empty()) {
-          ++retiree.replans;
-          const Rect chip = chip_.bounds();
-          rj.start = pos;
-          rj.goal = dispense_entry_rect(pos, chip);
-          rj.hazard = assay::zone(rj.start, rj.goal, chip);
-          rj.mo = retiree.mo;
-          fallback = fallback_route(rj, health, chip, config_.synthesis.rules);
-        }
-        if (!fallback.feasible) {
-          discard(i, "no waste route; discarded in place");
-          continue;
-        }
-        retiree.goal = rj.goal;
-        retiree.strategy = std::move(fallback.strategy);
-        retiree.has_strategy = true;
-        retiree.still = StillCounter{pos};
-      }
-      const std::optional<Action> action = retiree.strategy.action(pos);
-      if (!action) retiree.has_strategy = false;  // drifted off; replan next
-      commands.push_back(Command{retiree.droplet, action, -1});
-      ++i;
-    }
-  }
-
-  /// Charges the traffic of the replicas still draining at teardown.
-  void charge_retiring() {
-    for (const RetireTask& retiree : retiring_) charge(retiree.created_cycle);
   }
 
  private:
@@ -722,25 +638,21 @@ class ReplicaSet {
         .plan.corridors[static_cast<std::size_t>(task.replica)];
   }
 
-  /// Charges a non-winning replica's chip cycles since @p since.
-  void charge(std::uint64_t since) {
-    journal_.stats.replica.droplet_cycles += chip_.cycle() - since;
-  }
-
-  /// Discards retiring replica @p i and charges its drain traffic.
-  void discard(std::size_t i, const std::string& reason) {
-    const RetireTask& retiree = retiring_[i];
-    charge(retiree.created_cycle);
-    journal_.event("replica", "retired", retiree.mo, reason);
-    chip_.discard(retiree.droplet);
-    retiring_.erase(retiring_.begin() + static_cast<std::ptrdiff_t>(i));
+  /// Takes losing replica @p task off @p run: charges its chip cycles,
+  /// seals its record, closes its span as @p outcome and dooms its droplet.
+  void lose(MoRun& run, RouteTask& task, std::string_view outcome,
+            std::vector<DropletId>& doomed) {
+    journal_.stats.replica.droplet_cycles += chip_.cycle() - task.created_cycle;
+    seal(task, /*winner=*/false);
+    task.end_span(outcome, chip_.cycle());
+    doomed.push_back(task.droplet);
+    std::erase(run.live, task.droplet);
   }
 
   const SchedulerConfig& config_;
   BiochipIo& chip_;
   Journal& journal_;
   std::vector<Group> groups_;  ///< by MO id
-  std::vector<RetireTask> retiring_;
 };
 
 /// What a watchdog-confirmed stall is blocked by (satellite classifier).
@@ -798,7 +710,6 @@ class Runner {
           if (run.state == MoRun::State::kActive) process(run, commands);
         }
         if (failure_) break;
-        replicas_.drain(commands, health_.view());
         finalize_aborts(commands);
         chip_.step(commands);
       }
@@ -806,7 +717,6 @@ class Runner {
     }
     for (MoRun& run : runs_)  // cycle-limit / hard-fail leftovers
       release_routes(run, "unfinished");
-    replicas_.charge_retiring();
     stats.cycles = journal_.now();
     for (const MoRun& run : runs_) {
       if (run.state == MoRun::State::kDone) ++stats.completed_mos;
@@ -876,8 +786,6 @@ class Runner {
                          cycle);
     tracer.cycle_counter("pending_syntheses", pending, cycle);
     tracer.cycle_counter("health_changes", health_.changes(), cycle);
-    tracer.cycle_counter("retiring_droplets",
-                         std::ssize(replicas_.retiring()), cycle);
   }
 
  private:
@@ -980,11 +888,23 @@ class Runner {
         const Rect pa = chip_.droplet_position(a);
         const Rect pb = chip_.droplet_position(b);
         if (pa.manhattan_gap(pb) <= 1) {
-          // Hold in contact while the merged droplet would touch a third.
+          // Hold in contact while the merged droplet would touch a third,
+          // unless that droplet can only leave after this MO finishes.
           const Rect site = merge_site(pa, pb);
           if (std::ranges::any_of(other_droplets(a, b), [&](const Rect& r) {
                 return r.manhattan_gap(site) < 2;
               })) {
+            if (const Mo* parker = parked_for_good(run, site)) {
+              const std::string reason =
+                  "merge site " + site.to_string() + " blocked by MO " +
+                  std::to_string(parker->id) +
+                  "'s output, which waits for this MO";
+              if (config_.recovery.enabled)
+                abort_job(run, reason);
+              else
+                failure_ = "MO " + std::to_string(mo.id) + ": " + reason;
+              return false;
+            }
             if (!std::exchange(run.merge_waited, true))
               journal_.event("merge", "wait", mo.id,
                              "site " + site.to_string() + " near a droplet");
@@ -1035,7 +955,7 @@ class Runner {
   /// A replicated dispense (effective N > 1): the corridors are planned on
   /// the first visit, then one replica launches per cycle through the
   /// shared port while the live ones race. The first arrival completes the
-  /// MO (k = 1 of N vote) and the losers retire to waste.
+  /// MO (k = 1 of N vote); the losers leave the chip at the end of the cycle.
   bool replicated_dispense(MoRun& run, std::vector<Command>& commands) {
     const Mo& mo = *run.mo;
     const Rect goal = outputs_[static_cast<std::size_t>(mo.id)][0];
@@ -1056,7 +976,7 @@ class Runner {
       const bool arrived = advance_route(run, task, commands);
       if (failure_ || run.state != MoRun::State::kActive) return false;
       if (arrived) {
-        replicas_.vote(run, task);
+        replicas_.vote(run, task, doomed_);
         return true;
       }
     }
@@ -1085,8 +1005,9 @@ class Runner {
     run.live.clear();
   }
 
-  /// Executes deferred aborts: strips commands addressed to doomed droplets,
-  /// removes the droplets from the chip, and releases aborted runs' routes.
+  /// Executes the deferred discards of aborted jobs, abandoned replicas and
+  /// vote losers: strips commands addressed to doomed droplets, removes the
+  /// droplets from the chip, and releases aborted runs' routes.
   void finalize_aborts(std::vector<Command>& commands) {
     if (doomed_.empty()) return;
     std::erase_if(commands, [this](const Command& c) {
@@ -1106,6 +1027,37 @@ class Runner {
       task.end_span(outcome, chip_.cycle());
     }
     run.routes.clear();
+  }
+
+  /// The finished MO that parks an output within one cell of @p run's merge
+  /// site @p site for a consumer that cannot start before @p run finishes,
+  /// so that the merge would wait for good; nullptr if none.
+  const Mo* parked_for_good(const MoRun& run, const Rect& site) const {
+    for (const MoRun& parker : runs_) {
+      if (parker.state != MoRun::State::kDone) continue;
+      for (std::size_t k = 0; k < parker.live.size(); ++k) {
+        const DropletId d = parker.live[k];
+        if (d == MoRun::kTaken ||
+            chip_.droplet_position(d).manhattan_gap(site) >= 2)
+          continue;
+        const assay::PreRef out{parker.mo->id, static_cast<int>(k)};
+        for (const MoRun& consumer : runs_)
+          if (std::ranges::find(consumer.mo->pre, out) !=
+                  consumer.mo->pre.end() &&
+              waits_for(*consumer.mo, run.mo->id))
+            return parker.mo;
+      }
+    }
+    return nullptr;
+  }
+
+  /// True when @p mo takes an input from MO @p id, directly or through its
+  /// predecessors, and so cannot start before @p id finishes.
+  bool waits_for(const Mo& mo, int id) const {
+    return std::ranges::any_of(mo.pre, [&](const assay::PreRef& ref) {
+      return ref.mo == id ||
+             waits_for(*runs_[static_cast<std::size_t>(ref.mo)].mo, id);
+    });
   }
 
   /// Where two partnered droplets at @p pa and @p pb merge: the pattern of
@@ -1315,15 +1267,13 @@ class Runner {
     return area.intersection_with(chip_bounds_);
   }
 
-  /// The droplet registry: every droplet on the chip. Each MO's droplets,
-  /// a finished MO's parked outputs included, then the retiring replicas.
+  /// The droplet registry: every droplet on the chip, MO by MO, a finished
+  /// MO's parked outputs included.
   std::vector<DropletId> droplets_on_chip() const {
     std::vector<DropletId> ids;
     for (const MoRun& run : runs_)
       for (const DropletId id : run.live)
         if (id != MoRun::kTaken) ids.push_back(id);
-    for (const RetireTask& retiree : replicas_.retiring())
-      ids.push_back(retiree.droplet);
     return ids;
   }
 

@@ -108,12 +108,13 @@ struct ReplicaCounters {
   int launched = 0;   ///< replica droplets dispensed (includes winners)
   int failovers = 0;  ///< replicas abandoned after exhausting their retries
   int merges = 0;     ///< MOs completed by a first-arrival vote (k = 1)
-  int retired = 0;    ///< losing replicas retired to waste after a merge
+  int retired = 0;    ///< losing replicas discarded at a merge's vote
   /// Replicated MOs whose corridor plan degraded to best-effort
   /// disjointness (zone too thin for N masked bands).
   int best_effort_masks = 0;
   /// Chip cycles consumed by non-winning replica droplets (abandoned +
-  /// retired), i.e. the redundancy's extra droplet traffic.
+  /// retired) from launch until they leave the chip, i.e. the redundancy's
+  /// extra droplet traffic.
   std::uint64_t droplet_cycles = 0;
 
   /// The field list (see RecoveryCounters::for_each_field).

@@ -20,8 +20,9 @@
 /// action byte per droplet state, so a probe is one index lookup and a byte
 /// read. Copies share the table, so copying a strategy, a SynthesisResult or
 /// a whole StrategyLibrary (a library hit, a store) costs a reference-count
-/// bump. Strategy extraction (synthesizer.cpp) and the fallback router build
-/// the tables; nothing changes one after it is built.
+/// bump. Strategy extraction (synthesizer.cpp) builds the tables of
+/// synthesized strategies, and the list constructor those of listed states
+/// such as a hand-written walk; nothing changes a table after it is built.
 
 namespace meda::core {
 
@@ -38,8 +39,8 @@ class Strategy {
   /// of @p index, the state's Action or kNoAction.
   Strategy(StateIndex index, std::vector<std::uint8_t> actions);
 
-  /// A strategy over the listed (droplet, action) states, such as a routed
-  /// path, indexed over their bounding box. A droplet listed twice keeps its
+  /// A strategy over the listed (droplet, action) states, such as a walk,
+  /// indexed over their bounding box. A droplet listed twice keeps its
   /// last action. Requires valid droplets.
   explicit Strategy(const std::vector<std::pair<Rect, Action>>& states);
 

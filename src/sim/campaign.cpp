@@ -167,8 +167,7 @@ std::vector<CampaignCell> run_campaign(
       digest.mix(level.sensor.frame_drop_p);
     }
     checkpoint.open(config.checkpoint.path, digest.value(),
-                    config.checkpoint.resume, slots.size(),
-                    config.checkpoint.flush_every);
+                    config.checkpoint.resume, slots.size());
   }
   util::parallel_for(config.jobs, slots.size(), [&](std::size_t t) {
     if (const std::string* payload = checkpoint.restored(t))

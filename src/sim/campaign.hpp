@@ -46,7 +46,6 @@ struct RouterConfig {
 struct CampaignCheckpoint {
   std::string path;     ///< empty = checkpointing disabled
   bool resume = false;  ///< load compatible completed slots from the file
-  int flush_every = 4;  ///< atomic rewrite cadence (newly completed slots)
   std::uint64_t salt = 0;  ///< extra driver-config digest material
 };
 

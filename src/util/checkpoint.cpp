@@ -39,13 +39,11 @@ void GetField::operator()(const char*, double& value) const {
 }
 
 void SlotCheckpoint::open(std::string path, std::uint64_t digest, bool resume,
-                          std::size_t slot_count, int flush_every) {
+                          std::size_t slot_count) {
   MEDA_REQUIRE(!path.empty(), "checkpoint path must be non-empty");
-  MEDA_REQUIRE(flush_every > 0, "checkpoint flush_every must be positive");
   std::lock_guard<std::mutex> lock(mutex_);
   path_ = std::move(path);
   digest_ = digest;
-  flush_every_ = flush_every;
   restored_count_ = 0;
   unflushed_ = 0;
   slots_.assign(slot_count, std::nullopt);
@@ -106,7 +104,7 @@ void SlotCheckpoint::record(std::size_t slot, const std::string& payload) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!slots_[slot].has_value()) ++unflushed_;
   slots_[slot] = payload;
-  if (unflushed_ >= flush_every_) write_file_locked();
+  if (unflushed_ >= kCheckpointFlushEvery) write_file_locked();
 }
 
 void SlotCheckpoint::flush() {

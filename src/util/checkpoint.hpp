@@ -102,6 +102,9 @@ struct MixFieldValue {
   }
 };
 
+/// Newly recorded slots between two periodic rewrites of a checkpoint file.
+inline constexpr int kCheckpointFlushEvery = 4;
+
 /// Periodic, atomic checkpoint of completed slots. Thread-safe: pool
 /// workers `record()` concurrently; flushes serialize on an internal mutex.
 class SlotCheckpoint {
@@ -113,10 +116,10 @@ class SlotCheckpoint {
   /// When @p resume is true an existing compatible file is loaded and its
   /// completed slots become available via restored(); otherwise any
   /// existing file is ignored (and overwritten by the first flush). The
-  /// file is rewritten after every @p flush_every newly recorded slots and
-  /// on flush().
+  /// file is rewritten after every kCheckpointFlushEvery newly recorded
+  /// slots and on flush().
   void open(std::string path, std::uint64_t digest, bool resume,
-            std::size_t slot_count, int flush_every = 8);
+            std::size_t slot_count);
 
   bool active() const { return !path_.empty(); }
 
@@ -130,7 +133,7 @@ class SlotCheckpoint {
   /// Records @p slot as complete. @p payload must be single-line (no '\n').
   void record(std::size_t slot, const std::string& payload);
 
-  /// Forces the file to disk (atomic rewrite) regardless of flush_every.
+  /// Forces the file to disk (atomic rewrite) regardless of the cadence.
   void flush();
 
  private:
@@ -138,7 +141,6 @@ class SlotCheckpoint {
 
   std::string path_;
   std::uint64_t digest_ = 0;
-  int flush_every_ = 8;
   std::size_t restored_count_ = 0;
   std::vector<std::optional<std::string>> slots_;
   int unflushed_ = 0;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "assay/benchmarks.hpp"
 #include "core/scheduler.hpp"
@@ -11,8 +13,8 @@
 
 /// @file scheduler_replica_test.cpp
 /// N-modular-redundant droplet execution: replica launch, the k = 1 of N
-/// vote/merge, region-disjoint corridor routing, the losers' waste routes
-/// and the replica-failover rung of the recovery ladder.
+/// vote/merge, region-disjoint corridor routing, the losers' discard, the
+/// replica-failover rung of the recovery ladder and the replica traffic.
 
 namespace meda::core {
 namespace {
@@ -125,32 +127,6 @@ TEST(SchedulerReplica, VoteMergeCompletesOnFirstArrival) {
   EXPECT_EQ(winners, 1);
 }
 
-TEST(SchedulerReplica, LoserDrainsOffTheChip) {
-  sim::SimulatedChip chip(chip_config(), Rng(7));
-  SchedulerConfig config;
-  config.max_cycles = 2000;
-  Scheduler scheduler(config);
-  assay::AssayBuilder builder("replicated-then-output");
-  const int d = builder.dispense(30.0, 15.0, 16);
-  builder.output({d, 0}, 55.0, 15.0);
-  assay::MoList list = std::move(builder).build();
-  list.ops[static_cast<std::size_t>(d)].replicas = 2;
-  const ExecutionStats stats = scheduler.run(chip, list);
-  ASSERT_TRUE(stats.success) << stats.failure_reason;
-  EXPECT_EQ(stats.replica.retired, 1);
-  // Winner left via the output MO, loser via its waste route.
-  EXPECT_TRUE(chip.droplets().empty());
-  // The loser drove its fallback route to the chip edge: an empty chip
-  // alone would also pass for a loser discarded where it stood.
-  int reached_edge = 0;
-  for (const obs::Event& e : stats.events) {
-    if (e.category != "replica" || e.name != "retired") continue;
-    reached_edge += e.detail == "reached the waste edge" ? 1 : 0;
-    EXPECT_NE(e.detail, "no waste route; discarded in place");
-  }
-  EXPECT_EQ(reached_edge, 1);
-}
-
 /// Pass-through chip that records, per dispensed droplet, its position at
 /// dispense and after every cycle while it is on the chip, with the cycle
 /// (relative to the wrapper's construction) it held that position at.
@@ -227,7 +203,7 @@ TEST(SchedulerReplica, RoutesArePairwiseRegionDisjoint) {
   ASSERT_TRUE(stats.success) << stats.failure_reason;
   ASSERT_EQ(stats.replica_routes.size(), 2u);
   // The replicas race until the vote; afterwards the winner carries on as
-  // the MO's output and the loser retires to waste, both outside the bands.
+  // the MO's output, outside the bands, and the loser leaves the chip.
   const auto merge = std::find_if(
       stats.events.begin(), stats.events.end(), [](const obs::Event& e) {
         return e.category == "replica" && e.name == "merge";
@@ -266,6 +242,35 @@ TEST(SchedulerReplica, RoutesArePairwiseRegionDisjoint) {
                 .band.intersection_with(stats.replica_routes[1].band)
                 .valid(),
             false);
+}
+
+TEST(SchedulerReplica, LoserDrainsOffTheChip) {
+  // The loser leaves the chip at the end of the vote's cycle, with the
+  // droplets of abandoned replicas and aborted jobs: its last position is
+  // the one it held when the vote began, while the winner carries on as the
+  // MO's output and leaves through the output MO.
+  sim::SimulatedChip sim_chip(chip_config(), Rng(7));
+  RecordingChip chip(sim_chip);
+  const ExecutionStats stats =
+      Scheduler(SchedulerConfig{}).run(chip, replicated_dispense(2));
+  ASSERT_TRUE(stats.success) << stats.failure_reason;
+  EXPECT_EQ(stats.replica.retired, 1);
+  const auto vote = std::find_if(
+      stats.events.begin(), stats.events.end(), [](const obs::Event& e) {
+        return e.category == "replica" && e.name == "merge";
+      });
+  ASSERT_NE(vote, stats.events.end());
+  ASSERT_EQ(chip.dispensed.size(), 2u);
+  ASSERT_EQ(stats.replica_routes.size(), 2u);
+  for (const ReplicaRouteRecord& record : stats.replica_routes) {
+    const std::vector<RecordingChip::Sample>& trail = chip.trails.at(
+        chip.dispensed.at(static_cast<std::size_t>(record.replica)));
+    if (record.winner)
+      EXPECT_GT(trail.back().cycle, vote->cycle + 1);
+    else
+      EXPECT_EQ(trail.back().cycle, vote->cycle);
+  }
+  EXPECT_TRUE(sim_chip.droplets().empty());
 }
 
 TEST(SchedulerReplica, ThinZoneDegradesToBestEffort) {
@@ -311,13 +316,13 @@ TEST(SchedulerReplica, ConfigFloorReplicatesCriticalDispenses) {
                 stats.replica.failovers);
 }
 
-TEST(SchedulerReplica, FailoverAbandonsAStuckReplicaWithoutAbortingTheMo) {
-  // A large chip with a center goal. The second replica dispensed (droplet
-  // id 2) is mechanically dead: it never executes a command while its
-  // cells keep reading healthy. The first crawls, landing a command every
-  // 16th cycle, which keeps its watchdog quiet but its route long enough
-  // for the dead replica's ladder (watchdog → quarantine → bounded
-  // retries) to fail over before the merge.
+/// A large chip with a center goal. The second replica dispensed (droplet
+/// id 2) is mechanically dead: it never executes a command while its cells
+/// keep reading healthy. The first crawls, landing a command every 16th
+/// cycle, which keeps its watchdog quiet but its route long enough for the
+/// dead replica's ladder (watchdog → quarantine → bounded retries) to fail
+/// over before the merge.
+ExecutionStats run_with_a_dead_replica() {
   FakeChip chip(Rect{0, 0, 119, 119});
   chip.stuck = {2};
   chip.crawl = {{1, 16}};
@@ -327,9 +332,11 @@ TEST(SchedulerReplica, FailoverAbandonsAStuckReplicaWithoutAbortingTheMo) {
   // sibling is still in flight.
   config.recovery.quarantine_after_watchdogs = 1;
   config.max_cycles = 3000;
-  Scheduler scheduler(config);
-  const ExecutionStats stats =
-      scheduler.run(chip, replicated_dispense(2, 60.0, 60.0));
+  return Scheduler(config).run(chip, replicated_dispense(2, 60.0, 60.0));
+}
+
+TEST(SchedulerReplica, FailoverAbandonsAStuckReplicaWithoutAbortingTheMo) {
+  const ExecutionStats stats = run_with_a_dead_replica();
   ASSERT_TRUE(stats.success) << stats.failure_reason;
   EXPECT_EQ(stats.replica.launched, 2);
   EXPECT_EQ(stats.replica.failovers, 1);
@@ -350,6 +357,51 @@ TEST(SchedulerReplica, FailoverAbandonsAStuckReplicaWithoutAbortingTheMo) {
   for (const ReplicaRouteRecord& record : stats.replica_routes)
     abandoned += record.abandoned ? 1 : 0;
   EXPECT_EQ(abandoned, 1);
+}
+
+/// The replica traffic the event log accounts for: the sum, over every
+/// `replica/retire` and `replica-failover` event, of the cycles since the
+/// same replica's `replica/launch` event. Each detail starts "replica <k>".
+std::uint64_t traffic_in_events(const std::vector<obs::Event>& events) {
+  std::map<std::pair<int, int>, std::uint64_t> launched;  // (MO, replica)
+  std::uint64_t traffic = 0;
+  for (const obs::Event& e : events) {
+    const bool launch = e.category == "replica" && e.name == "launch";
+    const bool lost =
+        (e.category == "replica" && e.name == "retire") ||
+        (e.category == "recovery" &&
+         e.name == to_string(RecoveryAction::kReplicaFailover));
+    if (!launch && !lost) continue;
+    const std::pair<int, int> key{
+        e.scope, std::stoi(e.detail.substr(std::string("replica ").size()))};
+    if (launch)
+      launched[key] = e.cycle;
+    else
+      traffic += e.cycle - launched.at(key);
+  }
+  return traffic;
+}
+
+TEST(SchedulerReplica, DropletCyclesMatchTheEventLog) {
+  // replica.droplet_cycles charges each losing replica from its launch to
+  // the cycle it leaves the chip: the vote for a racing loser, the failover
+  // for an abandoned one.
+  sim::SimulatedChip chip(chip_config(), Rng(7));
+  const ExecutionStats racing =
+      Scheduler(SchedulerConfig{}).run(chip, replicated_dispense(2));
+  ASSERT_TRUE(racing.success) << racing.failure_reason;
+  EXPECT_EQ(racing.replica.launched, 2);
+  EXPECT_EQ(racing.replica.retired, 1);
+  EXPECT_GT(racing.replica.droplet_cycles, 0u);
+  EXPECT_EQ(racing.replica.droplet_cycles, traffic_in_events(racing.events));
+
+  const ExecutionStats failover = run_with_a_dead_replica();
+  ASSERT_TRUE(failover.success) << failover.failure_reason;
+  EXPECT_EQ(failover.replica.failovers, 1);
+  EXPECT_EQ(failover.replica.retired, 0);
+  EXPECT_GT(failover.replica.droplet_cycles, 0u);
+  EXPECT_EQ(failover.replica.droplet_cycles,
+            traffic_in_events(failover.events));
 }
 
 TEST(SchedulerReplica, AllReplicaFailureEscalatesToGracefulAbort) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "assay/benchmarks.hpp"
 #include "assay/parser.hpp"
@@ -514,10 +515,51 @@ TEST(Scheduler, ContentionDetoursGoThroughTheStrategyLibrary) {
 
 TEST(Scheduler, AMergeNextToAThirdDropletWaitsInsteadOfThrowing) {
   // M3 mixes at (24.5, 11.5), within one cell of M0's droplet, which waits
-  // at (24.5, 16.5) for M4 and so can only leave after M3's mix. Merging
-  // there would touch it, so M3's partners hold in contact, logging one
-  // merge wait, until the cycle limit fails the run; merging anyway would
-  // make the chip throw out of Scheduler::run.
+  // at (24.5, 16.5) for M7 and so leaves once M6's 40-cycle hold ends.
+  // Merging there would touch it and make the chip throw out of
+  // Scheduler::run, so M3's partners hold in contact, logging one merge
+  // wait, until the droplet has left; then M3 mixes and the assay finishes.
+  const assay::MoList list = assay::parse_assay_string(
+      "name MergeWaits\n"
+      "M0 = dis 24.5 16.5 16\n"
+      "M1 = dis 10.5 11.5 16\n"
+      "M2 = dis 40.5 11.5 16\n"
+      "M3 = mix M1 M2 24.5 11.5 hold=2\n"
+      "M4 = out M3 24.5 3.5\n"
+      "M5 = dis 50.5 25.5 16\n"
+      "M6 = mag M5 50.5 20.5 hold=40\n"
+      "M7 = mix M0 M6 40.5 22.5 hold=2\n"
+      "M8 = out M7 54.5 22.5\n");
+  for (const bool robust : {false, true}) {
+    SchedulerConfig config;
+    config.filter.enabled = config.recovery.enabled = robust;
+    sim::SimulatedChip chip(chip_config(), Rng(1));
+    ExecutionStats stats;
+    ASSERT_NO_THROW(stats = Scheduler(config).run(chip, list))
+        << "robust=" << robust;
+    EXPECT_TRUE(stats.success) << stats.failure_reason;
+    const auto wait =
+        std::ranges::find_if(stats.events, [](const obs::Event& e) {
+          return e.category == "merge" && e.name == "wait";
+        });
+    ASSERT_NE(wait, stats.events.end());
+    EXPECT_EQ(wait->scope, 3);
+    EXPECT_EQ(std::ranges::count_if(stats.events,
+                                    [](const obs::Event& e) {
+                                      return e.category == "merge";
+                                    }),
+              1);
+    EXPECT_GT(stats.mo_timings[3].completed, wait->cycle);
+    EXPECT_GT(stats.mo_timings[7].activated, wait->cycle);
+  }
+}
+
+TEST(Scheduler, AMergeBlockedByAnOutputThatWaitsForItEndsTheMo) {
+  // M3 mixes at (24.5, 11.5), within one cell of M0's droplet, which waits
+  // at (24.5, 16.5) for M4. M4 also takes M3's output, so the droplet can
+  // only leave after M3 finishes and a merge wait would last until the
+  // cycle limit. The MO ends as soon as its partners touch: it aborts under
+  // the ladder (and M4, M5 cascade), and the execution fails without it.
   const assay::MoList list = assay::parse_assay_string(
       "name MergeNearParked\n"
       "M0 = dis 24.5 16.5 16\n"
@@ -526,23 +568,25 @@ TEST(Scheduler, AMergeNextToAThirdDropletWaitsInsteadOfThrowing) {
       "M3 = mix M1 M2 24.5 11.5 hold=2\n"
       "M4 = mix M0 M3 40.5 22.5 hold=2\n"
       "M5 = out M4 54.5 22.5\n");
+  const std::string reason =
+      "MO 3: merge site (22, 10, 27, 14) blocked by MO 0's output, which "
+      "waits for this MO";
   for (const bool robust : {false, true}) {
     SchedulerConfig config;
-    config.max_cycles = 60;
     config.filter.enabled = config.recovery.enabled = robust;
     sim::SimulatedChip chip(chip_config(), Rng(1));
-    ExecutionStats stats;
-    ASSERT_NO_THROW(stats = Scheduler(config).run(chip, list))
-        << "robust=" << robust;
+    const ExecutionStats stats = Scheduler(config).run(chip, list);
     EXPECT_FALSE(stats.success);
-    EXPECT_EQ(stats.failure_reason, "cycle limit exceeded");
-    EXPECT_FALSE(stats.mo_timings[3].done);
+    EXPECT_EQ(stats.failure_reason,
+              robust ? "3 job(s) aborted — first: " + reason : reason);
+    EXPECT_LT(stats.cycles, 20u) << "robust=" << robust;
+    EXPECT_EQ(stats.aborted_mos, robust ? 3 : 0);
+    EXPECT_EQ(stats.completed_mos, 3);  // the three dispenses
     EXPECT_EQ(std::ranges::count_if(stats.events,
                                     [](const obs::Event& e) {
-                                      return e.category == "merge" &&
-                                             e.name == "wait" && e.scope == 3;
+                                      return e.category == "merge";
                                     }),
-              1);
+              0);
   }
 }
 

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/compiled_mdp.hpp"
-#include "core/fallback_router.hpp"
 #include "core/synthesizer.hpp"
 #include "core/value_iteration.hpp"
 #include "model/action.hpp"
@@ -40,9 +39,9 @@ struct Job {
   ActionRules rules;
 };
 
-/// Random jobs drawn as FallbackRouter.PathLengthMatchesBreadthFirstSearch
-/// draws them: 10–19-cell chips with up to 30% dead cells, square droplets
-/// of side 2–4, a goal one cell larger, morphing on and off in turn.
+/// Seeded random jobs: 10–19-cell chips with up to 30% dead cells, square
+/// droplets of side 2–4, a goal one cell larger, morphing on and off in
+/// turn.
 std::vector<Job> random_jobs(int count) {
   Rng rng(20261019);
   std::vector<Job> jobs;
@@ -239,38 +238,6 @@ TEST(Strategy, ListedStatesAnswerTheirLastAction) {
     }
   EXPECT_EQ(strategy.action(Rect::from_size(20, 20, 2, 3)), std::nullopt);
   EXPECT_THROW(Strategy({{Rect::none(), Action::kE}}), PreconditionError);
-}
-
-TEST(Strategy, FallbackPathStatesAnswerTheirPathActions) {
-  // The A* path, replayed under perfect pulls from the start: every state on
-  // it answers, each answer leads to the next path state, the path ends in
-  // the goal after path_length actions, and the strategy holds exactly the
-  // path's states.
-  int feasible = 0;
-  for (const Job& job : random_jobs(120)) {
-    const FallbackResult r =
-        fallback_route(job.rj, job.health, job.chip, job.rules);
-    if (!r.feasible) {
-      EXPECT_TRUE(r.strategy.empty());
-      continue;
-    }
-    ++feasible;
-    std::set<Rect> visited;
-    Rect pos = job.rj.start;
-    while (!job.rj.goal.contains(pos) &&
-           static_cast<int>(visited.size()) <= r.path_length) {
-      const std::optional<Action> a = r.strategy.action(pos);
-      ASSERT_TRUE(a.has_value()) << pos.to_string();
-      EXPECT_TRUE(action_enabled(*a, pos, job.rules, job.chip));
-      visited.insert(pos);
-      pos = apply(*a, pos);
-    }
-    EXPECT_TRUE(job.rj.goal.contains(pos));
-    EXPECT_EQ(static_cast<int>(visited.size()), r.path_length);
-    EXPECT_EQ(r.strategy.size(), visited.size());
-    EXPECT_EQ(r.strategy.action(pos), std::nullopt);  // the goal state
-  }
-  EXPECT_GT(feasible, 20);
 }
 
 }  // namespace

@@ -427,7 +427,6 @@ TEST(ChaosCampaign, CheckpointedRunMatchesStraightThroughByteForByte) {
 
   CampaignConfig checkpointed = small_chaos();
   checkpointed.checkpoint.path = cp_path;
-  checkpointed.checkpoint.flush_every = 1;
   EXPECT_EQ(expected,
             csvs("chaos_cp",
                  run_campaign(assays, robust_router(), checkpointed)));
@@ -550,7 +549,6 @@ TEST(Campaign, CheckpointResumeReplaysOnlyMissingSlots) {
   std::remove(cp_path.c_str());
   CampaignConfig checkpointed = small_campaign();
   checkpointed.checkpoint.path = cp_path;
-  checkpointed.checkpoint.flush_every = 1;
   const auto first = run_campaign(assays, two_routers(), checkpointed);
 
   // Keep the header and the first cell's two chip slots, and mark slot 0:

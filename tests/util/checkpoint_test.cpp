@@ -139,14 +139,20 @@ TEST(SlotCheckpoint, FlushEveryRewritesPeriodically) {
   const std::string path = temp_path("cp_periodic.txt");
   std::remove(path.c_str());
   SlotCheckpoint cp;
-  cp.open(path, 5, false, 4, /*flush_every=*/2);
-  cp.record(0, "a");
-  EXPECT_TRUE(read_file(path).empty());  // below the cadence: no file yet
-  cp.record(1, "b");                     // second new slot triggers a write
+  cp.open(path, 5, false, kCheckpointFlushEvery + 1);
+  const auto payload = [](int slot) { return "p" + std::to_string(slot); };
+  for (int slot = 0; slot < kCheckpointFlushEvery - 1; ++slot) {
+    cp.record(static_cast<std::size_t>(slot), payload(slot));
+    EXPECT_TRUE(read_file(path).empty()) << slot;  // below the cadence
+  }
+  const int last = kCheckpointFlushEvery - 1;
+  cp.record(static_cast<std::size_t>(last), payload(last));  // writes
   const std::string content = read_file(path);
   EXPECT_NE(content.find("meda-checkpoint v1"), std::string::npos);
-  EXPECT_NE(content.find("0 a"), std::string::npos);
-  EXPECT_NE(content.find("1 b"), std::string::npos);
+  for (int slot = 0; slot <= last; ++slot)
+    EXPECT_NE(content.find(std::to_string(slot) + " " + payload(slot)),
+              std::string::npos)
+        << slot;
 }
 
 TEST(SlotCheckpoint, RejectsMultilinePayloadsAndBadSlots) {
