@@ -35,16 +35,23 @@ const Microelectrode& Biochip::mc(int x, int y) const {
   return cells_[index(x, y)];
 }
 
-void Biochip::actuate(const BoolMatrix& pattern) {
-  MEDA_REQUIRE(pattern.width() == config_.width &&
-                   pattern.height() == config_.height,
-               "actuation pattern dimensions mismatch");
-  const std::vector<unsigned char>& set = pattern.data();  // row-major
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    if (set[i]) {
-      cells_[i].actuate();
-      requantize(i);
-      ++total_actuations_;
+void Biochip::actuate(std::span<const Rect> cells) {
+  for (std::size_t r = 0; r < cells.size(); ++r) {
+    const Rect clipped = cells[r].intersection_with(bounds());
+    if (!clipped.valid()) continue;
+    const auto earlier = cells.first(r);
+    for (int y = clipped.ya; y <= clipped.yb; ++y) {
+      for (int x = clipped.xa; x <= clipped.xb; ++x) {
+        // A cell an earlier rect covers was charged with that rect.
+        if (std::ranges::any_of(earlier, [&](const Rect& e) {
+              return e.contains(x, y);
+            }))
+          continue;
+        const std::size_t i = index(x, y);
+        cells_[i].actuate();
+        requantize(i);
+        ++total_actuations_;
+      }
     }
   }
   ++cycles_;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "chip/microelectrode.hpp"
@@ -10,7 +11,10 @@
 
 /// @file biochip.hpp
 /// The MEDA biochip substrate: a W×H array of microelectrode cells with
-/// degradation tracking and health sensing (Sections III-V).
+/// degradation tracking and health sensing (Sections III-V). Every mutator
+/// costs the cells it touches: an operational cycle charges the cells of its
+/// actuated rects, and each touched cell's health code is re-quantized on
+/// the spot, so neither the cycle nor a health read walks the chip.
 
 namespace meda {
 
@@ -64,9 +68,11 @@ class Biochip {
   /// below, which keep health_matrix() in step with the cells.
   const Microelectrode& mc(int x, int y) const;
 
-  /// Applies one operational cycle's actuation pattern: every set cell in
-  /// @p pattern is charged once (its actuation count increments).
-  void actuate(const BoolMatrix& pattern);
+  /// Applies one operational cycle's actuation pattern, the union of
+  /// @p cells clipped to the chip: each cell of the union is charged once
+  /// (its actuation count increments), however many rects cover it. Counts
+  /// one cycle.
+  void actuate(std::span<const Rect> cells);
 
   /// Actuates every cell inside @p cells (clipped to the chip bounds).
   void actuate(const Rect& cells);

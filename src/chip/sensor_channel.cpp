@@ -39,6 +39,10 @@ SensorChannel::SensorChannel(const SensorNoiseConfig& config, int width,
     const StuckCell cell = stuck_[static_cast<std::size_t>(flat / bits)];
     if ((cell.mask & (1u << (flat % bits))) == 0) free_bits_.push_back(flat);
   }
+  // The all-zero truth read through the stuck DFFs, with no flips.
+  truth_ = IntMatrix(width, height, 0);
+  for (std::size_t c = 0; c < stuck_.size(); ++c)
+    last_frame_.data()[c] = stuck_[c].ones;
 }
 
 IntMatrix SensorChannel::read(const IntMatrix& truth, Rng& rng) {
@@ -57,22 +61,35 @@ IntMatrix SensorChannel::read(const IntMatrix& truth, Rng& rng) {
     MEDA_OBS_COUNT("sensor.frames_dropped", 1);
     return last_frame_;
   }
-  // The whole frame must fit the scan width before the first flip draw, so
-  // a rejected frame consumes no flip draw and leaves last_frame_ as it
-  // was. A negative code sets the top bit of the OR.
+  // The codes that differ from the kept truth must fit the scan width
+  // before anything changes, so a rejected frame consumes no flip draw and
+  // leaves the channel as it was; every other code passed the check when it
+  // was accepted. A negative code sets the top bit of the OR.
   const std::vector<int>& codes = truth.data();
   unsigned used = 0;
-  for (const int code : codes) used |= static_cast<unsigned>(code);
+  changed_.clear();
+  for_each_difference(truth, truth_, [&](std::size_t c) {
+    changed_.push_back(c);
+    used |= static_cast<unsigned>(codes[c]);
+  });
   MEDA_REQUIRE(used < (1u << bits_),
                "health code does not fit the scan width");
 
+  // Back to the truth read through the stuck DFFs: the previous frame's
+  // flipped cells are restored and the changed codes forced afresh.
+  std::vector<int>& kept = truth_.data();
+  for (const std::size_t c : changed_) kept[c] = codes[c];
   std::vector<int>& out = last_frame_.data();
-  for (std::size_t c = 0; c < codes.size(); ++c)
-    out[c] = (codes[c] & ~stuck_[c].mask) | stuck_[c].ones;
-  std::uint64_t flips = 0;
+  const auto force = [&](std::size_t c) {
+    out[c] = (kept[c] & ~stuck_[c].mask) | stuck_[c].ones;
+  };
+  for (const std::size_t c : flipped_) force(c);
+  for (const std::size_t c : changed_) force(c);
+  flipped_.clear();
   const auto flip = [&](int flat) {
-    out[static_cast<std::size_t>(flat / bits_)] ^= 1 << (flat % bits_);
-    ++flips;
+    const auto c = static_cast<std::size_t>(flat / bits_);
+    out[c] ^= 1 << (flat % bits_);
+    flipped_.push_back(c);
   };
   if (config_.bit_flip_p == 1.0) {
     for (const int flat : free_bits_) flip(flat);
@@ -89,6 +106,7 @@ IntMatrix SensorChannel::read(const IntMatrix& truth, Rng& rng) {
       flip(free_bits_[k]);
     }
   }
+  const std::uint64_t flips = flipped_.size();
   bits_flipped_ += flips;
   if (flips > 0) MEDA_OBS_COUNT("sensor.bits_flipped", flips);
   has_last_ = true;

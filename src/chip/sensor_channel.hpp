@@ -19,18 +19,22 @@
 ///
 /// SensorChannel models exactly these three error modes on top of the
 /// bitstream layout of scan_chain.hpp (scan order: row-major,
-/// least-significant health bit first). A read takes two flat passes: every
-/// code with its stuck DFFs forced, then the transient flips, placed by
-/// sampling the gaps between them. The flips of a frame are independent
-/// Bernoulli(bit_flip_p) trials over the non-stuck bits, so the number of
-/// clean non-stuck bits before the next flip is geometric; a read draws it
-/// by inversion, floor(ln U / ln(1 - p)) (Knuth, TAOCP Vol. 2, 3.4.1), and
-/// indexes the gaps into a table of the non-stuck scan positions built at
-/// construction. The stream contract: one frame-drop draw first (from the
-/// second read on, when frame_drop_p > 0), then, when 0 < bit_flip_p < 1,
-/// one 64-bit draw per flipped bit plus one that ends the frame. At
-/// bit_flip_p = 0 no bit flips and at bit_flip_p = 1 every non-stuck bit
-/// flips, both without a draw.
+/// least-significant health bit first). The channel keeps its frame between
+/// reads, with the truth it last accepted. A fresh read costs what changed:
+/// it finds the codes that differ from the kept truth by a row-wise compare,
+/// restores the cells the previous fresh frame flipped and re-forces the
+/// changed codes through their stuck DFFs, which leaves the truth read
+/// through the stuck DFFs, then flips the frame's transient bits. The flips
+/// of a frame are independent Bernoulli(bit_flip_p) trials over the
+/// non-stuck bits, so the number of clean non-stuck bits before the next
+/// flip is geometric; a read draws it by inversion,
+/// floor(ln U / ln(1 - p)) (Knuth, TAOCP Vol. 2, 3.4.1), and indexes the
+/// gaps into a table of the non-stuck scan positions built at construction.
+/// The stream contract: one frame-drop draw first (from the second read on,
+/// when frame_drop_p > 0), then, when 0 < bit_flip_p < 1, one 64-bit draw
+/// per flipped bit plus one that ends the frame. At bit_flip_p = 0 no bit
+/// flips and at bit_flip_p = 1 every non-stuck bit flips, both without a
+/// draw.
 /// With a default-constructed SensorNoiseConfig the channel is transparent.
 
 namespace meda {
@@ -70,7 +74,7 @@ class SensorChannel {
   /// Reads @p truth through the channel: stuck bits, then flips. Transient
   /// randomness (flips, frame drops) draws from @p rng. Every code must fit
   /// the scan width; a frame that does not is rejected before any flip draw
-  /// and leaves the last frame as it was.
+  /// and leaves the channel as it was. Returns the whole frame.
   IntMatrix read(const IntMatrix& truth, Rng& rng);
 
   // Channel statistics ---------------------------------------------------
@@ -103,7 +107,16 @@ class SensorChannel {
   /// Scan positions of the non-stuck DFFs, ascending: the flip gaps of a
   /// read count entries of this table.
   std::vector<int> free_bits_;
+  /// The last accepted truth (all zero before the first read); every code
+  /// in it has passed the scan-width check.
+  IntMatrix truth_;
+  /// The last fresh frame: truth_ read through the stuck DFFs, with the
+  /// cells of flipped_ flipped.
   IntMatrix last_frame_;
+  /// The cell of each bit that last_frame_'s flips touched, in draw order.
+  std::vector<std::size_t> flipped_;
+  /// Scratch of a read: the cells whose truth differs from truth_.
+  std::vector<std::size_t> changed_;
   bool has_last_ = false;
   std::uint64_t frames_read_ = 0;
   std::uint64_t frames_dropped_ = 0;

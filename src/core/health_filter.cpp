@@ -19,6 +19,7 @@ void HealthFilter::observe(const IntMatrix& scan) {
     estimate_ = scan;
     candidate_ = IntMatrix(scan.width(), scan.height(), -1);
     streak_ = IntMatrix(scan.width(), scan.height(), 0);
+    pending_.clear();
     if (!seeded_) {
       disagree_ = IntMatrix(scan.width(), scan.height(), 0);
       suspect_ = BoolMatrix(scan.width(), scan.height(), 0);
@@ -44,18 +45,23 @@ void HealthFilter::observe(const IntMatrix& scan) {
   if (frames_ % kSuspectDecayFrames == 0) {
     for (std::size_t i = 0; i < n; ++i) score[i] /= 2;
   }
+  // A reading equal to the estimate leaves its cell with streak 0 and no
+  // candidate. Every cell off the pending list already holds that state, so
+  // only a pending cell that reads its estimate again changes here.
+  for (const std::size_t i : pending_) {
+    if (in[i] == est[i]) {
+      streak[i] = 0;
+      cand[i] = -1;
+    }
+  }
+  pending_.clear();
   std::uint64_t adopted = 0;
   std::uint64_t rejected = 0;
   int suspects = suspect_count_;
-  for (std::size_t i = 0; i < n; ++i) {
+  for_each_difference(scan, estimate_, [&](std::size_t i) {
+    // Reading disagrees with the settled estimate.
     const int v = in[i];
     const int e = est[i];
-    if (v == e) {
-      streak[i] = 0;
-      cand[i] = -1;
-      continue;
-    }
-    // Reading disagrees with the settled estimate.
     if (++score[i] >= kSuspectThreshold && sus[i] == 0) {
       sus[i] = 1;
       ++suspects;
@@ -72,9 +78,10 @@ void HealthFilter::observe(const IntMatrix& scan) {
       cand[i] = -1;
       ++adopted;
     } else {
+      pending_.push_back(i);
       ++rejected;
     }
-  }
+  });
   suspect_count_ = suspects;
   adopted_updates_ += adopted;
   rejected_updates_ += rejected;

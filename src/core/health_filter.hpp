@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "util/matrix.hpp"
 
@@ -19,6 +20,13 @@
 ///  - **Suspect flagging** — cells whose readings keep disagreeing with the
 ///    settled estimate (stuck DFFs, flaky chain segments) are flagged so the
 ///    scheduler's recovery ladder can quarantine them.
+///
+/// A frame costs what changed: observe() updates the cells whose reading
+/// differs from the estimate, found by a row-wise compare, and the cells
+/// that held a candidate after the previous frame. Every other cell reads
+/// its estimate with streak 0 and no candidate, which the update would
+/// leave as it is. Only the disagreement decay, every kSuspectDecayFrames-th
+/// frame, walks the whole chip.
 
 namespace meda::core {
 
@@ -85,6 +93,8 @@ class HealthFilter {
   IntMatrix streak_;      ///< consecutive reads of candidate_
   IntMatrix disagree_;    ///< decaying disagreement score
   BoolMatrix suspect_;
+  /// The cells holding a candidate; every other cell has streak 0.
+  std::vector<std::size_t> pending_;
   int suspect_count_ = 0;
   std::uint64_t frames_ = 0;
   std::uint64_t rejected_updates_ = 0;

@@ -189,9 +189,15 @@ class HealthView {
     if (!senses_) return;
     IntMatrix scan = chip_.sense_health();
     if (config_.filter.enabled) {
+      // The clamped view stays current until the estimate moves: a frame
+      // that seeds the filter or adopts a code. Outside a forced re-sense
+      // (parole) the quarantine set only grows, and each addition clamps.
+      const bool seeds = forced || !filter_.seeded();
+      const std::uint64_t adopted = filter_.adopted_updates();
       if (forced) filter_.force_resense();
       filter_.observe(scan);
-      health_ = filter_.estimate();
+      if (seeds || filter_.adopted_updates() != adopted)
+        health_ = filter_.estimate();
     } else {
       health_ = std::move(scan);
     }
@@ -890,9 +896,15 @@ class Runner {
         if (pa.manhattan_gap(pb) <= 1) {
           // Hold in contact while the merged droplet would touch a third,
           // unless that droplet can only leave after this MO finishes.
+          // A droplet doomed this cycle stays on the chip until the cycle
+          // ends, so it blocks the site as well.
           const Rect site = merge_site(pa, pb);
-          if (std::ranges::any_of(other_droplets(a, b), [&](const Rect& r) {
-                return r.manhattan_gap(site) < 2;
+          const auto near_site = [&](const Rect& r) {
+            return r.manhattan_gap(site) < 2;
+          };
+          if (std::ranges::any_of(other_droplets(a, b), near_site) ||
+              std::ranges::any_of(doomed_, [&](DropletId d) {
+                return near_site(chip_.droplet_position(d));
               })) {
             if (const Mo* parker = parked_for_good(run, site)) {
               const std::string reason =

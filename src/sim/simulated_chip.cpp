@@ -217,11 +217,15 @@ void SimulatedChip::step(const std::vector<core::Command>& commands) {
     droplets_.at(order[i]) = proposed[i];
   }
 
-  const BoolMatrix pattern =
-      build_actuation_matrix(chip_.width(), chip_.height(), cycle_pattern);
-  chip_.actuate(pattern);
+  std::vector<Rect> actuated;
+  actuated.reserve(cycle_pattern.size());
+  for (const auto& [pos, action] : cycle_pattern)
+    actuated.push_back(actuated_pattern(pos, action));
+  chip_.actuate(actuated);
   if (adversary_ != nullptr) adversary_->act(chip_, droplets(), rng_);
-  if (config_.record_actuation_trace) trace_.push_back(pattern);
+  if (config_.record_actuation_trace)
+    trace_.push_back(build_actuation_matrix(chip_.width(), chip_.height(),
+                                            cycle_pattern));
   if (config_.record_droplet_trace) droplet_trace_.push_back(droplets());
   ++cycle_;
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "util/check.hpp"
@@ -70,6 +71,24 @@ class Matrix {
   int height_ = 0;
   std::vector<T> data_;
 };
+
+/// Calls @p visit(i) with the flat (row-major) index of every cell in which
+/// @p a and @p b differ, in ascending order. Each row is compared whole
+/// first, so an equal row costs one block compare. @p visit may write the
+/// cell it is given, in either matrix.
+template <typename T, typename F>
+void for_each_difference(const Matrix<T>& a, const Matrix<T>& b, F&& visit) {
+  MEDA_REQUIRE(a.width() == b.width() && a.height() == b.height(),
+               "matrices differ in shape");
+  const std::size_t width = static_cast<std::size_t>(a.width());
+  const T* const pa = a.data().data();
+  const T* const pb = b.data().data();
+  for (std::size_t row = 0; row < a.size(); row += width) {
+    if (std::equal(pa + row, pa + row + width, pb + row)) continue;
+    for (std::size_t i = row; i < row + width; ++i)
+      if (pa[i] != pb[i]) visit(i);
+  }
+}
 
 using BoolMatrix = Matrix<unsigned char>;
 using DoubleMatrix = Matrix<double>;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -217,29 +218,56 @@ TEST(SensorChannel, MatchesTheThreeStepReadout) {
 
 TEST(SensorChannel, MatchesTheThreeStepReadoutAtTheProductionShape) {
   // The hybrid_noisy scan chain: 60x30 cells of 2 bits, flip 1e-3, 2% of
-  // frames dropped; without stuck DFFs and with 5% of them stuck.
-  for (const double stuck : {0.0, 0.05}) {
-    SensorNoiseConfig config;
-    config.bit_flip_p = 1e-3;
-    config.stuck_fraction = stuck;
-    config.frame_drop_p = 0.02;
-    SensorChannel channel(config, 60, 30, 2, Rng(77));
-    reference::ReadoutChannel oracle(config, 60, 30, 2, Rng(77));
-    EXPECT_EQ(channel.stuck_bits(), stuck == 0.0 ? 0 : 180);
-    Rng rng(78);
-    Rng oracle_rng(78);
-    Rng truth_rng(79);
-    for (int i = 0; i < 50; ++i) {
-      SCOPED_TRACE(::testing::Message() << "stuck " << stuck << " read " << i);
-      const IntMatrix truth = random_health(60, 30, 2, truth_rng);
-      ASSERT_EQ(channel.read(truth, rng), oracle.read(truth, oracle_rng));
-      ASSERT_EQ(channel.bits_flipped(), oracle.bits_flipped());
-      ASSERT_EQ(channel.frames_dropped(), oracle.frames_dropped());
-      ASSERT_EQ(channel.staleness(), oracle.staleness());
-      ASSERT_TRUE(rng.engine() == oracle_rng.engine());
+  // frames dropped; without stuck DFFs and with 5% of them stuck. The truth
+  // is drawn afresh for every read, or, as on a chip, worn in up to three
+  // cells per read, with a frame mid-stream that the scan width rejects.
+  constexpr int kRejectedRead = 20;
+  for (const bool wearing : {false, true}) {
+    for (const double stuck : {0.0, 0.05}) {
+      SensorNoiseConfig config;
+      config.bit_flip_p = 1e-3;
+      config.stuck_fraction = stuck;
+      config.frame_drop_p = 0.02;
+      SensorChannel channel(config, 60, 30, 2, Rng(77));
+      reference::ReadoutChannel oracle(config, 60, 30, 2, Rng(77));
+      EXPECT_EQ(channel.stuck_bits(), stuck == 0.0 ? 0 : 180);
+      Rng rng(78);
+      Rng oracle_rng(78);
+      Rng truth_rng(79);
+      IntMatrix truth;
+      for (int i = 0; i < 50; ++i) {
+        SCOPED_TRACE(::testing::Message() << "wearing " << wearing
+                                          << " stuck " << stuck << " read "
+                                          << i);
+        if (!wearing || i == 0) {
+          truth = random_health(60, 30, 2, truth_rng);
+        } else {
+          for (int k = truth_rng.uniform_int(0, 3); k > 0; --k) {
+            const int x = truth_rng.uniform_int(0, 59);
+            const int y = truth_rng.uniform_int(0, 29);
+            truth(x, y) = std::max(0, truth(x, y) - 1);
+          }
+        }
+        if (wearing && i == kRejectedRead) {
+          // Both sides take the drop draw, then reject the frame; the next
+          // read diffs against the truth accepted before it.
+          IntMatrix bad = truth;
+          bad(31, 17) = 4;
+          const std::uint64_t flipped = channel.bits_flipped();
+          EXPECT_THROW(channel.read(bad, rng), PreconditionError);
+          EXPECT_THROW(oracle.read(bad, oracle_rng), PreconditionError);
+          ASSERT_TRUE(rng.engine() == oracle_rng.engine());
+          EXPECT_EQ(channel.bits_flipped(), flipped);
+        }
+        ASSERT_EQ(channel.read(truth, rng), oracle.read(truth, oracle_rng));
+        ASSERT_EQ(channel.bits_flipped(), oracle.bits_flipped());
+        ASSERT_EQ(channel.frames_dropped(), oracle.frames_dropped());
+        ASSERT_EQ(channel.staleness(), oracle.staleness());
+        ASSERT_TRUE(rng.engine() == oracle_rng.engine());
+      }
+      // About 180 flips are expected over 50 reads of 3600 bits at 1e-3.
+      EXPECT_GT(channel.bits_flipped(), 0u);
     }
-    // About 180 flips are expected over 50 reads of 3600 bits at 1e-3.
-    EXPECT_GT(channel.bits_flipped(), 0u);
   }
 }
 

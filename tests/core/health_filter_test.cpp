@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "obs/obs.hpp"
 #include "reference_health_filter.hpp"
@@ -154,19 +155,35 @@ TEST(HealthFilter, FramesCounterCountsEveryObservedFrame) {
   obs::ctx().reset();
 }
 
-/// One fuzzed scan stream over a drifting truth: real wear steps (mostly
-/// down, sometimes up), transient reads of a random wrong code, and a fixed
-/// set of flaky cells that keep reading a wrong code.
+/// One fuzzed scan stream over a drifting truth. A dense stream has real
+/// wear steps (mostly down, sometimes up) in many cells per frame, transient
+/// reads of a random wrong code, and a fixed set of flaky cells that keep
+/// reading a wrong code. A sparse stream, like a chip behind a good scan
+/// chain, wears up to two cells a frame (one in ten frames also raises one)
+/// and starts up to two wrong readings a frame, each lasting 1 to 5 frames.
 class FrameFuzzer {
  public:
-  FrameFuzzer(int width, int height, int bits, Rng& rng)
+  FrameFuzzer(int width, int height, int bits, Rng& rng, bool sparse = false)
       : top_((1 << bits) - 1), truth_(width, height, top_),
-        flaky_(width, height, 0) {
+        flaky_(width, height, 0), sparse_(sparse) {
     for (int& code : truth_.data()) code = rng.uniform_int(0, top_);
+    if (sparse) return;
     for (unsigned char& f : flaky_.data()) f = rng.bernoulli(0.05) ? 1 : 0;
   }
 
   IntMatrix next(Rng& rng) {
+    return sparse_ ? next_sparse(rng) : next_dense(rng);
+  }
+
+ private:
+  /// A wrong reading: @p cell reads @p code for @p frames more frames.
+  struct Misread {
+    std::size_t cell;
+    int code;
+    int frames;
+  };
+
+  IntMatrix next_dense(Rng& rng) {
     for (int& code : truth_.data()) {
       if (rng.bernoulli(0.03)) code = std::max(0, code - 1);
       if (rng.bernoulli(0.005)) code = std::min(top_, code + 1);
@@ -182,51 +199,86 @@ class FrameFuzzer {
     return frame;
   }
 
- private:
+  IntMatrix next_sparse(Rng& rng) {
+    const int last = static_cast<int>(truth_.size()) - 1;
+    const auto cell = [&] {
+      return static_cast<std::size_t>(rng.uniform_int(0, last));
+    };
+    for (int k = rng.uniform_int(0, 2); k > 0; --k) {
+      int& code = truth_.data()[cell()];
+      code = std::max(0, code - 1);
+    }
+    if (rng.bernoulli(0.1)) {
+      int& code = truth_.data()[cell()];
+      code = std::min(top_, code + 1);
+    }
+    for (int k = rng.uniform_int(0, 2); k > 0; --k) {
+      const std::size_t i = cell();
+      const int wrong =
+          (truth_.data()[i] + 1 + rng.uniform_int(0, top_ - 1)) % (top_ + 1);
+      misreads_.push_back({i, wrong, rng.uniform_int(1, 5)});
+    }
+    IntMatrix frame = truth_;
+    for (Misread& m : misreads_) {
+      frame.data()[m.cell] = m.code;
+      --m.frames;
+    }
+    std::erase_if(misreads_, [](const Misread& m) { return m.frames == 0; });
+    return frame;
+  }
+
   int top_;
   IntMatrix truth_;
   BoolMatrix flaky_;
+  bool sparse_;
+  std::vector<Misread> misreads_;
 };
 
 TEST(HealthFilter, MatchesTheReferenceFilterOnFuzzedFrames) {
   // Streams of 40 or 80 frames run past several decay frames (every
-  // kSuspectDecayFrames-th), with forced re-senses at random.
+  // kSuspectDecayFrames-th), with forced re-senses at random. Dense streams
+  // disagree with the estimate in many cells per frame; in sparse ones most
+  // cells read their estimate, and candidates expire a frame or a few
+  // frames after they appear.
   struct Shape {
     int width;
     int height;
   };
   const Shape shapes[] = {{60, 30}, {1, 1}, {7, 3}, {1, 13}, {17, 1}};
   Rng rng(2024);
-  int streams = 0;
-  for (const Shape shape : shapes) {
-    for (int stream = 0; stream < 48; ++stream) {
-      HealthFilter filter;
-      reference::HealthFilter reference;
-      FrameFuzzer fuzzer(shape.width, shape.height, rng.uniform_int(1, 4),
-                         rng);
-      const int frames = shape.width * shape.height > 100 ? 40 : 80;
-      for (int f = 0; f < frames; ++f) {
-        if (f > 0 && rng.bernoulli(0.06)) {
-          filter.force_resense();
-          reference.force_resense();
+  for (const bool sparse : {false, true}) {
+    int streams = 0;
+    for (const Shape shape : shapes) {
+      for (int stream = 0; stream < 48; ++stream) {
+        HealthFilter filter;
+        reference::HealthFilter reference;
+        FrameFuzzer fuzzer(shape.width, shape.height, rng.uniform_int(1, 4),
+                           rng, sparse);
+        const int frames = shape.width * shape.height > 100 ? 40 : 80;
+        for (int f = 0; f < frames; ++f) {
+          if (f > 0 && rng.bernoulli(0.06)) {
+            filter.force_resense();
+            reference.force_resense();
+          }
+          const IntMatrix frame = fuzzer.next(rng);
+          filter.observe(frame);
+          reference.observe(frame);
+          SCOPED_TRACE(::testing::Message()
+                       << (sparse ? "sparse " : "dense ") << shape.width
+                       << "x" << shape.height << " stream " << stream
+                       << " frame " << f);
+          ASSERT_EQ(filter.estimate(), reference.estimate());
+          ASSERT_EQ(filter.suspect(), reference.suspect());
+          ASSERT_EQ(filter.suspect_count(), reference.suspect_count());
+          ASSERT_EQ(filter.adopted_updates(), reference.adopted_updates());
+          ASSERT_EQ(filter.rejected_updates(), reference.rejected_updates());
+          ASSERT_EQ(filter.frames(), reference.frames());
         }
-        const IntMatrix frame = fuzzer.next(rng);
-        filter.observe(frame);
-        reference.observe(frame);
-        SCOPED_TRACE(::testing::Message()
-                     << shape.width << "x" << shape.height << " stream "
-                     << stream << " frame " << f);
-        ASSERT_EQ(filter.estimate(), reference.estimate());
-        ASSERT_EQ(filter.suspect(), reference.suspect());
-        ASSERT_EQ(filter.suspect_count(), reference.suspect_count());
-        ASSERT_EQ(filter.adopted_updates(), reference.adopted_updates());
-        ASSERT_EQ(filter.rejected_updates(), reference.rejected_updates());
-        ASSERT_EQ(filter.frames(), reference.frames());
+        ++streams;
       }
-      ++streams;
     }
+    EXPECT_EQ(streams, 5 * 48);
   }
-  EXPECT_EQ(streams, 5 * 48);
 }
 
 }  // namespace

@@ -590,6 +590,56 @@ TEST(Scheduler, AMergeBlockedByAnOutputThatWaitsForItEndsTheMo) {
   }
 }
 
+TEST(Scheduler, AMergeBesideADropletDoomedThisCycleWaitsForItToLeave) {
+  // M10's partners touch at cycle 6 and wait, since the site (45, 21, 50,
+  // 25) lies next to M5's droplet, parked at (47.5, 27.5) for M6. M3's
+  // merge is blocked for good by M0's output, so M3 aborts, and the abort
+  // cascades through M4 and M6 in the same cycle. M6 takes M5's droplet
+  // and dooms it: it leaves the chip only at the end of that cycle, so M10
+  // must not merge beside it then (the chip would throw out of
+  // Scheduler::run); M10 merges in the next cycle. Settings of run_assay
+  // --robust, seed 1.
+  const assay::MoList list = assay::parse_assay_string(
+      "name MergeBesideDoomed\n"
+      "M0 = dis 24.5 16.5 16\n"
+      "M1 = dis 10.5 11.5 16\n"
+      "M2 = dis 40.5 11.5 16\n"
+      "M3 = mix M1 M2 24.5 11.5 hold=2\n"
+      "M4 = mix M0 M3 40.5 22.5 hold=2\n"
+      "M5 = dis 47.5 27.5 16\n"
+      "M6 = mix M5 M4 50.5 12.5 hold=2\n"
+      "M7 = out M6 54.5 12.5\n"
+      "M8 = dis 41.5 22.5 16\n"
+      "M9 = dis 53.5 22.5 16\n"
+      "M10 = mix M8 M9 47.5 22.5 hold=2\n"
+      "M11 = out M10 54.5 22.5\n");
+  SchedulerConfig config;
+  config.filter.enabled = true;
+  config.recovery.enabled = true;
+  sim::SimulatedChipConfig cc = chip_config();
+  cc.record_droplet_trace = true;
+  sim::SimulatedChip chip(cc, Rng(1));
+  ExecutionStats stats;
+  ASSERT_NO_THROW(stats = Scheduler(config).run(chip, list));
+  EXPECT_EQ(stats.aborted_mos, 4);
+  EXPECT_TRUE(stats.mo_timings[10].done);
+  EXPECT_TRUE(stats.mo_timings[11].done);
+  const auto doomed =
+      std::ranges::find_if(stats.events, [](const obs::Event& e) {
+        return e.name == to_string(RecoveryAction::kJobAbort) && e.scope == 6;
+      });
+  ASSERT_NE(doomed, stats.events.end());
+  const auto merged = [&](std::uint64_t cycle) {
+    const sim::SimulatedChip::DropletSnapshot& snapshot =
+        chip.droplet_trace().at(cycle);
+    return std::ranges::any_of(snapshot, [](const auto& droplet) {
+      return droplet.second == Rect{45, 21, 50, 25};
+    });
+  };
+  EXPECT_FALSE(merged(doomed->cycle));
+  EXPECT_TRUE(merged(doomed->cycle + 1));
+}
+
 TEST(Scheduler, AParkedOutputBlockingARouteIsContention) {
   // M0's droplet parks at (30.5, 15.5) until M2's 300-cycle hold ends and
   // M3 takes it. M6's droplet, routed east along row 15.5, stalls next to

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace meda {
 namespace {
 
@@ -64,6 +66,29 @@ TEST(Matrix, DataLayoutIsRowMajorInY) {
 
 TEST(Matrix, RejectsNegativeDimensions) {
   EXPECT_THROW(IntMatrix(-1, 2), PreconditionError);
+}
+
+TEST(Matrix, ForEachDifferenceVisitsTheDifferingCellsInOrder) {
+  IntMatrix a(5, 4, 1);
+  IntMatrix b = a;
+  const auto differences = [&] {
+    std::vector<std::size_t> cells;
+    for_each_difference(a, b, [&](std::size_t i) { cells.push_back(i); });
+    return cells;
+  };
+  EXPECT_TRUE(differences().empty());
+  b(4, 0) = 2;  // the last cell of a row
+  b(0, 2) = 0;  // the first cell of another
+  b(3, 2) = 7;
+  a(2, 3) = 9;  // the last row, differing on the other side
+  EXPECT_EQ(differences(), (std::vector<std::size_t>{4, 10, 13, 17}));
+  // The visitor may write the cell it is given.
+  for_each_difference(a, b, [&](std::size_t i) { b.data()[i] = a.data()[i]; });
+  EXPECT_EQ(a, b);
+  EXPECT_THROW(for_each_difference(a, IntMatrix(4, 5, 1), [](std::size_t) {}),
+               PreconditionError);
+  for_each_difference(IntMatrix(0, 3), IntMatrix(0, 3),
+                      [](std::size_t) { FAIL(); });
 }
 
 }  // namespace
