@@ -379,7 +379,8 @@ void BM_HealthSensing(benchmark::State& state) {
   for (auto _ : state) {
     const int x = step % 58;
     const int y = (step / 58) % 28;
-    chip.substrate().actuate(Rect{x, y, x + 2, y + 2});
+    const Rect block[] = {Rect{x, y, x + 2, y + 2}};
+    chip.substrate().actuate(block);
     benchmark::DoNotOptimize(chip.sense_health());
     ++step;
   }
@@ -420,7 +421,8 @@ void BM_SenseHealthNoisy(benchmark::State& state) {
   for (auto _ : state) {
     const int x = step % 58;
     const int y = (step / 58) % 28;
-    chip.substrate().actuate(Rect{x, y, x + 2, y + 2});
+    const Rect block[] = {Rect{x, y, x + 2, y + 2}};
+    chip.substrate().actuate(block);
     benchmark::DoNotOptimize(chip.sense_health());
     ++step;
   }
@@ -444,7 +446,8 @@ void BM_HealthFilterObserve(benchmark::State& state) {
   for (int step = 0; step < 64; ++step) {
     const int x = step % 58;
     const int y = (step / 58) % 28;
-    chip.substrate().actuate(Rect{x, y, x + 2, y + 2});
+    const Rect block[] = {Rect{x, y, x + 2, y + 2}};
+    chip.substrate().actuate(block);
     frames.push_back(chip.sense_health());
   }
   core::HealthFilter filter;

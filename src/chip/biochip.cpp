@@ -57,19 +57,6 @@ void Biochip::actuate(std::span<const Rect> cells) {
   ++cycles_;
 }
 
-void Biochip::actuate(const Rect& cells) {
-  const Rect clipped = cells.intersection_with(bounds());
-  if (!clipped.valid()) return;
-  for (int y = clipped.ya; y <= clipped.yb; ++y) {
-    for (int x = clipped.xa; x <= clipped.xb; ++x) {
-      const std::size_t i = index(x, y);
-      cells_[i].actuate();
-      requantize(i);
-      ++total_actuations_;
-    }
-  }
-}
-
 void Biochip::wear(int x, int y, std::uint64_t n) {
   MEDA_REQUIRE(in_bounds(x, y), "MC coordinates out of bounds");
   const std::size_t i = index(x, y);

@@ -74,9 +74,6 @@ class Biochip {
   /// one cycle.
   void actuate(std::span<const Rect> cells);
 
-  /// Actuates every cell inside @p cells (clipped to the chip bounds).
-  void actuate(const Rect& cells);
-
   /// Registers @p n actuations of MC (x, y) at once (accelerated aging,
   /// adversarial wear). Counts toward neither total_actuations() nor
   /// cycles().

@@ -53,15 +53,6 @@ std::uint64_t health_digest(const IntMatrix& health, const Rect& area) {
   return h;
 }
 
-std::uint64_t detour_digest(const IntMatrix& masked_health, const Rect& area) {
-  return health_digest(masked_health, area) ^ kDetourDigestSalt;
-}
-
-std::uint64_t replica_digest(const IntMatrix& masked_health,
-                             const Rect& area) {
-  return health_digest(masked_health, area) ^ kReplicaDigestSalt;
-}
-
 std::size_t StrategyLibrary::KeyHash::operator()(const Key& k) const noexcept {
   std::size_t h = std::hash<Rect>{}(k.start);
   auto mixin = [&h](std::size_t v) {
@@ -69,6 +60,7 @@ std::size_t StrategyLibrary::KeyHash::operator()(const Key& k) const noexcept {
   };
   mixin(std::hash<Rect>{}(k.goal));
   mixin(std::hash<Rect>{}(k.hazard));
+  mixin(static_cast<std::size_t>(k.cls));
   mixin(std::hash<std::uint64_t>{}(k.digest));
   return h;
 }
@@ -79,7 +71,7 @@ const SynthesisResult* StrategyLibrary::lookup(const assay::RoutingJob& rj,
   [[maybe_unused]] const std::uint64_t now = tick_++;
   const ClassCounters& c = kClassCounters[static_cast<std::size_t>(cls)];
   LibraryClassStats& s = stats_.*c.stats;
-  const Key key{rj.start, rj.goal, rj.hazard, digest};
+  const Key key{rj.start, rj.goal, rj.hazard, cls, digest};
   const auto it = entries_.find(key);
   if (it == entries_.end()) {
     ++s.misses;
@@ -102,7 +94,7 @@ void StrategyLibrary::store(const assay::RoutingJob& rj, std::uint64_t digest,
   LibraryClassStats& s = stats_.*c.stats;
   MEDA_OBS_OBSERVE_LOG2("library.strategy_cells",
                         static_cast<double>(result.strategy.size()));
-  const Key key{rj.start, rj.goal, rj.hazard, digest};
+  const Key key{rj.start, rj.goal, rj.hazard, cls, digest};
   const auto it = entries_.find(key);
   if (it != entries_.end()) {
     // Overwrite in place, keeping the original insertion tick (refreshing

@@ -10,8 +10,10 @@
 /// @file library.hpp
 /// The offline/online strategy library of the hybrid scheduling scheme
 /// (Section VI-D): pre-synthesized strategies are cached and retrieved by
-/// (routing job, health digest); a health change within the job's hazard
-/// area changes the digest and forces a fresh synthesis.
+/// (routing job, key family, health digest); a health change within the
+/// job's hazard area changes the digest and forces a fresh synthesis. The
+/// digest is health_digest of the view the job synthesizes over, and the
+/// family (DigestClass) tells the plain, detour and replica views apart.
 ///
 /// Introspection: the library keeps per-digest-class hit/miss/insert/
 /// overwrite counts (LibraryStats) and, when the global metrics
@@ -29,38 +31,16 @@ namespace meda::core {
 /// routing job's synthesized strategy.
 std::uint64_t health_digest(const IntMatrix& health, const Rect& area);
 
-/// Salt separating detour-digest keys from plain health-digest keys in the
-/// same library. Contention detours synthesize against a droplet-masked
-/// health view; without the salt, a plain health matrix that happens to
-/// equal some masked view would collide with the detour entry and the two
-/// key families could serve each other's strategies.
-inline constexpr std::uint64_t kDetourDigestSalt = 0xDE70C2C41E5ull;
-
-/// Library key for a contention-detour entry: the digest of the
-/// droplet-*masked* health view (folding the obstacle rectangles into the
-/// key position by position) xor kDetourDigestSalt. See
-/// Runner::ensure_strategy for the caching rationale.
-std::uint64_t detour_digest(const IntMatrix& masked_health, const Rect& area);
-
-/// Salt separating replica-corridor keys from the plain and detour key
-/// families. Replicated droplets synthesize against a health view with the
-/// sibling replicas' corridor bands clamped dead; the masked view could
-/// coincide with a plain (or detour-masked) matrix, so the families must
-/// not share keys.
-inline constexpr std::uint64_t kReplicaDigestSalt = 0x4E4D52AC0551Dull;
-
-/// Library key for a replica-corridor entry: the digest of the
-/// corridor-masked health view xor kReplicaDigestSalt. The mask folds the
-/// replica's band geometry into the key, so an entry is only served to a
-/// replica whose corridor kills the same cells.
-std::uint64_t replica_digest(const IntMatrix& masked_health, const Rect& area);
-
-/// Which digest family a library operation belongs to (stats bucketing
-/// only — the digest itself already separates the key spaces).
+/// The key family a library entry belongs to, part of its key: the same
+/// job and digest in two families are two entries. A contention detour and
+/// a replica synthesize over masked health views (droplet footprints, or
+/// the sibling replicas' corridor bands, clamped dead), and a masked view
+/// can equal another family's matrix, so the family keeps each entry to
+/// the jobs that synthesize over the same kind of view.
 enum class DigestClass : unsigned char {
-  kPlain,    ///< health_digest keys (normal routing jobs)
-  kDetour,   ///< detour_digest keys (contention detours)
-  kReplica,  ///< replica_digest keys (corridor-masked replica routes)
+  kPlain,    ///< the sensed health view (normal routing jobs)
+  kDetour,   ///< the droplet-masked view (contention detours)
+  kReplica,  ///< the corridor-masked view (replica routes)
 };
 
 /// Stable label: "plain" / "detour" / "replica".
@@ -120,7 +100,8 @@ struct LibraryStats {
   friend bool operator==(const LibraryStats&, const LibraryStats&) = default;
 };
 
-/// Cache of synthesized strategies keyed by (δ_s, δ_g, δ_h, health digest).
+/// Cache of synthesized strategies keyed by (δ_s, δ_g, δ_h, family, health
+/// digest).
 ///
 /// Single owner, not thread-safe, like the scheduler that owns it: every
 /// scheduler, experiment run and campaign task builds its own library.
@@ -129,15 +110,16 @@ struct LibraryStats {
 /// table; perfbench copies its offline libraries once per op.
 class StrategyLibrary {
  public:
-  /// Returns the cached result for the job under the digest, if present.
-  /// @p cls only attributes the hit/miss to a stats class. The pointer is
+  /// Returns the cached result for the job under the family and digest, if
+  /// present; the hit or miss counts toward @p cls's stats. The pointer is
   /// valid until the next `store()`.
   const SynthesisResult* lookup(const assay::RoutingJob& rj,
                                 std::uint64_t digest,
                                 DigestClass cls = DigestClass::kPlain) const;
 
-  /// Stores @p result for the job/digest (overwrites an existing entry —
-  /// health can only degrade, so newer entries supersede older ones).
+  /// Stores @p result for the job/family/digest (overwrites an existing
+  /// entry — health can only degrade, so newer entries supersede older
+  /// ones).
   void store(const assay::RoutingJob& rj, std::uint64_t digest,
              SynthesisResult result, DigestClass cls = DigestClass::kPlain);
 
@@ -149,6 +131,7 @@ class StrategyLibrary {
  private:
   struct Key {
     Rect start, goal, hazard;
+    DigestClass cls = DigestClass::kPlain;
     std::uint64_t digest = 0;
     friend bool operator==(const Key&, const Key&) = default;
   };

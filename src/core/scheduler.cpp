@@ -1385,17 +1385,15 @@ class Runner {
       task.rj.hazard = task.rj.hazard.union_with(pos);
 
     // A replica synthesizes over its corridor-masked view. The digest is
-    // taken over the *masked* view and salted (kReplicaDigestSalt), so the
-    // band geometry is folded into both the re-synthesis trigger and the
-    // library key.
+    // taken over the *masked* view, so the band geometry is folded into
+    // both the re-synthesis trigger and the library key.
     const IntMatrix& health = health_.view();
     const std::optional<IntMatrix> replica_health =
         replicas_.masked_view(task, pos, health);
     const IntMatrix& view = replica_health ? *replica_health : health;
     const std::uint64_t digest =
-        replica_health     ? replica_digest(view, task.rj.hazard)
-        : config_.adaptive ? health_digest(health, task.rj.hazard)
-                           : 0;
+        replica_health || config_.adaptive ? health_digest(view, task.rj.hazard)
+                                           : 0;
     if (task.has_strategy && digest == task.digest) return;
 
     // One-shot requests, consumed success or not: a contention detour and a
@@ -1415,15 +1413,14 @@ class Runner {
     // view folds the avoid-rectangles (the other droplets' inflated
     // footprints) into the key, so a detour entry can only be served when
     // the same obstacles sit in the same places — no poisoning of the
-    // unmasked entries, which stay under the plain health digest.
-    // kDetourDigestSalt separates the two key families when the matrices
-    // coincide (see core/library.hpp). For replicas the droplet mask is
-    // applied on top of the corridor mask.
+    // unmasked entries, which stay in the plain family (the library key
+    // holds the family, see core/library.hpp). For replicas the droplet
+    // mask is applied on top of the corridor mask.
     IntMatrix masked_health;
     std::uint64_t lookup_digest = digest;
     if (avoid_droplets) {
       masked_health = droplet_masked_health(task, pos, view);
-      lookup_digest = detour_digest(masked_health, task.rj.hazard);
+      lookup_digest = health_digest(masked_health, task.rj.hazard);
     } else if (reroute) {
       // A baseline re-route is keyed by the sensed health it solves over,
       // while the task keeps the baseline digest 0: the re-routed strategy

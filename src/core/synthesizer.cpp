@@ -12,19 +12,16 @@ namespace meda::core {
 
 namespace {
 
-/// Extracts the strategy a solver run recorded over the compiled model: each
-/// state takes @p first's choice, or @p otherwise's where @p first has none
-/// (the φ_p overlay of rmin on pmax), mapped through the geometry's
-/// per-choice actions.
+/// Extracts the strategy a solver run recorded over the compiled model:
+/// each state's chosen choice, mapped through the geometry's per-choice
+/// actions.
 Strategy extract_strategy(const CompiledMdp& mdp,
                           const CompiledGeometry& geometry,
-                          const Solution& first,
-                          const Solution* otherwise = nullptr) {
+                          const Solution& sol) {
   std::vector<std::uint8_t> actions(geometry.droplets.size(),
                                     Strategy::kNoAction);
   for (std::size_t s = 0; s < actions.size(); ++s) {
-    int c = first.chosen[s];
-    if (c < 0 && otherwise != nullptr) c = otherwise->chosen[s];
+    const int c = sol.chosen[s];
     if (c < 0) continue;
     actions[s] = static_cast<std::uint8_t>(
         geometry.choice_action[mdp.choice_offset[s] +
@@ -33,17 +30,10 @@ Strategy extract_strategy(const CompiledMdp& mdp,
   return Strategy(geometry.state_index, std::move(actions));
 }
 
-/// The φ_p query reads pmax at every state, so the combined solve must
-/// solve it even where rmin alone would do.
-bool needs_pmax(const SynthesisConfig& config) {
-  return config.query == Query::kPmaxReachability;
-}
-
 /// Strategy extraction and value read-out shared by every synthesis entry
 /// point: fills strategy/expected_cycles/reach_probability/feasible from a
 /// combined solution of @p mdp.
-void extract_result(const SynthesisConfig& config,
-                    const ReachAvoidSolution& sol, const CompiledMdp& mdp,
+void extract_result(const ReachAvoidSolution& sol, const CompiledMdp& mdp,
                     const CompiledGeometry& geometry,
                     SynthesisResult& result) {
   const Solution& pmax = sol.pmax;
@@ -51,7 +41,7 @@ void extract_result(const SynthesisConfig& config,
   const bool start_is_goal = mdp.is_goal[mdp.start] != 0;
   if (std::isfinite(rmin.values[mdp.start])) {
     // rmin is finite only on the almost-sure winning region, so the reach
-    // probability is exactly 1, whether or not numeric pmax also ran.
+    // probability is exactly 1 and numeric pmax did not run.
     result.reach_probability = 1.0;
   } else {
     result.reach_probability = pmax.values[mdp.start];
@@ -60,21 +50,6 @@ void extract_result(const SynthesisConfig& config,
     MEDA_OBS_COUNT(sol.winning[mdp.start] ? "synth.pmax_fallback.rmin_stalled"
                                           : "synth.pmax_fallback.losing",
                    1);
-  }
-
-  if (config.query == Query::kPmaxReachability) {
-    if (result.reach_probability > 0.0) {
-      // A pure argmax strategy is degenerate wherever many actions tie at
-      // the same reach probability (on a healthy chip, all of them), so
-      // extract lexicographically: inside the almost-sure-winning region
-      // follow the Rmin strategy (fewest expected cycles among the
-      // Pmax-optimal choices); elsewhere fall back to the Pmax argmax.
-      MEDA_OBS_SPAN(extract_span, "synth", "extract");
-      result.strategy = extract_strategy(mdp, geometry, rmin, &pmax);
-      result.expected_cycles = rmin.values[mdp.start];
-      result.feasible = !result.strategy.empty() || start_is_goal;
-    }
-    return;
   }
 
   result.expected_cycles = rmin.values[mdp.start];
@@ -136,10 +111,11 @@ std::vector<Vec2i> health_delta_cells(const IntMatrix& before,
   MEDA_REQUIRE(before.width() == after.width() &&
                    before.height() == after.height(),
                "health matrices differ in shape");
+  const auto width = static_cast<std::size_t>(after.width());
   std::vector<Vec2i> cells;
-  for (int y = 0; y < after.height(); ++y)
-    for (int x = 0; x < after.width(); ++x)
-      if (before(x, y) != after(x, y)) cells.push_back({x, y});
+  for_each_difference(before, after, [&](std::size_t i) {
+    cells.push_back({static_cast<int>(i % width), static_cast<int>(i / width)});
+  });
   return cells;
 }
 
@@ -167,12 +143,11 @@ SynthesisResult Synthesizer::synthesize_with_force(
   const CompiledModel model =
       build_model(rj, force, chip_bounds_, config_, result);
   result.construction_seconds = watch.lap_seconds();
-  // One combined solve answers both queries: the exact winning region, rmin
-  // over it, and numeric pmax only where its values are read.
-  const ReachAvoidSolution sol =
-      solve_reach_avoid(model.mdp, config_.solver, needs_pmax(config_));
+  // One combined solve: the exact winning region, rmin over it, and
+  // numeric pmax only where rmin leaves the start at ∞.
+  const ReachAvoidSolution sol = solve_reach_avoid(model.mdp, config_.solver);
   result.solve_seconds = watch.lap_seconds();
-  extract_result(config_, sol, model.mdp, model.geometry, result);
+  extract_result(sol, model.mdp, model.geometry, result);
 
   result.total_seconds = watch.total_seconds();
   record_synthesis(span, result);
@@ -243,9 +218,9 @@ SynthesisResult Synthesizer::resynthesize(const assay::RoutingJob& rj,
   result.construction_seconds = watch.lap_seconds();
 
   const ReachAvoidSolution sol =
-      solve_reach_avoid(ctx.compiled, config_.solver, needs_pmax(config_));
+      solve_reach_avoid(ctx.compiled, config_.solver);
   result.solve_seconds = watch.lap_seconds();
-  extract_result(config_, sol, ctx.compiled, ctx.geometry, result);
+  extract_result(sol, ctx.compiled, ctx.geometry, result);
   result.warm = patched;
   ctx.valid = true;
   ctx.anchor = rj;

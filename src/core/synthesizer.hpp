@@ -16,20 +16,15 @@
 /// @file synthesizer.hpp
 /// Algorithm 2 — SYNTH(RJ, H): builds the routing-job MDP from the current
 /// health matrix and synthesizes an optimal routing strategy with the
-/// model-checking engine (our PRISM-games substitute).
+/// model-checking engine (our PRISM-games substitute). The strategy is
+/// φ_r's: Rmin=? [□¬hazard ∧ ◇goal]. Where rmin leaves the start at ∞, the
+/// best-effort fallback is the argmax strategy of numeric pmax (φ_p).
 
 namespace meda::core {
-
-/// Which synthesis query drives strategy extraction.
-enum class Query : unsigned char {
-  kRminExpectedCycles,  ///< φ_r: Rmin=? [□¬hazard ∧ ◇goal] (Algorithm 2)
-  kPmaxReachability,    ///< φ_p: Pmax=? [□¬hazard ∧ ◇goal]
-};
 
 /// Synthesis configuration.
 struct SynthesisConfig {
   ActionRules rules{};
-  Query query = Query::kRminExpectedCycles;
   HealthEstimator estimator = HealthEstimator::kScaled;
   SolveConfig solver{};
   /// Wear-aware synthesis extension: λ ≥ 0 weighting the wear imposed on
@@ -43,7 +38,6 @@ struct SynthesisConfig {
   template <typename F, typename... C>
   static void for_each_field(F&& f, C&&... c) {
     ActionRules::for_each_field(f, c.rules...);
-    f("query", c.query...);
     f("estimator", c.estimator...);
     SolveConfig::for_each_field(f, c.solver...);
     f("wear_penalty_lambda", c.wear_penalty_lambda...);
@@ -78,7 +72,7 @@ std::vector<Vec2i> health_delta_cells(const IntMatrix& before,
                                       const IntMatrix& after);
 
 /// Model retained between consecutive syntheses of one routing job lineage
-/// (same MO and query; the start may re-anchor as the droplet advances).
+/// (same MO; the start may re-anchor as the droplet advances).
 /// Owned by the caller — the scheduler keeps one per active route task — and
 /// handed to Synthesizer::resynthesize, which patches the compiled model in
 /// place for the sensed health delta and writes the refreshed state back.

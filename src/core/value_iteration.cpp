@@ -321,8 +321,7 @@ Solution solve_pmax(const CompiledMdp& mdp, const SolveConfig& config) {
 }
 
 ReachAvoidSolution solve_reach_avoid(const CompiledMdp& mdp,
-                                     const SolveConfig& config,
-                                     bool need_pmax) {
+                                     const SolveConfig& config) {
   require_valid(config);
   ReachAvoidSolution out;
   out.winning = almost_sure_winning(mdp);
@@ -331,10 +330,9 @@ ReachAvoidSolution solve_reach_avoid(const CompiledMdp& mdp,
     out.rmin = run_rmin(mdp, config, out.winning);
     record_solve(span, out.rmin, "rmin");
   }
-  // Numeric pmax only where its values are read: the caller reads it at
-  // every state, or rmin left the start at ∞ (the synthesizer's
-  // best-effort fallback).
-  if (need_pmax || !std::isfinite(out.rmin.values[mdp.start]))
+  // Numeric pmax only where its values are read: rmin left the start at ∞
+  // (the synthesizer's best-effort fallback).
+  if (!std::isfinite(out.rmin.values[mdp.start]))
     out.pmax = solve_pmax(mdp, config);
   return out;
 }

@@ -20,8 +20,8 @@
 /// computed exactly by a Prob1E precomputation over the compiled model's
 /// support graph (almost_sure_winning), before any numeric iteration. A
 /// combined solve then runs rmin over that region, and numeric pmax only
-/// when its values are read: when rmin leaves the start at ∞ (the best-effort
-/// pmax fallback) or for the φ_p query.
+/// when rmin leaves the start at ∞ (the best-effort pmax fallback); φ_p's
+/// value at every state is solve_pmax's.
 ///
 /// Failed pulls self-loop, so plain value iteration converges geometrically
 /// slowly; the solvers therefore eliminate per-choice self-loops
@@ -97,8 +97,8 @@ struct ReachAvoidSolution {
   /// never winning): the states rmin is solved over.
   std::vector<std::uint8_t> winning;
   Solution rmin;
-  /// Numeric pmax; empty (no values, zero sweeps) unless it was solved —
-  /// rmin left the start at ∞, or the caller asked for it (the φ_p query).
+  /// Numeric pmax; empty (no values, zero sweeps) unless rmin left the
+  /// start at ∞.
   Solution pmax;
 };
 
@@ -116,12 +116,10 @@ std::vector<std::uint8_t> almost_sure_winning(const CompiledMdp& mdp);
 Solution solve_pmax(const CompiledMdp& mdp, const SolveConfig& config = {});
 
 /// Both queries from one compiled model: the exact winning region, then
-/// rmin over it, then numeric pmax only where its values are read — when
-/// the caller reads it at every state (@p need_pmax, the φ_p query) or when
-/// rmin left the start at ∞ (the synthesizer's best-effort fallback). A finite rmin at the start means the start is winning, i.e.
-/// reach probability exactly 1.
+/// rmin over it, then numeric pmax only when rmin left the start at ∞ (the
+/// synthesizer's best-effort fallback). A finite rmin at the start means the
+/// start is winning, i.e. reach probability exactly 1.
 ReachAvoidSolution solve_reach_avoid(const CompiledMdp& mdp,
-                                     const SolveConfig& config = {},
-                                     bool need_pmax = false);
+                                     const SolveConfig& config = {});
 
 }  // namespace meda::core

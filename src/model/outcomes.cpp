@@ -8,13 +8,6 @@
 
 namespace meda {
 
-double mean_frontier_force(const ForceFn& force, const Rect& fr) {
-  MEDA_REQUIRE(fr.valid(), "mean force over an empty frontier");
-  return detail::frontier_mean(fr, [&force](int x, int y) {
-    return std::clamp(force(x, y), 0.0, 1.0);
-  });
-}
-
 double mean_frontier_force(const DoubleMatrix& force, const Rect& fr) {
   MEDA_REQUIRE(fr.valid(), "mean force over an empty frontier");
   MEDA_REQUIRE(fr.xa >= 0 && fr.ya >= 0 && fr.xb < force.width() &&
@@ -32,14 +25,6 @@ ClampedForce::ClampedForce(const DoubleMatrix& force) : clamped_(force) {
 std::vector<Outcome> action_outcomes(const Rect& droplet, Action a,
                                      const DoubleMatrix& force) {
   const OutcomeSet set = outcome_set(droplet, a, MatrixForce{force});
-  return {set.begin(), set.end()};
-}
-
-std::vector<Outcome> action_outcomes(const Rect& droplet, Action a,
-                                     const ForceFn& force) {
-  const OutcomeSet set = outcome_set(droplet, a, [&force](const Rect& fr) {
-    return mean_frontier_force(force, fr);
-  });
   return {set.begin(), set.end()};
 }
 

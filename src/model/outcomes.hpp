@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "chip/degradation.hpp"
@@ -26,6 +25,10 @@
 ///   double a_dd  : {dd, d, ε}    (second step conditioned on the first)
 ///   ordinal a_dd': {dd', d, d', ε}
 ///   morph a_↓/a_↑: {morphed, ε}
+///
+/// One kernel, outcome_set, implements the event spaces; a caller hands it
+/// a frontier-mean accessor over its force source (a force matrix for the
+/// model builders, the chip's true forces for the simulator's step).
 
 namespace meda {
 
@@ -34,10 +37,6 @@ struct Outcome {
   Rect droplet;        ///< resulting droplet δ^(k+1)
   double probability;  ///< event probability (outcomes sum to 1)
 };
-
-/// Per-MC relative-force source F̄_ij; must be defined for every cell an
-/// enabled action's frontier can touch. Values are clamped to [0, 1].
-using ForceFn = std::function<double(int x, int y)>;
 
 namespace detail {
 
@@ -54,9 +53,6 @@ double frontier_mean(const Rect& fr, Cell&& cell) {
 }
 
 }  // namespace detail
-
-/// Mean relative force over a frontier rectangle.
-double mean_frontier_force(const ForceFn& force, const Rect& fr);
 
 /// Mean relative force over a frontier rectangle. Requires the frontier to
 /// lie within the force matrix. Values are clamped to [0, 1].
@@ -126,7 +122,8 @@ class OutcomeSet {
 /// The Section V-B event spaces, implemented once: the outcome distribution
 /// of the action behind @p entry on @p droplet, a droplet of the entry's
 /// shape. @p mean_force maps a frontier rectangle to its mean relative
-/// force (MatrixForce, ClampedForce or a mean_frontier_force wrapper). The
+/// force (MatrixForce, ClampedForce, or the simulator's frontier_mean over
+/// the chip's true forces). The
 /// compiled model builder and its in-place health patch call this kernel
 /// with entries of their ActionTable; the per-call overload below resolves
 /// the entry of its one action and runs the same code, so every caller
@@ -188,8 +185,8 @@ OutcomeSet outcome_set(const ActionEntry& entry, const Rect& droplet,
 }
 
 /// Per-call form of the kernel: resolves action @p a for the shape of
-/// @p droplet and evaluates it there. Both action_outcomes overloads and
-/// build_routing_mdp's re-expansion go through here.
+/// @p droplet and evaluates it there. action_outcomes, the simulator's step
+/// and build_routing_mdp's re-expansion go through here.
 template <typename MeanForce>
 OutcomeSet outcome_set(const Rect& droplet, Action a, MeanForce&& mean_force) {
   MEDA_REQUIRE(droplet.valid(), "outcomes of an invalid droplet");
@@ -198,12 +195,8 @@ OutcomeSet outcome_set(const Rect& droplet, Action a, MeanForce&& mean_force) {
 }
 
 /// Full outcome distribution of action @p a on @p droplet under the per-MC
-/// relative-force field @p force (outcome_set as a vector).
-std::vector<Outcome> action_outcomes(const Rect& droplet, Action a,
-                                     const ForceFn& force);
-
-/// Overload reading forces from a chip-sized matrix; every frontier is
-/// bounds-checked against it once.
+/// relative-force matrix @p force (outcome_set as a vector); every frontier
+/// is bounds-checked against the matrix once.
 std::vector<Outcome> action_outcomes(const Rect& droplet, Action a,
                                      const DoubleMatrix& force);
 

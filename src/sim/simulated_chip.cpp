@@ -1,7 +1,10 @@
 #include "sim/simulated_chip.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
+#include <optional>
+#include <span>
 
 #include "model/actuation.hpp"
 #include "model/guards.hpp"
@@ -19,6 +22,21 @@ const SimulatedChipConfig& checked(const SimulatedChipConfig& config) {
                                           std::numeric_limits<int>::max()),
                "pre_wear_max exceeds the int range of the pre-wear draw");
   return config;
+}
+
+/// The chip's separation rule: merge partners may touch but not overlap
+/// (gap ≥ 1); any other two droplets keep a free cell between them
+/// (gap ≥ 2), since droplets in contact would merge.
+bool separated(const Rect& a, const Rect& b, bool partners) {
+  return a.manhattan_gap(b) >= (partners ? 1 : 2);
+}
+
+/// The entry of droplet @p id in an id-ordered table, or its end().
+template <typename Table>
+auto find_droplet(Table& table, core::DropletId id) {
+  const auto it = std::ranges::lower_bound(
+      table, id, {}, [](const auto& d) { return d.first; });
+  return it != table.end() && it->first == id ? it : table.end();
 }
 
 }  // namespace
@@ -50,13 +68,13 @@ IntMatrix SimulatedChip::sense_health() const {
 }
 
 Rect SimulatedChip::droplet_position(core::DropletId id) const {
-  const auto it = droplets_.find(id);
+  const auto it = find_droplet(droplets_, id);
   MEDA_REQUIRE(it != droplets_.end(), "unknown droplet id");
   return it->second;
 }
 
 bool SimulatedChip::location_clear(const Rect& at) const {
-  return chip_.in_bounds(at) && !placement_blocked(-1, at, -1);
+  return chip_.in_bounds(at) && !placement_blocked(at);
 }
 
 core::DropletId SimulatedChip::dispense(const Rect& at) {
@@ -65,15 +83,15 @@ core::DropletId SimulatedChip::dispense(const Rect& at) {
   MEDA_REQUIRE(at.xa == b.xa || at.xb == b.xb || at.ya == b.ya ||
                    at.yb == b.yb,
                "dispensed droplet must touch a chip edge");
-  MEDA_REQUIRE(!placement_blocked(-1, at, -1),
+  MEDA_REQUIRE(!placement_blocked(at),
                "dispense location conflicts with an on-chip droplet");
-  const core::DropletId id = next_id_++;
-  droplets_.emplace(id, at);
-  return id;
+  return add(at);
 }
 
 void SimulatedChip::discard(core::DropletId id) {
-  MEDA_REQUIRE(droplets_.erase(id) == 1, "unknown droplet id");
+  const auto it = find_droplet(droplets_, id);
+  MEDA_REQUIRE(it != droplets_.end(), "unknown droplet id");
+  droplets_.erase(it);
 }
 
 core::DropletId SimulatedChip::merge(core::DropletId a, core::DropletId b,
@@ -84,21 +102,20 @@ core::DropletId SimulatedChip::merge(core::DropletId a, core::DropletId b,
   MEDA_REQUIRE(pa.manhattan_gap(pb) <= 1,
                "droplets must be in contact to merge");
   MEDA_REQUIRE(chip_.in_bounds(merged), "merged droplet must be on the chip");
-  droplets_.erase(a);
-  droplets_.erase(b);
-  MEDA_REQUIRE(!placement_blocked(-1, merged, -1),
+  MEDA_REQUIRE(!placement_blocked(merged, a, b),
                "merged droplet conflicts with an on-chip droplet");
-  const core::DropletId id = next_id_++;
-  droplets_.emplace(id, merged);
-  return id;
+  std::erase_if(droplets_, [a, b](const auto& d) {
+    return d.first == a || d.first == b;
+  });
+  return add(merged);
 }
 
 bool SimulatedChip::split_clear(core::DropletId id, const Rect& part0,
                                 const Rect& part1) const {
   (void)droplet_position(id);  // validates existence
   return chip_.in_bounds(part0) && chip_.in_bounds(part1) &&
-         !part0.intersects(part1) && !placement_blocked(id, part0, -1) &&
-         !placement_blocked(id, part1, -1);
+         !part0.intersects(part1) && !placement_blocked(part0, id) &&
+         !placement_blocked(part1, id);
 }
 
 std::pair<core::DropletId, core::DropletId> SimulatedChip::split(
@@ -106,127 +123,122 @@ std::pair<core::DropletId, core::DropletId> SimulatedChip::split(
   MEDA_REQUIRE(split_clear(id, part0, part1),
                "split parts off-chip, overlapping, or conflicting with an "
                "on-chip droplet");
-  droplets_.erase(id);
-  const core::DropletId id0 = next_id_++;
-  const core::DropletId id1 = next_id_++;
-  droplets_.emplace(id0, part0);
-  droplets_.emplace(id1, part1);
+  droplets_.erase(find_droplet(droplets_, id));
+  const core::DropletId id0 = add(part0);
+  const core::DropletId id1 = add(part1);
   return {id0, id1};
+}
+
+core::DropletId SimulatedChip::add(const Rect& at) {
+  droplets_.emplace_back(next_id_, at);
+  return next_id_++;
 }
 
 double SimulatedChip::true_force(int x, int y) const {
   return chip_.mc(x, y).relative_force();
 }
 
-bool SimulatedChip::placement_blocked(core::DropletId id,
-                                      const Rect& candidate,
-                                      core::DropletId partner) const {
-  for (const auto& [other_id, other_pos] : droplets_) {
-    if (other_id == id) continue;
-    const int gap = candidate.manhattan_gap(other_pos);
-    if (other_id == partner) {
-      if (gap < 1) return true;  // partners may touch but not overlap
-    } else if (gap < 2) {
-      // Unrelated droplets in contact would merge; MEDA keeps at least one
-      // free cell between them.
-      return true;
-    }
-  }
-  return false;
+bool SimulatedChip::placement_blocked(const Rect& candidate,
+                                      core::DropletId skip0,
+                                      core::DropletId skip1) const {
+  return std::ranges::any_of(droplets_, [&](const auto& d) {
+    return d.first != skip0 && d.first != skip1 &&
+           !separated(candidate, d.second, /*partners=*/false);
+  });
 }
 
 void SimulatedChip::step(const std::vector<core::Command>& commands) {
-  // Which droplets received a command this cycle.
-  std::unordered_map<core::DropletId, const core::Command*> commanded;
+  // Per droplet, in table order: its command, if any, and where it lands.
+  struct Move {
+    bool commanded = false;
+    std::optional<Action> action;  ///< nullopt holds the droplet
+    core::DropletId partner = -1;
+    Rect to;
+  };
+  std::vector<Move> moves(droplets_.size());
+  // Every command is checked before the first draw, so a refused step
+  // leaves the chip and its random stream as they were.
   for (const core::Command& cmd : commands) {
-    MEDA_REQUIRE(droplets_.contains(cmd.droplet),
-                 "command for an unknown droplet");
-    MEDA_REQUIRE(!commanded.contains(cmd.droplet),
-                 "duplicate command for a droplet");
-    commanded.emplace(cmd.droplet, &cmd);
+    const auto it = find_droplet(droplets_, cmd.droplet);
+    MEDA_REQUIRE(it != droplets_.end(), "command for an unknown droplet");
+    Move& m = moves[static_cast<std::size_t>(it - droplets_.begin())];
+    MEDA_REQUIRE(!m.commanded, "duplicate command for a droplet");
+    m.commanded = true;
+    if (!cmd.action.has_value()) continue;
+    MEDA_REQUIRE(
+        action_enabled(*cmd.action, it->second, ActionRules{}, chip_.bounds()),
+        "commanded action is not enabled");
+    m.action = cmd.action;
+    m.partner = cmd.merge_partner;
   }
 
-  const ForceFn force = [this](int x, int y) { return true_force(x, y); };
-
-  // Resolve droplets in id order for determinism.
-  std::vector<core::DropletId> order;
-  order.reserve(droplets_.size());
-  for (const auto& [id, pos] : droplets_) order.push_back(id);
-  std::sort(order.begin(), order.end());
+  // The frontier mean of Section V-B over the true forces, clamped per read.
+  const auto mean_force = [this](const Rect& fr) {
+    MEDA_REQUIRE(fr.valid(), "mean force over an empty frontier");
+    return detail::frontier_mean(fr, [this](int x, int y) {
+      return std::clamp(true_force(x, y), 0.0, 1.0);
+    });
+  };
 
   // Phase 1 — all droplets actuate simultaneously: sample every commanded
-  // droplet's outcome against the pre-step positions.
-  std::vector<DropletCommand> cycle_pattern;
-  cycle_pattern.reserve(order.size());
-  std::vector<Rect> old_pos(order.size());
-  std::vector<Rect> proposed(order.size());
-  std::vector<core::DropletId> partner(order.size(), -1);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const Rect pos = droplets_.at(order[i]);
-    old_pos[i] = pos;
-    proposed[i] = pos;
-    const auto it = commanded.find(order[i]);
-    if (it != commanded.end() && it->second->action.has_value()) {
-      const core::Command& cmd = *it->second;
-      const Action a = *cmd.action;
-      MEDA_REQUIRE(action_enabled(a, pos, ActionRules{}, chip_.bounds()),
-                   "commanded action is not enabled");
-      partner[i] = cmd.merge_partner;
-      // The shifted-in pattern is the target a(δ) regardless of outcome.
-      cycle_pattern.emplace_back(pos, a);
-      const std::vector<Outcome> outcomes = action_outcomes(pos, a, force);
-      std::vector<double> weights(outcomes.size());
-      for (std::size_t k = 0; k < outcomes.size(); ++k)
-        weights[k] = outcomes[k].probability;
-      proposed[i] = outcomes[rng_.categorical(weights)].droplet;
-    } else {
-      cycle_pattern.emplace_back(pos, std::nullopt);  // held
-    }
+  // droplet's outcome against the pre-step positions, in id order. The
+  // shifted-in pattern is the target a(δ) regardless of outcome.
+  std::vector<Rect> actuated(droplets_.size());
+  for (std::size_t i = 0; i < droplets_.size(); ++i) {
+    const Rect& pos = droplets_[i].second;
+    Move& m = moves[i];
+    actuated[i] = actuated_pattern(pos, m.action);
+    m.to = pos;
+    if (!m.action.has_value()) continue;
+    const OutcomeSet outcomes = outcome_set(pos, *m.action, mean_force);
+    std::array<double, OutcomeSet::kCapacity> weights{};
+    std::ranges::transform(outcomes, weights.begin(), &Outcome::probability);
+    m.to = outcomes.begin()[rng_.categorical(
+                                std::span(weights).first(outcomes.size()))]
+               .droplet;
   }
-  const std::vector<Rect> sampled = proposed;
+  if (config_.record_actuation_trace) {
+    std::vector<DropletCommand> pattern;
+    pattern.reserve(droplets_.size());
+    for (std::size_t i = 0; i < droplets_.size(); ++i)
+      pattern.emplace_back(droplets_[i].second, moves[i].action);
+    trace_.push_back(
+        build_actuation_matrix(chip_.width(), chip_.height(), pattern));
+  }
 
   // Phase 2 — settle conflicts: a move that would bring two droplets into
   // unintended contact is physically a (catastrophic) merge; the simulator
   // blocks it and counts the event. Reverting one droplet can expose new
   // conflicts, so iterate until the configuration is consistent (the
-  // pre-step configuration is a fixed point, so this terminates).
-  const auto pair_ok = [&](std::size_t i, std::size_t j) {
-    const int gap = proposed[i].manhattan_gap(proposed[j]);
-    const bool partners =
-        partner[i] == order[j] || partner[j] == order[i];
-    return partners ? gap >= 1 : gap >= 2;
+  // pre-step configuration is a fixed point, so this terminates). The table
+  // keeps the pre-step positions until the moves are applied.
+  const auto conflict = [&](std::size_t i, std::size_t j) {
+    const bool partners = moves[i].partner == droplets_[j].first ||
+                          moves[j].partner == droplets_[i].first;
+    return !separated(moves[i].to, moves[j].to, partners);
   };
   bool changed = true;
   while (changed) {
     changed = false;
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      if (proposed[i] == old_pos[i]) continue;
-      for (std::size_t j = 0; j < order.size(); ++j) {
-        if (j == i || pair_ok(i, j)) continue;
-        proposed[i] = old_pos[i];  // blocked: hold in place
+    for (std::size_t i = 0; i < moves.size(); ++i) {
+      if (moves[i].to == droplets_[i].second) continue;
+      for (std::size_t j = 0; j < moves.size(); ++j) {
+        if (j == i || !conflict(i, j)) continue;
+        // Blocked: hold in place. A droplet reverts at most once, and only
+        // from a sampled move (ε outcomes never revert).
+        moves[i].to = droplets_[i].second;
+        ++blocked_moves_;
         changed = true;
         break;
       }
     }
   }
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    // A droplet whose sampled outcome moved but which was reverted during
-    // settlement was genuinely blocked (ε outcomes never revert).
-    if (sampled[i] != old_pos[i] && proposed[i] == old_pos[i])
-      ++blocked_moves_;
-    droplets_.at(order[i]) = proposed[i];
-  }
+  for (std::size_t i = 0; i < moves.size(); ++i)
+    droplets_[i].second = moves[i].to;
 
-  std::vector<Rect> actuated;
-  actuated.reserve(cycle_pattern.size());
-  for (const auto& [pos, action] : cycle_pattern)
-    actuated.push_back(actuated_pattern(pos, action));
   chip_.actuate(actuated);
-  if (adversary_ != nullptr) adversary_->act(chip_, droplets(), rng_);
-  if (config_.record_actuation_trace)
-    trace_.push_back(build_actuation_matrix(chip_.width(), chip_.height(),
-                                            cycle_pattern));
-  if (config_.record_droplet_trace) droplet_trace_.push_back(droplets());
+  if (adversary_ != nullptr) adversary_->act(chip_, droplets_, rng_);
+  if (config_.record_droplet_trace) droplet_trace_.push_back(droplets_);
   ++cycle_;
 }
 
@@ -260,14 +272,6 @@ std::string render_frame(const SimulatedChip& chip,
     out.append("|\n");
   }
   border();
-  return out;
-}
-
-std::vector<std::pair<core::DropletId, Rect>> SimulatedChip::droplets() const {
-  std::vector<std::pair<core::DropletId, Rect>> out(droplets_.begin(),
-                                                    droplets_.end());
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
 }
 

@@ -1,7 +1,7 @@
 #pragma once
 
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -18,6 +18,11 @@
 /// commanded action by sampling from the Section V-B outcome distributions
 /// evaluated on the *true* degradation matrix D (the incomplete-information
 /// side of the SMG — the controller only ever sees the quantized H).
+///
+/// The droplets live in one table in id order. Ids are issued in increasing
+/// order and appended, so the table stays sorted; a step validates its whole
+/// command list, then draws each commanded droplet's outcome in id order,
+/// so a refused call changes nothing, random stream included.
 
 namespace meda::sim {
 
@@ -77,14 +82,15 @@ class SimulatedChip : public core::BiochipIo {
   /// The sensing path (read statistics: frames dropped, bits flipped, ...).
   const SensorChannel& sensor_channel() const { return sensor_channel_; }
 
-  /// Droplets currently on the chip.
-  std::vector<std::pair<core::DropletId, Rect>> droplets() const;
+  /// Droplets and their positions, in id order.
+  using DropletSnapshot = std::vector<std::pair<core::DropletId, Rect>>;
+
+  /// Droplets currently on the chip, in id order. The table itself: the
+  /// reference follows every later change; copy it to keep a frame.
+  const DropletSnapshot& droplets() const { return droplets_; }
 
   /// Per-cycle actuation patterns (only when record_actuation_trace).
   const std::vector<BoolMatrix>& actuation_trace() const { return trace_; }
-
-  /// One recorded frame of droplet positions (post-step).
-  using DropletSnapshot = std::vector<std::pair<core::DropletId, Rect>>;
 
   /// Per-cycle droplet snapshots (only when record_droplet_trace).
   const std::vector<DropletSnapshot>& droplet_trace() const {
@@ -111,11 +117,13 @@ class SimulatedChip : public core::BiochipIo {
   /// True relative EWOD force of MC (x, y): D², or 0 for tripped faults.
   double true_force(int x, int y) const;
 
-  /// True if placing @p candidate for @p id violates the 1-cell separation
-  /// against every other droplet except @p partner (overlap is forbidden
-  /// even against the partner — merging is an explicit merge() call).
-  bool placement_blocked(core::DropletId id, const Rect& candidate,
-                         core::DropletId partner) const;
+  /// True if @p candidate would overlap or touch (gap < 2) a droplet other
+  /// than @p skip0 and @p skip1 (the droplets it replaces).
+  bool placement_blocked(const Rect& candidate, core::DropletId skip0 = -1,
+                         core::DropletId skip1 = -1) const;
+
+  /// Appends a droplet under the next id and returns that id.
+  core::DropletId add(const Rect& at);
 
   SimulatedChipConfig config_;
   Biochip chip_;
@@ -125,7 +133,7 @@ class SimulatedChip : public core::BiochipIo {
   mutable SensorChannel sensor_channel_;
   mutable Rng sensor_rng_{0};
   std::vector<Vec2i> faults_;
-  std::unordered_map<core::DropletId, Rect> droplets_;
+  DropletSnapshot droplets_;  ///< in id order
   core::DropletId next_id_ = 0;
   std::uint64_t cycle_ = 0;
   std::uint64_t blocked_moves_ = 0;

@@ -163,7 +163,8 @@ TEST(Biochip, PatternActuationIncrementsOnlySetCells) {
 TEST(Biochip, RectActuationClipsToChip) {
   Rng rng(1);
   Biochip chip(small_config(), rng);
-  chip.actuate(Rect{6, 4, 10, 9});  // extends past the chip
+  const Rect cells[] = {Rect{6, 4, 10, 9}};  // extends past the chip
+  chip.actuate(cells);
   EXPECT_EQ(chip.mc(6, 4).actuations(), 1u);
   EXPECT_EQ(chip.mc(7, 5).actuations(), 1u);
   EXPECT_EQ(chip.total_actuations(), 4u);  // 2×2 clipped area
@@ -183,8 +184,10 @@ TEST(Biochip, AreaHealthMatrixIsClippedView) {
 TEST(Biochip, ActuationMatrixMatchesPerCellCounts) {
   Rng rng(1);
   Biochip chip(small_config(), rng);
-  chip.actuate(Rect{0, 0, 1, 1});
-  chip.actuate(Rect{0, 0, 0, 0});
+  const Rect first[] = {Rect{0, 0, 1, 1}};
+  const Rect second[] = {Rect{0, 0, 0, 0}};
+  chip.actuate(first);
+  chip.actuate(second);
   const Matrix<std::uint64_t> n = chip.actuation_matrix();
   EXPECT_EQ(n(0, 0), 2u);
   EXPECT_EQ(n(1, 0), 1u);
@@ -263,7 +266,9 @@ TEST(Biochip, HealthCodesEqualAFreshQuantizationAfterEveryMutation) {
                 << "step " << step << ", cell " << i;
           ASSERT_EQ(chip.cycles(), cycles + 1);
         } else if (kind == 1) {
-          chip.actuate(random_rect(rng, config.width, config.height));
+          const Rect cells[] = {
+              random_rect(rng, config.width, config.height)};
+          chip.actuate(cells);
         } else {
           const int x = rng.uniform_int(0, config.width - 1);
           const int y = rng.uniform_int(0, config.height - 1);

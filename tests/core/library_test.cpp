@@ -158,10 +158,10 @@ TEST(StrategyLibrary, CopiesShareStrategiesThatOutliveTheirSource) {
 TEST(DetourDigest, SaltSeparatesTheKeyFamilies) {
   // The collision that must not happen: a *plain* health matrix H2 that is
   // value-equal to some droplet-*masked* view masked(H1) hashes to the same
-  // FNV digest — without the salt, a detour entry (synthesized around a
-  // droplet obstacle) would be served for a plain lookup on H2, steering a
-  // droplet around an obstacle that is not there (or vice versa). The salt
-  // keeps the two families disjoint even on identical matrices.
+  // FNV digest. A detour entry (synthesized around a droplet obstacle)
+  // served for a plain lookup on H2 would steer a droplet around an obstacle
+  // that is not there (or vice versa). The family is part of the library
+  // key, so the two families stay disjoint even on identical matrices.
   const Rect area{0, 0, 9, 9};
   IntMatrix h1(10, 10, 3);
   // masked(H1): another droplet's inflated footprint clamped to 0.
@@ -171,22 +171,22 @@ TEST(DetourDigest, SaltSeparatesTheKeyFamilies) {
   // H2: a plain health matrix that *happens* to equal the masked view
   // (a 4x4 block of genuinely dead cells).
   const IntMatrix h2 = masked;
-  EXPECT_EQ(health_digest(h2, area), health_digest(masked, area));
-  EXPECT_NE(health_digest(h2, area), detour_digest(masked, area));
-  // And the same separation in the library itself: storing under the detour
-  // key must not satisfy a plain-digest lookup.
+  const std::uint64_t digest = health_digest(masked, area);
+  EXPECT_EQ(health_digest(h2, area), digest);
+  // Storing under the detour family must not satisfy a lookup of the same
+  // digest in another family.
   StrategyLibrary lib;
   const assay::RoutingJob rj = sample_job();
-  lib.store(rj, detour_digest(masked, area), sample_result(5.0));
+  lib.store(rj, digest, sample_result(5.0), DigestClass::kDetour);
   EXPECT_EQ(lib.lookup(rj, health_digest(h2, area)), nullptr);
-  EXPECT_NE(lib.lookup(rj, detour_digest(masked, area)), nullptr);
-}
-
-TEST(DetourDigest, IsDeterministicallyDerivedFromTheHealthDigest) {
-  const Rect area{0, 0, 9, 9};
-  const IntMatrix h(10, 10, 2);
-  EXPECT_EQ(detour_digest(h, area),
-            health_digest(h, area) ^ kDetourDigestSalt);
+  EXPECT_EQ(lib.lookup(rj, digest, DigestClass::kReplica), nullptr);
+  EXPECT_NE(lib.lookup(rj, digest, DigestClass::kDetour), nullptr);
+  // Each family keeps its own entry under the shared digest.
+  lib.store(rj, digest, sample_result(7.0));
+  EXPECT_EQ(lib.size(), 2u);
+  EXPECT_DOUBLE_EQ(lib.lookup(rj, digest)->expected_cycles, 7.0);
+  EXPECT_DOUBLE_EQ(
+      lib.lookup(rj, digest, DigestClass::kDetour)->expected_cycles, 5.0);
 }
 
 TEST(StrategyLibrary, PerClassStatsAttributeOperations) {

@@ -205,7 +205,7 @@ TEST(Resynthesize, FuzzedPatchedResolvesEqualFreshSyntheses) {
   // only, so no pull reaches probability 0 or 1 and every delta keeps the
   // transition topology. The start stays put, so the patched model numbers
   // its states like a fresh build and each re-synthesis must reproduce
-  // synthesize() on the same health bit for bit, under both queries.
+  // synthesize() on the same health bit for bit.
   constexpr int kWidth = 60;
   constexpr int kHeight = 30;
   constexpr int kHealthBits = 2;
@@ -217,51 +217,46 @@ TEST(Resynthesize, FuzzedPatchedResolvesEqualFreshSyntheses) {
     return Rect::from_size(x, y, w, h);
   };
   int patched = 0;
-  for (const Query query :
-       {Query::kRminExpectedCycles, Query::kPmaxReachability}) {
-    SynthesisConfig config;
-    config.query = query;
-    const Synthesizer synth(chip, config);
-    for (std::uint64_t seed = 0xace50000u; seed <= 0xace50027u; ++seed) {
-      Rng rng(seed);
-      assay::RoutingJob rj;
-      rj.hazard = rect_in(rng, chip, 25, 15);
-      const int w = rng.uniform_int(2, 4);
-      const int h = rng.uniform_int(2, 4);
-      rj.start = rect_in(rng, rj.hazard, w, h);
-      do {
-        rj.goal = rect_in(rng, rj.hazard, w, h);
-      } while (rj.goal == rj.start);
-      IntMatrix health(kWidth, kHeight, 2);
-      for (int y = 0; y < kHeight; ++y)
-        for (int x = 0; x < kWidth; ++x) health(x, y) = rng.uniform_int(1, 2);
+  const Synthesizer synth(chip);
+  for (std::uint64_t seed = 0xace50000u; seed <= 0xace50027u; ++seed) {
+    Rng rng(seed);
+    assay::RoutingJob rj;
+    rj.hazard = rect_in(rng, chip, 25, 15);
+    const int w = rng.uniform_int(2, 4);
+    const int h = rng.uniform_int(2, 4);
+    rj.start = rect_in(rng, rj.hazard, w, h);
+    do {
+      rj.goal = rect_in(rng, rj.hazard, w, h);
+    } while (rj.goal == rj.start);
+    IntMatrix health(kWidth, kHeight, 2);
+    for (int y = 0; y < kHeight; ++y)
+      for (int x = 0; x < kWidth; ++x) health(x, y) = rng.uniform_int(1, 2);
 
-      ResynthesisContext ctx;
-      synth.resynthesize(rj, health, kHealthBits, ctx);
-      ASSERT_TRUE(ctx.valid) << "seed " << seed;
-      for (int step = 0; step < 8; ++step) {
-        for (int i = rng.uniform_int(1, 8); i > 0; --i) {
-          const Rect cell = rect_in(rng, rj.hazard, 1, 1);
-          health(cell.xa, cell.ya) = rng.uniform_int(1, 2);
-        }
-        const SynthesisResult warm =
-            synth.resynthesize(rj, health, kHealthBits, ctx);
-        ASSERT_TRUE(warm.warm) << "seed " << seed << " step " << step;
-        ++patched;
-        const SynthesisResult fresh = synth.synthesize(rj, health, kHealthBits);
-        EXPECT_EQ(warm.feasible, fresh.feasible) << "seed " << seed;
-        EXPECT_EQ(warm.expected_cycles, fresh.expected_cycles)
-            << "seed " << seed << " step " << step;
-        EXPECT_EQ(warm.reach_probability, fresh.reach_probability)
-            << "seed " << seed << " step " << step;
-        // The start stays put, so both cover states of the retained model.
-        EXPECT_EQ(to_map(warm.strategy, ctx.geometry.droplets),
-                  to_map(fresh.strategy, ctx.geometry.droplets))
-            << "seed " << seed << " step " << step;
+    ResynthesisContext ctx;
+    synth.resynthesize(rj, health, kHealthBits, ctx);
+    ASSERT_TRUE(ctx.valid) << "seed " << seed;
+    for (int step = 0; step < 8; ++step) {
+      for (int i = rng.uniform_int(1, 8); i > 0; --i) {
+        const Rect cell = rect_in(rng, rj.hazard, 1, 1);
+        health(cell.xa, cell.ya) = rng.uniform_int(1, 2);
       }
+      const SynthesisResult warm =
+          synth.resynthesize(rj, health, kHealthBits, ctx);
+      ASSERT_TRUE(warm.warm) << "seed " << seed << " step " << step;
+      ++patched;
+      const SynthesisResult fresh = synth.synthesize(rj, health, kHealthBits);
+      EXPECT_EQ(warm.feasible, fresh.feasible) << "seed " << seed;
+      EXPECT_EQ(warm.expected_cycles, fresh.expected_cycles)
+          << "seed " << seed << " step " << step;
+      EXPECT_EQ(warm.reach_probability, fresh.reach_probability)
+          << "seed " << seed << " step " << step;
+      // The start stays put, so both cover states of the retained model.
+      EXPECT_EQ(to_map(warm.strategy, ctx.geometry.droplets),
+                to_map(fresh.strategy, ctx.geometry.droplets))
+          << "seed " << seed << " step " << step;
     }
   }
-  EXPECT_EQ(patched, 2 * 40 * 8);
+  EXPECT_EQ(patched, 40 * 8);
 }
 
 TEST(Scheduler, CountsWarmResynthesesOnADegradingChip) {

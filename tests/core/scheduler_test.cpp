@@ -461,15 +461,6 @@ TEST(Scheduler, RunsWithNonDefaultHealthBits) {
   }
 }
 
-TEST(Scheduler, PmaxQueryConfigurationAlsoRoutes) {
-  sim::SimulatedChip chip(chip_config(), Rng(93));
-  SchedulerConfig config;
-  config.synthesis.query = Query::kPmaxReachability;
-  Scheduler scheduler(config);
-  const ExecutionStats stats = scheduler.run(chip, assay::covid_rat());
-  EXPECT_TRUE(stats.success) << stats.failure_reason;
-}
-
 TEST(Scheduler, RejectsAssayThatDoesNotFitTheChip) {
   sim::SimulatedChipConfig small = chip_config();
   small.chip.width = 10;

@@ -250,9 +250,10 @@ constexpr double kLambdas[] = {0.0, 25.0};
 /// 1 on losing ones.
 void expect_matches_oracles(const RoutingMdp& mdp, bool exact_region,
                             const std::string& label) {
-  const ReachAvoidSolution sol =
-      solve_reach_avoid(compile_mdp(mdp), {}, /*need_pmax=*/true);
+  const CompiledMdp compiled = compile_mdp(mdp);
+  const ReachAvoidSolution sol = solve_reach_avoid(compiled);
   const std::vector<double>& rmin = sol.rmin.values;
+  const std::vector<double> pmax = solve_pmax(compiled).values;
   ASSERT_EQ(sol.rmin.termination, SolveTermination::kConverged) << label;
   const std::vector<std::uint8_t> winning =
       reference::almost_sure_winning(mdp);
@@ -282,9 +283,9 @@ void expect_matches_oracles(const RoutingMdp& mdp, bool exact_region,
       EXPECT_FALSE(winning[s]) << label << " state " << s;
     }
     if (winning[s]) {
-      EXPECT_GE(sol.pmax.values[s], 1.0 - 1e-7) << label << " state " << s;
+      EXPECT_GE(pmax[s], 1.0 - 1e-7) << label << " state " << s;
     } else {
-      EXPECT_LT(sol.pmax.values[s], 1.0) << label << " state " << s;
+      EXPECT_LT(pmax[s], 1.0) << label << " state " << s;
     }
   }
 }

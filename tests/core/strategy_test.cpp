@@ -67,24 +67,19 @@ std::vector<Job> random_jobs(int count) {
   return jobs;
 }
 
-/// The reference: the strategy the paper's extraction prescribes for
-/// @p query, as a map. φ_r follows rmin where the start has a finite Rmin,
-/// else pmax's argmax while the start can reach the goal at all; φ_p follows
-/// rmin wherever rmin chose, pmax elsewhere, while the start can reach the
-/// goal.
+/// The reference: the strategy the paper's extraction prescribes, as a map.
+/// It follows rmin where the start has a finite Rmin, else pmax's argmax
+/// while the start can reach the goal at all.
 std::map<Rect, Action> reference_strategy(const CompiledModel& model,
-                                          const ReachAvoidSolution& sol,
-                                          Query query) {
+                                          const ReachAvoidSolution& sol) {
   const std::uint32_t start = model.mdp.start;
   const bool rmin_finite = std::isfinite(sol.rmin.values[start]);
   const double reach = rmin_finite ? 1.0 : sol.pmax.values[start];
   std::map<Rect, Action> map;
   if (!(reach > 0.0)) return map;
-  const bool overlay = query == Query::kPmaxReachability;
-  const bool use_rmin = overlay || rmin_finite;
+  const Solution& followed = rmin_finite ? sol.rmin : sol.pmax;
   for (std::size_t s = 0; s < model.geometry.droplets.size(); ++s) {
-    int c = use_rmin ? sol.rmin.chosen[s] : -1;
-    if (c < 0 && (overlay || !rmin_finite)) c = sol.pmax.chosen[s];
+    const int c = followed.chosen[s];
     if (c < 0) continue;
     const std::size_t flat =
         model.mdp.choice_offset[s] + static_cast<std::size_t>(c);
@@ -108,23 +103,19 @@ std::optional<Rect> unseen_shape(const CompiledModel& model, const Rect& box) {
 /// Which solution a job's reference strategy comes from.
 enum class Served { kNothing, kRmin, kPmaxFallback };
 
-/// Synthesizes @p job under @p query and checks the strategy against the
-/// reference state by state.
-Served expect_matches_reference(const Job& job, Query query,
-                                const char* label) {
+/// Synthesizes @p job and checks the strategy against the reference state
+/// by state.
+Served expect_matches_reference(const Job& job, const char* label) {
   SynthesisConfig config;
   config.rules = job.rules;
-  config.query = query;
   const Synthesizer synth(job.chip, config);
   const SynthesisResult result = synth.synthesize(job.rj, job.health, kBits);
 
   const CompiledModel model = build_compiled_mdp(
       job.rj, force_from_health(job.health, kBits, config.estimator), job.chip,
       job.rules);
-  const ReachAvoidSolution sol = solve_reach_avoid(
-      model.mdp, SolveConfig{}, query == Query::kPmaxReachability);
-  const std::map<Rect, Action> reference =
-      reference_strategy(model, sol, query);
+  const ReachAvoidSolution sol = solve_reach_avoid(model.mdp);
+  const std::map<Rect, Action> reference = reference_strategy(model, sol);
 
   // Every model state answers as the reference: its action, or nullopt
   // where the reference has none (goal states, states with no choice).
@@ -163,33 +154,24 @@ Served expect_matches_reference(const Job& job, Query query,
              : Served::kPmaxFallback;
 }
 
-TEST(Strategy, MatchesTheReferenceOnRandomJobsUnderBothQueries) {
+TEST(Strategy, MatchesTheReferenceOnRandomJobs) {
   std::map<Served, int> served;
   const std::vector<Job> jobs = random_jobs(200);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    for (const Query query :
-         {Query::kRminExpectedCycles, Query::kPmaxReachability}) {
-      const std::string label =
-          "job " + std::to_string(i) +
-          (query == Query::kPmaxReachability ? " pmax" : " rmin");
-      ++served[expect_matches_reference(jobs[i], query, label.c_str())];
-    }
+    const std::string label = "job " + std::to_string(i);
+    ++served[expect_matches_reference(jobs[i], label.c_str())];
   }
-  // Both outcomes are exercised (386 rmin strategies and 14 empty ones on
+  // Both outcomes are exercised (193 rmin strategies and 7 empty ones on
   // this seed); the rmin stall below covers the pmax fallback.
   EXPECT_GT(served[Served::kRmin], 100);
   EXPECT_GT(served[Served::kNothing], 0);
 }
 
 TEST(Strategy, MatchesTheReferenceOnTheRminStall) {
-  // rmin stops with every state at ∞: φ_r serves pmax's argmax, and φ_p
-  // overlays whatever rmin chose on it.
+  // rmin stops with every state at ∞, so φ_r serves pmax's argmax.
   const StallJob stall;
   const Job job{stall.chip, stall.health, stall.job, ActionRules{}};
-  EXPECT_EQ(expect_matches_reference(job, Query::kRminExpectedCycles, "rmin"),
-            Served::kPmaxFallback);
-  EXPECT_EQ(expect_matches_reference(job, Query::kPmaxReachability, "pmax"),
-            Served::kPmaxFallback);
+  EXPECT_EQ(expect_matches_reference(job, "stall"), Served::kPmaxFallback);
 }
 
 TEST(Strategy, EmptyStrategyAnswersNothing) {

@@ -126,20 +126,6 @@ TEST(Synthesizer, SynthesizeFromHealthMatchesScaledForce) {
   EXPECT_EQ(via_health.stats.states, via_force.stats.states);
 }
 
-TEST(Synthesizer, PmaxQueryExtractsLexicographically) {
-  // φ_p alone ties everywhere on a healthy chip; the extracted strategy
-  // breaks ties by expected cycles, so it still routes optimally.
-  SynthesisConfig config = no_morph_config();
-  config.query = Query::kPmaxReachability;
-  const Synthesizer synth(Rect{0, 0, 29, 29}, config);
-  const SynthesisResult r = synth.synthesize_with_force(
-      straight_east(8), full_health_force(30, 30));
-  EXPECT_TRUE(r.feasible);
-  EXPECT_NEAR(r.reach_probability, 1.0, 1e-9);
-  EXPECT_DOUBLE_EQ(r.expected_cycles, 4.0);
-  EXPECT_EQ(r.strategy.action(Rect::from_size(0, 4, 4, 4)), Action::kEE);
-}
-
 TEST(Synthesizer, StartInsideGoalIsTriviallyFeasible) {
   assay::RoutingJob rj;
   rj.start = Rect::from_size(5, 5, 3, 3);
@@ -350,9 +336,8 @@ TEST(Synthesizer, RminStallFallsBackToThePmaxStrategy) {
 
 TEST(Synthesizer, FiniteRminReportsReachProbabilityExactlyOne) {
   // A finite Rmin at the start puts it in the almost-sure winning region, so
-  // its reach probability is exactly 1 on every path, also where numeric
-  // pmax was solved and stopped a few ulps short of 1: the φ_p query, on a
-  // fresh build and on a patched retained model.
+  // its reach probability is exactly 1, on a fresh build and on a patched
+  // retained model, although numeric pmax stops a few ulps short of 1 here.
   const Rect chip{0, 0, 29, 29};
   const IntMatrix health(30, 30, 1);  // 2-bit code 1 everywhere
   const CompiledModel model = build_compiled_mdp(
@@ -360,12 +345,7 @@ TEST(Synthesizer, FiniteRminReportsReachProbabilityExactlyOne) {
       chip, ActionRules{});
   ASSERT_LT(solve_pmax(model.mdp).values[model.mdp.start], 1.0);
 
-  EXPECT_EQ(Synthesizer(chip).synthesize(straight_east(8), health, 2)
-                .reach_probability,
-            1.0);
-  SynthesisConfig config;
-  config.query = Query::kPmaxReachability;
-  const Synthesizer synth(chip, config);
+  const Synthesizer synth(chip);
   const SynthesisResult cold = synth.synthesize(straight_east(8), health, 2);
   EXPECT_TRUE(std::isfinite(cold.expected_cycles));
   EXPECT_EQ(cold.reach_probability, 1.0);

@@ -168,11 +168,10 @@ TEST(Solvers, DeterministicShortestPathOnGrid) {
   rules.enable_morphing = false;
   const RoutingMdp mdp =
       build_routing_mdp(rj, full_health_force(12, 12), chip, rules);
-  const ReachAvoidSolution sol =
-      solve_reach_avoid(compile_mdp(mdp), {}, /*need_pmax=*/true);
+  const CompiledMdp compiled = compile_mdp(mdp);
   // 8 cells east with double steps = 4 cycles.
-  EXPECT_NEAR(sol.rmin.values[mdp.start], 4.0, 1e-9);
-  EXPECT_NEAR(sol.pmax.values[mdp.start], 1.0, 1e-9);
+  EXPECT_NEAR(solve_reach_avoid(compiled).rmin.values[mdp.start], 4.0, 1e-9);
+  EXPECT_NEAR(solve_pmax(compiled).values[mdp.start], 1.0, 1e-9);
 }
 
 TEST(SolveTermination, StableLabels) {

@@ -191,22 +191,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(kAllActions),
                        ::testing::Values(0.0, 0.3, 0.7, 1.0)));
 
-TEST(Outcomes, ForceFnOverloadMatchesTheMatrixOverload) {
-  const Rect d{5, 5, 8, 8};
-  DoubleMatrix matrix = uniform_force(0.5);
-  matrix(9, 6) = 0.9;
-  const ForceFn fn = [&matrix](int x, int y) { return matrix(x, y); };
-  for (Action a : {Action::kE, Action::kNE, Action::kEE}) {
-    const auto via_matrix = action_outcomes(d, a, matrix);
-    const auto via_fn = action_outcomes(d, a, fn);
-    ASSERT_EQ(via_matrix.size(), via_fn.size()) << to_string(a);
-    for (std::size_t i = 0; i < via_matrix.size(); ++i) {
-      EXPECT_EQ(via_matrix[i].droplet, via_fn[i].droplet);
-      EXPECT_DOUBLE_EQ(via_matrix[i].probability, via_fn[i].probability);
-    }
-  }
-}
-
 // Model builders refill one set per choice: through a sequence whose outcome
 // counts rise and fall (ordinal 4, double 3, cardinal 2, then pulls at force
 // 1 and 0 dropping branches), every fill must equal the by-value kernel

@@ -3,9 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
+#include <map>
+#include <optional>
 #include <string>
+#include <vector>
 
+#include "model/action.hpp"
+#include "model/guards.hpp"
+#include "model/outcomes.hpp"
 #include "util/check.hpp"
 
 namespace meda::sim {
@@ -324,6 +331,277 @@ TEST(SimulatedChip, CommandValidation) {
                PreconditionError);
   // Disabled action (off-chip frontier) is rejected.
   EXPECT_THROW(chip.step({move(id, Action::kW)}), PreconditionError);
+}
+
+TEST(SimulatedChip, ARefusedMergeLeavesTheChipUnchanged) {
+  SimulatedChipConfig config = small_config();
+  config.chip.height = 10;
+  SimulatedChip chip(config, Rng(23));
+  const core::DropletId a = chip.dispense(Rect{0, 0, 1, 1});
+  const core::DropletId b = chip.dispense(Rect{0, 3, 1, 4});
+  const core::DropletId c = chip.dispense(Rect{0, 6, 1, 7});
+  chip.step({move(b, Action::kS, a)});  // into contact with a
+  ASSERT_EQ(chip.droplet_position(b), (Rect{0, 2, 1, 3}));
+  const SimulatedChip::DropletSnapshot before = chip.droplets();
+  // The merged droplet would touch c, so the merge is refused...
+  EXPECT_THROW(chip.merge(a, b, Rect{0, 4, 1, 5}), PreconditionError);
+  // ...and a, b and c are all still on the chip where they were.
+  EXPECT_EQ(chip.droplets(), before);
+  EXPECT_EQ(chip.droplet_position(a), (Rect{0, 0, 1, 1}));
+  EXPECT_EQ(chip.droplet_position(c), (Rect{0, 6, 1, 7}));
+}
+
+TEST(SimulatedChip, ARefusedStepLeavesTheRandomStreamUnchanged) {
+  // A disabled action on the droplet with the higher id is refused after
+  // the lower id's command was read: the refusal must not have drawn that
+  // droplet's outcome, so the chip keeps in step with an untouched twin.
+  SimulatedChipConfig config = small_config();
+  config.pre_wear_max = 300;
+  config.chip.degradation = DegradationRange{0.5, 0.9, 60.0, 150.0};
+  SimulatedChip refused(config, Rng(3));
+  SimulatedChip twin(config, Rng(3));
+  for (SimulatedChip* chip : {&refused, &twin}) {
+    chip->dispense(Rect{0, 0, 1, 1});
+    chip->dispense(Rect{18, 10, 19, 11});  // the NE corner
+  }
+  EXPECT_THROW(refused.step({move(0, Action::kE), move(1, Action::kN)}),
+               PreconditionError);
+  EXPECT_EQ(refused.cycle(), 0u);
+  for (int i = 0; i < 12; ++i) {
+    const Action a = i % 2 == 0 ? Action::kE : Action::kW;
+    for (SimulatedChip* chip : {&refused, &twin})
+      if (action_enabled(a, chip->droplet_position(0), ActionRules{},
+                         chip->bounds()))
+        chip->step({move(0, a), move(1, Action::kW)});
+    ASSERT_EQ(refused.droplets(), twin.droplets()) << "step " << i;
+  }
+  EXPECT_EQ(refused.substrate().actuation_matrix(),
+            twin.substrate().actuation_matrix());
+}
+
+/// Test-local reference of SimulatedChip's droplet table and step that
+/// shares no step code with it: a std::map of droplets and a twin substrate
+/// seeded as SimulatedChip's constructor seeds its own (pre-wear drawn in
+/// the same row-major loop; no faults, no sensor), whose random stream the
+/// outcome draws continue.
+struct ReferenceChip {
+  ReferenceChip(const SimulatedChipConfig& config, std::uint64_t seed)
+      : rng(seed), twin(config.chip, rng) {
+    const int max_wear = static_cast<int>(config.pre_wear_max);
+    for (int y = 0; max_wear > 0 && y < twin.height(); ++y)
+      for (int x = 0; x < twin.width(); ++x)
+        twin.wear(x, y,
+                  static_cast<std::uint64_t>(rng.uniform_int(0, max_wear)));
+  }
+
+  /// Partners may touch, any other two droplets keep a free cell between.
+  static bool apart(const Rect& a, const Rect& b, bool partners) {
+    return a.manhattan_gap(b) >= (partners ? 1 : 2);
+  }
+
+  /// True if @p at is on the chip and apart from every droplet but the
+  /// skipped ones.
+  bool clear(const Rect& at, core::DropletId skip0 = -1,
+             core::DropletId skip1 = -1) const {
+    if (!twin.in_bounds(at)) return false;
+    for (const auto& [id, pos] : droplets)
+      if (id != skip0 && id != skip1 && !apart(at, pos, false)) return false;
+    return true;
+  }
+
+  core::DropletId add(const Rect& at) {
+    droplets.emplace(next_id, at);
+    return next_id++;
+  }
+
+  void step(const std::vector<core::Command>& commands) {
+    std::map<core::DropletId, Action> action;
+    std::map<core::DropletId, core::DropletId> partner;
+    for (const core::Command& c : commands) {
+      if (!c.action.has_value()) continue;
+      action.emplace(c.droplet, *c.action);
+      partner.emplace(c.droplet, c.merge_partner);
+    }
+    // Draw each commanded droplet's outcome in id order from the true
+    // forces before this cycle's wear.
+    const DoubleMatrix force =
+        force_from_degradation(twin.degradation_matrix());
+    std::map<core::DropletId, Rect> to = droplets;
+    for (auto& [id, pos] : to) {
+      const auto it = action.find(id);
+      if (it == action.end()) continue;
+      const std::vector<Outcome> outcomes =
+          action_outcomes(droplets.at(id), it->second, force);
+      std::vector<double> weights;
+      for (const Outcome& o : outcomes) weights.push_back(o.probability);
+      pos = outcomes[rng.categorical(weights)].droplet;
+    }
+    // Settle: a moved droplet too close to another's proposal holds in
+    // place, until no proposal changes.
+    const auto partners = [&](core::DropletId a, core::DropletId b) {
+      const auto pa = partner.find(a);
+      const auto pb = partner.find(b);
+      return (pa != partner.end() && pa->second == b) ||
+             (pb != partner.end() && pb->second == a);
+    };
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (auto& [id, pos] : to) {
+        if (pos == droplets.at(id)) continue;
+        for (const auto& [other, other_pos] : to) {
+          if (other == id || apart(pos, other_pos, partners(id, other)))
+            continue;
+          pos = droplets.at(id);
+          ++blocked;
+          changed = true;
+          break;
+        }
+      }
+    }
+    // Charge the union of the actuated patterns (targets, or the held
+    // droplet), each cell once.
+    BoolMatrix charged(twin.width(), twin.height());
+    for (const auto& [id, pos] : droplets) {
+      const auto it = action.find(id);
+      const Rect cells = (it == action.end() ? pos : apply(it->second, pos))
+                             .intersection_with(twin.bounds());
+      for (int y = cells.ya; cells.valid() && y <= cells.yb; ++y)
+        for (int x = cells.xa; x <= cells.xb; ++x) charged(x, y) = 1;
+    }
+    for (int y = 0; y < twin.height(); ++y)
+      for (int x = 0; x < twin.width(); ++x)
+        if (charged(x, y) != 0) twin.wear(x, y, 1);
+    droplets = std::move(to);
+    ++cycles;
+  }
+
+  Rng rng;
+  Biochip twin;
+  std::map<core::DropletId, Rect> droplets;
+  core::DropletId next_id = 0;
+  std::uint64_t blocked = 0;
+  std::uint64_t cycles = 0;
+};
+
+TEST(SimulatedChip, StepMatchesAReferenceStepOnFuzzedCommands) {
+  SimulatedChipConfig config = small_config();
+  config.chip.degradation = DegradationRange{0.5, 0.9, 60.0, 150.0};
+  config.pre_wear_max = 100;
+  std::map<std::string, int> seen;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SimulatedChip chip(config, Rng(seed));
+    ReferenceChip ref(config, seed);
+    Rng driver(0xF022 + seed);
+    const auto pick = [&driver](const auto& map) {
+      auto it = map.begin();
+      std::advance(it, driver.uniform_int(0, static_cast<int>(map.size()) - 1));
+      return *it;
+    };
+    for (int cycle = 0; cycle < 250; ++cycle) {
+      const std::string at =
+          "seed " + std::to_string(seed) + " cycle " + std::to_string(cycle);
+      // Change the droplet set: dispense up to 6, discard down to 3, split
+      // one in two halves in contact, or merge a pair in contact.
+      const int op = driver.uniform_int(0, 5);
+      const std::size_t n = ref.droplets.size();
+      if (n < 3 || (op == 0 && n < 6)) {
+        const int w = driver.uniform_int(2, 4);
+        const int h = driver.uniform_int(2, 4);
+        int x = driver.uniform_int(0, config.chip.width - w);
+        int y = driver.uniform_int(0, config.chip.height - h);
+        switch (driver.uniform_int(0, 3)) {  // the edge it touches
+          case 0: y = 0; break;
+          case 1: y = config.chip.height - h; break;
+          case 2: x = 0; break;
+          default: x = config.chip.width - w; break;
+        }
+        const Rect rect = Rect::from_size(x, y, w, h);
+        ASSERT_EQ(chip.location_clear(rect), ref.clear(rect)) << at;
+        if (ref.clear(rect)) {
+          ASSERT_EQ(chip.dispense(rect), ref.add(rect)) << at;
+          ++seen["dispense"];
+        }
+      } else if (op == 1 && n > 3) {
+        const core::DropletId id = pick(ref.droplets).first;
+        chip.discard(id);
+        ref.droplets.erase(id);
+        ++seen["discard"];
+      } else if (op == 2) {
+        const auto [id, pos] = pick(ref.droplets);
+        if (pos.width() >= 2) {
+          const int mid = pos.xa + pos.width() / 2 - 1;
+          const Rect p0{pos.xa, pos.ya, mid, pos.yb};
+          const Rect p1{mid + 1, pos.ya, pos.xb, pos.yb};
+          const bool clear = ref.clear(p0, id) && ref.clear(p1, id);
+          ASSERT_EQ(chip.split_clear(id, p0, p1), clear) << at;
+          if (clear) {
+            const auto [id0, id1] = chip.split(id, p0, p1);
+            ref.droplets.erase(id);
+            ASSERT_EQ(id0, ref.add(p0)) << at;
+            ASSERT_EQ(id1, ref.add(p1)) << at;
+            ++seen["split"];
+          }
+        }
+      } else if (op == 3) {
+        for (const auto& [a, pa] : ref.droplets) {
+          const auto b = std::find_if(
+              ref.droplets.upper_bound(a), ref.droplets.end(),
+              [&](const auto& d) { return pa.manhattan_gap(d.second) <= 1; });
+          if (b == ref.droplets.end()) continue;
+          const Rect merged = pa.union_with(b->second);
+          const core::DropletId id_b = b->first;
+          if (!ref.clear(merged, a, id_b)) continue;
+          const core::DropletId got = chip.merge(a, id_b, merged);
+          ref.droplets.erase(a);
+          ref.droplets.erase(id_b);
+          ASSERT_EQ(got, ref.add(merged)) << at;
+          ++seen["merge"];
+          break;
+        }
+      }
+
+      // One cycle: each droplet gets no command, a hold (with a partner
+      // the chip must ignore), or a random enabled action with or without
+      // a partner; the commands arrive in random order.
+      std::vector<core::Command> commands;
+      for (const auto& [id, pos] : ref.droplets) {
+        const int kind = driver.uniform_int(0, 5);
+        const core::DropletId partner =
+            driver.bernoulli(0.5) ? pick(ref.droplets).first : -1;
+        if (kind == 0) continue;
+        if (kind == 1) {
+          commands.push_back({id, std::nullopt, partner});
+          continue;
+        }
+        std::vector<Action> enabled;
+        for (const Action a : kAllActions)
+          if (action_enabled(a, pos, ActionRules{}, chip.bounds()))
+            enabled.push_back(a);
+        if (enabled.empty()) continue;
+        const Action a = enabled[static_cast<std::size_t>(
+            driver.uniform_int(0, static_cast<int>(enabled.size()) - 1))];
+        commands.push_back({id, a, partner == id ? -1 : partner});
+      }
+      std::shuffle(commands.begin(), commands.end(), driver.engine());
+      chip.step(commands);
+      ref.step(commands);
+
+      const SimulatedChip::DropletSnapshot want(ref.droplets.begin(),
+                                                ref.droplets.end());
+      ASSERT_EQ(chip.droplets(), want) << at;
+      ASSERT_EQ(chip.blocked_moves(), ref.blocked) << at;
+      ASSERT_TRUE(chip.substrate().actuation_matrix() ==
+                  ref.twin.actuation_matrix())
+          << at;
+      ASSERT_EQ(chip.substrate().cycles(), ref.cycles) << at;
+      ASSERT_EQ(chip.cycle(), ref.cycles) << at;
+    }
+    seen["blocked"] += static_cast<int>(ref.blocked);
+  }
+  // Every kind of input happened.
+  for (const char* kind :
+       {"dispense", "discard", "split", "merge", "blocked"})
+    EXPECT_GT(seen[kind], 0) << kind;
 }
 
 TEST(SimulatedChip, InjectedFaultsAreReported) {
