@@ -232,6 +232,60 @@ void BM_SolveReachAvoidColdResolve(benchmark::State& state) {
 }
 BENCHMARK(BM_SolveReachAvoidColdResolve)->Arg(2)->Arg(16)->Arg(120);
 
+// Certify before re-solving: one accepted certificate for a one-code wear
+// step on the droplet's path, on BM_SolveReachAvoidColdResolve's job — what
+// Synthesizer::certify costs where the scheduler would otherwise patch and
+// re-solve. Health codes are seeded at 1–3, so the route has no ties for
+// the certificate to refuse. Each iteration restores the context's checked
+// view outside the timed region, so every certificate re-checks the step.
+void BM_CertifyResynthesis(benchmark::State& state) {
+  constexpr int kBits = 2;
+  const assay::RoutingJob rj = warm_job();
+  core::SynthesisConfig config;
+  config.rules = bench_rules();
+  const core::Synthesizer synth(rj.hazard, config);
+  Rng rng(0xce50);  // a seed whose route is certifiable from the start
+  IntMatrix health(kWarmWidth, kWarmHeight, 3);
+  for (int y = 0; y < kWarmHeight; ++y)
+    for (int x = 0; x < kWarmWidth; ++x) health(x, y) = rng.uniform_int(1, 3);
+  core::ResynthesisContext ctx;
+  synth.resynthesize(rj, health, kBits, ctx);
+  const core::Strategy path = synth.certify(rj, health, kBits, ctx).strategy;
+
+  // The first cell of a droplet on the path whose wear step is certified.
+  IntMatrix worn = health;
+  bool found = false;
+  for (const Rect& droplet : ctx.geometry.droplets) {
+    if (found || !path.action(droplet)) continue;
+    for (int y = droplet.ya; y <= droplet.yb && !found; ++y) {
+      for (int x = droplet.xa; x <= droplet.xb && !found; ++x) {
+        if (health(x, y) == 1) continue;
+        worn(x, y) = health(x, y) - 1;
+        found = synth.certify(rj, worn, kBits, ctx).certified;
+        ctx.checked = health;
+        ctx.certifiable = true;
+        if (!found) worn(x, y) = health(x, y);
+      }
+    }
+  }
+  if (!found) {
+    state.SkipWithError("no certified wear step on the path");
+    return;
+  }
+  std::size_t covered = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    ctx.checked = health;
+    state.ResumeTiming();
+    const core::SynthesisResult skip = synth.certify(rj, worn, kBits, ctx);
+    covered = skip.strategy.size();
+    benchmark::DoNotOptimize(skip.certified);
+  }
+  state.SetLabel(std::to_string(ctx.compiled.num_droplet_states) +
+                 " states, " + std::to_string(covered) + " certified");
+}
+BENCHMARK(BM_CertifyResynthesis);
+
 void BM_FullSynthesis(benchmark::State& state) {
   const int area = static_cast<int>(state.range(0));
   core::SynthesisConfig config;

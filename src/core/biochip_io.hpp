@@ -27,7 +27,8 @@ struct Command {
   /// pattern stays actuated — free-roaming is not allowed).
   std::optional<Action> action;
   /// Droplet this one is allowed to touch this cycle (mix partner); the chip
-  /// blocks any other contact between distinct droplets.
+  /// blocks any other contact between distinct droplets. A moving command's
+  /// partner is -1 or another droplet on the chip; a hold's is ignored.
   DropletId merge_partner = -1;
 };
 
@@ -61,7 +62,8 @@ class BiochipIo {
   /// Moves a droplet off the chip (output/discard through an edge).
   virtual void discard(DropletId id) = 0;
 
-  /// Merges two adjacent droplets into one occupying @p merged.
+  /// Merges two adjacent droplets into one occupying @p merged, which must
+  /// overlap or adjoin one of them.
   virtual DropletId merge(DropletId a, DropletId b, const Rect& merged) = 0;
 
   /// True if @p id could split into @p part0 / @p part1 right now: both

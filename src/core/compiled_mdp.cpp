@@ -11,25 +11,6 @@
 
 namespace meda::core {
 
-namespace {
-
-/// Placeholder for the hazard sink while the state count is still growing;
-/// remapped to the final sink index after exploration.
-constexpr std::uint32_t kHazardSentinel =
-    std::numeric_limits<std::uint32_t>::max();
-
-/// One choice as both the fused builder and the in-place patch derive it
-/// from the shared outcome kernel and a resolved table entry: its outcome
-/// set (a reference to the caller's buffer, valid until the next fill), the
-/// committed-value scale 1/(1−q) with the self-loop mass q summed in outcome
-/// order, and its cost. Deriving both through here is what makes a
-/// topology-preserving patch reproduce a fresh build bit for bit.
-struct ChoiceParams {
-  const OutcomeSet& outcomes;
-  double inv_one_minus_q;
-  double cost;
-};
-
 ChoiceParams choice_params(const ActionEntry& entry, const Rect& droplet,
                            const ClampedForce& force, const Rect& chip,
                            double wear_penalty_lambda, OutcomeSet& outcomes) {
@@ -47,6 +28,25 @@ ChoiceParams choice_params(const ActionEntry& entry, const Rect& droplet,
   }
   return {outcomes, q >= 1.0 - 1e-12 ? 0.0 : 1.0 / (1.0 - q), cost};
 }
+
+bool choice_reads(const ActionEntry& entry, const Rect& droplet,
+                  double wear_penalty_lambda,
+                  const std::vector<Vec2i>& cells) {
+  const auto reads = [&cells](const Rect& rect) {
+    return std::ranges::any_of(
+        cells, [&rect](const Vec2i cell) { return rect.contains(cell); });
+  };
+  for (int i = 0; i < entry.pulls; ++i)
+    if (reads(placed(entry.pull[i], droplet))) return true;
+  return wear_penalty_lambda > 0.0 && reads(placed(entry.success, droplet));
+}
+
+namespace {
+
+/// Placeholder for the hazard sink while the state count is still growing;
+/// remapped to the final sink index after exploration.
+constexpr std::uint32_t kHazardSentinel =
+    std::numeric_limits<std::uint32_t>::max();
 
 /// The shared tail of both compiled-form producers, run once the forward
 /// arrays (offsets, targets, is_goal) are final: the reverse adjacency and
@@ -295,6 +295,33 @@ constexpr int kInfluenceRadius = 2;
 
 }  // namespace
 
+std::vector<std::uint32_t> influenced_states(
+    const CompiledMdp& mdp, const CompiledGeometry& geometry,
+    const std::vector<Vec2i>& changed_cells) {
+  std::vector<std::uint32_t> states;
+  if (changed_cells.empty()) return states;
+  // Bounding box of the delta for a cheap per-state reject before the exact
+  // per-cell containment test.
+  Rect box{changed_cells.front().x, changed_cells.front().y,
+           changed_cells.front().x, changed_cells.front().y};
+  for (const Vec2i cell : changed_cells) {
+    box.xa = std::min(box.xa, cell.x);
+    box.ya = std::min(box.ya, cell.y);
+    box.xb = std::max(box.xb, cell.x);
+    box.yb = std::max(box.yb, cell.y);
+  }
+  for (std::uint32_t s = 0; s < mdp.num_droplet_states; ++s) {
+    if (mdp.is_goal[s]) continue;  // absorbing: no choices
+    const Rect influence = geometry.droplets[s].inflated(kInfluenceRadius);
+    if (!influence.intersects(box)) continue;
+    if (std::ranges::any_of(changed_cells, [&influence](const Vec2i cell) {
+          return influence.contains(cell);
+        }))
+      states.push_back(s);
+  }
+  return states;
+}
+
 MdpPatch patch_compiled_mdp(CompiledMdp& mdp, CompiledGeometry& geometry,
                             const DoubleMatrix& force, const Rect& hazard,
                             const Rect& chip, const ActionRules& rules,
@@ -313,33 +340,12 @@ MdpPatch patch_compiled_mdp(CompiledMdp& mdp, CompiledGeometry& geometry,
     return out;
   }
 
-  // Bounding box of the delta for a cheap per-state reject before the exact
-  // per-cell containment test.
-  Rect box{changed_cells.front().x, changed_cells.front().y,
-           changed_cells.front().x, changed_cells.front().y};
-  for (const Vec2i cell : changed_cells) {
-    box.xa = std::min(box.xa, cell.x);
-    box.ya = std::min(box.ya, cell.y);
-    box.xb = std::max(box.xb, cell.x);
-    box.yb = std::max(box.yb, cell.y);
-  }
-
   const ClampedForce clamped(force);
   ActionTable table(rules);
   OutcomeSet buffer;  // one buffer, refilled per choice
-  for (std::size_t s = 0; s < n; ++s) {
-    if (mdp.is_goal[s]) continue;  // absorbing: no choices to refresh
+  for (const std::uint32_t s :
+       influenced_states(mdp, geometry, changed_cells)) {
     const Rect droplet = geometry.droplets[s];
-    const Rect influence = droplet.inflated(kInfluenceRadius);
-    if (!influence.intersects(box)) continue;
-    bool affected = false;
-    for (const Vec2i cell : changed_cells) {
-      if (influence.contains(cell)) {
-        affected = true;
-        break;
-      }
-    }
-    if (!affected) continue;
     ++out.states_rescanned;
 
     bool state_dirty = false;

@@ -6,6 +6,7 @@
 #include "assay/helper.hpp"
 #include "core/mdp.hpp"
 #include "core/state_index.hpp"
+#include "geometry/point.hpp"
 #include "geometry/rect.hpp"
 #include "model/action.hpp"
 #include "model/guards.hpp"
@@ -35,6 +36,12 @@
 /// index (`c - choice_offset[s]`) is the RoutingMdp choice index and
 /// compile_mdp of the explicit form reproduces these arrays bit for bit —
 /// Solution::chosen indexes the explicit form's choice lists as well.
+
+namespace meda {
+struct ActionEntry;  // model/action_table.hpp
+class ClampedForce;  // model/outcomes.hpp
+class OutcomeSet;    // model/outcomes.hpp
+}  // namespace meda
 
 namespace meda::core {
 
@@ -116,6 +123,43 @@ CompiledModel build_compiled_mdp(const assay::RoutingJob& rj,
 /// graph plus one reverse BFS). Emits a `vi.compile` span and compile-shape
 /// metrics when observability is enabled.
 CompiledMdp compile_mdp(const RoutingMdp& mdp);
+
+/// One choice as the fused builder, the in-place patch and the synthesizer's
+/// certificate derive it from the shared outcome kernel and a resolved
+/// table entry: its outcome set (a reference to the caller's buffer, valid
+/// until the next fill), the committed-value scale 1/(1−q) with the
+/// self-loop mass q summed in outcome order (0 marks a pure self-loop), and
+/// its cost. Deriving every reader through here is what makes a
+/// topology-preserving patch reproduce a fresh build bit for bit, and the
+/// certificate read the choices a fresh build would.
+struct ChoiceParams {
+  const OutcomeSet& outcomes;
+  double inv_one_minus_q;
+  double cost;
+};
+
+/// The parameters of the enabled action behind @p entry at @p droplet under
+/// @p force; @p outcomes is refilled. @p wear_penalty_lambda as in
+/// build_compiled_mdp.
+ChoiceParams choice_params(const ActionEntry& entry, const Rect& droplet,
+                           const ClampedForce& force, const Rect& chip,
+                           double wear_penalty_lambda, OutcomeSet& outcomes);
+
+/// Whether choice_params of @p entry at @p droplet reads a cell of @p cells:
+/// one in a pulling frontier, or with a wear penalty one in the target
+/// pattern. A choice that reads none of a force change's cells derives the
+/// same parameters before and after it.
+bool choice_reads(const ActionEntry& entry, const Rect& droplet,
+                  double wear_penalty_lambda, const std::vector<Vec2i>& cells);
+
+/// The non-goal droplet states of a model whose choices a force change on
+/// @p changed_cells can reach: those whose influence box (the droplet
+/// inflated by 2, which covers every frontier and target pattern an action
+/// can read) holds a changed cell, ascending. The patch rescans exactly
+/// these states, and the certificate re-checks them.
+std::vector<std::uint32_t> influenced_states(
+    const CompiledMdp& mdp, const CompiledGeometry& geometry,
+    const std::vector<Vec2i>& changed_cells);
 
 /// Outcome of patch_compiled_mdp.
 struct MdpPatch {

@@ -751,6 +751,8 @@ class Runner {
     span.arg("resyntheses", static_cast<std::int64_t>(stats.resyntheses));
     span.arg("resyntheses_warm",
              static_cast<std::int64_t>(stats.resyntheses_warm));
+    span.arg("resyntheses_certified",
+             static_cast<std::int64_t>(stats.resyntheses_certified));
     MEDA_OBS_COUNT("sched.runs", 1);
     if (stats.success) MEDA_OBS_COUNT("sched.successes", 1);
     MEDA_OBS_COUNT("sched.cycles", stats.cycles);
@@ -762,6 +764,8 @@ class Runner {
                    static_cast<std::uint64_t>(stats.resyntheses));
     MEDA_OBS_COUNT("sched.resyntheses_warm",
                    static_cast<std::uint64_t>(stats.resyntheses_warm));
+    MEDA_OBS_COUNT("sched.resyntheses_certified",
+                   static_cast<std::uint64_t>(stats.resyntheses_certified));
     MEDA_OBS_COUNT("sched.completed_mos",
                    static_cast<std::uint64_t>(stats.completed_mos));
     MEDA_OBS_COUNT("sched.aborted_mos",
@@ -1438,22 +1442,35 @@ class Runner {
       ++journal_.stats.library_hits;
       result = *cached;
     } else {
-      ++journal_.stats.synthesis_calls;
       if (avoid_droplets || reroute) {
         result = synthesizer_.synthesize(
             rj, avoid_droplets ? masked_health : health, chip_.health_bits());
       } else if (config_.adaptive) {
-        // The hot re-synthesis path: reuse the task's retained model so a
-        // small health delta patches it in place instead of rebuilding the
-        // MDP from scratch.
-        result = synthesizer_.resynthesize(rj, view, chip_.health_bits(),
-                                           task.resynth);
-        if (result.warm) ++journal_.stats.resyntheses_warm;
+        // The hot re-synthesis path. First try to certify that a fresh
+        // synthesis would return the strategy of the task's last solve on
+        // every state the droplet can reach from here. A certified strategy
+        // covers only those states, so under modeled latency, where a
+        // strategy takes over cycles later from wherever the droplet got to
+        // meanwhile, the task re-solves. Re-solving reuses the task's
+        // retained model, so a small health delta patches it in place
+        // instead of rebuilding the MDP from scratch.
+        if (config_.synthesis_latency_cycles == 0)
+          result = synthesizer_.certify(rj, view, chip_.health_bits(),
+                                        task.resynth);
+        if (!result.certified) {
+          journal_.stats.synthesis_seconds += result.total_seconds;
+          result = synthesizer_.resynthesize(rj, view, chip_.health_bits(),
+                                             task.resynth);
+          if (result.warm) ++journal_.stats.resyntheses_warm;
+        }
       } else {
         result = synthesizer_.synthesize_with_force(
             rj,
             full_health_force(chip_bounds_.width(), chip_bounds_.height()));
       }
+      // A certified result is no model-checker invocation.
+      ++(result.certified ? journal_.stats.resyntheses_certified
+                          : journal_.stats.synthesis_calls);
       journal_.stats.synthesis_seconds += result.total_seconds;
       if (config_.use_library)
         library_.store(rj, lookup_digest, result, digest_class);
@@ -1543,6 +1560,7 @@ void RunRollup::absorb(const ExecutionStats& stats) {
   library_hits += stats.library_hits;
   resyntheses += stats.resyntheses;
   resyntheses_warm += stats.resyntheses_warm;
+  resyntheses_certified += stats.resyntheses_certified;
   synthesis_seconds += stats.synthesis_seconds;
   recovery += stats.recovery;
   replica += stats.replica;

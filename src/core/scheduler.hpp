@@ -163,7 +163,12 @@ struct ExecutionStats {
   /// Syntheses served by patching the retained model in place rather than
   /// rebuilding it (SynthesisResult::warm).
   int resyntheses_warm = 0;
-  double synthesis_seconds = 0.0;     ///< wall time spent synthesizing
+  /// Re-syntheses served by a certificate instead of a solve
+  /// (SynthesisResult::certified); not counted in synthesis_calls.
+  int resyntheses_certified = 0;
+  /// Wall time spent synthesizing, refused and accepted certificates
+  /// included.
+  double synthesis_seconds = 0.0;
   std::string failure_reason;         ///< empty on success
   std::vector<MoTiming> mo_timings;   ///< per-MO schedule (by MO id)
   std::vector<RouteRecord> routes;    ///< per-route model-vs-reality data
@@ -193,6 +198,7 @@ struct RunRollup {
   int library_hits = 0;
   int resyntheses = 0;
   int resyntheses_warm = 0;
+  int resyntheses_certified = 0;
   double synthesis_seconds = 0.0;
   stats::RunningStats cycles;       ///< completion cycles, successful runs only
   RecoveryCounters recovery;        ///< ladder counters summed over all runs
@@ -205,7 +211,8 @@ struct RunRollup {
     return runs > 0 ? static_cast<double>(successes) / runs : 0.0;
   }
   double library_hit_rate() const {
-    const int lookups = library_hits + synthesis_calls;
+    const int lookups =
+        library_hits + synthesis_calls + resyntheses_certified;
     return lookups > 0 ? static_cast<double>(library_hits) / lookups : 0.0;
   }
 };

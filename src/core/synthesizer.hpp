@@ -19,6 +19,9 @@
 /// model-checking engine (our PRISM-games substitute). The strategy is
 /// φ_r's: Rmin=? [□¬hazard ∧ ◇goal]. Where rmin leaves the start at ∞, the
 /// best-effort fallback is the argmax strategy of numeric pmax (φ_p).
+/// Across health changes, resynthesize patches a retained model instead of
+/// rebuilding it, and certify proves, where it can, that a fresh synthesis
+/// would return the strategy already in hand, with no build or solve.
 
 namespace meda::core {
 
@@ -64,6 +67,10 @@ struct SynthesisResult {
   /// Served by patching the retained model in place instead of rebuilding
   /// it (resynthesize). Never true for a rebuilt result.
   bool warm = false;
+  /// Served by Synthesizer::certify: the last full solve's strategy, proved
+  /// to be what a fresh synthesis returns on every state the droplet can
+  /// reach. No model was built, patched or solved.
+  bool certified = false;
 };
 
 /// Cells whose sensed health level differs between two chip-sized matrices,
@@ -78,6 +85,10 @@ std::vector<Vec2i> health_delta_cells(const IntMatrix& before,
 /// place for the sensed health delta and writes the refreshed state back.
 /// `valid` is false until the first synthesis primes the context; a caller
 /// clears it to force the next call to rebuild.
+///
+/// Each solve also leaves what Synthesizer::certify reads: its rmin values
+/// V₀ and chosen choices σ, and the view V₀ last passed the certificate's
+/// lower-bound check against.
 struct ResynthesisContext {
   bool valid = false;
   assay::RoutingJob anchor;   ///< job the retained model was built for
@@ -85,6 +96,14 @@ struct ResynthesisContext {
   CompiledGeometry geometry;  ///< side table for patching + extraction
   IntMatrix health;           ///< sensed health the model currently reflects
   ModelStats stats;           ///< shape of the retained model
+  std::vector<double> values;  ///< V₀: the last solve's rmin values
+  std::vector<int> chosen;     ///< σ: its chosen choice per droplet state
+  /// The view V₀ last passed the lower-bound check against; the solved
+  /// view (`health`) right after a solve.
+  IntMatrix checked;
+  /// The last solve left every droplet state at a finite V₀, and no
+  /// lower-bound check has failed since: certify may try this context.
+  bool certifiable = false;
 };
 
 /// The routing-strategy synthesizer for a fixed chip.
@@ -119,6 +138,40 @@ class Synthesizer {
   SynthesisResult resynthesize(const assay::RoutingJob& rj,
                                const IntMatrix& health, int health_bits,
                                ResynthesisContext& ctx) const;
+
+  /// Certify before re-solving: proves, without building, patching or
+  /// solving, that the strategy σ of @p ctx's last solve is what
+  /// resynthesize would return under @p health on every state the droplet
+  /// at rj.start can reach, and then returns it (SynthesisResult::certified).
+  /// The proof, on the retained model's states, each choice derived under
+  /// the current force as a fresh build derives it (choice_params):
+  ///  1. V₀ − η lower-bounds the new optimum: no choice that reads a cell
+  ///     changed since ctx.checked (choice_reads) has a one-step value under
+  ///     V₀ below V₀ at its state (up to the solve's tolerance), so V₀ is a
+  ///     sub-solution of the new Bellman operator. A failure clears
+  ///     ctx.certifiable until the next solve.
+  ///  2. R, the states reachable from rj.start under σ, holds at most 512
+  ///     retained states, and no σ branch leaves them.
+  ///  3. σ's branches on R form no cycle, so σ reaches the goal from every
+  ///     state of R, and one pass evaluates V_σ, its exact expected cost
+  ///     there. No cycle also means a fresh solve's rmin cannot stall on R.
+  ///  4. At every state of R, every other choice that can leave the state
+  ///     loses to σ by a relative margin, with V_σ inside R and
+  ///     max(0, V₀ − η) outside. Then V_σ is the new optimum on R and a
+  ///     fresh solve picks σ there.
+  /// The result holds σ restricted to R (a droplet outside R asks for a new
+  /// strategy) and expected_cycles = V_σ(rj.start). The retained model is
+  /// not patched and ctx.health stays the solved view, so the next
+  /// resynthesize patches the accumulated delta.
+  ///
+  /// A refused result has certified == false and no strategy; its
+  /// total_seconds is the attempt's time. A context that is invalid, not
+  /// certifiable, or built for another goal or hazard is refused without an
+  /// attempt. Counts `synth.certify.attempts`, `.skips` and
+  /// `.refused.{lower_bound,reach,alternative}`.
+  SynthesisResult certify(const assay::RoutingJob& rj,
+                          const IntMatrix& health, int health_bits,
+                          ResynthesisContext& ctx) const;
 
  private:
   Rect chip_bounds_;

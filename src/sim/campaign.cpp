@@ -37,6 +37,7 @@ void for_each_persisted_field(F&& f, S&&... s) {
   f("library_hits", s.library_hits...);
   f("resyntheses", s.resyntheses...);
   f("resyntheses_warm", s.resyntheses_warm...);
+  f("resyntheses_certified", s.resyntheses_certified...);
   f("synthesis_seconds", s.synthesis_seconds...);
   core::RecoveryCounters::for_each_field(f, s.recovery...);
   core::ReplicaCounters::for_each_field(f, s.replica...);
@@ -331,6 +332,8 @@ std::map<std::string, std::string> chaos_metrics(const CampaignCell& c) {
       {"sched.mean_cycles",
        r.cycles.count() > 0 ? fmt_double(r.cycles.mean(), 2) : std::string()},
       {"sched.resyntheses", std::to_string(r.resyntheses)},
+      {"sched.resyntheses_certified",
+       std::to_string(r.resyntheses_certified)},
       {"sched.resyntheses_warm", std::to_string(r.resyntheses_warm)},
       {"sched.runs", std::to_string(r.runs)},
       {"sched.success_rate", fmt_double(r.success_rate(), 4)},

@@ -102,6 +102,8 @@ core::DropletId SimulatedChip::merge(core::DropletId a, core::DropletId b,
   MEDA_REQUIRE(pa.manhattan_gap(pb) <= 1,
                "droplets must be in contact to merge");
   MEDA_REQUIRE(chip_.in_bounds(merged), "merged droplet must be on the chip");
+  MEDA_REQUIRE(merged.manhattan_gap(pa) <= 1 || merged.manhattan_gap(pb) <= 1,
+               "merged droplet must overlap or adjoin a merging droplet");
   MEDA_REQUIRE(!placement_blocked(merged, a, b),
                "merged droplet conflicts with an on-chip droplet");
   std::erase_if(droplets_, [a, b](const auto& d) {
@@ -168,6 +170,12 @@ void SimulatedChip::step(const std::vector<core::Command>& commands) {
     MEDA_REQUIRE(
         action_enabled(*cmd.action, it->second, ActionRules{}, chip_.bounds()),
         "commanded action is not enabled");
+    // A hold's partner is ignored; a move's must be another droplet here.
+    MEDA_REQUIRE(cmd.merge_partner == -1 ||
+                     (cmd.merge_partner != cmd.droplet &&
+                      find_droplet(droplets_, cmd.merge_partner) !=
+                          droplets_.end()),
+                 "merge partner is not another droplet on the chip");
     m.action = cmd.action;
     m.partner = cmd.merge_partner;
   }

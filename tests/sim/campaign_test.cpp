@@ -119,6 +119,7 @@ void expect_same_run(const core::ExecutionStats& a,
   EXPECT_EQ(a.library_hits, b.library_hits) << label;
   EXPECT_EQ(a.resyntheses, b.resyntheses) << label;
   EXPECT_EQ(a.resyntheses_warm, b.resyntheses_warm) << label;
+  EXPECT_EQ(a.resyntheses_certified, b.resyntheses_certified) << label;
   EXPECT_EQ(a.recovery, b.recovery) << label;
   EXPECT_EQ(a.replica, b.replica) << label;
 }

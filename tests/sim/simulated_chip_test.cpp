@@ -351,6 +351,58 @@ TEST(SimulatedChip, ARefusedMergeLeavesTheChipUnchanged) {
   EXPECT_EQ(chip.droplet_position(c), (Rect{0, 6, 1, 7}));
 }
 
+TEST(SimulatedChip, AMergedDropletMustOverlapOrAdjoinItsInputs) {
+  SimulatedChipConfig config = small_config();
+  SimulatedChip chip(config, Rng(29));
+  const core::DropletId a = chip.dispense(Rect{0, 0, 1, 1});
+  const core::DropletId b = chip.dispense(Rect{0, 3, 1, 4});
+  chip.step({move(b, Action::kS, a)});  // into contact with a
+  ASSERT_EQ(chip.droplet_position(b), (Rect{0, 2, 1, 3}));
+  const SimulatedChip::DropletSnapshot before = chip.droplets();
+  // On the chip and clear of every droplet, but far from both inputs: the
+  // merge would teleport the liquid, so it is refused...
+  EXPECT_THROW(chip.merge(a, b, Rect{10, 6, 11, 7}), PreconditionError);
+  // ...one cell short of adjoining b, too...
+  EXPECT_THROW(chip.merge(a, b, Rect{0, 5, 1, 6}), PreconditionError);
+  EXPECT_EQ(chip.droplets(), before);
+  // ...while a site that merely adjoins an input is accepted.
+  const core::DropletId merged = chip.merge(a, b, Rect{0, 4, 1, 5});
+  EXPECT_EQ(chip.droplet_position(merged), (Rect{0, 4, 1, 5}));
+  EXPECT_EQ(chip.droplets().size(), 1u);
+}
+
+TEST(SimulatedChip, AStaleMergePartnerIsRefusedBeforeAnyDraw) {
+  // A moving command names its merge partner; one that is no droplet on the
+  // chip (never dispensed, or the droplet itself) is refused with the other
+  // command checks, before the first outcome draw, so the chip keeps in
+  // step with an untouched twin. A hold's partner is ignored.
+  SimulatedChipConfig config = small_config();
+  config.pre_wear_max = 300;
+  config.chip.degradation = DegradationRange{0.5, 0.9, 60.0, 150.0};
+  SimulatedChip refused(config, Rng(5));
+  SimulatedChip twin(config, Rng(5));
+  for (SimulatedChip* chip : {&refused, &twin}) {
+    chip->dispense(Rect{0, 0, 1, 1});
+    chip->dispense(Rect{18, 10, 19, 11});  // the NE corner
+  }
+  EXPECT_THROW(refused.step({move(0, Action::kE), move(1, Action::kW, 99)}),
+               PreconditionError);
+  EXPECT_THROW(refused.step({move(0, Action::kE, 0)}), PreconditionError);
+  EXPECT_EQ(refused.cycle(), 0u);
+  for (SimulatedChip* chip : {&refused, &twin})
+    chip->step({core::Command{0, std::nullopt, 99}, move(1, Action::kW, 0)});
+  for (int i = 0; i < 12; ++i) {
+    const Action a = i % 2 == 0 ? Action::kE : Action::kW;
+    for (SimulatedChip* chip : {&refused, &twin})
+      if (action_enabled(a, chip->droplet_position(0), ActionRules{},
+                         chip->bounds()))
+        chip->step({move(0, a), move(1, Action::kW)});
+    ASSERT_EQ(refused.droplets(), twin.droplets()) << "step " << i;
+  }
+  EXPECT_EQ(refused.substrate().actuation_matrix(),
+            twin.substrate().actuation_matrix());
+}
+
 TEST(SimulatedChip, ARefusedStepLeavesTheRandomStreamUnchanged) {
   // A disabled action on the droplet with the higher id is refused after
   // the lower id's command was read: the refusal must not have drawn that
