@@ -1,8 +1,8 @@
 // Google-benchmark microbenchmarks of the synthesis engine's hot kernels:
 // model construction (fused compiled build and the explicit-form adapter),
 // MDP compilation, the value-iteration queries on a compiled model,
-// outcome-distribution evaluation, a strategy-library hit,
-// campaign-cell throughput, and health sensing (the per-cycle read, the
+// outcome-distribution evaluation, a strategy-library hit, a helper-thread
+// handoff, campaign-cell throughput, and health sensing (the per-cycle read, the
 // noisy scan-chain read, its random-draw floor, the health filter's update
 // and the health-to-force map). Complements Table V's end-to-end timings
 // with per-kernel numbers.
@@ -15,6 +15,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <vector>
 
 #include "assay/benchmarks.hpp"
@@ -30,11 +32,13 @@
 #include "obs/obs.hpp"
 #include "sim/campaign.hpp"
 #include "sim/simulated_chip.hpp"
+#include "util/handoff.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace meda;
+using namespace std::chrono_literals;
 
 assay::RoutingJob corner_job(int area, int droplet) {
   assay::RoutingJob rj;
@@ -327,6 +331,28 @@ void BM_StrategyLibraryHit(benchmark::State& state) {
   state.SetLabel(std::to_string(states.size()) + " states probed");
 }
 BENCHMARK(BM_StrategyLibraryHit);
+
+// One handoff round trip: post a trivial job to a helper thread, wait until
+// it ran, and settle it as the scheduler adopts a handed synthesis. This is
+// the overhead a concurrent pair of syntheses must beat (see *Concurrent
+// provisioning* in docs/performance.md); it includes waking the helper,
+// which in the scheduler overlaps the first route's own synthesis.
+void BM_HelperRoundTrip(benchmark::State& state) {
+  if (util::helper_count() == 0) {
+    state.SkipWithError("no helper threads on this host");
+    return;
+  }
+  for (auto _ : state) {
+    std::atomic<bool> ran{false};
+    util::Handoff handoff([&ran] { ran.store(true); });
+    // Every helper is free here; the bound only guards a stuck host.
+    const auto limit = std::chrono::steady_clock::now() + 10ms;
+    while (!ran.load() && std::chrono::steady_clock::now() < limit) {
+    }
+    benchmark::DoNotOptimize(handoff.settle());
+  }
+}
+BENCHMARK(BM_HelperRoundTrip);
 
 // One campaign cell end to end (COVID-RAT assay, adaptive router, one chip,
 // one run): the unit of work the parallel campaign drivers distribute.

@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <initializer_list>
+#include <memory>
 #include <optional>
 #include <span>
 
 #include "core/replica_corridors.hpp"
 #include "model/outcomes.hpp"
+#include "obs/capture.hpp"
 #include "obs/obs.hpp"
 #include "util/check.hpp"
+#include "util/handoff.hpp"
 
 namespace meda::core {
 
@@ -182,11 +185,16 @@ class HealthView {
   /// Changes of the whole view so far.
   std::int64_t changes() const { return changes_; }
 
+  /// Bumped whenever the view may have changed: by every refresh, and by a
+  /// quarantine that added cells.
+  std::uint64_t version() const { return version_; }
+
   /// Senses the chip and rebuilds the view: raw scan or filtered estimate,
   /// with quarantined cells clamped dead. @p forced marks a ladder-driven
   /// re-sense (the filter re-seeds from the next frame).
   void refresh(bool forced) {
     if (!senses_) return;
+    ++version_;
     IntMatrix scan = chip_.sense_health();
     if (config_.filter.enabled) {
       // The clamped view stays current until the estimate moves: a frame
@@ -220,7 +228,10 @@ class HealthView {
     int added = 0;
     for_each_cell_outside(area, chip_.bounds(), {keep},
                           [&](int x, int y) { added += add(x, y); });
-    if (added > 0) clamp();
+    if (added > 0) {
+      clamp();
+      ++version_;
+    }
     return added;
   }
 
@@ -325,7 +336,63 @@ class HealthView {
   int suspects_seen_ = 0;
   bool budget_hit_ = false;
   std::int64_t changes_ = 0;
+  std::uint64_t version_ = 0;
   std::optional<std::uint64_t> last_digest_;
+};
+
+/// What the adaptive path's synthesis of one route returns.
+struct Provision {
+  SynthesisResult result;
+  /// Time a refused certificate took before the re-solve.
+  double refused_seconds = 0.0;
+};
+
+/// The adaptive path's synthesis of @p rj over @p view: certify against the
+/// last solve @p ctx retains when @p certify_first, and when that is
+/// refused, re-solve on the model @p ctx retains.
+Provision provision_adaptive(const Synthesizer& synthesizer,
+                             const RoutingJob& rj, const IntMatrix& view,
+                             int health_bits, bool certify_first,
+                             ResynthesisContext& ctx) {
+  Provision out;
+  if (certify_first)
+    out.result = synthesizer.certify(rj, view, health_bits, ctx);
+  if (!out.result.certified) {
+    out.refused_seconds = out.result.total_seconds;
+    out.result = synthesizer.resynthesize(rj, view, health_bits, ctx);
+  }
+  return out;
+}
+
+/// A route's first synthesis, handed to a helper thread before its MO's
+/// route loop (Runner::hand_off_later_route): what it reads, and what it
+/// makes. The helper synthesizes from its own copy of the view into a fresh
+/// context, recording into a capture that adoption commits.
+struct Handed {
+  Handed(const Synthesizer& synthesizer, DropletId d, const RoutingJob& job,
+         std::uint64_t version, const IntMatrix& health, int health_bits,
+         bool certify_first)
+      : droplet(d),
+        rj(job),
+        view_version(version),
+        view(health),
+        handoff([this, &synthesizer, health_bits, certify_first] {
+          const obs::Capture::Scope scope(capture);
+          out = provision_adaptive(synthesizer, rj, view, health_bits,
+                                   certify_first, ctx);
+        }) {}
+
+  Handed(const Handed&) = delete;
+  Handed& operator=(const Handed&) = delete;
+
+  const DropletId droplet;
+  const RoutingJob rj;                ///< start = the droplet's position
+  const std::uint64_t view_version;   ///< HealthView::version() of the view
+  const IntMatrix view;
+  ResynthesisContext ctx;
+  Provision out;
+  obs::Capture capture;
+  util::Handoff handoff;  ///< last: settles before what it writes goes
 };
 
 /// One in-flight single-droplet route (a routing job being executed).
@@ -715,6 +782,7 @@ class Runner {
           if (run.state == MoRun::State::kWaiting) try_activate(run);
           if (run.state == MoRun::State::kActive) process(run, commands);
         }
+        handed_.clear();  // settles what no route adopted: none outlives it
         if (failure_) break;
         finalize_aborts(commands);
         chip_.step(commands);
@@ -960,6 +1028,7 @@ class Runner {
 
   /// Advances every route of @p run one cycle; true when all have arrived.
   bool advance_routes(MoRun& run, std::vector<Command>& commands) {
+    hand_off_later_route(run);
     bool arrived = true;
     for (RouteTask& task : run.routes) {
       arrived = advance_route(run, task, commands) && arrived;
@@ -1367,6 +1436,61 @@ class Runner {
                          " replicas failed");
   }
 
+  // ---- Concurrent provisioning: a merge's or a split's two first routes
+  // synthesize at once, the later one on a helper thread.
+
+  /// When both routes of @p run ask for their first strategy this cycle,
+  /// hands the later one's synthesis to a helper thread, so that it runs
+  /// while the route loop synthesizes the first. The helper makes exactly
+  /// the call ensure_strategy would; adopt_handed takes the result only if
+  /// nothing that call reads has changed by then.
+  void hand_off_later_route(const MoRun& run) {
+    if (!config_.adaptive || util::helper_count() == 0 ||
+        run.routes.size() != 2 || !starts_now(run.routes[0]) ||
+        !starts_now(run.routes[1]))
+      return;
+    const RouteTask& later = run.routes[1];
+    RoutingJob rj = later.rj;
+    rj.start = chip_.droplet_position(later.droplet);
+    handed_.push_back(std::make_unique<Handed>(
+        synthesizer_, later.droplet, rj, health_.version(), health_.view(),
+        chip_.health_bits(), config_.synthesis_latency_cycles == 0));
+  }
+
+  /// True when @p task will synthesize its first strategy over the plain
+  /// view this cycle: it has none, no ladder or detour state, and its
+  /// droplet neither arrived nor parks for its partner.
+  bool starts_now(const RouteTask& task) const {
+    if (task.has_strategy || task.pending || task.resynth.valid ||
+        task.replica >= 0 || task.backoff_remaining > 0 ||
+        task.avoid_droplets_once || task.reroute_once || route_arrived(task))
+      return false;
+    return task.partner < 0 ||
+           !task.rj.goal.contains(chip_.droplet_position(task.droplet));
+  }
+
+  /// The synthesis a helper ran for @p task, when it read exactly what
+  /// ensure_strategy is about to synthesize from: the job @p rj with a fresh
+  /// context over the current view, in the plain family. Commits what the
+  /// helper recorded and hands the context over. nullopt when the inputs
+  /// changed or no helper started the work; the caller then synthesizes
+  /// itself, and what the helper recorded is dropped.
+  std::optional<Provision> adopt_handed(RouteTask& task, const RoutingJob& rj,
+                                        DigestClass digest_class) {
+    const auto it = std::ranges::find(handed_, task.droplet,
+                                      [](const auto& h) { return h->droplet; });
+    if (it == handed_.end() || digest_class != DigestClass::kPlain ||
+        task.resynth.valid || (*it)->rj != rj ||
+        (*it)->view_version != health_.version())
+      return std::nullopt;
+    const std::unique_ptr<Handed> handed = std::move(*it);
+    handed_.erase(it);
+    if (!handed->handoff.settle()) return std::nullopt;
+    handed->capture.commit();
+    task.resynth = std::move(handed->ctx);
+    return std::move(handed->out);
+  }
+
   /// Retrieves / synthesizes / re-synthesizes the task's strategy
   /// (Algorithm 3 lines 11-16 plus the hybrid re-synthesis rule): the one
   /// provisioning chain of library lookup and synthesis, for contention
@@ -1454,15 +1578,16 @@ class Runner {
         // meanwhile, the task re-solves. Re-solving reuses the task's
         // retained model, so a small health delta patches it in place
         // instead of rebuilding the MDP from scratch.
-        if (config_.synthesis_latency_cycles == 0)
-          result = synthesizer_.certify(rj, view, chip_.health_bits(),
-                                        task.resynth);
-        if (!result.certified) {
-          journal_.stats.synthesis_seconds += result.total_seconds;
-          result = synthesizer_.resynthesize(rj, view, chip_.health_bits(),
-                                             task.resynth);
-          if (result.warm) ++journal_.stats.resyntheses_warm;
-        }
+        // A first route may find its synthesis already done on a helper.
+        std::optional<Provision> provided =
+            adopt_handed(task, rj, digest_class);
+        if (!provided)
+          provided = provision_adaptive(
+              synthesizer_, rj, view, chip_.health_bits(),
+              config_.synthesis_latency_cycles == 0, task.resynth);
+        journal_.stats.synthesis_seconds += provided->refused_seconds;
+        result = std::move(provided->result);
+        if (result.warm) ++journal_.stats.resyntheses_warm;
       } else {
         result = synthesizer_.synthesize_with_force(
             rj,
@@ -1527,6 +1652,9 @@ class Runner {
   std::vector<DropletId> doomed_;  ///< droplets to discard at cycle end
   std::vector<std::string> abort_reasons_;
   std::uint64_t job_serial_ = 0;  ///< async job-span id source
+  /// This cycle's handed syntheses no route has adopted yet (last: settled
+  /// before the synthesizer and the view they read go).
+  std::vector<std::unique_ptr<Handed>> handed_;
 };
 
 }  // namespace

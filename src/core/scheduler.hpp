@@ -228,6 +228,10 @@ class Scheduler {
   const SchedulerConfig& config() const { return config_; }
 
   /// Runs @p assay to completion (or abort) on @p chip. Algorithm 3.
+  /// When a merge's or a split's two routes start in the same cycle, the
+  /// second one's synthesis may run on a helper thread (util::Handoff)
+  /// while the first one's runs here; the outcome, metrics included, is
+  /// the one a single thread gives, and no helper work outlives the call.
   ExecutionStats run(BiochipIo& chip, const assay::MoList& assay);
 
  private:

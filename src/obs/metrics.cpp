@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/capture.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 
@@ -122,6 +123,11 @@ void MetricsRegistry::clear() {
 
 void MetricsRegistry::add(std::string_view name, std::uint64_t delta) {
   if (!enabled()) return;
+  if (Capture* capture = Capture::diverting(*this)) {
+    capture->metrics_.push_back(
+        {Capture::MetricRecord::Kind::kAdd, std::string(name), delta, 0.0, {}});
+    return;
+  }
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = counters_.find(name);
   if (it != counters_.end()) {
@@ -133,6 +139,11 @@ void MetricsRegistry::add(std::string_view name, std::uint64_t delta) {
 
 void MetricsRegistry::set(std::string_view name, double value) {
   if (!enabled()) return;
+  if (Capture* capture = Capture::diverting(*this)) {
+    capture->metrics_.push_back(
+        {Capture::MetricRecord::Kind::kSet, std::string(name), 0, value, {}});
+    return;
+  }
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = gauges_.find(name);
   if (it != gauges_.end()) {
@@ -145,6 +156,12 @@ void MetricsRegistry::set(std::string_view name, double value) {
 void MetricsRegistry::observe(std::string_view name, double value,
                               std::span<const double> upper_bounds) {
   if (!enabled()) return;
+  if (Capture* capture = Capture::diverting(*this)) {
+    capture->metrics_.push_back(
+        {Capture::MetricRecord::Kind::kObserve, std::string(name), 0, value,
+         std::vector<double>(upper_bounds.begin(), upper_bounds.end())});
+    return;
+  }
   const std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
@@ -156,6 +173,12 @@ void MetricsRegistry::observe(std::string_view name, double value,
 
 void MetricsRegistry::observe_log2(std::string_view name, double value) {
   if (!enabled()) return;
+  if (Capture* capture = Capture::diverting(*this)) {
+    capture->metrics_.push_back(
+        {Capture::MetricRecord::Kind::kObserveLog2, std::string(name), 0,
+         value, {}});
+    return;
+  }
   const std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {

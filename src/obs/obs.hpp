@@ -16,10 +16,15 @@
 ///  - **Compile-time toggle.** Configure with `-DMEDA_OBS=OFF` (which
 ///    defines `MEDA_OBS_DISABLED`) to compile every macro to a no-op; the
 ///    obs library itself stays available for direct use.
-///  - **One context.** The library is single-threaded per process (the
-///    scheduler owns the run loop), so a process-global context keeps the
-///    instrumentation non-invasive: no plumbing of sink pointers through
-///    Synthesizer/Scheduler/SimulatedChip constructors.
+///  - **One context.** A process-global context keeps the instrumentation
+///    non-invasive: no plumbing of sink pointers through
+///    Synthesizer/Scheduler/SimulatedChip constructors. Several threads may
+///    record at once: campaign workers (util::ThreadPool) each run their own
+///    scheduler, and a scheduler may hand a synthesis to a helper thread
+///    (util::Handoff). Both sinks lock. A helper records into an
+///    obs::Capture (capture.hpp) that the scheduler commits when it adopts
+///    the synthesis, so every record lands where the scheduler's own
+///    thread would have made it.
 ///
 /// Typical use (see examples/run_assay.cpp):
 ///

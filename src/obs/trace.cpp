@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/capture.hpp"
 #include "util/check.hpp"
 
 namespace meda::obs {
@@ -105,18 +106,24 @@ std::size_t Tracer::event_count() const {
   return events_.size();
 }
 
-int Tracer::thread_tid_locked() {
-  const std::thread::id self = std::this_thread::get_id();
-  if (self == main_thread_) return TraceTrack::kMainTid;
-  const auto it = thread_tids_.find(self);
+int Tracer::tid_locked(std::thread::id thread) {
+  if (thread == main_thread_) return TraceTrack::kMainTid;
+  const auto it = thread_tids_.find(thread);
   if (it != thread_tids_.end()) return it->second;
   const int tid = next_worker_tid_++;
-  thread_tids_.emplace(self, tid);
+  thread_tids_.emplace(thread, tid);
   return tid;
 }
 
-void Tracer::push(TraceEvent e) {
+void Tracer::push(TraceEvent e, bool thread_track) {
+  const std::thread::id self = std::this_thread::get_id();
+  if (Capture* capture = Capture::diverting(*this)) {
+    capture->events_.push_back(
+        {std::move(e), thread_track ? self : std::thread::id{}});
+    return;
+  }
   const std::lock_guard<std::mutex> lock(mu_);
+  if (thread_track) e.tid = tid_locked(self);
   events_.push_back(std::move(e));
 }
 
@@ -127,9 +134,7 @@ void Tracer::begin(std::string_view cat, std::string_view name) {
   e.ts = now_us();
   e.name = name;
   e.cat = cat;
-  const std::lock_guard<std::mutex> lock(mu_);
-  e.tid = thread_tid_locked();
-  events_.push_back(std::move(e));
+  push(std::move(e), /*thread_track=*/true);
 }
 
 void Tracer::end(std::vector<std::pair<std::string, std::string>> args) {
@@ -138,9 +143,7 @@ void Tracer::end(std::vector<std::pair<std::string, std::string>> args) {
   e.ph = 'E';
   e.ts = now_us();
   e.args = std::move(args);
-  const std::lock_guard<std::mutex> lock(mu_);
-  e.tid = thread_tid_locked();
-  events_.push_back(std::move(e));
+  push(std::move(e), /*thread_track=*/true);
 }
 
 void Tracer::complete(std::string_view cat, std::string_view name,

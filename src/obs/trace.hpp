@@ -33,10 +33,14 @@
 /// instrumented hot path costs a predicted branch when tracing is off.
 ///
 /// Thread safety: record calls may come from campaign worker threads
-/// (util::ThreadPool), so the event buffer is mutex-protected and each
+/// (util::ThreadPool) and from the scheduler's helper threads
+/// (util::Handoff), so the event buffer is mutex-protected and each
 /// recording thread gets its own tid — the construction thread is the
-/// scheduler track (kMainTid), workers are assigned kFirstWorkerTid,
-/// kFirstWorkerTid+1, … on first use and labelled "worker-N" in the export.
+/// scheduler track (kMainTid), every other thread is assigned
+/// kFirstWorkerTid, kFirstWorkerTid+1, … on first use and labelled
+/// "worker-N" in the export. A helper's synthesis spans reach the buffer
+/// through an obs::Capture, on the helper's own track, when the scheduler
+/// adopts the synthesis.
 /// Duration spans therefore nest correctly per thread; events from
 /// different threads interleave in wall-clock order, which is
 /// nondeterministic — run with jobs = 1 when a reproducible trace matters
@@ -45,6 +49,8 @@
 /// phases before and after a parallel section.
 
 namespace meda::obs {
+
+class Capture;
 
 /// Monotonic interval timer; the single source of truth for all wall-time
 /// measurements reported by the library (spans and the timing fields of
@@ -149,11 +155,15 @@ class Tracer {
   void write_json(const std::string& path) const;
 
  private:
-  /// The calling thread's track id under mu_: the construction thread maps
+  friend class Capture;  // commits held events into the buffer
+
+  /// Thread @p thread's track id under mu_: the construction thread maps
   /// to TraceTrack::kMainTid, every other thread gets the next worker tid
   /// on first use.
-  int thread_tid_locked();
-  void push(TraceEvent e);
+  int tid_locked(std::thread::id thread);
+  /// Records @p e, on the calling thread's track when @p thread_track
+  /// (otherwise e.tid stands), or holds it in the thread's capture.
+  void push(TraceEvent e, bool thread_track = false);
 
   std::atomic<bool> enabled_{false};
   std::chrono::steady_clock::time_point epoch_ =
