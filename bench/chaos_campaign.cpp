@@ -27,8 +27,8 @@
 
 // Flags:
 //   --jobs N           spread the (cell, chip) grid over N worker threads
-//                      (0 = all hardware threads); table and CSV are
-//                      byte-identical at any job count.
+//                      (0 = one per CPU the process may run on); table and
+//                      CSV are byte-identical at any job count.
 //   --full             add a NuIP assay row next to CEP (slower).
 //   --smoke            tiny grid (1 chip x 1 run, 2 levels) for CI.
 //   --metrics          also write chaos_campaign_metrics.csv (per-cell
@@ -43,7 +43,6 @@
 #include "sim/campaign.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace meda;
 

@@ -9,9 +9,9 @@
 // k_max = 300: 0.8 adaptive vs 0.1 baseline on their testbed).
 
 // Pass `--jobs N` to spread the (configuration, chip) grid over N worker
-// threads (0 = all hardware threads); every chip's seed is derived from its
-// index alone and the per-chip results are concatenated in chip order, so
-// the tables and CSV are byte-identical at any job count.
+// threads (0 = one per CPU the process may run on); every chip's seed is
+// derived from its index alone and the per-chip results are concatenated in
+// chip order, so the tables and CSV are byte-identical at any job count.
 // `--checkpoint PATH` persists completed chips; `--resume` reloads them.
 
 #include <exception>
@@ -24,7 +24,6 @@
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace meda;
 

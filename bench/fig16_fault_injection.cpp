@@ -10,9 +10,9 @@
 // router's mean executions-to-first-failure exceeds the five-success target.
 
 // Pass `--jobs N` to run the trials of each configuration on N worker
-// threads (0 = all hardware threads); trial seeds are index-derived and the
-// per-trial results are folded in trial order, so the table and CSV are
-// byte-identical at any job count.
+// threads (0 = one per CPU the process may run on); trial seeds are
+// index-derived and the per-trial results are folded in trial order, so the
+// table and CSV are byte-identical at any job count.
 // `--checkpoint PATH` persists completed trials; `--resume` reloads them.
 
 #include <exception>
@@ -25,9 +25,9 @@
 #include "util/checkpoint.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
+#include "util/handoff.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace meda;
 

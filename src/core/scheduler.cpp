@@ -185,16 +185,11 @@ class HealthView {
   /// Changes of the whole view so far.
   std::int64_t changes() const { return changes_; }
 
-  /// Bumped whenever the view may have changed: by every refresh, and by a
-  /// quarantine that added cells.
-  std::uint64_t version() const { return version_; }
-
   /// Senses the chip and rebuilds the view: raw scan or filtered estimate,
   /// with quarantined cells clamped dead. @p forced marks a ladder-driven
   /// re-sense (the filter re-seeds from the next frame).
   void refresh(bool forced) {
     if (!senses_) return;
-    ++version_;
     IntMatrix scan = chip_.sense_health();
     if (config_.filter.enabled) {
       // The clamped view stays current until the estimate moves: a frame
@@ -228,10 +223,7 @@ class HealthView {
     int added = 0;
     for_each_cell_outside(area, chip_.bounds(), {keep},
                           [&](int x, int y) { added += add(x, y); });
-    if (added > 0) {
-      clamp();
-      ++version_;
-    }
+    if (added > 0) clamp();
     return added;
   }
 
@@ -336,7 +328,6 @@ class HealthView {
   int suspects_seen_ = 0;
   bool budget_hit_ = false;
   std::int64_t changes_ = 0;
-  std::uint64_t version_ = 0;
   std::optional<std::uint64_t> last_digest_;
 };
 
@@ -370,11 +361,9 @@ Provision provision_adaptive(const Synthesizer& synthesizer,
 /// context, recording into a capture that adoption commits.
 struct Handed {
   Handed(const Synthesizer& synthesizer, DropletId d, const RoutingJob& job,
-         std::uint64_t version, const IntMatrix& health, int health_bits,
-         bool certify_first)
+         const IntMatrix& health, int health_bits, bool certify_first)
       : droplet(d),
         rj(job),
-        view_version(version),
         view(health),
         handoff([this, &synthesizer, health_bits, certify_first] {
           const obs::Capture::Scope scope(capture);
@@ -386,8 +375,7 @@ struct Handed {
   Handed& operator=(const Handed&) = delete;
 
   const DropletId droplet;
-  const RoutingJob rj;                ///< start = the droplet's position
-  const std::uint64_t view_version;   ///< HealthView::version() of the view
+  const RoutingJob rj;  ///< start = the droplet's position
   const IntMatrix view;
   ResynthesisContext ctx;
   Provision out;
@@ -1453,8 +1441,8 @@ class Runner {
     RoutingJob rj = later.rj;
     rj.start = chip_.droplet_position(later.droplet);
     handed_.push_back(std::make_unique<Handed>(
-        synthesizer_, later.droplet, rj, health_.version(), health_.view(),
-        chip_.health_bits(), config_.synthesis_latency_cycles == 0));
+        synthesizer_, later.droplet, rj, health_.view(), chip_.health_bits(),
+        config_.synthesis_latency_cycles == 0));
   }
 
   /// True when @p task will synthesize its first strategy over the plain
@@ -1481,7 +1469,7 @@ class Runner {
                                       [](const auto& h) { return h->droplet; });
     if (it == handed_.end() || digest_class != DigestClass::kPlain ||
         task.resynth.valid || (*it)->rj != rj ||
-        (*it)->view_version != health_.version())
+        (*it)->view != health_.view())
       return std::nullopt;
     const std::unique_ptr<Handed> handed = std::move(*it);
     handed_.erase(it);

@@ -38,10 +38,11 @@
 /// Like the tracer, the registry is a null sink until enable() is called:
 /// record calls check one flag and return.
 ///
-/// Thread safety: record and read calls are mutex-protected so campaign
-/// worker threads (util::ThreadPool) can share the process-global registry;
-/// a scheduler's helper thread records through an obs::Capture instead,
-/// replayed in order when the scheduler adopts its work.
+/// Thread safety: record and read calls are mutex-protected so the threads
+/// of a campaign loop (util::parallel_for: the calling thread and the
+/// process's helpers) can share the process-global registry; a synthesis
+/// handed to a helper records through an obs::Capture instead, replayed in
+/// order when the scheduler adopts its work.
 /// Counters and histograms are commutative — their totals are identical at
 /// any job count — but gauges are last-write-wins, so a gauge set from
 /// concurrent workers keeps an arbitrary thread's value.

@@ -19,9 +19,10 @@
 ///  - **One context.** A process-global context keeps the instrumentation
 ///    non-invasive: no plumbing of sink pointers through
 ///    Synthesizer/Scheduler/SimulatedChip constructors. Several threads may
-///    record at once: campaign workers (util::ThreadPool) each run their own
-///    scheduler, and a scheduler may hand a synthesis to a helper thread
-///    (util::Handoff). Both sinks lock. A helper records into an
+///    record at once: a campaign loop (util::parallel_for) runs its own
+///    scheduler on the calling thread and on each helper thread it got,
+///    and a scheduler may hand a synthesis to an idle helper
+///    (util::Handoff). Both sinks lock. A handed synthesis records into an
 ///    obs::Capture (capture.hpp) that the scheduler commits when it adopts
 ///    the synthesis, so every record lands where the scheduler's own
 ///    thread would have made it.

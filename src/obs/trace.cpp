@@ -95,8 +95,8 @@ std::uint64_t Tracer::now_us() const {
 void Tracer::clear() {
   const std::lock_guard<std::mutex> lock(mu_);
   events_.clear();
-  // Drop worker tid assignments too: pool threads are gone by the time a
-  // test resets the context, and their ids may be recycled.
+  // Drop worker tid assignments too, so the next trace numbers its worker
+  // tracks from the first again; a finished thread's id may be recycled.
   thread_tids_.clear();
   next_worker_tid_ = TraceTrack::kFirstWorkerTid;
 }
@@ -279,7 +279,8 @@ std::string Tracer::to_json() const {
                 "thread_name", "scheduler");
   emit_metadata(os, TraceTrack::kWallPid, TraceTrack::kJobTid, "thread_name",
                 "routing jobs");
-  // Label every pool worker that recorded spans (campaign --jobs > 1).
+  // Label every other thread that recorded spans: the helpers a campaign
+  // loop (--jobs > 1) or a handed synthesis ran on.
   for (int tid = TraceTrack::kFirstWorkerTid; tid < next_worker_tid_; ++tid) {
     const std::string label =
         "worker-" + std::to_string(tid - TraceTrack::kFirstWorkerTid + 1);

@@ -32,8 +32,9 @@
 /// called: every record call first checks one flag and returns, so an
 /// instrumented hot path costs a predicted branch when tracing is off.
 ///
-/// Thread safety: record calls may come from campaign worker threads
-/// (util::ThreadPool) and from the scheduler's helper threads
+/// Thread safety: record calls may come from any thread of a campaign loop
+/// (util::parallel_for runs it on the calling thread and on the process's
+/// helper threads) and from the helper a scheduler handed a synthesis to
 /// (util::Handoff), so the event buffer is mutex-protected and each
 /// recording thread gets its own tid — the construction thread is the
 /// scheduler track (kMainTid), every other thread is assigned
@@ -103,7 +104,7 @@ struct TraceTrack {
   static constexpr int kSweepPid = 3;   ///< sweep domain (ts = GS sweep index)
   static constexpr int kMainTid = 1;    ///< nested scheduler/synthesis spans
   static constexpr int kJobTid = 2;     ///< async per-job lifetime spans
-  static constexpr int kFirstWorkerTid = 3;  ///< pool workers count up from here
+  static constexpr int kFirstWorkerTid = 3;  ///< others count up from here
 };
 
 /// Event recorder. All record methods are no-ops until enable().

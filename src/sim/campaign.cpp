@@ -10,8 +10,8 @@
 #include "util/check.hpp"
 #include "util/checkpoint.hpp"
 #include "util/csv.hpp"
+#include "util/handoff.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 namespace meda::sim {
 

@@ -65,9 +65,9 @@ struct CampaignConfig {
   int runs_per_chip = 10;   ///< repeated executions per chip (reuse)
   std::uint64_t seed0 = 1;  ///< chip i uses seed0 + i (paired across
                             ///< routers and levels: same substrate)
-  /// Worker threads for the (cell, chip) grid; <= 0 means one per hardware
-  /// thread. Per-chip seeding is index-derived and reduction is serial in
-  /// grid order, so cells (and the CSV) are byte-identical at any job
+  /// Worker threads for the (cell, chip) grid; 0 = one per CPU the process
+  /// may run on. Per-chip seeding is index-derived and reduction is serial
+  /// in grid order, so cells (and the CSV) are byte-identical at any job
   /// count (see docs/performance.md).
   int jobs = 1;
   CampaignCheckpoint checkpoint{};  ///< crash-safe slot persistence

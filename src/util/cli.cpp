@@ -25,4 +25,9 @@ std::string flag_value(int argc, char** argv, const std::string& name,
   return fallback;
 }
 
+int parse_jobs_flag(int argc, char** argv, int default_jobs) {
+  if (!has_flag(argc, argv, "--jobs")) return default_jobs;
+  return parse_flag<int>("--jobs", flag_value(argc, argv, "--jobs"), 0);
+}
+
 }  // namespace meda::util

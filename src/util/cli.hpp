@@ -8,9 +8,8 @@
 #include "util/check.hpp"
 
 /// @file cli.hpp
-/// Tiny argv helpers shared by the bench drivers and examples. Flags follow
-/// the same conventions as parse_jobs_flag (thread_pool.hpp): boolean flags
-/// are bare (`--full`), valued flags accept both `--flag value` and
+/// Tiny argv helpers shared by the bench drivers and examples. Boolean
+/// flags are bare (`--full`); valued flags accept both `--flag value` and
 /// `--flag=value`.
 namespace meda::util {
 
@@ -47,5 +46,13 @@ T parse_flag(const std::string& flag, const std::string& text,
   throw PreconditionError(flag + ": expected " + expected + ", got '" +
                           text + "'");
 }
+
+/// Scans argv for `--jobs N` / `--jobs=N` (the bench drivers' shared flag)
+/// and returns N, or @p default_jobs when absent. N = 0 conventionally
+/// means one worker per CPU the process may run on (effective_jobs in
+/// handoff.hpp). N must be a whole non-negative int; anything
+/// else, or a trailing `--jobs` with no value, throws PreconditionError
+/// naming the flag.
+int parse_jobs_flag(int argc, char** argv, int default_jobs = 1);
 
 }  // namespace meda::util

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -222,6 +223,43 @@ bool Handoff::settle() {
                         [this] { return job_->state != State::kRunning; });
   }
   return job_->state == State::kDone;
+}
+
+int effective_jobs(int jobs, std::size_t count) {
+  const int cpus = helper_count() + 1;
+  if (jobs <= 0 || jobs > cpus) jobs = cpus;
+  if (count < static_cast<std::size_t>(jobs))
+    jobs = static_cast<int>(count);
+  return std::max(jobs, 1);
+}
+
+void parallel_for(int jobs, std::size_t count,
+                  const std::function<void(std::size_t)>& body) {
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::mutex error_mu;
+  std::exception_ptr first_error;
+  const auto pull = [&] {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < count && !failed.load(std::memory_order_relaxed);
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        body(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mu);
+        if (!first_error) first_error = std::current_exception();
+        failed.store(true, std::memory_order_relaxed);
+      }
+    }
+  };
+  {
+    const int workers = effective_jobs(jobs, count);
+    std::vector<std::unique_ptr<Handoff>> copies;
+    for (int w = 1; w < workers; ++w)
+      copies.push_back(std::make_unique<Handoff>(pull));
+    pull();
+  }  // settles every copy
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace meda::util

@@ -13,8 +13,8 @@
 #include "model/outcomes.hpp"
 #include "sim/campaign.hpp"
 #include "sim/experiments.hpp"
+#include "util/handoff.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 
 namespace meda {
 namespace {

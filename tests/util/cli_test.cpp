@@ -119,5 +119,52 @@ TEST(ParseFlag, MessageNamesTheFlagAndTheValue) {
   }
 }
 
+TEST(ParseJobsFlag, ParsesBothSpellings) {
+  const char* argv1[] = {"bench", "--jobs", "4"};
+  EXPECT_EQ(parse_jobs_flag(3, const_cast<char**>(argv1)), 4);
+  const char* argv2[] = {"bench", "--jobs=8"};
+  EXPECT_EQ(parse_jobs_flag(2, const_cast<char**>(argv2)), 8);
+  const char* argv3[] = {"bench"};
+  EXPECT_EQ(parse_jobs_flag(1, const_cast<char**>(argv3)), 1);
+  EXPECT_EQ(parse_jobs_flag(1, const_cast<char**>(argv3), 7), 7);
+  const char* argv4[] = {"bench", "--jobs=0"};
+  EXPECT_EQ(parse_jobs_flag(2, const_cast<char**>(argv4)), 0);
+}
+
+TEST(ParseJobsFlag, ATrailingFlagWithoutAValueIsRejected) {
+  const char* spaced[] = {"bench", "--smoke", "--jobs"};
+  const char* glued[] = {"bench", "--smoke", "--jobs="};
+  for (const char** argv : {spaced, glued}) {
+    try {
+      parse_jobs_flag(3, const_cast<char**>(argv), 4);
+      ADD_FAILURE() << "a trailing " << argv[2] << " ran on the default";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("--jobs"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ParseJobsFlag, RejectsMalformedValues) {
+  for (const char* value : {"abc", "4x", "-1", "99999999999", ""}) {
+    const char* spaced[] = {"bench", "--jobs", value};
+    try {
+      parse_jobs_flag(3, const_cast<char**>(spaced));
+      ADD_FAILURE() << "--jobs '" << value << "' was accepted";
+    } catch (const PreconditionError& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("--jobs"), std::string::npos) << message;
+      EXPECT_NE(message.find("'" + std::string(value) + "'"),
+                std::string::npos)
+          << message;
+    }
+    const std::string joined = std::string("--jobs=") + value;
+    const char* glued[] = {"bench", joined.c_str()};
+    EXPECT_THROW(parse_jobs_flag(2, const_cast<char**>(glued)),
+                 PreconditionError)
+        << joined;
+  }
+}
+
 }  // namespace
 }  // namespace meda::util

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -97,6 +99,93 @@ TEST(Handoff, DestructionSettles) {
   const int settled = count.load();
   std::this_thread::sleep_for(5ms);
   EXPECT_EQ(count.load(), settled);
+  EXPECT_EQ(helpers_busy(), 0);
+}
+
+TEST(EffectiveJobs, CapsByItemCountAndResolvesAuto) {
+  // One CPU count: the helpers plus the calling thread.
+  const int cpus = helper_count() + 1;
+  EXPECT_EQ(effective_jobs(4, 100), std::min(4, cpus));
+  EXPECT_EQ(effective_jobs(8, 3), std::min(3, cpus));  // never more than items
+  EXPECT_EQ(effective_jobs(1, 100), 1);
+  EXPECT_EQ(effective_jobs(0, 100), cpus);  // 0 = one per CPU
+  EXPECT_EQ(effective_jobs(-1, 100), cpus);
+  EXPECT_EQ(effective_jobs(cpus + 7, 100), cpus);  // never more than CPUs
+  EXPECT_EQ(effective_jobs(4, 0), 1);
+}
+
+TEST(ParallelFor, VisitsEachIndexExactlyOnce) {
+  for (const int jobs : {1, 2, 8}) {
+    std::vector<std::atomic<int>> visits(257);
+    for (auto& v : visits) v.store(0);
+    parallel_for(jobs, visits.size(),
+                 [&](std::size_t i) { visits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < visits.size(); ++i)
+      EXPECT_EQ(visits[i].load(), 1) << "jobs=" << jobs << " i=" << i;
+  }
+}
+
+TEST(ParallelFor, SerialFallbackPreservesOrder) {
+  // jobs = 1 must run on the calling thread, in index order.
+  std::vector<std::size_t> order;
+  parallel_for(1, 10, [&](std::size_t i) { order.push_back(i); });
+  std::vector<std::size_t> expected(10);
+  std::iota(expected.begin(), expected.end(), 0u);
+  EXPECT_EQ(order, expected);
+}
+
+TEST(ParallelFor, SlotWritesMatchTheSerialPath) {
+  // The campaign pattern: each index writes its own slot; the gathered
+  // result must be identical at any job count.
+  auto run = [](int jobs) {
+    std::vector<double> slots(64, 0.0);
+    parallel_for(jobs, slots.size(), [&](std::size_t i) {
+      slots[i] = static_cast<double>(i * i) / 7.0;
+    });
+    return slots;
+  };
+  const std::vector<double> serial = run(1);
+  EXPECT_EQ(run(4), serial);
+  EXPECT_EQ(run(16), serial);
+}
+
+TEST(ParallelFor, PropagatesBodyExceptions) {
+  EXPECT_THROW(
+      parallel_for(4, 32,
+                   [](std::size_t i) {
+                     if (i == 17) throw std::runtime_error("body boom");
+                   }),
+      std::runtime_error);
+}
+
+TEST(ParallelFor, EmptyRangeIsANoOp) {
+  parallel_for(4, 0, [](std::size_t) { FAIL() << "must not be called"; });
+}
+
+TEST(ParallelFor, RunsOnTheCallerWhenEveryHelperIsBusy) {
+  // Occupy every helper, so no copy of the loop finds one free: the calling
+  // thread covers every index itself, and nothing waits for a helper.
+  std::atomic<bool> release{false};
+  std::vector<std::unique_ptr<Handoff>> blockers;
+  while (helpers_busy() < helper_count()) {
+    blockers.push_back(std::make_unique<Handoff>([&] {
+      while (!release) std::this_thread::yield();
+    }));
+    std::this_thread::sleep_for(1ms);
+  }
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> visits(64, 0);
+  std::vector<std::thread::id> ran_on(visits.size());
+  parallel_for(0, visits.size(), [&](std::size_t i) {
+    ++visits[i];
+    ran_on[i] = std::this_thread::get_id();
+  });
+  release = true;
+  blockers.clear();
+  for (std::size_t i = 0; i < visits.size(); ++i) {
+    EXPECT_EQ(visits[i], 1) << "i=" << i;
+    EXPECT_EQ(ran_on[i], caller) << "i=" << i;
+  }
   EXPECT_EQ(helpers_busy(), 0);
 }
 
